@@ -37,13 +37,10 @@ func (b *BOLA) Choose(ctx Context) int {
 	if minSize <= 0 {
 		return 0
 	}
-	// Utilities v_q = ln(S_q/S_min); v_0 = 0.
-	utils := make([]float64, nq)
-	for q := 0; q < nq; q++ {
-		utils[q] = math.Log(v.Size(chunk, q) / minSize)
-	}
+	// Utilities v_q = ln(S_q/S_min), v_0 = 0, computed where used: a
+	// decision allocates nothing.
 	bufMaxChunks := ctx.BufferCap / v.ChunkSeconds()
-	vMax := utils[nq-1]
+	vMax := math.Log(v.Size(chunk, nq-1) / minSize)
 	// V chosen so the score of the top quality crosses zero just below
 	// the buffer cap (the standard BOLA derivation).
 	V := math.Max(0.1, (bufMaxChunks-1)/(vMax+gp))
@@ -53,7 +50,8 @@ func (b *BOLA) Choose(ctx Context) int {
 	bestScore := math.Inf(-1)
 	anyPositive := false
 	for q := 0; q < nq; q++ {
-		score := (V*(utils[q]+gp) - Q) / v.Size(chunk, q)
+		size := v.Size(chunk, q)
+		score := (V*(math.Log(size/minSize)+gp) - Q) / size
 		if score > 0 {
 			anyPositive = true
 		}
