@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"veritas/internal/abduction"
+	"veritas/internal/engine"
 	"veritas/internal/experiments"
 )
 
@@ -146,12 +147,12 @@ func BenchmarkExtSquareWave(b *testing.B) { benchFigure(b, "ext-square") }
 // arm — the acceptance workload for engine throughput scaling.
 func fleetBenchSetup(b *testing.B) ([]FleetSpec, []FleetArm) {
 	b.Helper()
-	ccfg := CorpusConfig{SessionsPer: 8, NumChunks: 60, Seed: 1}
-	corpus, err := BuildCorpus(ccfg)
+	ccfg := engine.CorpusConfig{SessionsPer: 8, NumChunks: 60, Seed: 1}
+	corpus, err := engine.BuildCorpus(ccfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	arms, err := FleetMatrix(ccfg, []string{"bba"}, []float64{5})
+	arms, err := engine.BuildMatrix(ccfg, []string{"bba"}, []float64{5})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -166,11 +167,11 @@ func BenchmarkFleet(b *testing.B) {
 	corpus, arms := fleetBenchSetup(b)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := FleetConfig{Workers: workers, Samples: 3, Seed: 1}
+			cfg := engine.Config{Workers: workers, Samples: 3, Seed: 1}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := RunFleet(context.Background(), cfg, corpus, arms); err != nil {
+				if _, err := engine.Run(context.Background(), cfg, corpus, arms); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -251,11 +252,11 @@ func BenchmarkFleetCache(b *testing.B) {
 			name = "off"
 		}
 		b.Run("cache="+name, func(b *testing.B) {
-			cfg := FleetConfig{Workers: 1, Samples: 3, Seed: 1, DisableCache: disable}
+			cfg := engine.Config{Workers: 1, Samples: 3, Seed: 1, DisableCache: disable}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := RunFleet(context.Background(), cfg, corpus, arms); err != nil {
+				if _, err := engine.Run(context.Background(), cfg, corpus, arms); err != nil {
 					b.Fatal(err)
 				}
 			}

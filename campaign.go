@@ -15,9 +15,6 @@ package veritas
 //	res, _ := c.Run(ctx)      // or c.Resume(ctx) after a crash
 //	rep, _ := c.Report()      // aggregate report (store-backed if stored)
 //	_ = c.Serve(ctx, ":8077") // query API over the persisted corpus
-//
-// The older free functions (RunFleet, BuildCorpus, FleetMatrix, ...)
-// remain as deprecated shims in compat.go.
 
 import (
 	"context"
@@ -1272,7 +1269,7 @@ func (c *Campaign) Serve(ctx context.Context, addr string) error {
 	if err != nil {
 		return err
 	}
-	return serveHTTP(ctx, addr, h)
+	return serve.ListenAndServe(ctx, addr, h)
 }
 
 // WatchServe serves a live view of a store another process is still

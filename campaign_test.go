@@ -1,12 +1,9 @@
-//lint:file-ignore SA1019 Equivalence tests here call the deprecated
-// free-function surface on purpose, to pin it against the Campaign API.
-
 package veritas_test
 
-// Campaign API coverage: option validation, equivalence with the
-// deprecated free-function surface (including the store-backed
-// cmd/fleet report path, pinned byte-for-byte), resume, streaming
-// results with bounded retention, and serving.
+// Campaign API coverage: option validation, equivalence with driving
+// the engine directly (including the store-backed cmd/fleet report
+// path, pinned byte-for-byte), resume, streaming results with bounded
+// retention, and serving.
 
 import (
 	"bytes"
@@ -24,6 +21,7 @@ import (
 	"time"
 
 	"veritas"
+	"veritas/internal/engine"
 )
 
 // quickOptions is a campaign small enough for unit tests but covering
@@ -84,21 +82,22 @@ func TestCampaignOptionValidation(t *testing.T) {
 	}
 }
 
-// TestCampaignMatchesDeprecatedSurface pins that the options-based path
-// computes exactly what the old free functions do: same corpus, same
-// arms, same aggregate report JSON.
-func TestCampaignMatchesDeprecatedSurface(t *testing.T) {
-	ccfg := veritas.CorpusConfig{SessionsPer: 1, NumChunks: 25, Seed: 1}
-	corpus, err := veritas.BuildCorpus(ccfg)
+// TestCampaignMatchesDirectEngine pins that the options-based path
+// computes exactly what the engine's free functions (the pre-Campaign
+// RunFleet surface) do: same corpus, same arms, same aggregate report
+// JSON.
+func TestCampaignMatchesDirectEngine(t *testing.T) {
+	ccfg := engine.CorpusConfig{SessionsPer: 1, NumChunks: 25, Seed: 1}
+	corpus, err := engine.BuildCorpus(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	arms, err := veritas.FleetMatrix(ccfg, []string{"bba"}, []float64{5, 30})
+	arms, err := engine.BuildMatrix(ccfg, []string{"bba"}, []float64{5, 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldRes, err := veritas.RunFleet(context.Background(),
-		veritas.FleetConfig{Workers: 2, Samples: 2, Seed: 1}, corpus, arms)
+	oldRes, err := engine.Run(context.Background(),
+		engine.Config{Workers: 2, Samples: 2, Seed: 1}, corpus, arms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,12 +177,12 @@ func pr2StoreReport(t *testing.T, dir string) (meta, report []byte) {
 		t.Fatal(err)
 	}
 
-	ccfg := veritas.CorpusConfig{SessionsPer: 1, NumChunks: 25, Seed: 1}
-	corpus, err := veritas.BuildCorpus(ccfg)
+	ccfg := engine.CorpusConfig{SessionsPer: 1, NumChunks: 25, Seed: 1}
+	corpus, err := engine.BuildCorpus(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	arms, err := veritas.FleetMatrix(ccfg, []string{"bba"}, []float64{5, 30})
+	arms, err := engine.BuildMatrix(ccfg, []string{"bba"}, []float64{5, 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,8 +191,8 @@ func pr2StoreReport(t *testing.T, dir string) (meta, report []byte) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	fcfg := veritas.FleetConfig{Workers: 2, Samples: 2, Seed: 1, Sink: st}
-	if _, err := veritas.RunFleet(context.Background(), fcfg, corpus, arms); err != nil {
+	fcfg := engine.Config{Workers: 2, Samples: 2, Seed: 1, Sink: st}
+	if _, err := engine.Run(context.Background(), fcfg, corpus, arms); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Sync(); err != nil {
@@ -472,11 +471,11 @@ func TestCampaignResume(t *testing.T) {
 
 	// Simulate a campaign killed halfway: persist only half the corpus
 	// via the old plumbing, then hand the store to a resuming Campaign.
-	corpus, err := veritas.BuildCorpus(veritas.CorpusConfig{SessionsPer: 1, NumChunks: 25, Seed: 1})
+	corpus, err := engine.BuildCorpus(engine.CorpusConfig{SessionsPer: 1, NumChunks: 25, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	arms, err := veritas.FleetMatrix(veritas.CorpusConfig{SessionsPer: 1, NumChunks: 25, Seed: 1},
+	arms, err := engine.BuildMatrix(engine.CorpusConfig{SessionsPer: 1, NumChunks: 25, Seed: 1},
 		[]string{"bba"}, []float64{5, 30})
 	if err != nil {
 		t.Fatal(err)
@@ -490,8 +489,8 @@ func TestCampaignResume(t *testing.T) {
 	for _, spec := range corpus[len(corpus)/2:] {
 		skip[spec.ID] = true
 	}
-	if _, err := veritas.RunFleet(context.Background(),
-		veritas.FleetConfig{Workers: 2, Samples: 2, Seed: 1, Sink: st, Skip: skip}, corpus, arms); err != nil {
+	if _, err := engine.Run(context.Background(),
+		engine.Config{Workers: 2, Samples: 2, Seed: 1, Sink: st, Skip: skip}, corpus, arms); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -645,18 +644,14 @@ func TestCampaignServe(t *testing.T) {
 	}
 }
 
-// TestDefaultingParity is the facade-defaulting table: the old shims
-// and the new options must fill identical defaults — video seed 1, 5 s
+// TestDefaultingParity is the facade-defaulting table: the engine's
+// builders and the campaign options must fill identical defaults — video seed 1, 5 s
 // buffer, DefaultNetwork — whichever door a query walks in through.
 func TestDefaultingParity(t *testing.T) {
 	defVideo := veritas.DefaultVideo(1)
 	defNet := veritas.DefaultNetwork()
 
 	newArm, err := veritas.NewArm("x", veritas.WhatIf{NewABR: veritas.NewBBA})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldArm, err := veritas.NewFleetArm("x", veritas.WhatIf{NewABR: veritas.NewBBA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -669,7 +664,7 @@ func TestDefaultingParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldCorpus, err := veritas.BuildCorpus(veritas.CorpusConfig{Seed: 1})
+	oldCorpus, err := engine.BuildCorpus(engine.CorpusConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -682,9 +677,8 @@ func TestDefaultingParity(t *testing.T) {
 		netSeeded bool // corpus specs re-seed jitter per session
 	}{
 		{"NewArm/WhatIf", newArm.Setting.BufferCap, newArm.Setting.Video, newArm.Setting.Net, false},
-		{"NewFleetArm/WhatIf", oldArm.Setting.BufferCap, oldArm.Setting.Video, oldArm.Setting.Net, false},
 		{"Campaign corpus spec", corpus[0].BufferCap, corpus[0].Video, *corpus[0].Net, true},
-		{"BuildCorpus spec", oldCorpus[0].BufferCap, oldCorpus[0].Video, *oldCorpus[0].Net, true},
+		{"engine.BuildCorpus spec", oldCorpus[0].BufferCap, oldCorpus[0].Video, *oldCorpus[0].Net, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,17 +1,14 @@
-//lint:file-ignore SA1019 This file deliberately exercises the deprecated
-// compat surface to pin that it keeps compiling and behaving.
-
 package veritas_test
 
-// The backward-compatibility gate: every exported identifier of the
-// pre-Campaign facade must keep compiling for a caller that imports
-// only the old names. This file references each of them; it fails to
-// build — and the API redesign fails its contract — if any is renamed,
-// removed, or changes signature.
+// The facade's compile contract: every exported identifier of the
+// single-session and fleet-type surface must keep compiling at its
+// original signature. This file references each of them; it fails to
+// build if any is renamed, removed, or changes signature. (The
+// pre-Campaign free functions — RunFleet, BuildCorpus, FleetMatrix,
+// NewStoreHandler, ServeStore and friends — were deleted with their
+// pins; NewCampaign and internal/engine are the spellings.)
 
 import (
-	"context"
-	"net/http"
 	"testing"
 
 	"veritas"
@@ -36,13 +33,11 @@ var (
 	_ veritas.WhatIf             = veritas.WhatIf{}
 	_ *veritas.Outcome           = nil
 	_ veritas.QoEWeights         = veritas.QoEWeights{}
-	_ veritas.FleetConfig        = veritas.FleetConfig{}
 	_ veritas.FleetSpec          = veritas.FleetSpec{}
 	_ veritas.FleetArm           = veritas.FleetArm{}
 	_ *veritas.FleetResult       = nil
 	_ veritas.FleetSessionResult = veritas.FleetSessionResult{}
 	_ veritas.FleetCacheStats    = veritas.FleetCacheStats{}
-	_ veritas.CorpusConfig       = veritas.CorpusConfig{}
 	_ *veritas.FleetStore        = nil
 	_ veritas.FleetStoreOptions  = veritas.FleetStoreOptions{}
 	_ veritas.FleetRow           = veritas.FleetRow{}
@@ -53,38 +48,30 @@ var (
 
 // Old function names, pinned at their original signatures.
 var (
-	_ func(int64) veritas.TraceConfig                                                                                   = veritas.DefaultTraceConfig
-	_ func(veritas.TraceConfig) (*veritas.Trace, error)                                                                 = veritas.GenerateTrace
-	_ func(veritas.TraceConfig, int) ([]*veritas.Trace, error)                                                          = veritas.GenerateTraceSet
-	_ func(float64) *veritas.Trace                                                                                      = veritas.ConstantTrace
-	_ func() veritas.ABR                                                                                                = veritas.NewMPC
-	_ func() veritas.ABR                                                                                                = veritas.NewBBA
-	_ func() veritas.ABR                                                                                                = veritas.NewBOLA
-	_ func() veritas.ABR                                                                                                = veritas.NewFestive
-	_ func(int64) veritas.ABR                                                                                           = veritas.NewRandomABR
-	_ func(int) veritas.ABR                                                                                             = veritas.NewFixedABR
-	_ func(int64) *veritas.Video                                                                                        = veritas.DefaultVideo
-	_ func(int64) *veritas.Video                                                                                        = veritas.HigherQualityVideo
-	_ func() veritas.NetworkConfig                                                                                      = veritas.DefaultNetwork
-	_ func(veritas.SessionConfig) (*veritas.Session, error)                                                             = veritas.RunSession
-	_ func(*veritas.SessionLog, veritas.AbductionConfig) (*veritas.Abduction, error)                                    = veritas.Abduct
-	_ func(*veritas.SessionLog) (*veritas.Trace, error)                                                                 = veritas.Baseline
-	_ func(*veritas.Abduction, veritas.WhatIf) (*veritas.Outcome, error)                                                = veritas.Counterfactual
-	_ func(*veritas.Trace, veritas.WhatIf) (veritas.Metrics, error)                                                     = veritas.Oracle
-	_ func(*veritas.Abduction, float64, veritas.TCPState, float64) float64                                              = veritas.PredictDownloadTime
-	_ func() veritas.QoEWeights                                                                                         = veritas.DefaultQoEWeights
-	_ func(*veritas.SessionLog, veritas.QoEWeights) float64                                                             = veritas.QoE
-	_ func(*veritas.Abduction, float64, float64) float64                                                                = veritas.PredictNextChunkTime
-	_ func(context.Context, veritas.FleetConfig, []veritas.FleetSpec, []veritas.FleetArm) (*veritas.FleetResult, error) = veritas.RunFleet
-	_ func(veritas.CorpusConfig) ([]veritas.FleetSpec, error)                                                           = veritas.BuildCorpus
-	_ func(veritas.CorpusConfig, []string, []float64) ([]veritas.FleetArm, error)                                       = veritas.FleetMatrix
-	_ func() []string                                                                                                   = veritas.FleetScenarios
-	_ func() []string                                                                                                   = veritas.FleetABRs
-	_ func(string, veritas.WhatIf) (veritas.FleetArm, error)                                                            = veritas.NewFleetArm
-	_ func(string, veritas.FleetStoreOptions) (*veritas.FleetStore, error)                                              = veritas.OpenStore
-	_ func(string, ...string) (int, error)                                                                              = veritas.MergeStores
-	_ func(*veritas.FleetStore, int) http.Handler                                                                       = veritas.NewStoreHandler
-	_ func(context.Context, string, *veritas.FleetStore, int) error                                                     = veritas.ServeStore
+	_ func(int64) veritas.TraceConfig                                                = veritas.DefaultTraceConfig
+	_ func(veritas.TraceConfig) (*veritas.Trace, error)                              = veritas.GenerateTrace
+	_ func(veritas.TraceConfig, int) ([]*veritas.Trace, error)                       = veritas.GenerateTraceSet
+	_ func(float64) *veritas.Trace                                                   = veritas.ConstantTrace
+	_ func() veritas.ABR                                                             = veritas.NewMPC
+	_ func() veritas.ABR                                                             = veritas.NewBBA
+	_ func() veritas.ABR                                                             = veritas.NewBOLA
+	_ func() veritas.ABR                                                             = veritas.NewFestive
+	_ func(int64) veritas.ABR                                                        = veritas.NewRandomABR
+	_ func(int) veritas.ABR                                                          = veritas.NewFixedABR
+	_ func(int64) *veritas.Video                                                     = veritas.DefaultVideo
+	_ func(int64) *veritas.Video                                                     = veritas.HigherQualityVideo
+	_ func() veritas.NetworkConfig                                                   = veritas.DefaultNetwork
+	_ func(veritas.SessionConfig) (*veritas.Session, error)                          = veritas.RunSession
+	_ func(*veritas.SessionLog, veritas.AbductionConfig) (*veritas.Abduction, error) = veritas.Abduct
+	_ func(*veritas.SessionLog) (*veritas.Trace, error)                              = veritas.Baseline
+	_ func(*veritas.Abduction, veritas.WhatIf) (*veritas.Outcome, error)             = veritas.Counterfactual
+	_ func(*veritas.Trace, veritas.WhatIf) (veritas.Metrics, error)                  = veritas.Oracle
+	_ func(*veritas.Abduction, float64, veritas.TCPState, float64) float64           = veritas.PredictDownloadTime
+	_ func() veritas.QoEWeights                                                      = veritas.DefaultQoEWeights
+	_ func(*veritas.SessionLog, veritas.QoEWeights) float64                          = veritas.QoE
+	_ func(*veritas.Abduction, float64, float64) float64                             = veritas.PredictNextChunkTime
+	_ func(string, veritas.FleetStoreOptions) (*veritas.FleetStore, error)           = veritas.OpenStore
+	_ func(string, ...string) (int, error)                                           = veritas.MergeStores
 )
 
 // Old methods, pinned as method values.
@@ -98,27 +85,5 @@ func TestCompatMethodSet(t *testing.T) {
 		if fn == nil {
 			t.Errorf("Outcome.%s lost", name)
 		}
-	}
-}
-
-// TestCompatShimsAnswerLikeTheCore spot-checks that a shim does not
-// just compile but routes to the same core as the new surface.
-func TestCompatShimsAnswerLikeTheCore(t *testing.T) {
-	if got, want := veritas.FleetScenarios(), veritas.Scenarios(); len(got) != len(want) {
-		t.Errorf("FleetScenarios %v != Scenarios %v", got, want)
-	}
-	if got, want := veritas.FleetABRs(), veritas.ABRs(); len(got) != len(want) {
-		t.Errorf("FleetABRs %v != ABRs %v", got, want)
-	}
-	oldArm, err := veritas.NewFleetArm("a", veritas.WhatIf{NewABR: veritas.NewBBA})
-	if err != nil {
-		t.Fatal(err)
-	}
-	newArm, err := veritas.NewArm("a", veritas.WhatIf{NewABR: veritas.NewBBA})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldArm.Name != newArm.Name || oldArm.Setting.BufferCap != newArm.Setting.BufferCap {
-		t.Error("NewFleetArm diverges from NewArm")
 	}
 }

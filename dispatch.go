@@ -349,7 +349,7 @@ func (c *Campaign) Dispatch(ctx context.Context, n int) (*DispatchResult, error)
 		mux := http.NewServeMux()
 		mux.Handle("/", tracker.Handler())
 		mux.Handle("GET /v1/live/", live)
-		srv := &http.Server{Handler: mux}
+		srv := serve.NewServer(mux)
 		go srv.Serve(ln)
 		defer srv.Close()
 	}

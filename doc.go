@@ -28,8 +28,7 @@
 //     for every worker count) and the persistent corpus store
 //     (internal/store), with Run/Resume/Results/Report/Serve tying a
 //     campaign's execution, durability, streaming iteration and HTTP
-//     serving together. The older free functions (RunFleet,
-//     BuildCorpus, FleetMatrix, ...) remain as deprecated shims.
+//     serving together (internal/serve is the HTTP query layer).
 //   - Campaign.Dispatch scales a campaign across worker processes:
 //     a supervisor (internal/dispatch) launches one re-exec'd worker
 //     per shard (see DispatchWorkerMain), streams their progress,

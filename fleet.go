@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -44,6 +43,7 @@ import (
 
 	"veritas/internal/dispatch"
 	"veritas/internal/fleetd"
+	"veritas/internal/serve"
 )
 
 // FleetDispatchResult summarizes a completed networked dispatch: the
@@ -224,7 +224,7 @@ func (c *Campaign) ServeFleet(ctx context.Context, n int) (*FleetDispatchResult,
 	if err != nil {
 		return nil, fmt.Errorf("veritas: fleet listener: %w", err)
 	}
-	srv := &http.Server{Handler: d.Handler()}
+	srv := serve.NewServer(d.Handler())
 	go srv.Serve(ln)
 	defer srv.Close()
 	if o.fleetReady != nil {

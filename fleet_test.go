@@ -14,18 +14,21 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"veritas/internal/engine"
+	"veritas/internal/serve"
 )
 
 func TestRunFleetFacade(t *testing.T) {
-	ccfg := CorpusConfig{SessionsPer: 1, NumChunks: 30, Seed: 1}
-	corpus, err := BuildCorpus(ccfg)
+	ccfg := engine.CorpusConfig{SessionsPer: 1, NumChunks: 30, Seed: 1}
+	corpus, err := engine.BuildCorpus(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(corpus) != len(FleetScenarios()) {
-		t.Fatalf("corpus has %d sessions, want one per scenario (%d)", len(corpus), len(FleetScenarios()))
+	if len(corpus) != len(Scenarios()) {
+		t.Fatalf("corpus has %d sessions, want one per scenario (%d)", len(corpus), len(Scenarios()))
 	}
-	arms, err := FleetMatrix(ccfg, []string{"bba", "mpc"}, []float64{5, 30})
+	arms, err := engine.BuildMatrix(ccfg, []string{"bba", "mpc"}, []float64{5, 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +36,7 @@ func TestRunFleetFacade(t *testing.T) {
 		t.Fatalf("matrix has %d arms, want 4", len(arms))
 	}
 
-	res, err := RunFleet(context.Background(), FleetConfig{Workers: 2, Samples: 2, Seed: 1}, corpus, arms)
+	res, err := engine.Run(context.Background(), engine.Config{Workers: 2, Samples: 2, Seed: 1}, corpus, arms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,39 +76,39 @@ func TestRunFleetFacade(t *testing.T) {
 	}
 }
 
-func TestNewFleetArm(t *testing.T) {
-	arm, err := NewFleetArm("bba", WhatIf{NewABR: NewBBA})
+func TestNewArm(t *testing.T) {
+	arm, err := NewArm("bba", WhatIf{NewABR: NewBBA})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if arm.Name != "bba" || arm.Setting.Video == nil || arm.Setting.BufferCap != 5 {
 		t.Errorf("arm not defaulted: %+v", arm)
 	}
-	if _, err := NewFleetArm("bad", WhatIf{}); err == nil {
+	if _, err := NewArm("bad", WhatIf{}); err == nil {
 		t.Error("WhatIf without ABR should error")
 	}
 }
 
 func TestFleetMatrixValidation(t *testing.T) {
-	ccfg := CorpusConfig{NumChunks: 30}
-	if _, err := FleetMatrix(ccfg, nil, []float64{5}); err == nil {
+	ccfg := engine.CorpusConfig{NumChunks: 30}
+	if _, err := engine.BuildMatrix(ccfg, nil, []float64{5}); err == nil {
 		t.Error("empty ABR list should error")
 	}
-	if _, err := FleetMatrix(ccfg, []string{"vhs"}, []float64{5}); err == nil {
+	if _, err := engine.BuildMatrix(ccfg, []string{"vhs"}, []float64{5}); err == nil {
 		t.Error("unknown ABR should error")
 	}
-	if _, err := FleetMatrix(ccfg, []string{"bba"}, []float64{-1}); err == nil {
+	if _, err := engine.BuildMatrix(ccfg, []string{"bba"}, []float64{-1}); err == nil {
 		t.Error("negative buffer should error")
 	}
 }
 
 func TestStoreFacade(t *testing.T) {
-	ccfg := CorpusConfig{SessionsPer: 1, NumChunks: 25, Seed: 2}
-	corpus, err := BuildCorpus(ccfg)
+	ccfg := engine.CorpusConfig{SessionsPer: 1, NumChunks: 25, Seed: 2}
+	corpus, err := engine.BuildCorpus(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	arms, err := FleetMatrix(ccfg, []string{"bba"}, []float64{5})
+	arms, err := engine.BuildMatrix(ccfg, []string{"bba"}, []float64{5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +118,7 @@ func TestStoreFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunFleet(context.Background(), FleetConfig{Workers: 2, Samples: 2, Seed: 1, Sink: st}, corpus, arms)
+	res, err := engine.Run(context.Background(), engine.Config{Workers: 2, Samples: 2, Seed: 1, Sink: st}, corpus, arms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +136,7 @@ func TestStoreFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ro.Close()
-	srv := httptest.NewServer(NewStoreHandler(ro, 16))
+	srv := httptest.NewServer(serve.New(ro, serve.WithCacheEntries(16)))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/v1/report")
 	if err != nil {

@@ -113,6 +113,12 @@ type Dispatcher struct {
 	agents map[string]*agentInfo
 	seq    int
 
+	// landing is held shared by an upload from the moment it wins its
+	// slot in the lease table until its store is renamed into place, and
+	// taken exclusively before the fold — so "every shard done" (which
+	// wakes Wait) is never folded ahead of the last store's landing.
+	landing sync.RWMutex
+
 	// reportMu guards the post-fold serving state.
 	reportMu sync.Mutex
 	reportH  http.Handler
@@ -121,7 +127,7 @@ type Dispatcher struct {
 	// live serves /v1/live/* over the accepted (and still-uploading)
 	// shard stores while the campaign runs — the incremental view;
 	// /v1/report stays 503 until the fold, as always.
-	live *store.LiveHandler
+	live *serve.Live
 }
 
 // New builds a dispatcher: lays out (or adopts) the shard directory,
@@ -148,7 +154,7 @@ func New(cfg Config) (*Dispatcher, error) {
 		start:  time.Now(),
 		dirs:   dirs,
 		agents: make(map[string]*agentInfo),
-		live:   store.NewLiveHandler(cfg.Dir, store.ServeOptions{WatchInterval: 250 * time.Millisecond}),
+		live:   serve.NewLive(cfg.Dir, serve.WithWatchInterval(250*time.Millisecond)),
 	}
 	d.status.SetAgentSource(d.agentRows)
 	// Adopt shard stores a previous fleet run completed: anything that
@@ -304,6 +310,8 @@ func (d *Dispatcher) finish() (*Result, error) {
 	d.mu.Unlock()
 	sort.Strings(res.Agents)
 	if d.cfg.FoldInto != "" {
+		d.landing.Lock() // wait out an accepted store still being moved into place
+		d.landing.Unlock()
 		n, err := dispatch.FoldStores(d.cfg.FoldInto, d.dirs, d.cfg.Fingerprints, d.cfg.Tracer)
 		if err != nil {
 			return nil, err
@@ -415,10 +423,33 @@ func writeLeaseError(w http.ResponseWriter, err error) {
 	writeJSON(w, code, errorResponse{Error: err.Error()})
 }
 
+// maxControlBody caps a JSON control body (register, lease, heartbeat,
+// release). A heartbeat is the large one: it relays the worker's whole
+// telemetry snapshot and its retained trace set, a few hundred
+// kilobytes on a busy shard. The upload stream is not a control body;
+// store.Receive bounds it per file and by file count.
+const maxControlBody = 8 << 20
+
+// decodeControl reads one capped JSON control body into v. On failure
+// it has already answered — 413 when the body ran over the cap, 400
+// when it is not the expected JSON — and returns false.
+func decodeControl(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxControlBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, code, errorResponse{Error: err.Error()})
+	return false
+}
+
 func (d *Dispatcher) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+	if !decodeControl(w, r, &req) {
 		return
 	}
 	d.mu.Lock()
@@ -443,7 +474,10 @@ func (d *Dispatcher) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 func (d *Dispatcher) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Agent == "" {
+	if !decodeControl(w, r, &req) {
+		return
+	}
+	if req.Agent == "" {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "lease request needs an agent id"})
 		return
 	}
@@ -489,8 +523,7 @@ func (d *Dispatcher) handleLease(w http.ResponseWriter, r *http.Request) {
 
 func (d *Dispatcher) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req heartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+	if !decodeControl(w, r, &req) {
 		return
 	}
 	d.touch(req.Agent)
@@ -531,8 +564,7 @@ func (d *Dispatcher) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 func (d *Dispatcher) handleRelease(w http.ResponseWriter, r *http.Request) {
 	var req releaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+	if !decodeControl(w, r, &req) {
 		return
 	}
 	d.touch(req.Agent)
@@ -585,6 +617,8 @@ func (d *Dispatcher) handleUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The store is proven; now win (or lose) the race for the slot.
+	d.landing.RLock()
+	defer d.landing.RUnlock()
 	if err := d.tab.complete(shard, agent, epoch); err != nil {
 		os.RemoveAll(staging)
 		writeLeaseError(w, err)

@@ -11,6 +11,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -392,6 +393,50 @@ func TestDispatcherStealFencing(t *testing.T) {
 	buildShardStore(t, heirStore, 0, 1)
 	if code := uploadStore(t, srv.URL, heirStore, "heir", 0, 2); code != 200 {
 		t.Fatalf("heir upload: HTTP %d", code)
+	}
+}
+
+// TestDispatcherControlBodyCap: a control body over maxControlBody is
+// refused before it is acted on — an over-cap heartbeat gets 413 and
+// does not renew the lease it names, while the same heartbeat under the
+// cap does (so the probe can tell the difference).
+func TestDispatcherControlBodyCap(t *testing.T) {
+	d, srv, _, clock := testDispatcher(t, 1, nil)
+	if code := postJSON(t, srv.URL+"/v1/agents", registerRequest{Name: "a"}, nil); code != 200 {
+		t.Fatalf("register: HTTP %d", code)
+	}
+	var granted leaseResponse
+	if code := postJSON(t, srv.URL+"/v1/lease", leaseRequest{Agent: "a"}, &granted); code != 200 || granted.Status != "lease" {
+		t.Fatalf("lease: HTTP %d, %+v", code, granted)
+	}
+	clock.advance(30 * time.Second)
+	leases := func() []lease {
+		d.tab.mu.Lock()
+		defer d.tab.mu.Unlock()
+		return append([]lease(nil), d.tab.leases...)
+	}
+	before := leases()
+
+	// Valid JSON (unknown fields are ignored), just too much of it. Fed
+	// to the handler directly: over a socket the server may hang up
+	// before the client has finished sending.
+	body := fmt.Sprintf(`{"agent":"a","shard":%d,"epoch":%d,"pad":"%s"}`,
+		granted.Shard, granted.Epoch, strings.Repeat("x", maxControlBody))
+	rec := httptest.NewRecorder()
+	d.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/heartbeat", strings.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-cap heartbeat: HTTP %d, want 413 (%s)", rec.Code, rec.Body.Bytes())
+	}
+	if after := leases(); !reflect.DeepEqual(before, after) {
+		t.Errorf("over-cap heartbeat changed the lease table\nbefore %+v\nafter  %+v", before, after)
+	}
+
+	hb := heartbeatRequest{Agent: "a", Shard: granted.Shard, Epoch: granted.Epoch}
+	if code := postJSON(t, srv.URL+"/v1/heartbeat", hb, nil); code != 200 {
+		t.Fatalf("in-cap heartbeat: HTTP %d", code)
+	}
+	if after := leases(); reflect.DeepEqual(before, after) {
+		t.Error("an accepted heartbeat left the lease table unchanged: the probe above proves nothing")
 	}
 }
 

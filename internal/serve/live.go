@@ -1,9 +1,9 @@
-package store
+package serve
 
 // The live query tier over a dispatching campaign. While shards are
 // still being written by workers, the campaign's folded store does not
 // exist yet — but the per-shard stores do, and each is tailable with
-// OpenWatch. LiveHandler watches the shard directory, tails every shard
+// store.OpenWatch. Live watches the shard directory, tails every shard
 // store, and serves the report family over their combined partial
 // aggregates — the same bodies the folded store will serve, available
 // mid-dispatch.
@@ -26,10 +26,11 @@ import (
 	"time"
 
 	"veritas/internal/engine"
+	"veritas/internal/store"
 )
 
-// LiveHandler serves the report family over the shard stores of a
-// still-running dispatch. Create with NewLiveHandler; it implements
+// Live serves the report family over the shard stores of a
+// still-running dispatch. Create with NewLive; it implements
 // http.Handler with routes:
 //
 //	GET /v1/live/report[ /cdf | /series | /percentiles ]
@@ -40,62 +41,61 @@ import (
 // shard exists the live report is an empty corpus, never an error — a
 // dashboard pointed at a campaign that has not started yet just shows
 // zero sessions.
-type LiveHandler struct {
+type Live struct {
+	mux    *http.ServeMux
 	parent string
 	every  time.Duration
-	mux    *http.ServeMux
 
 	mu          sync.Mutex
-	stores      map[string]*Store // shard dir -> watch store
-	order       []string          // shard dirs in shard order, as last discovered
+	stores      map[string]*store.Store // shard dir -> watch store
+	order       []string                // shard dirs in shard order, as last discovered
 	lastRefresh time.Time
 	lastFp      string
 	combined    *engine.Partials
 	combGen     uint64
 	rounds      uint64 // combined-view rebuilds, folded into the ETag
-
-	reports reportCache
 }
 
-// NewLiveHandler tails the shard stores under parent (the dispatcher's
-// shard directory, which may not exist yet) and serves live aggregates.
-// opt.WatchInterval rate-limits directory rediscovery and shard
-// refresh (0 = every request). The tailed shard stores are deliberately
-// left un-instrumented: dozens of them registering the per-store gauges
-// against one registry would just overwrite each other.
-func NewLiveHandler(parent string, opt ServeOptions) *LiveHandler {
-	h := &LiveHandler{
+// NewLive builds the live query tier over a still-dispatching
+// campaign's shard directory, which may not exist yet: the handler
+// serves an empty corpus until shards appear. WithWatchInterval
+// rate-limits directory rediscovery and shard refresh (0 = every
+// request). The tailed shard stores are deliberately left
+// un-instrumented: dozens of them registering the per-store gauges
+// against one registry would just overwrite each other. Close releases
+// them.
+func NewLive(parent string, opts ...Option) *Live {
+	cfg := newConfig(opts)
+	rt := router{mux: http.NewServeMux(), reg: cfg.reg, trc: cfg.trc}
+	h := &Live{
+		mux:    rt.mux,
 		parent: parent,
-		every:  opt.WatchInterval,
-		stores: make(map[string]*Store),
+		every:  cfg.watchInterval,
+		stores: make(map[string]*store.Store),
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/live/report", h.report)
-	mux.HandleFunc("GET /v1/live/report/cdf", h.reportCDF)
-	mux.HandleFunc("GET /v1/live/report/series", h.reportSeries)
-	mux.HandleFunc("GET /v1/live/report/percentiles", h.reportPercentiles)
-	mux.HandleFunc("GET /v1/live/status", h.status)
-	h.mux = mux
+	mountReportFamily(rt, "/v1/live/report", "live", func() (*engine.Partials, uint64, error) {
+		p, gen := h.refresh()
+		return p, gen, nil
+	})
+	rt.route("GET /v1/live/status", h.status)
 	return h
 }
 
-func (h *LiveHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) { h.mux.ServeHTTP(w, r) }
-
-func liveETag(gen uint64) string { return fmt.Sprintf("\"live-%d\"", gen) }
+func (h *Live) ServeHTTP(w http.ResponseWriter, r *http.Request) { h.mux.ServeHTTP(w, r) }
 
 // refresh rediscovers shards and tails each one, rebuilding the
 // combined partials when anything moved. All failures are soft: a shard
 // directory mid-upload, a vanished store, an unreadable shard.json —
 // each means "no update this round", and the last good view keeps
 // serving.
-func (h *LiveHandler) refresh() (*engine.Partials, uint64) {
+func (h *Live) refresh() (*engine.Partials, uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.combined != nil && h.every > 0 && time.Since(h.lastRefresh) < h.every {
 		return h.combined, h.combGen
 	}
 	h.lastRefresh = time.Now()
-	dirs, err := DiscoverShards(h.parent)
+	dirs, err := store.DiscoverShards(h.parent)
 	if err != nil {
 		// Parent missing, or a shard.json unreadable mid-write.
 		return h.lastGoodLocked()
@@ -107,7 +107,7 @@ func (h *LiveHandler) refresh() (*engine.Partials, uint64) {
 			continue // a fleetd upload still being staged
 		}
 		if _, ok := h.stores[dir]; !ok {
-			st, err := OpenWatch(dir, Options{})
+			st, err := store.OpenWatch(dir, store.Options{})
 			if err != nil {
 				continue // not a readable store yet; next round
 			}
@@ -157,20 +157,19 @@ func (h *LiveHandler) refresh() (*engine.Partials, uint64) {
 	// vanishing while another grows); folding the rebuild count in keeps
 	// the ETag moving whenever the combined view was rebuilt.
 	h.combGen = sum + h.rounds<<44
-	h.reports.reset()
 	return h.combined, h.combGen
 }
 
 // lastGoodLocked returns the last good combined view, or an empty one.
 // Caller holds mu.
-func (h *LiveHandler) lastGoodLocked() (*engine.Partials, uint64) {
+func (h *Live) lastGoodLocked() (*engine.Partials, uint64) {
 	if h.combined == nil {
 		h.combined = engine.NewPartials()
 	}
 	return h.combined, h.combGen
 }
 
-func (h *LiveHandler) status(w http.ResponseWriter, r *http.Request) {
+func (h *Live) status(w http.ResponseWriter, r *http.Request) {
 	p, gen := h.refresh()
 	h.mu.Lock()
 	shards := len(h.order)
@@ -182,37 +181,8 @@ func (h *LiveHandler) status(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// reportFamily binds serveReportFamily to the shard-combined view.
-func (h *LiveHandler) reportFamily(w http.ResponseWriter, r *http.Request, endpoint string, needArm bool,
-	build func(q *reportQuery, p *engine.Partials) any) {
-	q, aerr := parseReportQuery(r.URL.Query())
-	if aerr != nil {
-		writeAPIError(w, aerr)
-		return
-	}
-	p, gen := h.refresh()
-	serveReportFamily(w, r, q, endpoint, needArm, &h.reports, gen, liveETag(gen),
-		func() (*engine.Partials, error) { return p, nil }, build)
-}
-
-func (h *LiveHandler) report(w http.ResponseWriter, r *http.Request) {
-	h.reportFamily(w, r, "report", false, buildReport)
-}
-
-func (h *LiveHandler) reportCDF(w http.ResponseWriter, r *http.Request) {
-	h.reportFamily(w, r, "cdf", true, buildCDF)
-}
-
-func (h *LiveHandler) reportSeries(w http.ResponseWriter, r *http.Request) {
-	h.reportFamily(w, r, "series", true, buildSeries)
-}
-
-func (h *LiveHandler) reportPercentiles(w http.ResponseWriter, r *http.Request) {
-	h.reportFamily(w, r, "percentiles", true, buildPercentiles)
-}
-
 // Close releases every tailed shard store.
-func (h *LiveHandler) Close() error {
+func (h *Live) Close() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	var first error

@@ -1,4 +1,4 @@
-package store
+package serve
 
 // Tests for the live query tier over a dispatching campaign's shard
 // directory.
@@ -13,16 +13,19 @@ import (
 	"testing"
 
 	"veritas/internal/engine"
+	"veritas/internal/store"
+	"veritas/internal/telemetry"
+	"veritas/internal/tracing"
 )
 
 // shardFixture lays out parent/shard-N.store directories with shard
 // metadata and the given row slices.
-func shardFixture(t *testing.T, parent string, shards [][]engine.SessionRow) []*Store {
+func shardFixture(t *testing.T, parent string, shards [][]engine.SessionRow) []*store.Store {
 	t.Helper()
-	out := make([]*Store, len(shards))
+	out := make([]*store.Store, len(shards))
 	for i, rows := range shards {
 		dir := filepath.Join(parent, fmt.Sprintf("shard-%d.store", i))
-		st, err := Create(dir, Options{})
+		st, err := store.Create(dir, store.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,7 +34,7 @@ func shardFixture(t *testing.T, parent string, shards [][]engine.SessionRow) []*
 				t.Fatal(err)
 			}
 		}
-		if err := WriteShardMeta(dir, ShardMeta{Index: i, Count: len(shards)}); err != nil {
+		if err := store.WriteShardMeta(dir, store.ShardMeta{Index: i, Count: len(shards)}); err != nil {
 			t.Fatal(err)
 		}
 		out[i] = st
@@ -46,7 +49,7 @@ func TestLiveHandlerCombinesShards(t *testing.T) {
 	rowsB := []engine.SessionRow{testRow(2, "fcc"), testRow(3, "wifi")}
 	writers := shardFixture(t, parent, [][]engine.SessionRow{rowsA, rowsB})
 
-	h := NewLiveHandler(parent, ServeOptions{})
+	h := NewLive(parent)
 	defer h.Close()
 
 	rec := doGet(t, h, "/v1/live/report", "")
@@ -55,7 +58,7 @@ func TestLiveHandlerCombinesShards(t *testing.T) {
 	}
 	// The live report must equal the report of one store holding every
 	// shard's rows (same rows -> same sorted view -> same bytes).
-	all, err := Create(t.TempDir(), Options{})
+	all, err := store.Create(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +115,7 @@ func TestLiveHandlerCombinesShards(t *testing.T) {
 
 func TestLiveHandlerEmptyParentAndLateShards(t *testing.T) {
 	parent := filepath.Join(t.TempDir(), "not-yet")
-	h := NewLiveHandler(parent, ServeOptions{})
+	h := NewLive(parent)
 	defer h.Close()
 
 	rec := doGet(t, h, "/v1/live/report", "")
@@ -153,5 +156,31 @@ func TestLiveHandlerEmptyParentAndLateShards(t *testing.T) {
 	rec = doGet(t, h, "/v1/live/report/percentiles?arm=bba-5s", "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("live percentiles: %d %s", rec.Code, rec.Body.Bytes())
+	}
+}
+
+// TestLiveHonoursTelemetryAndTracer: the live tier mounts through the
+// same instrumented router as the store-backed handler, so the
+// WithTelemetry / WithTracer options NewLive accepts (and used to drop)
+// count and trace its requests.
+func TestLiveHonoursTelemetryAndTracer(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	trc := tracing.New(4)
+	h := NewLive(filepath.Join(t.TempDir(), "not-yet"), WithTelemetry(reg), WithTracer(trc))
+	defer h.Close()
+	for _, path := range []string{"/v1/live/report", "/v1/live/report/cdf?arm=bba-5s", "/v1/live/status"} {
+		doGet(t, h, path, "")
+	}
+	for _, name := range []string{
+		`veritas_serve_requests_total{path="/v1/live/report"}`,
+		`veritas_serve_requests_total{path="/v1/live/report/cdf"}`,
+		`veritas_serve_requests_total{path="/v1/live/status"}`,
+	} {
+		if got := reg.Counter(name).Value(); got != 1 {
+			t.Errorf("%s = %d, want 1", name, got)
+		}
+	}
+	if got := len(trc.Traces()); got != 3 {
+		t.Errorf("tracer kept %d request traces, want 3", got)
 	}
 }

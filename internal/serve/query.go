@@ -1,4 +1,4 @@
-package store
+package serve
 
 // The /v1 query surface's shared request grammar. Every report-family
 // endpoint accepts the same filter parameters, parsed in one place:
@@ -15,7 +15,7 @@ package store
 //	                     10,25,50,75,90,95,99; at most 32)
 //
 // Parsing is purely syntactic — 400s come from here; whether a
-// scenario or arm actually exists is the handler's store-backed
+// scenario or arm actually exists is the handler's corpus-backed
 // validation, which 404s. Errors from both wear one JSON envelope:
 //
 //	{"error": {"status": 404, "message": "...", "param": "scenario"}}
@@ -112,7 +112,7 @@ func (q *reportQuery) armOK() func(string) bool {
 }
 
 // parseReportQuery parses the shared filter grammar; nil apiError on
-// success. Syntactic only — existence checks live with the store.
+// success. Syntactic only — existence checks are validateQuery's.
 func parseReportQuery(vals url.Values) (*reportQuery, *apiError) {
 	q := &reportQuery{
 		scenario:    vals.Get("scenario"),
@@ -151,7 +151,9 @@ func parseReportQuery(vals url.Values) (*reportQuery, *apiError) {
 		if err != nil {
 			return nil, errBadParam("percentiles", "percentile %q is not a number", strings.TrimSpace(part))
 		}
-		if p < 0 || p > 100 {
+		// Written so that NaN (which ParseFloat accepts, and which fails
+		// every comparison) is rejected along with ±Inf.
+		if !(p >= 0 && p <= 100) {
 			return nil, errBadParam("percentiles", "percentile %g outside [0, 100]", p)
 		}
 		q.percentiles = append(q.percentiles, p)

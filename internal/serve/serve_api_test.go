@@ -1,4 +1,4 @@
-package store
+package serve
 
 // Tests for the redesigned /v1 query surface: the shared error
 // envelope, the report-family endpoints (cdf, series, percentiles),
@@ -8,10 +8,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"veritas/internal/engine"
 	"veritas/internal/stats"
+	"veritas/internal/store"
 )
 
 // doGet issues a GET with an optional If-None-Match validator.
@@ -46,12 +48,19 @@ func envelope(t *testing.T, body []byte) (message, param string) {
 
 func TestServeErrorEnvelope(t *testing.T) {
 	h, _, _ := serveFixture(t)
-	cases := []struct {
+	// The live family parses with the same code; one shard holding a
+	// bba-5s row lets its rows get past everything but the parser.
+	parent := t.TempDir()
+	shardFixture(t, parent, [][]engine.SessionRow{{testRow(0, "fcc")}})
+	live := NewLive(parent)
+	defer live.Close()
+	type envelopeCase struct {
 		name      string
 		path      string
 		code      int
 		wantParam string
-	}{
+	}
+	cases := []envelopeCase{
 		{"unknown scenario", "/v1/report?scenario=dialup", 404, "scenario"},
 		{"present-but-empty scenario", "/v1/report?scenario=", 404, "scenario"},
 		{"unknown metric", "/v1/report/cdf?arm=bba-5s&metric=bogus", 400, "metric"},
@@ -62,8 +71,21 @@ func TestServeErrorEnvelope(t *testing.T) {
 		{"unknown abr", "/v1/report?abr=nosuch", 404, "abr"},
 		{"unknown session", "/v1/sessions/nosuch-999", 404, ""},
 	}
+	// Non-finite ranks: ParseFloat accepts them all, and NaN also passes
+	// a `p < 0 || p > 100` check — it used to reach the percentile index
+	// arithmetic and panic the handler goroutine.
+	for _, family := range []string{"/v1/report", "/v1/live/report"} {
+		for _, pcts := range []string{"NaN", "nan,50", "Inf", "-Inf"} {
+			cases = append(cases, envelopeCase{
+				family + " percentiles=" + pcts, family + "/percentiles?arm=bba-5s&percentiles=" + pcts, 400, "percentiles"})
+		}
+	}
 	for _, tc := range cases {
-		rec := doGet(t, h, tc.path, "")
+		target := h
+		if strings.HasPrefix(tc.path, "/v1/live/") {
+			target = live
+		}
+		rec := doGet(t, target, tc.path, "")
 		if rec.Code != tc.code {
 			t.Errorf("%s: HTTP %d, want %d (%s)", tc.name, rec.Code, tc.code, rec.Body.Bytes())
 			continue
@@ -112,7 +134,7 @@ func TestServeEmptyScenarioRegression(t *testing.T) {
 // store's partials (themselves pinned byte-identical to the aggregator
 // elsewhere), so endpoint bodies are checked against an independent
 // computation of the same numbers.
-func seriesFromStore(t *testing.T, st *Store, arm, metric, estimator string) []float64 {
+func seriesFromStore(t *testing.T, st *store.Store, arm, metric, estimator string) []float64 {
 	t.Helper()
 	p, err := st.Partials()
 	if err != nil {
@@ -261,12 +283,12 @@ func TestServeABRFilter(t *testing.T) {
 // served /v1/report body equals the full-recompute aggregator's JSON
 // at every generation.
 func TestServeReportMatchesRecomputeAtEveryGeneration(t *testing.T) {
-	st, err := Create(t.TempDir(), Options{})
+	st, err := store.Create(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	h := NewHandler(st, ServeOptions{})
+	h := New(st)
 	for i := 0; i < 12; i++ {
 		scen := []string{"fcc", "lte", "wifi"}[i%3]
 		if err := st.Append(testRow(i, scen)); err != nil {

@@ -1,4 +1,4 @@
-package store
+package serve
 
 import (
 	"bytes"
@@ -10,15 +10,16 @@ import (
 	"testing"
 
 	"veritas/internal/engine"
+	"veritas/internal/store"
 )
 
 // serveFixture runs a small real campaign into a store and returns the
 // handler plus the in-RAM run for comparison.
-func serveFixture(t *testing.T) (http.Handler, *engine.Result, *Store) {
+func serveFixture(t *testing.T) (http.Handler, *engine.Result, *store.Store) {
 	t.Helper()
 	corpus, arms := fleetCorpus(t)
 	dir := t.TempDir()
-	st, err := Create(dir, Options{})
+	st, err := store.Create(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,12 +28,12 @@ func serveFixture(t *testing.T) (http.Handler, *engine.Result, *Store) {
 		t.Fatal(err)
 	}
 	st.Close()
-	ro, err := Open(dir, Options{ReadOnly: true})
+	ro, err := store.Open(dir, store.Options{ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ro.Close() })
-	return NewHandler(ro, ServeOptions{CacheEntries: 8}), res, ro
+	return New(ro, WithCacheEntries(8)), res, ro
 }
 
 func get(t *testing.T, h http.Handler, path string) (int, []byte) {
@@ -53,7 +54,7 @@ func TestServeSessionsAndScenarios(t *testing.T) {
 	}
 	var list struct {
 		Count    int
-		Sessions []SessionInfo
+		Sessions []store.SessionInfo
 	}
 	if err := json.Unmarshal(body, &list); err != nil {
 		t.Fatal(err)
@@ -63,7 +64,7 @@ func TestServeSessionsAndScenarios(t *testing.T) {
 	}
 
 	code, body = get(t, h, "/v1/sessions?scenario=lte")
-	var lte struct{ Sessions []SessionInfo }
+	var lte struct{ Sessions []store.SessionInfo }
 	if err := json.Unmarshal(body, &lte); err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestServeSessionsAndScenarios(t *testing.T) {
 	}
 
 	code, body = get(t, h, "/v1/scenarios")
-	var sc struct{ Scenarios []ScenarioInfo }
+	var sc struct{ Scenarios []store.ScenarioInfo }
 	if err := json.Unmarshal(body, &sc); err != nil {
 		t.Fatal(err)
 	}
@@ -165,13 +166,13 @@ func TestServeUnknownScenarioIs404(t *testing.T) {
 // overwriting a session must invalidate both the row cache and the
 // report cache, while untouched rows keep hitting.
 func TestServeSeesOverwritesThroughWritableStore(t *testing.T) {
-	st, err := Create(t.TempDir(), Options{})
+	st, err := store.Create(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
 	fillStore(t, st, 3, "fcc")
-	h := NewHandler(st, ServeOptions{CacheEntries: 8})
+	h := New(st, WithCacheEntries(8))
 
 	_, before := get(t, h, "/v1/sessions/fcc-001")
 	_, reportBefore := get(t, h, "/v1/report")
@@ -267,7 +268,7 @@ func TestServeReportETag(t *testing.T) {
 func TestServeReportETagColdPathAndInvalidScenario(t *testing.T) {
 	_, _, ro := serveFixture(t)
 	// Fresh handler: no cached report body yet, the 304 must still work.
-	cold := NewHandler(ro, ServeOptions{CacheEntries: 8})
+	cold := New(ro, WithCacheEntries(8))
 	req := httptest.NewRequest(http.MethodGet, "/v1/report", nil)
 	req.Header.Set("If-None-Match", "*")
 	rec := httptest.NewRecorder()
@@ -288,7 +289,7 @@ func TestServeReportETagColdPathAndInvalidScenario(t *testing.T) {
 func TestServeReportETagMovesWithGeneration(t *testing.T) {
 	corpus, arms := fleetCorpus(t)
 	dir := t.TempDir()
-	st, err := Create(dir, Options{})
+	st, err := store.Create(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +297,7 @@ func TestServeReportETagMovesWithGeneration(t *testing.T) {
 	if _, err := engine.Run(context.Background(), engine.Config{Workers: 2, Samples: 1, Seed: 1, Sink: st}, corpus, arms); err != nil {
 		t.Fatal(err)
 	}
-	h := NewHandler(st, ServeOptions{CacheEntries: 8})
+	h := New(st, WithCacheEntries(8))
 
 	req := httptest.NewRequest(http.MethodGet, "/v1/report", nil)
 	rec := httptest.NewRecorder()

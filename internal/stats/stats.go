@@ -50,6 +50,9 @@ func Percentile(xs []float64, p float64) float64 {
 }
 
 func percentileSorted(sorted []float64, p float64) float64 {
+	if math.IsNaN(p) {
+		return math.NaN() // a NaN rank must not become a slice index
+	}
 	if p <= 0 {
 		return sorted[0]
 	}

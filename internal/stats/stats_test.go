@@ -46,6 +46,20 @@ func TestPercentileInterpolates(t *testing.T) {
 	}
 }
 
+// TestPercentileNaNRank: a NaN rank fails every range comparison, so it
+// used to reach int(math.Floor(NaN)) and index out of range; it must
+// come back as NaN, alone or inside a rank list.
+func TestPercentileNaNRank(t *testing.T) {
+	xs := []float64{5, 1, 3}
+	if got := Percentile(xs, math.NaN()); !math.IsNaN(got) {
+		t.Errorf("Percentile(NaN rank) = %v, want NaN", got)
+	}
+	got := Percentiles(xs, []float64{math.NaN(), 50})
+	if len(got) != 2 || !math.IsNaN(got[0]) || got[1] != 3 {
+		t.Errorf("Percentiles(NaN, 50) = %v, want [NaN 3]", got)
+	}
+}
+
 func TestPercentileDoesNotMutate(t *testing.T) {
 	xs := []float64{3, 1, 2}
 	Percentile(xs, 50)

@@ -1,0 +1,78 @@
+package veritas_test
+
+// Layering pins, checked from source so they run wherever the tests do:
+// the store package stays free of the HTTP tier (store stores, serve
+// serves), and no deprecated shim or staticcheck suppression creeps
+// back into the module.
+
+import (
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+func TestStoreDoesNotImportTheHTTPTier(t *testing.T) {
+	banned := map[string]bool{
+		"net/http":               true,
+		"net/url":                true,
+		"container/list":         true,
+		"veritas/internal/stats": true,
+		"veritas/internal/serve": true,
+	}
+	files, err := filepath.Glob(filepath.Join("internal", "store", "*.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no source found under internal/store (err %v)", err)
+	}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range file.Imports {
+			if path, _ := strconv.Unquote(imp.Path.Value); banned[path] {
+				t.Errorf("%s imports %s: the HTTP query tier lives in internal/serve", name, path)
+			}
+		}
+	}
+}
+
+func TestNoDeprecatedShimsOrLintSuppressions(t *testing.T) {
+	// Spelled in pieces so this file passes its own check.
+	markers := []string{"Deprecated" + ":", "lint:file-ignore " + "SA1019"}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			// bench/ is a module of its own; dot-directories are not source.
+			if path == "bench" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range markers {
+			if strings.Contains(string(src), m) {
+				t.Errorf("%s contains %q: delete the shim (every consumer is in-tree) rather than deprecate or suppress it", path, m)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

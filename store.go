@@ -5,13 +5,7 @@ package veritas
 // Campaign offers (compaction across campaigns, custom serving
 // stacks). Most code should go through NewCampaign with WithStore.
 
-import (
-	"context"
-	"net/http"
-	"time"
-
-	"veritas/internal/store"
-)
+import "veritas/internal/store"
 
 type (
 	// FleetStore is a segmented, append-only, checksummed store of
@@ -51,24 +45,4 @@ func MergeStores(dst string, srcs ...string) (int, error) {
 // campaign.
 func FoldShards(dst string, srcs ...string) (int, error) {
 	return store.Fold(dst, store.Options{}, srcs...)
-}
-
-// serveHTTP is the serving loop behind Campaign.Serve and the
-// deprecated ServeStore: listen on addr until ctx is cancelled, then
-// drain in-flight requests for up to five seconds. Request contexts
-// deliberately do not derive from ctx: cancelling ctx triggers the
-// graceful shutdown, which must be able to drain in-flight requests
-// rather than abort them.
-func serveHTTP(ctx context.Context, addr string, h http.Handler) error {
-	srv := &http.Server{Addr: addr, Handler: h}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		return srv.Shutdown(shutdownCtx)
-	}
 }
