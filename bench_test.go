@@ -241,25 +241,3 @@ func BenchmarkStoreQuery(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkFleetCache isolates the emission-memoization win: the same
-// single-worker fleet with the cache on and off.
-func BenchmarkFleetCache(b *testing.B) {
-	corpus, arms := fleetBenchSetup(b)
-	for _, disable := range []bool{false, true} {
-		name := "on"
-		if disable {
-			name = "off"
-		}
-		b.Run("cache="+name, func(b *testing.B) {
-			cfg := engine.Config{Workers: 1, Samples: 3, Seed: 1, DisableCache: disable}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := engine.Run(context.Background(), cfg, corpus, arms); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -61,7 +61,8 @@ type (
 	FleetResult = engine.Result
 	// FleetSessionResult is one session's outcomes.
 	FleetSessionResult = engine.SessionResult
-	// FleetCacheStats counts the engine's emission-memoization cache.
+	// FleetCacheStats counts hits and misses of the fleet's shared
+	// transition-power cache (FleetResult.Powers).
 	FleetCacheStats = engine.CacheStats
 	// FleetRow is the compact per-session record the store persists,
 	// the aggregator reduces over, and Campaign.Results streams.
@@ -125,7 +126,6 @@ type campaignOptions struct {
 	seed           int64
 	shardIndex     int
 	shardCount     int // 0 = unsharded
-	disableCache   bool
 	keepAbductions bool
 	onResult       func(FleetSessionResult)
 	onProgress     func(done, total int)
@@ -496,15 +496,6 @@ func WithProgressCounts(fn func(done, total int)) CampaignOption {
 func WithKeepAbductions() CampaignOption {
 	return func(o *campaignOptions) error {
 		o.keepAbductions = true
-		return nil
-	}
-}
-
-// WithoutMemoization disables the engine's per-session emission cache
-// (used by benchmarks to measure its effect).
-func WithoutMemoization() CampaignOption {
-	return func(o *campaignOptions) error {
-		o.disableCache = true
 		return nil
 	}
 }
@@ -941,7 +932,6 @@ func (c *Campaign) engineConfig() engine.Config {
 		Seed:           c.opt.seed,
 		ShardIndex:     c.opt.shardIndex,
 		ShardCount:     c.opt.shardCount,
-		DisableCache:   c.opt.disableCache,
 		KeepAbductions: c.opt.keepAbductions,
 		OnResult:       c.opt.onResult,
 		OnProgress:     c.opt.onProgress,

@@ -93,7 +93,6 @@ type options struct {
 	buffer     float64
 	abrs       []string
 	buffers    []float64
-	nocache    bool
 	storeDir   string
 	resume     bool
 	shardIndex int
@@ -122,9 +121,6 @@ func (o options) campaignOptions() []veritas.CampaignOption {
 	}
 	if o.resume {
 		opts = append(opts, veritas.WithResume())
-	}
-	if o.nocache {
-		opts = append(opts, veritas.WithoutMemoization())
 	}
 	if o.shardCount > 0 {
 		opts = append(opts, veritas.WithShard(o.shardIndex, o.shardCount))
@@ -436,7 +432,6 @@ func main() {
 	flag.Float64Var(&o.buffer, "buffer", 5, "deployed (Setting A) buffer size, seconds")
 	abrs := flag.String("abrs", "bba,bola", "comma-separated what-if ABRs ("+strings.Join(veritas.ABRs(), ",")+")")
 	buffers := flag.String("buffers", "5,30", "comma-separated what-if buffer sizes, seconds")
-	flag.BoolVar(&o.nocache, "nocache", false, "disable the emission memoization cache")
 	progress := flag.Bool("progress", false, "print per-session completions to stderr")
 	flag.StringVar(&o.storeDir, "store", "", "persist per-session results to this store directory")
 	flag.BoolVar(&o.resume, "resume", false, "skip sessions already present in -store")

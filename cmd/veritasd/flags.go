@@ -21,7 +21,6 @@ type campaignFlags struct {
 	buffer    float64
 	abrs      string
 	buffers   string
-	nocache   bool
 	storeDir  string
 }
 
@@ -35,7 +34,6 @@ func (o *campaignFlags) register(fs *flag.FlagSet) {
 	fs.Float64Var(&o.buffer, "buffer", 5, "dispatcher mode: deployed (Setting A) buffer size, seconds")
 	fs.StringVar(&o.abrs, "abrs", "bba,bola", "dispatcher mode: comma-separated what-if ABRs ("+strings.Join(veritas.ABRs(), ",")+")")
 	fs.StringVar(&o.buffers, "buffers", "5,30", "dispatcher mode: comma-separated what-if buffer sizes, seconds")
-	fs.BoolVar(&o.nocache, "nocache", false, "dispatcher mode: disable the emission memoization cache in workers")
 	fs.StringVar(&o.storeDir, "store", "", "dispatcher mode: fold the fleet's shard stores into this corpus store directory")
 }
 
@@ -57,9 +55,6 @@ func (o campaignFlags) campaignOptions() []veritas.CampaignOption {
 	}
 	if o.storeDir != "" {
 		opts = append(opts, veritas.WithStore(o.storeDir))
-	}
-	if o.nocache {
-		opts = append(opts, veritas.WithoutMemoization())
 	}
 	return opts
 }

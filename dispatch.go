@@ -158,7 +158,6 @@ type workerSpec struct {
 	ABRs      []string  `json:"abrs,omitempty"`
 	Buffers   []float64 `json:"buffers,omitempty"`
 	Workers   int       `json:"workers,omitempty"`
-	NoCache   bool      `json:"nocache,omitempty"`
 	NoTelem   bool      `json:"notelemetry,omitempty"`
 	NoTrace   bool      `json:"notracing,omitempty"`
 	Shard     int       `json:"shard"`
@@ -198,9 +197,6 @@ func (s workerSpec) options() []CampaignOption {
 	}
 	if s.Workers > 0 {
 		opts = append(opts, WithWorkers(s.Workers))
-	}
-	if s.NoCache {
-		opts = append(opts, WithoutMemoization())
 	}
 	if s.NoTelem {
 		opts = append(opts, WithoutTelemetry())
@@ -319,7 +315,6 @@ func (c *Campaign) Dispatch(ctx context.Context, n int) (*DispatchResult, error)
 				ABRs:      o.abrs,
 				Buffers:   o.buffers,
 				Workers:   workers,
-				NoCache:   o.disableCache,
 				NoTelem:   o.noTelemetry,
 				NoTrace:   o.noTracing,
 				Shard:     w.Shard,

@@ -194,7 +194,6 @@ func (c *Campaign) ServeFleet(ctx context.Context, n int) (*FleetDispatchResult,
 		ABRs:      o.abrs,
 		Buffers:   o.buffers,
 		Workers:   o.workers,
-		NoCache:   o.disableCache,
 		NoTelem:   o.noTelemetry,
 		NoTrace:   o.noTracing,
 	})

@@ -66,8 +66,6 @@ type SessionRow struct {
 	SettingA    player.Metrics
 	Arms        []ArmOutcome
 	Predictions []float64
-	CacheHits   uint64
-	CacheMisses uint64
 }
 
 // Row reduces the result to its aggregation row.
@@ -80,8 +78,6 @@ func (r SessionResult) Row() SessionRow {
 		SettingA:    r.SettingA,
 		Arms:        r.Arms,
 		Predictions: r.Predictions,
-		CacheHits:   r.Cache.Hits,
-		CacheMisses: r.Cache.Misses,
 	}
 }
 

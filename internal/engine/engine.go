@@ -5,7 +5,7 @@
 // Abduct, replay every what-if arm, answer interventional queries —
 // out across GOMAXPROCS workers.
 //
-// Three properties the single-session path does not have:
+// Four properties the single-session path does not have:
 //
 //   - Sharding: the corpus is split into contiguous shards pulled from
 //     a shared queue, so workers stay busy even when session costs are
@@ -16,13 +16,9 @@
 //     allocation-flat. Retained abductions (Config.KeepAbductions)
 //     would alias recycled memory, so that mode falls back to fresh
 //     per-session buffers.
-//   - Memoization: the hot TCP-emission computation f(c, W, S) is
-//     memoized per session (abductions that fit transitions evaluate
-//     the emission table once for EM and once for inference; the
-//     single-pass standard path keeps the cache for chunks sharing a
-//     TCP state and size). Hit/miss counts are aggregated across the
-//     fleet; the cache rows themselves live in a worker-owned arena
-//     reset between sessions.
+//   - Shared transition powers: sessions with equal capacity grids
+//     share one process-wide table of transition-matrix powers (see
+//     mathx.SharedPowers) instead of rebuilding it per session.
 //   - Aggregation: per-session results stream into a thread-safe
 //     Aggregator; aggregates are computed in session order so results
 //     are byte-identical for every worker count.
@@ -51,7 +47,7 @@ import (
 )
 
 // Config parameterizes a fleet run. The zero value is usable: all
-// workers, default sampling, cache on.
+// workers, default sampling.
 type Config struct {
 	// Workers is the worker-pool size; 0 means GOMAXPROCS.
 	Workers int
@@ -64,9 +60,6 @@ type Config struct {
 	// Seed derives per-session abduction seeds for specs that leave
 	// Abduct.Seed zero, keeping fleet runs reproducible end to end.
 	Seed int64
-	// DisableCache turns off the per-session emission memoization
-	// (used by tests and benchmarks to measure its effect).
-	DisableCache bool
 	// KeepAbductions retains each session's *abduction.Abduction in its
 	// result. Off by default: posteriors are large, and fleet-scale runs
 	// only need the aggregates.
@@ -115,16 +108,16 @@ type Config struct {
 	// retained beyond the aggregator's compact rows.
 	DiscardResults bool
 	// Telemetry, when set, receives per-stage latency histograms, the
-	// session throughput counter and cache-traffic counters for the run
+	// session throughput counter and power-cache counters for the run
 	// (metric names veritas_engine_*). Recording is a few atomic adds
 	// per session and never feeds back into computation: results are
 	// byte-identical with and without a registry.
 	Telemetry *telemetry.Registry
 	// Tracer, when set, records one tail-sampled trace per session with
-	// simulate/abduct/replay/predict child spans (chunk counts and
-	// cache-hit attributes attached). Like Telemetry, tracing only
-	// observes — it never feeds back into computation, and results are
-	// byte-identical with and without a tracer. nil means tracing off.
+	// simulate/abduct/replay/predict child spans (chunk counts and arm
+	// names attached). Like Telemetry, tracing only observes — it never
+	// feeds back into computation, and results are byte-identical with
+	// and without a tracer. nil means tracing off.
 	Tracer *tracing.Tracer
 }
 
@@ -202,8 +195,7 @@ type SessionSpec struct {
 	Net       *netem.Config
 	MaxChunks int
 	// Abduct configures the inversion. Zero NumSamples and Seed are
-	// filled from the engine config; the estimator hook is reserved for
-	// the engine's memoization and must be nil.
+	// filled from the engine config.
 	Abduct abduction.Config
 	// SimulateOnly stops after the Setting-A simulation: no abduction,
 	// arms or predictions. Used to batch-generate corpora of logs.
@@ -251,15 +243,31 @@ type SessionResult struct {
 	// Predictions[i] answers Predict[i], in seconds.
 	Predictions []float64
 	// Abd is the retained abduction when Config.KeepAbductions is set.
-	Abd   *abduction.Abduction
-	Cache CacheStats
+	Abd *abduction.Abduction
+}
+
+// CacheStats counts hits and misses of one cache over a run.
+type CacheStats struct {
+	Hits   uint64
+	Misses uint64
+}
+
+// Lookups returns the total number of cache lookups seen.
+func (c CacheStats) Lookups() uint64 { return c.Hits + c.Misses }
+
+// HitRate returns Hits / Lookups, or 0 when the cache saw no traffic.
+func (c CacheStats) HitRate() float64 {
+	n := c.Lookups()
+	if n == 0 {
+		return 0
+	}
+	return float64(c.Hits) / float64(n)
 }
 
 // Result is a completed fleet run.
 type Result struct {
 	Sessions []SessionResult // in corpus order; zero entries for skipped or out-of-shard sessions
 	Agg      *Aggregator
-	Cache    CacheStats
 	// Powers counts shared transition-power cache traffic during the
 	// run: one lookup per abduced session, a hit when the session's
 	// capacity grid was already in the process-wide cache. The counts
@@ -307,9 +315,6 @@ func Run(ctx context.Context, cfg Config, corpus []SessionSpec, arms []Arm) (*Re
 		if spec.Trace == nil && spec.Log == nil {
 			return nil, fmt.Errorf("engine: session %d has neither Trace nor Log", i)
 		}
-		if spec.Abduct.HMM.Estimator != nil {
-			return nil, fmt.Errorf("engine: session %d sets Abduct.HMM.Estimator (reserved for the engine cache)", i)
-		}
 	}
 	for i, a := range arms {
 		if err := a.Setting.Validate(); err != nil {
@@ -355,11 +360,10 @@ func Run(ctx context.Context, cfg Config, corpus []SessionSpec, arms []Arm) (*Re
 		results = make([]SessionResult, len(corpus))
 	}
 	var (
-		wg                     sync.WaitGroup
-		errOnce                sync.Once
-		firstErr               error
-		cacheHits, cacheMisses atomic.Uint64
-		completed              atomic.Int64
+		wg        sync.WaitGroup
+		errOnce   sync.Once
+		firstErr  error
+		completed atomic.Int64
 	)
 	fail := func(err error) {
 		errOnce.Do(func() {
@@ -371,19 +375,14 @@ func Run(ctx context.Context, cfg Config, corpus []SessionSpec, arms []Arm) (*Re
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Per-worker reusable state: the inference arena and the
-			// emission-memo row storage, sized by the largest session
-			// this worker sees and recycled across its whole slice.
-			// KeepAbductions retains per-session results that would
-			// alias the recycled arena, so that mode allocates fresh
-			// buffers per session instead.
+			// Per-worker reusable state: the inference arena, sized by
+			// the largest session this worker sees and recycled across
+			// its whole slice. KeepAbductions retains per-session
+			// results that would alias the recycled arena, so that mode
+			// allocates fresh buffers per session instead.
 			var sc *hmm.Scratch
-			var wcache *estimatorCache
 			if !cfg.KeepAbductions {
 				sc = hmm.NewScratch()
-				if !cfg.DisableCache {
-					wcache = newEstimatorCache()
-				}
 			}
 			for sh := range shards {
 				for i := sh.lo; i < sh.hi; i++ {
@@ -394,14 +393,12 @@ func Run(ctx context.Context, cfg Config, corpus []SessionSpec, arms []Arm) (*Re
 						continue
 					}
 					tb := cfg.Tracer.Start("session", specID(corpus[i], i))
-					res, err := runOne(cfg, corpus[i], arms, i, sc, wcache, em, tb)
+					res, err := runOne(cfg, corpus[i], arms, i, sc, em, tb)
 					tb.Finish(err)
 					if err != nil {
 						fail(fmt.Errorf("engine: session %d (%s): %w", i, corpus[i].ID, err))
 						return
 					}
-					cacheHits.Add(res.Cache.Hits)
-					cacheMisses.Add(res.Cache.Misses)
 					agg.Add(res)
 					if cfg.Sink != nil {
 						if err := cfg.Sink.Put(res); err != nil {
@@ -444,7 +441,6 @@ func Run(ctx context.Context, cfg Config, corpus []SessionSpec, arms []Arm) (*Re
 	return &Result{
 		Sessions:     results,
 		Agg:          agg,
-		Cache:        CacheStats{Hits: cacheHits.Load(), Misses: cacheMisses.Load()},
 		Powers:       CacheStats{Hits: powDelta.Hits, Misses: powDelta.Misses()},
 		PowersDetail: powDelta,
 		Executed:     executed,
@@ -464,12 +460,11 @@ func specID(spec SessionSpec, idx int) string {
 
 // runOne executes the full pipeline for one session. It is pure given
 // the spec and index — em and tb only observe durations and counts,
-// never steering computation, and the worker-owned sc/wcache only
-// recycle storage (a reset cache and a recycled arena behave exactly
-// like fresh ones) — which is what makes fleet results independent of
-// worker count, scheduling, telemetry, and tracing. The caller
-// finishes tb with runOne's error.
-func runOne(cfg Config, spec SessionSpec, arms []Arm, idx int, sc *hmm.Scratch, wcache *estimatorCache, em *engineMetrics, tb *tracing.T) (SessionResult, error) {
+// never steering computation, and the worker-owned sc only recycles
+// storage (a recycled arena behaves exactly like a fresh one) — which
+// is what makes fleet results independent of worker count, scheduling,
+// telemetry, and tracing. The caller finishes tb with runOne's error.
+func runOne(cfg Config, spec SessionSpec, arms []Arm, idx int, sc *hmm.Scratch, em *engineMetrics, tb *tracing.T) (SessionResult, error) {
 	res := SessionResult{Index: idx, ID: specID(spec, idx), Scenario: spec.Scenario}
 	sessStart := em.now()
 	if spec.Scenario != "" {
@@ -516,7 +511,7 @@ func runOne(cfg Config, spec SessionSpec, arms []Arm, idx int, sc *hmm.Scratch, 
 	res.Log = log
 	tb.SetAttr("chunks", len(log.Records))
 	if spec.SimulateOnly {
-		em.sessionDone(sessStart, res.Cache)
+		em.sessionDone(sessStart)
 		return res, nil
 	}
 
@@ -530,21 +525,9 @@ func runOne(cfg Config, spec SessionSpec, arms []Arm, idx int, sc *hmm.Scratch, 
 		acfg.Seed = cfg.Seed + 1 + int64(idx)*101
 	}
 	acfg.Scratch = sc // nil under KeepAbductions: results must own their buffers
-	var cache *estimatorCache
-	if !cfg.DisableCache {
-		if cache = wcache; cache != nil {
-			// Worker-owned cache: recycle the row storage, zero the
-			// counters. A reset cache answers every lookup exactly as a
-			// fresh one would.
-			cache.reset()
-		} else {
-			cache = newEstimatorCache()
-		}
-		acfg.HMM.Estimator = cache.estimate
-		// Sessions with equal capacity grids share one process-wide
-		// transition-power cache (see mathx.SharedPowers).
-		acfg.HMM.SharePowers = true
-	}
+	// Sessions with equal capacity grids share one process-wide
+	// transition-power cache (see mathx.SharedPowers).
+	acfg.HMM.SharePowers = true
 	abductStart := em.now()
 	abductT0 := tb.Now()
 	abd, err := abduction.Abduct(log, acfg)
@@ -552,20 +535,7 @@ func runOne(cfg Config, spec SessionSpec, arms []Arm, idx int, sc *hmm.Scratch, 
 		return res, fmt.Errorf("abduct: %w", err)
 	}
 	em.observe(em.abduct, abductStart)
-	if cache != nil {
-		res.Cache = cache.stats()
-		if cache != wcache {
-			// A per-session cache is kept alive by the retained
-			// abduction's estimator closure; nothing after inference
-			// evaluates emissions, so free the rows rather than pinning
-			// them. (The worker-owned cache is recycled instead.)
-			cache.release()
-		}
-	}
-	tb.Span("abduct", abductT0, map[string]any{
-		"cacheHits":   res.Cache.Hits,
-		"cacheMisses": res.Cache.Misses,
-	})
+	tb.Span("abduct", abductT0, nil)
 	if cfg.KeepAbductions {
 		res.Abd = abd
 	}
@@ -600,6 +570,6 @@ func runOne(cfg Config, spec SessionSpec, arms []Arm, idx int, sc *hmm.Scratch, 
 		em.observe(em.predict, predictStart)
 		tb.Span("predict", predictT0, map[string]any{"queries": len(spec.Predict)})
 	}
-	em.sessionDone(sessStart, res.Cache)
+	em.sessionDone(sessStart)
 	return res, nil
 }

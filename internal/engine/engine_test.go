@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -112,27 +113,6 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestCacheDoesNotChangeResults pins that memoization is purely a
-// performance optimization.
-func TestCacheDoesNotChangeResults(t *testing.T) {
-	corpus := testCorpus(t, 1)
-	arms := testArms(30)
-	with, err := Run(context.Background(), Config{Workers: 2, Samples: 2, Seed: 1}, corpus, arms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	without, err := Run(context.Background(), Config{Workers: 2, Samples: 2, Seed: 1, DisableCache: true}, corpus, arms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fingerprint(with) != fingerprint(without) {
-		t.Error("cache changed inference results")
-	}
-	if without.Cache.Lookups() != 0 {
-		t.Errorf("disabled cache recorded %d lookups", without.Cache.Lookups())
-	}
-}
-
 // TestArenaDoesNotChangeResults pins that the per-worker scratch arena
 // is purely an allocation optimization: a run that recycles arenas
 // across sessions (the default) and a run that allocates fresh buffers
@@ -163,50 +143,6 @@ func TestArenaDoesNotChangeResults(t *testing.T) {
 		if len(a.ViterbiPath) > 0 && len(b.ViterbiPath) > 0 && &a.ViterbiPath[0] == &b.ViterbiPath[0] {
 			t.Fatal("retained abductions alias the same path buffer")
 		}
-	}
-}
-
-// TestCacheAccounting checks the hit/miss bookkeeping. Since the
-// single-pass Infer landed, standard abduction evaluates the emission
-// table exactly once, so misses are bounded by distinct-chunk-rows ×
-// grid-states and hits only come from chunks sharing a TCP state and
-// size; the invariants here are about accounting, not a hit-rate floor.
-func TestCacheAccounting(t *testing.T) {
-	corpus := testCorpus(t, 1)
-	res, err := Run(context.Background(), Config{Workers: 2, Samples: 3, Seed: 1}, corpus, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cache.Lookups() == 0 {
-		t.Fatal("cache saw no traffic")
-	}
-	if res.Cache.Hits+res.Cache.Misses != res.Cache.Lookups() {
-		t.Error("hits + misses != lookups")
-	}
-	var perSession uint64
-	for _, s := range res.Sessions {
-		perSession += s.Cache.Hits + s.Cache.Misses
-	}
-	if perSession != res.Cache.Lookups() {
-		t.Error("per-session cache stats do not sum to the fleet total")
-	}
-}
-
-// TestCacheHitsWithFitTransitions pins where the emission memo still
-// earns its keep after the single-pass refactor: a transition-fitting
-// abduction evaluates the emission table once for the EM interval chain
-// and once for inference, so at least the inference pass must hit.
-func TestCacheHitsWithFitTransitions(t *testing.T) {
-	corpus := testCorpus(t, 1)
-	for i := range corpus {
-		corpus[i].Abduct.FitTransitions = 2
-	}
-	res, err := Run(context.Background(), Config{Workers: 1, Samples: 2, Seed: 1}, corpus, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hr := res.Cache.HitRate(); hr < 0.4 {
-		t.Errorf("hit rate %.3f with FitTransitions, want >= 0.4 (EM pass + inference pass share rows)", hr)
 	}
 }
 
@@ -255,9 +191,6 @@ func TestSimulateOnlyAndPrerecordedLogs(t *testing.T) {
 		if len(s.Arms) != 0 || s.Abd != nil {
 			t.Error("simulate-only session ran queries")
 		}
-	}
-	if res.Cache.Lookups() != 0 {
-		t.Error("simulate-only fleet touched the emission cache")
 	}
 
 	// Feed the recorded logs back as pre-recorded specs.
@@ -317,13 +250,29 @@ func TestRunInputValidation(t *testing.T) {
 	if _, err := Run(context.Background(), Config{}, []SessionSpec{{}}, nil); err == nil {
 		t.Error("spec without trace or log should error")
 	}
-	bad := testCorpus(t, 1)[:1]
-	bad[0].Abduct.HMM.Estimator = func(float64, tcp.State, float64) float64 { return 0 }
-	if _, err := Run(context.Background(), Config{}, bad, nil); err == nil {
-		t.Error("reserved estimator hook should error")
-	}
 	if _, err := Run(context.Background(), Config{}, testCorpus(t, 1)[:1], []Arm{{Name: "broken"}}); err == nil {
 		t.Error("invalid arm setting should error")
+	}
+}
+
+// TestEstimatorHookReachesInference pins that a spec's throughput-model
+// hook (hmm.Config.Estimator) passes through the engine untouched: an
+// identity estimator — observed throughput is the capacity itself —
+// must yield a different posterior than the paper's TCP model f.
+func TestEstimatorHookReachesInference(t *testing.T) {
+	corpus := testCorpus(t, 1)[:1]
+	cfg := Config{Workers: 1, Samples: 2, Seed: 1, KeepAbductions: true}
+	paper, err := Run(context.Background(), cfg, corpus, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus[0].Abduct.HMM.Estimator = func(gtbwMbps float64, _ tcp.State, _ float64) float64 { return gtbwMbps }
+	identity, err := Run(context.Background(), cfg, corpus, nil)
+	if err != nil {
+		t.Fatalf("spec with an estimator hook: %v", err)
+	}
+	if slices.Equal(paper.Sessions[0].Abd.ViterbiPath, identity.Sessions[0].Abd.ViterbiPath) {
+		t.Error("identity estimator left the Viterbi path unchanged: the hook never reached inference")
 	}
 }
 
@@ -363,7 +312,7 @@ func TestReportRenders(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"fleet report", "arm: bba-5s", "SSIM", "hit rate", "sessions/sec", "coverage"} {
+	for _, want := range []string{"fleet report", "arm: bba-5s", "SSIM", "transition-power cache", "sessions/sec", "coverage"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q", want)
 		}
@@ -387,15 +336,6 @@ func TestSharedPowerAccounting(t *testing.T) {
 	}
 	if res.Powers.Hits == 0 {
 		t.Error("no shared power-cache hits across a scenario-repeating corpus")
-	}
-
-	// DisableCache also turns off grid sharing.
-	res2, err := Run(context.Background(), Config{Workers: 2, Samples: 2, Seed: 1, DisableCache: true}, corpus, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Powers.Lookups() != 0 {
-		t.Errorf("DisableCache run recorded %d power-cache lookups", res2.Powers.Lookups())
 	}
 }
 
@@ -540,9 +480,6 @@ func TestStreamDeliversEveryRow(t *testing.T) {
 	if len(res.Sessions) != 0 {
 		t.Errorf("Stream retained %d session results, want 0", len(res.Sessions))
 	}
-	if res.Cache.Lookups() == 0 {
-		t.Error("cache stats lost on the streaming path")
-	}
 	// The streamed rows and aggregator match the plain Run.
 	if got, want := res.Agg.Completed(), want.Agg.Completed(); got != want {
 		t.Errorf("aggregator saw %d rows, want %d", got, want)
@@ -583,9 +520,6 @@ func TestDiscardResults(t *testing.T) {
 	}
 	if res.Agg.Completed() != len(corpus) {
 		t.Errorf("aggregator saw %d rows, want %d", res.Agg.Completed(), len(corpus))
-	}
-	if res.Cache.Lookups() == 0 {
-		t.Error("cache stats lost with DiscardResults")
 	}
 }
 

@@ -24,8 +24,6 @@ type engineMetrics struct {
 	session  *telemetry.Histogram
 
 	sessions    *telemetry.Counter
-	cacheHits   *telemetry.Counter
-	cacheMisses *telemetry.Counter
 	powerHits   *telemetry.Counter
 	powerMisses *telemetry.Counter
 	// The power-cache miss split by cause: cold misses are healthy
@@ -50,8 +48,6 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 		session:  reg.Histogram("veritas_engine_session_seconds"),
 
 		sessions:    reg.Counter("veritas_engine_sessions_completed_total"),
-		cacheHits:   reg.Counter("veritas_engine_emission_cache_hits_total"),
-		cacheMisses: reg.Counter("veritas_engine_emission_cache_misses_total"),
 		powerHits:   reg.Counter("veritas_engine_power_cache_hits_total"),
 		powerMisses: reg.Counter("veritas_engine_power_cache_misses_total"),
 
@@ -76,13 +72,11 @@ func (m *engineMetrics) observe(h *telemetry.Histogram, t0 time.Time) {
 	h.Since(t0)
 }
 
-// sessionDone records one completed session: its wall time, its
-// emission-cache traffic, and the throughput counter.
-func (m *engineMetrics) sessionDone(t0 time.Time, cache CacheStats) {
+// sessionDone records one completed session: its wall time and the
+// throughput counter.
+func (m *engineMetrics) sessionDone(t0 time.Time) {
 	m.session.Since(t0)
 	m.sessions.Inc()
-	m.cacheHits.Add(cache.Hits)
-	m.cacheMisses.Add(cache.Misses)
 }
 
 // powers records the run's shared transition-power cache delta, both

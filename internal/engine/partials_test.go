@@ -1,9 +1,13 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -236,5 +240,40 @@ func TestMetricIndexAndEstimators(t *testing.T) {
 	}
 	if _, ok := ParseEstimator("psychic"); ok {
 		t.Fatal("unknown estimator resolved")
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
+
+// TestWriteAggregateGolden pins the text report byte-for-byte over the
+// synthetic fixture rows, plus one arm no session has an oracle for
+// (its Truth rows and coverage lines must be absent, not zero).
+func TestWriteAggregateGolden(t *testing.T) {
+	agg := NewAggregator(0)
+	for i := 0; i < 12; i++ {
+		row := synthRow(i, 1)
+		if i == 0 {
+			blind := row.Arms[0]
+			blind.Name, blind.HasTruth = "no-oracle", false
+			row.Arms = append(row.Arms, blind)
+		}
+		agg.AddRow(row)
+	}
+	var got bytes.Buffer
+	if err := agg.WriteAggregate(&got); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "aggregate.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("WriteAggregate drifted from %s (re-record with -update if deliberate)\ngot:\n%s\nwant:\n%s", golden, got.Bytes(), want)
 	}
 }

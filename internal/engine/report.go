@@ -91,32 +91,32 @@ func (a *Aggregator) Report() *Report {
 // store-backed report path in cmd/fleet.
 func (a *Aggregator) WriteAggregate(w io.Writer) error {
 	var b strings.Builder
-	rows := a.snapshot()
-	for _, arm := range armNamesOf(rows) {
-		fmt.Fprintf(&b, "\n-- arm: %s --\n", arm)
+	rep := a.Report()
+	for _, arm := range rep.Arms {
+		fmt.Fprintf(&b, "\n-- arm: %s --\n", arm.Arm)
 		fmt.Fprintf(&b, "%-14s %-13s %9s %9s %9s %9s %9s\n",
 			"metric", "estimator", "mean", "P10", "P50", "P90", "max")
-		for _, m := range reportMetrics {
+		for i, ma := range arm.Metrics {
+			scale := reportMetrics[i].scale // Report lists metrics in reportMetrics order
 			for _, est := range reportEstimators {
-				s := Summarize(seriesOf(rows, arm, est, m.fn))
-				if s.N == 0 {
+				s, ok := ma.Estimators[est]
+				if !ok {
 					continue
 				}
 				fmt.Fprintf(&b, "%-14s %-13s %9.4g %9.4g %9.4g %9.4g %9.4g\n",
-					m.label, est, s.Mean*m.scale, s.P10*m.scale, s.P50*m.scale, s.P90*m.scale, s.Max*m.scale)
+					ma.Metric, est, s.Mean*scale, s.P10*scale, s.P50*scale, s.P90*scale, s.Max*scale)
 			}
 		}
-		for _, m := range reportMetrics {
-			if len(seriesOf(rows, arm, EstTruth, m.fn)) == 0 {
+		for _, ma := range arm.Metrics {
+			if ma.Coverage == nil {
 				continue
 			}
 			fmt.Fprintf(&b, "coverage: truth inside Veritas range (±%g) on %.0f%% of sessions [%s]\n",
-				m.slack, coverageOf(rows, arm, m.fn, m.slack)*100, m.label)
+				ma.CoverageSlack, *ma.Coverage*100, ma.Metric)
 		}
 	}
 
-	if preds := predictionsOf(rows); len(preds) > 0 {
-		s := Summarize(preds)
+	if s := rep.Predictions; s != nil {
 		fmt.Fprintf(&b, "\n-- interventional download-time predictions --\n")
 		fmt.Fprintf(&b, "n %d  mean %.4g s  P10 %.4g  P50 %.4g  P90 %.4g\n",
 			s.N, s.Mean, s.P10, s.P50, s.P90)
@@ -150,8 +150,6 @@ func (r *Result) WriteReport(w io.Writer) error {
 func (r *Result) WriteEngineStats(w io.Writer) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "\n-- engine --\n")
-	fmt.Fprintf(&b, "emission cache: %d lookups, %.1f%% hit rate (%d hits, %d misses)\n",
-		r.Cache.Lookups(), r.Cache.HitRate()*100, r.Cache.Hits, r.Cache.Misses)
 	if r.Powers.Lookups() > 0 {
 		fmt.Fprintf(&b, "transition-power cache: %d lookups, %.1f%% shared (%d hits, %d new grids, %d collision, %d over-cap)\n",
 			r.Powers.Lookups(), r.Powers.HitRate()*100, r.Powers.Hits,

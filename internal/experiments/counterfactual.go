@@ -97,10 +97,9 @@ type cfResult struct {
 // runCounterfactualMatrix executes the full Figure-6 pipeline over the
 // scale's trace set, batched on the fleet engine: every trace becomes
 // one corpus session, every scenario one what-if arm, and the engine
-// fans the Abduct + replay work across the worker pool (with the
-// per-session emission memoization the serial path never had). Each
-// session is simulated and abduced once however many arms replay over
-// it — fig14's four panels share one inversion. Per-trace seeds match
+// fans the Abduct + replay work across the worker pool. Each session
+// is simulated and abduced once however many arms replay over it —
+// fig14's four panels share one inversion. Per-trace seeds match
 // the original serial implementation, so tables are unchanged and
 // identical for every worker count. Results are keyed by scenario name.
 func runCounterfactualMatrix(s Scale, scs []cfScenario) (map[string][]cfResult, error) {

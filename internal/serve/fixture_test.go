@@ -31,8 +31,6 @@ func testRow(i int, scenario string) engine.SessionRow {
 			HasTruth: true,
 		}},
 		Predictions: []float64{1.5, float64(i)},
-		CacheHits:   uint64(i * 10),
-		CacheMisses: uint64(i),
 	}
 }
 

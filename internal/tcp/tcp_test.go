@@ -235,3 +235,16 @@ func TestMbps(t *testing.T) {
 		t.Errorf("Mbps with zero time = %v, want 0", got)
 	}
 }
+
+// BenchmarkEstimatorDirect times one call of the estimator f — the
+// inner loop of every emission table — swept along a capacity grid.
+func BenchmarkEstimatorDirect(b *testing.B) {
+	st := Fresh(0.16)
+	grid := make([]float64, 24)
+	for i := range grid {
+		grid[i] = 0.5 * float64(i+1)
+	}
+	for i := 0; i < b.N; i++ {
+		EstimateThroughput(grid[i%len(grid)], st, 1e6)
+	}
+}

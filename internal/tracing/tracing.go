@@ -4,7 +4,7 @@
 // which pipeline stage inside them stalls": every traced unit of work —
 // an engine session, a store append, a served request, a dispatched
 // worker's lifetime — becomes a Trace holding timed child Spans with
-// attributes (chunk counts, cache hits, byte sizes).
+// attributes (chunk counts, arm names, byte sizes).
 //
 // Full tracing at millions of sessions is unaffordable, so the tracer
 // **tail-samples**: a trace is built worker-locally (recording a span
@@ -56,8 +56,8 @@ type Span struct {
 	Start float64 `json:"start"`
 	// Dur is the span's duration in seconds.
 	Dur float64 `json:"dur"`
-	// Attrs carry span-scoped context (chunk counts, cache hits, arm
-	// names). Values must be JSON-serializable.
+	// Attrs carry span-scoped context (chunk counts, arm names). Values
+	// must be JSON-serializable.
 	Attrs map[string]any `json:"attrs,omitempty"`
 }
 

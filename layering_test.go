@@ -47,6 +47,10 @@ func TestStoreDoesNotImportTheHTTPTier(t *testing.T) {
 func TestNoDeprecatedShimsOrLintSuppressions(t *testing.T) {
 	// Spelled in pieces so this file passes its own check.
 	markers := []string{"Deprecated" + ":", "lint:file-ignore " + "SA1019"}
+	// The emission memo and its on/off knob were deleted on every
+	// surface (engine, facade, worker spec, both CLIs, telemetry); none
+	// of its names may come back outside tests.
+	memoNames := []string{"estimatorCache", "DisableCache", "WithoutMemoization", "NoCache", `"nocache"`, "emission_cache"}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -68,6 +72,13 @@ func TestNoDeprecatedShimsOrLintSuppressions(t *testing.T) {
 		for _, m := range markers {
 			if strings.Contains(string(src), m) {
 				t.Errorf("%s contains %q: delete the shim (every consumer is in-tree) rather than deprecate or suppress it", path, m)
+			}
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			for _, m := range memoNames {
+				if strings.Contains(string(src), m) {
+					t.Errorf("%s mentions %q: the emission memo is gone and nothing replaces its knob", path, m)
+				}
 			}
 		}
 		return nil
