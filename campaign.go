@@ -57,7 +57,8 @@ type (
 	// FleetArm is one what-if setting of the query matrix.
 	FleetArm = engine.Arm
 	// FleetResult is a completed fleet run: per-session results in
-	// corpus order plus the streaming aggregator.
+	// corpus order plus the per-session partial aggregates
+	// (FleetResult.Partials) its report is built from.
 	FleetResult = engine.Result
 	// FleetSessionResult is one session's outcomes.
 	FleetSessionResult = engine.SessionResult
@@ -65,7 +66,7 @@ type (
 	// transition-power cache (FleetResult.Powers).
 	FleetCacheStats = engine.CacheStats
 	// FleetRow is the compact per-session record the store persists,
-	// the aggregator reduces over, and Campaign.Results streams.
+	// the partial aggregates reduce, and Campaign.Results streams.
 	FleetRow = engine.SessionRow
 	// FleetArmOutcome is one session × arm cell of the what-if matrix.
 	FleetArmOutcome = engine.ArmOutcome
@@ -121,22 +122,20 @@ type campaignOptions struct {
 	armsSet bool
 
 	// Execution.
-	workers        int
-	samples        int
-	seed           int64
-	shardIndex     int
-	shardCount     int // 0 = unsharded
-	keepAbductions bool
-	onResult       func(FleetSessionResult)
-	onProgress     func(done, total int)
-	sinks          []FleetSink
+	workers    int
+	samples    int
+	seed       int64
+	shardIndex int
+	shardCount int // 0 = unsharded
+	onResult   func(FleetSessionResult)
+	onProgress func(done, total int)
+	sinks      []FleetSink
 
 	// Persistence and serving.
 	storeDir      string
 	readOnly      bool
 	watch         bool
 	watchInterval time.Duration
-	segmentBytes  int64
 	readCache     int
 	resume        bool
 
@@ -419,18 +418,6 @@ func WithWatchInterval(d time.Duration) CampaignOption {
 	}
 }
 
-// WithSegmentBytes caps a store segment's size before appends rotate to
-// a fresh file (default store.DefaultSegmentBytes).
-func WithSegmentBytes(n int64) CampaignOption {
-	return func(o *campaignOptions) error {
-		if n < 0 {
-			return fmt.Errorf("veritas: segment bytes %d is negative", n)
-		}
-		o.segmentBytes = n
-		return nil
-	}
-}
-
 // WithReadCache sizes the serving layer's in-process read cache of
 // decoded sessions (0 picks the default 256, negative disables).
 func WithReadCache(entries int) CampaignOption {
@@ -486,16 +473,6 @@ func WithProgressCounts(fn func(done, total int)) CampaignOption {
 			return errors.New("veritas: WithProgressCounts(nil)")
 		}
 		o.onProgress = fn
-		return nil
-	}
-}
-
-// WithKeepAbductions retains each session's posterior in its result.
-// Off by default: posteriors are large, and fleet-scale runs only need
-// the aggregates.
-func WithKeepAbductions() CampaignOption {
-	return func(o *campaignOptions) error {
-		o.keepAbductions = true
 		return nil
 	}
 }
@@ -844,10 +821,9 @@ func (c *Campaign) ensureStoreLocked() (*FleetStore, error) {
 		return nil, errors.New("veritas: campaign has no store (use WithStore)")
 	}
 	opt := store.Options{
-		SegmentBytes: c.opt.segmentBytes,
-		ReadOnly:     c.opt.readOnly,
-		Telemetry:    c.reg,
-		Tracer:       c.trc,
+		ReadOnly:  c.opt.readOnly,
+		Telemetry: c.reg,
+		Tracer:    c.trc,
 	}
 	if c.opt.watch {
 		// Watch mode tails whatever campaign owns the directory;
@@ -927,16 +903,15 @@ func (c *Campaign) checkShardMeta(st *store.Store) error {
 // engineConfig maps the execution options onto the engine.
 func (c *Campaign) engineConfig() engine.Config {
 	return engine.Config{
-		Workers:        c.opt.workers,
-		Samples:        c.opt.samples,
-		Seed:           c.opt.seed,
-		ShardIndex:     c.opt.shardIndex,
-		ShardCount:     c.opt.shardCount,
-		KeepAbductions: c.opt.keepAbductions,
-		OnResult:       c.opt.onResult,
-		OnProgress:     c.opt.onProgress,
-		Telemetry:      c.reg,
-		Tracer:         c.trc,
+		Workers:    c.opt.workers,
+		Samples:    c.opt.samples,
+		Seed:       c.opt.seed,
+		ShardIndex: c.opt.shardIndex,
+		ShardCount: c.opt.shardCount,
+		OnResult:   c.opt.onResult,
+		OnProgress: c.opt.onProgress,
+		Telemetry:  c.reg,
+		Tracer:     c.trc,
 	}
 }
 
@@ -1120,8 +1095,9 @@ func (s *ResultStream) Row() FleetRow { return s.row }
 // Err returns the campaign error, if any, once Next has returned false.
 func (s *ResultStream) Err() error { return s.err }
 
-// Result returns the completed run (aggregator, cache and throughput
-// stats; Sessions is intentionally empty on the streaming path) once
+// Result returns the completed run (partial aggregates, cache and
+// throughput stats; Sessions is intentionally empty on the streaming
+// path) once
 // Next has returned false, and nil before that.
 func (s *ResultStream) Result() *FleetResult { return s.res }
 
@@ -1157,18 +1133,21 @@ func (s *ResultStream) finish() {
 }
 
 // Report computes the campaign's aggregate report. With a store it is
-// rebuilt from what was persisted — covering prior (resumed-over) runs
-// too, byte-identical to the in-RAM aggregation of an uninterrupted
-// campaign; without one it aggregates the last Run.
+// built from the store's incremental partial aggregates — covering
+// prior (resumed-over) runs too, byte-identical to the report of an
+// uninterrupted in-RAM campaign, and re-reading no row after the first
+// call; without one it reports the last Run.
 func (c *Campaign) Report() (*FleetReport, error) {
-	agg, err := c.aggregator()
+	p, err := c.partials()
 	if err != nil {
 		return nil, err
 	}
-	return agg.Report(), nil
+	return p.Report(""), nil
 }
 
-func (c *Campaign) aggregator() (*engine.Aggregator, error) {
+// partials returns the reducer the campaign reports from: the store's
+// (synced first, when this process writes it) or the last run's.
+func (c *Campaign) partials() (*engine.Partials, error) {
 	if c.opt.storeDir != "" {
 		st, err := c.Store()
 		if err != nil {
@@ -1179,7 +1158,7 @@ func (c *Campaign) aggregator() (*engine.Aggregator, error) {
 				return nil, err
 			}
 		}
-		return st.Aggregate()
+		return st.Partials()
 	}
 	c.mu.Lock()
 	last := c.last
@@ -1187,7 +1166,7 @@ func (c *Campaign) aggregator() (*engine.Aggregator, error) {
 	if last == nil {
 		return nil, errors.New("veritas: campaign has not run (and has no store to report from)")
 	}
-	return last.Agg, nil
+	return last.Partials, nil
 }
 
 // WriteReport renders the campaign's aggregate report as aligned text:
@@ -1196,16 +1175,16 @@ func (c *Campaign) aggregator() (*engine.Aggregator, error) {
 // last run's fleet report otherwise. This is exactly what cmd/fleet
 // prints.
 func (c *Campaign) WriteReport(w io.Writer) error {
+	c.mu.Lock()
+	last := c.last
+	c.mu.Unlock()
 	if c.opt.storeDir == "" {
-		c.mu.Lock()
-		last := c.last
-		c.mu.Unlock()
 		if last == nil {
 			return errors.New("veritas: campaign has not run")
 		}
 		return last.WriteReport(w)
 	}
-	agg, err := c.aggregator()
+	p, err := c.partials()
 	if err != nil {
 		return err
 	}
@@ -1216,12 +1195,9 @@ func (c *Campaign) WriteReport(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "== corpus report: %d sessions stored in %s ==\n", st.Len(), c.opt.storeDir); err != nil {
 		return err
 	}
-	if err := agg.WriteAggregate(w); err != nil {
+	if err := engine.WriteAggregate(w, p.Report("")); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	last := c.last
-	c.mu.Unlock()
 	if last != nil {
 		return last.WriteEngineStats(w)
 	}

@@ -22,6 +22,7 @@ import (
 
 	"veritas"
 	"veritas/internal/engine"
+	"veritas/internal/engine/enginetest"
 )
 
 // quickOptions is a campaign small enough for unit tests but covering
@@ -125,10 +126,7 @@ func TestCampaignMatchesDirectEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	oldJSON, err := json.Marshal(oldRes.Agg.Report())
-	if err != nil {
-		t.Fatal(err)
-	}
+	oldJSON := enginetest.OracleJSON(t, enginetest.ResultRows(oldRes), "")
 	rep, err := c.Report()
 	if err != nil {
 		t.Fatal(err)
@@ -198,13 +196,9 @@ func pr2StoreReport(t *testing.T, dir string) (meta, report []byte) {
 	if err := st.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	agg, err := st.Aggregate()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out bytes.Buffer
 	fmt.Fprintf(&out, "== corpus report: %d sessions stored in %s ==\n", st.Len(), dir)
-	if err := agg.WriteAggregate(&out); err != nil {
+	if err := engine.WriteAggregate(&out, enginetest.OracleReport(t, st.Scan, "")); err != nil {
 		t.Fatal(err)
 	}
 	return metaBytes, out.Bytes()
@@ -784,5 +778,30 @@ func TestCampaignResultsEarlyCancelNoGoroutineLeak(t *testing.T) {
 				before, countGoroutines())
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestCampaignRejectsDuplicateSessionIDs pins that a corpus naming one
+// session ID twice is refused identically with and without a store.
+// Before the check the in-RAM report counted both sessions and the
+// store-backed one kept the last, breaking store-vs-RAM byte identity.
+func TestCampaignRejectsDuplicateSessionIDs(t *testing.T) {
+	specs := []veritas.FleetSpec{
+		{ID: "a", Trace: veritas.ConstantTrace(5), MaxChunks: 10},
+		{ID: "a", Trace: veritas.ConstantTrace(3), MaxChunks: 10},
+	}
+	const want = `engine: sessions 0 and 1 share ID "a"`
+	for name, extra := range map[string][]veritas.CampaignOption{
+		"in-RAM":       nil,
+		"store-backed": {veritas.WithStore(t.TempDir())},
+	} {
+		c, err := veritas.NewCampaign(append(extra, veritas.WithCorpus(specs...), veritas.WithSamples(1))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Run(context.Background()); err == nil || err.Error() != want {
+			t.Errorf("%s: Run error = %v, want %s", name, err, want)
+		}
+		c.Close()
 	}
 }

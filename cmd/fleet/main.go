@@ -63,7 +63,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"sort"
@@ -81,53 +80,6 @@ import (
 // goes through it; stdout stays reserved for the report.
 var logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 
-// options collects the parsed flags so the flag→campaign mapping is
-// testable apart from flag.Parse and os.Exit.
-type options struct {
-	workers    int
-	sessions   int
-	scenarios  []string
-	chunks     int
-	samples    int
-	seed       int64
-	buffer     float64
-	abrs       []string
-	buffers    []float64
-	storeDir   string
-	resume     bool
-	shardIndex int
-	shardCount int // 0 = unsharded (no -shard flag)
-}
-
-// campaignOptions maps the flags onto the Campaign API, one option per
-// flag. Validation (unknown scenarios and ABRs, duplicates, sign
-// errors, resume-without-store) lives in veritas.NewCampaign now, not
-// here.
-func (o options) campaignOptions() []veritas.CampaignOption {
-	opts := []veritas.CampaignOption{
-		veritas.WithWorkers(o.workers),
-		veritas.WithSessions(o.sessions),
-		veritas.WithChunks(o.chunks),
-		veritas.WithSamples(o.samples),
-		veritas.WithSeed(o.seed),
-		veritas.WithDeployedBuffer(o.buffer),
-		veritas.WithMatrix(o.abrs, o.buffers),
-	}
-	if len(o.scenarios) > 0 {
-		opts = append(opts, veritas.WithScenarios(o.scenarios...))
-	}
-	if o.storeDir != "" {
-		opts = append(opts, veritas.WithStore(o.storeDir))
-	}
-	if o.resume {
-		opts = append(opts, veritas.WithResume())
-	}
-	if o.shardCount > 0 {
-		opts = append(opts, veritas.WithShard(o.shardIndex, o.shardCount))
-	}
-	return opts
-}
-
 // multiFlag collects a repeatable string flag; each occurrence may
 // itself be a comma-joined list.
 type multiFlag []string
@@ -135,7 +87,7 @@ type multiFlag []string
 func (m *multiFlag) String() string { return strings.Join(*m, ",") }
 
 func (m *multiFlag) Set(v string) error {
-	parts := splitCSV(v)
+	parts := cli.SplitCSV(v)
 	if len(parts) == 0 {
 		return fmt.Errorf("empty value")
 	}
@@ -143,91 +95,16 @@ func (m *multiFlag) Set(v string) error {
 	return nil
 }
 
-// fleetPrinter renders supervisor events for the terminal. Lifecycle
-// events always print. Per-session progress lines are verbose-only
-// (-progress; a large campaign completes thousands of sessions) — but
-// even without it, progress events fold into a one-line fleet summary
-// (done/total per shard, restarts) reprinted at most every two
-// seconds, so a long campaign is never silent between lifecycle
-// events. The supervisor serializes event callbacks, so the printer
-// needs no locking.
-type fleetPrinter struct {
-	shards     int
-	verbose    bool
-	done       []int
-	total      []int
-	restarts   int
-	lastSum    time.Time
-	summarized bool
-}
-
-func newFleetPrinter(shards int, verbose bool) *fleetPrinter {
-	return &fleetPrinter{
-		shards:  shards,
-		verbose: verbose,
-		done:    make([]int, shards),
-		total:   make([]int, shards),
-	}
-}
-
-func (p *fleetPrinter) handle(e veritas.DispatchEvent) {
-	switch e.Type {
-	case veritas.DispatchStart:
-		logger.Info("worker started", "shard", e.Shard, "shards", p.shards, "pid", e.PID, "attempt", e.Attempt+1)
-	case veritas.DispatchProgress:
-		if e.Shard >= 0 && e.Shard < p.shards {
-			p.done[e.Shard], p.total[e.Shard] = e.Done, e.Total
-		}
-		if p.verbose {
-			logger.Info("shard progress", "shard", e.Shard, "done", e.Done, "total", e.Total)
-		} else {
-			p.summary(false)
-		}
-	case veritas.DispatchTelemetry, veritas.DispatchTraces:
-		// Worker metrics snapshots and trace sets feed the -status
-		// listener (and the final -trace export); nothing to print.
-	case veritas.DispatchLine:
-		logger.Info("worker output", "shard", e.Shard, "stream", e.Stream, "line", e.Line)
-	case veritas.DispatchExit:
-		if e.Err != nil {
-			logger.Error("worker failed", "shard", e.Shard, "error", e.Err)
-		}
-	case veritas.DispatchRestart:
-		p.restarts++
-		logger.Warn("restarting shard", "shard", e.Shard, "attempt", e.Attempt+1, "backoff", e.Delay.String())
-	case veritas.DispatchFold:
-		if !p.verbose && p.summarized {
-			p.summary(true) // close the progress story before the fold line
-		}
-		logger.Info("folded shard stores", "sessions", e.Done, "shards", p.shards)
-	}
-}
-
-// summary logs the one-line fleet overview, rate-limited unless
-// forced.
-func (p *fleetPrinter) summary(force bool) {
-	if !force && time.Since(p.lastSum) < 2*time.Second {
-		return
-	}
-	p.lastSum = time.Now()
-	p.summarized = true
-	done, total := 0, 0
-	parts := make([]string, p.shards)
-	for i := range p.done {
-		done += p.done[i]
-		total += p.total[i]
-		parts[i] = fmt.Sprintf("%d:%d/%d", i, p.done[i], p.total[i])
-	}
-	logger.Info("fleet progress", "done", done, "total", total,
-		"shards", strings.Join(parts, " "), "restarts", p.restarts)
-}
-
 // dispatchRun runs the -dispatch path: supervise n workers, fold,
 // report, and optionally serve the folded corpus.
-func dispatchRun(ctx context.Context, o options, n, restarts int, serveAddr, statusAddr, tracePath string, progress, quiet bool) error {
-	opts := append(o.campaignOptions(),
+func dispatchRun(ctx context.Context, o cli.CampaignFlags, n, restarts int, serveAddr, statusAddr, tracePath string, progress, quiet bool) error {
+	opts, err := o.Options()
+	if err != nil {
+		return err
+	}
+	opts = append(opts,
 		veritas.WithDispatchRestarts(restarts),
-		veritas.WithDispatchEvents(newFleetPrinter(n, progress).handle))
+		veritas.WithDispatchEvents(cli.NewDispatchPrinter(logger, n, progress).Handle))
 	if statusAddr != "" {
 		opts = append(opts, veritas.WithDispatchStatus(statusAddr))
 	}
@@ -251,13 +128,13 @@ func dispatchRun(ctx context.Context, o options, n, restarts int, serveAddr, sta
 	res, err := c.Dispatch(ctx, n)
 	// The trace export covers failed dispatches too: the traces that
 	// made it up the protocol are exactly what a post-mortem wants.
-	if terr := writeTrace(c, tracePath); terr != nil && err == nil {
+	if terr := cli.WriteTrace(logger, c, tracePath); terr != nil && err == nil {
 		err = terr
 	}
 	if err != nil {
 		return err
 	}
-	logger.Info("dispatch complete", "folded", res.Folded, "store", o.storeDir,
+	logger.Info("dispatch complete", "folded", res.Folded, "store", o.StoreDir,
 		"restarts", res.Restarts, "elapsed", res.Elapsed.Round(time.Millisecond).String())
 	if err := c.WriteReport(os.Stdout); err != nil {
 		return err
@@ -269,28 +146,6 @@ func dispatchRun(ctx context.Context, o options, n, restarts int, serveAddr, sta
 		}
 	}
 	flushSummary(c, quiet)
-	return nil
-}
-
-// writeTrace exports the campaign's tail-sampled traces as Chrome
-// trace-event JSON at path (no-op when -trace was not given). Load the
-// file in Perfetto (ui.perfetto.dev) or chrome://tracing.
-func writeTrace(c *veritas.Campaign, path string) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := c.WriteTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	logger.Info("trace written", "path", path, "traces", len(c.Trace()))
 	return nil
 }
 
@@ -422,19 +277,12 @@ func main() {
 	// normal CLI.
 	veritas.DispatchWorkerMain()
 
-	var o options
-	flag.IntVar(&o.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS, split across workers under -dispatch)")
-	flag.IntVar(&o.sessions, "sessions", 8, "sessions per scenario")
-	scenarios := flag.String("scenarios", "", "comma-separated scenarios (default: all of "+strings.Join(veritas.Scenarios(), ",")+")")
-	flag.IntVar(&o.chunks, "chunks", 120, "chunks per session (0 = full 10-min clip)")
-	flag.IntVar(&o.samples, "samples", 5, "Veritas posterior samples K")
-	flag.Int64Var(&o.seed, "seed", 1, "base seed for the whole campaign")
-	flag.Float64Var(&o.buffer, "buffer", 5, "deployed (Setting A) buffer size, seconds")
-	abrs := flag.String("abrs", "bba,bola", "comma-separated what-if ABRs ("+strings.Join(veritas.ABRs(), ",")+")")
-	buffers := flag.String("buffers", "5,30", "comma-separated what-if buffer sizes, seconds")
+	var o cli.CampaignFlags
+	o.Register(flag.CommandLine, "",
+		"worker pool size (0 = GOMAXPROCS, split across workers under -dispatch)",
+		"persist per-session results to this store directory")
 	progress := flag.Bool("progress", false, "print per-session completions to stderr")
-	flag.StringVar(&o.storeDir, "store", "", "persist per-session results to this store directory")
-	flag.BoolVar(&o.resume, "resume", false, "skip sessions already present in -store")
+	flag.BoolVar(&o.Resume, "resume", false, "skip sessions already present in -store")
 	shard := flag.String("shard", "", "execute only shard i/n of the corpus (e.g. 0/3); requires -store for later folding")
 	var foldSrcs multiFlag
 	flag.Var(&foldSrcs, "fold", "shard store(s) to fold into -store (repeatable; each value may be a store, a comma-joined list, or a parent directory of shard stores; no campaign runs)")
@@ -450,50 +298,42 @@ func main() {
 	flag.Parse()
 	log, err := cli.NewLogger(os.Stderr, *logFormat, *logLevel)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(logger, err)
 	}
 	logger = log
-	startPprof(*pprofAddr)
-
-	// The list-valued flags feed every run shape (normal, -shard,
-	// -dispatch); parse them once. The -fold path rejects them by flag
-	// presence before they are ever used.
-	o.scenarios = splitCSV(*scenarios)
-	o.abrs = splitCSV(*abrs)
-	bufVals, err := parseFloats(*buffers)
-	if err != nil {
-		fatal(fmt.Errorf("-buffers: %w", err))
-	}
-	o.buffers = bufVals
+	cli.StartPprof(logger, *pprofAddr)
 
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := flagConflicts(set, *dispatchN, o.storeDir); err != nil {
-		fatal(err)
+	if err := flagConflicts(set, *dispatchN, o.StoreDir); err != nil {
+		cli.Fatal(logger, err)
 	}
 	if *dispatchN > 0 {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
 		if err := dispatchRun(ctx, o, *dispatchN, *restarts, *serveAddr, *statusAddr, *tracePath, *progress, *quiet); err != nil {
-			fatal(err)
+			cli.Fatal(logger, err)
 		}
 		return
 	}
 	if len(foldSrcs) > 0 {
-		if err := fold(o.storeDir, foldSrcs, *quiet); err != nil {
-			fatal(err)
+		if err := fold(o.StoreDir, foldSrcs, *quiet); err != nil {
+			cli.Fatal(logger, err)
 		}
 		return
 	}
 	if *shard != "" {
 		idx, cnt, err := parseShard(*shard)
 		if err != nil {
-			fatal(fmt.Errorf("-shard: %w", err))
+			cli.Fatal(logger, fmt.Errorf("-shard: %w", err))
 		}
-		o.shardIndex, o.shardCount = idx, cnt
+		o.ShardIndex, o.ShardCount = idx, cnt
 	}
 
-	opts := o.campaignOptions()
+	opts, err := o.Options()
+	if err != nil {
+		cli.Fatal(logger, err)
+	}
 	var total int
 	if *progress {
 		opts = append(opts, veritas.WithProgress(func(r veritas.FleetSessionResult) {
@@ -502,21 +342,21 @@ func main() {
 	}
 	c, err := veritas.NewCampaign(opts...)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(logger, err)
 	}
 	defer c.Close()
 
-	if o.storeDir != "" {
+	if o.StoreDir != "" {
 		// Opening the store up front runs the campaign-fingerprint
 		// check before any corpus is built or worker started.
 		st, err := c.Store()
 		if err != nil {
-			fatal(err)
+			cli.Fatal(logger, err)
 		}
 		if rec := st.Recovered(); rec > 0 {
 			logger.Warn("store recovered", "droppedTailBytes", rec)
 		}
-		if o.resume {
+		if o.Resume {
 			logger.Info("resuming", "storedSessions", st.Len())
 		} else if st.Len() > 0 {
 			logger.Info("store already holds sessions (use -resume to skip them)", "storedSessions", st.Len())
@@ -525,26 +365,26 @@ func main() {
 
 	corpus, err := c.Corpus()
 	if err != nil {
-		fatal(err)
+		cli.Fatal(logger, err)
 	}
 	total = len(corpus)
 	arms, err := c.Arms()
 	if err != nil {
-		fatal(err)
+		cli.Fatal(logger, err)
 	}
-	if o.shardCount > 1 {
-		mine := veritas.ShardSessions(len(corpus), o.shardIndex, o.shardCount)
-		logger.Info("running shard", "shard", o.shardIndex, "of", o.shardCount,
-			"sessions", mine, "corpus", len(corpus), "arms", len(arms), "samples", o.samples)
+	if o.ShardCount > 1 {
+		mine := veritas.ShardSessions(len(corpus), o.ShardIndex, o.ShardCount)
+		logger.Info("running shard", "shard", o.ShardIndex, "of", o.ShardCount,
+			"sessions", mine, "corpus", len(corpus), "arms", len(arms), "samples", o.Samples)
 	} else {
-		logger.Info("running campaign", "sessions", len(corpus), "arms", len(arms), "samples", o.samples)
+		logger.Info("running campaign", "sessions", len(corpus), "arms", len(arms), "samples", o.Samples)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	if _, err := c.Run(ctx); err != nil {
-		if o.storeDir != "" {
+		if o.StoreDir != "" {
 			// Keep finished sessions durable for -resume; a sync
 			// failure here means they may NOT have survived, which the
 			// user must hear about before trusting -resume.
@@ -556,62 +396,17 @@ func main() {
 		}
 		// Export whatever traces the failed run recorded — they are the
 		// post-mortem — before exiting nonzero.
-		if terr := writeTrace(c, *tracePath); terr != nil {
+		if terr := cli.WriteTrace(logger, c, *tracePath); terr != nil {
 			logger.Error("trace export failed", "error", terr)
 		}
-		fatal(err)
+		cli.Fatal(logger, err)
 	}
 
-	if err := writeTrace(c, *tracePath); err != nil {
-		fatal(err)
+	if err := cli.WriteTrace(logger, c, *tracePath); err != nil {
+		cli.Fatal(logger, err)
 	}
 	if err := c.WriteReport(os.Stdout); err != nil {
-		fatal(err)
+		cli.Fatal(logger, err)
 	}
 	flushSummary(c, *quiet)
-}
-
-func splitCSV(s string) []string {
-	if strings.TrimSpace(s) == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, p := range splitCSV(s) {
-		v, err := strconv.ParseFloat(p, 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// startPprof serves the net/http/pprof handlers (registered on the
-// default mux by the blank import) on addr. Opt-in: profiling
-// endpoints must never listen unless asked for.
-func startPprof(addr string) {
-	if addr == "" {
-		return
-	}
-	go func() {
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			logger.Error("pprof listener failed", "error", err)
-		}
-	}()
-}
-
-func fatal(err error) {
-	logger.Error("fatal", "error", err)
-	os.Exit(1)
 }

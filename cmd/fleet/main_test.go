@@ -1,32 +1,40 @@
 package main
 
 import (
+	"flag"
 	"strings"
 	"testing"
 
 	"veritas"
+	"veritas/internal/cli"
 )
 
-// goodOptions mirrors the flag defaults.
-func goodOptions() options {
-	return options{
-		sessions: 8,
-		chunks:   120,
-		samples:  5,
-		seed:     1,
-		buffer:   5,
-		abrs:     []string{"bba", "bola"},
-		buffers:  []float64{5, 30},
+// The flag→campaign mapping is internal/cli's (shared with veritasd);
+// it is pinned here, against fleet's own flag set.
+
+// goodFlags mirrors the flag defaults.
+func goodFlags(t *testing.T) cli.CampaignFlags {
+	t.Helper()
+	var o cli.CampaignFlags
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	o.Register(fs, "", "workers", "store")
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
 	}
+	return o
 }
 
-// build maps flags onto the Campaign API, which owns validation now.
-func build(o options) (*veritas.Campaign, error) {
-	return veritas.NewCampaign(o.campaignOptions()...)
+// build maps flags onto the Campaign API, which owns validation.
+func build(o cli.CampaignFlags, extra ...veritas.CampaignOption) (*veritas.Campaign, error) {
+	opts, err := o.Options()
+	if err != nil {
+		return nil, err
+	}
+	return veritas.NewCampaign(append(opts, extra...)...)
 }
 
 func TestFlagsMapOntoCampaign(t *testing.T) {
-	c, err := build(goodOptions())
+	c, err := build(goodFlags(t))
 	if err != nil {
 		t.Fatalf("default flags rejected: %v", err)
 	}
@@ -45,10 +53,10 @@ func TestFlagsMapOntoCampaign(t *testing.T) {
 		t.Errorf("default matrix has %d arms, want bba/bola x 5s/30s = 4", len(arms))
 	}
 
-	o := goodOptions()
-	o.storeDir = "campaign.store"
-	o.resume = true
-	o.scenarios = []string{"lte", "wifi"}
+	o := goodFlags(t)
+	o.StoreDir = "campaign.store"
+	o.Resume = true
+	o.Scenarios = "lte, wifi"
 	if _, err := build(o); err != nil {
 		t.Fatalf("valid store+resume flags rejected: %v", err)
 	}
@@ -57,27 +65,27 @@ func TestFlagsMapOntoCampaign(t *testing.T) {
 func TestBadFlagsRejectedByCampaign(t *testing.T) {
 	cases := []struct {
 		name   string
-		mutate func(*options)
+		mutate func(*cli.CampaignFlags)
 		want   string
 	}{
-		{"negative workers", func(o *options) { o.workers = -2 }, "negative"},
-		{"zero sessions", func(o *options) { o.sessions = 0 }, "must be positive"},
-		{"negative chunks", func(o *options) { o.chunks = -1 }, "negative"},
-		{"zero samples", func(o *options) { o.samples = 0 }, "must be positive"},
-		{"nonpositive buffer", func(o *options) { o.buffer = 0 }, "positive seconds"},
-		{"no abrs", func(o *options) { o.abrs = nil }, "at least one"},
-		{"unknown abr", func(o *options) { o.abrs = []string{"vhs"} }, `unknown ABR "vhs"`},
-		{"no buffers", func(o *options) { o.buffers = nil }, "at least one"},
-		{"negative what-if buffer", func(o *options) { o.buffers = []float64{5, -1} }, "positive seconds"},
-		{"duplicate buffers", func(o *options) { o.buffers = []float64{5, 5} }, "listed twice"},
-		{"unknown scenario", func(o *options) { o.scenarios = []string{"dialup"} }, `unknown scenario "dialup"`},
-		{"duplicate scenarios", func(o *options) { o.scenarios = []string{"lte", "lte"} }, "listed twice"},
-		{"duplicate abrs", func(o *options) { o.abrs = []string{"bba", "bba"} }, "listed twice"},
-		{"resume without store", func(o *options) { o.resume = true }, "WithResume needs WithStore"},
+		{"negative workers", func(o *cli.CampaignFlags) { o.Workers = -2 }, "negative"},
+		{"zero sessions", func(o *cli.CampaignFlags) { o.Sessions = 0 }, "must be positive"},
+		{"negative chunks", func(o *cli.CampaignFlags) { o.Chunks = -1 }, "negative"},
+		{"zero samples", func(o *cli.CampaignFlags) { o.Samples = 0 }, "must be positive"},
+		{"nonpositive buffer", func(o *cli.CampaignFlags) { o.Buffer = 0 }, "positive seconds"},
+		{"no abrs", func(o *cli.CampaignFlags) { o.ABRs = " " }, "at least one"},
+		{"unknown abr", func(o *cli.CampaignFlags) { o.ABRs = "vhs" }, `unknown ABR "vhs"`},
+		{"no buffers", func(o *cli.CampaignFlags) { o.Buffers = "" }, "at least one"},
+		{"negative what-if buffer", func(o *cli.CampaignFlags) { o.Buffers = "5,-1" }, "positive seconds"},
+		{"duplicate buffers", func(o *cli.CampaignFlags) { o.Buffers = "5,5" }, "listed twice"},
+		{"unknown scenario", func(o *cli.CampaignFlags) { o.Scenarios = "dialup" }, `unknown scenario "dialup"`},
+		{"duplicate scenarios", func(o *cli.CampaignFlags) { o.Scenarios = "lte,lte" }, "listed twice"},
+		{"duplicate abrs", func(o *cli.CampaignFlags) { o.ABRs = "bba,bba" }, "listed twice"},
+		{"resume without store", func(o *cli.CampaignFlags) { o.Resume = true }, "WithResume needs WithStore"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			o := goodOptions()
+			o := goodFlags(t)
 			tc.mutate(&o)
 			_, err := build(o)
 			if err == nil {
@@ -87,6 +95,49 @@ func TestBadFlagsRejectedByCampaign(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+func TestShardFlagMapsOntoCampaign(t *testing.T) {
+	o := goodFlags(t)
+	o.ShardIndex, o.ShardCount = 1, 3
+	if _, err := build(o); err != nil {
+		t.Fatalf("valid -shard rejected: %v", err)
+	}
+	// Range validation lives in the campaign, reached via the flags.
+	o.ShardIndex = 3
+	if _, err := build(o); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("-shard 3/3: err = %v, want out-of-range", err)
+	}
+}
+
+func TestDispatchFlagsMapOntoCampaign(t *testing.T) {
+	// The dispatch paths build their campaign from the same flag->option
+	// mapping plus the dispatch knobs; a bad restart budget must be
+	// rejected by the option, not discovered mid-run.
+	if _, err := build(goodFlags(t), veritas.WithDispatchRestarts(2)); err != nil {
+		t.Fatalf("dispatch options rejected: %v", err)
+	}
+	if _, err := build(goodFlags(t), veritas.WithDispatchRestarts(-1)); err == nil {
+		t.Error("negative restart budget accepted")
+	}
+}
+
+func TestSplitCSVAndParseFloats(t *testing.T) {
+	if got := cli.SplitCSV(" lte, wifi ,"); len(got) != 2 || got[0] != "lte" || got[1] != "wifi" {
+		t.Errorf("SplitCSV = %v", got)
+	}
+	if got := cli.SplitCSV("  "); got != nil {
+		t.Errorf("SplitCSV on blank = %v, want nil", got)
+	}
+	o := goodFlags(t)
+	o.Buffers = "5, 30"
+	if _, err := o.Options(); err != nil {
+		t.Errorf("-buffers %q rejected: %v", o.Buffers, err)
+	}
+	o.Buffers = "5,abc"
+	if _, err := o.Options(); err == nil || !strings.HasPrefix(err.Error(), "-buffers: ") {
+		t.Errorf("-buffers %q: err = %v, want a -buffers parse error", o.Buffers, err)
 	}
 }
 
@@ -147,22 +198,6 @@ func TestFlagConflicts(t *testing.T) {
 	}
 }
 
-func TestSplitCSVAndParseFloats(t *testing.T) {
-	if got := splitCSV(" lte, wifi ,"); len(got) != 2 || got[0] != "lte" || got[1] != "wifi" {
-		t.Errorf("splitCSV = %v", got)
-	}
-	if got := splitCSV("  "); got != nil {
-		t.Errorf("splitCSV on blank = %v, want nil", got)
-	}
-	vals, err := parseFloats("5, 30")
-	if err != nil || len(vals) != 2 || vals[1] != 30 {
-		t.Errorf("parseFloats = %v, %v", vals, err)
-	}
-	if _, err := parseFloats("5,abc"); err == nil {
-		t.Error("parseFloats accepted garbage")
-	}
-}
-
 func TestParseShard(t *testing.T) {
 	idx, cnt, err := parseShard("1/3")
 	if err != nil || idx != 1 || cnt != 3 {
@@ -175,19 +210,6 @@ func TestParseShard(t *testing.T) {
 		if _, _, err := parseShard(bad); err == nil {
 			t.Errorf("parseShard(%q) accepted", bad)
 		}
-	}
-}
-
-func TestShardFlagMapsOntoCampaign(t *testing.T) {
-	o := goodOptions()
-	o.shardIndex, o.shardCount = 1, 3
-	if _, err := build(o); err != nil {
-		t.Fatalf("valid -shard rejected: %v", err)
-	}
-	// Range validation lives in the campaign, reached via the flags.
-	o.shardIndex = 3
-	if _, err := build(o); err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Errorf("-shard 3/3: err = %v, want out-of-range", err)
 	}
 }
 
@@ -212,20 +234,5 @@ func TestMultiFlag(t *testing.T) {
 	}
 	if got := m.String(); got != "a.store,b.store,c.store,d.store" {
 		t.Errorf("String() = %q", got)
-	}
-}
-
-func TestDispatchFlagsMapOntoCampaign(t *testing.T) {
-	// The dispatch path builds its campaign from the same flag->option
-	// mapping as a normal run plus the dispatch knobs; a bad restart
-	// budget must be rejected by the option, not discovered mid-run.
-	o := goodOptions()
-	opts := append(o.campaignOptions(), veritas.WithDispatchRestarts(2))
-	if _, err := veritas.NewCampaign(opts...); err != nil {
-		t.Fatalf("dispatch options rejected: %v", err)
-	}
-	opts = append(o.campaignOptions(), veritas.WithDispatchRestarts(-1))
-	if _, err := veritas.NewCampaign(opts...); err == nil {
-		t.Error("negative restart budget accepted")
 	}
 }

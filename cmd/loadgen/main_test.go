@@ -84,29 +84,6 @@ func TestRunAgainstServedStore(t *testing.T) {
 			t.Errorf("endpoint %s never exercised in %d requests", m.endpoint, res.total)
 		}
 	}
-}
-
-func TestBenchOutputParsesAsBenchLines(t *testing.T) {
-	srv := serveTinyCampaign(t)
-	cfg := testConfig(srv)
-	cfg.duration = 150 * time.Millisecond
-	c, err := discoverWithWait(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := run(cfg, c)
-	var buf bytes.Buffer
-	res.writeBench(&buf)
-	out := buf.String()
-	if !strings.Contains(out, "BenchmarkLoadgen/throughput ") {
-		t.Fatalf("bench output missing throughput line:\n%s", out)
-	}
-	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) != 4 || !strings.HasPrefix(fields[0], "BenchmarkLoadgen/") || fields[3] != "ns/op" {
-			t.Errorf("malformed bench line: %q", line)
-		}
-	}
 	var human bytes.Buffer
 	res.writeSummary(&human)
 	if !strings.Contains(human.String(), "req/s") {

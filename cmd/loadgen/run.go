@@ -44,8 +44,7 @@ type mixEntry struct {
 }
 
 // parseMix decodes "report=4,cdf=1,..." keeping the caller's order
-// (bench lines come out in mix order, so the order is part of the
-// artifact's stability).
+// (the summary table comes out in mix order).
 func parseMix(s string) ([]mixEntry, error) {
 	var out []mixEntry
 	seen := map[string]bool{}
@@ -375,25 +374,5 @@ func (r runResult) writeSummary(w io.Writer) {
 			time.Duration(ps[0]).Round(time.Microsecond),
 			time.Duration(ps[1]).Round(time.Microsecond),
 			s.errors)
-	}
-}
-
-// writeBench prints `go test -bench` style result lines (parsed by
-// cmd/benchjson): per-endpoint p50/p99 latency and overall mean
-// time-per-request as throughput, all in ns/op so the compare gate's
-// lower-is-better convention holds.
-func (r runResult) writeBench(w io.Writer) {
-	for _, name := range r.endpointOrder() {
-		s := r.byEndpoint[name]
-		ps := stats.Percentiles(s.lat, []float64{50, 99})
-		if ps == nil {
-			continue
-		}
-		fmt.Fprintf(w, "BenchmarkLoadgen/%s/p50 %d %.0f ns/op\n", name, s.count, ps[0])
-		fmt.Fprintf(w, "BenchmarkLoadgen/%s/p99 %d %.0f ns/op\n", name, s.count, ps[1])
-	}
-	if r.total > 0 {
-		fmt.Fprintf(w, "BenchmarkLoadgen/throughput %d %.0f ns/op\n",
-			r.total, float64(r.elapsed.Nanoseconds())/float64(r.total))
 	}
 }

@@ -48,7 +48,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -77,12 +76,12 @@ func main() {
 	flag.Parse()
 	log, err := cli.NewLogger(os.Stderr, *logFormat, *logLevel)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(logger, err)
 	}
 	logger = log
-	startPprof(*pprof)
+	cli.StartPprof(logger, *pprof)
 	if *dir == "" {
-		fatal(fmt.Errorf("-store is required"))
+		cli.Fatal(logger, fmt.Errorf("-store is required"))
 	}
 
 	opts := []veritas.CampaignOption{
@@ -96,12 +95,12 @@ func main() {
 	}
 	c, err := veritas.NewCampaign(opts...)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(logger, err)
 	}
 	defer c.Close()
 	st, err := c.Store()
 	if err != nil {
-		fatal(err)
+		cli.Fatal(logger, err)
 	}
 	if rec := st.Recovered(); rec > 0 {
 		logger.Warn("skipped torn tail bytes (campaign crashed mid-append?)", "bytes", rec)
@@ -115,7 +114,7 @@ func main() {
 		serveFn = c.WatchServe
 	}
 	if err := serveFn(ctx, *addr); err != nil && err != http.ErrServerClosed {
-		fatal(err)
+		cli.Fatal(logger, err)
 	}
 	// Clean shutdown: flush the one-line JSON telemetry digest (request
 	// counters, cache traffic) so a scraped-nothing deployment still
@@ -125,23 +124,4 @@ func main() {
 			logger.Error("telemetry summary", "error", err)
 		}
 	}
-}
-
-// startPprof serves the net/http/pprof handlers (registered on the
-// default mux by the blank import) on addr. Opt-in: profiling
-// endpoints must never listen unless asked for.
-func startPprof(addr string) {
-	if addr == "" {
-		return
-	}
-	go func() {
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			logger.Error("pprof listener failed", "error", err)
-		}
-	}()
-}
-
-func fatal(err error) {
-	logger.Error("fatal", "error", err)
-	os.Exit(1)
 }

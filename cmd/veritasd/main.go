@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -71,8 +70,12 @@ func main() {
 	progress := flag.Bool("progress", false, "log every per-shard progress event instead of the rate-limited fleet summary")
 	tracePath := flag.String("trace", "", "dispatcher mode: write the fleet-wide Chrome trace-event JSON to this file after the campaign")
 
-	var o campaignFlags
-	o.register(flag.CommandLine)
+	// The dispatcher owns the campaign definition; agents learn it from
+	// the lease spec.
+	var o cli.CampaignFlags
+	o.Register(flag.CommandLine, "dispatcher mode: ",
+		"worker pool size per agent worker process (0 = its GOMAXPROCS)",
+		"fold the fleet's shard stores into this corpus store directory")
 
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	logFormat := flag.String("log", "text", "structured log format on stderr: text or json")
@@ -82,39 +85,39 @@ func main() {
 
 	log, err := cli.NewLogger(os.Stderr, *logFormat, *logLevel)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(logger, err)
 	}
 	logger = log
-	startPprof(*pprofAddr)
+	cli.StartPprof(logger, *pprofAddr)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	switch {
 	case *join != "" && *addr != "":
-		fatal(errors.New("-join (agent) and -addr (dispatcher) are mutually exclusive: one process, one role"))
+		cli.Fatal(logger, errors.New("-join (agent) and -addr (dispatcher) are mutually exclusive: one process, one role"))
 	case *join != "":
 		// Dispatcher-shaping flags mean nothing to an agent; the lease
 		// spec carries the campaign. Refuse rather than silently ignore.
 		if stray := strayAgentFlags(flag.CommandLine); len(stray) > 0 {
-			fatal(fmt.Errorf("-join takes only agent flags; the dispatcher's lease defines the campaign (drop %s)",
+			cli.Fatal(logger, fmt.Errorf("-join takes only agent flags; the dispatcher's lease defines the campaign (drop %s)",
 				strings.Join(stray, ", ")))
 		}
 		if err := agentMain(ctx, *join, *name, *dir, *restarts, *progress); err != nil {
-			fatal(err)
+			cli.Fatal(logger, err)
 		}
 	case *addr != "":
 		if *shards < 1 {
-			fatal(fmt.Errorf("-shards %d: a dispatcher needs at least 1 shard to lease out", *shards))
+			cli.Fatal(logger, fmt.Errorf("-shards %d: a dispatcher needs at least 1 shard to lease out", *shards))
 		}
-		if o.storeDir == "" {
-			fatal(errors.New("-addr needs -store: the folded corpus has to land somewhere"))
+		if o.StoreDir == "" {
+			cli.Fatal(logger, errors.New("-addr needs -store: the folded corpus has to land somewhere"))
 		}
 		if err := dispatcherMain(ctx, o, *addr, *shards, *leaseTTL, *maxLease, *tracePath, *serve, *progress, *quiet); err != nil {
-			fatal(err)
+			cli.Fatal(logger, err)
 		}
 	default:
-		fatal(errors.New("pick a role: -addr :9300 -shards n -store dir (dispatcher) or -join http://host:9300 (agent)"))
+		cli.Fatal(logger, errors.New("pick a role: -addr :9300 -shards n -store dir (dispatcher) or -join http://host:9300 (agent)"))
 	}
 }
 
@@ -175,77 +178,20 @@ func agentMain(ctx context.Context, join, name, dir string, restarts int, verbos
 	return err
 }
 
-// fleetdPrinter renders the dispatcher's merged fleet event stream for
-// the terminal: lease movements always print, per-shard progress folds
-// into a rate-limited one-line summary unless -progress. ServeFleet
-// serializes event callbacks, so no locking.
-type fleetdPrinter struct {
-	shards  int
-	verbose bool
-	done    []int
-	total   []int
-	steals  int
-	lastSum time.Time
-}
-
-func newFleetdPrinter(shards int, verbose bool) *fleetdPrinter {
-	return &fleetdPrinter{shards: shards, verbose: verbose, done: make([]int, shards), total: make([]int, shards)}
-}
-
-func (p *fleetdPrinter) handle(e veritas.DispatchEvent) {
-	switch e.Type {
-	case veritas.DispatchLease:
-		logger.Info("shard leased", "shard", e.Shard, "agent", e.Agent, "epoch", e.Epoch)
-	case veritas.DispatchSteal:
-		p.steals++
-		logger.Warn("lease stolen", "shard", e.Shard, "agent", e.Agent, "epoch", e.Epoch, "reason", e.Line)
-	case veritas.DispatchUpload:
-		logger.Info("shard store accepted", "shard", e.Shard, "agent", e.Agent, "sessions", e.Done)
-	case veritas.DispatchProgress:
-		if e.Shard >= 0 && e.Shard < p.shards {
-			p.done[e.Shard], p.total[e.Shard] = e.Done, e.Total
-		}
-		if p.verbose {
-			logger.Info("shard progress", "shard", e.Shard, "agent", e.Agent, "done", e.Done, "total", e.Total)
-		} else {
-			p.summary(false)
-		}
-	case veritas.DispatchExit:
-		if e.Err != nil {
-			logger.Error("agent reported worker failure", "shard", e.Shard, "agent", e.Agent, "error", e.Err)
-		}
-	case veritas.DispatchFold:
-		p.summary(true)
-		logger.Info("folded shard stores", "sessions", e.Done, "shards", p.shards, "steals", p.steals)
-	}
-}
-
-func (p *fleetdPrinter) summary(force bool) {
-	if !force && time.Since(p.lastSum) < 2*time.Second {
-		return
-	}
-	p.lastSum = time.Now()
-	done, total := 0, 0
-	parts := make([]string, p.shards)
-	for i := range p.done {
-		done += p.done[i]
-		total += p.total[i]
-		parts[i] = fmt.Sprintf("%d:%d/%d", i, p.done[i], p.total[i])
-	}
-	logger.Info("fleet progress", "done", done, "total", total,
-		"shards", strings.Join(parts, " "), "steals", p.steals)
-}
-
 // dispatcherMain runs the dispatcher role: serve the fleet, fold,
 // report, and optionally keep serving the folded corpus.
-func dispatcherMain(ctx context.Context, o campaignFlags, addr string, shards int, ttl, maxLease time.Duration, tracePath string, serve, progress, quiet bool) error {
-	opts := append(o.campaignOptions(),
+func dispatcherMain(ctx context.Context, o cli.CampaignFlags, addr string, shards int, ttl, maxLease time.Duration, tracePath string, serve, progress, quiet bool) error {
+	opts, err := o.Options()
+	if err != nil {
+		return err
+	}
+	opts = append(opts,
 		veritas.WithFleet(addr),
 		veritas.WithFleetReady(func(bound string) {
 			logger.Info("fleet dispatcher up", "addr", bound, "shards", shards,
 				"endpoints", "POST /v1/agents /v1/lease /v1/heartbeat /v1/upload; GET /v1/status /metrics /v1/trace")
 		}),
-		veritas.WithDispatchEvents(newFleetdPrinter(shards, progress).handle),
+		veritas.WithDispatchEvents(cli.NewDispatchPrinter(logger, shards, progress).Handle),
 	)
 	if ttl > 0 {
 		opts = append(opts, veritas.WithFleetLease(ttl))
@@ -271,13 +217,13 @@ func dispatcherMain(ctx context.Context, o campaignFlags, addr string, shards in
 	res, err := c.ServeFleet(ctx, shards)
 	// Export whatever traces the run streamed up even when it failed:
 	// they are the post-mortem.
-	if terr := writeTrace(c, tracePath); terr != nil && err == nil {
+	if terr := cli.WriteTrace(logger, c, tracePath); terr != nil && err == nil {
 		err = terr
 	}
 	if err != nil {
 		return err
 	}
-	logger.Info("fleet campaign complete", "folded", res.Folded, "store", o.storeDir,
+	logger.Info("fleet campaign complete", "folded", res.Folded, "store", o.StoreDir,
 		"steals", res.Steals, "agents", len(res.Agents),
 		"elapsed", res.Elapsed.Round(time.Millisecond).String())
 	if err := c.WriteReport(os.Stdout); err != nil {
@@ -306,43 +252,4 @@ func dispatcherMain(ctx context.Context, o campaignFlags, addr string, shards in
 		}
 	}
 	return nil
-}
-
-// writeTrace exports the fleet-wide tail-sampled traces as Chrome
-// trace-event JSON at path (no-op without -trace). Thread names carry
-// the @agent suffix, so a Perfetto load shows which machine ran what.
-func writeTrace(c *veritas.Campaign, path string) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := c.WriteTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	logger.Info("trace written", "path", path, "traces", len(c.Trace()))
-	return nil
-}
-
-// startPprof serves the net/http/pprof handlers on addr; opt-in only.
-func startPprof(addr string) {
-	if addr == "" {
-		return
-	}
-	go func() {
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			logger.Error("pprof listener failed", "error", err)
-		}
-	}()
-}
-
-func fatal(err error) {
-	logger.Error("fatal", "error", err)
-	os.Exit(1)
 }

@@ -235,17 +235,9 @@ func (c *Campaign) Dispatch(ctx context.Context, n int) (*DispatchResult, error)
 		return nil, fmt.Errorf("veritas: dispatch shard count %d must be at least 1", n)
 	}
 	o := c.opt
-	switch {
-	case o.storeDir == "":
-		return nil, errors.New("veritas: Dispatch needs WithStore: the folded corpus has to land somewhere")
-	case o.readOnly:
-		return nil, errors.New("veritas: campaign store is read-only (drop WithReadOnlyStore to dispatch)")
-	case o.shardCount > 0:
-		return nil, errors.New("veritas: WithShard and Dispatch are mutually exclusive: Dispatch owns the shard partition")
-	case o.corpus != nil || o.armsSet || o.newDeployedABR != nil:
-		return nil, errors.New("veritas: Dispatch cannot serialize WithCorpus/WithArms/WithDeployedABR across processes; run those campaigns in-process or shard them by hand")
-	case len(o.sinks) > 0 || o.onResult != nil || o.onProgress != nil:
-		return nil, errors.New("veritas: WithSink/WithProgress/WithProgressCounts do not cross the worker process boundary; use WithDispatchEvents")
+	storeDir, dir, spec, err := c.dispatchPreflight("Dispatch", "Dispatch")
+	if err != nil {
+		return nil, err
 	}
 	if err := c.beginDispatch(); err != nil {
 		return nil, err
@@ -260,20 +252,12 @@ func (c *Campaign) Dispatch(ctx context.Context, n int) (*DispatchResult, error)
 		}
 		binary = exe
 	}
-	// Clean before deriving siblings: a trailing slash would nest the
-	// shard directory (and the fold's temporary) inside the store.
-	storeDir := filepath.Clean(o.storeDir)
-	dir := o.dispatchDir
-	if dir == "" {
-		dir = storeDir + ".shards"
-	}
 	// One machine runs all n workers: with no explicit worker count,
 	// split GOMAXPROCS across them instead of oversubscribing n-fold.
 	// (Worker counts never change results, only speed.)
-	workers := o.workers
-	if workers == 0 {
-		if workers = runtime.GOMAXPROCS(0) / n; workers < 1 {
-			workers = 1
+	if spec.Workers == 0 {
+		if spec.Workers = runtime.GOMAXPROCS(0) / n; spec.Workers < 1 {
+			spec.Workers = 1
 		}
 	}
 	restarts := dispatch.DefaultMaxRestarts
@@ -305,22 +289,8 @@ func (c *Campaign) Dispatch(ctx context.Context, n int) (*DispatchResult, error)
 			}
 		},
 		Command: func(w dispatch.Worker) (*exec.Cmd, error) {
-			spec := workerSpec{
-				Scenarios: o.scenarios,
-				Sessions:  o.sessionsPer,
-				Chunks:    o.chunks,
-				Samples:   o.samples,
-				Seed:      o.seed,
-				Buffer:    o.deployedBuffer,
-				ABRs:      o.abrs,
-				Buffers:   o.buffers,
-				Workers:   workers,
-				NoTelem:   o.noTelemetry,
-				NoTrace:   o.noTracing,
-				Shard:     w.Shard,
-				Of:        w.Shards,
-				Store:     w.StoreDir,
-			}
+			spec := spec // per-worker copy
+			spec.Shard, spec.Of, spec.Store = w.Shard, w.Shards, w.StoreDir
 			b, err := json.Marshal(spec)
 			if err != nil {
 				return nil, err
@@ -356,6 +326,51 @@ func (c *Campaign) Dispatch(ctx context.Context, n int) (*DispatchResult, error)
 	c.workerTraces = tracker.WorkerTraces()
 	c.mu.Unlock()
 	return res, err
+}
+
+// dispatchPreflight is the option check Dispatch and ServeFleet share:
+// it refuses campaigns that cannot be fanned out across processes
+// (method names the caller in the errors, owner whoever owns the shard
+// partition) and derives the fold destination, the directory the shard
+// stores live under, and the worker spec carrying every result-shaping
+// option — shard assignment and store left for the caller to fill.
+func (c *Campaign) dispatchPreflight(method, owner string) (storeDir, shardDir string, spec workerSpec, err error) {
+	o := c.opt
+	switch {
+	case o.storeDir == "":
+		err = fmt.Errorf("veritas: %s needs WithStore: the folded corpus has to land somewhere", method)
+	case o.readOnly:
+		err = errors.New("veritas: campaign store is read-only (drop WithReadOnlyStore to dispatch)")
+	case o.shardCount > 0:
+		err = fmt.Errorf("veritas: WithShard and %s are mutually exclusive: %s owns the shard partition", method, owner)
+	case o.corpus != nil || o.armsSet || o.newDeployedABR != nil:
+		err = fmt.Errorf("veritas: %s cannot serialize WithCorpus/WithArms/WithDeployedABR across processes; run those campaigns in-process or shard them by hand", method)
+	case len(o.sinks) > 0 || o.onResult != nil || o.onProgress != nil:
+		err = errors.New("veritas: WithSink/WithProgress/WithProgressCounts do not cross the worker process boundary; use WithDispatchEvents")
+	}
+	if err != nil {
+		return "", "", workerSpec{}, err
+	}
+	// Clean before deriving siblings: a trailing slash would nest the
+	// shard directory (and the fold's temporary) inside the store.
+	storeDir = filepath.Clean(o.storeDir)
+	shardDir = o.dispatchDir
+	if shardDir == "" {
+		shardDir = storeDir + ".shards"
+	}
+	return storeDir, shardDir, workerSpec{
+		Scenarios: o.scenarios,
+		Sessions:  o.sessionsPer,
+		Chunks:    o.chunks,
+		Samples:   o.samples,
+		Seed:      o.seed,
+		Buffer:    o.deployedBuffer,
+		ABRs:      o.abrs,
+		Buffers:   o.buffers,
+		Workers:   o.workers,
+		NoTelem:   o.noTelemetry,
+		NoTrace:   o.noTracing,
+	}, nil
 }
 
 // beginDispatch marks the campaign running and insists its store is

@@ -23,10 +23,12 @@
 //     evaluates against.
 //   - NewCampaign batches all of the above over a corpus of sessions:
 //     one options-built Campaign spans the concurrent fleet engine
-//     (internal/engine: sharded workers, shared transition powers, a
-//     streaming aggregator whose results are identical for every
-//     worker count) and the persistent corpus store
-//     (internal/store), with Run/Resume/Results/Report/Serve tying a
+//     (internal/engine: sharded workers, shared transition powers, and
+//     one reducer — per-session partial aggregates, FleetResult.Partials
+//     — whose reports are identical for every worker count) and the
+//     persistent corpus store (internal/store, which folds the same
+//     partials on every append, so Report never rescans stored rows),
+//     with Run/Resume/Results/Report/Serve tying a
 //     campaign's execution, durability, streaming iteration and HTTP
 //     serving together (internal/serve is the HTTP query layer).
 //   - Campaign.Dispatch scales a campaign across worker processes:

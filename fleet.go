@@ -36,7 +36,6 @@ import (
 	"os"
 	"os/exec"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -155,48 +154,23 @@ func (c *Campaign) ServeFleet(ctx context.Context, n int) (*FleetDispatchResult,
 		return nil, fmt.Errorf("veritas: fleet shard count %d must be at least 1", n)
 	}
 	o := c.opt
-	switch {
-	case o.fleetAddr == "":
+	if o.fleetAddr == "" {
 		return nil, errors.New("veritas: ServeFleet needs WithFleet(addr): agents have to reach the dispatcher somewhere")
-	case o.storeDir == "":
-		return nil, errors.New("veritas: ServeFleet needs WithStore: the folded corpus has to land somewhere")
-	case o.readOnly:
-		return nil, errors.New("veritas: campaign store is read-only (drop WithReadOnlyStore to dispatch)")
-	case o.shardCount > 0:
-		return nil, errors.New("veritas: WithShard and ServeFleet are mutually exclusive: the fleet dispatcher owns the shard partition")
-	case o.corpus != nil || o.armsSet || o.newDeployedABR != nil:
-		return nil, errors.New("veritas: ServeFleet cannot serialize WithCorpus/WithArms/WithDeployedABR across processes; run those campaigns in-process or shard them by hand")
-	case len(o.sinks) > 0 || o.onResult != nil || o.onProgress != nil:
-		return nil, errors.New("veritas: WithSink/WithProgress/WithProgressCounts do not cross the worker process boundary; use WithDispatchEvents")
+	}
+	// The lease's worker spec carries no shard assignment (the agent
+	// fills shard/of/store per lease). Unlike a local dispatch, the
+	// worker count is not split across shards — each agent machine runs
+	// one worker at a time and should use its own capacity (or the
+	// explicit WithWorkers).
+	storeDir, dir, lease, err := c.dispatchPreflight("ServeFleet", "the fleet dispatcher")
+	if err != nil {
+		return nil, err
 	}
 	if err := c.beginDispatch(); err != nil {
 		return nil, err
 	}
 	defer c.end(nil)
-
-	storeDir := filepath.Clean(o.storeDir)
-	dir := o.dispatchDir
-	if dir == "" {
-		dir = storeDir + ".shards"
-	}
-	// The lease's worker spec: every result-shaping option, no shard
-	// assignment (the agent fills shard/of/store per lease). Unlike a
-	// local dispatch, the worker count is not split across shards —
-	// each agent machine runs one worker at a time and should use its
-	// own capacity (or the explicit WithWorkers).
-	spec, err := json.Marshal(workerSpec{
-		Scenarios: o.scenarios,
-		Sessions:  o.sessionsPer,
-		Chunks:    o.chunks,
-		Samples:   o.samples,
-		Seed:      o.seed,
-		Buffer:    o.deployedBuffer,
-		ABRs:      o.abrs,
-		Buffers:   o.buffers,
-		Workers:   o.workers,
-		NoTelem:   o.noTelemetry,
-		NoTrace:   o.noTracing,
-	})
+	spec, err := json.Marshal(lease)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ package veritas
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -19,6 +18,7 @@ import (
 	"testing"
 
 	"veritas/internal/engine"
+	"veritas/internal/engine/enginetest"
 	"veritas/internal/serve"
 )
 
@@ -124,7 +124,7 @@ func TestStoreFacade(t *testing.T) {
 	}
 
 	// Reopen read-only and check the HTTP layer returns the same
-	// aggregate report JSON as the in-RAM aggregator.
+	// aggregate report JSON as the oracle over the run's in-RAM rows.
 	ro, err := OpenStore(dir, FleetStoreOptions{ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
@@ -141,10 +141,7 @@ func TestStoreFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(res.Agg.Report())
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := enginetest.OracleJSON(t, enginetest.ResultRows(res), "")
 	if !bytes.Equal(want, got) {
 		t.Fatalf("served report != in-RAM report\nwant %s\ngot  %s", want, got)
 	}

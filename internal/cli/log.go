@@ -1,7 +1,9 @@
-// Package cli holds the observability veneer shared by the command
-// binaries (cmd/fleet, cmd/serve): structured-logger construction from
-// the -log/-log-level flags, and the one-line JSON telemetry summary
-// both commands flush to stderr on clean shutdown.
+// Package cli is the one CLI layer under the command binaries
+// (cmd/fleet, cmd/veritasd, cmd/serve): structured-logger construction
+// from the -log/-log-level flags, the one-line JSON telemetry summary
+// flushed to stderr on clean shutdown, the -pprof/-trace/fatal-exit
+// plumbing, and — for the two dispatch front ends — the campaign flag
+// set with its option mapping and the dispatch event printer.
 package cli
 
 import (

@@ -56,8 +56,8 @@ func Summarize(vals []float64) Summary {
 // SessionRow is the compact, serializable reduction of a SessionResult:
 // everything aggregation and the result store keep per session, and
 // nothing else. In particular it drops the session log and any retained
-// abduction, which is what bounds the aggregator's memory on corpora
-// whose logs would not fit in RAM.
+// abduction, which is what bounds a store's and a row stream's memory on
+// corpora whose logs would not fit in RAM.
 type SessionRow struct {
 	Index       int
 	ID          string
@@ -89,20 +89,22 @@ type Sink interface {
 	Put(SessionResult) error
 }
 
-// Aggregator collects streamed per-session rows and serves fleet
-// aggregates. Add/AddRow are safe to call from worker goroutines; every
-// read-side method computes over rows ordered by (Index, ID), so the
-// aggregates are byte-identical no matter how many workers ran, in what
-// order results arrived, or whether the rows came straight from the
-// engine or were re-read from a persistent store.
+// Aggregator is the independent row-at-a-time oracle for Partials: it
+// keeps full rows and recomputes every report cell from them at Report
+// time with its own walk (armNamesOf, seriesOf, coverageOf) instead of
+// reading per-session digests. No production path builds one —
+// engine.Run, the store and the serving tier all reduce through
+// Partials — it exists so differential tests (and bench/'s query check)
+// can compare two reducers byte for byte. Report computes over rows
+// ordered by (Index, ID), whatever order AddRow saw them in.
 type Aggregator struct {
 	mu       sync.Mutex
 	rows     []SessionRow
 	unsorted bool
 }
 
-// NewAggregator returns an aggregator with room for about n sessions
-// (a capacity hint, not a limit).
+// NewAggregator returns an oracle with room for about n rows (a
+// capacity hint, not a limit).
 func NewAggregator(n int) *Aggregator {
 	if n < 0 {
 		n = 0
@@ -110,22 +112,12 @@ func NewAggregator(n int) *Aggregator {
 	return &Aggregator{rows: make([]SessionRow, 0, n)}
 }
 
-// Add reduces one completed session result to its row and records it.
-func (a *Aggregator) Add(r SessionResult) { a.AddRow(r.Row()) }
-
-// AddRow records one session row (e.g. re-read from a store).
+// AddRow records one session row; safe for concurrent use.
 func (a *Aggregator) AddRow(row SessionRow) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.rows = append(a.rows, row)
 	a.unsorted = true
-}
-
-// Completed returns the number of rows recorded so far.
-func (a *Aggregator) Completed() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.rows)
 }
 
 // snapshot returns the recorded rows ordered by (Index, ID). The rows
@@ -147,10 +139,8 @@ func (a *Aggregator) snapshot() []SessionRow {
 	return out
 }
 
-// ArmNames returns the arm names present in the aggregate, in arm
-// order, taken from the first recorded session that ran any arms.
-func (a *Aggregator) ArmNames() []string { return armNamesOf(a.snapshot()) }
-
+// armNamesOf returns the arm names of the first row (in snapshot order)
+// that ran any arms.
 func armNamesOf(rows []SessionRow) []string {
 	for _, s := range rows {
 		if len(s.Arms) > 0 {
@@ -186,13 +176,9 @@ func armValue(oc ArmOutcome, est ArmEstimator, f abduction.MetricFn) (float64, b
 	return 0, false
 }
 
-// Series returns the per-session values of metric f under the given
-// estimator for one arm, in corpus order. Sessions missing the arm (or
-// the ground truth, for EstTruth) are skipped.
-func (a *Aggregator) Series(arm string, est ArmEstimator, f abduction.MetricFn) []float64 {
-	return seriesOf(a.snapshot(), arm, est, f)
-}
-
+// seriesOf returns the per-session values of metric f under the given
+// estimator for one arm, in row order. Rows missing the arm (or the
+// ground truth, for EstTruth) are skipped.
 func seriesOf(rows []SessionRow, arm string, est ArmEstimator, f abduction.MetricFn) []float64 {
 	var out []float64
 	for _, s := range rows {
@@ -208,21 +194,7 @@ func seriesOf(rows []SessionRow, arm string, est ArmEstimator, f abduction.Metri
 	return out
 }
 
-// SettingASeries returns metric f of the deployed (Setting A) sessions,
-// in corpus order, skipping sessions built from pre-recorded logs.
-func (a *Aggregator) SettingASeries(f abduction.MetricFn) []float64 {
-	var out []float64
-	for _, s := range a.snapshot() {
-		if s.Simulated {
-			out = append(out, f(s.SettingA))
-		}
-	}
-	return out
-}
-
-// Predictions returns every interventional prediction in corpus order.
-func (a *Aggregator) Predictions() []float64 { return predictionsOf(a.snapshot()) }
-
+// predictionsOf returns every interventional prediction in row order.
 func predictionsOf(rows []SessionRow) []float64 {
 	var out []float64
 	for _, s := range rows {
@@ -231,22 +203,8 @@ func predictionsOf(rows []SessionRow) []float64 {
 	return out
 }
 
-// Summary summarizes metric f under the estimator for one arm.
-func (a *Aggregator) Summary(arm string, est ArmEstimator, f abduction.MetricFn) Summary {
-	return Summarize(a.Series(arm, est, f))
-}
-
-// CDF returns the empirical CDF of metric f under the estimator.
-func (a *Aggregator) CDF(arm string, est ArmEstimator, f abduction.MetricFn) []stats.CDFPoint {
-	return stats.CDF(a.Series(arm, est, f))
-}
-
-// Coverage returns the fraction of sessions whose oracle outcome lies
+// coverageOf returns the fraction of rows whose oracle outcome lies
 // inside [VeritasLow − slack, VeritasHigh + slack] for metric f.
-func (a *Aggregator) Coverage(arm string, f abduction.MetricFn, slack float64) float64 {
-	return coverageOf(a.snapshot(), arm, f, slack)
-}
-
 func coverageOf(rows []SessionRow, arm string, f abduction.MetricFn, slack float64) float64 {
 	var n, covered int
 	for _, s := range rows {

@@ -19,9 +19,9 @@
 //   - Shared transition powers: sessions with equal capacity grids
 //     share one process-wide table of transition-matrix powers (see
 //     mathx.SharedPowers) instead of rebuilding it per session.
-//   - Aggregation: per-session results stream into a thread-safe
-//     Aggregator; aggregates are computed in session order so results
-//     are byte-identical for every worker count.
+//   - Aggregation: every finished session folds into a thread-safe
+//     Partials (one digest per session); reports are built in session
+//     order, so they are byte-identical for every worker count.
 package engine
 
 import (
@@ -103,9 +103,9 @@ type Config struct {
 	ShardIndex int
 	ShardCount int
 	// DiscardResults leaves Result.Sessions empty: completed sessions
-	// flow only through Sink/OnResult and the aggregator. This is what
+	// flow only through Sink/OnResult and Result.Partials. This is what
 	// bounds a streaming consumer's memory — nothing per-session is
-	// retained beyond the aggregator's compact rows.
+	// retained beyond the partials' per-session digests.
 	DiscardResults bool
 	// Telemetry, when set, receives per-stage latency histograms, the
 	// session throughput counter and power-cache counters for the run
@@ -267,7 +267,9 @@ func (c CacheStats) HitRate() float64 {
 // Result is a completed fleet run.
 type Result struct {
 	Sessions []SessionResult // in corpus order; zero entries for skipped or out-of-shard sessions
-	Agg      *Aggregator
+	// Partials holds one digest per executed session — the reducer every
+	// report is built from (Partials.Report, WriteReport).
+	Partials *Partials
 	// Powers counts shared transition-power cache traffic during the
 	// run: one lookup per abduced session, a hit when the session's
 	// capacity grid was already in the process-wide cache. The counts
@@ -311,9 +313,21 @@ func Run(ctx context.Context, cfg Config, corpus []SessionSpec, arms []Arm) (*Re
 	if cfg.ShardCount > 1 && (cfg.ShardIndex < 0 || cfg.ShardIndex >= cfg.ShardCount) {
 		return nil, fmt.Errorf("engine: shard index %d out of range [0, %d)", cfg.ShardIndex, cfg.ShardCount)
 	}
+	ids := make(map[string]int, len(corpus))
+	executed := 0
 	for i, spec := range corpus {
 		if spec.Trace == nil && spec.Log == nil {
 			return nil, fmt.Errorf("engine: session %d has neither Trace nor Log", i)
+		}
+		// Partials, the store and the resume set all key by effective ID;
+		// two sessions sharing one would collapse into a single record.
+		id := specID(spec, i)
+		if j, dup := ids[id]; dup {
+			return nil, fmt.Errorf("engine: sessions %d and %d share ID %q", j, i, id)
+		}
+		ids[id] = i
+		if cfg.inShard(i) && !cfg.Skip[id] {
+			executed++
 		}
 	}
 	for i, a := range arms {
@@ -325,12 +339,6 @@ func Run(ctx context.Context, cfg Config, corpus []SessionSpec, arms []Arm) (*Re
 	start := time.Now()
 	workers := cfg.workers()
 	shardSize := cfg.shardSize(len(corpus), workers)
-	executed := 0
-	for i, spec := range corpus {
-		if cfg.inShard(i) && !cfg.Skip[specID(spec, i)] {
-			executed++
-		}
-	}
 	pow0 := mathx.SharedPowersDetail()
 	em := newEngineMetrics(cfg.Telemetry)
 
@@ -354,7 +362,7 @@ func Run(ctx context.Context, cfg Config, corpus []SessionSpec, arms []Arm) (*Re
 		}
 	}()
 
-	agg := NewAggregator(len(corpus))
+	parts := NewPartials()
 	var results []SessionResult
 	if !cfg.DiscardResults {
 		results = make([]SessionResult, len(corpus))
@@ -399,7 +407,7 @@ func Run(ctx context.Context, cfg Config, corpus []SessionSpec, arms []Arm) (*Re
 						fail(fmt.Errorf("engine: session %d (%s): %w", i, corpus[i].ID, err))
 						return
 					}
-					agg.Add(res)
+					parts.FoldRow(res.Row(), 0)
 					if cfg.Sink != nil {
 						if err := cfg.Sink.Put(res); err != nil {
 							fail(fmt.Errorf("engine: session %d (%s): sink: %w", i, corpus[i].ID, err))
@@ -440,7 +448,7 @@ func Run(ctx context.Context, cfg Config, corpus []SessionSpec, arms []Arm) (*Re
 	em.powers(powDelta)
 	return &Result{
 		Sessions:     results,
-		Agg:          agg,
+		Partials:     parts,
 		Powers:       CacheStats{Hits: powDelta.Hits, Misses: powDelta.Misses()},
 		PowersDetail: powDelta,
 		Executed:     executed,

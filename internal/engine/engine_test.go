@@ -14,6 +14,7 @@ import (
 	"veritas/internal/abduction"
 	"veritas/internal/abr"
 	"veritas/internal/netem"
+	"veritas/internal/player"
 	"veritas/internal/tcp"
 	"veritas/internal/video"
 )
@@ -59,8 +60,36 @@ func testArms(chunks int) []Arm {
 	}
 }
 
+// resultRows reduces a run's retained sessions to their rows, in corpus
+// order, skipping the empty slots of skipped or out-of-shard sessions.
+func resultRows(res *Result) []SessionRow {
+	var rows []SessionRow
+	for _, s := range res.Sessions {
+		if s.ID != "" {
+			rows = append(rows, s.Row())
+		}
+	}
+	return rows
+}
+
+// settingASeries returns metric f of the simulated (Setting A)
+// sessions, skipping rows built from pre-recorded logs.
+func settingASeries(rows []SessionRow, f abduction.MetricFn) []float64 {
+	var out []float64
+	for _, s := range rows {
+		if s.Simulated {
+			out = append(out, f(s.SettingA))
+		}
+	}
+	return out
+}
+
 // fingerprint serializes everything aggregate-visible about a run,
 // excluding wall-clock fields, so runs can be compared byte-for-byte.
+// It is rebuilt from the retained sessions' rows with the oracle's
+// helpers — covering what no report carries (Setting A, the mid
+// estimator, coverage at an arbitrary slack) — plus the report the
+// run's own Partials builds.
 func fingerprint(res *Result) string {
 	var b strings.Builder
 	metrics := []struct {
@@ -71,19 +100,25 @@ func fingerprint(res *Result) string {
 		{"rebuf", abduction.MetricRebufRatio},
 		{"bitrate", abduction.MetricAvgBitrate},
 	}
-	for _, arm := range res.Agg.ArmNames() {
+	rows := resultRows(res)
+	for _, arm := range armNamesOf(rows) {
 		for _, m := range metrics {
 			for _, est := range []ArmEstimator{EstTruth, EstBaseline, EstVeritasLow, EstVeritasHigh, EstVeritasMid} {
-				fmt.Fprintf(&b, "%s/%s/%s %v\n", arm, m.label, est, res.Agg.Series(arm, est, m.fn))
+				fmt.Fprintf(&b, "%s/%s/%s %v\n", arm, m.label, est, seriesOf(rows, arm, est, m.fn))
 			}
-			fmt.Fprintf(&b, "%s/%s coverage %v\n", arm, m.label, res.Agg.Coverage(arm, m.fn, 0.01))
+			fmt.Fprintf(&b, "%s/%s coverage %v\n", arm, m.label, coverageOf(rows, arm, m.fn, 0.01))
 		}
 	}
-	fmt.Fprintf(&b, "settingA %v\n", res.Agg.SettingASeries(abduction.MetricSSIM))
-	fmt.Fprintf(&b, "predictions %v\n", res.Agg.Predictions())
+	fmt.Fprintf(&b, "settingA %v\n", settingASeries(rows, abduction.MetricSSIM))
+	fmt.Fprintf(&b, "predictions %v\n", predictionsOf(rows))
 	for _, s := range res.Sessions {
 		fmt.Fprintf(&b, "%d %s %+v\n", s.Index, s.ID, s.SettingA)
 	}
+	rep, err := json.Marshal(res.Partials.Report(""))
+	if err != nil {
+		panic(err)
+	}
+	fmt.Fprintf(&b, "report %s\n", rep)
 	return b.String()
 }
 
@@ -207,7 +242,7 @@ func TestSimulateOnlyAndPrerecordedLogs(t *testing.T) {
 			t.Error("KeepAbductions did not retain the abduction")
 		}
 	}
-	if got := res2.Agg.SettingASeries(abduction.MetricSSIM); len(got) != 0 {
+	if got := settingASeries(resultRows(res2), abduction.MetricSSIM); len(got) != 0 {
 		t.Errorf("pre-recorded logs should have no Setting-A metrics, got %d", len(got))
 	}
 }
@@ -252,6 +287,25 @@ func TestRunInputValidation(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), Config{}, testCorpus(t, 1)[:1], []Arm{{Name: "broken"}}); err == nil {
 		t.Error("invalid arm setting should error")
+	}
+	// Everything downstream keys by effective session ID (partials, the
+	// store, the resume set), so two sessions sharing one are refused up
+	// front — whether the ID is spelled out or the index-derived default.
+	tr := testCorpus(t, 1)[0].Trace
+	for _, c := range []struct {
+		name   string
+		corpus []SessionSpec
+		want   string
+	}{
+		{"explicit", []SessionSpec{{ID: "a", Trace: tr}, {ID: "b", Trace: tr}, {ID: "a", Trace: tr}},
+			`engine: sessions 0 and 2 share ID "a"`},
+		{"default-collision", []SessionSpec{{ID: "session-1", Trace: tr}, {Trace: tr}},
+			`engine: sessions 0 and 1 share ID "session-1"`},
+	} {
+		_, err := Run(context.Background(), Config{Workers: 1, Samples: 1}, c.corpus, nil)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: err = %v, want %s", c.name, err, c.want)
+		}
 	}
 }
 
@@ -356,8 +410,8 @@ func TestSkipLeavesIndicesStable(t *testing.T) {
 	if part.Executed != len(corpus)-2 {
 		t.Errorf("Executed = %d, want %d", part.Executed, len(corpus)-2)
 	}
-	if got := part.Agg.Completed(); got != len(corpus)-2 {
-		t.Errorf("aggregator recorded %d sessions, want %d", got, len(corpus)-2)
+	if got := part.Partials.Sessions(); got != len(corpus)-2 {
+		t.Errorf("partials recorded %d sessions, want %d", got, len(corpus)-2)
 	}
 	for i, s := range part.Sessions {
 		if skip[corpus[i].ID] {
@@ -447,8 +501,13 @@ func TestSinkBoundsRetention(t *testing.T) {
 			t.Fatal("compact retention lost the session identity")
 		}
 	}
-	if got := res.Agg.SettingASeries(abduction.MetricSSIM); len(got) != 2 {
-		t.Errorf("aggregator lost Setting-A rows under a sink: %d, want 2", len(got))
+	for _, s := range res.Sessions {
+		if s.SettingA == (player.Metrics{}) {
+			t.Errorf("session %s lost its Setting-A metrics under a sink", s.ID)
+		}
+	}
+	if got := res.Partials.Sessions(); got != 2 {
+		t.Errorf("partials hold %d sessions under a sink, want 2", got)
 	}
 }
 
@@ -480,9 +539,9 @@ func TestStreamDeliversEveryRow(t *testing.T) {
 	if len(res.Sessions) != 0 {
 		t.Errorf("Stream retained %d session results, want 0", len(res.Sessions))
 	}
-	// The streamed rows and aggregator match the plain Run.
-	if got, want := res.Agg.Completed(), want.Agg.Completed(); got != want {
-		t.Errorf("aggregator saw %d rows, want %d", got, want)
+	// The streamed rows and partials match the plain Run.
+	if got, want := res.Partials.Sessions(), want.Partials.Sessions(); got != want {
+		t.Errorf("partials hold %d sessions, want %d", got, want)
 	}
 	for _, s := range want.Sessions {
 		row, ok := seen[s.ID]
@@ -518,8 +577,8 @@ func TestDiscardResults(t *testing.T) {
 	if len(res.Sessions) != 0 {
 		t.Fatalf("DiscardResults retained %d sessions", len(res.Sessions))
 	}
-	if res.Agg.Completed() != len(corpus) {
-		t.Errorf("aggregator saw %d rows, want %d", res.Agg.Completed(), len(corpus))
+	if res.Partials.Sessions() != len(corpus) {
+		t.Errorf("partials hold %d sessions, want %d", res.Partials.Sessions(), len(corpus))
 	}
 }
 

@@ -8,30 +8,29 @@ import (
 	"veritas/internal/abduction"
 )
 
-// Incremental per-arm aggregation. The fleet report's reducer is
-// associative: every cell of Aggregator.Report is a fold over
-// per-session values that are pure functions of one SessionRow
-// (armValue, coverageOf's range test, the prediction list). Partials
-// exploits that by extracting those values once, when a row is folded
-// in, and keeping them as a per-session digest — so a growing corpus
-// pays O(arms × metrics) extraction per appended row instead of a full
-// O(rows) rescan per report.
+// Incremental per-arm aggregation — the one reducer behind every
+// report (engine.Run, the store, the /v1 report family, Fold). The
+// fleet report's reducer is associative: every cell is a fold over
+// per-session values that are pure functions of one SessionRow (the
+// estimator values, the coverage range test, the prediction list).
+// Partials exploits that by extracting those values once, when a row
+// is folded in, and keeping them as a per-session digest — so a growing
+// corpus pays O(arms × metrics) extraction per appended row instead of
+// a full O(rows) rescan per report.
 //
 // Byte-identity discipline. Reports built from partials must be
-// byte-identical to Aggregator.Report over the same rows (the repo's
-// central invariant, pinned by tests at every layer). Two properties
-// make that hold:
+// byte-identical to the Aggregator oracle's report over the same rows
+// (the repo's central invariant, pinned by tests at every layer). Two
+// properties make that hold:
 //
-//   - Extraction is pure per row: armValue and VeritasRange computed at
-//     fold time equal the same calls at report time.
-//   - Series order is reproduced exactly: stats.Mean sums in input
-//     order, so Report materializes every series in (Index, ID) session
-//     order with per-session arm multiplicity preserved — the same
-//     order seriesOf produces.
+//   - Extraction is pure per row: the metric functions and VeritasRange
+//     computed at fold time equal the same calls at report time.
+//   - Series order is fixed: stats.Mean sums in input order, so Report
+//     materializes every series in (Index, ID) session order with
+//     per-session arm multiplicity preserved.
 //
-// EstVeritasMid is not stored: armValue derives it as (low+high)/2, and
-// Partials reproduces that exact float expression from the stored
-// low/high cells.
+// EstVeritasMid is not stored: it is (low+high)/2, derived from the
+// stored low/high cells with that exact float expression.
 
 // PartialSession is one session's digest: everything the report needs,
 // nothing else (no metrics structs, no samples). It is serializable —
@@ -62,8 +61,7 @@ type PartialArm struct {
 	High     []float64
 }
 
-// value reproduces armValue from the stored cells. m indexes
-// reportMetrics.
+// value returns the arm's cell under est; m indexes reportMetrics.
 func (a *PartialArm) value(est ArmEstimator, m int) (float64, bool) {
 	switch est {
 	case EstTruth:
@@ -188,8 +186,8 @@ func (p *Partials) Folds() uint64 {
 	return p.folds
 }
 
-// view returns the digests in (Index, ID) order — the Aggregator's
-// snapshot order — optionally filtered to one scenario. The returned
+// view returns the digests in (Index, ID) order, optionally filtered to
+// one scenario. The returned
 // slice is the caller's; the pointed-to digests are shared and must not
 // be mutated.
 func (p *Partials) view(scenario string) []*PartialSession {
@@ -255,8 +253,8 @@ func (p *Partials) ArmUnion(scenario string) []string {
 	return out
 }
 
-// partialArmNames mirrors armNamesOf: the arm names of the first
-// session (in view order) that ran any arms.
+// partialArmNames returns the arm names of the first session (in view
+// order) that ran any arms.
 func partialArmNames(rows []*PartialSession) []string {
 	for _, s := range rows {
 		if len(s.Arms) > 0 {
@@ -270,9 +268,9 @@ func partialArmNames(rows []*PartialSession) []string {
 	return nil
 }
 
-// partialSeries mirrors seriesOf: per-session values for one arm under
-// one estimator, in view order, with per-session arm multiplicity
-// preserved.
+// partialSeries returns the per-session values for one arm under one
+// estimator, in view order, with per-session arm multiplicity preserved.
+// Sessions missing the arm (or the truth, for EstTruth) are skipped.
 func partialSeries(rows []*PartialSession, arm string, est ArmEstimator, m int) []float64 {
 	var out []float64
 	for _, s := range rows {
@@ -288,7 +286,8 @@ func partialSeries(rows []*PartialSession, arm string, est ArmEstimator, m int) 
 	return out
 }
 
-// partialCoverage mirrors coverageOf from the stored cells.
+// partialCoverage returns the fraction of sessions whose truth lies
+// inside [low − slack, high + slack] for metric m.
 func partialCoverage(rows []*PartialSession, arm string, m int, slack float64) float64 {
 	var n, covered int
 	for _, s := range rows {
@@ -310,8 +309,8 @@ func partialCoverage(rows []*PartialSession, arm string, m int, slack float64) f
 }
 
 // Report builds the aggregate report from the partials — byte-identical
-// (after JSON encoding) to Aggregator.Report over the same rows.
-// scenario empty means all sessions, mirroring AggregateScenario.
+// (after JSON encoding) to the Aggregator oracle's over the same rows.
+// scenario empty means all sessions.
 func (p *Partials) Report(scenario string) *Report {
 	return p.ReportFiltered(scenario, nil)
 }

@@ -87,8 +87,8 @@ func TestPartialsReportByteIdentical(t *testing.T) {
 	}
 }
 
-// reportForScenario mirrors Store.AggregateScenario over an in-RAM
-// aggregator: refilter the rows, then Report.
+// reportForScenario is the oracle's scenario filter: refilter the rows,
+// then Report.
 func reportForScenario(agg *Aggregator, scenario string) *Report {
 	if scenario == "" {
 		return agg.Report()
@@ -247,9 +247,11 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from th
 
 // TestWriteAggregateGolden pins the text report byte-for-byte over the
 // synthetic fixture rows, plus one arm no session has an oracle for
-// (its Truth rows and coverage lines must be absent, not zero).
+// (its Truth rows and coverage lines must be absent, not zero). Both
+// reducers render it: the Aggregator oracle's report and the Partials'.
 func TestWriteAggregateGolden(t *testing.T) {
 	agg := NewAggregator(0)
+	p := NewPartials()
 	for i := 0; i < 12; i++ {
 		row := synthRow(i, 1)
 		if i == 0 {
@@ -258,22 +260,28 @@ func TestWriteAggregateGolden(t *testing.T) {
 			row.Arms = append(row.Arms, blind)
 		}
 		agg.AddRow(row)
-	}
-	var got bytes.Buffer
-	if err := agg.WriteAggregate(&got); err != nil {
-		t.Fatal(err)
+		p.FoldRow(row, 0)
 	}
 	golden := filepath.Join("testdata", "aggregate.golden")
-	if *updateGolden {
-		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+	for _, c := range []struct {
+		reducer string
+		rep     *Report
+	}{{"Aggregator", agg.Report()}, {"Partials", p.Report("")}} {
+		var got bytes.Buffer
+		if err := WriteAggregate(&got, c.rep); err != nil {
 			t.Fatal(err)
 		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("WriteAggregate drifted from %s (re-record with -update if deliberate)\ngot:\n%s\nwant:\n%s", golden, got.Bytes(), want)
+		if *updateGolden {
+			if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("WriteAggregate over the %s report drifted from %s (re-record with -update if deliberate)\ngot:\n%s\nwant:\n%s", c.reducer, golden, got.Bytes(), want)
+		}
 	}
 }

@@ -43,7 +43,7 @@ type ArmAggregate struct {
 
 // Report is the serializable aggregate of a corpus — what cmd/serve
 // returns as JSON and what the determinism tests compare byte-for-byte
-// between the in-RAM and store-backed aggregation paths. It carries no
+// between Partials and the Aggregator oracle. It carries no
 // wall-clock or worker-count fields, so equal corpora produce equal
 // reports however they were computed.
 type Report struct {
@@ -53,9 +53,7 @@ type Report struct {
 }
 
 // Report computes the aggregate report over everything recorded so
-// far. One snapshot of the rows feeds every series, so the cost of a
-// report is a handful of passes over the corpus, not a copy per
-// (arm, metric, estimator) cell.
+// far — the oracle Partials.Report is pinned byte-identical to.
 func (a *Aggregator) Report() *Report {
 	rows := a.snapshot()
 	rep := &Report{Sessions: len(rows)}
@@ -84,14 +82,13 @@ func (a *Aggregator) Report() *Report {
 	return rep
 }
 
-// WriteAggregate renders the aggregate blocks as aligned text: one
-// block per what-if arm with mean/percentile rows for every metric and
-// estimator plus truth coverage, then the interventional-prediction
+// WriteAggregate renders a report's aggregate blocks as aligned text:
+// one block per what-if arm with mean/percentile rows for every metric
+// and estimator plus truth coverage, then the interventional-prediction
 // summary. It is the body shared by Result.WriteReport and the
-// store-backed report path in cmd/fleet.
-func (a *Aggregator) WriteAggregate(w io.Writer) error {
+// store-backed Campaign.WriteReport.
+func WriteAggregate(w io.Writer, rep *Report) error {
 	var b strings.Builder
-	rep := a.Report()
 	for _, arm := range rep.Arms {
 		fmt.Fprintf(&b, "\n-- arm: %s --\n", arm.Arm)
 		fmt.Fprintf(&b, "%-14s %-13s %9s %9s %9s %9s %9s\n",
@@ -135,7 +132,7 @@ func (r *Result) WriteReport(w io.Writer) error {
 		fmt.Fprintf(&b, "(%d executed, %d skipped by the resume set)\n",
 			r.Executed, len(r.Sessions)-r.Executed)
 	}
-	if err := r.Agg.WriteAggregate(&b); err != nil {
+	if err := WriteAggregate(&b, r.Partials.Report("")); err != nil {
 		return err
 	}
 	if _, err := io.WriteString(w, b.String()); err != nil {

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"veritas/internal/engine"
+	"veritas/internal/engine/enginetest"
 	"veritas/internal/store"
 )
 
@@ -90,6 +91,9 @@ func TestRowsWithRetiredCacheCountersStillServe(t *testing.T) {
 		code, body := get(t, New(st), "/v1/report")
 		if code != http.StatusOK {
 			t.Fatalf("/v1/report over %s: %d %s", dir, code, body)
+		}
+		if oracle := enginetest.OracleJSON(t, st.Scan, ""); !bytes.Equal(body, oracle) {
+			t.Errorf("%s: /v1/report differs from the oracle over the scanned rows\nwant: %s\ngot:  %s", dir, oracle, body)
 		}
 		return rows, body
 	}

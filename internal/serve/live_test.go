@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"veritas/internal/engine"
+	"veritas/internal/engine/enginetest"
 	"veritas/internal/store"
 	"veritas/internal/telemetry"
 	"veritas/internal/tracing"
@@ -68,11 +69,7 @@ func TestLiveHandlerCombinesShards(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	agg, err := all.Aggregate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := json.Marshal(agg.Report())
+	want := enginetest.OracleJSON(t, all.Scan, "")
 	if !bytes.Equal(rec.Body.Bytes(), want) {
 		t.Fatalf("live report differs from combined store report\nwant: %s\ngot:  %s", want, rec.Body.Bytes())
 	}

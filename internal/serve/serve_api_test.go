@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"veritas/internal/engine"
+	"veritas/internal/engine/enginetest"
 	"veritas/internal/stats"
 	"veritas/internal/store"
 )
@@ -298,14 +299,7 @@ func TestServeReportMatchesRecomputeAtEveryGeneration(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("gen %d: HTTP %d", i, rec.Code)
 		}
-		agg, err := st.Aggregate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := json.Marshal(agg.Report())
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := enginetest.OracleJSON(t, st.Scan, "")
 		if got := rec.Body.String(); got != string(want) {
 			t.Fatalf("gen %d: served report diverged from full recompute\nwant: %s\ngot:  %s", i, want, got)
 		}

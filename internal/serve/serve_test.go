@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"veritas/internal/engine"
+	"veritas/internal/engine/enginetest"
 	"veritas/internal/store"
 )
 
@@ -121,14 +122,11 @@ func TestServeSessionFetchAndCache(t *testing.T) {
 }
 
 // TestServeReportMatchesInRAM is the serving-layer acceptance check:
-// the JSON the server returns equals the in-RAM aggregator's report for
-// the same corpus, byte for byte.
+// the JSON the server returns equals the oracle's report over the run's
+// in-RAM rows, byte for byte.
 func TestServeReportMatchesInRAM(t *testing.T) {
 	h, res, _ := serveFixture(t)
-	want, err := json.Marshal(res.Agg.Report())
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := enginetest.OracleJSON(t, enginetest.ResultRows(res), "")
 	code, got := get(t, h, "/v1/report")
 	if code != http.StatusOK {
 		t.Fatalf("/v1/report: %d %s", code, got)

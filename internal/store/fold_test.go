@@ -2,12 +2,13 @@ package store
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"veritas/internal/engine/enginetest"
 )
 
 // shardStore creates a store carrying shard metadata and the given
@@ -82,15 +83,7 @@ func TestFoldOrdersByShardIndex(t *testing.T) {
 		if got.SettingA.AvgSSIM != 0.5 {
 			t.Errorf("duplicate key resolved to shard 0's record (SSIM %v), want shard 1's", got.SettingA.AvgSSIM)
 		}
-		agg, err := ro.Aggregate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := json.Marshal(agg.Report())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dst, rep
+		return dst, enginetest.OracleJSON(t, ro.Scan, "")
 	}
 
 	_, repA := fold(dir0, dir1)

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"veritas/internal/engine"
+	"veritas/internal/engine/enginetest"
 	"veritas/internal/telemetry"
 )
 
@@ -22,19 +23,6 @@ func partialsReportBytes(t *testing.T, s *Store, scenario string) []byte {
 		t.Fatal(err)
 	}
 	b, err := json.Marshal(p.Report(scenario))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-func scanReportBytes(t *testing.T, s *Store, scenario string) []byte {
-	t.Helper()
-	agg, err := s.AggregateScenario(scenario)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(agg.Report())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +49,7 @@ func TestStorePartialsMatchFullScanAtEveryGeneration(t *testing.T) {
 				continue
 			}
 			got := partialsReportBytes(t, s, scen)
-			want := scanReportBytes(t, s, scen)
+			want := enginetest.OracleJSON(t, s.Scan, scen)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("gen %d scenario %q: incremental report diverged\nwant: %s\ngot:  %s", i, scen, want, got)
 			}
@@ -71,7 +59,7 @@ func TestStorePartialsMatchFullScanAtEveryGeneration(t *testing.T) {
 	if err := s.Append(testRow(3, "fcc")); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := partialsReportBytes(t, s, ""), scanReportBytes(t, s, ""); !bytes.Equal(got, want) {
+	if got, want := partialsReportBytes(t, s, ""), enginetest.OracleJSON(t, s.Scan, ""); !bytes.Equal(got, want) {
 		t.Fatal("incremental report diverged after overwrite")
 	}
 }
@@ -100,7 +88,7 @@ func TestPartialsSnapshotRoundTripOnDisk(t *testing.T) {
 	if _, err := s.Partials(); err != nil { // force the build so Close persists it
 		t.Fatal(err)
 	}
-	want := scanReportBytes(t, s, "")
+	want := enginetest.OracleJSON(t, s.Scan, "")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +120,7 @@ func TestPartialsSnapshotRoundTripOnDisk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, want := partialsReportBytes(t, w, ""), scanReportBytes(t, w, ""); !bytes.Equal(got, want) {
+	if got, want := partialsReportBytes(t, w, ""), enginetest.OracleJSON(t, w.Scan, ""); !bytes.Equal(got, want) {
 		t.Fatal("snapshot + delta report diverged from full scan")
 	}
 }
@@ -149,7 +137,7 @@ func TestPartialsCorruptSnapshotRebuilds(t *testing.T) {
 	if _, err := s.Partials(); err != nil {
 		t.Fatal(err)
 	}
-	want := scanReportBytes(t, s, "")
+	want := enginetest.OracleJSON(t, s.Scan, "")
 	s.Close()
 
 	path := filepath.Join(dir, partialsName)
@@ -199,11 +187,7 @@ func TestPartialsSeriesMatchesAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := engine.NewAggregator(len(rows))
-	for _, r := range rows {
-		agg.AddRow(r)
-	}
-	wantRep, _ := json.Marshal(agg.Report())
+	wantRep := enginetest.OracleJSON(t, s.Scan, "")
 	gotRep, _ := json.Marshal(p.Report(""))
 	if !bytes.Equal(gotRep, wantRep) {
 		t.Fatal("partials report != aggregator report")

@@ -866,9 +866,8 @@ func (s *Store) readRowFrom(f *os.File, e entry) (engine.SessionRow, error) {
 }
 
 // Scan streams every stored row (latest per key, sorted by key) through
-// fn, reading one row at a time — the bounded-memory iteration path
-// that aggregation and compaction are built on. fn errors abort the
-// scan.
+// fn, reading one row at a time — the bounded-memory iteration path.
+// fn errors abort the scan.
 func (s *Store) Scan(fn func(engine.SessionRow) error) error {
 	for _, e := range s.snapshotIndex() {
 		row, err := s.readRow(e)
@@ -880,30 +879,6 @@ func (s *Store) Scan(fn func(engine.SessionRow) error) error {
 		}
 	}
 	return nil
-}
-
-// Aggregate replays every stored row into a fresh engine aggregator.
-// The resulting aggregates — and the Report built from them — are
-// byte-identical to the in-RAM aggregation of the campaign(s) that
-// produced the store.
-func (s *Store) Aggregate() (*engine.Aggregator, error) {
-	return s.AggregateScenario("")
-}
-
-// AggregateScenario aggregates only the sessions of one scenario
-// (empty means all).
-func (s *Store) AggregateScenario(scenario string) (*engine.Aggregator, error) {
-	agg := engine.NewAggregator(s.Len())
-	err := s.Scan(func(row engine.SessionRow) error {
-		if scenario == "" || row.Scenario == scenario {
-			agg.AddRow(row)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return agg, nil
 }
 
 // Merge folds one or more source stores into a fresh store at dst — the

@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,6 +11,7 @@ import (
 	"testing"
 
 	"veritas/internal/engine"
+	"veritas/internal/engine/enginetest"
 	"veritas/internal/player"
 )
 
@@ -357,10 +357,7 @@ func TestStreamingStoreDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ramJSON, err := json.Marshal(ram.Agg.Report())
-		if err != nil {
-			t.Fatal(err)
-		}
+		ramJSON := enginetest.OracleJSON(t, enginetest.ResultRows(ram), "")
 
 		dir := t.TempDir()
 		st, err := Create(dir, Options{})
@@ -377,15 +374,11 @@ func TestStreamingStoreDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		agg, err := ro.Aggregate()
-		if err != nil {
-			t.Fatal(err)
+		storeJSON := partialsReportBytes(t, ro, "")
+		if oracle := enginetest.OracleJSON(t, ro.Scan, ""); !bytes.Equal(storeJSON, oracle) {
+			t.Fatalf("workers=%d: store partials report differs from the oracle over its rows", workers)
 		}
-		storeJSON, err := json.Marshal(agg.Report())
 		ro.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
 
 		if !bytes.Equal(ramJSON, storeJSON) {
 			t.Fatalf("workers=%d: store-path report differs from in-RAM report\nram:   %s\nstore: %s",
@@ -411,10 +404,7 @@ func TestResumeSkipsStoredSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantJSON, err := json.Marshal(full.Agg.Report())
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantJSON := enginetest.OracleJSON(t, enginetest.ResultRows(full), "")
 
 	// Phase 1: the "interrupted" run persists only the first half.
 	dir := t.TempDir()
@@ -471,14 +461,7 @@ func TestResumeSkipsStoredSessions(t *testing.T) {
 	if ro.Len() != len(corpus) {
 		t.Fatalf("store holds %d sessions after resume, want %d", ro.Len(), len(corpus))
 	}
-	agg, err := ro.Aggregate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotJSON, err := json.Marshal(agg.Report())
-	if err != nil {
-		t.Fatal(err)
-	}
+	gotJSON := partialsReportBytes(t, ro, "")
 	if !bytes.Equal(wantJSON, gotJSON) {
 		t.Fatalf("resumed campaign's aggregate differs from the uninterrupted one\nwant: %s\ngot:  %s", wantJSON, gotJSON)
 	}

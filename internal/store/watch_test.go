@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"veritas/internal/engine"
+	"veritas/internal/engine/enginetest"
 )
 
 // frameFor builds the on-disk frame for one row, byte-identical to
@@ -27,19 +28,6 @@ func frameFor(t *testing.T, row engine.SessionRow) []byte {
 	copy(frame[frameHdrLen+len(row.ID):], payload)
 	binary.LittleEndian.PutUint32(frame[8:12], crc32.ChecksumIEEE(frame[frameHdrLen:]))
 	return frame
-}
-
-func reportBytes(t *testing.T, s *Store) []byte {
-	t.Helper()
-	agg, err := s.Aggregate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(agg.Report())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
 }
 
 // TestWatchTailsLiveWriter is the watch-mode core contract: a watch
@@ -93,7 +81,7 @@ func TestWatchTailsLiveWriter(t *testing.T) {
 	if ws.Generation() != gen {
 		t.Fatal("idle refresh moved the generation")
 	}
-	if got, want := reportBytes(t, ws), reportBytes(t, w); !bytes.Equal(got, want) {
+	if got, want := partialsReportBytes(t, ws, ""), enginetest.OracleJSON(t, w.Scan, ""); !bytes.Equal(got, want) {
 		t.Fatalf("watch report differs from writer report\nwant: %s\ngot:  %s", want, got)
 	}
 }
@@ -134,7 +122,7 @@ func TestWatchMissingDirAndRotation(t *testing.T) {
 	if len(segs) < 2 {
 		t.Fatalf("segment size never forced a rotation (%d segments); the sidecar path went untested", len(segs))
 	}
-	if got, want := reportBytes(t, ws), reportBytes(t, w); !bytes.Equal(got, want) {
+	if got, want := partialsReportBytes(t, ws, ""), enginetest.OracleJSON(t, w.Scan, ""); !bytes.Equal(got, want) {
 		t.Fatal("watch report differs from writer report across rotations")
 	}
 }
@@ -225,7 +213,7 @@ func TestWatchResetOnReplace(t *testing.T) {
 	if ws.Generation() <= genBefore {
 		t.Fatalf("generation did not advance across the reset: %d -> %d", genBefore, ws.Generation())
 	}
-	if got, want := reportBytes(t, ws), reportBytes(t, w2); !bytes.Equal(got, want) {
+	if got, want := partialsReportBytes(t, ws, ""), enginetest.OracleJSON(t, w2.Scan, ""); !bytes.Equal(got, want) {
 		t.Fatal("post-replace watch report differs from the new store's")
 	}
 }

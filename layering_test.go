@@ -6,6 +6,7 @@ package veritas_test
 // back into the module.
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -85,5 +86,56 @@ func TestNoDeprecatedShimsOrLintSuppressions(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAggregatorIsOracleOnly pins the one-reducer rule: every report is
+// built from engine.Partials, so outside internal/engine (where the
+// row-at-a-time oracle and its test-support wrapper live) no non-test
+// source names the Aggregator, and the store exports no Aggregate*.
+func TestAggregatorIsOracleOnly(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || path == filepath.Join("internal", "engine") ||
+				(path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if strings.Contains(string(src), "Aggregator") {
+			t.Errorf("%s names the Aggregator: production code reduces through engine.Partials", path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join("internal", "store", "*.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no source found under internal/store (err %v)", err)
+	}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && strings.HasPrefix(fn.Name.Name, "Aggregate") {
+				t.Errorf("%s declares %s: a store report comes from Store.Partials", name, fn.Name.Name)
+			}
+		}
 	}
 }

@@ -184,3 +184,36 @@ func TestServeMetricsAndStatus(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreBackedReportReadsRowsOnce pins that a store-backed report is
+// built from the store's partial aggregates: the first Report reduces
+// the rows this process appended, every later Report or WriteReport
+// re-reads none.
+func TestStoreBackedReportReadsRowsOnce(t *testing.T) {
+	c, err := veritas.NewCampaign(append(quickOptions(), veritas.WithStore(t.TempDir()))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	reads := func() uint64 { return c.Telemetry().Counters["veritas_store_reads_total"] }
+	before := reads()
+	if _, err := c.Report(); err != nil {
+		t.Fatal(err)
+	}
+	first := reads()
+	if first == before {
+		t.Error("the first Report read no row: the counter cannot witness the second")
+	}
+	if _, err := c.Report(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteReport(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if again := reads(); again != first {
+		t.Errorf("veritas_store_reads_total moved %d -> %d on a repeated report", first, again)
+	}
+}
