@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 
+	"veritas"
 	"veritas/internal/abr"
 	"veritas/internal/netem"
 	"veritas/internal/player"
@@ -92,21 +93,15 @@ func main() {
 }
 
 func parseABR(name string, seed int64) (abr.Algorithm, error) {
-	switch name {
-	case "mpc":
-		return abr.NewMPC(), nil
-	case "bba":
-		return abr.NewBBA(), nil
-	case "bola":
-		return abr.NewBOLA(), nil
-	case "festive":
-		return abr.NewFestive(), nil
-	case "random":
+	if name == "random" {
 		return abr.NewRandom(seed), nil
 	}
 	var q int
 	if n, _ := fmt.Sscanf(name, "fixed:%d", &q); n == 1 {
 		return &abr.Fixed{Quality: q}, nil
+	}
+	if alg, err := veritas.NewABR(name); err == nil {
+		return alg, nil
 	}
 	return nil, fmt.Errorf("unknown ABR %q (want mpc, bba, bola, festive, random, fixed:<q>)", name)
 }

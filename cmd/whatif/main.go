@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 
+	"veritas"
 	"veritas/internal/abduction"
 	"veritas/internal/abr"
 	"veritas/internal/netem"
@@ -65,14 +66,16 @@ func main() {
 		os.Exit(1)
 	}
 
-	newABR, err := abrFactory(*abrName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "whatif:", err)
+	if _, err := veritas.NewABR(*abrName); err != nil {
+		fmt.Fprintf(os.Stderr, "whatif: unknown ABR %q (want mpc, bba, bola, festive)\n", *abrName)
 		os.Exit(2)
 	}
 	setting := abduction.Setting{
-		Video:     vid,
-		NewABR:    newABR,
+		Video: vid,
+		NewABR: func() abr.Algorithm {
+			alg, _ := veritas.NewABR(*abrName) // validated above
+			return alg
+		},
 		BufferCap: *buffer,
 		Net:       netem.DefaultConfig(),
 	}
@@ -118,18 +121,4 @@ func main() {
 	brLo, brHi := abduction.VeritasRange(out.Samples, abduction.MetricAvgBitrate)
 	fmt.Printf("%-16s %10.4f %10.2f %12.2f\n", "veritas (low)", ssimLo, rebLo*100, brLo)
 	fmt.Printf("%-16s %10.4f %10.2f %12.2f\n", "veritas (high)", ssimHi, rebHi*100, brHi)
-}
-
-func abrFactory(name string) (func() abr.Algorithm, error) {
-	switch name {
-	case "mpc":
-		return func() abr.Algorithm { return abr.NewMPC() }, nil
-	case "bba":
-		return func() abr.Algorithm { return abr.NewBBA() }, nil
-	case "bola":
-		return func() abr.Algorithm { return abr.NewBOLA() }, nil
-	case "festive":
-		return func() abr.Algorithm { return abr.NewFestive() }, nil
-	}
-	return nil, fmt.Errorf("unknown ABR %q (want mpc, bba, bola, festive)", name)
 }

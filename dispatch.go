@@ -428,12 +428,7 @@ func dispatchWorker(raw string, stdout, stderr *os.File) int {
 	progress := func(done, total int) {
 		mu.Lock()
 		defer mu.Unlock()
-		enc.Encode(struct {
-			Type  string `json:"type"`
-			Shard int    `json:"shard"`
-			Done  int    `json:"done"`
-			Total int    `json:"total"`
-		}{"progress", spec.Shard, base + done, base + total})
+		enc.Encode(dispatch.Message{Type: "progress", Shard: spec.Shard, Done: base + done, Total: base + total})
 	}
 
 	opts := append(spec.options(), WithProgressCounts(progress))
@@ -455,11 +450,7 @@ func dispatchWorker(raw string, stdout, stderr *os.File) int {
 			snap := c.Telemetry()
 			mu.Lock()
 			defer mu.Unlock()
-			enc.Encode(struct {
-				Type     string            `json:"type"`
-				Shard    int               `json:"shard"`
-				Snapshot TelemetrySnapshot `json:"snapshot"`
-			}{"telemetry", spec.Shard, snap})
+			enc.Encode(dispatch.Message{Type: "telemetry", Shard: spec.Shard, Snapshot: &snap})
 		})
 	}
 	if !spec.NoTrace {
@@ -475,11 +466,7 @@ func dispatchWorker(raw string, stdout, stderr *os.File) int {
 			}
 			mu.Lock()
 			defer mu.Unlock()
-			enc.Encode(struct {
-				Type   string          `json:"type"`
-				Shard  int             `json:"shard"`
-				Traces []CampaignTrace `json:"traces"`
-			}{"traces", spec.Shard, traces})
+			enc.Encode(dispatch.Message{Type: "traces", Shard: spec.Shard, Traces: traces})
 		})
 	}
 	if len(emits) > 0 {

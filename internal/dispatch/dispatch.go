@@ -44,7 +44,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -565,21 +564,30 @@ func runWorker(ctx context.Context, cfg Config, w Worker, emit func(Event)) erro
 	return err
 }
 
+// Message is one line of the worker's stdout protocol: a JSON object
+// per line, told apart by Type. "progress" carries Done and Total (the
+// shard's sessions, both at least 1), "telemetry" a cumulative registry
+// Snapshot, "traces" the worker's tail-sampled Traces. The worker
+// entrypoint encodes it and scanStdout decodes it, so the two ends
+// cannot disagree on a key.
+type Message struct {
+	Type     string              `json:"type"`
+	Shard    int                 `json:"shard"`
+	Done     int                 `json:"done,omitempty"`
+	Total    int                 `json:"total,omitempty"`
+	Snapshot *telemetry.Snapshot `json:"snapshot,omitempty"`
+	Traces   []tracing.Trace     `json:"traces,omitempty"`
+}
+
 // scanStdout splits a worker's stdout into protocol events and plain
-// lines. Protocol lines are single JSON objects with a "type" field;
-// anything else is forwarded verbatim.
+// lines. Protocol lines are Messages; anything else is forwarded
+// verbatim.
 func scanStdout(r io.Reader, w Worker, pid int, emit func(Event)) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
 		line := sc.Text()
-		var msg struct {
-			Type     string              `json:"type"`
-			Done     int                 `json:"done"`
-			Total    int                 `json:"total"`
-			Snapshot *telemetry.Snapshot `json:"snapshot"`
-			Traces   []tracing.Trace     `json:"traces"`
-		}
+		var msg Message
 		if len(line) > 0 && line[0] == '{' && json.Unmarshal([]byte(line), &msg) == nil {
 			switch {
 			case msg.Type == "progress":
@@ -672,31 +680,28 @@ func checkReplaceable(dst string, dirs []string, fps [][]byte, strict bool) erro
 	if len(entries) == 0 {
 		return nil
 	}
-	dstFP, err := readFingerprint(dst)
+	dstFP, dstRaw, err := store.ReadCampaignMeta(dst)
 	if err != nil {
 		return err
 	}
-	if dstFP == nil {
+	if dstRaw == nil {
 		return fmt.Errorf("dispatch: fold destination %s already exists and carries no campaign.json; not replacing it", dst)
 	}
 	for _, d := range dirs {
-		fp, err := readFingerprint(d)
+		_, raw, err := store.ReadCampaignMeta(d)
 		if err != nil {
 			return err
 		}
-		if fp == nil {
+		if raw == nil {
 			continue
 		}
-		if !reflect.DeepEqual(dstFP, fp) {
+		if !store.CampaignMatches(dstFP, raw) {
 			return fmt.Errorf("dispatch: fold destination %s holds a different campaign than shard store %s; not replacing it", dst, d)
 		}
 		return nil
 	}
-	for _, raw := range fps {
-		var v any
-		if json.Unmarshal(raw, &v) == nil && reflect.DeepEqual(dstFP, v) {
-			return nil
-		}
+	if store.CampaignMatches(dstFP, fps...) {
+		return nil
 	}
 	if len(fps) > 0 {
 		return fmt.Errorf("dispatch: fold destination %s holds a different campaign than the one being dispatched; not replacing it", dst)
@@ -705,21 +710,4 @@ func checkReplaceable(dst string, dirs []string, fps [][]byte, strict bool) erro
 		return nil
 	}
 	return fmt.Errorf("dispatch: fold destination %s exists but the shard stores carry no campaign.json to match it against; not replacing it", dst)
-}
-
-// readFingerprint reads and decodes dir's campaign.json (nil when the
-// store carries none).
-func readFingerprint(dir string) (any, error) {
-	b, err := os.ReadFile(filepath.Join(dir, store.CampaignMetaFile))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("dispatch: %w", err)
-	}
-	var v any
-	if err := json.Unmarshal(b, &v); err != nil {
-		return nil, fmt.Errorf("dispatch: %s: %w", filepath.Join(dir, store.CampaignMetaFile), err)
-	}
-	return v, nil
 }

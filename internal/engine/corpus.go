@@ -116,16 +116,18 @@ func BuildCorpus(cfg CorpusConfig) ([]SessionSpec, error) {
 // ABRs returns the algorithm names BuildMatrix accepts.
 func ABRs() []string { return []string{"mpc", "bba", "bola", "festive"} }
 
-func abrFactory(name string) (func() abr.Algorithm, error) {
+// NewABR returns a fresh instance of the named algorithm (see ABRs) —
+// the module's one name → ABR registry.
+func NewABR(name string) (abr.Algorithm, error) {
 	switch name {
 	case "mpc":
-		return func() abr.Algorithm { return abr.NewMPC() }, nil
+		return abr.NewMPC(), nil
 	case "bba":
-		return func() abr.Algorithm { return abr.NewBBA() }, nil
+		return abr.NewBBA(), nil
 	case "bola":
-		return func() abr.Algorithm { return abr.NewBOLA() }, nil
+		return abr.NewBOLA(), nil
 	case "festive":
-		return func() abr.Algorithm { return abr.NewFestive() }, nil
+		return abr.NewFestive(), nil
 	}
 	return nil, fmt.Errorf("engine: unknown ABR %q (have %v)", name, ABRs())
 }
@@ -140,9 +142,12 @@ func BuildMatrix(cfg CorpusConfig, abrs []string, buffers []float64) ([]Arm, err
 	vid := cfg.video()
 	var arms []Arm
 	for _, name := range abrs {
-		newABR, err := abrFactory(name)
-		if err != nil {
+		if _, err := NewABR(name); err != nil {
 			return nil, err
+		}
+		newABR := func() abr.Algorithm {
+			alg, _ := NewABR(name) // validated above
+			return alg
 		}
 		for _, buf := range buffers {
 			if buf <= 0 {

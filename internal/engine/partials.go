@@ -127,7 +127,6 @@ type Partials struct {
 	sessions map[string]*PartialSession
 	ordered  []*PartialSession // every session, sorted by (Index, ID) when sorted
 	sorted   bool
-	folds    uint64
 }
 
 // NewPartials returns an empty partial-aggregate state.
@@ -160,14 +159,12 @@ func (p *Partials) fold(ps PartialSession, force bool) bool {
 			p.sorted = false
 		}
 		*cur = ps
-		p.folds++
 		return true
 	}
 	c := ps
 	p.sessions[ps.ID] = &c
 	p.ordered = append(p.ordered, &c)
 	p.sorted = false
-	p.folds++
 	return true
 }
 
@@ -176,14 +173,6 @@ func (p *Partials) Sessions() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.sessions)
-}
-
-// Folds returns the total number of applied folds — a change counter
-// for caches layered above.
-func (p *Partials) Folds() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.folds
 }
 
 // view returns the digests in (Index, ID) order, optionally filtered to

@@ -178,16 +178,3 @@ func Run(id string, s Scale) (*Table, error) {
 	}
 	return e.Run(s)
 }
-
-// RunAll executes every registered experiment in id order.
-func RunAll(s Scale) ([]*Table, error) {
-	var out []*Table
-	for _, id := range IDs() {
-		t, err := Run(id, s)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", id, err)
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}

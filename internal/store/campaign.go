@@ -44,13 +44,15 @@ func OpenCampaign(dir string, opt Options, fingerprint []byte) (*Store, error) {
 }
 
 func checkFingerprint(dir string, want []byte, readOnly bool) error {
-	var wantVal any
-	if err := json.Unmarshal(want, &wantVal); err != nil {
+	if err := json.Unmarshal(want, new(any)); err != nil {
 		return fmt.Errorf("store: campaign fingerprint is not valid JSON: %w", err)
 	}
+	have, raw, err := ReadCampaignMeta(dir)
+	if err != nil {
+		return err
+	}
 	path := filepath.Join(dir, CampaignMetaFile)
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
+	if raw == nil {
 		if readOnly {
 			return fmt.Errorf("store: %s carries no %s to verify against (not a campaign store?)", dir, CampaignMetaFile)
 		}
@@ -59,16 +61,43 @@ func checkFingerprint(dir string, want []byte, readOnly bool) error {
 		}
 		return nil
 	}
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	var haveVal any
-	if err := json.Unmarshal(data, &haveVal); err != nil {
-		return fmt.Errorf("store: %s: %w", path, err)
-	}
-	if !reflect.DeepEqual(haveVal, wantVal) {
+	if !CampaignMatches(have, want) {
 		return fmt.Errorf("%w: %s holds a campaign run with different settings (see %s); repeat them exactly or use a fresh store",
 			ErrCampaignMismatch, dir, path)
 	}
 	return nil
+}
+
+// ReadCampaignMeta reads dir's campaign.json: the decoded document, for
+// CampaignMatches, and its bytes as stored, for propagating it
+// verbatim. raw is nil when the store carries none.
+func ReadCampaignMeta(dir string) (meta any, raw []byte, err error) {
+	path := filepath.Join(dir, CampaignMetaFile)
+	raw, err = os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil, nil
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("store: %w", err)
+	}
+	if err := json.Unmarshal(raw, &meta); err != nil {
+		return nil, nil, fmt.Errorf("store: %s: %w", path, err)
+	}
+	return meta, raw, nil
+}
+
+// CampaignMatches reports whether have — a campaign.json as
+// ReadCampaignMeta decodes it — structurally equals any of forms, the
+// JSON spellings of an acceptable fingerprint. Formatting and key order
+// do not matter; a form that is not valid JSON matches nothing. This is
+// the one definition of "the same campaign" for resume, fold, upload
+// verification and fold-target replacement.
+func CampaignMatches(have any, forms ...[]byte) bool {
+	for _, form := range forms {
+		var want any
+		if json.Unmarshal(form, &want) == nil && reflect.DeepEqual(have, want) {
+			return true
+		}
+	}
+	return false
 }

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
 )
 
@@ -285,30 +284,22 @@ func orderByShard(srcs []string) ([]string, error) {
 // conflict.
 func commonFingerprint(srcs []string) ([]byte, error) {
 	var (
-		raw     []byte
-		rawVal  any
-		rawFrom string
+		first     []byte
+		firstFrom string
 	)
 	for _, dir := range srcs {
-		b, err := os.ReadFile(filepath.Join(dir, CampaignMetaFile))
-		if errors.Is(err, os.ErrNotExist) {
-			continue
-		}
+		meta, raw, err := ReadCampaignMeta(dir)
 		if err != nil {
-			return nil, fmt.Errorf("store: %w", err)
+			return nil, err
 		}
-		var v any
-		if err := json.Unmarshal(b, &v); err != nil {
-			return nil, fmt.Errorf("store: %s: %w", filepath.Join(dir, CampaignMetaFile), err)
-		}
-		if raw == nil {
-			raw, rawVal, rawFrom = b, v, dir
-			continue
-		}
-		if !reflect.DeepEqual(rawVal, v) {
+		switch {
+		case raw == nil:
+		case first == nil:
+			first, firstFrom = raw, dir
+		case !CampaignMatches(meta, first):
 			return nil, fmt.Errorf("%w: fold sources %s and %s were written under different campaign settings",
-				ErrCampaignMismatch, rawFrom, dir)
+				ErrCampaignMismatch, firstFrom, dir)
 		}
 	}
-	return raw, nil
+	return first, nil
 }

@@ -9,12 +9,9 @@ package store
 // instead of rescanning the corpus per query.
 //
 // Snapshot file. dir/partials.vagg persists the reduced digests with
-// the segment layout they cover:
-//
-//	8-byte magic "VPART1\n\x00"
-//	u32 CRC-32 (IEEE) over the payload
-//	u32 payload length
-//	payload: JSON {Layout:[{Seg,Size}], Sessions:[engine.PartialSession]}
+// the segment layout they cover: the checksummed envelope of frame.go
+// under the magic "VPART1\n\x00", whose payload is the JSON
+// {Layout:[{Seg,Size}], Sessions:[engine.PartialSession]}.
 //
 // Like sidecars, the snapshot is an optimization, never a source of
 // truth: it is trusted only if its checksum verifies and its recorded
@@ -24,10 +21,8 @@ package store
 // snapshots existed — or whose snapshot was lost — serve unchanged.
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 
@@ -35,9 +30,8 @@ import (
 )
 
 const (
-	partialsMagic  = "VPART1\n\x00"
-	partialsName   = "partials.vagg"
-	partialsHdrLen = 8 // CRC + payload length, after the magic
+	partialsMagic = "VPART1\n\x00"
+	partialsName  = "partials.vagg"
 )
 
 // packSeq encodes a frame's location as a fold sequence number:
@@ -141,13 +135,8 @@ func (s *Store) restorePartialsSnapshot(p *engine.Partials) (coverSeg int, cover
 	if err != nil {
 		return 0, 0, false
 	}
-	if len(raw) < len(partialsMagic)+partialsHdrLen || string(raw[:len(partialsMagic)]) != partialsMagic {
-		return 0, 0, false
-	}
-	sum := binary.LittleEndian.Uint32(raw[len(partialsMagic):])
-	plen := binary.LittleEndian.Uint32(raw[len(partialsMagic)+4:])
-	payload := raw[len(partialsMagic)+partialsHdrLen:]
-	if int(plen) != len(payload) || crc32.ChecksumIEEE(payload) != sum {
+	payload, ok := openEnvelope(partialsMagic, raw)
+	if !ok {
 		return 0, 0, false
 	}
 	var pf partialsFile
@@ -186,19 +175,9 @@ func (s *Store) restorePartialsSnapshot(p *engine.Partials) (coverSeg int, cover
 	return lastL.Seg, lastL.Size, true
 }
 
-// SavePartials persists the current partial aggregates next to the
-// segments. It is a no-op (nil) when the partials were never built or
-// the initial build is still in flight. Close calls this automatically
-// for writable stores.
-func (s *Store) SavePartials() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.savePartialsLocked()
-}
-
+// savePartialsLocked persists the current partial aggregates next to
+// the segments. It is a no-op (nil) when the partials were never built
+// or the initial build is still in flight. Caller holds mu.
 func (s *Store) savePartialsLocked() error {
 	if s.partials == nil {
 		return nil
@@ -229,12 +208,7 @@ func (s *Store) savePartialsLocked() error {
 	if err != nil {
 		return fmt.Errorf("store: partials: %w", err)
 	}
-	buf := make([]byte, len(partialsMagic)+partialsHdrLen+len(payload))
-	copy(buf, partialsMagic)
-	binary.LittleEndian.PutUint32(buf[len(partialsMagic):], crc32.ChecksumIEEE(payload))
-	binary.LittleEndian.PutUint32(buf[len(partialsMagic)+4:], uint32(len(payload)))
-	copy(buf[len(partialsMagic)+partialsHdrLen:], payload)
-	if err := writeFileAtomic(filepath.Join(s.dir, partialsName), buf); err != nil {
+	if err := writeFileAtomic(filepath.Join(s.dir, partialsName), sealEnvelope(partialsMagic, payload)); err != nil {
 		return fmt.Errorf("store: partials: %w", err)
 	}
 	s.met.partialSnapWrites.Inc()

@@ -23,14 +23,12 @@ package store
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
 	"strings"
 )
@@ -45,6 +43,11 @@ const (
 	// shipMaxFiles bounds the archive's file count against corrupt or
 	// hostile trailers.
 	shipMaxFiles = 1 << 20
+	// shipReadAhead is how far ahead of the bytes that have arrived
+	// Receive sizes a file's buffer from its header's claim: a
+	// default-sized segment costs one regrowth, a lying header half a
+	// megabyte.
+	shipReadAhead = 512 << 10
 )
 
 // ErrShipCorrupt reports a structurally invalid or CRC-failing
@@ -171,8 +174,8 @@ func Receive(r io.Reader, dir string) (n int, err error) {
 		if !shippable(name) {
 			return 0, fmt.Errorf("%w: unexpected file %q in shipped store", ErrShipCorrupt, name)
 		}
-		content := make([]byte, size)
-		if _, err := io.ReadFull(r, content); err != nil {
+		content, err := readContent(r, size)
+		if err != nil {
 			return 0, fmt.Errorf("%w: short content for %q: %v", ErrShipCorrupt, name, err)
 		}
 		if got := crc32.ChecksumIEEE(content); got != sum {
@@ -190,6 +193,28 @@ func Receive(r io.Reader, dir string) (n int, err error) {
 		return 0, fmt.Errorf("%w: trailer says %d files, received %d", ErrShipCorrupt, want, count)
 	}
 	return count, nil
+}
+
+// readContent reads one shipped file's size bytes. A header may claim
+// shipMaxFileSize in a stream that ends a few bytes later, so the
+// buffer is sized by what has arrived — twice that plus shipReadAhead
+// at most — and memory tracks the stream, not the claim. Nothing is
+// kept between files: a retained buffer would sit in the live heap the
+// collector doubles.
+func readContent(r io.Reader, size uint64) ([]byte, error) {
+	var content []byte
+	for have := uint64(0); have < size; have = uint64(len(content)) {
+		grown := make([]byte, min(size, 2*have+shipReadAhead))
+		copy(grown, content)
+		if _, err := io.ReadFull(r, grown[have:]); err != nil {
+			if err == io.EOF && have > 0 {
+				err = io.ErrUnexpectedEOF // EOF only when no content arrived at all, as ReadFull has it
+			}
+			return nil, err
+		}
+		content = grown
+	}
+	return content, nil
 }
 
 // VerifyShard proves dir holds shard index of count of an acceptable
@@ -211,23 +236,14 @@ func VerifyShard(dir string, index, count int, fps [][]byte) (int, error) {
 		return 0, fmt.Errorf("store: %s records shard %d/%d, want %d/%d", dir, meta.Index, meta.Count, index, count)
 	}
 	if len(fps) > 0 {
-		raw, err := os.ReadFile(filepath.Join(dir, CampaignMetaFile))
+		meta, raw, err := ReadCampaignMeta(dir)
 		if err != nil {
-			return 0, fmt.Errorf("store: %s: %w", dir, err)
+			return 0, err
 		}
-		var got any
-		if err := json.Unmarshal(raw, &got); err != nil {
-			return 0, fmt.Errorf("store: %s: %s: %w", dir, CampaignMetaFile, err)
+		if raw == nil {
+			return 0, fmt.Errorf("store: %s carries no %s to verify against", dir, CampaignMetaFile)
 		}
-		matched := false
-		for _, fp := range fps {
-			var want any
-			if json.Unmarshal(fp, &want) == nil && reflect.DeepEqual(got, want) {
-				matched = true
-				break
-			}
-		}
-		if !matched {
+		if !CampaignMatches(meta, fps...) {
 			return 0, fmt.Errorf("store: %s: %w", dir, ErrCampaignMismatch)
 		}
 	}

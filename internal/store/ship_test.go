@@ -49,6 +49,17 @@ func TestShipReceiveRoundTrip(t *testing.T) {
 			t.Errorf("%s travelled with the store", junk)
 		}
 	}
+	// Everything that did travel arrived byte for byte.
+	files, err := os.ReadDir(dst)
+	if err != nil || len(files) != received {
+		t.Fatalf("received directory holds %d files (err %v), want %d", len(files), err, received)
+	}
+	for _, f := range files {
+		want, _ := os.ReadFile(filepath.Join(src, f.Name()))
+		if got, err := os.ReadFile(filepath.Join(dst, f.Name())); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s differs from the shipped file (err %v)", f.Name(), err)
+		}
+	}
 
 	// The received directory verifies as the shard it claims to be —
 	// against a structurally-equal fingerprint, not a byte-equal one

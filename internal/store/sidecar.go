@@ -26,21 +26,16 @@ package store
 // write-then-rename and best-effort: a failed sidecar write degrades
 // the next Open to a scan, it never fails the append path.
 //
-// On-disk format:
-//
-//	8-byte magic "VSIDX1\n\x00"
-//	u32 CRC-32 (IEEE) over the payload
-//	u32 payload length
-//	payload: JSON {SegmentSize, Entries:[{Key,Scenario,Index,Off}]}
+// On-disk format: the checksummed envelope of frame.go under the magic
+// "VSIDX1\n\x00", whose payload is the JSON
+// {SegmentSize, Entries:[{Key,Scenario,Index,Off}]}.
 //
 // Entries are in frame (append) order, so folding them into the key
 // index reproduces the scan's last-write-wins semantics exactly.
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 )
@@ -48,7 +43,6 @@ import (
 const (
 	sidecarMagic  = "VSIDX1\n\x00"
 	sidecarSuffix = ".vidx"
-	sidecarHdrLen = 8 // CRC + payload length, after the magic
 )
 
 func sidecarName(n int) string { return fmt.Sprintf("%s%05d%s", segPrefix, n, sidecarSuffix) }
@@ -80,13 +74,7 @@ func (s *Store) writeSidecar(num int, segSize int64, entries []entry) error {
 	if err != nil {
 		return fmt.Errorf("store: sidecar: %w", err)
 	}
-	buf := make([]byte, len(sidecarMagic)+sidecarHdrLen+len(payload))
-	copy(buf, sidecarMagic)
-	binary.LittleEndian.PutUint32(buf[len(sidecarMagic):], crc32.ChecksumIEEE(payload))
-	binary.LittleEndian.PutUint32(buf[len(sidecarMagic)+4:], uint32(len(payload)))
-	copy(buf[len(sidecarMagic)+sidecarHdrLen:], payload)
-
-	if err := writeFileAtomic(filepath.Join(s.dir, sidecarName(num)), buf); err != nil {
+	if err := writeFileAtomic(filepath.Join(s.dir, sidecarName(num)), sealEnvelope(sidecarMagic, payload)); err != nil {
 		return fmt.Errorf("store: sidecar: %w", err)
 	}
 	return nil
@@ -106,13 +94,8 @@ func (s *Store) tryLoadSidecar(num int) ([]entry, bool) {
 	if err != nil {
 		return nil, false
 	}
-	if len(raw) < len(sidecarMagic)+sidecarHdrLen || string(raw[:len(sidecarMagic)]) != sidecarMagic {
-		return nil, false
-	}
-	sum := binary.LittleEndian.Uint32(raw[len(sidecarMagic):])
-	plen := binary.LittleEndian.Uint32(raw[len(sidecarMagic)+4:])
-	payload := raw[len(sidecarMagic)+sidecarHdrLen:]
-	if int(plen) != len(payload) || crc32.ChecksumIEEE(payload) != sum {
+	payload, ok := openEnvelope(sidecarMagic, raw)
+	if !ok {
 		return nil, false
 	}
 	var sf sidecarFile
@@ -155,21 +138,6 @@ func verifyFrameAt(segPath string, off, size int64) bool {
 		return false
 	}
 	defer f.Close()
-	hdr := make([]byte, frameHdrLen)
-	if _, err := f.ReadAt(hdr, off); err != nil {
-		return false
-	}
-	keyLen, payloadLen, sum, ok := parseFrameHeader(hdr)
-	if !ok {
-		return false
-	}
-	n := int64(keyLen) + int64(payloadLen)
-	if off+frameHdrLen+n != size {
-		return false
-	}
-	buf := make([]byte, n)
-	if _, err := f.ReadAt(buf, off+frameHdrLen); err != nil {
-		return false
-	}
-	return crc32.ChecksumIEEE(buf) == sum
+	key, payload, _, err := readFrameAt(f, off, size, nil)
+	return err == nil && off+frameHdrLen+int64(len(key)+len(payload)) == size
 }

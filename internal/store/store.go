@@ -12,6 +12,11 @@
 //	key      (the session ID, UTF-8)
 //	payload  (the engine.SessionRow, JSON)
 //
+// frame.go holds the one encoder and one decoder of each byte format —
+// this frame, the row payload, and the checksummed envelope of the
+// metadata files — and bounds every allocation by the bytes the file
+// actually has; the rest of the package never parses a header.
+//
 // Appends go to the newest segment and rotate to a fresh one past
 // Options.SegmentBytes, so a long campaign never rewrites old data and
 // a reader can back up or ship finished segments while the campaign
@@ -37,11 +42,8 @@
 package store
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -55,12 +57,9 @@ import (
 )
 
 const (
-	segMagic      = "VSTORE1\n"
-	segPrefix     = "seg-"
-	segSuffix     = ".vseg"
-	frameHdrLen   = 12
-	maxKeyLen     = 1 << 16
-	maxPayloadLen = 1 << 30
+	segMagic  = "VSTORE1\n"
+	segPrefix = "seg-"
+	segSuffix = ".vseg"
 
 	// DefaultSegmentBytes is the rotation threshold when
 	// Options.SegmentBytes is zero.
@@ -149,20 +148,6 @@ type Store struct {
 }
 
 func segName(n int) string { return fmt.Sprintf("%s%05d%s", segPrefix, n, segSuffix) }
-
-// parseFrameHeader decodes one frame header, reporting ok=false for
-// implausible lengths. Every reader of the frame format — the recovery
-// scan, point reads, and the sidecar spot-check — parses through here,
-// so a format change cannot leave them disagreeing.
-func parseFrameHeader(hdr []byte) (keyLen, payloadLen int, sum uint32, ok bool) {
-	k := binary.LittleEndian.Uint32(hdr[0:4])
-	p := binary.LittleEndian.Uint32(hdr[4:8])
-	sum = binary.LittleEndian.Uint32(hdr[8:12])
-	if k == 0 || k > maxKeyLen || p > maxPayloadLen {
-		return 0, 0, 0, false
-	}
-	return int(k), int(p), sum, true
-}
 
 // Open opens (or, unless ReadOnly, creates) a store directory,
 // recovering from a torn tail segment if a previous writer crashed.
@@ -337,52 +322,22 @@ func (s *Store) scanSegment(num int, last bool) ([]entry, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
-	size, err := f.Seek(0, io.SeekEnd)
+	fi, err := f.Stat()
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
+	size := fi.Size()
 
 	var entries []entry
-	good := int64(0)
-	torn := false
+	good, torn := int64(0), true // until the magic verifies: a header that never landed, or junk
 	magic := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(f, magic); err != nil || string(magic) != segMagic {
-		torn = true // segment created but header never landed, or junk
-	} else {
-		good = int64(len(segMagic))
-		hdr := make([]byte, frameHdrLen)
-		var buf []byte
-		for good < size {
-			if _, err := io.ReadFull(f, hdr); err != nil {
-				torn = true
-				break
-			}
-			keyLen, payloadLen, sum, ok := parseFrameHeader(hdr)
-			if !ok {
-				torn = true
-				break
-			}
-			n := keyLen + payloadLen
-			if cap(buf) < n {
-				buf = make([]byte, n)
-			}
-			buf = buf[:n]
-			if _, err := io.ReadFull(f, buf); err != nil {
-				torn = true
-				break
-			}
-			if crc32.ChecksumIEEE(buf) != sum {
-				torn = true
-				break
-			}
-			key := string(buf[:keyLen])
-			scen, idx := peekRow(buf[keyLen:])
-			entries = append(entries, entry{key: key, scenario: scen, index: idx, seg: num, off: good})
-			good += frameHdrLen + int64(n)
-		}
+	if _, err := f.ReadAt(magic, 0); err == nil && string(magic) == segMagic {
+		good, _ = walkFrames(f, int64(len(segMagic)), size, func(off int64, key, payload []byte) error {
+			scen, idx := peekRow(payload)
+			entries = append(entries, entry{key: string(key), scenario: scen, index: idx, seg: num, off: off})
+			return nil
+		})
+		torn = good < size
 	}
 	if !torn {
 		return entries, nil
@@ -416,19 +371,6 @@ func (s *Store) scanSegment(num int, last bool) ([]entry, error) {
 		}
 	}
 	return entries, nil
-}
-
-// peekRow extracts the index fields from a row payload without keeping
-// the decoded row.
-func peekRow(payload []byte) (scenario string, index int) {
-	var row struct {
-		Index    int
-		Scenario string
-	}
-	if json.Unmarshal(payload, &row) == nil {
-		return row.Scenario, row.Index
-	}
-	return "", 0
 }
 
 func (s *Store) newSegment(num int) error {
@@ -477,16 +419,11 @@ func (s *Store) Append(row engine.SessionRow) (err error) {
 	if len(row.ID) > maxKeyLen {
 		return fmt.Errorf("store: key %q exceeds %d bytes", row.ID[:32]+"…", maxKeyLen)
 	}
-	payload, err := json.Marshal(row)
+	payload, err := encodeRow(row)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	frame := make([]byte, frameHdrLen+len(row.ID)+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(row.ID)))
-	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(payload)))
-	copy(frame[frameHdrLen:], row.ID)
-	copy(frame[frameHdrLen+len(row.ID):], payload)
-	binary.LittleEndian.PutUint32(frame[8:12], crc32.ChecksumIEEE(frame[frameHdrLen:]))
+	frame := appendFrame(nil, row.ID, payload)
 
 	var t0 time.Time
 	if s.met.appendSec != nil {
@@ -842,25 +779,18 @@ func (s *Store) readRow(e entry) (engine.SessionRow, error) {
 // takes no locks (ReadAt is position-independent), so it serves both
 // the unlocked scan path and the watch refresh under mu.
 func (s *Store) readRowFrom(f *os.File, e entry) (engine.SessionRow, error) {
-	var row engine.SessionRow
 	s.met.reads.Inc()
-	hdr := make([]byte, frameHdrLen)
-	if _, err := f.ReadAt(hdr, e.off); err != nil {
-		return row, fmt.Errorf("store: %s@%d: %w", segName(e.seg), e.off, err)
+	fi, err := f.Stat()
+	if err != nil {
+		return engine.SessionRow{}, fmt.Errorf("store: %s@%d: %w", segName(e.seg), e.off, err)
 	}
-	keyLen, payloadLen, sum, ok := parseFrameHeader(hdr)
-	if !ok {
-		return row, fmt.Errorf("store: %s@%d: implausible frame header", segName(e.seg), e.off)
+	_, payload, _, err := readFrameAt(f, e.off, fi.Size(), nil)
+	if err != nil {
+		return engine.SessionRow{}, fmt.Errorf("store: %s@%d: %w", segName(e.seg), e.off, err)
 	}
-	buf := make([]byte, keyLen+payloadLen)
-	if _, err := f.ReadAt(buf, e.off+frameHdrLen); err != nil {
-		return row, fmt.Errorf("store: %s@%d: %w", segName(e.seg), e.off, err)
-	}
-	if crc32.ChecksumIEEE(buf) != sum {
-		return row, fmt.Errorf("store: %s@%d: checksum mismatch", segName(e.seg), e.off)
-	}
-	if err := json.Unmarshal(buf[keyLen:], &row); err != nil {
-		return row, fmt.Errorf("store: %s@%d: %w", segName(e.seg), e.off, err)
+	row, err := decodeRow(payload)
+	if err != nil {
+		return engine.SessionRow{}, fmt.Errorf("store: %s@%d: %w", segName(e.seg), e.off, err)
 	}
 	return row, nil
 }

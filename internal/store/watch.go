@@ -25,14 +25,11 @@ package store
 // exactly what the serving layer needs to sit next to a live campaign.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 
-	"veritas/internal/engine"
 	"veritas/internal/telemetry"
 )
 
@@ -171,42 +168,19 @@ func (s *Store) tailSegmentLocked(n int, size int64, newest bool) (added int, er
 			return 0, nil // header write in flight
 		}
 		pos = int64(len(segMagic))
-		s.watchPos[n] = pos
 	}
-	hdr := make([]byte, frameHdrLen)
-	var buf []byte
-	for pos+frameHdrLen <= size {
-		if _, err := f.ReadAt(hdr, pos); err != nil {
-			break
-		}
-		keyLen, payloadLen, sum, ok := parseFrameHeader(hdr)
-		if !ok {
-			break // torn or in-flight frame: stop here, retry next refresh
-		}
-		fn := int64(keyLen + payloadLen)
-		if pos+frameHdrLen+fn > size {
-			break // frame body still being written
-		}
-		if int64(cap(buf)) < fn {
-			buf = make([]byte, fn)
-		}
-		buf = buf[:fn]
-		if _, err := f.ReadAt(buf, pos+frameHdrLen); err != nil {
-			break
-		}
-		if crc32.ChecksumIEEE(buf) != sum {
-			break
-		}
-		e := entry{key: string(buf[:keyLen]), seg: n, off: pos}
-		e.scenario, e.index = peekRow(buf[keyLen:])
-		if err := s.ingestWatchEntryFromPayload(e, buf[keyLen:]); err != nil {
-			return added, err
+	// A torn or in-flight frame is where the walk stops; the next
+	// refresh retries from there.
+	s.watchPos[n], err = walkFrames(f, pos, size, func(off int64, key, payload []byte) error {
+		e := entry{key: string(key), seg: n, off: off}
+		e.scenario, e.index = peekRow(payload)
+		if err := s.ingestWatchEntryFromPayload(e, payload); err != nil {
+			return err
 		}
 		added++
-		pos += frameHdrLen + fn
-		s.watchPos[n] = pos
-	}
-	return added, nil
+		return nil
+	})
+	return added, err
 }
 
 // ingestWatchEntry stages one tailed entry and folds its row into the
@@ -238,8 +212,8 @@ func (s *Store) ingestWatchEntryFromPayload(e entry, payload []byte) error {
 	if s.partials == nil {
 		return nil
 	}
-	var row engine.SessionRow
-	if err := json.Unmarshal(payload, &row); err != nil {
+	row, err := decodeRow(payload)
+	if err != nil {
 		return err
 	}
 	s.partials.FoldRow(row, packSeq(s.watchEpoch, e.seg, e.off))

@@ -11,6 +11,7 @@ import (
 
 	"veritas/internal/abduction"
 	"veritas/internal/abr"
+	"veritas/internal/engine"
 	"veritas/internal/netem"
 	"veritas/internal/player"
 	"veritas/internal/tcp"
@@ -80,6 +81,10 @@ func NewBOLA() ABR { return abr.NewBOLA() }
 // NewFestive returns the FESTIVE rate-based algorithm with gradual
 // switching.
 func NewFestive() ABR { return abr.NewFestive() }
+
+// NewABR returns a fresh instance of the algorithm WithMatrix knows by
+// name; the error of an unknown name lists ABRs().
+func NewABR(name string) (ABR, error) { return engine.NewABR(name) }
 
 // NewRandomABR returns an algorithm choosing qualities uniformly at
 // random (used to build off-policy evaluation sets).
