@@ -18,14 +18,15 @@ package veritas
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
+	"veritas/internal/abduction"
 	"veritas/internal/engine"
 	"veritas/internal/mathx"
 	"veritas/internal/serve"
@@ -105,26 +106,18 @@ func NewArm(name string, w WhatIf) (FleetArm, error) {
 
 // campaignOptions is the resolved option set behind NewCampaign.
 type campaignOptions struct {
-	// Corpus shape: either the scenario mix...
-	scenarios      []string
-	sessionsPer    int
-	deployedBuffer float64
+	// The serialisable, result-shaping settings: scenario mix, deployed
+	// buffer, ABR × buffer matrix, K, seed (see spec.go)...
+	campaignSpec
+	// ...and the caller-supplied pieces no spec can carry: a deployed
+	// ABR factory, a whole corpus, explicit arms.
 	newDeployedABR func() ABR
-	// ...or a caller-supplied corpus.
-	corpus []FleetSpec
-
-	chunks int // shapes both corpus and matrix video
-
-	// Query matrix: either ABR × buffer, or explicit arms.
-	abrs    []string
-	buffers []float64
-	arms    []FleetArm
-	armsSet bool
+	corpus         []FleetSpec
+	arms           []FleetArm
+	armsSet        bool
 
 	// Execution.
 	workers    int
-	samples    int
-	seed       int64
 	shardIndex int
 	shardCount int // 0 = unsharded
 	onResult   func(FleetSessionResult)
@@ -170,34 +163,19 @@ func WithScenarios(names ...string) CampaignOption {
 		if len(names) == 0 {
 			return errors.New("veritas: WithScenarios needs at least one scenario (omit it for all)")
 		}
-		known := make(map[string]bool)
-		for _, s := range engine.Scenarios() {
-			known[s] = true
-		}
-		seen := make(map[string]bool)
-		for _, n := range names {
-			if !known[n] {
-				return fmt.Errorf("veritas: unknown scenario %q (have %v)", n, engine.Scenarios())
-			}
-			if seen[n] {
-				// Duplicates would produce sessions with colliding IDs,
-				// which a store silently collapses (last write wins).
-				return fmt.Errorf("veritas: scenario %q listed twice", n)
-			}
-			seen[n] = true
-		}
-		o.scenarios = names
+		o.Scenarios = names
 		return nil
 	}
 }
 
-// WithSessions sets the number of sessions per scenario (default 8).
+// WithSessions sets the number of sessions per scenario (default
+// engine.DefaultSessionsPer; the package doc tabulates the defaults).
 func WithSessions(perScenario int) CampaignOption {
 	return func(o *campaignOptions) error {
 		if perScenario <= 0 {
 			return fmt.Errorf("veritas: sessions per scenario %d must be positive", perScenario)
 		}
-		o.sessionsPer = perScenario
+		o.SessionsPer = perScenario
 		return nil
 	}
 }
@@ -209,13 +187,14 @@ func WithChunks(n int) CampaignOption {
 		if n < 0 {
 			return fmt.Errorf("veritas: chunks %d is negative (0 means the full clip)", n)
 		}
-		o.chunks = n
+		o.Chunks = n
 		return nil
 	}
 }
 
 // WithDeployedABR sets the deployed (Setting A) algorithm factory for
-// the synthetic corpus (default RobustMPC).
+// the synthetic corpus (default engine.DefaultABR, the paper's
+// RobustMPC).
 func WithDeployedABR(newABR func() ABR) CampaignOption {
 	return func(o *campaignOptions) error {
 		if newABR == nil {
@@ -227,13 +206,14 @@ func WithDeployedABR(newABR func() ABR) CampaignOption {
 }
 
 // WithDeployedBuffer sets the deployed (Setting A) buffer size in
-// seconds (default 5, the paper's low-latency setting).
+// seconds (default player.DefaultBufferCap, the paper's low-latency
+// setting).
 func WithDeployedBuffer(secs float64) CampaignOption {
 	return func(o *campaignOptions) error {
 		if secs <= 0 {
 			return fmt.Errorf("veritas: deployed buffer %g must be positive seconds", secs)
 		}
-		o.deployedBuffer = secs
+		o.Buffer = secs
 		return nil
 	}
 }
@@ -258,36 +238,8 @@ func WithMatrix(abrs []string, buffers []float64) CampaignOption {
 		if len(abrs) == 0 || len(buffers) == 0 {
 			return errors.New("veritas: matrix needs at least one ABR and one buffer size")
 		}
-		seenABR := make(map[string]bool)
-		for _, a := range abrs {
-			ok := false
-			for _, k := range engine.ABRs() {
-				if a == k {
-					ok = true
-				}
-			}
-			if !ok {
-				return fmt.Errorf("veritas: unknown ABR %q (have %v)", a, engine.ABRs())
-			}
-			if seenABR[a] {
-				return fmt.Errorf("veritas: ABR %q listed twice", a)
-			}
-			seenABR[a] = true
-		}
-		seenBuf := make(map[float64]bool)
-		for _, b := range buffers {
-			if b <= 0 {
-				return fmt.Errorf("veritas: matrix buffer %g must be positive seconds", b)
-			}
-			if seenBuf[b] {
-				// Duplicates collide on arm names ("bba-5s" twice) and
-				// double-count every session in the aggregates.
-				return fmt.Errorf("veritas: matrix buffer %g listed twice", b)
-			}
-			seenBuf[b] = true
-		}
-		o.abrs = abrs
-		o.buffers = buffers
+		o.ABRs = abrs
+		o.Buffers = buffers
 		return nil
 	}
 }
@@ -313,13 +265,14 @@ func WithWorkers(n int) CampaignOption {
 	}
 }
 
-// WithSamples sets the Veritas posterior sample count K (default 5).
+// WithSamples sets the Veritas posterior sample count K (default
+// abduction.DefaultSamples, the paper's).
 func WithSamples(k int) CampaignOption {
 	return func(o *campaignOptions) error {
 		if k <= 0 {
-			return fmt.Errorf("veritas: samples %d must be positive (the paper uses 5)", k)
+			return fmt.Errorf("veritas: samples %d must be positive (the paper uses %d)", k, abduction.DefaultSamples)
 		}
-		o.samples = k
+		o.Samples = k
 		return nil
 	}
 }
@@ -356,7 +309,7 @@ func WithShard(index, count int) CampaignOption {
 // the campaign derives from.
 func WithSeed(seed int64) CampaignOption {
 	return func(o *campaignOptions) error {
-		o.seed = seed
+		o.Seed = seed
 		return nil
 	}
 }
@@ -558,10 +511,16 @@ type Campaign struct {
 // NewCampaign builds a campaign from functional options and validates
 // their combination up front, before any corpus is built or worker
 // started. The zero-option campaign mirrors the engine defaults: every
-// scenario × 8 sessions, no arms, GOMAXPROCS workers, 5 posterior
-// samples, no persistence.
+// scenario × engine.DefaultSessionsPer sessions, no arms, GOMAXPROCS
+// workers, abduction.DefaultSamples posterior samples, no persistence.
 func NewCampaign(opts ...CampaignOption) (*Campaign, error) {
-	var o campaignOptions
+	return newCampaign(campaignOptions{}, opts...)
+}
+
+// newCampaign applies opts on top of o — a dispatch worker starts from
+// the spec its lease carried, NewCampaign from nothing — and validates
+// the result once.
+func newCampaign(o campaignOptions, opts ...CampaignOption) (*Campaign, error) {
 	for _, opt := range opts {
 		if opt == nil {
 			return nil, errors.New("veritas: nil CampaignOption")
@@ -569,6 +528,15 @@ func NewCampaign(opts ...CampaignOption) (*Campaign, error) {
 		if err := opt(&o); err != nil {
 			return nil, err
 		}
+	}
+	// Corpus, arms and fingerprint materialize lazily, so the campaign
+	// must own its slices: a caller reusing what it passed to an option
+	// would otherwise run, and fingerprint, a different campaign.
+	o.campaignSpec = o.campaignSpec.clone()
+	o.corpus = slices.Clone(o.corpus)
+	o.arms = slices.Clone(o.arms)
+	if err := o.campaignSpec.validate(); err != nil {
+		return nil, err
 	}
 	if o.resume && o.storeDir == "" {
 		return nil, errors.New("veritas: WithResume needs WithStore: there is nowhere to resume from")
@@ -582,11 +550,10 @@ func NewCampaign(opts ...CampaignOption) (*Campaign, error) {
 	if o.watchInterval > 0 && !o.watch {
 		return nil, errors.New("veritas: WithWatchInterval needs WithWatch")
 	}
-	if o.armsSet && len(o.abrs) > 0 {
+	if o.armsSet && len(o.ABRs) > 0 {
 		return nil, errors.New("veritas: WithArms and WithMatrix are mutually exclusive")
 	}
-	if o.corpus != nil &&
-		(o.scenarios != nil || o.sessionsPer != 0 || o.deployedBuffer != 0 || o.newDeployedABR != nil) {
+	if o.corpus != nil && (o.shapesCorpus() || o.newDeployedABR != nil) {
 		return nil, errors.New("veritas: WithCorpus replaces the scenario mix; drop WithScenarios/WithSessions/WithDeployedABR/WithDeployedBuffer")
 	}
 	if o.noTracing && o.traceKeep > 0 {
@@ -652,28 +619,16 @@ func (c *Campaign) WriteTrace(w io.Writer) error {
 	return tracing.WriteChrome(w, c.Trace())
 }
 
-// corpusConfig maps the scenario-mix options onto the engine's corpus
-// builder.
-func (c *Campaign) corpusConfig() engine.CorpusConfig {
-	return engine.CorpusConfig{
-		Scenarios:   c.opt.scenarios,
-		SessionsPer: c.opt.sessionsPer,
-		NumChunks:   c.opt.chunks,
-		BufferCap:   c.opt.deployedBuffer,
-		NewABR:      c.opt.newDeployedABR,
-		Seed:        c.opt.seed,
-	}
-}
-
 // materialize builds (and caches) the corpus and arm matrix.
 func (c *Campaign) materialize() ([]FleetSpec, []FleetArm, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	ccfg := c.opt.corpusConfig(c.opt.newDeployedABR)
 	if c.corpus == nil {
 		if c.opt.corpus != nil {
 			c.corpus = c.opt.corpus
 		} else {
-			corpus, err := engine.BuildCorpus(c.corpusConfig())
+			corpus, err := engine.BuildCorpus(ccfg)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -684,8 +639,8 @@ func (c *Campaign) materialize() ([]FleetSpec, []FleetArm, error) {
 		switch {
 		case c.opt.armsSet:
 			c.arms = c.opt.arms
-		case len(c.opt.abrs) > 0:
-			arms, err := engine.BuildMatrix(c.corpusConfig(), c.opt.abrs, c.opt.buffers)
+		case len(c.opt.ABRs) > 0:
+			arms, err := engine.BuildMatrix(ccfg, c.opt.ABRs, c.opt.Buffers)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -709,100 +664,22 @@ func (c *Campaign) Arms() ([]FleetArm, error) {
 	return arms, err
 }
 
-// campaignFingerprint is the JSON shape of the store's campaign.json:
-// every option that shapes results. The field set (and the indented
-// encoding) is kept bit-compatible with the fingerprint cmd/fleet wrote
-// before the Campaign API existed, so pre-existing stores resume under
-// the new binary.
-type campaignFingerprint struct {
-	Scenarios   []string
-	SessionsPer int
-	Chunks      int
-	Samples     int
-	Seed        int64
-	Buffer      float64
-	ABRs        []string
-	Buffers     []float64
+// callerSupplied reports whether a Go value no spec can carry — a
+// corpus, explicit arms, a deployed-ABR factory — shapes the campaign's
+// results. Such a campaign cannot be fingerprinted or sent to another
+// process: the options cannot prove two runs equal.
+func (o *campaignOptions) callerSupplied() bool {
+	return o.corpus != nil || o.armsSet || o.newDeployedABR != nil
 }
 
-// fingerprints returns the acceptable campaign.json forms, most
-// canonical first, or nil when the corpus, arms or deployed ABR are
-// caller-supplied — a Go function cannot be serialized, so the options
-// then cannot prove two runs equal and store coherence is the caller's
-// to manage.
-//
-// Sharding (WithShard) is deliberately absent from the fingerprint:
-// it partitions which sessions a process executes, never what any
-// session computes, so every shard of a campaign — and the folded
-// whole — carries the same campaign.json. The shard assignment itself
-// lives in shard.json (see checkShardMeta).
-//
-// The first form is written into fresh stores and is byte-compatible
-// with what pre-Campaign binaries wrote: the scenario list exactly as
-// given, null when defaulted. Because an explicit list naming every
-// scenario in default order computes the identical campaign, that case
-// yields a second acceptable form with the list flipped to null (and
-// vice versa), so stores written either way resume under either
-// spelling.
+// fingerprints returns the acceptable campaign.json forms (see
+// campaignSpec.fingerprints), or nil for a caller-supplied campaign,
+// whose store coherence is the caller's to manage.
 func (c *Campaign) fingerprints() [][]byte {
-	if c.opt.corpus != nil || c.opt.armsSet || c.opt.newDeployedABR != nil {
+	if c.opt.callerSupplied() {
 		return nil
 	}
-	fp := campaignFingerprint{
-		Scenarios:   c.opt.scenarios,
-		SessionsPer: c.opt.sessionsPer,
-		Chunks:      c.opt.chunks,
-		Samples:     c.opt.samples,
-		Seed:        c.opt.seed,
-		Buffer:      c.opt.deployedBuffer,
-		ABRs:        c.opt.abrs,
-		Buffers:     c.opt.buffers,
-	}
-	// Normalize to effective defaults so an explicit WithSessions(8)
-	// and the default fingerprint identically — they compute the same
-	// campaign.
-	if fp.SessionsPer == 0 {
-		fp.SessionsPer = 8
-	}
-	if fp.Samples == 0 {
-		fp.Samples = 5
-	}
-	if fp.Buffer == 0 {
-		fp.Buffer = 5
-	}
-	marshal := func(fp campaignFingerprint) []byte {
-		b, err := json.MarshalIndent(fp, "", "  ")
-		if err != nil {
-			return nil
-		}
-		return b
-	}
-	out := [][]byte{marshal(fp)}
-	switch {
-	case fp.Scenarios == nil:
-		fp.Scenarios = engine.Scenarios()
-		out = append(out, marshal(fp))
-	case scenariosAreDefault(fp.Scenarios):
-		fp.Scenarios = nil
-		out = append(out, marshal(fp))
-	}
-	return out
-}
-
-// scenariosAreDefault reports whether names spells out the default
-// scenario mix in default order — the only explicit list equivalent to
-// omitting WithScenarios (order shapes corpus indices, hence seeds).
-func scenariosAreDefault(names []string) bool {
-	all := engine.Scenarios()
-	if len(names) != len(all) {
-		return false
-	}
-	for i, s := range all {
-		if names[i] != s {
-			return false
-		}
-	}
-	return true
+	return c.opt.campaignSpec.fingerprints()
 }
 
 // Store opens (or returns the already-open) campaign store. Campaigns
@@ -904,8 +781,8 @@ func (c *Campaign) checkShardMeta(st *store.Store) error {
 func (c *Campaign) engineConfig() engine.Config {
 	return engine.Config{
 		Workers:    c.opt.workers,
-		Samples:    c.opt.samples,
-		Seed:       c.opt.seed,
+		Samples:    c.opt.Samples,
+		Seed:       c.opt.Seed,
 		ShardIndex: c.opt.shardIndex,
 		ShardCount: c.opt.shardCount,
 		OnResult:   c.opt.onResult,

@@ -805,3 +805,72 @@ func TestCampaignRejectsDuplicateSessionIDs(t *testing.T) {
 		c.Close()
 	}
 }
+
+// TestCampaignOptionsCopyTheirArguments: corpus, arms and fingerprint
+// materialize lazily, so a campaign that kept the caller's slices would
+// run — and fingerprint — whatever the caller wrote into them after
+// NewCampaign returned.
+func TestCampaignOptionsCopyTheirArguments(t *testing.T) {
+	scenarios := []string{"lte", "wifi"}
+	abrs := []string{"bba"}
+	buffers := []float64{5}
+	dir := t.TempDir()
+	c, err := veritas.NewCampaign(
+		veritas.WithScenarios(scenarios...),
+		veritas.WithMatrix(abrs, buffers),
+		veritas.WithSessions(1),
+		veritas.WithChunks(10),
+		veritas.WithStore(dir),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	scenarios[0], abrs[0], buffers[0] = "fcc", "mpc", 30
+
+	corpus, err := c.Corpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if corpus[0].Scenario != "lte" {
+		t.Errorf("corpus starts with scenario %q: the campaign ran the caller's later edit", corpus[0].Scenario)
+	}
+	arms, err := c.Arms()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if arms[0].Name != "bba-5s" {
+		t.Errorf("first arm is %q, want bba-5s", arms[0].Name)
+	}
+	if _, err := c.Store(); err != nil {
+		t.Fatal(err)
+	}
+	fp, err := os.ReadFile(filepath.Join(dir, "campaign.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, edited := range []string{`"fcc"`, `"mpc"`, "30"} {
+		if strings.Contains(string(fp), edited) {
+			t.Errorf("campaign.json records the caller's later edit %s:\n%s", edited, fp)
+		}
+	}
+
+	// The caller-supplied corpus and arms are copied the same way.
+	arm, err := veritas.NewArm("bba", veritas.WhatIf{NewABR: veritas.NewBBA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []veritas.FleetSpec{{ID: "mine", Trace: veritas.ConstantTrace(5)}}
+	given := []veritas.FleetArm{arm}
+	c2, err := veritas.NewCampaign(veritas.WithCorpus(specs...), veritas.WithArms(given...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs[0].ID, given[0].Name = "edited", "edited"
+	if corpus, _ := c2.Corpus(); corpus[0].ID != "mine" {
+		t.Errorf("WithCorpus kept the caller's slice: session ID %q", corpus[0].ID)
+	}
+	if arms, _ := c2.Arms(); arms[0].Name != "bba" {
+		t.Errorf("WithArms kept the caller's slice: arm %q", arms[0].Name)
+	}
+}

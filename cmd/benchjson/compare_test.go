@@ -19,20 +19,8 @@ func TestCompareWithinTolerancePasses(t *testing.T) {
 		Benchmark{Package: "veritas", Name: "BenchmarkFleet", NsPerOp: 1150, AllocsPerOp: 11},
 		Benchmark{Package: "veritas", Name: "BenchmarkStore", NsPerOp: 400},
 	)
-	if regs := compareSummaries(old, cur, 0.20, 0.0); len(regs) != 0 {
+	if regs := compareSummaries(old, cur, 0.0); len(regs) != 0 {
 		t.Fatalf("expected clean comparison, got %v", regs)
-	}
-}
-
-func TestCompareNsRegressionFails(t *testing.T) {
-	old := sum(Benchmark{Name: "BenchmarkFleet", NsPerOp: 1000})
-	cur := sum(Benchmark{Name: "BenchmarkFleet", NsPerOp: 1201})
-	regs := compareSummaries(old, cur, 0.20, 0.0)
-	if len(regs) != 1 || regs[0].Metric != "ns/op" {
-		t.Fatalf("expected one ns/op regression, got %v", regs)
-	}
-	if regs[0].Limit != 1200 {
-		t.Errorf("limit = %v, want 1200", regs[0].Limit)
 	}
 }
 
@@ -40,13 +28,13 @@ func TestCompareAllocGrace(t *testing.T) {
 	// 0 -> 1 alloc is inside the +1 absolute grace.
 	old := sum(Benchmark{Name: "BenchmarkTiny", NsPerOp: 10, AllocsPerOp: 0})
 	cur := sum(Benchmark{Name: "BenchmarkTiny", NsPerOp: 10, AllocsPerOp: 1})
-	if regs := compareSummaries(old, cur, 0.20, 0.0); len(regs) != 0 {
+	if regs := compareSummaries(old, cur, 0.0); len(regs) != 0 {
 		t.Fatalf("+1 alloc on a zero baseline should pass, got %v", regs)
 	}
 	// 10 -> 12 with zero fractional tolerance exceeds the limit of 11.
 	old = sum(Benchmark{Name: "BenchmarkBig", NsPerOp: 10, AllocsPerOp: 10})
 	cur = sum(Benchmark{Name: "BenchmarkBig", NsPerOp: 10, AllocsPerOp: 12})
-	regs := compareSummaries(old, cur, 0.20, 0.0)
+	regs := compareSummaries(old, cur, 0.0)
 	if len(regs) != 1 || regs[0].Metric != "allocs/op" {
 		t.Fatalf("expected one allocs/op regression, got %v", regs)
 	}
@@ -58,7 +46,7 @@ func TestCompareMissingBenchmarkFails(t *testing.T) {
 		Benchmark{Package: "veritas", Name: "BenchmarkGone", NsPerOp: 1000},
 	)
 	cur := sum(Benchmark{Package: "veritas", Name: "BenchmarkFleet", NsPerOp: 1000})
-	regs := compareSummaries(old, cur, 0.20, 0.0)
+	regs := compareSummaries(old, cur, 0.0)
 	if len(regs) != 1 || regs[0].Metric != "missing" || regs[0].Benchmark != "veritas.BenchmarkGone" {
 		t.Fatalf("expected one missing-benchmark failure, got %v", regs)
 	}
@@ -70,7 +58,7 @@ func TestCompareNewBenchmarkIgnored(t *testing.T) {
 		Benchmark{Name: "BenchmarkFleet", NsPerOp: 1000},
 		Benchmark{Name: "BenchmarkBrandNew", NsPerOp: 1e9, AllocsPerOp: 1e6},
 	)
-	if regs := compareSummaries(old, cur, 0.20, 0.0); len(regs) != 0 {
+	if regs := compareSummaries(old, cur, 0.0); len(regs) != 0 {
 		t.Fatalf("new benchmarks have no baseline and must pass, got %v", regs)
 	}
 }
@@ -78,18 +66,25 @@ func TestCompareNewBenchmarkIgnored(t *testing.T) {
 func TestCompareDeterministicOrder(t *testing.T) {
 	old := sum(
 		Benchmark{Name: "BenchmarkB", NsPerOp: 100, AllocsPerOp: 10},
-		Benchmark{Name: "BenchmarkA", NsPerOp: 100},
+		Benchmark{Name: "BenchmarkGone", NsPerOp: 100},
+		Benchmark{Name: "BenchmarkA", NsPerOp: 100, AllocsPerOp: 10},
 	)
 	cur := sum(
 		Benchmark{Name: "BenchmarkB", NsPerOp: 1000, AllocsPerOp: 100},
-		Benchmark{Name: "BenchmarkA", NsPerOp: 1000},
+		Benchmark{Name: "BenchmarkA", NsPerOp: 1000, AllocsPerOp: 100},
 	)
-	regs := compareSummaries(old, cur, 0.20, 0.0)
+	regs := compareSummaries(old, cur, 0.0)
 	if len(regs) != 3 {
 		t.Fatalf("expected 3 regressions, got %v", regs)
 	}
-	if regs[0].Benchmark != "BenchmarkA" || regs[1].Metric != "allocs/op" || regs[2].Metric != "ns/op" {
-		t.Errorf("regressions not sorted by benchmark then metric: %v", regs)
+	if regs[0].Benchmark != "BenchmarkA" || regs[1].Benchmark != "BenchmarkB" || regs[2].Metric != "missing" {
+		t.Errorf("regressions not sorted by benchmark: %v", regs)
+	}
+	// A tenfold ns/op blowup is reported in the table, never gated.
+	for _, r := range regs {
+		if r.Metric == "ns/op" {
+			t.Errorf("ns/op gated: %v", r)
+		}
 	}
 }
 
@@ -99,10 +94,10 @@ func TestDeltaTablePrintsEveryBenchmark(t *testing.T) {
 		Benchmark{Package: "veritas", Name: "BenchmarkGone", NsPerOp: 50, AllocsPerOp: 5},
 	)
 	cur := sum(
-		Benchmark{Package: "veritas", Name: "BenchmarkFleet", NsPerOp: 1500, AllocsPerOp: 10},
+		Benchmark{Package: "veritas", Name: "BenchmarkFleet", NsPerOp: 1500, AllocsPerOp: 15},
 		Benchmark{Package: "veritas", Name: "BenchmarkNew", NsPerOp: 20, AllocsPerOp: 2},
 	)
-	regs := compareSummaries(old, cur, 0.20, 0.0)
+	regs := compareSummaries(old, cur, 0.0)
 	var buf bytes.Buffer
 	writeDeltaTable(&buf, old, cur, regs)
 	out := buf.String()

@@ -21,7 +21,7 @@
 // it previously wrote and exits non-zero when the new run regressed
 // beyond tolerance (see compare.go):
 //
-//	benchjson -compare BENCH_5.json BENCH_6.json -tolerance 0.20
+//	benchjson -compare BENCH_5.json BENCH_6.json -alloc-tolerance 0.25
 package main
 
 import (
@@ -205,12 +205,11 @@ func parse(r io.Reader) (*Summary, error) {
 func main() {
 	out := flag.String("out", "", "write the summary here (default stdout)")
 	compare := flag.String("compare", "", "baseline summary JSON; gate the new summary (positional arg) against it")
-	tol := flag.Float64("tolerance", 0.20, "ns/op regression tolerance as a fraction of baseline (0.20 = +20%)")
 	allocTol := flag.Float64("alloc-tolerance", 0.0, "allocs/op regression tolerance as a fraction of baseline (+1 alloc absolute grace)")
 	flag.Parse()
 	args := flag.Args()
 	// flag stops at the first positional, so the documented shape
-	// `-compare old.json new.json -tolerance 0.20` leaves trailing flags
+	// `-compare old.json new.json -alloc-tolerance 0.25` leaves trailing flags
 	// in Args; re-parse everything after the one expected positional.
 	if len(args) > 1 {
 		rest := args[1:]
@@ -220,9 +219,9 @@ func main() {
 
 	if *compare != "" {
 		if len(args) != 1 {
-			fatal(fmt.Errorf("usage: benchjson -compare OLD.json NEW.json [-tolerance F] [-alloc-tolerance F]"))
+			fatal(fmt.Errorf("usage: benchjson -compare OLD.json NEW.json [-alloc-tolerance F]"))
 		}
-		runCompare(*compare, args[0], *tol, *allocTol)
+		runCompare(*compare, args[0], *allocTol)
 		return
 	}
 	if len(args) != 0 {

@@ -24,7 +24,7 @@ func main() {
 	var (
 		tracePath = flag.String("trace", "", "bandwidth trace file (required)")
 		abrName   = flag.String("abr", "mpc", "ABR algorithm: mpc, bba, bola, festive, random, fixed:<q>")
-		buffer    = flag.Float64("buffer", 5, "player buffer capacity (seconds)")
+		buffer    = flag.Float64("buffer", player.DefaultBufferCap, "player buffer capacity (seconds)")
 		chunks    = flag.Int("chunks", 0, "limit session length in chunks (0 = full video)")
 		ladder    = flag.String("ladder", "default", "quality ladder: default or higher")
 		seed      = flag.Int64("seed", 1, "seed for video synthesis and network jitter")

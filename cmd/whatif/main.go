@@ -29,10 +29,10 @@ func main() {
 	var (
 		logPath   = flag.String("log", "", "session log JSON (required)")
 		abrName   = flag.String("abr", "mpc", "Setting B ABR: mpc, bba, bola, festive")
-		buffer    = flag.Float64("buffer", 5, "Setting B buffer capacity (seconds)")
+		buffer    = flag.Float64("buffer", player.DefaultBufferCap, "Setting B buffer capacity (seconds)")
 		ladder    = flag.String("ladder", "default", "Setting B ladder: default or higher")
 		truthPath = flag.String("truth", "", "optional true GTBW trace for an oracle row")
-		k         = flag.Int("k", 5, "number of posterior samples")
+		k         = flag.Int("k", abduction.DefaultSamples, "number of posterior samples")
 		seed      = flag.Int64("seed", 1, "sampling seed")
 	)
 	flag.Parse()

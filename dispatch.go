@@ -145,66 +145,33 @@ func WithDispatchEvents(fn func(DispatchEvent)) CampaignOption {
 }
 
 // workerSpec is the wire format Dispatch hands a worker process via
-// the environment: every result-shaping campaign option (zero values
-// mean the campaign defaults, so the worker's fingerprint matches the
-// parent's), the shard assignment, and the shard store directory.
+// the environment (and ServeFleet hands an agent in a lease): the
+// campaign's result-shaping spec, flat — zero values mean the campaign
+// defaults, so the worker's fingerprint matches the parent's — plus the
+// per-process execution settings, the shard assignment and the shard
+// store directory.
 type workerSpec struct {
-	Scenarios []string  `json:"scenarios,omitempty"`
-	Sessions  int       `json:"sessions,omitempty"`
-	Chunks    int       `json:"chunks,omitempty"`
-	Samples   int       `json:"samples,omitempty"`
-	Seed      int64     `json:"seed,omitempty"`
-	Buffer    float64   `json:"buffer,omitempty"`
-	ABRs      []string  `json:"abrs,omitempty"`
-	Buffers   []float64 `json:"buffers,omitempty"`
-	Workers   int       `json:"workers,omitempty"`
-	NoTelem   bool      `json:"notelemetry,omitempty"`
-	NoTrace   bool      `json:"notracing,omitempty"`
-	Shard     int       `json:"shard"`
-	Of        int       `json:"of"`
-	Store     string    `json:"store"`
+	campaignSpec
+	Workers int    `json:"workers,omitempty"`
+	NoTelem bool   `json:"notelemetry,omitempty"`
+	NoTrace bool   `json:"notracing,omitempty"`
+	Shard   int    `json:"shard"`
+	Of      int    `json:"of"`
+	Store   string `json:"store"`
 }
 
-// options maps the spec back onto campaign options. Only non-zero
-// fields become options, so a defaulted parent campaign and its
-// workers compute identical fingerprints.
-func (s workerSpec) options() []CampaignOption {
-	opts := []CampaignOption{
-		WithStore(s.Store),
-		WithResume(),
-		WithShard(s.Shard, s.Of),
+// command builds the worker process for shard of of: binary, re-exec'd
+// with env plus the spec — assignment and store filled in — under
+// dispatchWorkerEnv, which is what makes its DispatchWorkerMain run.
+func (s workerSpec) command(binary string, env []string, shard, of int, store string) (*exec.Cmd, error) {
+	s.Shard, s.Of, s.Store = shard, of, store
+	b, err := json.Marshal(s)
+	if err != nil {
+		return nil, err
 	}
-	if len(s.Scenarios) > 0 {
-		opts = append(opts, WithScenarios(s.Scenarios...))
-	}
-	if s.Sessions > 0 {
-		opts = append(opts, WithSessions(s.Sessions))
-	}
-	if s.Chunks > 0 {
-		opts = append(opts, WithChunks(s.Chunks))
-	}
-	if s.Samples > 0 {
-		opts = append(opts, WithSamples(s.Samples))
-	}
-	if s.Seed != 0 {
-		opts = append(opts, WithSeed(s.Seed))
-	}
-	if s.Buffer > 0 {
-		opts = append(opts, WithDeployedBuffer(s.Buffer))
-	}
-	if len(s.ABRs) > 0 {
-		opts = append(opts, WithMatrix(s.ABRs, s.Buffers))
-	}
-	if s.Workers > 0 {
-		opts = append(opts, WithWorkers(s.Workers))
-	}
-	if s.NoTelem {
-		opts = append(opts, WithoutTelemetry())
-	}
-	if s.NoTrace {
-		opts = append(opts, WithoutTracing())
-	}
-	return opts
+	cmd := exec.Command(binary)
+	cmd.Env = append(env, dispatchWorkerEnv+"="+string(b))
+	return cmd, nil
 }
 
 // Dispatch executes the campaign as n supervised local worker
@@ -289,15 +256,7 @@ func (c *Campaign) Dispatch(ctx context.Context, n int) (*DispatchResult, error)
 			}
 		},
 		Command: func(w dispatch.Worker) (*exec.Cmd, error) {
-			spec := spec // per-worker copy
-			spec.Shard, spec.Of, spec.Store = w.Shard, w.Shards, w.StoreDir
-			b, err := json.Marshal(spec)
-			if err != nil {
-				return nil, err
-			}
-			cmd := exec.Command(binary)
-			cmd.Env = append(os.Environ(), dispatchWorkerEnv+"="+string(b))
-			return cmd, nil
+			return spec.command(binary, os.Environ(), w.Shard, w.Shards, w.StoreDir)
 		},
 	}
 	if o.dispatchStatus != "" {
@@ -343,7 +302,7 @@ func (c *Campaign) dispatchPreflight(method, owner string) (storeDir, shardDir s
 		err = errors.New("veritas: campaign store is read-only (drop WithReadOnlyStore to dispatch)")
 	case o.shardCount > 0:
 		err = fmt.Errorf("veritas: WithShard and %s are mutually exclusive: %s owns the shard partition", method, owner)
-	case o.corpus != nil || o.armsSet || o.newDeployedABR != nil:
+	case o.callerSupplied():
 		err = fmt.Errorf("veritas: %s cannot serialize WithCorpus/WithArms/WithDeployedABR across processes; run those campaigns in-process or shard them by hand", method)
 	case len(o.sinks) > 0 || o.onResult != nil || o.onProgress != nil:
 		err = errors.New("veritas: WithSink/WithProgress/WithProgressCounts do not cross the worker process boundary; use WithDispatchEvents")
@@ -359,17 +318,10 @@ func (c *Campaign) dispatchPreflight(method, owner string) (storeDir, shardDir s
 		shardDir = storeDir + ".shards"
 	}
 	return storeDir, shardDir, workerSpec{
-		Scenarios: o.scenarios,
-		Sessions:  o.sessionsPer,
-		Chunks:    o.chunks,
-		Samples:   o.samples,
-		Seed:      o.seed,
-		Buffer:    o.deployedBuffer,
-		ABRs:      o.abrs,
-		Buffers:   o.buffers,
-		Workers:   o.workers,
-		NoTelem:   o.noTelemetry,
-		NoTrace:   o.noTracing,
+		campaignSpec: o.campaignSpec,
+		Workers:      o.workers,
+		NoTelem:      o.noTelemetry,
+		NoTrace:      o.noTracing,
 	}, nil
 }
 
@@ -431,8 +383,15 @@ func dispatchWorker(raw string, stdout, stderr *os.File) int {
 		enc.Encode(dispatch.Message{Type: "progress", Shard: spec.Shard, Done: base + done, Total: base + total})
 	}
 
-	opts := append(spec.options(), WithProgressCounts(progress))
-	c, err := NewCampaign(opts...)
+	// The campaign starts from the decoded spec itself, validated by
+	// the same code as a caller's options; the store and the shard
+	// assignment go through their options for the checks those make.
+	c, err := newCampaign(campaignOptions{
+		campaignSpec: spec.campaignSpec,
+		workers:      spec.Workers,
+		noTelemetry:  spec.NoTelem,
+		noTracing:    spec.NoTrace,
+	}, WithStore(spec.Store), WithResume(), WithShard(spec.Shard, spec.Of), WithProgressCounts(progress))
 	if err != nil {
 		return fail(err)
 	}

@@ -23,7 +23,7 @@
 //     evaluates against.
 //   - NewCampaign batches all of the above over a corpus of sessions:
 //     one options-built Campaign spans the concurrent fleet engine
-//     (internal/engine: sharded workers, shared transition powers, and
+//     (internal/engine: a worker pool, shared transition powers, and
 //     one reducer — per-session partial aggregates, FleetResult.Partials
 //     — whose reports are identical for every worker count) and the
 //     persistent corpus store (internal/store, which folds the same
@@ -68,4 +68,27 @@
 //	rep, _ := c.Report()
 //
 // All randomness is seeded and every run is reproducible.
+//
+// # Defaults
+//
+// A campaign answers one fixed causal question: the deployed Setting A,
+// the corpus drawn under it, the what-if matrix and K. Each default is
+// one constant in the lowest package that applies it; options, flags,
+// fingerprints (campaign.json) and the engine all read that constant,
+// and a test keeps this table equal to them.
+//
+//	setting                 constant                   value
+//	sessions per scenario   engine.DefaultSessionsPer  8
+//	posterior samples K     abduction.DefaultSamples   5
+//	deployed buffer (s)     player.DefaultBufferCap    5
+//	deployed ABR            engine.DefaultABR          RobustMPC
+//	scenarios               engine.Scenarios           all of them
+//	chunks per session      (none: 0 is a setting)     the full clip
+//	what-if matrix          (none)                     no arms
+//
+// The eight result-shaping settings themselves — scenarios, sessions,
+// chunks, samples, seed, deployed buffer, matrix ABRs and buffers — are
+// declared once (campaignSpec, in spec.go), which also owns their
+// validation and the two byte formats that carry them: campaign.json in
+// a store and the worker/lease spec between processes.
 package veritas

@@ -36,6 +36,7 @@ import (
 	"os"
 	"os/exec"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -229,10 +230,6 @@ type FleetAgentConfig struct {
 	// Reusing it across runs lets a re-leased shard resume from
 	// whatever this agent already computed. Required.
 	Dir string
-	// Binary is the worker binary to re-exec per leased shard; it must
-	// call DispatchWorkerMain at the top of main. Empty means the
-	// current executable.
-	Binary string
 	// Restarts is the local crash-restart budget per lease (default
 	// 2); when exhausted the lease is released back to the dispatcher.
 	Restarts int
@@ -256,13 +253,11 @@ type FleetAgentConfig struct {
 // the dispatcher stopped answering — for an agent outliving a
 // completed campaign that is a normal way to exit.
 func RunFleetAgent(ctx context.Context, cfg FleetAgentConfig) (*FleetAgentResult, error) {
-	binary := cfg.Binary
-	if binary == "" {
-		exe, err := os.Executable()
-		if err != nil {
-			return nil, fmt.Errorf("veritas: resolving the worker binary: %w", err)
-		}
-		binary = exe
+	// Workers are re-execs of this binary, which therefore must call
+	// DispatchWorkerMain at the top of main.
+	binary, err := os.Executable()
+	if err != nil {
+		return nil, fmt.Errorf("veritas: resolving the worker binary: %w", err)
 	}
 	restarts := cfg.Restarts
 	if restarts == 0 {
@@ -289,27 +284,14 @@ func RunFleetAgent(ctx context.Context, cfg FleetAgentConfig) (*FleetAgentResult
 					return nil, fmt.Errorf("veritas: decoding lease spec: %w", err)
 				}
 			}
-			spec.Shard = shard
-			spec.Of = of
-			spec.Store = storeDir
-			b, err := json.Marshal(spec)
-			if err != nil {
-				return nil, err
-			}
-			cmd := exec.Command(binary)
 			// Strip this agent's own trigger from the child env: the
 			// worker must run DispatchWorkerMain, and must not become
 			// another agent under a main that orders the entrypoints
 			// differently.
-			env := os.Environ()
-			kept := env[:0]
-			for _, kv := range env {
-				if !strings.HasPrefix(kv, fleetAgentEnv+"=") {
-					kept = append(kept, kv)
-				}
-			}
-			cmd.Env = append(kept, dispatchWorkerEnv+"="+string(b))
-			return cmd, nil
+			env := slices.DeleteFunc(os.Environ(), func(kv string) bool {
+				return strings.HasPrefix(kv, fleetAgentEnv+"=")
+			})
+			return spec.command(binary, env, shard, of, storeDir)
 		},
 	})
 }

@@ -20,13 +20,18 @@ import (
 	"veritas/internal/trace"
 )
 
+// DefaultSamples is K, the number of posterior traces the paper draws
+// per session; every layer's zero sample count means this.
+const DefaultSamples = 5
+
 // Config parameterizes abduction. Zero values take the paper's defaults.
 type Config struct {
 	// HMM configures the EHMM; if HMM.MaxMbps is zero the grid is sized
 	// from the largest observed throughput (with headroom, since GTBW
 	// is at least the observed throughput).
 	HMM hmm.Config
-	// NumSamples is K, the number of posterior traces (paper: 5).
+	// NumSamples is K, the number of posterior traces (default
+	// DefaultSamples).
 	NumSamples int
 	// Seed makes sampling deterministic.
 	Seed int64
@@ -68,7 +73,7 @@ func (c Config) withDefaults(maxObservedMbps float64) Config {
 		c.HMM.SharePowers = share
 	}
 	if c.NumSamples == 0 {
-		c.NumSamples = 5
+		c.NumSamples = DefaultSamples
 	}
 	if c.Seed == 0 {
 		c.Seed = 1

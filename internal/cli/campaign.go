@@ -11,6 +11,9 @@ import (
 	"strings"
 
 	"veritas"
+	"veritas/internal/abduction"
+	"veritas/internal/engine"
+	"veritas/internal/player"
 )
 
 // CampaignFlags are the campaign-shaping flags cmd/fleet and
@@ -41,12 +44,12 @@ type CampaignFlags struct {
 // front ends word differently.
 func (o *CampaignFlags) Register(fs *flag.FlagSet, mode, workersHelp, storeHelp string) {
 	fs.IntVar(&o.Workers, "workers", 0, mode+workersHelp)
-	fs.IntVar(&o.Sessions, "sessions", 8, mode+"sessions per scenario")
+	fs.IntVar(&o.Sessions, "sessions", engine.DefaultSessionsPer, mode+"sessions per scenario")
 	fs.StringVar(&o.Scenarios, "scenarios", "", mode+"comma-separated scenarios (default: all of "+strings.Join(veritas.Scenarios(), ",")+")")
 	fs.IntVar(&o.Chunks, "chunks", 120, mode+"chunks per session (0 = full 10-min clip)")
-	fs.IntVar(&o.Samples, "samples", 5, mode+"Veritas posterior samples K")
+	fs.IntVar(&o.Samples, "samples", abduction.DefaultSamples, mode+"Veritas posterior samples K")
 	fs.Int64Var(&o.Seed, "seed", 1, mode+"base seed for the whole campaign")
-	fs.Float64Var(&o.Buffer, "buffer", 5, mode+"deployed (Setting A) buffer size, seconds")
+	fs.Float64Var(&o.Buffer, "buffer", player.DefaultBufferCap, mode+"deployed (Setting A) buffer size, seconds")
 	fs.StringVar(&o.ABRs, "abrs", "bba,bola", mode+"comma-separated what-if ABRs ("+strings.Join(veritas.ABRs(), ",")+")")
 	fs.StringVar(&o.Buffers, "buffers", "5,30", mode+"comma-separated what-if buffer sizes, seconds")
 	fs.StringVar(&o.StoreDir, "store", "", mode+storeHelp)

@@ -6,6 +6,7 @@ import (
 	"veritas/internal/abduction"
 	"veritas/internal/abr"
 	"veritas/internal/netem"
+	"veritas/internal/player"
 	"veritas/internal/trace"
 	"veritas/internal/video"
 )
@@ -16,19 +17,30 @@ func Scenarios() []string {
 	return append(trace.Regimes(), "square")
 }
 
+// DefaultSessionsPer is the number of sessions a synthetic corpus draws
+// per scenario when CorpusConfig.SessionsPer is left zero.
+const DefaultSessionsPer = 8
+
+// DefaultABR returns a fresh instance of the deployed (Setting A)
+// algorithm a session streams with when none is named: the paper's
+// RobustMPC.
+func DefaultABR() abr.Algorithm { return abr.NewMPC() }
+
 // CorpusConfig describes a scenario-diverse synthetic corpus: for each
 // named scenario, SessionsPer ground-truth traces with consecutive
 // seeds, all streamed by the same deployed design.
 type CorpusConfig struct {
 	// Scenarios is a subset of Scenarios(); empty means all of them.
 	Scenarios []string
-	// SessionsPer is the number of sessions per scenario (default 8).
+	// SessionsPer is the number of sessions per scenario (default
+	// DefaultSessionsPer).
 	SessionsPer int
 	// NumChunks truncates the synthetic video (0 means the full clip).
 	NumChunks int
-	// BufferCap is the deployed buffer size (default 5 s).
+	// BufferCap is the deployed buffer size in seconds (default
+	// player.DefaultBufferCap).
 	BufferCap float64
-	// NewABR is the deployed algorithm factory (default RobustMPC).
+	// NewABR is the deployed algorithm factory (default DefaultABR).
 	NewABR func() abr.Algorithm
 	// Seed derives every trace, jitter and abduction seed in the corpus.
 	Seed int64
@@ -65,15 +77,15 @@ func BuildCorpus(cfg CorpusConfig) ([]SessionSpec, error) {
 	}
 	per := cfg.SessionsPer
 	if per <= 0 {
-		per = 8
+		per = DefaultSessionsPer
 	}
 	buf := cfg.BufferCap
 	if buf == 0 {
-		buf = 5
+		buf = player.DefaultBufferCap
 	}
 	newABR := cfg.NewABR
 	if newABR == nil {
-		newABR = func() abr.Algorithm { return abr.NewMPC() }
+		newABR = DefaultABR
 	}
 	vid := cfg.video()
 

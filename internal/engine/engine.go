@@ -7,9 +7,9 @@
 //
 // Four properties the single-session path does not have:
 //
-//   - Sharding: the corpus is split into contiguous shards pulled from
-//     a shared queue, so workers stay busy even when session costs are
-//     skewed (long rebuffering sessions abduce more intervals).
+//   - A shared queue: workers pull one corpus index at a time, so they
+//     stay busy even when session costs are skewed (long rebuffering
+//     sessions abduce more intervals).
 //   - Scratch arenas: each worker owns one hmm.Scratch sized by the
 //     largest session shape it has seen and recycled across its whole
 //     corpus slice, so the per-session inference path is
@@ -51,11 +51,9 @@ import (
 type Config struct {
 	// Workers is the worker-pool size; 0 means GOMAXPROCS.
 	Workers int
-	// ShardSize is the number of consecutive sessions per work unit;
-	// 0 picks a size that gives each worker several shards.
-	ShardSize int
 	// Samples is the posterior sample count K used when a spec's
-	// abduction config leaves it zero (default 5).
+	// abduction config leaves it zero (default
+	// abduction.DefaultSamples).
 	Samples int
 	// Seed derives per-session abduction seeds for specs that leave
 	// Abduct.Seed zero, keeping fleet runs reproducible end to end.
@@ -132,7 +130,7 @@ func (c Config) samples() int {
 	if c.Samples > 0 {
 		return c.Samples
 	}
-	return 5
+	return abduction.DefaultSamples
 }
 
 // inShard reports whether corpus index i belongs to this config's
@@ -145,8 +143,7 @@ func (c Config) inShard(i int) bool {
 // to shard index of count — the session count a shard executes before
 // any resume skips. It is computed with the same predicate Run
 // partitions by, so callers reporting shard sizes can never diverge
-// from what actually executes. (Unrelated to Config.ShardSize, which
-// batches sessions into worker work units.)
+// from what actually executes.
 func ShardSessions(total, index, count int) int {
 	cfg := Config{ShardIndex: index, ShardCount: count}
 	n := 0
@@ -156,19 +153,6 @@ func ShardSessions(total, index, count int) int {
 		}
 	}
 	return n
-}
-
-func (c Config) shardSize(n, workers int) int {
-	if c.ShardSize > 0 {
-		return c.ShardSize
-	}
-	// Several shards per worker smooths skewed session costs without
-	// queue-churn on tiny corpora.
-	s := n / (workers * 4)
-	if s < 1 {
-		s = 1
-	}
-	return s
 }
 
 // SessionSpec describes one session of the corpus: either a ground-truth
@@ -338,29 +322,11 @@ func Run(ctx context.Context, cfg Config, corpus []SessionSpec, arms []Arm) (*Re
 
 	start := time.Now()
 	workers := cfg.workers()
-	shardSize := cfg.shardSize(len(corpus), workers)
 	pow0 := mathx.SharedPowersDetail()
 	em := newEngineMetrics(cfg.Telemetry)
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	type shard struct{ lo, hi int }
-	shards := make(chan shard)
-	go func() {
-		defer close(shards)
-		for lo := 0; lo < len(corpus); lo += shardSize {
-			hi := lo + shardSize
-			if hi > len(corpus) {
-				hi = len(corpus)
-			}
-			select {
-			case shards <- shard{lo, hi}:
-			case <-runCtx.Done():
-				return
-			}
-		}
-	}()
 
 	parts := NewPartials()
 	var results []SessionResult
@@ -372,6 +338,10 @@ func Run(ctx context.Context, cfg Config, corpus []SessionSpec, arms []Arm) (*Re
 		errOnce   sync.Once
 		firstErr  error
 		completed atomic.Int64
+		// next is the work queue: the corpus index the next free worker
+		// takes. One session per pull keeps workers busy however skewed
+		// session costs are.
+		next atomic.Int64
 	)
 	fail := func(err error) {
 		errOnce.Do(func() {
@@ -392,46 +362,45 @@ func Run(ctx context.Context, cfg Config, corpus []SessionSpec, arms []Arm) (*Re
 			if !cfg.KeepAbductions {
 				sc = hmm.NewScratch()
 			}
-			for sh := range shards {
-				for i := sh.lo; i < sh.hi; i++ {
-					if runCtx.Err() != nil {
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(corpus) || runCtx.Err() != nil {
+					return
+				}
+				if !cfg.inShard(i) || cfg.Skip[specID(corpus[i], i)] {
+					continue
+				}
+				tb := cfg.Tracer.Start("session", specID(corpus[i], i))
+				res, err := runOne(cfg, corpus[i], arms, i, sc, em, tb)
+				tb.Finish(err)
+				if err != nil {
+					fail(fmt.Errorf("engine: session %d (%s): %w", i, corpus[i].ID, err))
+					return
+				}
+				parts.FoldRow(res.Row(), 0)
+				if cfg.Sink != nil {
+					if err := cfg.Sink.Put(res); err != nil {
+						fail(fmt.Errorf("engine: session %d (%s): sink: %w", i, corpus[i].ID, err))
 						return
 					}
-					if !cfg.inShard(i) || cfg.Skip[specID(corpus[i], i)] {
-						continue
+				}
+				if cfg.OnResult != nil {
+					cfg.OnResult(res)
+				}
+				if cfg.OnProgress != nil {
+					cfg.OnProgress(int(completed.Add(1)), executed)
+				}
+				if cfg.Sink != nil {
+					// The sink owns the full data now; retaining
+					// every log in Result.Sessions would defeat
+					// the streaming path's bounded memory.
+					res.Log = nil
+					if !cfg.KeepAbductions {
+						res.Abd = nil
 					}
-					tb := cfg.Tracer.Start("session", specID(corpus[i], i))
-					res, err := runOne(cfg, corpus[i], arms, i, sc, em, tb)
-					tb.Finish(err)
-					if err != nil {
-						fail(fmt.Errorf("engine: session %d (%s): %w", i, corpus[i].ID, err))
-						return
-					}
-					parts.FoldRow(res.Row(), 0)
-					if cfg.Sink != nil {
-						if err := cfg.Sink.Put(res); err != nil {
-							fail(fmt.Errorf("engine: session %d (%s): sink: %w", i, corpus[i].ID, err))
-							return
-						}
-					}
-					if cfg.OnResult != nil {
-						cfg.OnResult(res)
-					}
-					if cfg.OnProgress != nil {
-						cfg.OnProgress(int(completed.Add(1)), executed)
-					}
-					if cfg.Sink != nil {
-						// The sink owns the full data now; retaining
-						// every log in Result.Sessions would defeat
-						// the streaming path's bounded memory.
-						res.Log = nil
-						if !cfg.KeepAbductions {
-							res.Abd = nil
-						}
-					}
-					if !cfg.DiscardResults {
-						results[i] = res
-					}
+				}
+				if !cfg.DiscardResults {
+					results[i] = res
 				}
 			}
 		}()
@@ -489,7 +458,7 @@ func runOne(cfg Config, spec SessionSpec, arms []Arm, idx int, sc *hmm.Scratch, 
 		}
 		newABR := spec.NewABR
 		if newABR == nil {
-			newABR = func() abr.Algorithm { return abr.NewMPC() }
+			newABR = DefaultABR
 		}
 		net := netem.DefaultConfig()
 		if spec.Net != nil {
@@ -497,7 +466,7 @@ func runOne(cfg Config, spec SessionSpec, arms []Arm, idx int, sc *hmm.Scratch, 
 		}
 		buf := spec.BufferCap
 		if buf == 0 {
-			buf = 5
+			buf = player.DefaultBufferCap
 		}
 		var m player.Metrics
 		var err error

@@ -22,7 +22,7 @@ func init() {
 
 // settingA is the deployed system of the paper's evaluation: MPC with a
 // 5 s buffer on the default ladder.
-const settingABuffer = 5.0
+const settingABuffer = player.DefaultBufferCap
 
 // cfScenario is one counterfactual query: the Setting B to replay.
 type cfScenario struct {

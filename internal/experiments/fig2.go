@@ -123,7 +123,7 @@ func fig2b(s Scale) (*Table, error) {
 	}
 	poor := poorSet[0]
 	vid := testVideo(s)
-	log, _, err := session(vid, abr.NewMPC(), poor, 5, s.Seed+9)
+	log, _, err := session(vid, abr.NewMPC(), poor, settingABuffer, s.Seed+9)
 	if err != nil {
 		return nil, err
 	}

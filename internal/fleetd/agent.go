@@ -56,9 +56,6 @@ type AgentConfig struct {
 	// OnEvent, when set, receives the agent's local worker lifecycle
 	// events (starts, progress, lines, exits, restarts), serialized.
 	OnEvent func(dispatch.Event)
-	// Client is the HTTP client (nil: a default with sane timeouts on
-	// everything except the upload, which streams).
-	Client *http.Client
 	// Logf, when set, receives one line per agent-level decision:
 	// registration, leases, steals observed, uploads, releases.
 	Logf func(format string, args ...any)
@@ -109,11 +106,9 @@ func RunAgent(ctx context.Context, cfg AgentConfig) (*AgentResult, error) {
 		base = "http://" + base
 	}
 	base = strings.TrimRight(base, "/")
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
-	}
-	a := &Agent{cfg: cfg, client: client, base: base}
+	// Every control call is bounded; only the upload, which streams an
+	// arbitrary-size store, runs without a whole-request timeout.
+	a := &Agent{cfg: cfg, client: &http.Client{Timeout: 30 * time.Second}, base: base}
 	if err := a.register(ctx); err != nil {
 		return nil, err
 	}
@@ -439,11 +434,9 @@ func (a *Agent) upload(ctx context.Context, l leaseResponse, dir string) error {
 		return err
 	}
 	hr.Header.Set("Content-Type", "application/octet-stream")
-	// Uploads stream an arbitrary-size store; the default client's
-	// whole-request timeout would sever large ones, so use a transport
-	// without one for this call.
-	client := &http.Client{Transport: a.client.Transport}
-	res, err := client.Do(hr)
+	// Uploads stream an arbitrary-size store; the control client's
+	// whole-request timeout would sever large ones.
+	res, err := http.DefaultClient.Do(hr)
 	if err != nil {
 		return err
 	}

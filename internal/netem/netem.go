@@ -105,14 +105,12 @@ func (c Config) Validate() error {
 // Conn is a persistent emulated TCP connection. It is not safe for
 // concurrent use; a video session owns exactly one.
 type Conn struct {
-	cfg       Config
-	cwnd      float64
-	ssthresh  float64
-	lastSend  float64
-	hasSent   bool
-	rng       *rand.Rand
-	rngDraws  int // jitter draws so far; lets Clone realign its stream
-	downloads int
+	cfg      Config
+	cwnd     float64
+	ssthresh float64
+	lastSend float64
+	hasSent  bool
+	rng      *rand.Rand
 }
 
 // ErrStalled is returned when a download can never finish because the
@@ -159,9 +157,6 @@ func (c *Conn) State(now float64) tcp.State {
 	}
 }
 
-// Downloads returns how many downloads completed on this connection.
-func (c *Conn) Downloads() int { return c.downloads }
-
 // Restore forces the connection's congestion state to st as of time
 // now. Experiments use this to rebuild the connection a logged chunk
 // saw, then measure hypothetical downloads from that exact state.
@@ -172,21 +167,6 @@ func (c *Conn) Restore(st tcp.State, now float64) {
 	if c.hasSent {
 		c.lastSend = now - st.LastSendGap
 	}
-}
-
-// Clone returns an independent copy of the connection, including its
-// congestion state and jitter stream. Experiments use clones to measure
-// what the same connection would have done under a different next
-// request — the forked-future measurement behind Figure 2(b).
-func (c *Conn) Clone() *Conn {
-	cp := *c
-	// math/rand has no state copy; re-derive a generator from the seed
-	// and burn the same number of draws so the streams stay aligned.
-	cp.rng = rand.New(rand.NewSource(c.cfg.Seed))
-	for i := 0; i < c.rngDraws; i++ {
-		cp.rng.NormFloat64()
-	}
-	return &cp
 }
 
 // Download transfers sizeBytes over the trace starting at start and
@@ -222,7 +202,6 @@ func (c *Conn) Download(start, sizeBytes float64, tr *trace.Trace) (end float64,
 		rate := gtbw
 		if c.cfg.JitterStd > 0 {
 			noise := 1 + c.rng.NormFloat64()*c.cfg.JitterStd
-			c.rngDraws++
 			rate = gtbw * math.Max(0.5, math.Min(1.5, noise))
 		}
 		bdp := float64(tcp.BDPSegments(rate, c.cfg.RTT))
@@ -261,7 +240,6 @@ func (c *Conn) Download(start, sizeBytes float64, tr *trace.Trace) (end float64,
 	}
 	c.lastSend = t
 	c.hasSent = true
-	c.downloads++
 	return t, nil
 }
 

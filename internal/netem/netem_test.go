@@ -173,18 +173,6 @@ func TestStateLastSendGap(t *testing.T) {
 	}
 }
 
-func TestDownloadCountIncrements(t *testing.T) {
-	c := newTestConn(t, deterministic())
-	for i := 0; i < 3; i++ {
-		if _, err := c.Download(float64(i*10), 1e4, trace.Constant(5)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c.Downloads() != 3 {
-		t.Errorf("Downloads = %d, want 3", c.Downloads())
-	}
-}
-
 func TestThroughputTracksTimeVaryingTrace(t *testing.T) {
 	// First 100 s at 2 Mbps, then 8 Mbps: a long download spanning the
 	// boundary must observe an intermediate average rate.
@@ -228,36 +216,5 @@ func TestJitterIsSeededAndBounded(t *testing.T) {
 	endC, _ := c.Download(0, 5e6, tr)
 	if endC == endA {
 		t.Log("note: different jitter seed produced identical download (possible but unlikely)")
-	}
-}
-
-func TestCloneIsIndependent(t *testing.T) {
-	cfg := DefaultConfig()
-	c := newTestConn(t, cfg)
-	tr := trace.Constant(8)
-	if _, err := c.Download(0, 2e6, tr); err != nil {
-		t.Fatal(err)
-	}
-	cp := c.Clone()
-	// Same next download on both: identical results (aligned jitter).
-	e1, err := c.Download(100, 3e6, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := cp.Download(100, 3e6, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e1 != e2 {
-		t.Errorf("clone diverged on identical download: %v vs %v", e1, e2)
-	}
-	// Downloading on the clone must not disturb the original.
-	before := c.State(200)
-	if _, err := cp.Download(200, 5e6, tr); err != nil {
-		t.Fatal(err)
-	}
-	after := c.State(200)
-	if before != after {
-		t.Error("clone download mutated the original connection")
 	}
 }

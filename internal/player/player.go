@@ -22,13 +22,18 @@ import (
 	"veritas/internal/video"
 )
 
+// DefaultBufferCap is the deployed (Setting A) playback buffer of the
+// paper's evaluation, in seconds: the low-latency setting every layer
+// falls back to when a buffer size is left zero.
+const DefaultBufferCap = 5.0
+
 // Config describes one session.
 type Config struct {
 	Video     *video.Video
 	ABR       abr.Algorithm
 	Trace     *trace.Trace // ground-truth bandwidth driving the emulator
 	Net       netem.Config
-	BufferCap float64 // seconds of video the player may buffer (paper default: 5 s)
+	BufferCap float64 // seconds of video the player may buffer (callers default it to DefaultBufferCap)
 	// MaxChunks limits the session length (0 = whole video). Used by
 	// interventional experiments that need session prefixes.
 	MaxChunks int

@@ -4,7 +4,8 @@ package veritas_test
 // the store package stays free of the HTTP tier (store stores, serve
 // serves), no deprecated shim or staticcheck suppression creeps back
 // into the module, every report is reduced by engine.Partials, and each
-// on-disk format is known to one file of internal/store.
+// on-disk format is known to one file of internal/store, and a
+// campaign's settings and their defaults are each written once.
 
 import (
 	"go/ast"
@@ -213,6 +214,105 @@ func TestTheStoreOwnsItsBytes(t *testing.T) {
 					t.Errorf("%s imports %s: the byte formats have one codec each, in frame.go", name, path)
 				}
 			}
+		}
+	}
+}
+
+// TestTheCampaignIsDefinedOnce pins the one-spec rule. The settings a
+// campaign's results depend on are declared, defaulted, validated and
+// mapped onto the engine in spec.go; no other production file of the
+// facade spells four or more of them out in one composite literal (the
+// shape every retired copy had), and the numeric defaults live in one
+// constant each — no bare 8 or 5 survives outside a const declaration
+// in the files that used to restate them.
+func TestTheCampaignIsDefinedOnce(t *testing.T) {
+	fset := token.NewFileSet()
+	specFile, err := parser.ParseFile(fset, "spec.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := make(map[string]bool)
+	ast.Inspect(specFile, func(n ast.Node) bool {
+		ts, ok := n.(*ast.TypeSpec)
+		if !ok || ts.Name.Name != "campaignSpec" {
+			return true
+		}
+		for _, f := range ts.Type.(*ast.StructType).Fields.List {
+			for _, name := range f.Names {
+				fields[name.Name] = true
+			}
+		}
+		return false
+	})
+	if len(fields) < 8 {
+		t.Fatalf("found %d fields of campaignSpec in spec.go, want at least 8", len(fields))
+	}
+
+	facade, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range facade {
+		if name == "spec.go" || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			lit, ok := n.(*ast.CompositeLit)
+			if !ok {
+				return true
+			}
+			named := 0
+			for _, el := range lit.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					if key, ok := kv.Key.(*ast.Ident); ok && fields[key.Name] {
+						named++
+					}
+				}
+			}
+			if named >= 4 {
+				t.Errorf("%s: a composite literal names %d of campaignSpec's fields: embed or pass the spec instead of restating it",
+					fset.Position(lit.Pos()), named)
+			}
+			return true
+		})
+	}
+
+	restaters := []string{"campaign.go", "session.go", "dispatch.go", "fleet.go"}
+	for _, dir := range []string{filepath.Join("internal", "engine"), filepath.Join("internal", "cli")} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no source found under %s (err %v)", dir, err)
+		}
+		restaters = append(restaters, files...)
+	}
+	for _, name := range restaters {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range file.Decls {
+			if gen, ok := decl.(*ast.GenDecl); ok {
+				if gen.Tok == token.CONST {
+					continue // where a default is allowed to be a number
+				}
+				if vs, ok := gen.Specs[0].(*ast.ValueSpec); ok && gen.Tok == token.VAR && vs.Names[0].Name == "squareBands" {
+					continue // trace plateaus in Mbps, not defaults
+				}
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.BasicLit); ok && (lit.Value == "8" || lit.Value == "5" || lit.Value == "5.0") {
+					t.Errorf("%s: bare %s: sessions per scenario, K and the deployed buffer are engine.DefaultSessionsPer, abduction.DefaultSamples and player.DefaultBufferCap",
+						fset.Position(lit.Pos()), lit.Value)
+				}
+				return true
+			})
 		}
 	}
 }

@@ -113,7 +113,7 @@ func DefaultNetwork() NetworkConfig { return netem.DefaultConfig() }
 
 // SessionConfig describes a streaming session to simulate. Video and
 // Net default to DefaultVideo(1) and DefaultNetwork; BufferCap defaults
-// to the paper's 5 s.
+// to player.DefaultBufferCap, the paper's deployed buffer.
 type SessionConfig struct {
 	Trace     *Trace
 	ABR       ABR
@@ -146,7 +146,7 @@ func RunSession(cfg SessionConfig) (*Session, error) {
 		net = *cfg.Net
 	}
 	if cfg.BufferCap == 0 {
-		cfg.BufferCap = 5
+		cfg.BufferCap = player.DefaultBufferCap
 	}
 	log, m, err := player.Run(player.Config{
 		Video:     cfg.Video,
@@ -164,7 +164,8 @@ func RunSession(cfg SessionConfig) (*Session, error) {
 
 // Abduct inverts a session log into a posterior over latent GTBW
 // traces: the Veritas abduction step. A zero AbductionConfig uses the
-// paper's hyperparameters (δ=5 s, ε=0.5 Mbps, σ=0.5, K=5 samples).
+// paper's hyperparameters (δ=5 s, ε=0.5 Mbps, σ=0.5,
+// K=abduction.DefaultSamples samples).
 func Abduct(log *SessionLog, cfg AbductionConfig) (*Abduction, error) {
 	return abduction.Abduct(log, cfg)
 }
@@ -178,7 +179,8 @@ func Baseline(log *SessionLog) (*Trace, error) {
 
 // WhatIf describes a counterfactual "Setting B". NewABR is a factory
 // because algorithms carry per-session state. Video defaults to
-// DefaultVideo(1), Net to DefaultNetwork, BufferCap to 5 s.
+// DefaultVideo(1), Net to DefaultNetwork, BufferCap to
+// player.DefaultBufferCap.
 type WhatIf struct {
 	NewABR    func() ABR
 	Video     *Video
@@ -200,7 +202,7 @@ func (w WhatIf) setting() (abduction.Setting, error) {
 	}
 	buf := w.BufferCap
 	if buf == 0 {
-		buf = 5
+		buf = player.DefaultBufferCap
 	}
 	return abduction.Setting{
 		Video:     v,
