@@ -12,6 +12,7 @@ package veritas
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"veritas/internal/abduction"
@@ -221,7 +222,8 @@ func BenchmarkStoreWrite(b *testing.B) {
 // BenchmarkStoreQuery measures point lookups (decode + checksum verify)
 // against a multi-segment store of 1000 sessions.
 func BenchmarkStoreQuery(b *testing.B) {
-	s, err := OpenStore(b.TempDir(), FleetStoreOptions{SegmentBytes: 1 << 18})
+	dir := b.TempDir()
+	s, err := OpenStore(dir, FleetStoreOptions{SegmentBytes: 1 << 16})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -231,6 +233,9 @@ func BenchmarkStoreQuery(b *testing.B) {
 		if err := s.Append(benchRow(i)); err != nil {
 			b.Fatal(err)
 		}
+	}
+	if segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.vseg")); len(segs) < 4 {
+		b.Fatalf("%d rows made %d segment file(s); the benchmark is of a multi-segment store", n, len(segs))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

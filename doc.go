@@ -26,7 +26,9 @@
 //     (internal/engine: a worker pool, shared transition powers, and
 //     one reducer — per-session partial aggregates, FleetResult.Partials
 //     — whose reports are identical for every worker count) and the
-//     persistent corpus store (internal/store, which folds the same
+//     persistent corpus store (internal/store, which keeps each row as
+//     a checksummed binary frame with its floats bit for bit — stores
+//     of JSON rows from older builds still open — and folds the same
 //     partials on every append, so Report never rescans stored rows),
 //     with Run/Resume/Results/Report/Serve tying a
 //     campaign's execution, durability, streaming iteration and HTTP

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
+
+	"veritas/internal/engine"
 )
 
 // allocatedBy returns the bytes fn allocated (cumulative, so a buffer
@@ -163,5 +167,143 @@ func TestReceiveMemoryTracksTheStream(t *testing.T) {
 	}
 	if _, err := os.Stat(dst); !os.IsNotExist(err) {
 		t.Errorf("refused upload left %s behind", dst)
+	}
+}
+
+// TestUnreadableRowsAreRefusedNotMisfiled: a frame that passes its CRC
+// and whose payload this build cannot read is what a future row format
+// looks like from here. Every path that meets one must fail and say
+// where — never index it under scenario "" (what peekRow's swallowed
+// error used to do), and never truncate it away as a torn tail.
+func TestUnreadableRowsAreRefusedNotMisfiled(t *testing.T) {
+	good, err := encodeRow(nil, testRow(1, "fcc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		peeks   bool   // the index fields parse; only a full decode fails
+		want    string // what the error must mention besides the location
+	}{
+		{name: "unknown tag", payload: append([]byte{0x02}, good[1:]...), want: "0x02"},
+		{name: "tag only", payload: []byte{rowTagBinary}, want: "malformed row"},
+		{name: "empty payload", payload: []byte{}, want: "empty row"},
+		{name: "JSON cut short", payload: []byte(`{"Index":1,"ID":"fcc-001","Scen`), want: "JSON"},
+		{name: "binary cut short", payload: good[:len(good)-9], peeks: true, want: "malformed row"},
+		{name: "trailing byte", payload: append(append([]byte(nil), good...), 0), peeks: true, want: "follow the row"},
+		{name: "overlong varint", payload: append([]byte{rowTagBinary, 0x82, 0x00}, good[2:]...), want: "varint"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// seg-00000: an intact row, the unreadable frame, an intact row.
+			seg := appendFrame([]byte(segMagic), "fcc-000", mustEncode(t, testRow(0, "fcc")))
+			badOff := int64(len(seg))
+			seg = appendFrame(seg, "fcc-001", c.payload)
+			lastOff := int64(len(seg))
+			seg = appendFrame(seg, "fcc-002", mustEncode(t, testRow(2, "fcc")))
+			dir := t.TempDir()
+			path := filepath.Join(dir, segName(0))
+			if err := os.WriteFile(path, seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			located := func(err error) bool {
+				return err != nil && strings.Contains(err.Error(), fmt.Sprintf("%s@%d", segName(0), badOff)) &&
+					strings.Contains(err.Error(), c.want)
+			}
+
+			if !c.peeks {
+				for _, opt := range []Options{{}, {ReadOnly: true}} {
+					s, err := Open(dir, opt)
+					if err == nil {
+						s.Close()
+					}
+					if !located(err) {
+						t.Errorf("Open(ReadOnly=%v) = %v, want an error naming %s@%d and %q", opt.ReadOnly, err, segName(0), badOff, c.want)
+					}
+				}
+				if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, seg) {
+					t.Errorf("the refused segment was modified (err %v): a readable-by-someone frame is not a torn tail", err)
+				}
+				ws, err := OpenWatch(dir, Options{})
+				if err == nil {
+					ws.Close()
+				}
+				if !located(err) {
+					t.Errorf("OpenWatch = %v, want an error naming %s@%d and %q", err, segName(0), badOff, c.want)
+				}
+
+				// A watcher that was already tailing when the frame landed.
+				if err := os.WriteFile(path, seg[:badOff], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				ws, err = OpenWatch(dir, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ws.Close()
+				if err := os.WriteFile(path, seg, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				for round := 0; round < 2; round++ {
+					if added, err := ws.Refresh(); added != 0 || !located(err) {
+						t.Errorf("Refresh %d = (%d, %v), want the same located error every time", round, added, err)
+					}
+				}
+				if ws.Len() != 1 || ws.Has("fcc-001") || len(ws.Sessions("")) != 1 {
+					t.Errorf("the watcher indexed past the unreadable frame: %+v", ws.Sessions(""))
+				}
+
+				// Behind a sidecar Open never looks at the frame (it is not the
+				// final one, which is spot-checked): the read must refuse it.
+				entries := []entry{{key: "fcc-000", scenario: "fcc", off: int64(len(segMagic))},
+					{key: "fcc-001", scenario: "fcc", index: 1, off: badOff}, {key: "fcc-002", scenario: "fcc", index: 2, off: lastOff}}
+				if err := (&Store{dir: dir}).writeSidecar(0, int64(len(seg)), entries); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s, err := Open(dir, Options{ReadOnly: true})
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			defer s.Close()
+			if _, ok, err := s.Get("fcc-001"); ok || !located(err) {
+				t.Errorf("Get = (ok %v, %v), want an error naming %s@%d and %q", ok, err, segName(0), badOff, c.want)
+			}
+			if err := s.Scan(func(engine.SessionRow) error { return nil }); !located(err) {
+				t.Errorf("Scan = %v, want an error naming %s@%d and %q", err, segName(0), badOff, c.want)
+			}
+			if _, err := s.Partials(); !located(err) {
+				t.Errorf("Partials = %v, want the rebuild to refuse the row", err)
+			}
+			if row, ok, err := s.Get("fcc-002"); !ok || err != nil || row.Index != 2 {
+				t.Errorf("the intact row after it no longer reads: ok=%v err=%v", ok, err)
+			}
+		})
+	}
+}
+
+func mustEncode(t *testing.T, row engine.SessionRow) []byte {
+	t.Helper()
+	payload, err := encodeRow(nil, row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+// TestRowCountsAreCheckedAgainstThePayload: a count field is believed
+// only up to the bytes that follow it, before anything is allocated.
+func TestRowCountsAreCheckedAgainstThePayload(t *testing.T) {
+	// tag, Index 0, ID "k", Scenario "", flags "Arms present", a zero
+	// SettingA — then an arm count of 2⁶⁰ and nothing behind it.
+	payload := []byte{rowTagBinary, 0, 1, 'k', 0, rowHasArms}
+	payload = append(payload, make([]byte, minMetricsLen)...)
+	payload = binary.AppendUvarint(payload, 1<<60)
+	var err error
+	if got := allocatedBy(func() { _, err = decodeRow(payload) }); got > 1<<20 {
+		t.Errorf("decodeRow allocated %d bytes for a %d-byte payload", got, len(payload))
+	}
+	if err == nil || !strings.Contains(err.Error(), "count") {
+		t.Errorf("err = %v, want the arm count refused", err)
 	}
 }

@@ -21,7 +21,7 @@ import (
 )
 
 // segmentPaths returns the store's segment files in segment order.
-func segmentPaths(t *testing.T, dir string) []string {
+func segmentPaths(t testing.TB, dir string) []string {
 	t.Helper()
 	segs, err := filepath.Glob(filepath.Join(dir, segPrefix+"*"+segSuffix))
 	if err != nil {
@@ -89,6 +89,9 @@ func TestSidecarFallbackAndHeal(t *testing.T) {
 	}
 	fillStore(t, s, 40, "lte")
 	s.Close()
+	if n := len(segmentPaths(t, dir)); n < 3 {
+		t.Fatalf("test needs >= 3 segments (sealed ones to heal), got %d", n)
+	}
 	for _, p := range sidecarPaths(t, dir) {
 		if err := os.Remove(p); err != nil {
 			t.Fatal(err)
@@ -260,6 +263,9 @@ func TestStoreCrashFuzz(t *testing.T) {
 			s.Close()
 
 			segs := segmentPaths(t, target)
+			if len(segs) < 2 {
+				t.Fatalf("%d rows made %d segment(s); the contract covers sealed segments and their sidecars too", n, len(segs))
+			}
 			last := segs[len(segs)-1]
 			switch rng.Intn(6) {
 			case 0: // torn tail: truncate the last segment anywhere

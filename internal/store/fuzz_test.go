@@ -8,20 +8,23 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"veritas/internal/engine"
 )
 
 // fuzzStore builds a closed two-segment shard store (five rows, one
-// overwritten; sidecars, snapshot, campaign.json, shard.json).
+// overwritten, three frames to a segment; sidecars, snapshot,
+// campaign.json, shard.json).
 func fuzzStore(f *testing.F) string {
 	f.Helper()
 	dir := f.TempDir()
-	s, err := OpenCampaign(dir, Options{SegmentBytes: 4096}, []byte(`{"seed":1,"sessions":5}`))
+	s, err := OpenCampaign(dir, Options{SegmentBytes: 1200}, []byte(`{"seed":1,"sessions":5}`))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -38,6 +41,9 @@ func fuzzStore(f *testing.F) string {
 	}
 	if err := WriteShardMeta(dir, ShardMeta{Index: 0, Count: 1}); err != nil {
 		f.Fatal(err)
+	}
+	if segs := segmentPaths(f, dir); len(segs) != 2 {
+		f.Fatalf("fuzz store has %d segments, the targets read seg-00000 and seg-00001", len(segs))
 	}
 	return dir
 }
@@ -81,6 +87,78 @@ func FuzzReadFrame(f *testing.F) {
 		again := appendFrame(nil, string(key), payload)
 		if !bytes.Equal(again, data[off:off+int64(len(again))]) {
 			t.Fatalf("frame at %d does not re-encode to the bytes it was read from", off)
+		}
+	})
+}
+
+// FuzzDecodeRow: over any payload decodeRow returns an error or a row
+// that re-encodes to exactly the bytes it came from (a JSON payload: to
+// a binary one that decodes to the same row), having allocated no more
+// than a small multiple of the payload; peekRow agrees with it on the
+// index fields whenever both succeed.
+func FuzzDecodeRow(f *testing.F) {
+	dir := fuzzStore(f)
+	for num := 0; num < 2; num++ {
+		seg := mustRead(f, filepath.Join(dir, segName(num)))
+		walkFrames(bytes.NewReader(seg), int64(len(segMagic)), int64(len(seg)), func(_ int64, _, payload []byte) error {
+			row, err := decodeRow(payload)
+			if err != nil {
+				f.Fatal(err)
+			}
+			asJSON, err := encodeRowJSON(row)
+			if err != nil {
+				f.Fatal(err)
+			}
+			for _, p := range [][]byte{append([]byte(nil), payload...), asJSON} {
+				f.Add(p)
+				f.Add(p[:len(p)/2])
+				f.Add(p[:len(p)-1])
+				f.Add(flipped(p, 0))
+				f.Add(flipped(p, len(p)/3))
+			}
+			// The arm count of testRow (a single byte, 1, right behind the
+			// 50-byte SettingA) patched to 2⁶³.
+			at := bytes.Index(payload, []byte("\x06bba-5s")) - 1
+			huge := append(append([]byte(nil), payload[:at]...), binary.AppendUvarint(nil, 1<<63)...)
+			f.Add(append(huge, payload[at+1:]...))
+			return nil
+		})
+	}
+	f.Add([]byte(nil))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var row engine.SessionRow
+		var err error
+		// Decoded, a row is wider than its bytes (176 bytes of ArmOutcome
+		// for the 103 its shortest encoding takes, 64 of Metrics for 50),
+		// and JSON pays for the decoder's own state. The constant is slack
+		// for what the fuzz worker's other goroutines allocate meanwhile;
+		// a count believed past the payload would cost megabytes.
+		bound := uint64(4*len(payload) + 1<<16)
+		if len(payload) > 0 && payload[0] == '{' {
+			bound = uint64(64*len(payload) + 1<<16)
+		}
+		if got := allocatedBy(func() { row, err = decodeRow(payload) }); got > bound {
+			t.Fatalf("decodeRow allocated %d bytes over a %d-byte payload", got, len(payload))
+		}
+		scen, idx, peekErr := peekRow(payload)
+		if err != nil {
+			return
+		}
+		if peekErr != nil || scen != row.Scenario || idx != row.Index {
+			t.Fatalf("peekRow = (%q, %d, %v), decodeRow read (%q, %d)", scen, idx, peekErr, row.Scenario, row.Index)
+		}
+		again, err := encodeRow(nil, row)
+		if err != nil {
+			t.Fatalf("a decoded row does not encode: %v", err)
+		}
+		if payload[0] == rowTagBinary {
+			if !bytes.Equal(again, payload) {
+				t.Fatalf("row re-encodes to\n%x\nfrom\n%x", again, payload)
+			}
+			return
+		}
+		if back, err := decodeRow(again); err != nil || !reflect.DeepEqual(back, row) {
+			t.Fatalf("JSON row %+v came back from the binary codec as %+v (err %v)", row, back, err)
 		}
 	})
 }

@@ -101,15 +101,17 @@ func (s *Store) Partials() (*engine.Partials, error) {
 			s.met.partialRebuilds.Inc()
 		}
 		var err error
+		var buf []byte
 		for _, e := range todo {
 			if e.seg < coverSeg || (e.seg == coverSeg && e.off < coverOff) {
 				continue // the snapshot already holds this record's digest
 			}
-			row, rerr := s.readRow(e)
+			row, scratch, rerr := s.readRow(e, buf)
 			if rerr != nil {
 				err = rerr
 				break
 			}
+			buf = scratch
 			p.FoldRow(row, packSeq(epoch, e.seg, e.off))
 			s.met.partialFolds.Inc()
 		}

@@ -11,7 +11,9 @@ package store
 //
 //   - A sidecar is trusted only if its own checksum verifies, its
 //     recorded segment size matches the file on disk, and the final
-//     frame it points at parses and passes the frame CRC. Anything
+//     frame it points at parses, passes the frame CRC and holds a row
+//     format this build knows (so a store from a newer build is refused
+//     by the scan at Open, not at the first Get). Anything
 //     else — missing, truncated, bit-flipped, stale — falls back to
 //     the full frame scan of that segment, which is exactly the PR 2
 //     open path, so stores written before sidecars existed (or whose
@@ -130,8 +132,8 @@ func (s *Store) tryLoadSidecar(num int) ([]entry, bool) {
 	return entries, true
 }
 
-// verifyFrameAt reports whether an intact frame starts at off and ends
-// exactly at size.
+// verifyFrameAt reports whether an intact frame holding a row this
+// build can read starts at off and ends exactly at size.
 func verifyFrameAt(segPath string, off, size int64) bool {
 	f, err := os.Open(segPath)
 	if err != nil {
@@ -139,5 +141,9 @@ func verifyFrameAt(segPath string, off, size int64) bool {
 	}
 	defer f.Close()
 	key, payload, _, err := readFrameAt(f, off, size, nil)
-	return err == nil && off+frameHdrLen+int64(len(key)+len(payload)) == size
+	if err != nil || off+frameHdrLen+int64(len(key)+len(payload)) != size {
+		return false
+	}
+	_, _, err = peekRow(payload)
+	return err == nil
 }

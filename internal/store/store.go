@@ -10,7 +10,9 @@
 //	u32  payload length
 //	u32  CRC-32 (IEEE) over key ‖ payload
 //	key      (the session ID, UTF-8)
-//	payload  (the engine.SessionRow, JSON)
+//	payload  (the engine.SessionRow: a format tag, then fixed-width
+//	         little-endian fields; stores written before the tag hold
+//	         the row as JSON and still open)
 //
 // frame.go holds the one encoder and one decoder of each byte format —
 // this frame, the row payload, and the checksummed envelope of the
@@ -120,10 +122,10 @@ type Store struct {
 	mu            sync.Mutex
 	entries       []entry // sorted by key, deduplicated: latest record wins
 	staged        []entry // appended since the last index merge, in append order
-	readers       map[int]*os.File
+	readers       map[int]segReader
 	active        *os.File
 	lock          *os.File // writer lock on dir/LOCK, nil when read-only
-	activeNum     int
+	activeNum     int      // the newest segment, the only one that can still grow; appends go to it
 	activeLen     int64
 	activeEntries []entry // the active segment's frames, in append order
 	recovered     int64
@@ -165,7 +167,7 @@ func Open(dir string, opt Options) (*Store, error) {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 	}
-	s := &Store{dir: dir, opt: opt, readers: make(map[int]*os.File), met: newStoreMetrics(opt.Telemetry)}
+	s := &Store{dir: dir, opt: opt, readers: make(map[int]segReader), met: newStoreMetrics(opt.Telemetry)}
 	if !opt.ReadOnly {
 		// Single-writer discipline: two campaigns appending to one
 		// store would track offsets independently and corrupt each
@@ -209,20 +211,21 @@ func Open(dir string, opt Options) (*Store, error) {
 	}
 	sort.Slice(s.entries, func(i, j int) bool { return s.entries[i].key < s.entries[j].key })
 
-	if !opt.ReadOnly {
-		if len(nums) == 0 {
-			if err := s.newSegment(0); err != nil {
-				return nil, err
-			}
-		} else {
-			if err := s.openActive(nums[len(nums)-1]); err != nil {
-				return nil, err
-			}
-			// The last segment becomes the active one; keep its frame
-			// list so Close (and the next rotation) can write a complete
-			// sidecar for it.
-			s.activeEntries = lastEntries
+	switch {
+	case opt.ReadOnly:
+		s.activeNum = nums[len(nums)-1]
+	case len(nums) == 0:
+		if err := s.newSegment(0); err != nil {
+			return nil, err
 		}
+	default:
+		if err := s.openActive(nums[len(nums)-1]); err != nil {
+			return nil, err
+		}
+		// The last segment becomes the active one; keep its frame
+		// list so Close (and the next rotation) can write a complete
+		// sidecar for it.
+		s.activeEntries = lastEntries
 	}
 	segs := len(nums)
 	if segs == 0 && !opt.ReadOnly {
@@ -332,11 +335,21 @@ func (s *Store) scanSegment(num int, last bool) ([]entry, error) {
 	good, torn := int64(0), true // until the magic verifies: a header that never landed, or junk
 	magic := make([]byte, len(segMagic))
 	if _, err := f.ReadAt(magic, 0); err == nil && string(magic) == segMagic {
-		good, _ = walkFrames(f, int64(len(segMagic)), size, func(off int64, key, payload []byte) error {
-			scen, idx := peekRow(payload)
+		// A frame that passes its CRC and still does not parse is not a
+		// torn tail: it is a row format this build does not know, and
+		// truncating it away (or indexing it under no scenario) would
+		// lose or misfile committed rows.
+		good, err = walkFrames(f, int64(len(segMagic)), size, func(off int64, key, payload []byte) error {
+			scen, idx, err := peekRow(payload)
+			if err != nil {
+				return fmt.Errorf("store: %s@%d: %w", segName(num), off, err)
+			}
 			entries = append(entries, entry{key: string(key), scenario: scen, index: idx, seg: num, off: off})
 			return nil
 		})
+		if err != nil {
+			return nil, err
+		}
 		torn = good < size
 	}
 	if !torn {
@@ -419,11 +432,10 @@ func (s *Store) Append(row engine.SessionRow) (err error) {
 	if len(row.ID) > maxKeyLen {
 		return fmt.Errorf("store: key %q exceeds %d bytes", row.ID[:32]+"…", maxKeyLen)
 	}
-	payload, err := encodeRow(row)
+	frame, err := appendRowFrame(nil, row)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	frame := appendFrame(nil, row.ID, payload)
 
 	var t0 time.Time
 	if s.met.appendSec != nil {
@@ -553,8 +565,8 @@ func (s *Store) Close() error {
 		// the whole index without scanning a single frame.
 		_ = s.writeSidecar(s.activeNum, s.activeLen, s.activeEntries)
 	}
-	for _, f := range s.readers {
-		if err := f.Close(); err != nil && first == nil {
+	for _, r := range s.readers {
+		if err := r.f.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -648,13 +660,22 @@ func (s *Store) Len() int {
 	return len(s.entries)
 }
 
-// Has reports whether a session with the given ID is stored.
-func (s *Store) Has(key string) bool {
+// lookup returns the index entry of the record currently backing key.
+func (s *Store) lookup(key string) (entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.mergeIndex()
 	i := sort.Search(len(s.entries), func(i int) bool { return s.entries[i].key >= key })
-	return i < len(s.entries) && s.entries[i].key == key
+	if i >= len(s.entries) || s.entries[i].key != key {
+		return entry{}, false
+	}
+	return s.entries[i], true
+}
+
+// Has reports whether a session with the given ID is stored.
+func (s *Store) Has(key string) bool {
+	_, ok := s.lookup(key)
+	return ok
 }
 
 // Keys returns every stored session ID in sorted order — the resume
@@ -714,36 +735,49 @@ type ScenarioInfo struct {
 // key — it changes exactly when the session is overwritten, which is
 // what per-session read caches key on. ok is false for unknown keys.
 func (s *Store) Version(key string) (string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mergeIndex()
-	i := sort.Search(len(s.entries), func(i int) bool { return s.entries[i].key >= key })
-	if i >= len(s.entries) || s.entries[i].key != key {
+	e, ok := s.lookup(key)
+	if !ok {
 		return "", false
 	}
-	return fmt.Sprintf("%d:%d", s.entries[i].seg, s.entries[i].off), true
+	return fmt.Sprintf("%d:%d", e.seg, e.off), true
 }
 
 // Get returns the stored row for a session ID.
 func (s *Store) Get(key string) (engine.SessionRow, bool, error) {
-	s.mu.Lock()
-	s.mergeIndex()
-	i := sort.Search(len(s.entries), func(i int) bool { return s.entries[i].key >= key })
-	if i >= len(s.entries) || s.entries[i].key != key {
-		s.mu.Unlock()
+	e, ok := s.lookup(key)
+	if !ok {
 		return engine.SessionRow{}, false, nil
 	}
-	e := s.entries[i]
-	s.mu.Unlock()
-	row, err := s.readRow(e)
+	row, _, err := s.readRow(e, nil)
 	if err != nil {
 		return engine.SessionRow{}, false, err
 	}
 	return row, true, nil
 }
 
+// segReader is a shared read handle on one segment. size is the
+// segment's length if it was already sealed when the handle opened —
+// sealed segments never grow, so one fstat serves every read — and -1
+// for the newest segment, which is measured per read.
+type segReader struct {
+	f    *os.File
+	size int64
+}
+
+// limit returns the offset at which the segment's trustworthy bytes end.
+func (r segReader) limit() (int64, error) {
+	if r.size >= 0 {
+		return r.size, nil
+	}
+	fi, err := r.f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	return fi.Size(), nil
+}
+
 // reader returns a shared read handle for a segment.
-func (s *Store) reader(seg int) (*os.File, error) {
+func (s *Store) reader(seg int) (segReader, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.readerLocked(seg)
@@ -751,59 +785,77 @@ func (s *Store) reader(seg int) (*os.File, error) {
 
 // readerLocked is reader for callers already holding mu (the watch
 // refresh tails segments under the store lock).
-func (s *Store) readerLocked(seg int) (*os.File, error) {
+func (s *Store) readerLocked(seg int) (segReader, error) {
 	if s.closed {
-		return nil, ErrClosed
+		return segReader{}, ErrClosed
 	}
-	if f, ok := s.readers[seg]; ok {
-		return f, nil
+	if r, ok := s.readers[seg]; ok {
+		return r, nil
 	}
 	f, err := os.Open(filepath.Join(s.dir, segName(seg)))
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return segReader{}, fmt.Errorf("store: %w", err)
 	}
-	s.readers[seg] = f
-	return f, nil
+	r := segReader{f: f, size: -1}
+	if seg < s.activeNum {
+		fi, err := f.Stat()
+		if err != nil {
+			f.Close()
+			return segReader{}, fmt.Errorf("store: %w", err)
+		}
+		r.size = fi.Size()
+	}
+	s.readers[seg] = r
+	return r, nil
 }
 
-// readRow reads and verifies one frame.
-func (s *Store) readRow(e entry) (engine.SessionRow, error) {
-	f, err := s.reader(e.seg)
+// readRow reads, verifies and decodes the record e points at. The frame
+// is read into buf, grown when it must be and returned as scratch for
+// the next call: a pass over many rows allocates one frame buffer, and
+// the returned row never aliases it.
+func (s *Store) readRow(e entry, buf []byte) (row engine.SessionRow, scratch []byte, err error) {
+	r, err := s.reader(e.seg)
 	if err != nil {
-		return engine.SessionRow{}, err
+		return engine.SessionRow{}, buf, err
 	}
-	return s.readRowFrom(f, e)
+	payload, scratch, err := s.readPayload(r, e, buf)
+	if err != nil {
+		return engine.SessionRow{}, scratch, err
+	}
+	row, err = decodeRow(payload)
+	if err != nil {
+		return engine.SessionRow{}, scratch, fmt.Errorf("store: %s@%d: %w", segName(e.seg), e.off, err)
+	}
+	return row, scratch, nil
 }
 
-// readRowFrom is readRow against an already-resolved segment handle; it
-// takes no locks (ReadAt is position-independent), so it serves both
-// the unlocked scan path and the watch refresh under mu.
-func (s *Store) readRowFrom(f *os.File, e entry) (engine.SessionRow, error) {
+// readPayload reads and verifies the frame e points at through r and
+// returns its row payload, which aliases scratch. It takes no locks
+// (ReadAt is position-independent), so it serves both the unlocked scan
+// paths and the watch refresh under mu.
+func (s *Store) readPayload(r segReader, e entry, buf []byte) (payload, scratch []byte, err error) {
 	s.met.reads.Inc()
-	fi, err := f.Stat()
-	if err != nil {
-		return engine.SessionRow{}, fmt.Errorf("store: %s@%d: %w", segName(e.seg), e.off, err)
+	limit, err := r.limit()
+	if err == nil {
+		_, payload, buf, err = readFrameAt(r.f, e.off, limit, buf)
 	}
-	_, payload, _, err := readFrameAt(f, e.off, fi.Size(), nil)
 	if err != nil {
-		return engine.SessionRow{}, fmt.Errorf("store: %s@%d: %w", segName(e.seg), e.off, err)
+		return nil, buf, fmt.Errorf("store: %s@%d: %w", segName(e.seg), e.off, err)
 	}
-	row, err := decodeRow(payload)
-	if err != nil {
-		return engine.SessionRow{}, fmt.Errorf("store: %s@%d: %w", segName(e.seg), e.off, err)
-	}
-	return row, nil
+	return payload, buf, nil
 }
 
 // Scan streams every stored row (latest per key, sorted by key) through
 // fn, reading one row at a time — the bounded-memory iteration path.
 // fn errors abort the scan.
 func (s *Store) Scan(fn func(engine.SessionRow) error) error {
+	var buf []byte
 	for _, e := range s.snapshotIndex() {
-		row, err := s.readRow(e)
+		row, scratch, err := s.readRow(e, buf)
 		if err != nil {
 			return err
 		}
+		buf = scratch
 		if err := fn(row); err != nil {
 			return err
 		}
@@ -853,14 +905,18 @@ func Merge(dst string, opt Options, srcs ...string) (int, error) {
 		return 0, err
 	}
 	defer out.Close()
+	var buf []byte
 	for _, k := range keys {
-		row, ok, err := opened[winner[k]].Get(k)
-		if err != nil {
-			return 0, err
-		}
+		src := opened[winner[k]]
+		e, ok := src.lookup(k)
 		if !ok {
 			return 0, fmt.Errorf("store: merge lost key %q", k)
 		}
+		row, scratch, err := src.readRow(e, buf)
+		if err != nil {
+			return 0, err
+		}
+		buf = scratch
 		if err := out.Append(row); err != nil {
 			return 0, err
 		}

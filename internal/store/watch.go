@@ -45,7 +45,7 @@ func OpenWatch(dir string, opt Options) (*Store, error) {
 	s := &Store{
 		dir:      dir,
 		opt:      opt,
-		readers:  make(map[int]*os.File),
+		readers:  make(map[int]segReader),
 		watch:    true,
 		watchPos: make(map[int]int64),
 		met:      newStoreMetrics(opt.Telemetry),
@@ -98,12 +98,11 @@ func (s *Store) Refresh() (added int, err error) {
 			break
 		}
 	}
-	newest := -1
 	if len(nums) > 0 {
-		newest = nums[len(nums)-1]
+		s.activeNum = nums[len(nums)-1]
 	}
 	for _, n := range nums {
-		a, err := s.tailSegmentLocked(n, present[n], n == newest)
+		a, err := s.tailSegmentLocked(n, present[n])
 		added += a
 		if err != nil {
 			return added, err
@@ -119,10 +118,10 @@ func (s *Store) watchResetLocked() {
 	s.entries = nil
 	s.staged = nil
 	s.watchPos = make(map[int]int64)
-	for _, f := range s.readers {
-		f.Close()
+	for _, r := range s.readers {
+		r.f.Close()
 	}
-	s.readers = make(map[int]*os.File)
+	s.readers = make(map[int]segReader)
 	// Drop the partials rather than rewinding them; the next Partials()
 	// call rebuilds. The epoch bump makes any in-flight build of the old
 	// state lose every sequence-number race against post-reset folds.
@@ -134,12 +133,12 @@ func (s *Store) watchResetLocked() {
 
 // tailSegmentLocked folds segment n's frames from the last scanned
 // position up to size. Caller holds mu.
-func (s *Store) tailSegmentLocked(n int, size int64, newest bool) (added int, err error) {
+func (s *Store) tailSegmentLocked(n int, size int64) (added int, err error) {
 	pos := s.watchPos[n]
 	if pos >= size {
 		return 0, nil
 	}
-	if pos == 0 && !newest {
+	if pos == 0 && n < s.activeNum {
 		// First sight of an already-sealed segment (the writer rotated
 		// past it, or the watcher started on an existing store): its
 		// sidecar replays the frame list without a scan.
@@ -147,7 +146,7 @@ func (s *Store) tailSegmentLocked(n int, size int64, newest bool) (added int, er
 			s.sidecarLoads++
 			s.met.scLoads.Inc()
 			for _, e := range entries {
-				if err := s.ingestWatchEntry(e); err != nil {
+				if err := s.ingestWatchEntry(e, nil); err != nil {
 					return added, err
 				}
 				added++
@@ -158,23 +157,28 @@ func (s *Store) tailSegmentLocked(n int, size int64, newest bool) (added int, er
 		s.sidecarScans++
 		s.met.scScans.Inc()
 	}
-	f, err := s.readerLocked(n)
+	r, err := s.readerLocked(n)
 	if err != nil {
 		return 0, nil // unreadable right now; retry next refresh
 	}
 	if pos == 0 {
 		magic := make([]byte, len(segMagic))
-		if _, err := f.ReadAt(magic, 0); err != nil || string(magic) != segMagic {
+		if _, err := r.f.ReadAt(magic, 0); err != nil || string(magic) != segMagic {
 			return 0, nil // header write in flight
 		}
 		pos = int64(len(segMagic))
 	}
 	// A torn or in-flight frame is where the walk stops; the next
-	// refresh retries from there.
-	s.watchPos[n], err = walkFrames(f, pos, size, func(off int64, key, payload []byte) error {
-		e := entry{key: string(key), seg: n, off: off}
-		e.scenario, e.index = peekRow(payload)
-		if err := s.ingestWatchEntryFromPayload(e, payload); err != nil {
+	// refresh retries from there. A frame that verifies and does not
+	// parse is an error, now and on every later refresh: it is a row
+	// format this build does not know, not a write in flight.
+	s.watchPos[n], err = walkFrames(r.f, pos, size, func(off int64, key, payload []byte) error {
+		scen, idx, err := peekRow(payload)
+		if err != nil {
+			return fmt.Errorf("store: %s@%d: %w", segName(n), off, err)
+		}
+		e := entry{key: string(key), scenario: scen, index: idx, seg: n, off: off}
+		if err := s.ingestWatchEntry(e, payload); err != nil {
 			return err
 		}
 		added++
@@ -183,38 +187,29 @@ func (s *Store) tailSegmentLocked(n int, size int64, newest bool) (added int, er
 	return added, err
 }
 
-// ingestWatchEntry stages one tailed entry and folds its row into the
-// partials, reading the row back when needed. Caller holds mu.
-func (s *Store) ingestWatchEntry(e entry) error {
+// ingestWatchEntry stages one tailed entry and, when the partials are
+// built, folds its row into them. payload is the entry's verified row
+// payload, or nil when a sidecar supplied the entry without its frame
+// being read — the row is then read back only if the fold needs it.
+// Caller holds mu.
+func (s *Store) ingestWatchEntry(e entry, payload []byte) error {
 	s.staged = append(s.staged, e)
 	s.gen++
 	if s.partials == nil {
 		return nil
 	}
-	f, err := s.readerLocked(e.seg)
-	if err != nil {
-		return err
-	}
-	row, err := s.readRowFrom(f, e)
-	if err != nil {
-		return err
-	}
-	s.partials.FoldRow(row, packSeq(s.watchEpoch, e.seg, e.off))
-	s.met.partialFolds.Inc()
-	return nil
-}
-
-// ingestWatchEntryFromPayload is ingestWatchEntry when the scan already
-// holds the verified payload bytes. Caller holds mu.
-func (s *Store) ingestWatchEntryFromPayload(e entry, payload []byte) error {
-	s.staged = append(s.staged, e)
-	s.gen++
-	if s.partials == nil {
-		return nil
+	if payload == nil {
+		r, err := s.readerLocked(e.seg)
+		if err != nil {
+			return err
+		}
+		if payload, _, err = s.readPayload(r, e, nil); err != nil {
+			return err
+		}
 	}
 	row, err := decodeRow(payload)
 	if err != nil {
-		return err
+		return fmt.Errorf("store: %s@%d: %w", segName(e.seg), e.off, err)
 	}
 	s.partials.FoldRow(row, packSeq(s.watchEpoch, e.seg, e.off))
 	s.met.partialFolds.Inc()

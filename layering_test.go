@@ -145,7 +145,8 @@ func TestAggregatorIsOracleOnly(t *testing.T) {
 // TestTheStoreOwnsItsBytes pins where each on-disk format may be known.
 // Outside internal/store no production source names the store's files;
 // inside it only frame.go (and ship.go, for its own stream format)
-// touches checksums or byte order, only frame.go and the metadata files
+// touches checksums or byte order, only frame.go lays a float64 out as
+// its bits (the row payload), only frame.go and the metadata files
 // touch JSON, and two campaign.json documents are compared in
 // campaign.go alone — across internal/store and internal/dispatch.
 func TestTheStoreOwnsItsBytes(t *testing.T) {
@@ -203,6 +204,9 @@ func TestTheStoreOwnsItsBytes(t *testing.T) {
 			}
 			if dir != storeDir {
 				continue
+			}
+			if base != "frame.go" && (strings.Contains(string(src), "Float64bits") || strings.Contains(string(src), "Float64frombits")) {
+				t.Errorf("%s converts floats to or from their bits: the row payload's layout is frame.go's alone", name)
 			}
 			file, err := parser.ParseFile(token.NewFileSet(), name, src, parser.ImportsOnly)
 			if err != nil {
