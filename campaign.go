@@ -372,7 +372,8 @@ func WithWatchInterval(d time.Duration) CampaignOption {
 }
 
 // WithReadCache sizes the serving layer's in-process read cache of
-// decoded sessions (0 picks the default 256, negative disables).
+// encoded /v1/sessions/{id} bodies (0 picks the default 256, negative
+// disables). The report endpoints' body caches have fixed bounds.
 func WithReadCache(entries int) CampaignOption {
 	return func(o *campaignOptions) error {
 		o.readCache = entries

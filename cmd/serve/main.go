@@ -2,7 +2,9 @@
 // serving-layer brick. It attaches a read-only campaign to the store
 // (a campaign may still be appending to it) and answers causal-query
 // reads — no inference runs at request time, everything is served from
-// the persisted corpus through an in-process read cache.
+// the persisted corpus through in-process caches of encoded response
+// bodies (sessions sized by -cache; the report family's has fixed
+// bounds, in entries and in bytes).
 //
 // Endpoints:
 //
@@ -16,7 +18,7 @@
 //	                              requests answer 304 Not Modified
 //	GET /v1/report/cdf            one arm/metric/estimator empirical CDF
 //	GET /v1/report/series         the raw per-session value series
-//	GET /v1/report/percentiles    percentile table (?p=50,95,99)
+//	GET /v1/report/percentiles    percentile table (?percentiles=50,95,99)
 //	GET /v1/status                store + telemetry snapshot as JSON
 //	GET /metrics                  telemetry in Prometheus text format
 //	GET /v1/trace                 tail-sampled traces as Chrome trace-event
@@ -65,7 +67,7 @@ func main() {
 	var (
 		dir       = flag.String("store", "", "store directory to serve (required)")
 		addr      = flag.String("addr", ":8077", "listen address")
-		cache     = flag.Int("cache", 0, "read-cache entries (0 = default 256, negative disables)")
+		cache     = flag.Int("cache", 0, "cached /v1/sessions/{id} bodies (0 = default 256, negative disables)")
 		pprof     = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		logFormat = flag.String("log", "text", "structured log format on stderr: text or json")
 		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")

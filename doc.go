@@ -39,6 +39,9 @@
 //     restarts crashed shards with resume into their same store, and
 //     folds the shard stores into one corpus whose report is
 //     byte-identical to a single-process run.
+//   - Campaign.ServeFleet does the same across machines: a dispatcher
+//     (internal/fleetd) leases shards over HTTP to agents that join it,
+//     re-leases a dead agent's shard, and folds the uploaded stores.
 //
 // Everything the pipeline needs is included: a bandwidth-trace
 // substrate with an FCC-like generator, a TCP/network emulator standing
@@ -93,4 +96,30 @@
 // declared once (campaignSpec, in spec.go), which also owns their
 // validation and the two byte formats that carry them: campaign.json in
 // a store and the worker/lease spec between processes.
+//
+// # Two control planes
+//
+// internal/dispatch and internal/fleetd both turn a campaign into
+// shards and end in the same fold, and they stay two packages on
+// purpose. What they could share they do: a shard is run by one function
+// (dispatch.RunShard: a re-exec'd worker process per shard, so a crash
+// or a leak costs one shard, never the supervisor), reported over one
+// protocol (the worker's NDJSON progress stream), tracked in one
+// dispatch.Status, described by one spec (workerSpec, spec.go),
+// pre-flighted by one check and folded by one FoldStores.
+//
+// What differs is who owns a shard's store while it runs, and no merge
+// removes that. The local supervisor owns the shard directories: a
+// restarted worker resumes into the same store and loses only the
+// session in flight. The fleet dispatcher owns nothing until an agent
+// uploads a finished, verified store: between machines there is no
+// shared directory to resume into, so a shard whose lease is lost is
+// run again by whoever takes it, which is what the TTL, the epoch fence
+// and work stealing are for. Routing local shards through lease and
+// upload would trade resume for a loopback copy of every store; driving
+// remote agents from the supervisor would need the shared filesystem
+// the fleet exists to do without. When last sized (PR 20) a merge could
+// delete dispatch.Run's supervision loop and its layout check, about
+// 130 lines, and would pay for them with a second meaning for every
+// lease state. So: two planes, one shard runner, one wire, one fold.
 package veritas

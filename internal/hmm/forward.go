@@ -22,9 +22,6 @@ type Posterior struct {
 // Len returns the number of chunks N the posterior covers.
 func (p *Posterior) Len() int { return p.n }
 
-// States returns the size S of the capacity grid.
-func (p *Posterior) States() int { return p.ns }
-
 // Gamma returns the marginal posterior over states for chunk n:
 // Gamma(n)[i] = P(C_sn = iε | all observations).
 func (p *Posterior) Gamma(n int) []float64 {

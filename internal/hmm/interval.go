@@ -38,9 +38,6 @@ func (p *IntervalPosterior) Gamma(t int) []float64 {
 	return p.gamma[t*p.ns : (t+1)*p.ns]
 }
 
-// States returns the size S of the capacity grid.
-func (p *IntervalPosterior) States() int { return p.ns }
-
 // intervalEmissionsInto groups the per-chunk log emissions by start
 // interval into the T×S slab sc.intLogE:
 // logE[t*S+i] = Σ_{n: s_n ∈ interval t} log P(Y_n | W, S, C=iε).

@@ -51,11 +51,6 @@ func NormalLogPDF(x, mean, sigma float64) float64 {
 	return -0.5*z*z - math.Log(sigma) - 0.5*math.Log(2*math.Pi)
 }
 
-// NormalPDF returns the density of Normal(mean, sigma²) at x.
-func NormalPDF(x, mean, sigma float64) float64 {
-	return math.Exp(NormalLogPDF(x, mean, sigma))
-}
-
 // Clamp limits v to [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
 	if v < lo {

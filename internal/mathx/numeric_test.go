@@ -153,7 +153,7 @@ func TestNormalPDFIntegratesToOne(t *testing.T) {
 	var area float64
 	const dx = 0.01
 	for x := -6.0; x < 6; x += dx {
-		area += NormalPDF(x, 0, 1) * dx
+		area += math.Exp(NormalLogPDF(x, 0, 1)) * dx
 	}
 	if math.Abs(area-1) > 1e-3 {
 		t.Errorf("pdf integrates to %v", area)

@@ -86,15 +86,6 @@ type SessionLog struct {
 	ABRName      string
 }
 
-// Throughputs returns the observed per-chunk throughput series.
-func (l *SessionLog) Throughputs() []float64 {
-	out := make([]float64, len(l.Records))
-	for i, r := range l.Records {
-		out[i] = r.ThroughputMbps
-	}
-	return out
-}
-
 // Prefix returns a log containing only the first n chunk records (a view
 // sharing backing storage).
 func (l *SessionLog) Prefix(n int) *SessionLog {

@@ -258,22 +258,6 @@ func TestDecodeLogRejectsEmpty(t *testing.T) {
 	}
 }
 
-func TestThroughputsHelper(t *testing.T) {
-	log, _, err := Run(testConfig(t, 5, abr.NewMPC()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := log.Throughputs()
-	if len(ts) != len(log.Records) {
-		t.Fatal("length mismatch")
-	}
-	for i := range ts {
-		if ts[i] != log.Records[i].ThroughputMbps {
-			t.Fatal("value mismatch")
-		}
-	}
-}
-
 func TestQoE(t *testing.T) {
 	log := &SessionLog{
 		ChunkSeconds: 2,

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"slices"
 	"strings"
@@ -17,16 +18,20 @@ import (
 	"veritas/internal/tracing"
 )
 
-// reportCacheCap bounds a report family's response cache. The key space
-// is per (endpoint, filter) combination, so a scan of percentile
-// spellings could otherwise grow it without bound; at the cap the whole
-// map is dropped (every entry dies together at the next generation
-// anyway).
-const reportCacheCap = 256
+// reportCacheCap and reportCacheBytes bound a report family's body
+// cache. The key space is per (endpoint, filter) combination, so the
+// entry cap is what a scan of percentile spellings runs into; a series
+// or cdf body is O(sessions), so the byte bound is what keeps the
+// cache's memory independent of the corpus size — large bodies cycle
+// through it while the small, expensive report bodies stay resident.
+const (
+	reportCacheCap   = 256
+	reportCacheBytes = 4 << 20
+)
 
 // handler is the query API over one store (the route table is in the
 // package documentation). Hot sessions are served from a bounded LRU of
-// decoded rows. A handler over a writable store picks up appends through
+// encoded bodies. A handler over a writable store picks up appends through
 // the shared *store.Store handle; over a watch store (store.OpenWatch)
 // each request first refreshes the tail — rate-limited by
 // WithWatchInterval — so a server started mid-campaign tracks the
@@ -34,43 +39,13 @@ const reportCacheCap = 256
 // reopen) to see later progress.
 type handler struct {
 	config
-	s    *store.Store
-	rows *rowCache
+	s      *store.Store
+	bodies *bodyCache // /v1/sessions/{id} bodies, by record version
 
 	// Watch stores only: the refresh error counter and throttle state.
 	refreshErrs *telemetry.Counter
 	watchMu     sync.Mutex
 	lastRefresh time.Time
-}
-
-type cachedReport struct {
-	gen  uint64
-	body []byte
-}
-
-// reportCache is the generation-keyed response cache one mounted report
-// family keeps.
-type reportCache struct {
-	mu sync.Mutex
-	m  map[string]cachedReport
-}
-
-func (c *reportCache) get(key string, gen uint64) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.m[key]; ok && e.gen == gen {
-		return e.body, true
-	}
-	return nil, false
-}
-
-func (c *reportCache) put(key string, gen uint64, body []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.m == nil || len(c.m) >= reportCacheCap {
-		c.m = make(map[string]cachedReport)
-	}
-	c.m[key] = cachedReport{gen: gen, body: body}
 }
 
 // New builds the query handler over an open store: the /v1 query
@@ -81,22 +56,20 @@ func New(s *store.Store, opts ...Option) http.Handler {
 	if cfg.traces == nil {
 		cfg.traces = cfg.trc.Traces
 	}
-	h := &handler{config: cfg, s: s, rows: newRowCache(cfg.cacheEntries)}
+	// WithCacheEntries: 0 picks the default of 256, negative disables.
+	entries := cfg.cacheEntries
+	if entries == 0 {
+		entries = 256
+	}
+	h := &handler{config: cfg, s: s, bodies: newBodyCache(entries, math.MaxInt)}
 	rt := router{mux: http.NewServeMux(), reg: h.reg, trc: h.trc}
 	if s.IsWatch() {
 		rt.before = h.refresh
 		h.refreshErrs = h.reg.Counter("veritas_serve_watch_refresh_errors_total")
 	}
-	// The row cache keeps its own counters (they predate telemetry);
-	// fold them in as callback metrics rather than double-counting.
-	h.reg.RegisterFunc("veritas_serve_row_cache_hits_total", telemetry.CounterFunc, func() float64 {
-		hits, _ := h.rows.stats()
-		return float64(hits)
-	})
-	h.reg.RegisterFunc("veritas_serve_row_cache_misses_total", telemetry.CounterFunc, func() float64 {
-		_, misses := h.rows.stats()
-		return float64(misses)
-	})
+	// The metric names predate the body cache (it held decoded rows).
+	h.bodies.register(h.reg, "veritas_serve_row_cache_hits_total", "veritas_serve_row_cache_misses_total",
+		`veritas_serve_cache_bytes{cache="/v1/sessions"}`)
 	rt.route("GET /healthz", h.health)
 	rt.route("GET /v1/sessions", h.sessions)
 	rt.route("GET /v1/sessions/{id}", h.session)
@@ -148,7 +121,7 @@ func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *handler) status(w http.ResponseWriter, r *http.Request) {
-	hits, misses := h.rows.stats()
+	hits, misses, _ := h.bodies.stats()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"sessions":       h.s.Len(),
 		"scenarios":      len(h.s.Scenarios()),
@@ -165,13 +138,17 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	writeBody(w, status, body)
+}
+
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(body)
 }
 
 func (h *handler) health(w http.ResponseWriter, r *http.Request) {
-	hits, misses := h.rows.stats()
+	hits, misses, _ := h.bodies.stats()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":         "ok",
 		"sessions":       h.s.Len(),
@@ -192,7 +169,7 @@ func (h *handler) sessions(w http.ResponseWriter, r *http.Request) {
 func (h *handler) session(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	// The record's version (its on-disk location) gates the cache:
-	// overwriting a session moves it, so the stale row misses, while
+	// overwriting a session moves it, so the stale body misses, while
 	// untouched hot sessions keep hitting however much the rest of the
 	// store grows.
 	ver, ok := h.s.Version(id)
@@ -200,21 +177,23 @@ func (h *handler) session(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, errNotFound("", "unknown session %q", id))
 		return
 	}
-	if row, ok := h.rows.get(id, ver); ok {
-		writeJSON(w, http.StatusOK, row)
-		return
+	body, cached := h.bodies.get(id, ver)
+	if !cached {
+		row, ok, err := h.s.Get(id)
+		if err == nil && ok {
+			body, err = json.Marshal(row)
+		}
+		if err != nil {
+			writeAPIError(w, errInternal(err))
+			return
+		}
+		if !ok {
+			writeAPIError(w, errNotFound("", "unknown session %q", id))
+			return
+		}
+		h.bodies.put(id, ver, body)
 	}
-	row, ok, err := h.s.Get(id)
-	if err != nil {
-		writeAPIError(w, errInternal(err))
-		return
-	}
-	if !ok {
-		writeAPIError(w, errNotFound("", "unknown session %q", id))
-		return
-	}
-	h.rows.put(id, ver, row)
-	writeJSON(w, http.StatusOK, row)
+	writeBody(w, http.StatusOK, body)
 }
 
 func (h *handler) scenarios(w http.ResponseWriter, r *http.Request) {
@@ -290,12 +269,16 @@ var reportEndpoints = []reportEndpoint{
 // prefix — the store-backed /v1/report family and the shard-combined
 // /v1/live/report family are both exactly this. view returns the
 // current partials and their generation, refreshing first if it has
-// to; the generation keys the family's response cache and its ETag
-// ("<etagPrefix>-<generation>": it moves on every append, including
-// same-key overwrites, so an unchanged tag proves the aggregate is
-// still current for any filter).
+// to; the generation makes the family's ETag ("<etagPrefix>-<generation>":
+// it moves on every append, including same-key overwrites, so an
+// unchanged tag proves the aggregate is still current for any filter),
+// and the tag is the version the family's body cache stores under.
 func mountReportFamily(rt router, prefix, etagPrefix string, view func() (*engine.Partials, uint64, error)) {
-	cache := new(reportCache)
+	cache := newBodyCache(reportCacheCap, reportCacheBytes)
+	cache.register(rt.reg,
+		fmt.Sprintf("veritas_serve_report_cache_hits_total{family=%q}", prefix),
+		fmt.Sprintf("veritas_serve_report_cache_misses_total{family=%q}", prefix),
+		fmt.Sprintf("veritas_serve_cache_bytes{cache=%q}", prefix))
 	for _, ep := range reportEndpoints {
 		pattern := "GET " + prefix
 		if ep.name != "report" {
@@ -313,14 +296,14 @@ func mountReportFamily(rt router, prefix, etagPrefix string, view func() (*engin
 				return
 			}
 			etag := fmt.Sprintf("\"%s-%d\"", etagPrefix, gen)
-			serveReport(w, r, ep, q, p, cache, gen, etag)
+			serveReport(w, r, ep, q, p, cache, etag)
 		})
 	}
 }
 
-// serveReport answers one report-family request: consult the
-// generation-keyed response cache, validate against the partials, honor
-// If-None-Match, then build and cache the body.
+// serveReport answers one report-family request: consult the body
+// cache at the current generation's tag, validate against the partials,
+// honor If-None-Match, then build and cache the body.
 //
 // Two ordering rules carry over from the original report handler and
 // are pinned by tests: a cached body at the current generation skips
@@ -328,9 +311,9 @@ func mountReportFamily(rt router, prefix, etagPrefix string, view func() (*engin
 // nothing changed since), and the 304 check runs only after validation,
 // so a conditional request can never turn a 404 into a 304.
 func serveReport(w http.ResponseWriter, r *http.Request, ep reportEndpoint, q *reportQuery, p *engine.Partials,
-	cache *reportCache, gen uint64, etag string) {
+	cache *bodyCache, etag string) {
 	key := q.cacheKey(ep.name)
-	body, cached := cache.get(key, gen)
+	body, cached := cache.get(key, etag)
 	if !cached {
 		if aerr := validateQuery(q, p, ep.needArm); aerr != nil {
 			writeAPIError(w, aerr)
@@ -347,15 +330,14 @@ func serveReport(w http.ResponseWriter, r *http.Request, ep reportEndpoint, q *r
 			writeAPIError(w, errInternal(err))
 			return
 		}
-		cache.put(key, gen, body)
+		cache.put(key, etag, body)
 	}
 	w.Header().Set("ETag", etag)
 	if notModified {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
+	writeBody(w, http.StatusOK, body)
 }
 
 // seriesMeta is the header block every series-shaped response carries,
@@ -430,72 +412,91 @@ func buildPercentiles(q *reportQuery, p *engine.Partials) any {
 	return percentilesResponse{seriesMeta: metaFor(q, len(series)), Percentiles: out}
 }
 
-// rowCache is a small mutex-guarded LRU of decoded session rows.
-type rowCache struct {
+// bodyCache is the one cache of the query tier: a mutex-guarded LRU of
+// encoded response bodies with two bounds, entries and bytes, evicting
+// one entry at a time from the cold end when either is exceeded. A body
+// is served only at the version it was stored under (a session's record
+// version, a report family's generation tag); a put at a newer version
+// replaces the stale body in place, so a key never holds two.
+type bodyCache struct {
+	maxEntries, maxBytes int // maxEntries <= 0: caching is off
+
 	mu           sync.Mutex
-	cap          int
-	ll           *list.List // front = most recent
+	ll           *list.List // of *bodyItem, front = most recent
 	items        map[string]*list.Element
+	bytes        int // sum of len(body) over the items
 	hits, misses uint64
 }
 
-type rowItem struct {
-	key string
-	ver string
-	row engine.SessionRow
+type bodyItem struct {
+	key, ver string
+	body     []byte
 }
 
-// newRowCache builds the cache for n decoded rows: 0 picks the default
-// of 256, negative disables caching.
-func newRowCache(n int) *rowCache {
-	if n == 0 {
-		n = 256
-	}
-	if n < 0 {
-		n = 0
-	}
-	return &rowCache{cap: n, ll: list.New(), items: make(map[string]*list.Element)}
+func newBodyCache(maxEntries, maxBytes int) *bodyCache {
+	return &bodyCache{maxEntries: maxEntries, maxBytes: maxBytes, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
-// get returns the cached row for key only if it was cached at the same
-// record version; a stale entry counts as a miss (and is replaced on
-// the following put).
-func (c *rowCache) get(key, ver string) (engine.SessionRow, bool) {
-	if c.cap == 0 {
-		return engine.SessionRow{}, false
+// register folds the cache's own counters into reg as callback metrics.
+func (c *bodyCache) register(reg *telemetry.Registry, hitsName, missesName, bytesName string) {
+	reg.RegisterFunc(hitsName, telemetry.CounterFunc, func() float64 {
+		hits, _, _ := c.stats()
+		return float64(hits)
+	})
+	reg.RegisterFunc(missesName, telemetry.CounterFunc, func() float64 {
+		_, misses, _ := c.stats()
+		return float64(misses)
+	})
+	reg.RegisterFunc(bytesName, telemetry.GaugeFunc, func() float64 {
+		_, _, bytes := c.stats()
+		return float64(bytes)
+	})
+}
+
+// get returns the body cached for key only if it was stored at ver; a
+// stale entry counts as a miss (and is replaced on the following put).
+func (c *bodyCache) get(key, ver string) ([]byte, bool) {
+	if c.maxEntries <= 0 {
+		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok && el.Value.(rowItem).ver == ver {
+	if el, ok := c.items[key]; ok && el.Value.(*bodyItem).ver == ver {
 		c.ll.MoveToFront(el)
 		c.hits++
-		return el.Value.(rowItem).row, true
+		return el.Value.(*bodyItem).body, true
 	}
 	c.misses++
-	return engine.SessionRow{}, false
+	return nil, false
 }
 
-func (c *rowCache) put(key, ver string, row engine.SessionRow) {
-	if c.cap == 0 {
+// put stores body, which the caller must not modify afterwards. A body
+// larger than the whole byte bound is not admitted: it would evict every
+// other entry and then itself.
+func (c *bodyCache) put(key, ver string, body []byte) {
+	if c.maxEntries <= 0 || len(body) > c.maxBytes {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		el.Value = rowItem{key: key, ver: ver, row: row}
+		it := el.Value.(*bodyItem)
+		c.bytes += len(body) - len(it.body)
+		it.ver, it.body = ver, body
 		c.ll.MoveToFront(el)
-		return
+	} else {
+		c.items[key] = c.ll.PushFront(&bodyItem{key: key, ver: ver, body: body})
+		c.bytes += len(body)
 	}
-	c.items[key] = c.ll.PushFront(rowItem{key: key, ver: ver, row: row})
-	for c.ll.Len() > c.cap {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.items, last.Value.(rowItem).key)
+	for c.ll.Len() > c.maxEntries || c.bytes > c.maxBytes {
+		it := c.ll.Remove(c.ll.Back()).(*bodyItem)
+		delete(c.items, it.key)
+		c.bytes -= len(it.body)
 	}
 }
 
-func (c *rowCache) stats() (hits, misses uint64) {
+func (c *bodyCache) stats() (hits, misses uint64, bytes int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses
+	return c.hits, c.misses, c.bytes
 }

@@ -55,9 +55,7 @@ func writeAPIError(w http.ResponseWriter, err *apiError) {
 		http.Error(w, err.Message, err.Status)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(err.Status)
-	w.Write(body)
+	writeBody(w, err.Status, body)
 }
 
 func errBadParam(param, format string, args ...any) *apiError {
@@ -82,19 +80,20 @@ type reportQuery struct {
 	metricIdx   int    // index into engine.ReportMetrics
 	estimator   engine.ArmEstimator
 	percentiles []float64
-	rawPcts     string // verbatim parameter, for cache keys
 }
 
-// cacheKey is the canonical identity of the query for response caches.
-// Raw parameter spellings that parse to the same query share a key
-// through the canonical fields; percentiles keep their raw spelling
-// (the list is order-sensitive in the response).
+// cacheKey is the canonical identity of the query for the body cache:
+// spellings that parse to the same query share a key (percentiles=50,90,
+// "50, 90" and 50.0,90; an explicit default list and an absent one),
+// and no two different queries do. The free-text filters are quoted, so
+// no byte inside one can pass for a field boundary. Percentile order
+// stays significant, as it is in the response.
 func (q *reportQuery) cacheKey(endpoint string) string {
-	scen := q.scenario
-	if q.scenarioSet {
-		scen = "=" + scen
+	b := fmt.Appendf(nil, "%s %t%q%q%q%s %s", endpoint, q.scenarioSet, q.scenario, q.abr, q.arm, q.metricKey, q.estimator)
+	for _, p := range q.percentiles {
+		b = strconv.AppendFloat(append(b, ','), p, 'g', -1, 64)
 	}
-	return strings.Join([]string{endpoint, scen, q.abr, q.arm, q.metricKey, string(q.estimator), q.rawPcts}, "\x00")
+	return string(b)
 }
 
 // armOK returns the ABR-prefix arm filter, nil when unfiltered. Arm
@@ -121,7 +120,6 @@ func parseReportQuery(vals url.Values) (*reportQuery, *apiError) {
 		arm:         vals.Get("arm"),
 		estimator:   engine.EstVeritasMid,
 		metricKey:   engine.ReportMetrics()[0].Key,
-		rawPcts:     vals.Get("percentiles"),
 	}
 	if m := vals.Get("metric"); m != "" {
 		idx, ok := engine.MetricIndex(m)
@@ -138,11 +136,12 @@ func parseReportQuery(vals url.Values) (*reportQuery, *apiError) {
 		}
 		q.estimator = est
 	}
-	if q.rawPcts == "" {
+	rawPcts := vals.Get("percentiles")
+	if rawPcts == "" {
 		q.percentiles = defaultPercentiles
 		return q, nil
 	}
-	parts := strings.Split(q.rawPcts, ",")
+	parts := strings.Split(rawPcts, ",")
 	if len(parts) > maxPercentiles {
 		return nil, errBadParam("percentiles", "at most %d percentiles per request (got %d)", maxPercentiles, len(parts))
 	}

@@ -33,6 +33,14 @@
 // (engine.Partials folded per append), so no endpoint rescans the
 // corpus per query.
 //
+// The tier has one cache type (bodyCache in handler.go): an LRU of
+// encoded response bodies, evicting entry by entry. /v1/sessions/{id}
+// keeps one keyed by the session's record version and sized by
+// WithCacheEntries; each report family keeps one keyed by the canonical
+// query (query.go) at the current generation, bounded to 256 entries
+// and 4 MiB whatever the corpus size. A hit writes stored bytes: no
+// store read, no decode, no json.Marshal.
+//
 // NewServer and ListenAndServe build the http.Server every listener in
 // the module runs behind, with the header timeout and size limits a
 // slow or abusive client must not be able to exceed.
@@ -60,8 +68,9 @@ type config struct {
 // Option configures a query handler.
 type Option func(*config)
 
-// WithCacheEntries bounds the in-process read cache of decoded session
-// rows (default 256; negative disables caching).
+// WithCacheEntries bounds the in-process read cache of encoded
+// /v1/sessions/{id} bodies (default 256; negative disables it). The
+// report families' body caches have fixed bounds.
 func WithCacheEntries(n int) Option {
 	return func(c *config) { c.cacheEntries = n }
 }

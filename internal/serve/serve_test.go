@@ -161,8 +161,8 @@ func TestServeUnknownScenarioIs404(t *testing.T) {
 
 // TestServeSeesOverwritesThroughWritableStore pins the cache-coherence
 // contract for a handler sharing a writable store with a campaign:
-// overwriting a session must invalidate both the row cache and the
-// report cache, while untouched rows keep hitting.
+// overwriting a session must invalidate both its cached body and the
+// cached reports, while untouched sessions keep hitting.
 func TestServeSeesOverwritesThroughWritableStore(t *testing.T) {
 	st, err := store.Create(t.TempDir(), store.Options{})
 	if err != nil {
@@ -173,6 +173,7 @@ func TestServeSeesOverwritesThroughWritableStore(t *testing.T) {
 	h := New(st, WithCacheEntries(8))
 
 	_, before := get(t, h, "/v1/sessions/fcc-001")
+	get(t, h, "/v1/sessions/fcc-002")
 	_, reportBefore := get(t, h, "/v1/report")
 
 	// Re-run the session with a different outcome.
@@ -183,9 +184,16 @@ func TestServeSeesOverwritesThroughWritableStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The stale body is never served: the first fetch after the
+	// overwrite misses and is the body a cacheless handler builds, and
+	// the fetch after that is the same bytes from the cache.
+	h0, m0 := hitsOf(t, h)
 	code, after := get(t, h, "/v1/sessions/fcc-001")
 	if code != http.StatusOK || bytes.Equal(before, after) {
 		t.Errorf("overwritten session still served stale bytes (code %d)", code)
+	}
+	if _, direct := get(t, New(st, WithCacheEntries(-1)), "/v1/sessions/fcc-001"); !bytes.Equal(after, direct) {
+		t.Errorf("after the overwrite the handler served\n%s\nthe store holds\n%s", after, direct)
 	}
 	var row engine.SessionRow
 	if err := json.Unmarshal(after, &row); err != nil {
@@ -194,17 +202,21 @@ func TestServeSeesOverwritesThroughWritableStore(t *testing.T) {
 	if row.SettingA.AvgSSIM != 0.42 {
 		t.Errorf("served SSIM %v, want the overwritten 0.42", row.SettingA.AvgSSIM)
 	}
+	if _, again := get(t, h, "/v1/sessions/fcc-001"); !bytes.Equal(after, again) {
+		t.Error("the re-cached body differs from the one just served")
+	}
+	if h1, m1 := hitsOf(t, h); h1 != h0+1 || m1 != m0+1 {
+		t.Errorf("overwritten session fetched twice: hits %d -> %d, misses %d -> %d, want one more of each", h0, h1, m0, m1)
+	}
 	if _, reportAfter := get(t, h, "/v1/report"); bytes.Equal(reportBefore, reportAfter) {
 		t.Error("report cache survived an overwrite of an existing session")
 	}
 
 	// An untouched session cached before the overwrite still hits.
+	h0, _ = hitsOf(t, h)
 	get(t, h, "/v1/sessions/fcc-002")
-	h0, _ := hitsOf(t, h)
-	get(t, h, "/v1/sessions/fcc-002")
-	h1, _ := hitsOf(t, h)
-	if h1 != h0+1 {
-		t.Errorf("untouched session did not hit the row cache (%d -> %d)", h0, h1)
+	if h1, _ := hitsOf(t, h); h1 != h0+1 {
+		t.Errorf("untouched session did not hit the body cache (%d -> %d)", h0, h1)
 	}
 }
 

@@ -166,40 +166,6 @@ func CDF(xs []float64) []CDFPoint {
 	return out
 }
 
-// CDFAt returns the empirical CDF of xs evaluated at x (fraction <= x).
-func CDFAt(xs []float64, x float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var c int
-	for _, v := range xs {
-		if v <= x {
-			c++
-		}
-	}
-	return float64(c) / float64(len(xs))
-}
-
-// Pearson returns the Pearson correlation of paired samples. NaN when
-// either side is constant or the inputs are empty/unequal length.
-func Pearson(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		return math.NaN()
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return math.NaN()
-	}
-	return sxy / math.Sqrt(sxx*syy)
-}
-
 // RMSE returns the root mean squared error between predictions and truth.
 func RMSE(pred, truth []float64) float64 {
 	if len(pred) != len(truth) || len(pred) == 0 {

@@ -115,37 +115,6 @@ func TestCDFMonotone(t *testing.T) {
 	}
 }
 
-func TestCDFAt(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if got := CDFAt(xs, 2.5); got != 0.5 {
-		t.Errorf("CDFAt(2.5) = %v, want 0.5", got)
-	}
-	if got := CDFAt(xs, 0); got != 0 {
-		t.Errorf("CDFAt(0) = %v, want 0", got)
-	}
-	if got := CDFAt(xs, 10); got != 1 {
-		t.Errorf("CDFAt(10) = %v, want 1", got)
-	}
-}
-
-func TestPearsonPerfect(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{2, 4, 6, 8}
-	if got := Pearson(xs, ys); math.Abs(got-1) > 1e-12 {
-		t.Errorf("Pearson = %v, want 1", got)
-	}
-	neg := []float64{8, 6, 4, 2}
-	if got := Pearson(xs, neg); math.Abs(got+1) > 1e-12 {
-		t.Errorf("Pearson = %v, want -1", got)
-	}
-}
-
-func TestPearsonConstantIsNaN(t *testing.T) {
-	if !math.IsNaN(Pearson([]float64{1, 1}, []float64{2, 3})) {
-		t.Error("Pearson with constant input should be NaN")
-	}
-}
-
 func TestRMSEAndMAE(t *testing.T) {
 	pred := []float64{1, 2, 3}
 	truth := []float64{1, 2, 7}

@@ -180,7 +180,7 @@ type FuncKind int
 const (
 	// CounterFunc exposes the callback as a monotonic counter —
 	// the fold-in path for counters that already live elsewhere
-	// (the serving layer's row cache, the shared power cache).
+	// (the serving layer's body caches, the shared power cache).
 	CounterFunc FuncKind = iota
 	// GaugeFunc exposes the callback as a gauge.
 	GaugeFunc

@@ -197,12 +197,3 @@ func (v *Video) SSIM(n, q int) float64 { return v.ssims[n][q] }
 func (v *Video) Bitrate(n, q int) float64 {
 	return v.sizes[n][q] * 8 / 1e6 / v.cfg.ChunkSeconds
 }
-
-// WithLadder re-synthesizes the same video content on a different
-// ladder, reusing the seed so chunk complexity is preserved — the
-// operation behind the "change of qualities" counterfactual.
-func (v *Video) WithLadder(ladder []Quality) (*Video, error) {
-	cfg := v.cfg
-	cfg.Ladder = ladder
-	return Synthesize(cfg)
-}

@@ -101,11 +101,12 @@ func TestDuration(t *testing.T) {
 }
 
 func TestWithLadderPreservesComplexity(t *testing.T) {
+	// The "change of qualities" counterfactual: the same seed on another
+	// ladder is the same content.
 	v := MustSynthesize(DefaultConfig(6))
-	hv, err := v.WithLadder(HigherLadder())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := DefaultConfig(6)
+	cfg.Ladder = HigherLadder()
+	hv := MustSynthesize(cfg)
 	if hv.NumQualities() != len(HigherLadder()) {
 		t.Fatalf("ladder height %d", hv.NumQualities())
 	}
