@@ -67,10 +67,8 @@ func (c Config) withDefaults(maxObservedMbps float64) Config {
 			max = 10
 		}
 		est := c.HMM.Estimator
-		share := c.HMM.SharePowers
 		c.HMM = hmm.DefaultConfig(max)
 		c.HMM.Estimator = est
-		c.HMM.SharePowers = share
 	}
 	if c.NumSamples == 0 {
 		c.NumSamples = DefaultSamples
@@ -101,9 +99,20 @@ func Observations(log *player.SessionLog, deltaSecs float64) ([]hmm.Observation,
 	return observationsInto(nil, log, deltaSecs)
 }
 
+// maxStartInterval bounds a chunk's start time in δ-intervals (a week
+// at the paper's δ = 5 s). Inference takes A^Δn by a sequential walk of
+// Δn matrix multiplications and the replay traces hold one value per
+// interval, so an absurd start time in a log would otherwise walk — or
+// allocate — for ever.
+const maxStartInterval = 1 << 17
+
 // observationsInto is Observations with an optional arena: with a
 // scratch it fills the arena's reusable observation buffer instead of
-// allocating.
+// allocating. A log is outside input (cmd/abduct -log, a fleet's
+// SessionSpec.Log), so this is also where its numbers are checked: a
+// record whose throughput, size or start time is not a finite
+// non-negative number is refused by index, before it can size a grid or
+// turn a posterior into NaN.
 func observationsInto(sc *hmm.Scratch, log *player.SessionLog, deltaSecs float64) ([]hmm.Observation, error) {
 	if log == nil || len(log.Records) == 0 {
 		return nil, errors.New("abduction: empty session log")
@@ -118,15 +127,28 @@ func observationsInto(sc *hmm.Scratch, log *player.SessionLog, deltaSecs float64
 		obs = make([]hmm.Observation, len(log.Records))
 	}
 	for i, r := range log.Records {
+		interval := r.Start / deltaSecs
+		switch {
+		case !finiteNonNegative(r.ThroughputMbps):
+			return nil, fmt.Errorf("abduction: record %d: throughput %v Mbps is not a finite non-negative number", i, r.ThroughputMbps)
+		case !finiteNonNegative(r.SizeBytes):
+			return nil, fmt.Errorf("abduction: record %d: size %v bytes is not a finite non-negative number", i, r.SizeBytes)
+		case !finiteNonNegative(r.Start):
+			return nil, fmt.Errorf("abduction: record %d: start time %v s is not a finite non-negative number", i, r.Start)
+		case !(interval < maxStartInterval):
+			return nil, fmt.Errorf("abduction: record %d: start time %v s is past interval %d of %v s", i, r.Start, maxStartInterval, deltaSecs)
+		}
 		obs[i] = hmm.Observation{
 			ThroughputMbps: r.ThroughputMbps,
 			TCP:            r.TCP,
 			SizeBytes:      r.SizeBytes,
-			StartInterval:  int(r.Start / deltaSecs),
+			StartInterval:  int(interval),
 		}
 	}
 	return obs, nil
 }
+
+func finiteNonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // Abduct runs the full abduction: model fit-free inference (the EHMM's
 // parameters are the paper's fixed hyperparameters; no EM is needed)
@@ -135,23 +157,27 @@ func Abduct(log *player.SessionLog, cfg Config) (*Abduction, error) {
 	if log == nil || len(log.Records) == 0 {
 		return nil, errors.New("abduction: empty session log")
 	}
-	var maxObs float64
-	for _, r := range log.Records {
+	maxObs, maxAt := 0.0, 0
+	for i, r := range log.Records {
 		if r.ThroughputMbps > maxObs {
-			maxObs = r.ThroughputMbps
+			maxObs, maxAt = r.ThroughputMbps, i
 		}
 	}
+	sized := cfg.HMM.MaxMbps == 0 // the grid is sized from record maxAt
 	cfg = cfg.withDefaults(maxObs)
 
-	model, err := hmm.New(cfg.HMM)
-	if err != nil {
-		return nil, err
-	}
-	model.SetScratch(cfg.Scratch)
 	obs, err := observationsInto(cfg.Scratch, log, cfg.HMM.DeltaSecs)
 	if err != nil {
 		return nil, err
 	}
+	model, err := hmm.New(cfg.HMM)
+	if err != nil {
+		if sized {
+			return nil, fmt.Errorf("abduction: record %d: throughput %v Mbps sizes the capacity grid: %w", maxAt, maxObs, err)
+		}
+		return nil, err
+	}
+	model.SetScratch(cfg.Scratch)
 	if cfg.IgnoreTCPState {
 		for i := range obs {
 			warm := tcp.Fresh(obs[i].TCP.MinRTT)
@@ -167,11 +193,9 @@ func Abduct(log *player.SessionLog, cfg Config) (*Abduction, error) {
 		}
 		model = fit.Model
 	}
-	// One Infer computes the gap vector and the log-emission table once
-	// and shares them across Viterbi, forward–backward and the K
-	// samples; running the three entry points separately evaluates the
-	// emission table (the dominant estimator work) four times. All are
-	// pure functions of (obs, K, seed), so results are bit-identical.
+	// One Infer computes the gap vector and the log-emission table (the
+	// dominant estimator work) once and shares them across Viterbi,
+	// forward–backward and the K samples.
 	inf, err := model.Infer(obs, cfg.NumSamples, cfg.Seed)
 	if err != nil {
 		return nil, err

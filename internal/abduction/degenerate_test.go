@@ -2,6 +2,7 @@ package abduction
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"veritas/internal/abr"
@@ -34,26 +35,73 @@ func singleChunkLog() *player.SessionLog {
 	}
 }
 
+// hostileLog is a three-chunk log whose last record (index 2) has been
+// edited by mutate — what cmd/abduct -log or a fleet's
+// SessionSpec.Log can be handed from outside.
+func hostileLog(mutate func(r *player.ChunkRecord)) *player.SessionLog {
+	log := singleChunkLog()
+	first := log.Records[0]
+	for i := 1; i < 3; i++ {
+		r := first
+		r.Index = i
+		r.Start += 4 * float64(i)
+		r.End += 4 * float64(i)
+		log.Records = append(log.Records, r)
+	}
+	mutate(&log.Records[2])
+	return log
+}
+
+// hostileRecords are the numbers a log must not be trusted with. Each
+// is refused with an error naming record 2; at PR 22 NaN came back as
+// err == nil with an all-NaN posterior, +Inf and 1e300 panicked in
+// hmm.New (makeslice: len out of range), 1e6 Mbps asked for a
+// 9·10¹²-cell transition matrix, and a start time of 1e18 s sent
+// PowerCache on a 2·10¹⁷-step walk.
+var hostileRecords = []struct {
+	name   string
+	mutate func(r *player.ChunkRecord)
+}{
+	{"NaN throughput", func(r *player.ChunkRecord) { r.ThroughputMbps = math.NaN() }},
+	{"+Inf throughput", func(r *player.ChunkRecord) { r.ThroughputMbps = math.Inf(1) }},
+	{"negative throughput", func(r *player.ChunkRecord) { r.ThroughputMbps = -3 }},
+	{"NaN size", func(r *player.ChunkRecord) { r.SizeBytes = math.NaN() }},
+	{"+Inf size", func(r *player.ChunkRecord) { r.SizeBytes = math.Inf(1) }},
+	{"negative size", func(r *player.ChunkRecord) { r.SizeBytes = -1 }},
+	{"NaN start", func(r *player.ChunkRecord) { r.Start = math.NaN() }},
+	{"+Inf start", func(r *player.ChunkRecord) { r.Start = math.Inf(1) }},
+	{"negative start", func(r *player.ChunkRecord) { r.Start = -5 }},
+	{"absurd start", func(r *player.ChunkRecord) { r.Start = 1e18 }},
+	{"start past int64 intervals", func(r *player.ChunkRecord) { r.Start = 1e300 }},
+}
+
 func TestObservationsDegenerateInputs(t *testing.T) {
 	good := singleChunkLog()
-	cases := []struct {
+	type testCase struct {
 		name    string
 		log     *player.SessionLog
 		delta   float64
-		wantErr bool
-	}{
-		{"nil log", nil, 5, true},
-		{"empty records", &player.SessionLog{}, 5, true},
-		{"zero delta", good, 0, true},
-		{"negative delta", good, -1, true},
-		{"single chunk", good, 5, false},
+		wantErr string // substring; "" means success
+	}
+	cases := []testCase{
+		{"nil log", nil, 5, "empty"},
+		{"empty records", &player.SessionLog{}, 5, "empty"},
+		{"zero delta", good, 0, "delta"},
+		{"negative delta", good, -1, "delta"},
+		{"single chunk", good, 5, ""},
+		{"zero throughput, size and start", hostileLog(func(r *player.ChunkRecord) {
+			r.ThroughputMbps, r.SizeBytes, r.Start = 0, 0, 0
+		}), 5, ""},
+	}
+	for _, h := range hostileRecords {
+		cases = append(cases, testCase{h.name, hostileLog(h.mutate), 5, "record 2"})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			obs, err := Observations(tc.log, tc.delta)
-			if tc.wantErr {
-				if err == nil {
-					t.Fatal("want error, got nil")
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("want an error containing %q, got %v", tc.wantErr, err)
 				}
 				return
 			}
@@ -68,18 +116,47 @@ func TestObservationsDegenerateInputs(t *testing.T) {
 }
 
 func TestAbductDegenerateLogs(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		log  *player.SessionLog
-	}{
-		{"nil log", nil},
-		{"empty records", &player.SessionLog{}},
-	} {
+	type testCase struct {
+		name    string
+		log     *player.SessionLog
+		cfg     Config
+		wantErr string
+	}
+	cases := []testCase{
+		{"nil log", nil, Config{}, "empty"},
+		{"empty records", &player.SessionLog{}, Config{}, "empty"},
+		// Finite and non-negative, so only the grid bound can refuse
+		// them — still naming the record that sized the grid.
+		{"1e300 Mbps", hostileLog(func(r *player.ChunkRecord) { r.ThroughputMbps = 1e300 }), Config{}, "record 2"},
+		{"1e6 Mbps", hostileLog(func(r *player.ChunkRecord) { r.ThroughputMbps = 1e6 }), Config{}, "record 2"},
+		{"one state past the grid bound", hostileLog(func(r *player.ChunkRecord) { r.ThroughputMbps = 667 }), Config{}, "record 2"},
+	}
+	for _, h := range hostileRecords {
+		cases = append(cases,
+			testCase{h.name, hostileLog(h.mutate), Config{}, "record 2"},
+			testCase{h.name + ", fitted transitions", hostileLog(h.mutate), Config{FitTransitions: 1}, "record 2"})
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Abduct(tc.log, Config{}); err == nil {
-				t.Error("want error, got nil")
+			_, err := Abduct(tc.log, tc.cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("want an error containing %q, got %v", tc.wantErr, err)
 			}
 		})
+	}
+	// A caller who fixed the grid gets an observation far above it
+	// clamped by the emission model, not refused.
+	cfg := Config{HMM: hmm.DefaultConfig(10)}
+	a, err := Abduct(hostileLog(func(r *player.ChunkRecord) { r.ThroughputMbps = 1e6 }), cfg)
+	if err != nil {
+		t.Fatalf("fixed grid, observation above it: %v", err)
+	}
+	for n := 0; n < a.Posterior.Len(); n++ {
+		for _, v := range a.Posterior.Gamma(n) {
+			if math.IsNaN(v) {
+				t.Fatalf("NaN in the posterior of chunk %d", n)
+			}
+		}
 	}
 }
 

@@ -502,9 +502,6 @@ func runOne(cfg Config, spec SessionSpec, arms []Arm, idx int, sc *hmm.Scratch, 
 		acfg.Seed = cfg.Seed + 1 + int64(idx)*101
 	}
 	acfg.Scratch = sc // nil under KeepAbductions: results must own their buffers
-	// Sessions with equal capacity grids share one process-wide
-	// transition-power cache (see mathx.SharedPowers).
-	acfg.HMM.SharePowers = true
 	abductStart := em.now()
 	abductT0 := tb.Now()
 	abd, err := abduction.Abduct(log, acfg)

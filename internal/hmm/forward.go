@@ -1,6 +1,7 @@
 package hmm
 
 import (
+	"fmt"
 	"math"
 
 	"veritas/internal/mathx"
@@ -39,84 +40,82 @@ func (p *Posterior) PairAt(n, i, j int) float64 {
 	return p.pair[(n*p.ns+i)*p.ns+j]
 }
 
-// ForwardBackward runs the scaled forward–backward recursion with the
-// embedded transitions A^Δn and the f-based emissions, returning the
-// marginal and pairwise posteriors the capacity sampler needs. With a
-// scratch arena attached the returned posterior points into the arena
-// (see the Scratch lifetime contract).
-func (m *Model) ForwardBackward(obs []Observation) (*Posterior, error) {
-	if len(obs) == 0 {
-		return nil, ErrNoObservations
-	}
-	sc := m.scratch()
-	sc.chunkSlabs(len(obs), len(m.states))
-	if err := gapsInto(sc.gaps, obs); err != nil {
-		return nil, err
-	}
-	m.emissionTableInto(sc.emitLog, obs)
-	return m.forwardBackwardInto(sc, len(obs)), nil
-}
-
-// forwardBackwardInto is the recursion body. It expects sc.chunkSlabs
-// sized for (N, S) and sc.gaps/sc.emitLog filled, and performs exactly
-// the float operations of the original allocating implementation, in
-// the same order — only the buffers' homes changed — so results are
-// bit-identical.
-func (m *Model) forwardBackwardInto(sc *Scratch, N int) *Posterior {
+// alphaBeta is the package's one scaled forward–backward pass (paper
+// Algorithm 2): it rescales the log-emissions in sc.emitLog into
+// sc.emit/sc.shift, fills sc.alpha, sc.scale and sc.beta for a chain of
+// P positions, and returns log P(Y_1:N | W, S). It expects sc.passSlabs
+// sized for (P, S).
+//
+// The step matrix is the only thing that tells the two hidden chains
+// apart. With fixed == nil the positions are chunks and the step into
+// chunk n is A^Δn from the power cache (sc.gaps[n]) — Infer's embedded
+// chain. With fixed set the positions are δ-intervals and every step is
+// that matrix — the chain FitTransitions re-estimates. The interval
+// chain has positions that saw no usable evidence, so it alone shifts
+// an all-−Inf emission row by 0 (treating it as uninformative) and
+// reports a forward scale of 0 as an error; the chunk chain guards its
+// divisions by scale > 0 instead.
+func (m *Model) alphaBeta(sc *Scratch, P int, fixed *mathx.Matrix) (float64, error) {
 	ns := len(m.states)
-	d := sc.gaps
+	intervals := fixed != nil
+	step := func(p int) *mathx.Matrix {
+		if intervals {
+			return fixed
+		}
+		return m.powCache.Pow(sc.gaps[p])
+	}
+	row := func(slab []float64, p int) []float64 { return slab[p*ns : (p+1)*ns] }
 
-	// Rescale emissions per chunk so exp() cannot underflow even when
+	// Rescale emissions per position so exp() cannot underflow even when
 	// every state is a poor fit: only ratios matter once alpha/beta are
 	// normalized, and the discarded max factors are re-added to the
 	// log-likelihood.
-	for n := 0; n < N; n++ {
-		logRow := sc.emitLog[n*ns : (n+1)*ns]
+	for p := 0; p < P; p++ {
+		logRow := row(sc.emitLog, p)
 		maxLog := mathx.NegInf
 		for _, v := range logRow {
 			if v > maxLog {
 				maxLog = v
 			}
 		}
-		sc.shift[n] = maxLog
-		row := sc.emit[n*ns : (n+1)*ns]
+		if intervals && math.IsInf(maxLog, -1) {
+			maxLog = 0
+		}
+		sc.shift[p] = maxLog
+		e := row(sc.emit, p)
 		for i, v := range logRow {
-			row[i] = math.Exp(v - maxLog)
+			e[i] = math.Exp(v - maxLog)
 		}
 	}
 
-	alphaRow := func(n int) []float64 { return sc.alpha[n*ns : (n+1)*ns] }
-	betaRow := func(n int) []float64 { return sc.beta[n*ns : (n+1)*ns] }
-	emitRow := func(n int) []float64 { return sc.emit[n*ns : (n+1)*ns] }
-
-	a0 := alphaRow(0)
-	e0 := emitRow(0)
+	a0, e0 := row(sc.alpha, 0), row(sc.emit, 0)
 	for i := 0; i < ns; i++ {
 		a0[i] = m.initDist[i] * e0[i]
 	}
 	sc.scale[0] = mathx.Normalize(a0)
-
-	for n := 1; n < N; n++ {
-		a := m.powCache.Pow(d[n])
-		pred := alphaRow(n)
-		a.VecMulInto(pred, alphaRow(n-1)) // Σ_i alpha[n-1][i] A^Δ[i][j]
-		en := emitRow(n)
+	for p := 1; p < P; p++ {
+		pred := row(sc.alpha, p)
+		step(p).VecMulInto(pred, row(sc.alpha, p-1)) // Σ_i alpha[p-1][i] A[i][j]
+		ep := row(sc.emit, p)
 		for j := 0; j < ns; j++ {
-			pred[j] *= en[j]
+			pred[j] *= ep[j]
 		}
-		sc.scale[n] = mathx.Normalize(pred)
+		sc.scale[p] = mathx.Normalize(pred)
+		if intervals && sc.scale[p] == 0 {
+			return 0, fmt.Errorf("hmm: interval chain died at t=%d (no state has support)", p)
+		}
 	}
 
-	bLast := betaRow(N - 1)
+	bLast := row(sc.beta, P-1)
 	for i := range bLast {
 		bLast[i] = 1
 	}
-	for n := N - 2; n >= 0; n-- {
-		a := m.powCache.Pow(d[n+1])
-		row := betaRow(n)
-		// row[i] = Σ_j A^Δ[i][j] emit[n+1][j] beta[n+1][j] / scale[n+1]
+	for p := P - 2; p >= 0; p-- {
+		a := step(p + 1)
+		b := row(sc.beta, p)
+		// b[i] = Σ_j A[i][j] emit[p+1][j] beta[p+1][j] / scale[p+1]
 		weighted := sc.weighted
-		eNext, bNext := emitRow(n+1), betaRow(n+1)
+		eNext, bNext := row(sc.emit, p+1), row(sc.beta, p+1)
 		for j := 0; j < ns; j++ {
 			weighted[j] = eNext[j] * bNext[j]
 		}
@@ -126,60 +125,74 @@ func (m *Model) forwardBackwardInto(sc *Scratch, N int) *Posterior {
 			for j := 0; j < ns; j++ {
 				s += arow[j] * weighted[j]
 			}
-			if sc.scale[n+1] > 0 {
-				s /= sc.scale[n+1]
+			if sc.scale[p+1] > 0 {
+				s /= sc.scale[p+1]
 			}
-			row[i] = s
+			b[i] = s
 		}
 	}
 
+	var ll float64
+	for p := 0; p < P; p++ {
+		if sc.scale[p] > 0 {
+			ll += math.Log(sc.scale[p])
+		} else {
+			ll = mathx.NegInf
+		}
+		ll += sc.shift[p]
+	}
+	return ll, nil
+}
+
+// pairInto writes the unnormalized pairwise posterior of positions
+// (p, p+1) under step matrix a — α_p(i)·a[i][j]·e_{p+1}(j)·β_{p+1}(j),
+// paper Equation (6) before its normalizer — into the S×S slab dst and
+// returns the sum of its cells. The chunk posterior divides by that sum
+// in place; the EM E-step accumulates the quotients.
+func (sc *Scratch) pairInto(dst []float64, p int, a *mathx.Matrix) float64 {
+	ns := a.Rows
+	ap := sc.alpha[p*ns : (p+1)*ns]
+	eNext, bNext := sc.emit[(p+1)*ns:(p+2)*ns], sc.beta[(p+1)*ns:(p+2)*ns]
+	var total float64
+	for i := 0; i < ns; i++ {
+		drow := dst[i*ns : (i+1)*ns]
+		arow := a.Row(i)
+		for j := 0; j < ns; j++ {
+			v := ap[i] * arow[j] * eNext[j] * bNext[j]
+			drow[j] = v
+			total += v
+		}
+	}
+	return total
+}
+
+// posteriorInto turns the chunk chain's finished α/β pass into the
+// marginal and pairwise posteriors the capacity sampler needs, carved
+// from sc.gamma and sc.pair.
+func (m *Model) posteriorInto(sc *Scratch, N int, ll float64) *Posterior {
+	ns := len(m.states)
 	post := &Posterior{
-		gamma: sc.gamma[:N*ns],
-		pair:  sc.pair[:(N-1)*ns*ns],
-		n:     N,
-		ns:    ns,
+		gamma:         sc.gamma[:N*ns],
+		pair:          sc.pair[:(N-1)*ns*ns],
+		n:             N,
+		ns:            ns,
+		LogLikelihood: ll,
 	}
 	for n := 0; n < N; n++ {
 		g := post.Gamma(n)
-		an, bn := alphaRow(n), betaRow(n)
+		an, bn := sc.alpha[n*ns:(n+1)*ns], sc.beta[n*ns:(n+1)*ns]
 		for i := 0; i < ns; i++ {
 			g[i] = an[i] * bn[i]
 		}
 		mathx.Normalize(g)
 	}
 	for n := 0; n < N-1; n++ {
-		a := m.powCache.Pow(d[n+1])
 		pair := post.Pair(n)
-		an, eNext, bNext := alphaRow(n), emitRow(n+1), betaRow(n+1)
-		var total float64
-		for i := 0; i < ns; i++ {
-			row := pair[i*ns : (i+1)*ns]
-			arow := a.Row(i)
-			for j := 0; j < ns; j++ {
-				v := an[i] * arow[j] * eNext[j] * bNext[j]
-				row[j] = v
-				total += v
-			}
-		}
-		if total > 0 {
-			for i := 0; i < ns; i++ {
-				row := pair[i*ns : (i+1)*ns]
-				for j := 0; j < ns; j++ {
-					row[j] /= total
-				}
+		if total := sc.pairInto(pair, n, m.powCache.Pow(sc.gaps[n+1])); total > 0 {
+			for i := range pair {
+				pair[i] /= total
 			}
 		}
 	}
-
-	var ll float64
-	for n := 0; n < N; n++ {
-		if sc.scale[n] > 0 {
-			ll += math.Log(sc.scale[n])
-		} else {
-			ll = mathx.NegInf
-		}
-		ll += sc.shift[n]
-	}
-	post.LogLikelihood = ll
 	return post
 }

@@ -7,10 +7,15 @@
 //
 //	P(Y_n | W_sn, S_n, C_sn = c) = Normal(f(c, W_sn, S_n), σ²).
 //
-// The package provides the paper's three algorithms: the Viterbi variant
-// (Algorithm 3), the scaled forward–backward variant (Algorithm 2)
-// producing the pairwise posterior Γ, and the posterior capacity sampler
-// (Algorithm 1).
+// The package has two entry points and one way to do each thing. Infer
+// runs the paper's three algorithms over one evaluation of the emission
+// table: the Viterbi variant (Algorithm 3), the scaled forward–backward
+// variant (Algorithm 2) producing the pairwise posterior Γ, and the
+// posterior capacity sampler (Algorithm 1). FitTransitions is Baum–Welch
+// re-estimation of A on the chain over every δ-interval, an extension
+// beyond the paper. Both run the same α/β recursion (alphaBeta) over the
+// same Scratch slabs; they differ only in what a position is (a chunk or
+// an interval) and in the step matrix between positions (A^Δn or A).
 package hmm
 
 import (
@@ -57,14 +62,13 @@ type Config struct {
 	// of, e.g., BBR, and the rest of the inference machinery is reused
 	// unchanged.
 	Estimator func(gtbwMbps float64, st tcp.State, sizeBytes float64) float64
-	// SharePowers serves transition powers A^k from a process-wide
-	// cache keyed by the transition matrix's fingerprint
-	// (mathx.SharedPowers), so fleets of sessions with identical
-	// capacity grids compute each power once instead of once per
-	// session. Inference results are unchanged: shared and private
-	// caches build powers by the same sequential walk.
-	SharePowers bool
 }
+
+// maxStates bounds the capacity grid: 1 Gbps at the paper's ε = 0.5 Mbps.
+// The transition matrix and every cached power of it are S × S, and the
+// grid is usually sized from numbers read out of a session log, so
+// without a bound one absurd throughput value asks for terabytes.
+const maxStates = 2001
 
 // DefaultConfig mirrors the paper's hyperparameters for a grid reaching
 // maxMbps.
@@ -85,6 +89,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("hmm: EpsMbps %v <= 0", c.EpsMbps)
 	case c.MaxMbps < c.EpsMbps:
 		return fmt.Errorf("hmm: MaxMbps %v < EpsMbps %v", c.MaxMbps, c.EpsMbps)
+	case !(c.MaxMbps/c.EpsMbps < maxStates):
+		return fmt.Errorf("hmm: MaxMbps %v / EpsMbps %v is a grid of more than %d states", c.MaxMbps, c.EpsMbps, maxStates)
 	case c.DeltaSecs <= 0:
 		return fmt.Errorf("hmm: DeltaSecs %v <= 0", c.DeltaSecs)
 	case c.Sigma <= 0:
@@ -111,6 +117,11 @@ type Model struct {
 
 // New builds the model: a capacity grid {0, ε, 2ε, …, ⌊Max/ε⌋·ε}, a
 // tridiagonal transition matrix and a uniform initial distribution.
+// Transition powers A^k come from the process-wide cache keyed by the
+// matrix (mathx.SharedPowers), so sessions with identical capacity
+// grids compute each power once instead of once per session; shared and
+// private caches build powers by the same sequential walk, so which one
+// serves a model never changes a result.
 func New(cfg Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -133,18 +144,12 @@ func New(cfg Config) (*Model, error) {
 	for i := range init {
 		init[i] = 1 / float64(n)
 	}
-	var powCache *mathx.PowerCache
-	if cfg.SharePowers {
-		powCache = mathx.SharedPowers(trans)
-	} else {
-		powCache = mathx.NewPowerCache(trans)
-	}
 	return &Model{
 		cfg:      cfg,
 		states:   states,
 		initDist: init,
 		trans:    trans,
-		powCache: powCache,
+		powCache: mathx.SharedPowers(trans),
 	}, nil
 }
 
@@ -184,32 +189,6 @@ func (m *Model) NumStates() int { return len(m.states) }
 // Capacity returns the GTBW in Mbps of state index i.
 func (m *Model) Capacity(i int) float64 { return m.states[i] }
 
-// StateFor returns the grid index nearest to mbps, clamped to the grid.
-func (m *Model) StateFor(mbps float64) int {
-	i := int(math.Round(mbps / m.cfg.EpsMbps))
-	if i < 0 {
-		return 0
-	}
-	if i >= len(m.states) {
-		return len(m.states) - 1
-	}
-	return i
-}
-
-// TransitionPower returns A^k from the model's power cache.
-func (m *Model) TransitionPower(k int) *mathx.Matrix { return m.powCache.Pow(k) }
-
-// EmissionLogProb returns log P(Y | W, S, C = state i) per Equation (3):
-// a Gaussian around the embedded throughput estimator's prediction.
-func (m *Model) EmissionLogProb(obs Observation, i int) float64 {
-	est := m.cfg.Estimator
-	if est == nil {
-		est = tcp.EstimateThroughput
-	}
-	pred := est(m.states[i], obs.TCP, obs.SizeBytes)
-	return mathx.NormalLogPDF(obs.ThroughputMbps, pred, m.cfg.Sigma)
-}
-
 // gapsInto fills d (length len(obs)) with Δn for n = 1..N-1 (d[0] is
 // unused, kept for alignment) and validates ordering.
 func gapsInto(d []int, obs []Observation) error {
@@ -227,23 +206,20 @@ func gapsInto(d []int, obs []Observation) error {
 	return nil
 }
 
-// emissionTableInto fills the N×S row-major slab tab with log-emissions
-// tab[n*S+i] = log P(Y_n | W, S, C = iε); shared by Viterbi and
-// forward–backward, computed once per inference.
-func (m *Model) emissionTableInto(tab []float64, obs []Observation) {
-	ns := len(m.states)
+// emissionRowInto fills row (length S) with one chunk's log-emissions
+// per Equation (3), a Gaussian around the embedded throughput
+// estimator's prediction: row[i] = log P(Y | W, S, C = iε). It is the
+// package's one emission evaluator — Infer calls it once per chunk,
+// FitTransitions once per chunk before grouping rows by interval.
+func (m *Model) emissionRowInto(row []float64, o Observation) {
 	est := m.cfg.Estimator
 	if est == nil {
 		est = tcp.EstimateThroughput
 	}
-	for n, o := range obs {
-		row := tab[n*ns : (n+1)*ns]
-		for i := range m.states {
-			pred := est(m.states[i], o.TCP, o.SizeBytes)
-			row[i] = mathx.NormalLogPDF(o.ThroughputMbps, pred, m.cfg.Sigma)
-		}
+	for i, c := range m.states {
+		row[i] = mathx.NormalLogPDF(o.ThroughputMbps, est(c, o.TCP, o.SizeBytes), m.cfg.Sigma)
 	}
 }
 
-// ErrNoObservations is returned by inference entry points on empty input.
+// ErrNoObservations is returned by Infer and FitTransitions on empty input.
 var ErrNoObservations = errors.New("hmm: no observations")

@@ -2,7 +2,6 @@ package hmm
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"veritas/internal/tcp"
@@ -46,11 +45,25 @@ func TestConfigValidate(t *testing.T) {
 		{EpsMbps: 0.5, MaxMbps: 10, DeltaSecs: 5, Sigma: 0, StayProb: 0.8},
 		{EpsMbps: 0.5, MaxMbps: 10, DeltaSecs: 5, Sigma: 0.5, StayProb: 1},
 		{EpsMbps: 0.5, MaxMbps: 10, DeltaSecs: 5, Sigma: 0.5, StayProb: 0},
+		// One state past the grid bound, and sizes that would overflow or
+		// exhaust memory in New if they were not refused here.
+		{EpsMbps: 0.5, MaxMbps: 1000.5, DeltaSecs: 5, Sigma: 0.5, StayProb: 0.8},
+		{EpsMbps: 0.5, MaxMbps: 1.5e6, DeltaSecs: 5, Sigma: 0.5, StayProb: 0.8},
+		{EpsMbps: 0.5, MaxMbps: 1.5e300, DeltaSecs: 5, Sigma: 0.5, StayProb: 0.8},
+		{EpsMbps: 0.5, MaxMbps: math.Inf(1), DeltaSecs: 5, Sigma: 0.5, StayProb: 0.8},
+		{EpsMbps: 0.5, MaxMbps: math.NaN(), DeltaSecs: 5, Sigma: 0.5, StayProb: 0.8},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("config %d should be invalid", i)
 		}
+		if _, err := New(c); err == nil {
+			t.Errorf("New accepted invalid config %d", i)
+		}
+	}
+	// The bound itself is legal: 1 Gbps at ε = 0.5 Mbps.
+	if err := DefaultConfig(1000).Validate(); err != nil {
+		t.Errorf("1 Gbps grid refused: %v", err)
 	}
 }
 
@@ -61,15 +74,6 @@ func TestStateGrid(t *testing.T) {
 	}
 	if m.Capacity(0) != 0 || m.Capacity(20) != 10 {
 		t.Errorf("grid endpoints wrong: %v, %v", m.Capacity(0), m.Capacity(20))
-	}
-	if got := m.StateFor(3.2); got != 6 {
-		t.Errorf("StateFor(3.2) = %d, want 6", got)
-	}
-	if got := m.StateFor(-5); got != 0 {
-		t.Errorf("StateFor(-5) = %d, want 0", got)
-	}
-	if got := m.StateFor(99); got != 20 {
-		t.Errorf("StateFor(99) = %d, want 20", got)
 	}
 }
 
@@ -95,8 +99,8 @@ func TestTridiagonalStochastic(t *testing.T) {
 
 func TestTransitionPowerSpreads(t *testing.T) {
 	m := testModel(t, 10)
-	one := m.TransitionPower(1)
-	ten := m.TransitionPower(10)
+	one := m.powCache.Pow(1)
+	ten := m.powCache.Pow(10)
 	// After more steps, mass further from the diagonal.
 	if ten.At(10, 10) >= one.At(10, 10) {
 		t.Error("self-transition probability should decay with steps")
@@ -114,9 +118,10 @@ func TestEmissionPeaksAtTrueCapacity(t *testing.T) {
 	// A large chunk on a hot connection observes ~GTBW, so the emission
 	// should peak at the true state.
 	obs := obsFor(4.0, 5e6, 0)
+	row := make([]float64, m.NumStates())
+	m.emissionRowInto(row, obs)
 	best, bestLP := -1, math.Inf(-1)
-	for i := 0; i < m.NumStates(); i++ {
-		lp := m.EmissionLogProb(obs, i)
+	for i, lp := range row {
 		if lp > bestLP {
 			best, bestLP = i, lp
 		}
@@ -128,7 +133,7 @@ func TestEmissionPeaksAtTrueCapacity(t *testing.T) {
 
 func TestViterbiEmptyInput(t *testing.T) {
 	m := testModel(t, 10)
-	if _, _, err := m.Viterbi(nil); err != ErrNoObservations {
+	if _, err := m.Infer(nil, 0, 1); err != ErrNoObservations {
 		t.Errorf("want ErrNoObservations, got %v", err)
 	}
 }
@@ -136,7 +141,7 @@ func TestViterbiEmptyInput(t *testing.T) {
 func TestViterbiOutOfOrder(t *testing.T) {
 	m := testModel(t, 10)
 	obs := []Observation{obsFor(4, 5e6, 3), obsFor(4, 5e6, 1)}
-	if _, _, err := m.Viterbi(obs); err == nil {
+	if _, err := m.Infer(obs, 0, 1); err == nil {
 		t.Error("out-of-order intervals should error")
 	}
 }
@@ -147,10 +152,11 @@ func TestViterbiRecoversConstantCapacity(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		obs = append(obs, obsFor(6.0, 4e6, i))
 	}
-	path, ll, err := m.Viterbi(obs)
+	inf, err := m.Infer(obs, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	path, ll := inf.Path, inf.PathLogProb
 	if math.IsInf(ll, -1) {
 		t.Fatal("log-likelihood is -Inf")
 	}
@@ -174,10 +180,11 @@ func TestViterbiRecoversStepChange(t *testing.T) {
 	for i := 10; i < 22; i++ {
 		obs = append(obs, obsFor(5.5, 4e6, i))
 	}
-	path, _, err := m.Viterbi(obs)
+	inf, err := m.Infer(obs, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	path := inf.Path
 	for n := 0; n < 7; n++ {
 		if math.Abs(m.Capacity(path[n])-3.0) > 0.51 {
 			t.Errorf("chunk %d: %v Mbps, want ~3.0", n, m.Capacity(path[n]))
@@ -201,10 +208,11 @@ func TestViterbiZeroGapChunksShareState(t *testing.T) {
 	// states even under conflicting evidence.
 	m := testModel(t, 10)
 	obs := []Observation{obsFor(3, 4e6, 5), obsFor(8, 4e6, 5)}
-	path, _, err := m.Viterbi(obs)
+	inf, err := m.Infer(obs, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	path := inf.Path
 	if path[0] != path[1] {
 		t.Errorf("zero-gap chunks got different states %d, %d", path[0], path[1])
 	}
@@ -216,10 +224,11 @@ func TestForwardBackwardGammaNormalized(t *testing.T) {
 	for i := 0; i < 15; i++ {
 		obs = append(obs, obsFor(5, 3e6, i*2))
 	}
-	post, err := m.ForwardBackward(obs)
+	inf, err := m.Infer(obs, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	post := inf.Post
 	for n := 0; n < post.Len(); n++ {
 		var s float64
 		for _, v := range post.Gamma(n) {
@@ -253,10 +262,11 @@ func TestPairMarginalsMatchGamma(t *testing.T) {
 		}
 		obs = append(obs, obsFor(cap, 3e6, i))
 	}
-	post, err := m.ForwardBackward(obs)
+	inf, err := m.Infer(obs, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	post := inf.Post
 	for n := 0; n < post.Len()-1; n++ {
 		for i := 0; i < m.NumStates(); i++ {
 			var rowSum float64
@@ -287,10 +297,11 @@ func TestGammaPeaksNearTruth(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		obs = append(obs, obsFor(6.5, 4e6, i))
 	}
-	post, err := m.ForwardBackward(obs)
+	inf, err := m.Infer(obs, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	post := inf.Post
 	for n := 0; n < post.Len(); n++ {
 		g := post.Gamma(n)
 		bi := 0
@@ -311,19 +322,11 @@ func TestSampleMatchesViterbiOnSharpPosterior(t *testing.T) {
 	for i := 0; i < 15; i++ {
 		obs = append(obs, obsFor(5, 5e6, i))
 	}
-	viterbi, _, err := m.Viterbi(obs)
+	inf, err := m.Infer(obs, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	post, err := m.ForwardBackward(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	seq, err := m.Sample(rng, post, viterbi)
-	if err != nil {
-		t.Fatal(err)
-	}
+	viterbi, seq := inf.Path, inf.Samples[0]
 	// With noiseless synthetic observations, the posterior is sharp and
 	// samples should equal the Viterbi path everywhere.
 	for n := range seq {
@@ -340,17 +343,20 @@ func TestSampleKDeterministicSeed(t *testing.T) {
 		// Small chunks leave capacity ambiguous, so samples vary.
 		obs = append(obs, obsFor(5, 50e3, i))
 	}
-	a, err := m.SampleK(obs, 4, 77)
+	a, err := m.Infer(obs, 4, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.SampleK(obs, 4, 77)
+	b, err := m.Infer(obs, 4, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for s := range a {
-		for n := range a[s] {
-			if a[s][n] != b[s][n] {
+	if len(a.Samples) != 4 {
+		t.Fatalf("%d samples, want 4", len(a.Samples))
+	}
+	for s := range a.Samples {
+		for n := range a.Samples[s] {
+			if a.Samples[s][n] != b.Samples[s][n] {
 				t.Fatal("same seed produced different samples")
 			}
 		}
@@ -359,18 +365,22 @@ func TestSampleKDeterministicSeed(t *testing.T) {
 
 func TestSampleKValidation(t *testing.T) {
 	m := testModel(t, 10)
-	if _, err := m.SampleK(nil, 3, 1); err == nil {
+	if _, err := m.Infer(nil, 3, 1); err == nil {
 		t.Error("empty observations should error")
 	}
 	obs := []Observation{obsFor(5, 1e6, 0)}
-	if _, err := m.SampleK(obs, 0, 1); err == nil {
-		t.Error("k=0 should error")
+	if _, err := m.Infer(obs, -1, 1); err == nil {
+		t.Error("k<0 should error")
+	}
+	inf, err := m.Infer(obs, 0, 1)
+	if err != nil || inf.Samples != nil {
+		t.Errorf("k=0 draws no samples and is not an error: %v, %v", inf, err)
 	}
 }
 
 func TestExpectedCapacityAfter(t *testing.T) {
 	m := testModel(t, 10)
-	st := m.StateFor(5)
+	const st = 10 // 5 Mbps on the 0.5 Mbps grid
 	// Gap 0: expectation is the state itself.
 	if got := m.ExpectedCapacityAfter(st, 0); got != 5 {
 		t.Errorf("gap-0 expectation = %v, want 5", got)
@@ -397,10 +407,11 @@ func TestAmbiguousSmallChunksHaveWiderPosterior(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			obs = append(obs, obsFor(6, size, i))
 		}
-		post, err := m.ForwardBackward(obs)
+		inf, err := m.Infer(obs, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
+		post := inf.Post
 		var h float64
 		for _, v := range post.Gamma(5) {
 			if v > 1e-12 {
@@ -439,10 +450,11 @@ func TestCustomEstimatorHook(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		obs = append(obs, Observation{ThroughputMbps: 3, TCP: cold, SizeBytes: 4e5, StartInterval: i})
 	}
-	path, _, err := m.Viterbi(obs)
+	inf, err := m.Infer(obs, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	path := inf.Path
 	for n, s := range path {
 		if m.Capacity(s) != 3 {
 			t.Fatalf("chunk %d: identity estimator should infer 3 Mbps, got %v", n, m.Capacity(s))
@@ -451,79 +463,13 @@ func TestCustomEstimatorHook(t *testing.T) {
 	// The default model must infer a higher capacity for the same
 	// observations (it knows the cold connection under-reports).
 	md := testModel(t, 10)
-	pathDefault, _, err := md.Viterbi(obs)
+	infDefault, err := md.Infer(obs, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pathDefault := infDefault.Path
 	if md.Capacity(pathDefault[5]) <= 3 {
 		t.Errorf("default estimator inferred %v, want > 3 (inversion of the cold state)",
 			md.Capacity(pathDefault[5]))
-	}
-}
-
-// TestSharePowersDoesNotChangeInference pins that the process-wide
-// transition-power cache is purely a performance optimization: Viterbi
-// paths, posteriors and samples are identical with and without it.
-func TestSharePowersDoesNotChangeInference(t *testing.T) {
-	obs := []Observation{
-		obsFor(4, 4e6, 0), obsFor(4, 4e6, 2), obsFor(5, 2e6, 3),
-		obsFor(6, 4e6, 7), obsFor(6, 4e6, 8), obsFor(5, 1e6, 12),
-	}
-	private := testModel(t, 10)
-	cfg := DefaultConfig(10)
-	cfg.SharePowers = true
-	shared, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Run the shared-cache model first so the second model observes a
-	// pre-warmed cache (the worst case for determinism).
-	shared2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vp, vs, err := private.Viterbi(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, m := range map[string]*Model{"cold": shared, "warm": shared2} {
-		p, s, err := m.Viterbi(obs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s != vs {
-			t.Errorf("%s shared model: Viterbi score %v, want %v", name, s, vs)
-		}
-		for i := range p {
-			if p[i] != vp[i] {
-				t.Fatalf("%s shared model: Viterbi path differs at %d", name, i)
-			}
-		}
-		post, err := m.ForwardBackward(obs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantPost, err := private.ForwardBackward(obs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if post.LogLikelihood != wantPost.LogLikelihood {
-			t.Errorf("%s shared model: log-likelihood %v, want %v", name, post.LogLikelihood, wantPost.LogLikelihood)
-		}
-		paths, err := m.SampleK(obs, 3, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantPaths, err := private.SampleK(obs, 3, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := range paths {
-			for i := range paths[k] {
-				if paths[k][i] != wantPaths[k][i] {
-					t.Fatalf("%s shared model: sample %d differs at %d", name, k, i)
-				}
-			}
-		}
 	}
 }

@@ -16,12 +16,9 @@ type Inference struct {
 }
 
 // Infer runs all three algorithms over one observation sequence,
-// computing the inter-chunk gaps and the log-emission table once and
-// sharing them — where calling Viterbi, ForwardBackward and SampleK
-// separately evaluates the emission table (the hot path's dominant
-// throughput-estimator work) four times. All three are pure functions
-// of (obs, k, seed), so the combined result is bit-identical to the
-// separate calls.
+// computing the inter-chunk gaps and the log-emission table (the hot
+// path's dominant throughput-estimator work) once and sharing them. The
+// result is a pure function of (obs, k, seed).
 //
 // k may be zero (no samples drawn). With a scratch arena attached via
 // SetScratch, the whole result — path, posterior slabs, samples —
@@ -36,14 +33,21 @@ func (m *Model) Infer(obs []Observation, k int, seed int64) (*Inference, error) 
 	}
 	sc := m.scratch()
 	N := len(obs)
-	sc.chunkSlabs(N, len(m.states))
+	ns := len(m.states)
+	sc.inferSlabs(N, ns)
 	if err := gapsInto(sc.gaps, obs); err != nil {
 		return nil, err
 	}
-	m.emissionTableInto(sc.emitLog, obs)
+	for n, o := range obs {
+		m.emissionRowInto(sc.emitLog[n*ns:(n+1)*ns], o)
+	}
 
 	path, best := m.viterbiInto(sc, N)
-	post := m.forwardBackwardInto(sc, N)
+	ll, err := m.alphaBeta(sc, N, nil)
+	if err != nil {
+		return nil, err
+	}
+	post := m.posteriorInto(sc, N, ll)
 
 	inf := &Inference{Path: path, PathLogProb: best, Post: post}
 	if k > 0 {

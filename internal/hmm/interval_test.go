@@ -3,7 +3,36 @@ package hmm
 import (
 	"math"
 	"testing"
+
+	"veritas/internal/mathx"
 )
+
+// intervalPosterior runs the production α/β pass over the interval chain
+// with the model's own transition matrix — the E-step of a Baum–Welch
+// fit that stops before re-estimating anything — and returns the
+// smoothed per-interval marginals as a T×S slab, the chain's
+// log-likelihood and T. FitTransitions is the only production caller of
+// that chain; this is how the tests see its posterior.
+func intervalPosterior(m *Model, obs []Observation) (gamma []float64, ll float64, T int, err error) {
+	sc := m.scratch()
+	T, err = m.intervalEmissionsInto(sc, obs)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	ll, err = m.alphaBeta(sc, T, m.trans)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	ns := len(m.states)
+	gamma = make([]float64, T*ns)
+	for i := range gamma {
+		gamma[i] = sc.alpha[i] * sc.beta[i]
+	}
+	for t := 0; t < T; t++ {
+		mathx.Normalize(gamma[t*ns : (t+1)*ns])
+	}
+	return gamma, ll, T, nil
+}
 
 func TestIntervalForwardBackwardShapes(t *testing.T) {
 	m := testModel(t, 10)
@@ -11,16 +40,17 @@ func TestIntervalForwardBackwardShapes(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		obs = append(obs, obsFor(5, 2e6, i*3)) // gaps: intervals 0,3,6,...
 	}
-	post, err := m.IntervalForwardBackward(obs)
+	gamma, _, T, err := intervalPosterior(m, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantT := obs[len(obs)-1].StartInterval + 1
-	if post.T != wantT {
-		t.Fatalf("T = %d, want %d", post.T, wantT)
+	if T != wantT {
+		t.Fatalf("T = %d, want %d", T, wantT)
 	}
-	for tt := 0; tt < post.T; tt++ {
-		g := post.Gamma(tt)
+	ns := m.NumStates()
+	for tt := 0; tt < T; tt++ {
+		g := gamma[tt*ns : (tt+1)*ns]
 		var s float64
 		for _, v := range g {
 			if v < -1e-12 {
@@ -44,26 +74,27 @@ func TestIntervalPosteriorMatchesChunkPosterior(t *testing.T) {
 	for i, c := range caps {
 		obs = append(obs, obsFor(c, 3e6, i*2))
 	}
-	chunkPost, err := m.ForwardBackward(obs)
+	inf, err := m.Infer(obs, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	intPost, err := m.IntervalForwardBackward(obs)
+	chunkPost := inf.Post
+	intGamma, intLL, _, err := intervalPosterior(m, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ns := m.NumStates()
 	for n, o := range obs {
-		for i := 0; i < m.NumStates(); i++ {
+		for i := 0; i < ns; i++ {
 			a := chunkPost.Gamma(n)[i]
-			b := intPost.Gamma(o.StartInterval)[i]
+			b := intGamma[o.StartInterval*ns+i]
 			if math.Abs(a-b) > 1e-6 {
 				t.Fatalf("chunk %d state %d: embedded %v vs interval %v", n, i, a, b)
 			}
 		}
 	}
-	if math.Abs(chunkPost.LogLikelihood-intPost.LogLikelihood) > 1e-6 {
-		t.Errorf("log-likelihoods differ: %v vs %v",
-			chunkPost.LogLikelihood, intPost.LogLikelihood)
+	if math.Abs(chunkPost.LogLikelihood-intLL) > 1e-6 {
+		t.Errorf("log-likelihoods differ: %v vs %v", chunkPost.LogLikelihood, intLL)
 	}
 }
 
@@ -73,14 +104,15 @@ func TestIntervalMultipleChunksPerInterval(t *testing.T) {
 	m := testModel(t, 10)
 	one := []Observation{obsFor(5, 1e6, 0), obsFor(5, 1e6, 1)}
 	two := []Observation{obsFor(5, 1e6, 0), obsFor(5, 1e6, 0), obsFor(5, 1e6, 1), obsFor(5, 1e6, 1)}
-	p1, err := m.IntervalForwardBackward(one)
+	g1, _, _, err := intervalPosterior(m, one)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := m.IntervalForwardBackward(two)
+	g2, _, _, err := intervalPosterior(m, two)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ns := m.NumStates()
 	ent := func(g []float64) float64 {
 		var h float64
 		for _, v := range g {
@@ -90,19 +122,19 @@ func TestIntervalMultipleChunksPerInterval(t *testing.T) {
 		}
 		return h
 	}
-	if ent(p2.Gamma(0)) > ent(p1.Gamma(0)) {
+	if ent(g2[:ns]) > ent(g1[:ns]) {
 		t.Errorf("doubled evidence should not widen the posterior: %v vs %v",
-			ent(p2.Gamma(0)), ent(p1.Gamma(0)))
+			ent(g2[:ns]), ent(g1[:ns]))
 	}
 }
 
 func TestIntervalErrors(t *testing.T) {
 	m := testModel(t, 10)
-	if _, err := m.IntervalForwardBackward(nil); err != ErrNoObservations {
+	if _, _, _, err := intervalPosterior(m, nil); err != ErrNoObservations {
 		t.Errorf("want ErrNoObservations, got %v", err)
 	}
 	bad := []Observation{obsFor(5, 1e6, 3), obsFor(5, 1e6, 1)}
-	if _, err := m.IntervalForwardBackward(bad); err == nil {
+	if _, _, _, err := intervalPosterior(m, bad); err == nil {
 		t.Error("out-of-order intervals should error")
 	}
 }
@@ -134,8 +166,8 @@ func TestFitTransitionsImprovesLikelihood(t *testing.T) {
 		t.Error("learned transition matrix not row-stochastic")
 	}
 	// And inference with it must still work.
-	if _, _, err := fit.Model.Viterbi(obs); err != nil {
-		t.Errorf("Viterbi on fitted model: %v", err)
+	if _, err := fit.Model.Infer(obs, 0, 1); err != nil {
+		t.Errorf("Infer on fitted model: %v", err)
 	}
 }
 

@@ -7,28 +7,14 @@ import (
 	"veritas/internal/mathx"
 )
 
-// Sample draws one GTBW state sequence from the posterior — the paper's
-// Algorithm 1 (Capacity Sampler). The last chunk's state is pinned to
-// the Viterbi maximum-likelihood state; every earlier chunk n is then
-// sampled backward from the pairwise posterior conditioned on the
-// already-sampled state of chunk n+1:
+// sampleInto draws one GTBW state sequence from the posterior into out
+// (length post.Len()) — the paper's Algorithm 1 (Capacity Sampler) —
+// using the caller-supplied weights buffer (length NumStates). The last
+// chunk's state is pinned to the Viterbi maximum-likelihood state; every
+// earlier chunk n is then sampled backward from the pairwise posterior
+// conditioned on the already-sampled state of chunk n+1:
 //
 //	π_n(i) ∝ Γ_{i, C_{s_{n+1}}, n}.
-func (m *Model) Sample(rng *rand.Rand, post *Posterior, viterbi []int) ([]int, error) {
-	if post == nil || post.Len() == 0 {
-		return nil, errors.New("hmm: Sample requires a posterior")
-	}
-	out := make([]int, post.Len())
-	weights := make([]float64, len(m.states))
-	if err := m.sampleInto(out, weights, rng, post, viterbi); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// sampleInto draws one sequence into out (length post.Len()) using the
-// caller-supplied weights buffer (length NumStates). Identical sampling
-// logic and RNG consumption to the original Sample.
 func (m *Model) sampleInto(out []int, weights []float64, rng *rand.Rand, post *Posterior, viterbi []int) error {
 	N := post.Len()
 	if len(viterbi) != N {
@@ -53,19 +39,6 @@ func (m *Model) sampleInto(out []int, weights []float64, rng *rand.Rand, post *P
 		out[n] = mathx.SampleCategorical(rng, weights)
 	}
 	return nil
-}
-
-// SampleK draws k independent state sequences with a deterministic seed,
-// running Viterbi and forward–backward once and reusing them.
-func (m *Model) SampleK(obs []Observation, k int, seed int64) ([][]int, error) {
-	if k <= 0 {
-		return nil, errors.New("hmm: SampleK requires k > 0")
-	}
-	inf, err := m.Infer(obs, k, seed)
-	if err != nil {
-		return nil, err
-	}
-	return inf.Samples, nil
 }
 
 // ExpectedCapacityAfter returns E[C_{t+gap} | C_t = state]: the mean of

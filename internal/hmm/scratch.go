@@ -4,48 +4,58 @@ package hmm
 // path needs — the log-emission table, the scaled forward/backward
 // matrices, the Viterbi score and back-pointer ladders, the posterior
 // slabs and the sampler's weight vector — carved from a handful of
-// grow-only strided slabs sized by the session shape (chunks × states,
-// plus intervals × states for the EM chain). A fleet worker allocates
-// one Scratch and recycles it across its whole corpus slice: after the
-// first (largest-shaped) session, per-session inference is
+// grow-only strided slabs. There is one set of them: the scaled α/β
+// pass runs over "positions" — the N chunks when Infer embeds A^Δn
+// between chunk starts, the T δ-intervals when FitTransitions runs
+// Baum–Welch with single steps of A — and both chains use the same
+// position × state slabs, sized by whichever call runs. A fleet worker
+// allocates one Scratch and recycles it across its whole corpus slice:
+// after the first (largest-shaped) session, per-session inference is
 // allocation-flat.
 //
-// Lifetime contract: results produced through a Scratch — Posterior and
-// IntervalPosterior slabs, Viterbi paths, sampled paths, observation
-// slices — point INTO the arena and are valid only until the next
-// inference that uses the same Scratch. Callers that retain results
-// across sessions (engine KeepAbductions, ad-hoc API use without a
-// scratch) get freshly allocated buffers instead: every entry point
-// treats a nil Scratch as "allocate a private one for this call", which
-// the result then owns outright.
+// Lifetime contract: results produced through a Scratch — Posterior
+// slabs, Viterbi paths, sampled paths, observation slices — point INTO
+// the arena and are valid only until the next Infer or FitTransitions
+// that uses the same Scratch. (FitTransitions' own result, the fitted
+// matrix, is freshly allocated: nothing of the interval chain outlives
+// the call, which is why it needs no slabs of its own.) Callers that
+// retain results across sessions (engine KeepAbductions, ad-hoc API use
+// without a scratch) get freshly allocated buffers instead: every entry
+// point treats a nil Scratch as "allocate a private one for this call",
+// which the result then owns outright.
 //
 // A Scratch is not safe for concurrent use; give each goroutine its
-// own. Reuse is safe across sessions of any shapes because every slab
-// cell an algorithm reads is written earlier in the same inference —
-// nothing is carried over, so no state can bleed between sessions (see
-// TestScratchNoCrossSessionBleed).
+// own. Reuse is safe across sessions of any shapes, and across the two
+// chains, because every slab cell an algorithm reads is written earlier
+// in the same call — nothing is carried over, so no state can bleed
+// between sessions (see TestScratchNoCrossSessionBleed).
 type Scratch struct {
-	// chunk-shaped slabs (N × S, row-major)
-	emitLog []float64 // log P(Y_n | C = iε) table
-	emit    []float64 // per-chunk max-rescaled emissions
+	// position-shaped slabs (P × S, row-major), read and written by the
+	// α/β pass
+	emitLog []float64 // log-emissions per position
+	emit    []float64 // per-position max-rescaled emissions
 	alpha   []float64 // scaled forward variables
 	beta    []float64 // scaled backward variables
-	gamma   []float64 // posterior marginals (escapes into Posterior)
-	back    []int     // Viterbi back-pointers
 
-	// pairwise posterior slab ((N-1) × S × S, escapes into Posterior)
-	pair []float64
-
-	// chunk-shaped vectors (N)
-	shift []float64 // per-chunk emission rescale factors
+	// position-shaped vectors (P)
+	shift []float64 // per-position emission rescale factors
 	scale []float64 // forward normalizers
+
+	// chunk-shaped (N × S, N): what Infer decodes from the pass
+	gamma []float64 // posterior marginals (escapes into Posterior)
+	back  []int     // Viterbi back-pointers
 	gaps  []int     // Δn between consecutive chunk starts
 	path  []int     // Viterbi path (escapes into Inference)
+
+	// pairwise posterior slab: (N-1) × S × S for Infer (escapes into
+	// Posterior), one S × S cell block for the EM E-step
+	pair []float64
 
 	// state-shaped vectors (S)
 	cur, next []float64 // Viterbi score ping-pong
 	weighted  []float64 // backward-pass emit×beta products
 	weights   []float64 // sampler's categorical weights
+	emDen     []float64 // EM visit mass
 
 	// sample slab (K × N ints, escapes into Inference)
 	sampleSlab []int
@@ -53,19 +63,6 @@ type Scratch struct {
 
 	// observation buffer (escapes into Abduction via ObservationsInto)
 	obs []Observation
-
-	// interval-chain slabs (T × S) for the EM / interval view; separate
-	// from the chunk slabs because the two views coexist inside one
-	// FitTransitions+Infer pipeline.
-	intLogE  []float64
-	intEmit  []float64
-	intAlpha []float64
-	intBeta  []float64
-	intGamma []float64
-	intShift []float64
-	intScale []float64
-	emitNext []float64 // S, EM xi-accumulation emissions
-	emDen    []float64 // S, EM visit mass
 }
 
 // NewScratch returns an empty arena; slabs grow on first use and are
@@ -88,40 +85,39 @@ func growI(s []int, n int) []int {
 	return s[:n]
 }
 
-// chunkSlabs sizes the chunk-view buffers for an N-chunk, S-state
-// session.
-func (sc *Scratch) chunkSlabs(n, s int) {
-	sc.emitLog = growF(sc.emitLog, n*s)
-	sc.emit = growF(sc.emit, n*s)
-	sc.alpha = growF(sc.alpha, n*s)
-	sc.beta = growF(sc.beta, n*s)
+// passSlabs sizes what the α/β pass reads and writes for a chain of p
+// positions over s states.
+func (sc *Scratch) passSlabs(p, s int) {
+	sc.emitLog = growF(sc.emitLog, p*s)
+	sc.emit = growF(sc.emit, p*s)
+	sc.alpha = growF(sc.alpha, p*s)
+	sc.beta = growF(sc.beta, p*s)
+	sc.shift = growF(sc.shift, p)
+	sc.scale = growF(sc.scale, p)
+	sc.weighted = growF(sc.weighted, s)
+}
+
+// inferSlabs sizes every buffer of an n-chunk, s-state Infer: the pass
+// over n positions plus what Viterbi, the posterior and the sampler
+// decode from it.
+func (sc *Scratch) inferSlabs(n, s int) {
+	sc.passSlabs(n, s)
 	sc.gamma = growF(sc.gamma, n*s)
 	sc.back = growI(sc.back, n*s)
-	if n > 0 {
-		sc.pair = growF(sc.pair, (n-1)*s*s)
-	}
-	sc.shift = growF(sc.shift, n)
-	sc.scale = growF(sc.scale, n)
+	sc.pair = growF(sc.pair, (n-1)*s*s)
 	sc.gaps = growI(sc.gaps, n)
 	sc.path = growI(sc.path, n)
 	sc.cur = growF(sc.cur, s)
 	sc.next = growF(sc.next, s)
-	sc.weighted = growF(sc.weighted, s)
 	sc.weights = growF(sc.weights, s)
 }
 
-// intervalSlabs sizes the interval-view buffers for a T-interval,
-// S-state chain.
+// intervalSlabs sizes a Baum–Welch fit over t δ-intervals: the pass
+// over t positions plus the E-step's one S × S block of expected
+// transition counts and its S visit masses.
 func (sc *Scratch) intervalSlabs(t, s int) {
-	sc.intLogE = growF(sc.intLogE, t*s)
-	sc.intEmit = growF(sc.intEmit, t*s)
-	sc.intAlpha = growF(sc.intAlpha, t*s)
-	sc.intBeta = growF(sc.intBeta, t*s)
-	sc.intGamma = growF(sc.intGamma, t*s)
-	sc.intShift = growF(sc.intShift, t)
-	sc.intScale = growF(sc.intScale, t)
-	sc.weighted = growF(sc.weighted, s)
-	sc.emitNext = growF(sc.emitNext, s)
+	sc.passSlabs(t, s)
+	sc.pair = growF(sc.pair, s*s)
 	sc.emDen = growF(sc.emDen, s)
 }
 

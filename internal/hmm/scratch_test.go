@@ -86,12 +86,20 @@ func TestScratchNoCrossSessionBleed(t *testing.T) {
 	sessions := []struct {
 		name string
 		obs  []Observation
+		// fitFirst runs a Baum–Welch fit through the arena before the
+		// inference: the interval chain uses the same slabs with T
+		// positions instead of N, so it leaves them full of values from
+		// a different shape.
+		fitFirst bool
 	}{
-		{"large", sessionObs(60, 6.5, sizes)},
-		{"small-after-large", sessionObs(5, 3.0, sizes)},
-		{"single-chunk", sessionObs(1, 8.0, sizes)},
-		{"regrow", sessionObs(45, 4.5, sizes)},
-		{"two-chunks", sessionObs(2, 7.0, sizes)},
+		{"large", sessionObs(60, 6.5, sizes), false},
+		{"small-after-large", sessionObs(5, 3.0, sizes), false},
+		{"single-chunk", sessionObs(1, 8.0, sizes), false},
+		{"regrow", sessionObs(45, 4.5, sizes), false},
+		{"two-chunks", sessionObs(2, 7.0, sizes), false},
+		{"after-fit", sessionObs(20, 5.0, sizes), true},
+		{"after-fit-shrunk", sessionObs(3, 6.0, sizes), true},
+		{"after-fit-grown", sessionObs(70, 4.0, sizes), true},
 	}
 
 	m := testModel(t, 10)
@@ -99,6 +107,11 @@ func TestScratchNoCrossSessionBleed(t *testing.T) {
 	m.SetScratch(sc)
 	for i, s := range sessions {
 		seed := int64(100 + i)
+		if s.fitFirst {
+			if _, err := m.FitTransitions(s.obs, 2, 0.1); err != nil {
+				t.Fatalf("%s: %v", s.name, err)
+			}
+		}
 		got, err := m.Infer(s.obs, 4, seed)
 		if err != nil {
 			t.Fatalf("%s: %v", s.name, err)
@@ -131,13 +144,11 @@ func TestScratchAllocationFlat(t *testing.T) {
 }
 
 // TestScratchFitTransitionsMatchesFresh runs the EM interval chain and
-// the follow-on inference through a shared arena (the FitTransitions
-// pipeline coexists with the chunk view inside one Scratch) and checks
+// the follow-on inference through a shared arena — since PR 23 the two
+// chains run over the same slabs, one after the other — and checks
 // bit-identity against the no-arena path.
 func TestScratchFitTransitionsMatchesFresh(t *testing.T) {
-	obs := sessionObs(30, 5.0, []float64{3e6, 50e3, 1e6})
-
-	run := func(sc *Scratch) *Inference {
+	run := func(sc *Scratch, obs []Observation) *Inference {
 		m := testModel(t, 10)
 		m.SetScratch(sc)
 		fit, err := m.FitTransitions(obs, 3, 0.1)
@@ -158,7 +169,12 @@ func TestScratchFitTransitionsMatchesFresh(t *testing.T) {
 	if _, err := m.Infer(sessionObs(50, 7.5, []float64{5e6}), 2, 9); err != nil {
 		t.Fatal(err)
 	}
-	requireEqualInference(t, "fit-transitions", run(sc), run(nil))
+	// Then fit and infer on shapes that shrink and grow, so each chain
+	// finds the other's leftovers in the shared slabs.
+	for _, n := range []int{30, 4, 55} {
+		obs := sessionObs(n, 5.0, []float64{3e6, 50e3, 1e6})
+		requireEqualInference(t, "fit-transitions", run(sc, obs), run(nil, obs))
+	}
 }
 
 // TestScratchConcurrentPerGoroutine is the -race companion to the
@@ -169,7 +185,6 @@ func TestScratchFitTransitionsMatchesFresh(t *testing.T) {
 func TestScratchConcurrentPerGoroutine(t *testing.T) {
 	obs := sessionObs(25, 6.0, []float64{4e6, 70e3})
 	cfg := DefaultConfig(10)
-	cfg.SharePowers = true
 	want := inferFresh(t, obs, 3, 7)
 
 	var wg sync.WaitGroup

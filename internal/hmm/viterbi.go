@@ -6,32 +6,16 @@ import (
 	"veritas/internal/mathx"
 )
 
-// Viterbi returns the maximum-likelihood GTBW state index for every
+// viterbiInto returns the maximum-likelihood GTBW state index for every
 // chunk, along with the log-likelihood of that assignment — the paper's
 // Algorithm 3. It differs from textbook Viterbi in one way: the
 // transition between chunks n-1 and n uses A^Δn, the Δn-step power of
 // the per-interval transition matrix, because chunk starts are embedded
-// in wall-clock δ-intervals (Figure 4 of the paper). With a scratch
-// arena attached the returned path points into the arena (see the
-// Scratch lifetime contract).
-func (m *Model) Viterbi(obs []Observation) ([]int, float64, error) {
-	if len(obs) == 0 {
-		return nil, 0, ErrNoObservations
-	}
-	sc := m.scratch()
-	sc.chunkSlabs(len(obs), len(m.states))
-	if err := gapsInto(sc.gaps, obs); err != nil {
-		return nil, 0, err
-	}
-	m.emissionTableInto(sc.emitLog, obs)
-	path, best := m.viterbiInto(sc, len(obs))
-	return path, best, nil
-}
-
-// viterbiInto is the dynamic program body. It expects sc.chunkSlabs
-// sized for (N, S) and sc.gaps/sc.emitLog filled; back-pointers live in
-// sc.back (N×S row-major) and the returned path in sc.path. The float
-// operations match the original allocating implementation exactly.
+// in wall-clock δ-intervals (Figure 4 of the paper).
+//
+// It expects sc.inferSlabs sized for (N, S) and sc.gaps/sc.emitLog
+// filled; back-pointers live in sc.back (N×S row-major) and the
+// returned path in sc.path.
 func (m *Model) viterbiInto(sc *Scratch, N int) ([]int, float64) {
 	ns := len(m.states)
 	d := sc.gaps

@@ -233,12 +233,24 @@ func TestSharedPowersReusesCaches(t *testing.T) {
 	if h1-h0 != 1 || m1-m0 != 1 {
 		t.Errorf("stats delta = %d hits %d misses, want 1 and 1", h1-h0, m1-m0)
 	}
-	// Shared caches serve the same powers a private cache computes.
-	private := NewPowerCache(base)
-	for _, k := range []int{3, 1, 9} {
-		got, want := c1.Pow(k), private.Pow(k)
-		if !got.Equal(want) {
-			t.Fatalf("shared Pow(%d) differs from private", k)
+	// Shared caches serve the powers a private cache computes, bit for
+	// bit (Equal compares elements with ==) — cold, and again through a
+	// later lookup that finds the cache pre-warmed and walks on from
+	// whatever anchors the first caller left. hmm.New takes every prior's
+	// powers from here, so this is what makes inference independent of
+	// which sessions ran before.
+	for pass, c := range []*PowerCache{c1, SharedPowers(base)} {
+		private := NewPowerCache(base)
+		for _, k := range []int{3, 1, 9, 0, 4 + 20*pass} {
+			if got, want := c.Pow(k), private.Pow(k); !got.Equal(want) {
+				t.Fatalf("pass %d: shared Pow(%d) differs from private", pass, k)
+			}
+			got, want := c.PowLog(k), private.PowLog(k)
+			for i, v := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+					t.Fatalf("pass %d: shared PowLog(%d) differs from private at cell %d", pass, k, i)
+				}
+			}
 		}
 	}
 }

@@ -27,20 +27,6 @@ func LogSumExp(xs []float64) float64 {
 	return max + math.Log(s)
 }
 
-// LogAdd returns log(exp(a) + exp(b)) stably.
-func LogAdd(a, b float64) float64 {
-	if math.IsInf(a, -1) {
-		return b
-	}
-	if math.IsInf(b, -1) {
-		return a
-	}
-	if a < b {
-		a, b = b, a
-	}
-	return a + math.Log1p(math.Exp(b-a))
-}
-
 // NormalLogPDF returns the log density of Normal(mean, sigma²) at x.
 // sigma must be positive.
 func NormalLogPDF(x, mean, sigma float64) float64 {
@@ -50,20 +36,6 @@ func NormalLogPDF(x, mean, sigma float64) float64 {
 	z := (x - mean) / sigma
 	return -0.5*z*z - math.Log(sigma) - 0.5*math.Log(2*math.Pi)
 }
-
-// Clamp limits v to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// Lerp linearly interpolates between a and b by t ∈ [0, 1].
-func Lerp(a, b, t float64) float64 { return a + (b-a)*t }
 
 // Normalize scales xs in place to sum to 1 and returns the original sum.
 // If the sum is zero the vector becomes uniform.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestLogSumExpBasic(t *testing.T) {
@@ -36,17 +35,6 @@ func TestLogSumExpExtreme(t *testing.T) {
 	}
 }
 
-func TestLogAddMatchesLogSumExp(t *testing.T) {
-	f := func(a, b float64) bool {
-		a = math.Mod(a, 50)
-		b = math.Mod(b, 50)
-		return AlmostEqual(LogAdd(a, b), LogSumExp([]float64{a, b}), 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestNormalLogPDFPeak(t *testing.T) {
 	// Density at the mean of a standard normal.
 	got := math.Exp(NormalLogPDF(0, 0, 1))
@@ -71,19 +59,6 @@ func TestNormalLogPDFBadSigma(t *testing.T) {
 		}
 	}()
 	NormalLogPDF(0, 0, 0)
-}
-
-func TestClamp(t *testing.T) {
-	cases := []struct{ v, lo, hi, want float64 }{
-		{5, 0, 10, 5},
-		{-1, 0, 10, 0},
-		{11, 0, 10, 10},
-	}
-	for _, c := range cases {
-		if got := Clamp(c.v, c.lo, c.hi); got != c.want {
-			t.Errorf("Clamp(%v,%v,%v) = %v, want %v", c.v, c.lo, c.hi, got, c.want)
-		}
-	}
 }
 
 func TestNormalize(t *testing.T) {
@@ -160,12 +135,6 @@ func TestNormalPDFIntegratesToOne(t *testing.T) {
 	}
 }
 
-func TestLerp(t *testing.T) {
-	if Lerp(2, 4, 0) != 2 || Lerp(2, 4, 1) != 4 || Lerp(2, 4, 0.5) != 3 {
-		t.Error("Lerp wrong")
-	}
-}
-
 func TestSum(t *testing.T) {
 	if Sum([]float64{1, 2, 3.5}) != 6.5 {
 		t.Error("Sum wrong")
@@ -185,15 +154,5 @@ func TestAlmostEqualInfinities(t *testing.T) {
 	}
 	if AlmostEqual(inf, 5, 1e18) {
 		t.Error("inf vs finite should not compare equal")
-	}
-}
-
-func TestSampleUniformRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 1000; i++ {
-		v := SampleUniformRange(rng, 2, 5)
-		if v < 2 || v >= 5 {
-			t.Fatalf("sample %v outside [2, 5)", v)
-		}
 	}
 }

@@ -31,8 +31,3 @@ func SampleCategorical(rng *rand.Rand, w []float64) int {
 	}
 	return len(w) - 1
 }
-
-// SampleUniformRange draws a float uniformly from [lo, hi).
-func SampleUniformRange(rng *rand.Rand, lo, hi float64) float64 {
-	return lo + rng.Float64()*(hi-lo)
-}
