@@ -91,10 +91,9 @@ func BenchmarkAbduction(b *testing.B) {
 	}
 }
 
-// BenchmarkCounterfactualReplay measures one what-if replay (a full
-// session over an inferred trace). The video is explicit: left nil, the
-// facade synthesises DefaultVideo(1) inside every call, and that used to
-// be most of what this benchmark timed.
+// BenchmarkCounterfactualReplay measures one warm what-if arm at K = 1:
+// two replays (a full session each, over the Baseline and the one
+// sample trace) on an Abduction whose estimate traces already exist.
 func BenchmarkCounterfactualReplay(b *testing.B) {
 	gt, err := GenerateTrace(DefaultTraceConfig(1))
 	if err != nil {
@@ -114,6 +113,41 @@ func BenchmarkCounterfactualReplay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Counterfactual(abd, w); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCounterfactualArms measures the replay stage of one default
+// what-if session: a fresh 300-chunk Abduction (built off the clock) is
+// asked the default campaign's four arms at K = 5 — one build of the six
+// estimate traces, then 24 replays.
+func BenchmarkCounterfactualArms(b *testing.B) {
+	gt, err := GenerateTrace(DefaultTraceConfig(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sess, err := RunSession(SessionConfig{Trace: gt, ABR: NewMPC()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	v := DefaultVideo(1)
+	arms := []WhatIf{
+		{NewABR: NewBBA, Video: v, BufferCap: 5}, {NewABR: NewBBA, Video: v, BufferCap: 30},
+		{NewABR: NewBOLA, Video: v, BufferCap: 5}, {NewABR: NewBOLA, Video: v, BufferCap: 30},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		abd, err := Abduct(sess.Log, AbductionConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, w := range arms {
+			if _, err := Counterfactual(abd, w); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -74,8 +74,6 @@ type (
 	// FleetPredictQuery is one interventional download-time query (the
 	// paper's §4.4) answered from a spec's abduction.
 	FleetPredictQuery = engine.PredictQuery
-	// FleetSink consumes completed session results in completion order.
-	FleetSink = engine.Sink
 	// FleetReport is the serializable aggregate report (what the
 	// serving layer returns as JSON).
 	FleetReport = engine.Report
@@ -109,12 +107,11 @@ type campaignOptions struct {
 	// The serialisable, result-shaping settings: scenario mix, deployed
 	// buffer, ABR × buffer matrix, K, seed (see spec.go)...
 	campaignSpec
-	// ...and the caller-supplied pieces no spec can carry: a deployed
-	// ABR factory, a whole corpus, explicit arms.
-	newDeployedABR func() ABR
-	corpus         []FleetSpec
-	arms           []FleetArm
-	armsSet        bool
+	// ...and the caller-supplied pieces no spec can carry: a whole
+	// corpus, explicit arms.
+	corpus  []FleetSpec
+	arms    []FleetArm
+	armsSet bool
 
 	// Execution.
 	workers    int
@@ -122,7 +119,6 @@ type campaignOptions struct {
 	shardCount int // 0 = unsharded
 	onResult   func(FleetSessionResult)
 	onProgress func(done, total int)
-	sinks      []FleetSink
 
 	// Persistence and serving.
 	storeDir      string
@@ -192,19 +188,6 @@ func WithChunks(n int) CampaignOption {
 	}
 }
 
-// WithDeployedABR sets the deployed (Setting A) algorithm factory for
-// the synthetic corpus (default engine.DefaultABR, the paper's
-// RobustMPC).
-func WithDeployedABR(newABR func() ABR) CampaignOption {
-	return func(o *campaignOptions) error {
-		if newABR == nil {
-			return errors.New("veritas: WithDeployedABR(nil)")
-		}
-		o.newDeployedABR = newABR
-		return nil
-	}
-}
-
 // WithDeployedBuffer sets the deployed (Setting A) buffer size in
 // seconds (default player.DefaultBufferCap, the paper's low-latency
 // setting).
@@ -220,7 +203,7 @@ func WithDeployedBuffer(secs float64) CampaignOption {
 
 // WithCorpus replaces the synthetic scenario corpus with caller-built
 // session specs. Incompatible with the scenario-mix options
-// (WithScenarios, WithSessions, WithDeployedABR, WithDeployedBuffer).
+// (WithScenarios, WithSessions, WithDeployedBuffer).
 func WithCorpus(specs ...FleetSpec) CampaignOption {
 	return func(o *campaignOptions) error {
 		if len(specs) == 0 {
@@ -316,12 +299,11 @@ func WithSeed(seed int64) CampaignOption {
 
 // WithStore persists per-session results to the given store directory
 // as workers finish them, making the campaign durable, resumable and
-// servable. For scenario-mix campaigns (no WithCorpus, WithArms or
-// WithDeployedABR — functions cannot be fingerprinted) the store
-// records a fingerprint of every result-shaping option
-// (campaign.json) and later opens refuse a store written under
-// different settings; with caller-supplied pieces, store coherence is
-// the caller's to manage.
+// servable. For scenario-mix campaigns (no WithCorpus or WithArms — Go
+// values cannot be fingerprinted) the store records a fingerprint of
+// every result-shaping option (campaign.json) and later opens refuse a
+// store written under different settings; with caller-supplied pieces,
+// store coherence is the caller's to manage.
 func WithStore(dir string) CampaignOption {
 	return func(o *campaignOptions) error {
 		if dir == "" {
@@ -388,19 +370,6 @@ func WithReadCache(entries int) CampaignOption {
 func WithResume() CampaignOption {
 	return func(o *campaignOptions) error {
 		o.resume = true
-		return nil
-	}
-}
-
-// WithSink streams every completed session result to an additional
-// sink, after the store (if any). Put is called from worker goroutines
-// and must be safe for concurrent use; its first error aborts the run.
-func WithSink(sink FleetSink) CampaignOption {
-	return func(o *campaignOptions) error {
-		if sink == nil {
-			return errors.New("veritas: WithSink(nil)")
-		}
-		o.sinks = append(o.sinks, sink)
 		return nil
 	}
 }
@@ -554,8 +523,8 @@ func newCampaign(o campaignOptions, opts ...CampaignOption) (*Campaign, error) {
 	if o.armsSet && len(o.ABRs) > 0 {
 		return nil, errors.New("veritas: WithArms and WithMatrix are mutually exclusive")
 	}
-	if o.corpus != nil && (o.shapesCorpus() || o.newDeployedABR != nil) {
-		return nil, errors.New("veritas: WithCorpus replaces the scenario mix; drop WithScenarios/WithSessions/WithDeployedABR/WithDeployedBuffer")
+	if o.corpus != nil && o.shapesCorpus() {
+		return nil, errors.New("veritas: WithCorpus replaces the scenario mix; drop WithScenarios/WithSessions/WithDeployedBuffer")
 	}
 	if o.noTracing && o.traceKeep > 0 {
 		return nil, errors.New("veritas: WithTracing and WithoutTracing are mutually exclusive")
@@ -624,7 +593,7 @@ func (c *Campaign) WriteTrace(w io.Writer) error {
 func (c *Campaign) materialize() ([]FleetSpec, []FleetArm, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ccfg := c.opt.corpusConfig(c.opt.newDeployedABR)
+	ccfg := c.opt.corpusConfig()
 	if c.corpus == nil {
 		if c.opt.corpus != nil {
 			c.corpus = c.opt.corpus
@@ -666,11 +635,11 @@ func (c *Campaign) Arms() ([]FleetArm, error) {
 }
 
 // callerSupplied reports whether a Go value no spec can carry — a
-// corpus, explicit arms, a deployed-ABR factory — shapes the campaign's
-// results. Such a campaign cannot be fingerprinted or sent to another
-// process: the options cannot prove two runs equal.
+// corpus, explicit arms — shapes the campaign's results. Such a campaign
+// cannot be fingerprinted or sent to another process: the options cannot
+// prove two runs equal.
 func (o *campaignOptions) callerSupplied() bool {
-	return o.corpus != nil || o.armsSet || o.newDeployedABR != nil
+	return o.corpus != nil || o.armsSet
 }
 
 // fingerprints returns the acceptable campaign.json forms (see
@@ -794,7 +763,7 @@ func (c *Campaign) engineConfig() engine.Config {
 }
 
 // prepare materializes corpus and arms, opens the store, and assembles
-// the engine config (sink chain + resume skip set) for one execution.
+// the engine config (store sink + resume skip set) for one execution.
 func (c *Campaign) prepare(resume bool) ([]FleetSpec, []FleetArm, engine.Config, error) {
 	var zero engine.Config
 	if c.opt.readOnly {
@@ -808,13 +777,12 @@ func (c *Campaign) prepare(resume bool) ([]FleetSpec, []FleetArm, engine.Config,
 		return nil, nil, zero, err
 	}
 	cfg := c.engineConfig()
-	sinks := make([]FleetSink, 0, 1+len(c.opt.sinks))
 	if c.opt.storeDir != "" {
 		st, err := c.Store()
 		if err != nil {
 			return nil, nil, zero, err
 		}
-		sinks = append(sinks, st)
+		cfg.Sink = st
 		if resume {
 			skip := make(map[string]bool)
 			for _, k := range st.Keys() {
@@ -822,14 +790,6 @@ func (c *Campaign) prepare(resume bool) ([]FleetSpec, []FleetArm, engine.Config,
 			}
 			cfg.Skip = skip
 		}
-	}
-	sinks = append(sinks, c.opt.sinks...)
-	switch len(sinks) {
-	case 0:
-	case 1:
-		cfg.Sink = sinks[0]
-	default:
-		cfg.Sink = multiSink(sinks)
 	}
 	return corpus, arms, cfg, nil
 }
@@ -1145,17 +1105,4 @@ func (c *Campaign) Close() error {
 	err := c.st.Close()
 	c.st = nil
 	return err
-}
-
-// multiSink fans completed sessions out to several sinks in order; the
-// first error aborts the run.
-type multiSink []FleetSink
-
-func (m multiSink) Put(r FleetSessionResult) error {
-	for _, s := range m {
-		if err := s.Put(r); err != nil {
-			return err
-		}
-	}
-	return nil
 }

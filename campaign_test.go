@@ -67,7 +67,6 @@ func TestCampaignOptionValidation(t *testing.T) {
 			veritas.WithScenarios("lte"),
 		}, "WithCorpus replaces"},
 		{"empty corpus", []veritas.CampaignOption{veritas.WithCorpus()}, "at least one"},
-		{"nil sink", []veritas.CampaignOption{veritas.WithSink(nil)}, "WithSink(nil)"},
 		{"empty store dir", []veritas.CampaignOption{veritas.WithStore("")}, "needs a directory"},
 	}
 	for _, tc := range cases {
@@ -370,13 +369,17 @@ func TestCampaignFingerprintScope(t *testing.T) {
 		t.Errorf("resume executed %d sessions, want 0", res.Executed)
 	}
 
-	// A deployed-ABR factory cannot be fingerprinted: no campaign.json
-	// is written, instead of one that would silently vouch for rows
-	// computed under a different Setting A.
+	// Caller-built arms cannot be fingerprinted: no campaign.json is
+	// written, instead of one that would silently vouch for rows
+	// computed under a different Setting B.
+	arm, err := veritas.NewArm("bba", veritas.WhatIf{NewABR: veritas.NewBBA})
+	if err != nil {
+		t.Fatal(err)
+	}
 	abrDir := t.TempDir()
-	ca, err := veritas.NewCampaign(append(quickOptions(),
-		veritas.WithDeployedABR(veritas.NewBBA),
-		veritas.WithStore(abrDir))...)
+	ca, err := veritas.NewCampaign(
+		veritas.WithScenarios("fcc"), veritas.WithSessions(1), veritas.WithChunks(25), veritas.WithSamples(2),
+		veritas.WithArms(arm), veritas.WithStore(abrDir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +388,7 @@ func TestCampaignFingerprintScope(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(abrDir, "campaign.json")); !os.IsNotExist(err) {
-		t.Errorf("WithDeployedABR campaign wrote campaign.json (stat err = %v); a factory cannot be fingerprinted", err)
+		t.Errorf("WithArms campaign wrote campaign.json (stat err = %v); a factory cannot be fingerprinted", err)
 	}
 }
 

@@ -47,7 +47,7 @@ func main() {
 	}
 
 	if *baseline {
-		tr, err := abduction.BaselineTrace(log, 1)
+		tr, err := abduction.BaselineTrace(log)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "abduct:", err)
 			os.Exit(1)

@@ -116,9 +116,9 @@ func main() {
 		row("oracle (GTBW)", truth)
 	}
 	row("baseline", out.Baseline)
-	ssimLo, ssimHi := abduction.VeritasRange(out.Samples, abduction.MetricSSIM)
-	rebLo, rebHi := abduction.VeritasRange(out.Samples, abduction.MetricRebufRatio)
-	brLo, brHi := abduction.VeritasRange(out.Samples, abduction.MetricAvgBitrate)
+	ssimLo, ssimHi := out.SSIMRange()
+	rebLo, rebHi := out.RebufRange()
+	brLo, brHi := out.BitrateRange()
 	fmt.Printf("%-16s %10.4f %10.2f %12.2f\n", "veritas (low)", ssimLo, rebLo*100, brLo)
 	fmt.Printf("%-16s %10.4f %10.2f %12.2f\n", "veritas (high)", ssimHi, rebHi*100, brHi)
 }

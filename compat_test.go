@@ -42,7 +42,6 @@ var (
 	_ veritas.FleetStoreOptions  = veritas.FleetStoreOptions{}
 	_ veritas.FleetRow           = veritas.FleetRow{}
 	_ veritas.FleetArmOutcome    = veritas.FleetArmOutcome{}
-	_ veritas.FleetSink          = nil
 	_ veritas.FleetReport        = veritas.FleetReport{}
 )
 

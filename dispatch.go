@@ -188,10 +188,10 @@ func (s workerSpec) command(binary string, env []string, shard, of int, store st
 //
 // Dispatch requires WithStore (the fold destination) and a campaign
 // whose result-shaping options are serializable across processes: no
-// WithCorpus, WithArms or WithDeployedABR (Go functions cannot cross a
-// process boundary), no WithShard (Dispatch owns the partition), and
-// no WithSink/WithProgress/WithProgressCounts (use WithDispatchEvents
-// for the supervised event stream). Cancelling ctx terminates every
+// WithCorpus or WithArms (Go values cannot cross a process boundary),
+// no WithShard (Dispatch owns the partition), and no
+// WithProgress/WithProgressCounts (use WithDispatchEvents for the
+// supervised event stream). Cancelling ctx terminates every
 // worker gracefully; finished sessions are durable in the shard
 // stores, so rerunning Dispatch resumes where the shards stopped.
 //
@@ -303,9 +303,9 @@ func (c *Campaign) dispatchPreflight(method, owner string) (storeDir, shardDir s
 	case o.shardCount > 0:
 		err = fmt.Errorf("veritas: WithShard and %s are mutually exclusive: %s owns the shard partition", method, owner)
 	case o.callerSupplied():
-		err = fmt.Errorf("veritas: %s cannot serialize WithCorpus/WithArms/WithDeployedABR across processes; run those campaigns in-process or shard them by hand", method)
-	case len(o.sinks) > 0 || o.onResult != nil || o.onProgress != nil:
-		err = errors.New("veritas: WithSink/WithProgress/WithProgressCounts do not cross the worker process boundary; use WithDispatchEvents")
+		err = fmt.Errorf("veritas: %s cannot serialize WithCorpus/WithArms across processes; run those campaigns in-process or shard them by hand", method)
+	case o.onResult != nil || o.onProgress != nil:
+		err = errors.New("veritas: WithProgress/WithProgressCounts do not cross the worker process boundary; use WithDispatchEvents")
 	}
 	if err != nil {
 		return "", "", workerSpec{}, err

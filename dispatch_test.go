@@ -56,8 +56,6 @@ func TestDispatchValidation(t *testing.T) {
 		{"with shard", append(dispatchOptions(), veritas.WithStore(store), veritas.WithShard(0, 2)), 2, "mutually exclusive"},
 		{"with corpus", []veritas.CampaignOption{
 			veritas.WithCorpus(veritas.FleetSpec{ID: "x"}), veritas.WithStore(store)}, 2, "serialize"},
-		{"with sink", append(dispatchOptions(), veritas.WithStore(store),
-			veritas.WithSink(nopSink{})), 2, "WithDispatchEvents"},
 		{"with progress", append(dispatchOptions(), veritas.WithStore(store),
 			veritas.WithProgress(func(veritas.FleetSessionResult) {})), 2, "WithDispatchEvents"},
 	}
@@ -111,10 +109,6 @@ func TestDispatchRefusesOpenStore(t *testing.T) {
 		t.Errorf("Dispatch with an open store handle: err = %v", err)
 	}
 }
-
-type nopSink struct{}
-
-func (nopSink) Put(veritas.FleetSessionResult) error { return nil }
 
 // TestWithProgressCounts pins the in-process progress hook the worker
 // protocol is built on: every completed session reports, the final

@@ -146,7 +146,7 @@ func WithFleetReady(fn func(addr string)) CampaignOption {
 // matter how many agents ran, died, or had their work stolen.
 //
 // The constraints of Dispatch apply (WithStore required; no
-// WithCorpus/WithArms/WithDeployedABR/WithSink/WithProgress/WithShard).
+// WithCorpus/WithArms/WithProgress/WithShard).
 // Cancelling ctx aborts the dispatch; accepted shard stores persist
 // under the dispatch directory, so rerunning resumes — already
 // accepted shards are adopted, not recomputed.

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"veritas/internal/hmm"
 	"veritas/internal/player"
@@ -91,6 +92,17 @@ type Abduction struct {
 
 	log *player.SessionLog
 	cfg Config
+
+	// The estimate traces of Figure 6 are properties of the session, not
+	// of a what-if arm: built on first use (Abduct stays trace-free for
+	// interventional callers), then read by every Counterfactual and
+	// SampleTraces. They are freshly allocated, never carved from
+	// Config.Scratch — but they are built from Observations and
+	// SampledPaths, so first use falls under the Scratch lifetime rule.
+	tracesOnce  sync.Once
+	baseline    *trace.Trace
+	baselineErr error
+	samples     []*trace.Trace
 }
 
 // Observations converts a session log into the EHMM's evidence sequence.
@@ -106,19 +118,49 @@ func Observations(log *player.SessionLog, deltaSecs float64) ([]hmm.Observation,
 // allocate — for ever.
 const maxStartInterval = 1 << 17
 
+// maxEndSecs bounds a chunk's end time (a week): the Baseline trace
+// holds one value per second up to the last End.
+const maxEndSecs = 7 * 24 * 3600
+
+// checkRecords is where a log's numbers are checked, for Abduct and
+// BaselineTrace alike. A log is outside input (cmd/abduct -log, a
+// fleet's SessionSpec.Log): a record whose throughput, size, start or
+// end time is not a finite non-negative number, that ends before it
+// starts or past maxEndSecs, or that starts before its predecessor is
+// refused by index, before it can size a grid or a trace or turn a
+// posterior into NaN.
+func checkRecords(log *player.SessionLog) error {
+	if log == nil || len(log.Records) == 0 {
+		return errors.New("abduction: empty session log")
+	}
+	for i, r := range log.Records {
+		switch {
+		case !finiteNonNegative(r.ThroughputMbps):
+			return fmt.Errorf("abduction: record %d: throughput %v Mbps is not a finite non-negative number", i, r.ThroughputMbps)
+		case !finiteNonNegative(r.SizeBytes):
+			return fmt.Errorf("abduction: record %d: size %v bytes is not a finite non-negative number", i, r.SizeBytes)
+		case !finiteNonNegative(r.Start):
+			return fmt.Errorf("abduction: record %d: start time %v s is not a finite non-negative number", i, r.Start)
+		case !(r.End >= r.Start):
+			return fmt.Errorf("abduction: record %d: end time %v s is not a number at or after its start time %v s", i, r.End, r.Start)
+		case !(r.End < maxEndSecs):
+			return fmt.Errorf("abduction: record %d: end time %v s is past the %d s a log may span", i, r.End, maxEndSecs)
+		case i > 0 && r.Start < log.Records[i-1].Start:
+			return fmt.Errorf("abduction: record %d: start time %v s is before record %d's %v s", i, r.Start, i-1, log.Records[i-1].Start)
+		}
+	}
+	return nil
+}
+
 // observationsInto is Observations with an optional arena: with a
 // scratch it fills the arena's reusable observation buffer instead of
-// allocating. A log is outside input (cmd/abduct -log, a fleet's
-// SessionSpec.Log), so this is also where its numbers are checked: a
-// record whose throughput, size or start time is not a finite
-// non-negative number is refused by index, before it can size a grid or
-// turn a posterior into NaN.
+// allocating.
 func observationsInto(sc *hmm.Scratch, log *player.SessionLog, deltaSecs float64) ([]hmm.Observation, error) {
-	if log == nil || len(log.Records) == 0 {
-		return nil, errors.New("abduction: empty session log")
-	}
 	if deltaSecs <= 0 {
 		return nil, fmt.Errorf("abduction: delta %v <= 0", deltaSecs)
+	}
+	if err := checkRecords(log); err != nil {
+		return nil, err
 	}
 	var obs []hmm.Observation
 	if sc != nil {
@@ -128,14 +170,7 @@ func observationsInto(sc *hmm.Scratch, log *player.SessionLog, deltaSecs float64
 	}
 	for i, r := range log.Records {
 		interval := r.Start / deltaSecs
-		switch {
-		case !finiteNonNegative(r.ThroughputMbps):
-			return nil, fmt.Errorf("abduction: record %d: throughput %v Mbps is not a finite non-negative number", i, r.ThroughputMbps)
-		case !finiteNonNegative(r.SizeBytes):
-			return nil, fmt.Errorf("abduction: record %d: size %v bytes is not a finite non-negative number", i, r.SizeBytes)
-		case !finiteNonNegative(r.Start):
-			return nil, fmt.Errorf("abduction: record %d: start time %v s is not a finite non-negative number", i, r.Start)
-		case !(interval < maxStartInterval):
+		if !(interval < maxStartInterval) {
 			return nil, fmt.Errorf("abduction: record %d: start time %v s is past interval %d of %v s", i, r.Start, maxStartInterval, deltaSecs)
 		}
 		obs[i] = hmm.Observation{
@@ -224,13 +259,20 @@ func (a *Abduction) MostLikelyTrace() *trace.Trace {
 
 // SampleTraces returns the K posterior traces, interpolated onto the
 // δ grid (paper: "intermediate values are interpolated from sampled
-// C_s1:N").
+// C_s1:N"). Every call returns the same traces; do not modify the slice.
 func (a *Abduction) SampleTraces() []*trace.Trace {
-	out := make([]*trace.Trace, len(a.SampledPaths))
+	a.tracesOnce.Do(a.buildTraces)
+	return a.samples
+}
+
+// buildTraces builds the session's estimate traces: the K sample traces
+// and the Baseline trace.
+func (a *Abduction) buildTraces() {
+	a.samples = make([]*trace.Trace, len(a.SampledPaths))
 	for i, p := range a.SampledPaths {
-		out[i] = a.pathToTrace(p)
+		a.samples[i] = a.pathToTrace(p)
 	}
-	return out
+	a.baseline, a.baselineErr = BaselineTrace(a.log)
 }
 
 // pathToTrace expands per-chunk states into a per-interval trace:
@@ -239,64 +281,44 @@ func (a *Abduction) SampleTraces() []*trace.Trace {
 // interpolated and re-quantized to the ε grid; leading/trailing
 // intervals hold the nearest inferred value.
 func (a *Abduction) pathToTrace(path []int) *trace.Trace {
-	delta := a.cfg.HMM.DeltaSecs
 	eps := a.cfg.HMM.EpsMbps
-	lastInterval := a.Observations[len(a.Observations)-1].StartInterval
+	// Observations are in interval order (Infer refuses any other).
+	first := a.Observations[0].StartInterval
+	last := a.Observations[len(a.Observations)-1].StartInterval
 	// Pad beyond the final chunk so replays that run longer (e.g. more
 	// rebuffering in Setting B) still see defined bandwidth; Trace.At
 	// holds the last value beyond the end anyway.
-	n := lastInterval + 2
-	vals := make([]float64, n)
-	known := make([]bool, n)
-	counts := make([]int, n)
+	vals := make([]float64, last+2)
+	counts := make([]int, len(vals)) // chunk starts per interval
 
 	for i, o := range a.Observations {
+		// Multiple chunks start in one interval ("zero, one or more
+		// observations per hidden state"): average their draws.
 		idx := o.StartInterval
-		cap := a.Model.Capacity(path[i])
-		if known[idx] {
-			// Multiple chunks start in one interval ("zero, one or more
-			// observations per hidden state"): average their draws.
-			vals[idx] = (vals[idx]*float64(counts[idx]) + cap) / float64(counts[idx]+1)
-			counts[idx]++
-		} else {
-			vals[idx] = cap
-			known[idx] = true
-			counts[idx] = 1
-		}
+		vals[idx] = (vals[idx]*float64(counts[idx]) + a.Model.Capacity(path[i])) / float64(counts[idx]+1)
+		counts[idx]++
 	}
 
-	// Interpolate gaps between known intervals; extend edges.
-	firstKnown, lastKnown := -1, -1
-	for i := 0; i < n; i++ {
-		if known[i] {
-			if firstKnown < 0 {
-				firstKnown = i
-			}
-			lastKnown = i
-		}
+	// Extend the edges; interpolate the gaps between intervals that
+	// carry a chunk start.
+	for i := 0; i < first; i++ {
+		vals[i] = vals[first]
 	}
-	for i := 0; i < firstKnown; i++ {
-		vals[i] = vals[firstKnown]
-	}
-	for i := lastKnown + 1; i < n; i++ {
-		vals[i] = vals[lastKnown]
-	}
-	prev := firstKnown
-	for i := firstKnown + 1; i <= lastKnown; i++ {
-		if !known[i] {
+	vals[last+1] = vals[last]
+	prev := first
+	for i := first + 1; i <= last; i++ {
+		if counts[i] == 0 {
 			continue
 		}
-		if i > prev+1 {
-			for j := prev + 1; j < i; j++ {
-				t := float64(j-prev) / float64(i-prev)
-				v := vals[prev] + (vals[i]-vals[prev])*t
-				vals[j] = math.Round(v/eps) * eps
-			}
+		for j := prev + 1; j < i; j++ {
+			t := float64(j-prev) / float64(i-prev)
+			v := vals[prev] + (vals[i]-vals[prev])*t
+			vals[j] = math.Round(v/eps) * eps
 		}
 		prev = i
 	}
 
-	tr, err := trace.FromSteps(delta, vals)
+	tr, err := trace.FromSteps(a.cfg.HMM.DeltaSecs, vals)
 	if err != nil {
 		panic(fmt.Sprintf("abduction: internal trace construction failed: %v", err))
 	}

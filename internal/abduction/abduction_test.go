@@ -2,6 +2,7 @@ package abduction
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"veritas/internal/abr"
@@ -99,7 +100,7 @@ func TestVeritasBeatsBaseline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := BaselineTrace(log, 1)
+		base, err := BaselineTrace(log)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +123,7 @@ func TestBaselineUnderestimates(t *testing.T) {
 	// so observed throughput (and hence Baseline) sits below GTBW.
 	gt := trace.Constant(6)
 	log := runSession(t, gt, abr.NewMPC())
-	base, err := BaselineTrace(log, 1)
+	base, err := BaselineTrace(log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,13 +263,23 @@ func TestAbductValidation(t *testing.T) {
 }
 
 func TestBaselineTraceValidation(t *testing.T) {
-	if _, err := BaselineTrace(nil, 1); err == nil {
+	if _, err := BaselineTrace(nil); err == nil {
 		t.Error("nil log should error")
 	}
-	gt := trace.Constant(5)
-	log := runSession(t, gt, abr.NewMPC())
-	if _, err := BaselineTrace(log, 0); err == nil {
-		t.Error("zero grid should error")
+	if _, err := BaselineTrace(&player.SessionLog{}); err == nil {
+		t.Error("empty log should error")
+	}
+	// Every hostile record Abduct refuses, BaselineTrace refuses too —
+	// at the parent an End of 1e300 or -5 panicked in makeslice, 1e12
+	// asked for 8 TB, and out-of-order records became a trace.
+	for _, h := range hostileRecords {
+		tr, err := BaselineTrace(hostileLog(h.mutate))
+		if err == nil || !strings.Contains(err.Error(), "record 2") {
+			t.Errorf("%s: want an error naming record 2, got %v (trace %v)", h.name, err, tr)
+		}
+	}
+	if _, err := BaselineTrace(hostileLog(func(*player.ChunkRecord) {})); err != nil {
+		t.Errorf("unedited log refused: %v", err)
 	}
 }
 
@@ -283,7 +294,7 @@ func TestBaselineTraceInterpolatesOffPeriods(t *testing.T) {
 			{Index: 1, Start: 11, End: 12, SizeBytes: 1e6, ThroughputMbps: 6},
 		},
 	}
-	base, err := BaselineTrace(log, 1)
+	base, err := BaselineTrace(log)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,16 @@
 package abduction
 
 import (
-	"errors"
-	"fmt"
 	"math"
 
 	"veritas/internal/player"
 	"veritas/internal/trace"
 )
+
+// baselineGridSecs is the uniform grid the Baseline estimate is sampled
+// onto: 1 s captures the interpolation well below typical off-period
+// lengths.
+const baselineGridSecs = 1.0
 
 // BaselineTrace builds the paper's Baseline GTBW estimate from a session
 // log: the observed throughput of each chunk is assumed to hold over the
@@ -16,52 +19,40 @@ import (
 // chunks' throughputs. This is the adjustment-free scheme "commonly used
 // in most video streaming evaluations today" that Veritas outperforms.
 //
-// The result is sampled onto a uniform grid of gridSecs (1 s captures
-// the interpolation well below typical off-period lengths).
-func BaselineTrace(log *player.SessionLog, gridSecs float64) (*trace.Trace, error) {
-	if log == nil || len(log.Records) == 0 {
-		return nil, errors.New("abduction: empty session log")
-	}
-	if gridSecs <= 0 {
-		return nil, fmt.Errorf("abduction: grid %v <= 0", gridSecs)
+// The log is outside input and is checked like Abduct checks it
+// (checkRecords): the grid is sized by the last record's End.
+func BaselineTrace(log *player.SessionLog) (*trace.Trace, error) {
+	if err := checkRecords(log); err != nil {
+		return nil, err
 	}
 	recs := log.Records
-	horizon := recs[len(recs)-1].End + gridSecs
-	n := int(math.Ceil(horizon/gridSecs)) + 1
-	vals := make([]float64, n)
+	last := recs[len(recs)-1]
+	vals := make([]float64, int(math.Ceil((last.End+baselineGridSecs)/baselineGridSecs))+1)
 
-	valueAt := func(t float64) float64 {
-		// Inside a download window: that chunk's observed throughput.
-		for _, r := range recs {
-			if t >= r.Start && t <= r.End {
-				return r.ThroughputMbps
-			}
+	// One forward merge of the grid with the time-ordered records: p is
+	// the first record whose download has not ended before t, so every
+	// record is passed once however many grid points there are.
+	for i, p := 0, 0; i < len(vals); {
+		t := float64(i) * baselineGridSecs
+		switch {
+		case p == len(recs):
+			// After the last download: hold the edge value.
+			vals[i] = last.ThroughputMbps
+		case recs[p].End < t:
+			p++
+			continue
+		case t >= recs[p].Start || p == 0:
+			// Inside a download window — that chunk's observed
+			// throughput — or before the first chunk.
+			vals[i] = recs[p].ThroughputMbps
+		default:
+			// Off-period: linear interpolation between the previous
+			// chunk's and next chunk's throughput across the gap.
+			prev, next := &recs[p-1], &recs[p]
+			frac := (t - prev.End) / (next.Start - prev.End)
+			vals[i] = prev.ThroughputMbps + frac*(next.ThroughputMbps-prev.ThroughputMbps)
 		}
-		// Before the first chunk / after the last: hold the edge value.
-		if t < recs[0].Start {
-			return recs[0].ThroughputMbps
-		}
-		last := recs[len(recs)-1]
-		if t > last.End {
-			return last.ThroughputMbps
-		}
-		// Off-period: linear interpolation between the previous chunk's
-		// and next chunk's throughput across the gap.
-		for i := 0; i+1 < len(recs); i++ {
-			if t > recs[i].End && t < recs[i+1].Start {
-				span := recs[i+1].Start - recs[i].End
-				if span <= 0 {
-					return recs[i+1].ThroughputMbps
-				}
-				frac := (t - recs[i].End) / span
-				return recs[i].ThroughputMbps + frac*(recs[i+1].ThroughputMbps-recs[i].ThroughputMbps)
-			}
-		}
-		return last.ThroughputMbps
+		i++
 	}
-
-	for i := 0; i < n; i++ {
-		vals[i] = valueAt(float64(i) * gridSecs)
-	}
-	return trace.FromSteps(gridSecs, vals)
+	return trace.FromSteps(baselineGridSecs, vals)
 }

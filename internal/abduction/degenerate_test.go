@@ -57,7 +57,9 @@ func hostileLog(mutate func(r *player.ChunkRecord)) *player.SessionLog {
 // err == nil with an all-NaN posterior, +Inf and 1e300 panicked in
 // hmm.New (makeslice: len out of range), 1e6 Mbps asked for a
 // 9·10¹²-cell transition matrix, and a start time of 1e18 s sent
-// PowerCache on a 2·10¹⁷-step walk.
+// PowerCache on a 2·10¹⁷-step walk. At PR 23 nothing looked at End —
+// Abduct accepted the log and the Baseline trace of Counterfactual was
+// sized by it — or at record order.
 var hostileRecords = []struct {
 	name   string
 	mutate func(r *player.ChunkRecord)
@@ -73,10 +75,21 @@ var hostileRecords = []struct {
 	{"negative start", func(r *player.ChunkRecord) { r.Start = -5 }},
 	{"absurd start", func(r *player.ChunkRecord) { r.Start = 1e18 }},
 	{"start past int64 intervals", func(r *player.ChunkRecord) { r.Start = 1e300 }},
+	{"NaN end", func(r *player.ChunkRecord) { r.End = math.NaN() }},
+	{"+Inf end", func(r *player.ChunkRecord) { r.End = math.Inf(1) }},
+	{"negative end", func(r *player.ChunkRecord) { r.End = -5 }},
+	{"end before start", func(r *player.ChunkRecord) { r.End = r.Start - 0.25 }},
+	{"absurd end", func(r *player.ChunkRecord) { r.End = 1e12 }},
+	{"end past int64 seconds", func(r *player.ChunkRecord) { r.End = 1e300 }},
+	{"out of time order", func(r *player.ChunkRecord) { r.Start, r.End = 1, 2 }},
 }
 
 func TestObservationsDegenerateInputs(t *testing.T) {
 	good := singleChunkLog()
+	// Zero is a legal throughput, size and start time — of the first
+	// record: a later record starting at 0 would be out of time order.
+	zero := singleChunkLog()
+	zero.Records[0].ThroughputMbps, zero.Records[0].SizeBytes, zero.Records[0].Start = 0, 0, 0
 	type testCase struct {
 		name    string
 		log     *player.SessionLog
@@ -89,9 +102,7 @@ func TestObservationsDegenerateInputs(t *testing.T) {
 		{"zero delta", good, 0, "delta"},
 		{"negative delta", good, -1, "delta"},
 		{"single chunk", good, 5, ""},
-		{"zero throughput, size and start", hostileLog(func(r *player.ChunkRecord) {
-			r.ThroughputMbps, r.SizeBytes, r.Start = 0, 0, 0
-		}), 5, ""},
+		{"zero throughput, size and start", zero, 5, ""},
 	}
 	for _, h := range hostileRecords {
 		cases = append(cases, testCase{h.name, hostileLog(h.mutate), 5, "record 2"})

@@ -61,7 +61,7 @@ func TestQuickBaselineNeverExceedsObservedMax(t *testing.T) {
 	f := func(bwRaw, seedRaw uint8) bool {
 		bw := 1 + float64(bwRaw%70)*0.1
 		log := shortLog(t, bw, int64(seedRaw))
-		base, err := BaselineTrace(log, 1)
+		base, err := BaselineTrace(log)
 		if err != nil {
 			return false
 		}

@@ -60,26 +60,43 @@ type CounterfactualOutcome struct {
 	Samples []player.Metrics
 }
 
-// Counterfactual replays the what-if setting over the Baseline trace and
-// every Veritas sample trace. (The oracle replay over the true GTBW is
-// the caller's job, since only the experiment harness holds the ground
-// truth.)
+// SSIMRange returns the Veritas (Low, High) range for average SSIM —
+// the second-lowest and second-highest sample outcomes, as the paper
+// reports.
+func (o *CounterfactualOutcome) SSIMRange() (low, high float64) {
+	return VeritasRange(o.Samples, MetricSSIM)
+}
+
+// RebufRange returns the Veritas (Low, High) range for the rebuffering
+// ratio.
+func (o *CounterfactualOutcome) RebufRange() (low, high float64) {
+	return VeritasRange(o.Samples, MetricRebufRatio)
+}
+
+// BitrateRange returns the Veritas (Low, High) range for average
+// bitrate in Mbps.
+func (o *CounterfactualOutcome) BitrateRange() (low, high float64) {
+	return VeritasRange(o.Samples, MetricAvgBitrate)
+}
+
+// Counterfactual replays the what-if setting over the session's Baseline
+// trace and every Veritas sample trace. (The oracle replay over the true
+// GTBW is the caller's job, since only the experiment harness holds the
+// ground truth.)
 func (a *Abduction) Counterfactual(s Setting) (*CounterfactualOutcome, error) {
-	base, err := BaselineTrace(a.log, 1)
+	a.tracesOnce.Do(a.buildTraces)
+	if a.baselineErr != nil {
+		return nil, a.baselineErr
+	}
+	baseM, err := Replay(a.baseline, s)
 	if err != nil {
 		return nil, err
 	}
-	baseM, err := Replay(base, s)
-	if err != nil {
-		return nil, err
-	}
-	out := &CounterfactualOutcome{Baseline: baseM}
-	for _, tr := range a.SampleTraces() {
-		m, err := Replay(tr, s)
-		if err != nil {
+	out := &CounterfactualOutcome{Baseline: baseM, Samples: make([]player.Metrics, len(a.samples))}
+	for i, tr := range a.samples {
+		if out.Samples[i], err = Replay(tr, s); err != nil {
 			return nil, err
 		}
-		out.Samples = append(out.Samples, m)
 	}
 	return out, nil
 }

@@ -454,7 +454,7 @@ func runOne(cfg Config, spec SessionSpec, arms []Arm, idx int, sc *hmm.Scratch, 
 		simT0 := tb.Now()
 		vid := spec.Video
 		if vid == nil {
-			vid = video.MustSynthesize(video.DefaultConfig(1))
+			vid = video.Default()
 		}
 		newABR := spec.NewABR
 		if newABR == nil {

@@ -35,7 +35,7 @@ func fig7(s Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, err := abduction.BaselineTrace(log, 1)
+	base, err := abduction.BaselineTrace(log)
 	if err != nil {
 		return nil, err
 	}

@@ -60,7 +60,7 @@ func extSquare(s Scale) (*Table, error) {
 		sr := res.Sessions[bi]
 		sq := corpus[bi].Trace
 		log := sr.Log
-		base, err := abduction.BaselineTrace(log, 1)
+		base, err := abduction.BaselineTrace(log)
 		if err != nil {
 			return nil, err
 		}

@@ -26,6 +26,9 @@ type Point struct {
 	Mbps float64 // bandwidth during [T, next.T)
 }
 
+// valid reports whether the bandwidth is a finite non-negative number.
+func (p Point) valid() bool { return p.Mbps >= 0 && !math.IsInf(p.Mbps, 1) }
+
 // Trace is a piecewise-constant bandwidth series. The zero value is not
 // usable; construct with New, FromSteps or a generator.
 type Trace struct {
@@ -42,7 +45,7 @@ func New(points []Point) (*Trace, error) {
 	copy(ps, points)
 	sort.Slice(ps, func(i, j int) bool { return ps[i].T < ps[j].T })
 	for i, p := range ps {
-		if p.Mbps < 0 || math.IsNaN(p.Mbps) || math.IsInf(p.Mbps, 0) {
+		if !p.valid() {
 			return nil, fmt.Errorf("trace: invalid bandwidth %v at t=%v", p.Mbps, p.T)
 		}
 		if i > 0 && ps[i-1].T == p.T {
@@ -53,9 +56,11 @@ func New(points []Point) (*Trace, error) {
 }
 
 // FromSteps builds a trace whose i-th value holds during
-// [i*interval, (i+1)*interval). interval must be positive.
+// [i*interval, (i+1)*interval). interval must be positive. The points
+// come out in time order by construction, so they are checked where
+// they are made rather than copied and sorted by New.
 func FromSteps(interval float64, mbps []float64) (*Trace, error) {
-	if interval <= 0 {
+	if !(interval > 0) {
 		return nil, errors.New("trace: interval must be positive")
 	}
 	if len(mbps) == 0 {
@@ -64,8 +69,14 @@ func FromSteps(interval float64, mbps []float64) (*Trace, error) {
 	pts := make([]Point, len(mbps))
 	for i, v := range mbps {
 		pts[i] = Point{T: float64(i) * interval, Mbps: v}
+		if !pts[i].valid() {
+			return nil, fmt.Errorf("trace: invalid bandwidth %v at t=%v", v, pts[i].T)
+		}
+		if i > 0 && !(pts[i].T > pts[i-1].T) {
+			return nil, fmt.Errorf("trace: interval %v does not advance time at step %d", interval, i)
+		}
 	}
-	return New(pts)
+	return &Trace{points: pts}, nil
 }
 
 // Constant returns a trace holding mbps forever.
@@ -147,49 +158,6 @@ func (tr *Trace) MinMax() (min, max float64) {
 		}
 	}
 	return min, max
-}
-
-// Quantize returns a copy of the trace with every value rounded to the
-// nearest multiple of eps, Veritas's GTBW grid.
-func (tr *Trace) Quantize(eps float64) *Trace {
-	if eps <= 0 {
-		panic("trace: Quantize requires eps > 0")
-	}
-	pts := tr.Points()
-	for i := range pts {
-		pts[i].Mbps = math.Round(pts[i].Mbps/eps) * eps
-	}
-	out, err := New(pts)
-	if err != nil {
-		panic(err) // quantizing a valid trace cannot make it invalid
-	}
-	return out
-}
-
-// Resample returns the trace re-expressed on a uniform grid of the given
-// interval covering [0, horizon), taking the value at each grid start.
-func (tr *Trace) Resample(interval, horizon float64) (*Trace, error) {
-	if interval <= 0 || horizon <= 0 {
-		return nil, errors.New("trace: Resample requires positive interval and horizon")
-	}
-	n := int(math.Ceil(horizon / interval))
-	vals := make([]float64, n)
-	for i := 0; i < n; i++ {
-		vals[i] = tr.At(float64(i) * interval)
-	}
-	return FromSteps(interval, vals)
-}
-
-// Scale returns a copy with every bandwidth multiplied by factor.
-func (tr *Trace) Scale(factor float64) (*Trace, error) {
-	if factor < 0 {
-		return nil, errors.New("trace: Scale requires factor >= 0")
-	}
-	pts := tr.Points()
-	for i := range pts {
-		pts[i].Mbps *= factor
-	}
-	return New(pts)
 }
 
 // Encode writes the trace as lines of "<time> <mbps>\n", the textual

@@ -97,50 +97,47 @@ func TestMinMaxValues(t *testing.T) {
 	}
 }
 
-func TestQuantize(t *testing.T) {
-	tr := mustFromSteps(t, 1, []float64{1.26, 1.24, 0.1})
-	q := tr.Quantize(0.5)
-	want := []float64{1.5, 1.0, 0}
-	for i, p := range q.Points() {
-		if p.Mbps != want[i] {
-			t.Errorf("Quantize step %d = %v, want %v", i, p.Mbps, want[i])
+// TestFromStepsMatchesNew pins FromSteps, which builds its points in
+// place, against the copy-sort-validate constructor it used to go
+// through: same points for good input, an error for everything New
+// would have refused (and for an interval that is not a number, which
+// New let through as NaN times).
+func TestFromStepsMatchesNew(t *testing.T) {
+	for _, interval := range []float64{0.01, 1, 5, 1e-300} {
+		vals := []float64{3, 0, 7.5, 7.5, 1e9}
+		pts := make([]Point, len(vals))
+		for i, v := range vals {
+			pts[i] = Point{T: float64(i) * interval, Mbps: v}
+		}
+		want, err := New(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := mustFromSteps(t, interval, vals).Points()
+		for i, p := range want.Points() {
+			if got[i] != p {
+				t.Errorf("interval %v step %d = %v, want %v", interval, i, got[i], p)
+			}
 		}
 	}
-	// Original untouched.
-	if tr.Points()[0].Mbps != 1.26 {
-		t.Error("Quantize mutated original")
-	}
-}
-
-func TestResample(t *testing.T) {
-	tr := mustFromSteps(t, 5, []float64{1, 2})
-	rs, err := tr.Resample(2.5, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 1, 2, 2}
-	pts := rs.Points()
-	if len(pts) != 4 {
-		t.Fatalf("Resample produced %d steps, want 4", len(pts))
-	}
-	for i, p := range pts {
-		if p.Mbps != want[i] {
-			t.Errorf("Resample step %d = %v, want %v", i, p.Mbps, want[i])
+	for _, bad := range []struct {
+		name     string
+		interval float64
+		vals     []float64
+	}{
+		{"zero interval", 0, []float64{1}},
+		{"negative interval", -1, []float64{1}},
+		{"NaN interval", math.NaN(), []float64{1, 2}},
+		{"+Inf interval", math.Inf(1), []float64{1, 2, 3}},
+		{"interval that overflows", 1e308, []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20}},
+		{"no steps", 1, nil},
+		{"negative value", 1, []float64{1, -2}},
+		{"NaN value", 1, []float64{1, math.NaN()}},
+		{"+Inf value", 1, []float64{math.Inf(1)}},
+	} {
+		if tr, err := FromSteps(bad.interval, bad.vals); err == nil {
+			t.Errorf("%s: accepted as %v", bad.name, tr.Points())
 		}
-	}
-}
-
-func TestScale(t *testing.T) {
-	tr := mustFromSteps(t, 1, []float64{1, 2})
-	s, err := tr.Scale(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.At(0) != 2 || s.At(1) != 4 {
-		t.Error("Scale wrong")
-	}
-	if _, err := tr.Scale(-1); err == nil {
-		t.Error("negative scale should fail")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // Quality is one rung of the encoding ladder.
@@ -161,6 +162,11 @@ func MustSynthesize(cfg Config) *Video {
 	}
 	return v
 }
+
+// Default is the clip every layer falls back to when a caller names no
+// video: DefaultConfig(1), synthesised once per process. A Video is
+// immutable, so every session may share the one.
+var Default = sync.OnceValue(func() *Video { return MustSynthesize(DefaultConfig(1)) })
 
 // NumChunks returns the chunk count.
 func (v *Video) NumChunks() int { return v.cfg.NumChunks }

@@ -94,8 +94,14 @@ func NewRandomABR(seed int64) ABR { return abr.NewRandom(seed) }
 func NewFixedABR(quality int) ABR { return &abr.Fixed{Quality: quality} }
 
 // DefaultVideo synthesizes the 10-minute clip used across the paper's
-// experiments (ladder 0.1–4 Mbps, SSIM anchors 0.908/0.986).
+// experiments (ladder 0.1–4 Mbps, SSIM anchors 0.908/0.986). Seed 1 —
+// the clip every nil Video defaults to — is synthesised once per
+// process and shared (a Video is immutable); other seeds synthesise on
+// every call.
 func DefaultVideo(seed int64) *Video {
+	if seed == 1 {
+		return video.Default()
+	}
 	return video.MustSynthesize(video.DefaultConfig(seed))
 }
 
@@ -174,7 +180,7 @@ func Abduct(log *SessionLog, cfg AbductionConfig) (*Abduction, error) {
 // observed per-chunk throughput held over each download and linearly
 // interpolated across off-periods.
 func Baseline(log *SessionLog) (*Trace, error) {
-	return abduction.BaselineTrace(log, 1)
+	return abduction.BaselineTrace(log)
 }
 
 // WhatIf describes a counterfactual "Setting B". NewABR is a factory
@@ -214,30 +220,10 @@ func (w WhatIf) setting() (abduction.Setting, error) {
 
 // Outcome is the answer to a counterfactual query: the metrics the
 // changed design achieves under the Baseline estimate and under each of
-// Veritas's posterior GTBW samples.
-type Outcome struct {
-	Baseline Metrics
-	Samples  []Metrics
-}
-
-// SSIMRange returns the Veritas (Low, High) range for average SSIM —
-// the second-lowest and second-highest sample outcomes, as the paper
-// reports.
-func (o *Outcome) SSIMRange() (low, high float64) {
-	return abduction.VeritasRange(o.Samples, abduction.MetricSSIM)
-}
-
-// RebufRange returns the Veritas (Low, High) range for the rebuffering
-// ratio.
-func (o *Outcome) RebufRange() (low, high float64) {
-	return abduction.VeritasRange(o.Samples, abduction.MetricRebufRatio)
-}
-
-// BitrateRange returns the Veritas (Low, High) range for average
-// bitrate in Mbps.
-func (o *Outcome) BitrateRange() (low, high float64) {
-	return abduction.VeritasRange(o.Samples, abduction.MetricAvgBitrate)
-}
+// Veritas's posterior GTBW samples. Its SSIMRange, RebufRange and
+// BitrateRange methods give the Veritas (Low, High) range the paper
+// reports: the second-lowest and second-highest sample outcomes.
+type Outcome = abduction.CounterfactualOutcome
 
 // Counterfactual answers "what would this session's quality have been
 // under the changed design?" by replaying the what-if setting over the
@@ -247,11 +233,7 @@ func Counterfactual(abd *Abduction, w WhatIf) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := abd.Counterfactual(setting)
-	if err != nil {
-		return nil, err
-	}
-	return &Outcome{Baseline: out.Baseline, Samples: out.Samples}, nil
+	return abd.Counterfactual(setting)
 }
 
 // Oracle replays the what-if setting over the true GTBW trace — the

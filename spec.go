@@ -20,12 +20,12 @@ import (
 )
 
 // campaignSpec is the serialisable, result-shaping part of a campaign:
-// the deployed Setting A (Buffer; the ABR is a Go function and lives in
-// campaignOptions), the corpus drawn under it (Scenarios × SessionsPer,
-// Chunks, Seed), the what-if matrix (ABRs × Buffers) and the posterior
-// sample count K. Zero values mean the defaults (see withDefaults). The
-// JSON tags are the worker/lease wire format, flat inside workerSpec;
-// campaign.json uses campaignFingerprint's spelling of the same fields.
+// the deployed Setting A (Buffer; the ABR is engine.DefaultABR), the
+// corpus drawn under it (Scenarios × SessionsPer, Chunks, Seed), the
+// what-if matrix (ABRs × Buffers) and the posterior sample count K.
+// Zero values mean the defaults (see withDefaults). The JSON tags are
+// the worker/lease wire format, flat inside workerSpec; campaign.json
+// uses campaignFingerprint's spelling of the same fields.
 type campaignSpec struct {
 	Scenarios   []string  `json:"scenarios,omitempty"`
 	SessionsPer int       `json:"sessions,omitempty"`
@@ -133,15 +133,13 @@ func (s campaignSpec) shapesCorpus() bool {
 	return s.Scenarios != nil || s.SessionsPer != 0 || s.Buffer != 0
 }
 
-// corpusConfig maps the spec onto the engine's corpus builder; the
-// deployed ABR factory is the one Setting A piece a spec cannot carry.
-func (s campaignSpec) corpusConfig(newDeployedABR func() ABR) engine.CorpusConfig {
+// corpusConfig maps the spec onto the engine's corpus builder.
+func (s campaignSpec) corpusConfig() engine.CorpusConfig {
 	return engine.CorpusConfig{
 		Scenarios:   s.Scenarios,
 		SessionsPer: s.SessionsPer,
 		NumChunks:   s.Chunks,
 		BufferCap:   s.Buffer,
-		NewABR:      newDeployedABR,
 		Seed:        s.Seed,
 	}
 }
