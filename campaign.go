@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"slices"
 	"sync"
@@ -193,8 +194,8 @@ func WithChunks(n int) CampaignOption {
 // setting).
 func WithDeployedBuffer(secs float64) CampaignOption {
 	return func(o *campaignOptions) error {
-		if secs <= 0 {
-			return fmt.Errorf("veritas: deployed buffer %g must be positive seconds", secs)
+		if !(secs > 0) || math.IsInf(secs, 1) {
+			return fmt.Errorf("veritas: deployed buffer %g must be finite positive seconds", secs)
 		}
 		o.Buffer = secs
 		return nil

@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -57,6 +58,10 @@ func TestCampaignOptionValidation(t *testing.T) {
 		{"empty matrix", []veritas.CampaignOption{veritas.WithMatrix(nil, []float64{5})}, "at least one"},
 		{"negative matrix buffer", []veritas.CampaignOption{veritas.WithMatrix([]string{"bba"}, []float64{5, -1})}, "positive seconds"},
 		{"duplicate matrix buffer", []veritas.CampaignOption{veritas.WithMatrix([]string{"bba"}, []float64{5, 5})}, "listed twice"},
+		{"NaN matrix buffer", []veritas.CampaignOption{veritas.WithMatrix([]string{"bba"}, []float64{math.NaN()})}, "matrix buffer NaN"},
+		{"+Inf matrix buffer", []veritas.CampaignOption{veritas.WithMatrix([]string{"bba"}, []float64{5, math.Inf(1)})}, "matrix buffer +Inf"},
+		{"NaN deployed buffer", []veritas.CampaignOption{veritas.WithDeployedBuffer(math.NaN())}, "deployed buffer NaN"},
+		{"+Inf deployed buffer", []veritas.CampaignOption{veritas.WithDeployedBuffer(math.Inf(1))}, "deployed buffer +Inf"},
 		{"resume without store", []veritas.CampaignOption{veritas.WithResume()}, "WithResume needs WithStore"},
 		{"read-only without store", []veritas.CampaignOption{veritas.WithReadOnlyStore()}, "needs WithStore"},
 		{"arms and matrix", []veritas.CampaignOption{

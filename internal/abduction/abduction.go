@@ -16,6 +16,7 @@ import (
 	"sync"
 
 	"veritas/internal/hmm"
+	"veritas/internal/netem"
 	"veritas/internal/player"
 	"veritas/internal/tcp"
 	"veritas/internal/trace"
@@ -103,6 +104,13 @@ type Abduction struct {
 	baseline    *trace.Trace
 	baselineErr error
 	samples     []*trace.Trace
+
+	// The jitter draws of its replays, one sequence per network seed,
+	// likewise made on first use and then read by every replay of that
+	// seed: a retained Abduction keeps them (a few thousand draws for a
+	// 300-chunk session).
+	jitterMu sync.Mutex
+	jitters  []*netem.Jitter
 }
 
 // Observations converts a session log into the EHMM's evidence sequence.

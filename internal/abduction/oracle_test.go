@@ -19,7 +19,8 @@ import (
 
 // The differential oracles of PR 24: the code the once-per-abduction
 // builder, the merge-pass BaselineTrace and the sort-free
-// trace.FromSteps replaced, kept verbatim as what they are pinned to.
+// trace.FromSteps replaced, kept verbatim as what they are pinned to —
+// and the replay they were pinned through, a player.Run per trace.
 
 // fromStepsOracle is trace.FromSteps as it stood before PR 24: build the
 // points, then let New copy, sort and validate them.
@@ -155,22 +156,39 @@ func pathToTraceOracle(a *Abduction, path []int) *trace.Trace {
 	return tr
 }
 
+// replayOracle is Replay as it stood before replays shared a jitter
+// sequence and stopped keeping a log: a full player.Run — a private
+// generator seeded per replay, the log built and thrown away.
+func replayOracle(tr *trace.Trace, s Setting) (player.Metrics, error) {
+	if err := s.Validate(); err != nil {
+		return player.Metrics{}, err
+	}
+	_, m, err := player.Run(player.Config{
+		Video:     s.Video,
+		ABR:       s.NewABR(),
+		Trace:     tr,
+		Net:       s.Net,
+		BufferCap: s.BufferCap,
+	})
+	return m, err
+}
+
 // counterfactualOracle is Abduction.Counterfactual as it stood before
 // PR 24: every arm rebuilds the Baseline trace and all K sample traces,
-// each through FromSteps → New.
+// each through FromSteps → New, and replays them through replayOracle.
 func counterfactualOracle(t *testing.T, a *Abduction, s Setting) *CounterfactualOutcome {
 	t.Helper()
 	base, err := baselineTraceOracle(a.log, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseM, err := Replay(base, s)
+	baseM, err := replayOracle(base, s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := &CounterfactualOutcome{Baseline: baseM}
 	for _, p := range a.SampledPaths {
-		m, err := Replay(pathToTraceOracle(a, p), s)
+		m, err := replayOracle(pathToTraceOracle(a, p), s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -405,4 +423,79 @@ func TestEstimateTracesBuiltOnce(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestReplaysMatchOracleAcrossGoroutines asks one Abduction for every
+// arm's Counterfactual and truth Replay from two goroutines at once —
+// both reading the Abduction's one jitter sequence while it is still
+// being drawn (run with -race) — and wants the oracle's metrics: a
+// private generator and a full log per replay. A setting of another
+// network seed gets a sequence of its own.
+func TestReplaysMatchOracleAcrossGoroutines(t *testing.T) {
+	log := sessionLog(t, 7, 0, 5)
+	truth, err := trace.Generate(trace.DefaultFCC(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeded := netem.DefaultConfig()
+	seeded.Seed = 99
+	var settings []Setting
+	for _, buf := range []float64{5, 30} {
+		settings = append(settings,
+			Setting{Video: video.Default(), NewABR: func() abr.Algorithm { return abr.NewBBA() }, BufferCap: buf, Net: netem.DefaultConfig()},
+			Setting{Video: video.Default(), NewABR: func() abr.Algorithm { return abr.NewBOLA() }, BufferCap: buf, Net: netem.DefaultConfig()})
+	}
+	settings = append(settings, Setting{Video: video.Default(), NewABR: func() abr.Algorithm { return abr.NewMPC() }, BufferCap: 5, Net: seeded})
+
+	a, err := Abduct(log, Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCF := make([]*CounterfactualOutcome, len(settings))
+	wantTruth := make([]player.Metrics, len(settings))
+	for i, s := range settings {
+		wantCF[i] = counterfactualOracle(t, a, s)
+		if wantTruth[i], err = replayOracle(truth, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range settings {
+				i := (k + g*len(settings)/2) % len(settings) // the two start on different arms
+				s := settings[i]
+				got, err := a.Counterfactual(s)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got.Baseline != wantCF[i].Baseline {
+					t.Errorf("setting %d: Baseline %+v, oracle %+v", i, got.Baseline, wantCF[i].Baseline)
+				}
+				for k := range got.Samples {
+					if got.Samples[k] != wantCF[i].Samples[k] {
+						t.Errorf("setting %d: sample %d %+v, oracle %+v", i, k, got.Samples[k], wantCF[i].Samples[k])
+					}
+				}
+				m, err := a.Replay(truth, s)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if m != wantTruth[i] {
+					t.Errorf("setting %d: truth replay %+v, oracle %+v", i, m, wantTruth[i])
+				}
+				if m, err := Replay(truth, s); err != nil || m != wantTruth[i] {
+					t.Errorf("setting %d: package Replay %+v (%v), oracle %+v", i, m, err, wantTruth[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if len(a.jitters) != 2 {
+		t.Errorf("%d jitter sequences for two network seeds", len(a.jitters))
+	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"veritas/internal/abduction"
 	"veritas/internal/abr"
@@ -55,16 +56,21 @@ var squareBands = []struct{ lo, hi, halfPeriod float64 }{
 	{1, 7, 45},
 }
 
-// video materializes the corpus clip: the default synthetic video
-// truncated to NumChunks. Synthesis is seeded and deterministic, so
-// BuildCorpus and BuildMatrix called with the same config produce
-// equal-content clips — Setting A and every Setting B stream the same
-// chunks, though not the same *video.Video object.
+// video is the corpus clip: the default synthetic video truncated to
+// NumChunks — the process's one default clip or a prefix view of it, so
+// BuildCorpus and BuildMatrix synthesise nothing and Setting A and every
+// Setting B stream the same chunks. Only a clip longer than the default
+// is synthesised, per call.
 func (cfg CorpusConfig) video() *video.Video {
-	vcfg := video.DefaultConfig(1)
-	if cfg.NumChunks > 0 {
-		vcfg.NumChunks = cfg.NumChunks
+	full := video.Default()
+	switch {
+	case cfg.NumChunks <= 0:
+		return full
+	case cfg.NumChunks <= full.NumChunks():
+		return full.Prefix(cfg.NumChunks)
 	}
+	vcfg := video.DefaultConfig(1)
+	vcfg.NumChunks = cfg.NumChunks
 	return video.MustSynthesize(vcfg)
 }
 
@@ -162,8 +168,8 @@ func BuildMatrix(cfg CorpusConfig, abrs []string, buffers []float64) ([]Arm, err
 			return alg
 		}
 		for _, buf := range buffers {
-			if buf <= 0 {
-				return nil, fmt.Errorf("engine: matrix buffer %v <= 0", buf)
+			if !(buf > 0) || math.IsInf(buf, 1) {
+				return nil, fmt.Errorf("engine: matrix buffer %v is not a positive finite number of seconds", buf)
 			}
 			arms = append(arms, Arm{
 				Name: fmt.Sprintf("%s-%gs", name, buf),

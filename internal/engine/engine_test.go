@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -352,6 +353,52 @@ func TestBuildCorpus(t *testing.T) {
 	}
 	if _, err := BuildCorpus(CorpusConfig{Scenarios: []string{"dialup"}}); err == nil {
 		t.Error("unknown scenario should error")
+	}
+}
+
+// TestCorpusClipIsTheDefaultClip: a corpus of the default clip or a
+// prefix of it synthesises nothing — Setting A and every arm stream one
+// shared clip — while a longer clip is still synthesised.
+func TestCorpusClipIsTheDefaultClip(t *testing.T) {
+	for _, n := range []int{0, 1, 60, 300, 420} {
+		ccfg := CorpusConfig{SessionsPer: 1, NumChunks: n, Scenarios: []string{"square"}}
+		corpus, err := BuildCorpus(ccfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arms, err := BuildMatrix(ccfg, []string{"bba"}, []float64{5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := n
+		if n == 0 {
+			want = video.Default().NumChunks()
+		}
+		a, b := corpus[0].Video, arms[0].Setting.Video
+		if a.NumChunks() != want || b.NumChunks() != want {
+			t.Errorf("NumChunks %d: corpus clip %d chunks, arm clip %d, want %d", n, a.NumChunks(), b.NumChunks(), want)
+		}
+		// A prefix view is one allocation; a synthesis is two rows per chunk.
+		if allocs := testing.AllocsPerRun(5, func() { ccfg.video() }); (allocs <= 1) != (n <= 300) {
+			t.Errorf("NumChunks %d: the corpus clip costs %v allocations", n, allocs)
+		}
+		if a.Size(n/2, 3) != video.Default().Size(n/2, 3) || b.SSIM(n/2, 3) != video.Default().SSIM(n/2, 3) {
+			t.Errorf("NumChunks %d: the clips are not the default clip's chunks", n)
+		}
+		if n == 0 || n == 300 {
+			if a != video.Default() {
+				t.Errorf("NumChunks %d: not the process's default clip", n)
+			}
+		}
+	}
+}
+
+// TestBuildMatrixRefusesNonFiniteBuffers: NaN passes "buf <= 0".
+func TestBuildMatrixRefusesNonFiniteBuffers(t *testing.T) {
+	for _, buf := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -5} {
+		if _, err := BuildMatrix(CorpusConfig{NumChunks: 10}, []string{"bba"}, []float64{5, buf}); err == nil || !strings.Contains(err.Error(), "matrix buffer") {
+			t.Errorf("buffer %v: err = %v, want one naming the matrix buffer", buf, err)
+		}
 	}
 }
 

@@ -12,6 +12,12 @@
 // congestion window persists across chunks, and optional jitter models
 // queueing/cross-traffic noise. The residual gap between the emulator
 // and f is what Figure 5 of the paper measures.
+//
+// Jitter is one standard-normal draw per round. A Conn from NewConn draws
+// from a generator of its own; a Conn from (*Jitter).NewConn reads the
+// same seed's draws, in the same order, from a Jitter shared by every
+// replay of that seed — so replays seed the generator once between them,
+// not once each, and download exactly as private connections would.
 package netem
 
 import (
@@ -19,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"veritas/internal/tcp"
 	"veritas/internal/trace"
@@ -87,6 +94,17 @@ func (c Config) withDefaults() Config {
 
 // Validate reports the first invalid field, if any.
 func (c Config) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"RTT", c.RTT}, {"InitCWND", c.InitCWND}, {"MaxCWND", c.MaxCWND},
+		{"JitterStd", c.JitterStd}, {"QueueFactor", c.QueueFactor}, {"Beta", c.Beta},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("netem: %s %v is not a finite number", f.name, f.v)
+		}
+	}
 	switch {
 	case c.RTT <= 0:
 		return fmt.Errorf("netem: RTT %v <= 0", c.RTT)
@@ -110,7 +128,13 @@ type Conn struct {
 	ssthresh float64
 	lastSend float64
 	hasSent  bool
-	rng      *rand.Rand
+	// The jitter source: a private generator (NewConn), or a shared
+	// Jitter read from index 0 through tape, the prefix of its draws
+	// this connection has fetched so far.
+	rng   *rand.Rand
+	jit   *Jitter
+	tape  []float64
+	drawn int
 }
 
 // ErrStalled is returned when a download can never finish because the
@@ -124,6 +148,16 @@ const NeverSentGap = 1e9
 
 // NewConn returns a fresh connection over the configured path.
 func NewConn(cfg Config) (*Conn, error) {
+	c, err := newConn(cfg)
+	if err != nil {
+		return nil, err
+	}
+	c.rng = rand.New(rand.NewSource(cfg.Seed))
+	return c, nil
+}
+
+// newConn returns a connection with no jitter source yet.
+func newConn(cfg Config) (*Conn, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -132,8 +166,76 @@ func NewConn(cfg Config) (*Conn, error) {
 		cfg:      cfg,
 		cwnd:     cfg.InitCWND,
 		ssthresh: tcp.DefaultSSThresh,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
 	}, nil
+}
+
+// Jitter is one seed's sequence of NormFloat64 draws — exactly those a
+// rand.New(rand.NewSource(seed)) would make — drawn lazily and kept, so
+// that any number of connections can read the sequence from its start
+// while the generator is seeded once. Safe for concurrent use.
+type Jitter struct {
+	seed  int64
+	mu    sync.Mutex
+	rng   *rand.Rand // nil until the first draw
+	draws []float64
+}
+
+// jitterBlock is how many draws a Jitter makes at a time: a few per cent
+// of a 300-chunk session's rounds, so a replay fetches a handful of times
+// and the sequence overshoots its longest reader by little.
+const jitterBlock = 256
+
+// NewJitter returns the draw sequence of seed. Nothing is drawn — and
+// the generator is not seeded — until a connection needs a draw.
+func NewJitter(seed int64) *Jitter { return &Jitter{seed: seed} }
+
+// Seed returns the seed the sequence is drawn from.
+func (j *Jitter) Seed() int64 { return j.seed }
+
+// upTo returns the draws so far, at least n+1 of them. Draws never
+// change once made, so a caller reads its returned prefix without the
+// lock while later calls append beyond it.
+func (j *Jitter) upTo(n int) []float64 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.rng == nil {
+		j.rng = rand.New(rand.NewSource(j.seed))
+	}
+	for len(j.draws) <= n {
+		for k := 0; k < jitterBlock; k++ {
+			j.draws = append(j.draws, j.rng.NormFloat64())
+		}
+	}
+	return j.draws
+}
+
+// NewConn returns a fresh connection over the configured path whose
+// jitter is read from j instead of a private generator. cfg.Seed must
+// be j's seed; the connection then downloads exactly as NewConn(cfg)'s
+// would.
+func (j *Jitter) NewConn(cfg Config) (*Conn, error) {
+	if cfg.Seed != j.seed {
+		return nil, fmt.Errorf("netem: config seed %d, jitter drawn from seed %d", cfg.Seed, j.seed)
+	}
+	c, err := newConn(cfg)
+	if err != nil {
+		return nil, err
+	}
+	c.jit = j
+	return c, nil
+}
+
+// norm returns the connection's next standard-normal jitter draw.
+func (c *Conn) norm() float64 {
+	if c.jit == nil {
+		return c.rng.NormFloat64()
+	}
+	if c.drawn == len(c.tape) {
+		c.tape = c.jit.upTo(c.drawn)
+	}
+	v := c.tape[c.drawn]
+	c.drawn++
+	return v
 }
 
 // State returns the TCP control state at time now — the snapshot the
@@ -189,10 +291,14 @@ func (c *Conn) Download(start, sizeBytes float64, tr *trace.Trace) (end float64,
 
 	t := start
 	remaining := float64(tcp.Segments(sizeBytes))
+	// The bandwidth is constant on [t, next): look it up again only once
+	// a round carries t past next, not every round.
+	gtbw, next := tr.Segment(t)
 	for remaining > 0 {
-		gtbw := tr.At(t)
+		if t >= next {
+			gtbw, next = tr.Segment(t)
+		}
 		if gtbw <= 0 {
-			next := tr.NextChange(t)
 			if math.IsInf(next, 1) {
 				return 0, ErrStalled
 			}
@@ -201,11 +307,11 @@ func (c *Conn) Download(start, sizeBytes float64, tr *trace.Trace) (end float64,
 		}
 		rate := gtbw
 		if c.cfg.JitterStd > 0 {
-			noise := 1 + c.rng.NormFloat64()*c.cfg.JitterStd
-			rate = gtbw * math.Max(0.5, math.Min(1.5, noise))
+			noise := 1 + c.norm()*c.cfg.JitterStd
+			rate = gtbw * max(0.5, min(1.5, noise))
 		}
 		bdp := float64(tcp.BDPSegments(rate, c.cfg.RTT))
-		flight := math.Min(c.cwnd, bdp)
+		flight := min(c.cwnd, bdp)
 		if flight > remaining {
 			flight = remaining
 		}
@@ -216,7 +322,7 @@ func (c *Conn) Download(start, sizeBytes float64, tr *trace.Trace) (end float64,
 		// serializing the flight dominates (sub-MSS bandwidth-delay
 		// products).
 		serialization := flight * tcp.MSS * 8 / (rate * 1e6)
-		roundTime := math.Max(c.cfg.RTT, serialization)
+		roundTime := max(c.cfg.RTT, serialization)
 		t += roundTime
 		remaining -= flight
 		if c.cwnd < c.ssthresh {

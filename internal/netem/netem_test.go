@@ -2,6 +2,7 @@ package netem
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"veritas/internal/trace"
@@ -37,6 +38,36 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Errorf("DefaultConfig invalid: %v", err)
+	}
+}
+
+// TestConfigRefusesNonFinite: NaN and ±Inf pass every ordered
+// comparison the range checks make (or one of them), so each field is
+// checked for a finite value first and the error names it.
+func TestConfigRefusesNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"RTT", func(c *Config, v float64) { c.RTT = v }},
+		{"InitCWND", func(c *Config, v float64) { c.InitCWND = v }},
+		{"MaxCWND", func(c *Config, v float64) { c.MaxCWND = v }},
+		{"JitterStd", func(c *Config, v float64) { c.JitterStd = v }},
+		{"QueueFactor", func(c *Config, v float64) { c.QueueFactor = v }},
+		{"Beta", func(c *Config, v float64) { c.Beta = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := DefaultConfig()
+			f.set(&cfg, v)
+			err := cfg.Validate()
+			if err == nil || !strings.Contains(err.Error(), f.name+" ") {
+				t.Errorf("%s = %v: err = %v, want one naming %s", f.name, v, err, f.name)
+			}
+			if _, err := NewConn(cfg); err == nil {
+				t.Errorf("%s = %v: NewConn accepted it", f.name, v)
+			}
+		}
 	}
 }
 

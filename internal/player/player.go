@@ -48,6 +48,8 @@ func (c Config) Validate() error {
 		return errors.New("player: nil ABR algorithm")
 	case c.Trace == nil:
 		return errors.New("player: nil trace")
+	case math.IsNaN(c.BufferCap) || math.IsInf(c.BufferCap, 0):
+		return fmt.Errorf("player: BufferCap %v is not a finite number", c.BufferCap)
 	case c.BufferCap <= c.Video.ChunkSeconds():
 		return fmt.Errorf("player: buffer cap %v must exceed one chunk duration %v",
 			c.BufferCap, c.Video.ChunkSeconds())
@@ -109,6 +111,15 @@ type Metrics struct {
 	QualitySwitches int
 }
 
+// chunks returns how many chunks the session streams.
+func (c Config) chunks() int {
+	n := c.Video.NumChunks()
+	if c.MaxChunks > 0 && c.MaxChunks < n {
+		n = c.MaxChunks
+	}
+	return n
+}
+
 // Run simulates the session and returns its log and metrics.
 func Run(cfg Config) (*SessionLog, Metrics, error) {
 	if err := cfg.Validate(); err != nil {
@@ -118,27 +129,56 @@ func Run(cfg Config) (*SessionLog, Metrics, error) {
 	if err != nil {
 		return nil, Metrics{}, err
 	}
-	v := cfg.Video
-	n := v.NumChunks()
-	if cfg.MaxChunks > 0 && cfg.MaxChunks < n {
-		n = cfg.MaxChunks
-	}
-
 	log := &SessionLog{
-		Records:      make([]ChunkRecord, 0, n),
+		Records:      make([]ChunkRecord, 0, cfg.chunks()),
 		BufferCap:    cfg.BufferCap,
 		RTT:          cfg.Net.RTT,
-		ChunkSeconds: v.ChunkSeconds(),
+		ChunkSeconds: cfg.Video.ChunkSeconds(),
 		ABRName:      cfg.ABR.Name(),
 	}
+	m, err := run(cfg, conn, log)
+	if err != nil {
+		return nil, Metrics{}, err
+	}
+	return log, m, nil
+}
 
+// Replay simulates the session for its metrics alone — the what-if
+// replays of a counterfactual query, which keep no log. With j nil the
+// connection draws its jitter from a generator of its own, as Run's
+// does; otherwise it reads it from j, which must be cfg.Net.Seed's
+// sequence. Either way the metrics are Run's, bit for bit.
+func Replay(cfg Config, j *netem.Jitter) (Metrics, error) {
+	if err := cfg.Validate(); err != nil {
+		return Metrics{}, err
+	}
+	var conn *netem.Conn
+	var err error
+	if j == nil {
+		conn, err = netem.NewConn(cfg.Net)
+	} else {
+		conn, err = j.NewConn(cfg.Net)
+	}
+	if err != nil {
+		return Metrics{}, err
+	}
+	return run(cfg, conn, nil)
+}
+
+// run is the session loop of Run and Replay over a validated config: it
+// appends a record per chunk to log when log is not nil, and sums the
+// metrics as it goes, in record order.
+func run(cfg Config, conn *netem.Conn, log *SessionLog) (Metrics, error) {
+	v := cfg.Video
+	n := cfg.chunks()
 	var (
-		t         float64 // wall clock
-		buffer    float64 // seconds of video buffered
-		rebuf     float64
-		lastQ     = -1
-		switches  int
-		pastTputs []float64
+		t             float64 // wall clock
+		buffer        float64 // seconds of video buffered
+		rebuf         float64
+		ssim, bitrate float64
+		lastQ         = -1
+		switches      int
+		pastTputs     = make([]float64, 0, n)
 	)
 
 	for i := 0; i < n; i++ {
@@ -151,13 +191,13 @@ func Run(cfg Config) (*SessionLog, Metrics, error) {
 			Video:              v,
 		})
 		if q < 0 || q >= v.NumQualities() {
-			return nil, Metrics{}, fmt.Errorf("player: ABR %s chose invalid quality %d", cfg.ABR.Name(), q)
+			return Metrics{}, fmt.Errorf("player: ABR %s chose invalid quality %d", cfg.ABR.Name(), q)
 		}
 		size := v.Size(i, q)
 		st := conn.State(t)
 		end, err := conn.Download(t, size, cfg.Trace)
 		if err != nil {
-			return nil, Metrics{}, fmt.Errorf("player: chunk %d: %w", i, err)
+			return Metrics{}, fmt.Errorf("player: chunk %d: %w", i, err)
 		}
 		dl := end - t
 		var stall float64
@@ -177,18 +217,23 @@ func Run(cfg Config) (*SessionLog, Metrics, error) {
 		}
 		rebuf += stall
 		tput := tcp.Mbps(size, dl)
-		log.Records = append(log.Records, ChunkRecord{
-			Index:          i,
-			Quality:        q,
-			SizeBytes:      size,
-			Start:          t,
-			End:            end,
-			TCP:            st,
-			ThroughputMbps: tput,
-			RebufSeconds:   stall,
-			SSIM:           v.SSIM(i, q),
-			BitrateMbps:    v.Bitrate(i, q),
-		})
+		chunkSSIM, chunkMbps := v.SSIM(i, q), v.Bitrate(i, q)
+		if log != nil {
+			log.Records = append(log.Records, ChunkRecord{
+				Index:          i,
+				Quality:        q,
+				SizeBytes:      size,
+				Start:          t,
+				End:            end,
+				TCP:            st,
+				ThroughputMbps: tput,
+				RebufSeconds:   stall,
+				SSIM:           chunkSSIM,
+				BitrateMbps:    chunkMbps,
+			})
+		}
+		ssim += chunkSSIM
+		bitrate += chunkMbps
 		pastTputs = append(pastTputs, tput)
 		if lastQ >= 0 && q != lastQ {
 			switches++
@@ -208,28 +253,17 @@ func Run(cfg Config) (*SessionLog, Metrics, error) {
 		}
 	}
 
-	m := summarize(log, rebuf, switches)
-	return log, m, nil
-}
-
-func summarize(log *SessionLog, rebuf float64, switches int) Metrics {
-	var ssim, bitrate float64
-	for _, r := range log.Records {
-		ssim += r.SSIM
-		bitrate += r.BitrateMbps
-	}
-	nc := len(log.Records)
-	playback := float64(nc) * log.ChunkSeconds
+	playback := float64(n) * v.ChunkSeconds()
 	m := Metrics{
 		RebufSeconds:    rebuf,
 		PlaybackSeconds: playback,
-		NumChunks:       nc,
+		NumChunks:       n,
 		QualitySwitches: switches,
 	}
-	if nc > 0 {
-		m.AvgSSIM = ssim / float64(nc)
-		m.AvgBitrateMbps = bitrate / float64(nc)
-		m.SessionSeconds = log.Records[nc-1].End - log.Records[0].Start
+	if n > 0 {
+		m.AvgSSIM = ssim / float64(n)
+		m.AvgBitrateMbps = bitrate / float64(n)
+		m.SessionSeconds = t // the last download's end: the first started at 0
 	}
 	if playback+rebuf > 0 {
 		m.RebufRatio = rebuf / (playback + rebuf)
@@ -237,5 +271,5 @@ func summarize(log *SessionLog, rebuf float64, switches int) Metrics {
 	if math.IsNaN(m.RebufRatio) {
 		m.RebufRatio = 0
 	}
-	return m
+	return m, nil
 }

@@ -36,8 +36,8 @@ func (tr *Trace) EncodeMahimahi(w io.Writer, horizon float64) error {
 	credit := 0.0
 	lastMs := -1
 	for t < horizon {
-		next := math.Min(tr.NextChange(t), horizon)
-		rate := tr.At(t) // Mbps
+		rate, next := tr.Segment(t) // Mbps
+		next = math.Min(next, horizon)
 		if rate <= 0 {
 			t = next
 			continue

@@ -33,6 +33,10 @@ func (p Point) valid() bool { return p.Mbps >= 0 && !math.IsInf(p.Mbps, 1) }
 // usable; construct with New, FromSteps or a generator.
 type Trace struct {
 	points []Point
+	// interval is the step width of a FromSteps trace, whose point i sits
+	// at float64(i)*interval: a lookup there is an index, not a search.
+	// It is 0 for a trace built by New, whose times may be anywhere.
+	interval float64
 }
 
 // New builds a trace from points, sorting them by time and validating
@@ -56,12 +60,14 @@ func New(points []Point) (*Trace, error) {
 }
 
 // FromSteps builds a trace whose i-th value holds during
-// [i*interval, (i+1)*interval). interval must be positive. The points
-// come out in time order by construction, so they are checked where
-// they are made rather than copied and sorted by New.
+// [i*interval, (i+1)*interval). interval must be positive and finite.
+// The points come out in time order by construction, so they are checked
+// where they are made rather than copied and sorted by New; the trace
+// remembers its interval, so At, NextChange and Segment find a step by
+// index.
 func FromSteps(interval float64, mbps []float64) (*Trace, error) {
-	if !(interval > 0) {
-		return nil, errors.New("trace: interval must be positive")
+	if !(interval > 0) || math.IsInf(interval, 1) {
+		return nil, errors.New("trace: interval must be a positive finite number")
 	}
 	if len(mbps) == 0 {
 		return nil, errors.New("trace: need at least one step")
@@ -76,7 +82,7 @@ func FromSteps(interval float64, mbps []float64) (*Trace, error) {
 			return nil, fmt.Errorf("trace: interval %v does not advance time at step %d", interval, i)
 		}
 	}
-	return &Trace{points: pts}, nil
+	return &Trace{points: pts, interval: interval}, nil
 }
 
 // Constant returns a trace holding mbps forever.
@@ -91,25 +97,52 @@ func Constant(mbps float64) *Trace {
 // At returns the bandwidth in Mbps at time t. Times before the first
 // point return the first bandwidth; times after the last hold the last.
 func (tr *Trace) At(t float64) float64 {
-	ps := tr.points
-	if t <= ps[0].T {
-		return ps[0].Mbps
-	}
-	// Binary search for the last point with T <= t.
-	i := sort.Search(len(ps), func(i int) bool { return ps[i].T > t }) - 1
-	return ps[i].Mbps
+	mbps, _ := tr.Segment(t)
+	return mbps
 }
 
 // NextChange returns the time of the first step strictly after t, or
 // +Inf if the trace has no further steps. Emulators use this to integrate
 // piecewise: the bandwidth is guaranteed constant on [t, NextChange(t)).
 func (tr *Trace) NextChange(t float64) float64 {
+	_, next := tr.Segment(t)
+	return next
+}
+
+// Segment returns At(t) and NextChange(t) from one lookup: the
+// bandwidth holds its value mbps on all of [t, next).
+func (tr *Trace) Segment(t float64) (mbps, next float64) {
 	ps := tr.points
-	i := sort.Search(len(ps), func(i int) bool { return ps[i].T > t })
-	if i == len(ps) {
-		return math.Inf(1)
+	i := tr.search(t)
+	next = math.Inf(1)
+	if i < len(ps) {
+		next = ps[i].T
 	}
-	return ps[i].T
+	if i == 0 {
+		return ps[0].Mbps, next
+	}
+	return ps[i-1].Mbps, next
+}
+
+// search returns the index of the first point strictly after t, or the
+// point count if there is none. On a FromSteps trace, inside
+// [0, last point), t/interval names the step up to rounding, and the two
+// loops walk off any rounding slip; everywhere else — New traces, times
+// before the first or from the last point on, NaN — it binary-searches.
+func (tr *Trace) search(t float64) int {
+	ps := tr.points
+	last := len(ps) - 1
+	if tr.interval > 0 && t >= 0 && t < ps[last].T {
+		i := min(int(t/tr.interval), last)
+		for ps[i].T > t {
+			i--
+		}
+		for ps[i+1].T <= t {
+			i++
+		}
+		return i + 1
+	}
+	return sort.Search(len(ps), func(i int) bool { return ps[i].T > t })
 }
 
 // Points returns a copy of the underlying steps.
@@ -133,11 +166,11 @@ func (tr *Trace) Mean(horizon float64) float64 {
 	}
 	var area, t float64
 	for t < horizon {
-		next := tr.NextChange(t)
+		mbps, next := tr.Segment(t)
 		if next > horizon {
 			next = horizon
 		}
-		area += tr.At(t) * (next - t)
+		area += mbps * (next - t)
 		if math.IsInf(next, 1) {
 			break
 		}

@@ -168,6 +168,22 @@ func MustSynthesize(cfg Config) *Video {
 // immutable, so every session may share the one.
 var Default = sync.OnceValue(func() *Video { return MustSynthesize(DefaultConfig(1)) })
 
+// Prefix returns the clip's first n chunks, 1 <= n, as a clip of its
+// own: a view sharing the rows. Chunk i's size and SSIM depend only on
+// the seed and i, so it equals the clip synthesised from the same config
+// with NumChunks n. n at or past NumChunks returns v itself.
+func (v *Video) Prefix(n int) *Video {
+	if n < 1 {
+		panic(fmt.Sprintf("video: Prefix(%d) of a %d-chunk clip", n, v.cfg.NumChunks))
+	}
+	if n >= v.cfg.NumChunks {
+		return v
+	}
+	p := &Video{cfg: v.cfg, sizes: v.sizes[:n:n], ssims: v.ssims[:n:n]}
+	p.cfg.NumChunks = n
+	return p
+}
+
 // NumChunks returns the chunk count.
 func (v *Video) NumChunks() int { return v.cfg.NumChunks }
 

@@ -160,3 +160,42 @@ func TestSizeFloor(t *testing.T) {
 		}
 	}
 }
+
+// TestPrefixEqualsSynthesis pins the prefix view to synthesis: the
+// default clip's first n chunks are the n-chunk clip of the same
+// config, chunk count included, without a second synthesis.
+func TestPrefixEqualsSynthesis(t *testing.T) {
+	full := Default()
+	for _, n := range []int{1, 60, 299, 300} {
+		cfg := DefaultConfig(1)
+		cfg.NumChunks = n
+		want := MustSynthesize(cfg)
+		got := full.Prefix(n)
+		if got.NumChunks() != n || got.NumChunks() != want.NumChunks() {
+			t.Fatalf("Prefix(%d) has %d chunks, synthesis %d", n, got.NumChunks(), want.NumChunks())
+		}
+		if got.DurationSeconds() != want.DurationSeconds() || got.ChunkSeconds() != want.ChunkSeconds() || got.NumQualities() != want.NumQualities() {
+			t.Errorf("Prefix(%d): duration %v, chunk %v s, %d rungs; synthesis %v, %v s, %d",
+				n, got.DurationSeconds(), got.ChunkSeconds(), got.NumQualities(), want.DurationSeconds(), want.ChunkSeconds(), want.NumQualities())
+		}
+		for c := 0; c < n; c++ {
+			for q := 0; q < want.NumQualities(); q++ {
+				if got.Size(c, q) != want.Size(c, q) || got.SSIM(c, q) != want.SSIM(c, q) || got.Bitrate(c, q) != want.Bitrate(c, q) {
+					t.Fatalf("Prefix(%d) chunk %d quality %d differs from synthesis", n, c, q)
+				}
+			}
+		}
+	}
+	if full.Prefix(300) != full || full.Prefix(1000) != full {
+		t.Error("a prefix of the whole clip or more is not the clip itself")
+	}
+	if p := full.Prefix(60).Prefix(20); p.NumChunks() != 20 || p.Size(19, 3) != full.Size(19, 3) {
+		t.Error("a prefix of a prefix lost its chunks")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Prefix(0) did not panic")
+		}
+	}()
+	full.Prefix(0)
+}

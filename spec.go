@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"veritas/internal/abduction"
@@ -80,6 +81,8 @@ func (s campaignSpec) validate() error {
 		// gets this far.
 		return fmt.Errorf("veritas: negative campaign setting (sessions %d, chunks %d, samples %d, buffer %g)",
 			s.SessionsPer, s.Chunks, s.Samples, s.Buffer)
+	case math.IsNaN(s.Buffer) || math.IsInf(s.Buffer, 1):
+		return fmt.Errorf("veritas: deployed buffer %g is not a finite number of seconds", s.Buffer)
 	case (len(s.ABRs) == 0) != (len(s.Buffers) == 0):
 		return errors.New("veritas: matrix needs at least one ABR and one buffer size")
 	}
@@ -93,8 +96,8 @@ func (s campaignSpec) validate() error {
 		return err
 	}
 	for i, b := range s.Buffers {
-		if b <= 0 {
-			return fmt.Errorf("veritas: matrix buffer %g must be positive seconds", b)
+		if !(b > 0) || math.IsInf(b, 1) {
+			return fmt.Errorf("veritas: matrix buffer %g must be finite positive seconds", b)
 		}
 		if slices.Contains(s.Buffers[:i], b) {
 			return fmt.Errorf("veritas: matrix buffer %g listed twice", b)

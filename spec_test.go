@@ -153,6 +153,29 @@ func TestEverySpecFieldIsFingerprintedCarriedAndValidated(t *testing.T) {
 	}
 }
 
+// TestSpecRefusesNonFiniteBuffers: NaN passes "b <= 0" and +Inf passes
+// "b > 0"; a spec carrying either used to run a whole session before the
+// player (or the JSON encoder) refused it.
+func TestSpecRefusesNonFiniteBuffers(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mut  func(*campaignSpec)
+		want string
+	}{
+		{"NaN matrix buffer", func(s *campaignSpec) { s.Buffers = []float64{5, math.NaN()} }, "matrix buffer NaN"},
+		{"+Inf matrix buffer", func(s *campaignSpec) { s.Buffers = []float64{math.Inf(1)} }, "matrix buffer +Inf"},
+		{"-Inf matrix buffer", func(s *campaignSpec) { s.Buffers = []float64{math.Inf(-1)} }, "matrix buffer -Inf"},
+		{"NaN deployed buffer", func(s *campaignSpec) { s.Buffer = math.NaN() }, "deployed buffer NaN"},
+		{"+Inf deployed buffer", func(s *campaignSpec) { s.Buffer = math.Inf(1) }, "deployed buffer +Inf"},
+	} {
+		s := fullSpec()
+		tc.mut(&s)
+		if err := s.validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: validate = %v, want an error naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestSpecDefaultsAreTheEngines ties the defaults a fingerprint records
 // to the ones the engine applies: change either alone and this fails,
 // instead of stores vouching for a campaign they did not run.
