@@ -131,7 +131,7 @@ const maxStartInterval = 1 << 17
 const maxEndSecs = 7 * 24 * 3600
 
 // checkRecords is where a log's numbers are checked, for Abduct and
-// BaselineTrace alike. A log is outside input (cmd/abduct -log, a
+// BaselineTrace alike. A log is outside input (`veritas abduct -log`, a
 // fleet's SessionSpec.Log): a record whose throughput, size, start or
 // end time is not a finite non-negative number, that ends before it
 // starts or past maxEndSecs, or that starts before its predecessor is

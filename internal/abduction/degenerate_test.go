@@ -36,7 +36,7 @@ func singleChunkLog() *player.SessionLog {
 }
 
 // hostileLog is a three-chunk log whose last record (index 2) has been
-// edited by mutate — what cmd/abduct -log or a fleet's
+// edited by mutate — what `veritas abduct -log` or a fleet's
 // SessionSpec.Log can be handed from outside.
 func hostileLog(mutate func(r *player.ChunkRecord)) *player.SessionLog {
 	log := singleChunkLog()

@@ -7,7 +7,7 @@ import (
 )
 
 // EncodeLog writes the session log as indented JSON, the interchange
-// format of the cmd tools (sessionrun → abduct → whatif).
+// format of the `veritas` subcommands (sessionrun → abduct → whatif).
 func EncodeLog(w io.Writer, log *SessionLog) error {
 	if log == nil {
 		return errors.New("player: nil session log")

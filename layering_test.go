@@ -4,8 +4,9 @@ package veritas_test
 // the store package stays free of the HTTP tier (store stores, serve
 // serves), no deprecated shim or staticcheck suppression creeps back
 // into the module, every report is reduced by engine.Partials, and each
-// on-disk format is known to one file of internal/store, and a
-// campaign's settings and their defaults are each written once.
+// on-disk format is known to one file of internal/store, a campaign's
+// settings and their defaults are each written once, and the small
+// single-session tools stay subcommands of one binary.
 
 import (
 	"go/ast"
@@ -318,5 +319,58 @@ func TestTheCampaignIsDefinedOnce(t *testing.T) {
 				return true
 			})
 		}
+	}
+}
+
+// TestOneBinaryForTheSmallTools pins the cmd/ tree: the single-session
+// tools (tracegen, sessionrun, abduct, whatif) are subcommands of
+// cmd/veritas, each over its own flag.FlagSet, built on the facade with
+// only the file codecs taken from internal/player and internal/trace.
+func TestOneBinaryForTheSmallTools(t *testing.T) {
+	allowed := map[string]bool{
+		"benchjson": true, "experiments": true, "fleet": true, "loadgen": true,
+		"serve": true, "veritas": true, "veritasd": true,
+	}
+	dirs, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dirs {
+		if d.IsDir() && !allowed[d.Name()] {
+			t.Errorf("cmd/%s: a single-session tool is a subcommand of cmd/veritas, not a main of its own", d.Name())
+		}
+	}
+
+	// The flag package's own FlagSet API; everything else it exports
+	// works on the process-wide CommandLine set.
+	flagSetAPI := map[string]bool{"NewFlagSet": true, "FlagSet": true, "ContinueOnError": true, "ErrHelp": true}
+	internalOK := map[string]bool{"veritas/internal/player": true, "veritas/internal/trace": true}
+	fset := token.NewFileSet()
+	files, err := filepath.Glob(filepath.Join("cmd", "veritas", "*.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no source found under cmd/veritas (err %v)", err)
+	}
+	for _, name := range files {
+		file, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range file.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			if strings.HasPrefix(path, "veritas/internal/") && !internalOK[path] {
+				t.Errorf("%s imports %s: cmd/veritas goes through the facade (internal/player and internal/trace only for the file codecs)", name, path)
+			}
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "flag" && !flagSetAPI[sel.Sel.Name] {
+				t.Errorf("%s: flag.%s: each subcommand parses its own flag.FlagSet, not the global one",
+					fset.Position(sel.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
 	}
 }
