@@ -228,6 +228,8 @@ func TestHostileInputs(t *testing.T) {
 	tput := hostile("tput", func(r []player.ChunkRecord) { r[3].ThroughputMbps = 1e300 })
 	start := hostile("start", func(r []player.ChunkRecord) { r[3].Start = 1e18 })
 	end := hostile("end", func(r []player.ChunkRecord) { r[last].End = 1e12 })
+	cwnd := hostile("cwnd", func(r []player.ChunkRecord) { r[3].TCP.CWND = 0 })
+	size := hostile("size", func(r []player.ChunkRecord) { r[3].SizeBytes = 1e9 })
 	rec3, recLast := "record 3:", "record "+strconv.Itoa(last)+":"
 	out := filepath.Join(dir, "out")
 
@@ -247,6 +249,11 @@ func TestHostileInputs(t *testing.T) {
 		{[]string{"abduct", "-log", end, "-out", out}, 1, recLast},
 		{[]string{"abduct", "-log", end, "-baseline"}, 1, recLast},
 		{[]string{"whatif", "-log", end}, 1, recLast},
+		{[]string{"abduct", "-log", cwnd, "-out", out}, 1, rec3},
+		{[]string{"whatif", "-log", size}, 1, rec3},
+		// Nor does it read the TCP state or the chunk sizes.
+		{[]string{"abduct", "-log", cwnd, "-baseline"}, 0, ""},
+		{[]string{"abduct", "-log", size, "-baseline"}, 0, ""},
 
 		{[]string{"sessionrun", "-trace", testdata(t, "trace.txt"), "-rtt", "NaN"}, 1, "RTT NaN"},
 		{[]string{"sessionrun", "-trace", testdata(t, "trace.txt"), "-rtt", "+Inf"}, 1, "RTT +Inf"},

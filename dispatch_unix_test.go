@@ -3,9 +3,9 @@
 package veritas_test
 
 // The dispatch acceptance pin: the same campaign computed two ways —
-// one process, and three supervised worker processes where one worker
-// is SIGKILLed mid-run (so the supervisor restarts it with resume into
-// its same store) — must produce byte-identical engine.Report JSON and
+// one process, and three supervised worker processes where one worker,
+// whose store already holds one of its sessions, is SIGKILLed (so the
+// supervisor restarts it with resume into its same store) — must produce byte-identical engine.Report JSON and
 // byte-identical /v1/report bodies. This is the contract that turns
 // the manual shard runbook into one command: supervision, crashes and
 // restarts change how the corpus is computed, never what.
@@ -13,10 +13,12 @@ package veritas_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -46,16 +48,30 @@ func TestDispatchedCampaignEquivalence(t *testing.T) {
 	wantBody := v1Report(t, single)
 
 	// Way B: dispatched across three worker processes (re-execs of this
-	// test binary; see TestMain). Shard 1's first attempt is SIGKILLed
-	// right after its first completed session, so the supervisor must
-	// restart it with resume to finish the campaign.
+	// test binary; see TestMain). Shard 1's store starts with one of its
+	// two sessions already durable — the state a worker killed after its
+	// first session leaves behind — and its first attempt is SIGKILLed
+	// from its start event, which the supervisor emits right after the
+	// process starts and before it reads a line of its output. The
+	// supervisor must restart it with resume, and the restarted worker
+	// must run only the missing session. (Killing on the first progress
+	// event raced the shard's last session: a fast enough worker exited
+	// 0 before the signal landed.)
 	dst := filepath.Join(t.TempDir(), "dispatched.store")
+	seedShardStore(t, filepath.Join(dst+".shards", "shard-1.store"), 1, shards)
 	var killed atomic.Bool
+	var shard1Progress []veritas.DispatchEvent
+	var mu sync.Mutex
 	events := func(e veritas.DispatchEvent) {
-		if e.Type == veritas.DispatchProgress && e.Shard == 1 && e.Attempt == 0 && e.Done > 0 {
+		if e.Type == veritas.DispatchStart && e.Shard == 1 && e.Attempt == 0 {
 			if killed.CompareAndSwap(false, true) {
 				syscall.Kill(e.PID, syscall.SIGKILL)
 			}
+		}
+		if e.Type == veritas.DispatchProgress && e.Shard == 1 {
+			mu.Lock()
+			shard1Progress = append(shard1Progress, e)
+			mu.Unlock()
 		}
 	}
 	c, err := veritas.NewCampaign(append(dispatchOptions(),
@@ -78,6 +94,14 @@ func TestDispatchedCampaignEquivalence(t *testing.T) {
 	if res.Restarts < 1 {
 		t.Fatalf("supervisor counted %d restarts after a SIGKILLed worker", res.Restarts)
 	}
+	// Progress is rebased over the durable sessions: the one session the
+	// restarted worker ran reports 2 of 2, never 1 of 2 (a recomputed
+	// seeded session) or 1 of 1 (a store that lost it).
+	mu.Lock()
+	if len(shard1Progress) != 1 || shard1Progress[0].Done != 2 || shard1Progress[0].Total != 2 {
+		t.Errorf("shard 1 progress %+v, want one event at 2 of 2", shard1Progress)
+	}
+	mu.Unlock()
 	corpus, err := c.Corpus()
 	if err != nil {
 		t.Fatal(err)
@@ -123,6 +147,39 @@ func TestDispatchedCampaignEquivalence(t *testing.T) {
 		if !kinds[want] {
 			t.Errorf("fleet trace missing %q traces after dispatch (kinds %v)", want, kinds)
 		}
+	}
+}
+
+// seedShardStore leaves dir holding exactly one completed session of
+// shard index of count of the dispatch campaign: one worker, cancelled
+// from the callback that follows its first store append, so it pulls no
+// second session.
+func seedShardStore(t *testing.T, dir string, index, count int) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c, err := veritas.NewCampaign(append(dispatchOptions(),
+		veritas.WithStore(dir),
+		veritas.WithShard(index, count),
+		veritas.WithWorkers(1),
+		veritas.WithProgress(func(veritas.FleetSessionResult) { cancel() }),
+	)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("seeding run: %v, want context.Canceled", err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := veritas.OpenStore(dir, veritas.FleetStoreOptions{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if n := st.Len(); n != 1 {
+		t.Fatalf("seeded shard store holds %d sessions, want 1", n)
 	}
 }
 

@@ -28,11 +28,9 @@ import (
 )
 
 // fleetOptions is the fleet harness campaign: 2 scenarios x 3 sessions
-// = 6 sessions over 3 shards (2 per shard). Sessions are heavy (3000
-// chunks, ~200ms each) and serialized (one worker), so a shard spends
-// a long stretch at done=1 of 2 — wide enough that the agent's
-// ~100ms heartbeat relay reliably reports mid-shard progress, which is
-// the harness's kill signal.
+// = 6 sessions over 3 shards (2 per shard), serialized on one worker.
+// The kill signal is agent-a's first lease grant, not its progress, so
+// how fast a session runs never decides whether stealing is exercised.
 func fleetOptions() []veritas.CampaignOption {
 	return []veritas.CampaignOption{
 		veritas.WithScenarios("fcc", "lte"),
@@ -95,17 +93,21 @@ func TestFleetCampaignEquivalenceUnderAgentDeath(t *testing.T) {
 	wantReport := reportJSON(t, single)
 	wantBody := v1Report(t, single)
 
-	// Way B: a fleet. The dispatcher leases 3 shards to two agents; the
-	// moment agent-a reports mid-shard progress it is SIGKILLed — whole
-	// process group, workers included — so its lease must expire and
-	// the shard must be stolen by agent-b.
-	var pidA atomic.Int64
+	// Way B: a fleet. agent-a starts alone. The dispatcher emits its
+	// first lease event before the grant is written back, and the
+	// callback SIGKILLs agent-a there — whole process group, workers
+	// included — so agent-a dies holding a lease it never learned of.
+	// Only then does agent-b start; the lease must expire and agent-b
+	// must steal the shard. Nothing here depends on how long a session
+	// or a heartbeat takes.
+	var pidA int
+	pidReady, killedCh := make(chan struct{}), make(chan struct{})
 	var killed atomic.Bool
 	events := func(e veritas.DispatchEvent) {
-		if e.Type == veritas.DispatchProgress && e.Agent == "agent-a" && e.Done > 0 && e.Done < e.Total {
-			if pid := pidA.Load(); pid != 0 && killed.CompareAndSwap(false, true) {
-				syscall.Kill(-int(pid), syscall.SIGKILL)
-			}
+		if e.Type == veritas.DispatchLease && e.Agent == "agent-a" && killed.CompareAndSwap(false, true) {
+			<-pidReady
+			syscall.Kill(-pidA, syscall.SIGKILL)
+			close(killedCh)
 		}
 	}
 	ready := make(chan string, 1)
@@ -142,13 +144,23 @@ func TestFleetCampaignEquivalenceUnderAgentDeath(t *testing.T) {
 
 	var outA, outB bytes.Buffer
 	agentA := spawnFleetAgent(t, addr, "agent-a", filepath.Join(t.TempDir(), "agent-a"), &outA)
-	pidA.Store(int64(agentA.Process.Pid))
-	agentB := spawnFleetAgent(t, addr, "agent-b", filepath.Join(t.TempDir(), "agent-b"), &outB)
+	pidA = agentA.Process.Pid
+	close(pidReady)
 	defer func() {
 		// Belt and braces: no agent process group outlives the test.
 		syscall.Kill(-agentA.Process.Pid, syscall.SIGKILL)
-		syscall.Kill(-agentB.Process.Pid, syscall.SIGKILL)
 		agentA.Wait()
+	}()
+	select {
+	case <-killedCh:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("agent-a never leased a shard\nagent-a output:\n%s", outA.Bytes())
+	case out := <-serveCh:
+		t.Fatalf("ServeFleet returned before agent-a leased: %+v, %v", out.res, out.err)
+	}
+	agentB := spawnFleetAgent(t, addr, "agent-b", filepath.Join(t.TempDir(), "agent-b"), &outB)
+	defer func() {
+		syscall.Kill(-agentB.Process.Pid, syscall.SIGKILL)
 		agentB.Wait()
 	}()
 
@@ -157,9 +169,6 @@ func TestFleetCampaignEquivalenceUnderAgentDeath(t *testing.T) {
 		t.Fatalf("ServeFleet: %v\nagent-a output:\n%s\nagent-b output:\n%s", out.err, outA.Bytes(), outB.Bytes())
 	}
 	res := out.res
-	if !killed.Load() {
-		t.Fatal("agent-a was never killed; the harness did not exercise work stealing")
-	}
 	if res.Steals < 1 {
 		t.Fatalf("fleet completed with %d steals after an agent was SIGKILLed mid-lease", res.Steals)
 	}

@@ -116,7 +116,7 @@ type Abduction struct {
 // Observations converts a session log into the EHMM's evidence sequence.
 // deltaSecs is the GTBW interval length δ.
 func Observations(log *player.SessionLog, deltaSecs float64) ([]hmm.Observation, error) {
-	return observationsInto(nil, log, deltaSecs)
+	return observationsInto(nil, log, deltaSecs, false)
 }
 
 // maxStartInterval bounds a chunk's start time in δ-intervals (a week
@@ -130,13 +130,20 @@ const maxStartInterval = 1 << 17
 // holds one value per second up to the last End.
 const maxEndSecs = 7 * 24 * 3600
 
+// maxSizeBytes bounds a chunk's size: 256 MiB, sixty times a 4 s chunk
+// of the top ladder rung. The throughput estimator runs one loop round
+// per window of the payload for every capacity of the grid, so an
+// absurd size would otherwise cost seconds per record.
+const maxSizeBytes = 1 << 28
+
 // checkRecords is where a log's numbers are checked, for Abduct and
 // BaselineTrace alike. A log is outside input (`veritas abduct -log`, a
 // fleet's SessionSpec.Log): a record whose throughput, size, start or
 // end time is not a finite non-negative number, that ends before it
 // starts or past maxEndSecs, or that starts before its predecessor is
 // refused by index, before it can size a grid or a trace or turn a
-// posterior into NaN.
+// posterior into NaN. What only the estimator reads — the size's
+// magnitude and the TCP state — observationsInto checks.
 func checkRecords(log *player.SessionLog) error {
 	if log == nil || len(log.Records) == 0 {
 		return errors.New("abduction: empty session log")
@@ -162,8 +169,11 @@ func checkRecords(log *player.SessionLog) error {
 
 // observationsInto is Observations with an optional arena: with a
 // scratch it fills the arena's reusable observation buffer instead of
-// allocating.
-func observationsInto(sc *hmm.Scratch, log *player.SessionLog, deltaSecs float64) ([]hmm.Observation, error) {
+// allocating. With ignoreTCP every record's TCP state is replaced by a
+// warm steady-state connection (Config.IgnoreTCPState). A record whose
+// size is past maxSizeBytes, or whose state as the estimator will see
+// it fails tcp.State.CheckEstimable, is refused by index.
+func observationsInto(sc *hmm.Scratch, log *player.SessionLog, deltaSecs float64, ignoreTCP bool) ([]hmm.Observation, error) {
 	if deltaSecs <= 0 {
 		return nil, fmt.Errorf("abduction: delta %v <= 0", deltaSecs)
 	}
@@ -181,9 +191,21 @@ func observationsInto(sc *hmm.Scratch, log *player.SessionLog, deltaSecs float64
 		if !(interval < maxStartInterval) {
 			return nil, fmt.Errorf("abduction: record %d: start time %v s is past interval %d of %v s", i, r.Start, maxStartInterval, deltaSecs)
 		}
+		if r.SizeBytes > maxSizeBytes {
+			return nil, fmt.Errorf("abduction: record %d: size %v bytes is past the %d bytes a chunk may carry", i, r.SizeBytes, maxSizeBytes)
+		}
+		st := r.TCP
+		if ignoreTCP {
+			st = tcp.Fresh(st.MinRTT)
+			st.CWND = tcp.DefaultSSThresh // window never the bottleneck
+			st.LastSendGap = 0            // no slow-start restart
+		}
+		if err := st.CheckEstimable(); err != nil {
+			return nil, fmt.Errorf("abduction: record %d: %w", i, err)
+		}
 		obs[i] = hmm.Observation{
 			ThroughputMbps: r.ThroughputMbps,
-			TCP:            r.TCP,
+			TCP:            st,
 			SizeBytes:      r.SizeBytes,
 			StartInterval:  int(interval),
 		}
@@ -209,7 +231,7 @@ func Abduct(log *player.SessionLog, cfg Config) (*Abduction, error) {
 	sized := cfg.HMM.MaxMbps == 0 // the grid is sized from record maxAt
 	cfg = cfg.withDefaults(maxObs)
 
-	obs, err := observationsInto(cfg.Scratch, log, cfg.HMM.DeltaSecs)
+	obs, err := observationsInto(cfg.Scratch, log, cfg.HMM.DeltaSecs, cfg.IgnoreTCPState)
 	if err != nil {
 		return nil, err
 	}
@@ -221,14 +243,6 @@ func Abduct(log *player.SessionLog, cfg Config) (*Abduction, error) {
 		return nil, err
 	}
 	model.SetScratch(cfg.Scratch)
-	if cfg.IgnoreTCPState {
-		for i := range obs {
-			warm := tcp.Fresh(obs[i].TCP.MinRTT)
-			warm.CWND = tcp.DefaultSSThresh // window never the bottleneck
-			warm.LastSendGap = 0            // no slow-start restart
-			obs[i].TCP = warm
-		}
-	}
 	if cfg.FitTransitions > 0 {
 		fit, err := model.FitTransitions(obs, cfg.FitTransitions, 0.1)
 		if err != nil {

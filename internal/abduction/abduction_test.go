@@ -281,6 +281,12 @@ func TestBaselineTraceValidation(t *testing.T) {
 	if _, err := BaselineTrace(hostileLog(func(*player.ChunkRecord) {})); err != nil {
 		t.Errorf("unedited log refused: %v", err)
 	}
+	// The Baseline reads neither the size's magnitude nor the TCP state.
+	for _, h := range estimatorRecords {
+		if _, err := BaselineTrace(hostileLog(h.mutate)); err != nil {
+			t.Errorf("%s: refused by the Baseline, which does not read it: %v", h.name, err)
+		}
+	}
 }
 
 func TestBaselineTraceInterpolatesOffPeriods(t *testing.T) {

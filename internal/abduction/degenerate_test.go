@@ -60,10 +60,7 @@ func hostileLog(mutate func(r *player.ChunkRecord)) *player.SessionLog {
 // PowerCache on a 2·10¹⁷-step walk. At PR 23 nothing looked at End —
 // Abduct accepted the log and the Baseline trace of Counterfactual was
 // sized by it — or at record order.
-var hostileRecords = []struct {
-	name   string
-	mutate func(r *player.ChunkRecord)
-}{
+var hostileRecords = []hostileRecord{
 	{"NaN throughput", func(r *player.ChunkRecord) { r.ThroughputMbps = math.NaN() }},
 	{"+Inf throughput", func(r *player.ChunkRecord) { r.ThroughputMbps = math.Inf(1) }},
 	{"negative throughput", func(r *player.ChunkRecord) { r.ThroughputMbps = -3 }},
@@ -82,6 +79,29 @@ var hostileRecords = []struct {
 	{"absurd end", func(r *player.ChunkRecord) { r.End = 1e12 }},
 	{"end past int64 seconds", func(r *player.ChunkRecord) { r.End = 1e300 }},
 	{"out of time order", func(r *player.ChunkRecord) { r.Start, r.End = 1, 2 }},
+}
+
+type hostileRecord struct {
+	name   string
+	mutate func(r *player.ChunkRecord)
+}
+
+// estimatorRecords are the numbers only the throughput estimator reads,
+// refused by Observations and Abduct but not by BaselineTrace, which
+// reads neither. A window below one segment makes the estimator send one
+// segment per round in every cell, an absurd size multiplies the rounds,
+// and a non-finite field can stall slow-start restart.
+var estimatorRecords = []hostileRecord{
+	{"1 GB size", func(r *player.ChunkRecord) { r.SizeBytes = 1e9 }},
+	{"zero cwnd", func(r *player.ChunkRecord) { r.TCP.CWND = 0 }},
+	{"sub-segment cwnd", func(r *player.ChunkRecord) { r.TCP.CWND = 0.5 }},
+	{"zero ssthresh", func(r *player.ChunkRecord) { r.TCP.SSThresh = 0 }},
+	{"NaN cwnd", func(r *player.ChunkRecord) { r.TCP.CWND = math.NaN() }},
+	{"+Inf ssthresh", func(r *player.ChunkRecord) { r.TCP.SSThresh = math.Inf(1) }},
+	{"NaN min rtt", func(r *player.ChunkRecord) { r.TCP.MinRTT = math.NaN() }},
+	{"-Inf rtt", func(r *player.ChunkRecord) { r.TCP.RTT = math.Inf(-1) }},
+	{"+Inf rto", func(r *player.ChunkRecord) { r.TCP.RTO = math.Inf(1) }},
+	{"NaN last send gap", func(r *player.ChunkRecord) { r.TCP.LastSendGap = math.NaN() }},
 }
 
 func TestObservationsDegenerateInputs(t *testing.T) {
@@ -104,7 +124,7 @@ func TestObservationsDegenerateInputs(t *testing.T) {
 		{"single chunk", good, 5, ""},
 		{"zero throughput, size and start", zero, 5, ""},
 	}
-	for _, h := range hostileRecords {
+	for _, h := range append(hostileRecords, estimatorRecords...) {
 		cases = append(cases, testCase{h.name, hostileLog(h.mutate), 5, "record 2"})
 	}
 	for _, tc := range cases {
@@ -142,11 +162,26 @@ func TestAbductDegenerateLogs(t *testing.T) {
 		{"1e6 Mbps", hostileLog(func(r *player.ChunkRecord) { r.ThroughputMbps = 1e6 }), Config{}, "record 2"},
 		{"one state past the grid bound", hostileLog(func(r *player.ChunkRecord) { r.ThroughputMbps = 667 }), Config{}, "record 2"},
 	}
-	for _, h := range hostileRecords {
+	for _, h := range append(hostileRecords, estimatorRecords...) {
 		cases = append(cases,
 			testCase{h.name, hostileLog(h.mutate), Config{}, "record 2"},
 			testCase{h.name + ", fitted transitions", hostileLog(h.mutate), Config{FitTransitions: 1}, "record 2"})
 	}
+	// The ablation replaces the logged state but keeps its min RTT.
+	cases = append(cases,
+		testCase{"NaN min rtt, TCP state ignored", hostileLog(func(r *player.ChunkRecord) { r.TCP.MinRTT = math.NaN() }), Config{IgnoreTCPState: true}, "record 2: tcp: min rtt NaN"},
+		testCase{"1 GB size, TCP state ignored", hostileLog(func(r *player.ChunkRecord) { r.SizeBytes = 1e9 }), Config{IgnoreTCPState: true}, "record 2: size"})
+	// Five 1 GB chunks on a zero window: a quarter of a second of
+	// estimator rounds if they reached inference, and size times records
+	// more for longer logs. Refused at the first record instead.
+	gigabytes := singleChunkLog()
+	gigabytes.Records[0].SizeBytes, gigabytes.Records[0].TCP.CWND = 1e9, 0
+	for i := 1; i < 5; i++ {
+		r := gigabytes.Records[0]
+		r.Index, r.Start, r.End = i, r.Start+4*float64(i), r.End+4*float64(i)
+		gigabytes.Records = append(gigabytes.Records, r)
+	}
+	cases = append(cases, testCase{"five 1 GB chunks on a zero window", gigabytes, Config{}, "record 0"})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Abduct(tc.log, tc.cfg)
@@ -154,6 +189,16 @@ func TestAbductDegenerateLogs(t *testing.T) {
 				t.Errorf("want an error containing %q, got %v", tc.wantErr, err)
 			}
 		})
+	}
+	// The states the ablation overwrites are not refused.
+	for _, mutate := range []func(r *player.ChunkRecord){
+		func(r *player.ChunkRecord) { r.TCP.CWND = 0 },
+		func(r *player.ChunkRecord) { r.TCP.SSThresh = math.Inf(1) },
+		func(r *player.ChunkRecord) { r.TCP.LastSendGap = math.NaN() },
+	} {
+		if _, err := Abduct(hostileLog(mutate), Config{IgnoreTCPState: true}); err != nil {
+			t.Errorf("TCP state ignored, yet refused: %v", err)
+		}
 	}
 	// A caller who fixed the grid gets an observation far above it
 	// clamped by the emission model, not refused.
@@ -172,8 +217,8 @@ func TestAbductDegenerateLogs(t *testing.T) {
 }
 
 // TestAbductSingleChunkLog runs the full pipeline on the smallest legal
-// session: one chunk means no transitions, a single-row posterior and a
-// zero-length pair table — every edge of the slab arithmetic.
+// session: one chunk means no transitions, a single-row posterior and no
+// chunk pair to normalise — every edge of the slab arithmetic.
 func TestAbductSingleChunkLog(t *testing.T) {
 	a, err := Abduct(singleChunkLog(), Config{NumSamples: 3, Seed: 1})
 	if err != nil {

@@ -34,6 +34,25 @@ func BenchmarkInfer(b *testing.B) {
 	}
 }
 
+// BenchmarkInferWide is a fast link's grid: 300 chunks on 91 states
+// (45 Mbps at ε = 0.5), Δn cycling 0, 1, 2, K = 5, with no arena
+// attached — the way a kept abduction runs — so every slab Infer sizes
+// shows up in B/op.
+func BenchmarkInferWide(b *testing.B) {
+	m, err := New(DefaultConfig(45))
+	if err != nil {
+		b.Fatal(err)
+	}
+	obs := noisySession(rand.New(rand.NewSource(1)), 300, func(i int) int { return i % 3 })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Infer(obs, 5, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFitTransitions is the abl-em experiment's shape: 3 Baum–Welch
 // iterations over a 90-chunk session with no arena attached (the
 // experiment keeps its abductions, so each one owns its buffers).

@@ -7,14 +7,13 @@ import (
 	"veritas/internal/mathx"
 )
 
-// Posterior holds the smoothed distributions produced by the
-// forward–backward variant (paper Algorithm 2). The marginal and
-// pairwise tables are stored as row-major slabs — Gamma as N×S, Pair as
-// (N-1)×S×S — carved from the model's scratch arena when one is
-// attached; access them through Gamma/Pair/PairAt.
+// Posterior holds the smoothed marginals produced by the forward–backward
+// variant (paper Algorithm 2), stored as one N×S row-major slab carved
+// from the model's scratch arena when one is attached. The pairwise
+// posterior Γ of paper Equation (6) is never materialised: the capacity
+// sampler computes the one column of it that each step reads.
 type Posterior struct {
 	gamma []float64 // gamma[n*S+i] = P(C_sn = iε | Y_1:N, W_s1:N, S_1:N)
-	pair  []float64 // pair[(n*S+i)*S+j] = Γ_{i,j,n} (paper Equation (6))
 	n, ns int
 	// LogLikelihood is log P(Y_1:N | W, S) under the model.
 	LogLikelihood float64
@@ -29,17 +28,6 @@ func (p *Posterior) Gamma(n int) []float64 {
 	return p.gamma[n*p.ns : (n+1)*p.ns]
 }
 
-// Pair returns the S×S row-major pairwise posterior slab for the
-// (n, n+1) chunk pair, n = 0..N-2: Pair(n)[i*S+j] = Γ_{i,j,n}.
-func (p *Posterior) Pair(n int) []float64 {
-	return p.pair[n*p.ns*p.ns : (n+1)*p.ns*p.ns]
-}
-
-// PairAt returns Γ_{i,j,n} = P(C_sn = iε, C_sn+1 = jε | …).
-func (p *Posterior) PairAt(n, i, j int) float64 {
-	return p.pair[(n*p.ns+i)*p.ns+j]
-}
-
 // alphaBeta is the package's one scaled forward–backward pass (paper
 // Algorithm 2): it rescales the log-emissions in sc.emitLog into
 // sc.emit/sc.shift, fills sc.alpha, sc.scale and sc.beta for a chain of
@@ -48,21 +36,23 @@ func (p *Posterior) PairAt(n, i, j int) float64 {
 //
 // The step matrix is the only thing that tells the two hidden chains
 // apart. With fixed == nil the positions are chunks and the step into
-// chunk n is A^Δn from the power cache (sc.gaps[n]) — Infer's embedded
+// chunk n is A^Δn (sc.stepA[n], looked up by Infer) — Infer's embedded
 // chain. With fixed set the positions are δ-intervals and every step is
-// that matrix — the chain FitTransitions re-estimates. The interval
-// chain has positions that saw no usable evidence, so it alone shifts
-// an all-−Inf emission row by 0 (treating it as uninformative) and
-// reports a forward scale of 0 as an error; the chunk chain guards its
-// divisions by scale > 0 instead.
-func (m *Model) alphaBeta(sc *Scratch, P int, fixed *mathx.Matrix) (float64, error) {
+// that matrix, with fixedBand its mathx.BandOf — the chain
+// FitTransitions re-estimates. Both sweeps run over the step's Band
+// only: the terms they skip are exact zeros. The interval chain has
+// positions that saw no usable evidence, so it alone shifts an all-−Inf
+// emission row by 0 (treating it as uninformative) and reports a forward
+// scale of 0 as an error; the chunk chain guards its divisions by
+// scale > 0 instead.
+func (m *Model) alphaBeta(sc *Scratch, P int, fixed *mathx.Matrix, fixedBand mathx.Band) (float64, error) {
 	ns := len(m.states)
 	intervals := fixed != nil
-	step := func(p int) *mathx.Matrix {
+	step := func(p int) (*mathx.Matrix, mathx.Band) {
 		if intervals {
-			return fixed
+			return fixed, fixedBand
 		}
-		return m.powCache.Pow(sc.gaps[p])
+		return sc.stepA[p], sc.stepBand[p]
 	}
 	row := func(slab []float64, p int) []float64 { return slab[p*ns : (p+1)*ns] }
 
@@ -94,8 +84,20 @@ func (m *Model) alphaBeta(sc *Scratch, P int, fixed *mathx.Matrix) (float64, err
 	}
 	sc.scale[0] = mathx.Normalize(a0)
 	for p := 1; p < P; p++ {
+		a, band := step(p)
 		pred := row(sc.alpha, p)
-		step(p).VecMulInto(pred, row(sc.alpha, p-1)) // Σ_i alpha[p-1][i] A[i][j]
+		for j := range pred {
+			pred[j] = 0
+		}
+		for i, ai := range row(sc.alpha, p-1) { // pred[j] = Σ_i alpha[p-1][i] A[i][j]
+			if ai == 0 {
+				continue
+			}
+			arow := a.Row(i)
+			for j := band.RowLo[i]; j < band.RowHi[i]; j++ {
+				pred[j] += ai * arow[j]
+			}
+		}
 		ep := row(sc.emit, p)
 		for j := 0; j < ns; j++ {
 			pred[j] *= ep[j]
@@ -111,7 +113,7 @@ func (m *Model) alphaBeta(sc *Scratch, P int, fixed *mathx.Matrix) (float64, err
 		bLast[i] = 1
 	}
 	for p := P - 2; p >= 0; p-- {
-		a := step(p + 1)
+		a, band := step(p + 1)
 		b := row(sc.beta, p)
 		// b[i] = Σ_j A[i][j] emit[p+1][j] beta[p+1][j] / scale[p+1]
 		weighted := sc.weighted
@@ -122,7 +124,7 @@ func (m *Model) alphaBeta(sc *Scratch, P int, fixed *mathx.Matrix) (float64, err
 		for i := 0; i < ns; i++ {
 			var s float64
 			arow := a.Row(i)
-			for j := 0; j < ns; j++ {
+			for j := band.RowLo[i]; j < band.RowHi[i]; j++ {
 				s += arow[j] * weighted[j]
 			}
 			if sc.scale[p+1] > 0 {
@@ -144,22 +146,31 @@ func (m *Model) alphaBeta(sc *Scratch, P int, fixed *mathx.Matrix) (float64, err
 	return ll, nil
 }
 
-// pairInto writes the unnormalized pairwise posterior of positions
+// pairInto sums the unnormalized pairwise posterior of positions
 // (p, p+1) under step matrix a — α_p(i)·a[i][j]·e_{p+1}(j)·β_{p+1}(j),
-// paper Equation (6) before its normalizer — into the S×S slab dst and
-// returns the sum of its cells. The chunk posterior divides by that sum
-// in place; the EM E-step accumulates the quotients.
-func (sc *Scratch) pairInto(dst []float64, p int, a *mathx.Matrix) float64 {
+// paper Equation (6) before its normalizer — over a's band, row by row,
+// and returns the sum. The cells off the band are exact zeros, so the
+// sum is the dense one bit for bit. The chunk chain keeps only the sum,
+// one per chunk pair, for the sampler's columns (dst nil). The EM E-step
+// also has every cell written into the S×S slab dst, zeros included,
+// and divides by the sum as it accumulates expected transition counts.
+func (sc *Scratch) pairInto(dst []float64, p int, a *mathx.Matrix, band mathx.Band) float64 {
 	ns := a.Rows
 	ap := sc.alpha[p*ns : (p+1)*ns]
 	eNext, bNext := sc.emit[(p+1)*ns:(p+2)*ns], sc.beta[(p+1)*ns:(p+2)*ns]
 	var total float64
 	for i := 0; i < ns; i++ {
-		drow := dst[i*ns : (i+1)*ns]
+		var drow []float64
+		if dst != nil {
+			drow = dst[i*ns : (i+1)*ns]
+			clear(drow)
+		}
 		arow := a.Row(i)
-		for j := 0; j < ns; j++ {
+		for j := band.RowLo[i]; j < band.RowHi[i]; j++ {
 			v := ap[i] * arow[j] * eNext[j] * bNext[j]
-			drow[j] = v
+			if drow != nil {
+				drow[j] = v
+			}
 			total += v
 		}
 	}
@@ -167,13 +178,12 @@ func (sc *Scratch) pairInto(dst []float64, p int, a *mathx.Matrix) float64 {
 }
 
 // posteriorInto turns the chunk chain's finished α/β pass into the
-// marginal and pairwise posteriors the capacity sampler needs, carved
-// from sc.gamma and sc.pair.
+// marginals, carved from sc.gamma, and the per-pair normalizers
+// sc.total the capacity sampler divides its columns by.
 func (m *Model) posteriorInto(sc *Scratch, N int, ll float64) *Posterior {
 	ns := len(m.states)
 	post := &Posterior{
 		gamma:         sc.gamma[:N*ns],
-		pair:          sc.pair[:(N-1)*ns*ns],
 		n:             N,
 		ns:            ns,
 		LogLikelihood: ll,
@@ -187,12 +197,7 @@ func (m *Model) posteriorInto(sc *Scratch, N int, ll float64) *Posterior {
 		mathx.Normalize(g)
 	}
 	for n := 0; n < N-1; n++ {
-		pair := post.Pair(n)
-		if total := sc.pairInto(pair, n, m.powCache.Pow(sc.gaps[n+1])); total > 0 {
-			for i := range pair {
-				pair[i] /= total
-			}
-		}
+		sc.total[n] = sc.pairInto(nil, n, sc.stepA[n+1], sc.stepBand[n+1])
 	}
 	return post
 }

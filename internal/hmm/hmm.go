@@ -10,18 +10,24 @@
 // The package has two entry points and one way to do each thing. Infer
 // runs the paper's three algorithms over one evaluation of the emission
 // table: the Viterbi variant (Algorithm 3), the scaled forward–backward
-// variant (Algorithm 2) producing the pairwise posterior Γ, and the
-// posterior capacity sampler (Algorithm 1). FitTransitions is Baum–Welch
-// re-estimation of A on the chain over every δ-interval, an extension
-// beyond the paper. Both run the same α/β recursion (alphaBeta) over the
-// same Scratch slabs; they differ only in what a position is (a chunk or
-// an interval) and in the step matrix between positions (A^Δn or A).
+// variant (Algorithm 2), and the posterior capacity sampler
+// (Algorithm 1), which computes only the column of the pairwise
+// posterior Γ that each step reads — Γ is never stored. FitTransitions
+// is Baum–Welch re-estimation of A on the chain over every δ-interval,
+// an extension beyond the paper. Both run the same α/β recursion
+// (alphaBeta) over the same Scratch slabs; they differ only in what a
+// position is (a chunk or an interval) and in the step matrix between
+// positions (A^Δn or A). Every loop over a step matrix runs over its
+// mathx.Band: the tridiagonal prior's A^Δ has half-width Δ, and the
+// entries skipped are exact zeros, so results are bit-identical to
+// dense loops (oracle_test.go keeps those).
 package hmm
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"veritas/internal/mathx"
 	"veritas/internal/tcp"
@@ -211,13 +217,28 @@ func gapsInto(d []int, obs []Observation) error {
 // estimator's prediction: row[i] = log P(Y | W, S, C = iε). It is the
 // package's one emission evaluator — Infer calls it once per chunk,
 // FitTransitions once per chunk before grouping rows by interval.
+//
+// With the paper's estimator, the capacities past tcp.Saturation — a
+// suffix of the grid — all predict the same rate, so the first of them
+// is evaluated and copied along the rest of the row. A custom Estimator
+// is evaluated cell by cell.
 func (m *Model) emissionRowInto(row []float64, o Observation) {
 	est := m.cfg.Estimator
+	first := len(m.states) // first saturated cell
 	if est == nil {
 		est = tcp.EstimateThroughput
+		if bdp, mbps, ok := tcp.Saturation(o.TCP, o.SizeBytes, m.states[len(m.states)-1]); ok {
+			first = sort.Search(len(m.states), func(i int) bool {
+				c := m.states[i]
+				return c >= mbps && tcp.BDPSegments(c, o.TCP.MinRTT) >= bdp
+			})
+		}
 	}
-	for i, c := range m.states {
+	for i, c := range m.states[:min(first+1, len(m.states))] {
 		row[i] = mathx.NormalLogPDF(o.ThroughputMbps, est(c, o.TCP, o.SizeBytes), m.cfg.Sigma)
+	}
+	for i := first + 1; i < len(row); i++ {
+		row[i] = row[first]
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"veritas/internal/mathx"
 	"veritas/internal/tcp"
 )
 
@@ -218,8 +219,28 @@ func TestViterbiZeroGapChunksShareState(t *testing.T) {
 	}
 }
 
+// pairOf rebuilds the S×S pairwise posterior of chunks (n, n+1) from
+// the arena of the Infer that just ran on m, one sampler column at a
+// time: pairOf(...)[i*S+j] = Γ_{i,j,n}. Infer clears its step matrices
+// on return, so the one this pair reads is looked up again by its gap.
+func pairOf(m *Model, sc *Scratch, n int) []float64 {
+	ns := m.NumStates()
+	sc.stepA[n+1], sc.stepBand[n+1] = m.powCache.PowBand(sc.gaps[n+1])
+	defer func() { sc.stepA[n+1], sc.stepBand[n+1] = nil, mathx.Band{} }()
+	pair, col := make([]float64, ns*ns), make([]float64, ns)
+	for j := 0; j < ns; j++ {
+		m.pairColumnInto(col, sc, n, j)
+		for i, v := range col {
+			pair[i*ns+j] = v
+		}
+	}
+	return pair
+}
+
 func TestForwardBackwardGammaNormalized(t *testing.T) {
 	m := testModel(t, 10)
+	sc := NewScratch()
+	m.SetScratch(sc)
 	var obs []Observation
 	for i := 0; i < 15; i++ {
 		obs = append(obs, obsFor(5, 3e6, i*2))
@@ -243,7 +264,7 @@ func TestForwardBackwardGammaNormalized(t *testing.T) {
 	}
 	for n := 0; n < post.Len()-1; n++ {
 		var s float64
-		for _, v := range post.Pair(n) {
+		for _, v := range pairOf(m, sc, n) {
 			s += v
 		}
 		if math.Abs(s-1) > 1e-9 {
@@ -254,6 +275,8 @@ func TestForwardBackwardGammaNormalized(t *testing.T) {
 
 func TestPairMarginalsMatchGamma(t *testing.T) {
 	m := testModel(t, 10)
+	sc := NewScratch()
+	m.SetScratch(sc)
 	var obs []Observation
 	for i := 0; i < 12; i++ {
 		cap := 4.0
@@ -267,21 +290,23 @@ func TestPairMarginalsMatchGamma(t *testing.T) {
 		t.Fatal(err)
 	}
 	post := inf.Post
+	ns := m.NumStates()
 	for n := 0; n < post.Len()-1; n++ {
-		for i := 0; i < m.NumStates(); i++ {
+		pair := pairOf(m, sc, n)
+		for i := 0; i < ns; i++ {
 			var rowSum float64
-			for j := 0; j < m.NumStates(); j++ {
-				rowSum += post.PairAt(n, i, j)
+			for j := 0; j < ns; j++ {
+				rowSum += pair[i*ns+j]
 			}
 			if math.Abs(rowSum-post.Gamma(n)[i]) > 1e-6 {
 				t.Fatalf("Σ_j Pair[%d][%d][j] = %v != Gamma[%d][%d] = %v",
 					n, i, rowSum, n, i, post.Gamma(n)[i])
 			}
 		}
-		for j := 0; j < m.NumStates(); j++ {
+		for j := 0; j < ns; j++ {
 			var colSum float64
-			for i := 0; i < m.NumStates(); i++ {
-				colSum += post.PairAt(n, i, j)
+			for i := 0; i < ns; i++ {
+				colSum += pair[i*ns+j]
 			}
 			if math.Abs(colSum-post.Gamma(n + 1)[j]) > 1e-6 {
 				t.Fatalf("Σ_i Pair[%d][i][%d] = %v != Gamma[%d][%d] = %v",

@@ -3,6 +3,8 @@ package hmm
 import (
 	"errors"
 	"math/rand"
+
+	"veritas/internal/mathx"
 )
 
 // Inference bundles everything one abduction needs from the model: the
@@ -35,15 +37,21 @@ func (m *Model) Infer(obs []Observation, k int, seed int64) (*Inference, error) 
 	N := len(obs)
 	ns := len(m.states)
 	sc.inferSlabs(N, ns)
+	// The steps point into the power cache — a fitted model's private
+	// one included — so a recycled arena must not keep them alive.
+	defer func() { clear(sc.stepA); clear(sc.stepBand) }()
 	if err := gapsInto(sc.gaps, obs); err != nil {
 		return nil, err
+	}
+	for n := 1; n < N; n++ {
+		sc.stepA[n], sc.stepBand[n] = m.powCache.PowBand(sc.gaps[n])
 	}
 	for n, o := range obs {
 		m.emissionRowInto(sc.emitLog[n*ns:(n+1)*ns], o)
 	}
 
 	path, best := m.viterbiInto(sc, N)
-	ll, err := m.alphaBeta(sc, N, nil)
+	ll, err := m.alphaBeta(sc, N, nil, mathx.Band{})
 	if err != nil {
 		return nil, err
 	}
@@ -54,7 +62,7 @@ func (m *Model) Infer(obs []Observation, k int, seed int64) (*Inference, error) 
 		samples := sc.samples(k, N)
 		rng := rand.New(rand.NewSource(seed))
 		for s := 0; s < k; s++ {
-			if err := m.sampleInto(samples[s], sc.weights, rng, post, path); err != nil {
+			if err := m.sampleInto(samples[s], sc, rng, post, path); err != nil {
 				return nil, err
 			}
 		}

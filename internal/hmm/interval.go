@@ -88,7 +88,8 @@ func (m *Model) FitTransitions(obs []Observation, iters int, smoothing float64) 
 	var lls []float64
 
 	for iter := 0; iter < iters; iter++ {
-		ll, err := m.alphaBeta(sc, T, a)
+		band := mathx.BandOf(a)
+		ll, err := m.alphaBeta(sc, T, a, band)
 		if err != nil {
 			return nil, err
 		}
@@ -103,7 +104,7 @@ func (m *Model) FitTransitions(obs []Observation, iters int, smoothing float64) 
 			den[i] = 0
 		}
 		for t := 0; t < T-1; t++ {
-			total := sc.pairInto(xi, t, a)
+			total := sc.pairInto(xi, t, a, band)
 			if total <= 0 {
 				continue
 			}

@@ -19,7 +19,7 @@ func intervalPosterior(m *Model, obs []Observation) (gamma []float64, ll float64
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	ll, err = m.alphaBeta(sc, T, m.trans)
+	ll, err = m.alphaBeta(sc, T, m.trans, mathx.BandOf(m.trans))
 	if err != nil {
 		return nil, 0, 0, err
 	}

@@ -21,6 +21,13 @@ import (
 // which keeps the separate int* slabs the production Scratch lost).
 // TestOracleBitIdentical compares the production path against them bit
 // for bit.
+//
+// The same file holds the dense kernels that the banded rewrite
+// replaced, again verbatim: the pair-slab posterior (oraclePosterior),
+// Viterbi's search over every predecessor, the sampler that reads a
+// column of the materialised pair slab, and ExpectedCapacityAfter over
+// the whole row. TestBandedMatchesDense drives them against the banded
+// production path.
 
 type oracleScratch struct {
 	emitLog, emit, alpha, beta, gamma, pair []float64
@@ -83,7 +90,21 @@ func oracleEmissionTableInto(m *Model, tab []float64, obs []Observation) {
 	}
 }
 
-func oracleForwardBackwardInto(m *Model, sc *oracleScratch, N int) *Posterior {
+// oraclePosterior is the parent's Posterior: the marginals and the
+// normalised (N-1)×S×S pairwise slab.
+type oraclePosterior struct {
+	gamma, pair   []float64
+	n, ns         int
+	LogLikelihood float64
+}
+
+func (p *oraclePosterior) Len() int              { return p.n }
+func (p *oraclePosterior) Gamma(n int) []float64 { return p.gamma[n*p.ns : (n+1)*p.ns] }
+func (p *oraclePosterior) Pair(n int) []float64 {
+	return p.pair[n*p.ns*p.ns : (n+1)*p.ns*p.ns]
+}
+
+func oracleForwardBackwardInto(m *Model, sc *oracleScratch, N int) *oraclePosterior {
 	ns := len(m.states)
 	d := sc.gaps
 
@@ -150,7 +171,7 @@ func oracleForwardBackwardInto(m *Model, sc *oracleScratch, N int) *Posterior {
 		}
 	}
 
-	post := &Posterior{
+	post := &oraclePosterior{
 		gamma: sc.gamma[:N*ns],
 		pair:  sc.pair[:(N-1)*ns*ns],
 		n:     N,
@@ -436,11 +457,100 @@ func oracleFitTransitions(m *Model, obs []Observation, iters int, smoothing floa
 	return a, lls, nil
 }
 
-// oracleInfer is the parent's Infer with the old recursion in the
-// middle: gaps, the emission table, Viterbi (viterbiInto and sampleInto
-// were not touched by the rewrite and are shared), the old
-// forward–backward, K samples.
-func oracleInfer(t *testing.T, m *Model, obs []Observation, k int, seed int64) *Inference {
+// oracleViterbiInto is the parent's viterbiInto: every predecessor of
+// every state is searched, skipping −Inf log transitions.
+func oracleViterbiInto(m *Model, sc *Scratch, N int) ([]int, float64) {
+	ns := len(m.states)
+	d := sc.gaps
+
+	// score[i] = best log-prob of any path ending in state i at chunk n.
+	score, next := sc.cur, sc.next
+	for i := 0; i < ns; i++ {
+		score[i] = math.Log(m.initDist[i]) + sc.emitLog[i]
+	}
+	for n := 1; n < N; n++ {
+		back := sc.back[n*ns : (n+1)*ns] // back[j] = predecessor of j at chunk n
+		emitN := sc.emitLog[n*ns : (n+1)*ns]
+		logA := m.powCache.PowLog(d[n])
+		for j := 0; j < ns; j++ {
+			bestI, bestV := 0, mathx.NegInf
+			for i := 0; i < ns; i++ {
+				la := logA.At(i, j)
+				if math.IsInf(la, -1) {
+					continue
+				}
+				v := score[i] + la
+				if v > bestV {
+					bestI, bestV = i, v
+				}
+			}
+			next[j] = bestV + emitN[j]
+			back[j] = bestI
+		}
+		score, next = next, score
+	}
+
+	bestI, bestV := mathx.ArgMax(score)
+	path := sc.path[:N]
+	path[N-1] = bestI
+	for n := N - 1; n > 0; n-- {
+		path[n-1] = sc.back[n*ns+path[n]]
+	}
+	return path, bestV
+}
+
+// oracleSampleInto is the parent's sampleInto, reading one column of
+// the materialised pair slab per step.
+func oracleSampleInto(m *Model, out []int, weights []float64, rng *rand.Rand, post *oraclePosterior, viterbi []int) error {
+	N := post.Len()
+	if len(viterbi) != N {
+		return errors.New("hmm: viterbi path length mismatch")
+	}
+	ns := len(m.states)
+	out[N-1] = viterbi[N-1]
+	for n := N - 2; n >= 0; n-- {
+		nextState := out[n+1]
+		pair := post.Pair(n)
+		var total float64
+		for i := 0; i < ns; i++ {
+			weights[i] = pair[i*ns+nextState]
+			total += weights[i]
+		}
+		if total <= 0 {
+			copy(weights, post.Gamma(n))
+		}
+		out[n] = mathx.SampleCategorical(rng, weights)
+	}
+	return nil
+}
+
+// oracleExpectedCapacityAfter is the parent's ExpectedCapacityAfter,
+// summing over the whole row of A^gap.
+func oracleExpectedCapacityAfter(m *Model, state, gap int) float64 {
+	if gap < 0 {
+		gap = 0
+	}
+	a := m.powCache.Pow(gap)
+	row := a.Row(state)
+	var e float64
+	for j, p := range row {
+		e += p * m.states[j]
+	}
+	return e
+}
+
+// oracleInference is the parent's Inference, carrying the pair slab.
+type oracleInference struct {
+	Path        []int
+	PathLogProb float64
+	Post        *oraclePosterior
+	Samples     [][]int
+}
+
+// oracleInfer is the parent's Infer, end to end on the oracle kernels:
+// gaps, the per-cell emission table, the dense Viterbi, the dense
+// forward–backward with its pair slab, and K samples read from it.
+func oracleInfer(t *testing.T, m *Model, obs []Observation, k int, seed int64) *oracleInference {
 	t.Helper()
 	N, ns := len(obs), len(m.states)
 	sc := &Scratch{}
@@ -449,7 +559,7 @@ func oracleInfer(t *testing.T, m *Model, obs []Observation, k int, seed int64) *
 		t.Fatal(err)
 	}
 	oracleEmissionTableInto(m, sc.emitLog, obs)
-	path, best := m.viterbiInto(sc, N)
+	path, best := oracleViterbiInto(m, sc, N)
 
 	osc := &oracleScratch{}
 	osc.chunkSlabs(N, ns)
@@ -457,17 +567,69 @@ func oracleInfer(t *testing.T, m *Model, obs []Observation, k int, seed int64) *
 	copy(osc.emitLog, sc.emitLog)
 	post := oracleForwardBackwardInto(m, osc, N)
 
-	inf := &Inference{Path: path, PathLogProb: best, Post: post}
+	inf := &oracleInference{Path: path, PathLogProb: best, Post: post}
 	if k > 0 {
 		inf.Samples = sc.samples(k, N)
 		rng := rand.New(rand.NewSource(seed))
 		for s := 0; s < k; s++ {
-			if err := m.sampleInto(inf.Samples[s], sc.weights, rng, post, path); err != nil {
+			if err := oracleSampleInto(m, inf.Samples[s], sc.weights, rng, post, path); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	return inf
+}
+
+// requireMatchesOracle asserts the production inference equals the
+// oracle's bit for bit: Viterbi path and score, log-likelihood, γ and
+// the K samples. With the arena the production run used (sc non-nil),
+// every column of every pairwise posterior is rebuilt and compared with
+// the oracle's materialised slab as well.
+func requireMatchesOracle(t *testing.T, label string, m *Model, sc *Scratch, got *Inference, want *oracleInference) {
+	t.Helper()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if !same(got.PathLogProb, want.PathLogProb) {
+		t.Errorf("%s: PathLogProb %v, want %v", label, got.PathLogProb, want.PathLogProb)
+	}
+	if len(got.Path) != len(want.Path) {
+		t.Fatalf("%s: path length %d, want %d", label, len(got.Path), len(want.Path))
+	}
+	for i := range got.Path {
+		if got.Path[i] != want.Path[i] {
+			t.Fatalf("%s: Viterbi path differs at chunk %d", label, i)
+		}
+	}
+	if !same(got.Post.LogLikelihood, want.Post.LogLikelihood) {
+		t.Errorf("%s: log-likelihood %v, want %v", label, got.Post.LogLikelihood, want.Post.LogLikelihood)
+	}
+	for n := 0; n < want.Post.Len(); n++ {
+		g, w := got.Post.Gamma(n), want.Post.Gamma(n)
+		for i := range w {
+			if !same(g[i], w[i]) {
+				t.Fatalf("%s: Gamma[%d][%d] = %v, want %v", label, n, i, g[i], w[i])
+			}
+		}
+	}
+	if sc != nil {
+		for n := 0; n < want.Post.Len()-1; n++ {
+			g, w := pairOf(m, sc, n), want.Post.Pair(n)
+			for c := range w {
+				if !same(g[c], w[c]) {
+					t.Fatalf("%s: Pair[%d] cell %d = %v, want %v", label, n, c, g[c], w[c])
+				}
+			}
+		}
+	}
+	if len(got.Samples) != len(want.Samples) {
+		t.Fatalf("%s: %d samples, want %d", label, len(got.Samples), len(want.Samples))
+	}
+	for s := range want.Samples {
+		for i := range want.Samples[s] {
+			if got.Samples[s][i] != want.Samples[s][i] {
+				t.Fatalf("%s: sample %d differs at chunk %d", label, s, i)
+			}
+		}
+	}
 }
 
 // noisySession fabricates n chunks observed over a random-walk capacity
@@ -512,7 +674,7 @@ func oracleSessions() []struct {
 }
 
 // TestOracleBitIdentical compares the single production path with the
-// parent's two recursions, bit for bit: Gamma, Pair, LogLikelihood,
+// parent's two recursions, bit for bit: Gamma, every Pair column, LogLikelihood,
 // Viterbi path and score, K samples, and the Baum–Welch matrix after
 // 1–5 iterations — under both priors, fresh and through one recycled
 // Scratch that alternates FitTransitions and Infer on shapes that
@@ -564,7 +726,7 @@ func TestOracleBitIdentical(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						requireEqualInference(t, label+"/fitted", got, oracleInfer(t, &fitted, s.obs, 4, seed))
+						requireMatchesOracle(t, label+"/fitted", fit.Model, sc, got, oracleInfer(t, &fitted, s.obs, 4, seed))
 					}
 				}
 
@@ -572,7 +734,7 @@ func TestOracleBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				requireEqualInference(t, label, got, want)
+				requireMatchesOracle(t, label, m, sc, got, want)
 
 				wantG, wantLL, wantT, err := oracleIntervalPosterior(m, s.obs)
 				if err != nil {

@@ -1,21 +1,24 @@
 package hmm
 
+import "veritas/internal/mathx"
+
 // Scratch is a reusable inference arena: every buffer the EHMM's hot
 // path needs — the log-emission table, the scaled forward/backward
 // matrices, the Viterbi score and back-pointer ladders, the posterior
-// slabs and the sampler's weight vector — carved from a handful of
-// grow-only strided slabs. There is one set of them: the scaled α/β
-// pass runs over "positions" — the N chunks when Infer embeds A^Δn
-// between chunk starts, the T δ-intervals when FitTransitions runs
-// Baum–Welch with single steps of A — and both chains use the same
-// position × state slabs, sized by whichever call runs. A fleet worker
-// allocates one Scratch and recycles it across its whole corpus slice:
-// after the first (largest-shaped) session, per-session inference is
-// allocation-flat.
+// marginals, the per-pair normalizers and the sampler's weight vector —
+// carved from a handful of grow-only strided slabs, O(positions ×
+// states) in all (only the EM E-step adds one states × states block).
+// There is one set of them: the scaled α/β pass runs over "positions"
+// — the N chunks when Infer embeds A^Δn between chunk starts, the T
+// δ-intervals when FitTransitions runs Baum–Welch with single steps of
+// A — and both chains use the same position × state slabs, sized by
+// whichever call runs. A fleet worker allocates one Scratch and recycles
+// it across its whole corpus slice: after the first (largest-shaped)
+// session, per-session inference is allocation-flat.
 //
 // Lifetime contract: results produced through a Scratch — Posterior
-// slabs, Viterbi paths, sampled paths, observation slices — point INTO
-// the arena and are valid only until the next Infer or FitTransitions
+// marginals, Viterbi paths, sampled paths, observation slices — point
+// INTO the arena and are valid only until the next Infer or FitTransitions
 // that uses the same Scratch. (FitTransitions' own result, the fitted
 // matrix, is freshly allocated: nothing of the interval chain outlives
 // the call, which is why it needs no slabs of its own.) Callers that
@@ -46,9 +49,14 @@ type Scratch struct {
 	back  []int     // Viterbi back-pointers
 	gaps  []int     // Δn between consecutive chunk starts
 	path  []int     // Viterbi path (escapes into Inference)
+	total []float64 // pairwise-posterior normalizer per chunk pair
+	// the step into chunk n, A^Δn, and its band: looked up once per
+	// Infer, read by every pass and every sample, cleared on return
+	stepA    []*mathx.Matrix
+	stepBand []mathx.Band
 
-	// pairwise posterior slab: (N-1) × S × S for Infer (escapes into
-	// Posterior), one S × S cell block for the EM E-step
+	// the EM E-step's one S × S block of pairwise products (Infer never
+	// builds a pairwise slab: the sampler computes the column it reads)
 	pair []float64
 
 	// state-shaped vectors (S)
@@ -99,12 +107,16 @@ func (sc *Scratch) passSlabs(p, s int) {
 
 // inferSlabs sizes every buffer of an n-chunk, s-state Infer: the pass
 // over n positions plus what Viterbi, the posterior and the sampler
-// decode from it.
+// decode from it — O(n·s) in all.
 func (sc *Scratch) inferSlabs(n, s int) {
 	sc.passSlabs(n, s)
 	sc.gamma = growF(sc.gamma, n*s)
 	sc.back = growI(sc.back, n*s)
-	sc.pair = growF(sc.pair, (n-1)*s*s)
+	sc.total = growF(sc.total, n-1)
+	if cap(sc.stepA) < n {
+		sc.stepA, sc.stepBand = make([]*mathx.Matrix, n), make([]mathx.Band, n)
+	}
+	sc.stepA, sc.stepBand = sc.stepA[:n], sc.stepBand[:n]
 	sc.gaps = growI(sc.gaps, n)
 	sc.path = growI(sc.path, n)
 	sc.cur = growF(sc.cur, s)

@@ -11,11 +11,14 @@ import (
 // Algorithm 3. It differs from textbook Viterbi in one way: the
 // transition between chunks n-1 and n uses A^Δn, the Δn-step power of
 // the per-interval transition matrix, because chunk starts are embedded
-// in wall-clock δ-intervals (Figure 4 of the paper).
+// in wall-clock δ-intervals (Figure 4 of the paper). Each state's
+// predecessors are searched over the rows of A^Δn's band that reach it;
+// the band comes from the linear power, where a zero is a zero (in the
+// log power, log 1 = 0 is a real entry).
 //
-// It expects sc.inferSlabs sized for (N, S) and sc.gaps/sc.emitLog
-// filled; back-pointers live in sc.back (N×S row-major) and the
-// returned path in sc.path.
+// It expects sc.inferSlabs sized for (N, S) and sc.gaps, sc.stepBand
+// and sc.emitLog filled; back-pointers live in sc.back (N×S row-major)
+// and the returned path in sc.path.
 func (m *Model) viterbiInto(sc *Scratch, N int) ([]int, float64) {
 	ns := len(m.states)
 	d := sc.gaps
@@ -28,10 +31,11 @@ func (m *Model) viterbiInto(sc *Scratch, N int) ([]int, float64) {
 	for n := 1; n < N; n++ {
 		back := sc.back[n*ns : (n+1)*ns] // back[j] = predecessor of j at chunk n
 		emitN := sc.emitLog[n*ns : (n+1)*ns]
+		band := sc.stepBand[n]
 		logA := m.powCache.PowLog(d[n])
 		for j := 0; j < ns; j++ {
 			bestI, bestV := 0, mathx.NegInf
-			for i := 0; i < ns; i++ {
+			for i := band.ColLo[j]; i < band.ColHi[j]; i++ {
 				la := logA.At(i, j)
 				if math.IsInf(la, -1) {
 					continue

@@ -2,9 +2,13 @@
 // that the Veritas EHMM needs: row-stochastic matrices, cached matrix
 // powers, log-domain helpers and Gaussian densities.
 //
-// All matrices are dense, row-major float64. Dimensions in Veritas are
-// tiny (the GTBW state space is typically 20-40 states), so clarity wins
-// over cache tricks.
+// All matrices are dense, row-major float64. A matrix's support is
+// recorded separately as a Band: the EHMM's tridiagonal prior makes
+// every power A^k banded with half-width k, and a grid sized by a fast
+// link has hundreds of states, so inference loops run over the band
+// rather than the whole row — skipping only terms that are exact zeros,
+// which keeps every sum, maximum and argmax bit-identical to the dense
+// loop.
 package mathx
 
 import (
@@ -273,9 +277,56 @@ func (m *Matrix) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
+// Band is a square matrix's support, row by row and column by column:
+// the non-zero entries of row i lie in columns [RowLo[i], RowHi[i]) and
+// those of column j in rows [ColLo[j], ColHi[j]). An all-zero row or
+// column has an empty range. The ranges are hulls — zeros inside them
+// are allowed — so a loop restricted to them skips only exact zeros.
+type Band struct {
+	RowLo, RowHi []int
+	ColLo, ColHi []int
+}
+
+// BandOf records m's support. A dense matrix (a uniform prior, an
+// EM-fitted matrix with smoothing) reports full width. The four ranges
+// share one allocation.
+func BandOf(m *Matrix) Band {
+	n := m.Rows
+	all := make([]int, 2*n+2*m.Cols)
+	b := Band{
+		RowLo: all[:n:n], RowHi: all[n : 2*n : 2*n],
+		ColLo: all[2*n : 2*n+m.Cols : 2*n+m.Cols], ColHi: all[2*n+m.Cols:],
+	}
+	for j := range b.ColLo {
+		b.ColLo[j] = n
+	}
+	for i := 0; i < n; i++ {
+		lo, hi := m.Cols, 0
+		for j, v := range m.Row(i) {
+			if v == 0 {
+				continue
+			}
+			lo = min(lo, j)
+			hi = j + 1
+			b.ColLo[j] = min(b.ColLo[j], i)
+			b.ColHi[j] = i + 1
+		}
+		if lo < hi {
+			b.RowLo[i], b.RowHi[i] = lo, hi
+		}
+	}
+	for j := range b.ColLo {
+		if b.ColLo[j] >= b.ColHi[j] {
+			b.ColLo[j], b.ColHi[j] = 0, 0
+		}
+	}
+	return b
+}
+
 // PowerCache memoizes powers of a fixed square matrix. The EHMM takes
 // powers A^Δn for the (small, repeating) set of inter-chunk gaps Δn, so a
-// map cache eliminates almost all of the multiplication work.
+// map cache eliminates almost all of the multiplication work. Each power
+// is stored with its Band, recorded once when the power is built.
 //
 // The cache is safe for concurrent use: caches obtained from
 // SharedPowers are read and grown by many fleet workers at once.
@@ -285,8 +336,14 @@ func (m *Matrix) Fingerprint() uint64 {
 type PowerCache struct {
 	mu     sync.RWMutex
 	base   *Matrix
-	powers map[int]*Matrix
+	powers map[int]power
 	logs   map[int]*Matrix // element-wise log of cached powers
+}
+
+// power is one cached A^k and its support.
+type power struct {
+	m    *Matrix
+	band Band
 }
 
 // Retention policy for the sequential power walk. Small gaps — the
@@ -312,32 +369,40 @@ func NewPowerCache(base *Matrix) *PowerCache {
 		panic("mathx: PowerCache requires a square matrix")
 	}
 	b := base.Clone()
+	id := Identity(b.Rows)
 	return &PowerCache{
 		base:   b,
-		powers: map[int]*Matrix{0: Identity(b.Rows), 1: b},
+		powers: map[int]power{0: {id, BandOf(id)}, 1: {b, BandOf(b)}},
 	}
 }
 
 // Pow returns base^k, computing — and, within the retention cap,
 // caching — intermediate powers along the sequential walk.
 func (c *PowerCache) Pow(k int) *Matrix {
+	m, _ := c.PowBand(k)
+	return m
+}
+
+// PowBand returns base^k together with its Band.
+func (c *PowerCache) PowBand(k int) (*Matrix, Band) {
 	if k < 0 {
 		panic("mathx: PowerCache.Pow requires k >= 0")
 	}
 	c.mu.RLock()
-	m, ok := c.powers[k]
+	p, ok := c.powers[k]
 	c.mu.RUnlock()
 	if ok {
-		return m
+		return p.m, p.band
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.powLocked(k)
+	p = c.powLocked(k)
+	return p.m, p.band
 }
 
-func (c *PowerCache) powLocked(k int) *Matrix {
-	if m, ok := c.powers[k]; ok {
-		return m
+func (c *PowerCache) powLocked(k int) power {
+	if p, ok := c.powers[k]; ok {
+		return p
 	}
 	// Build from the largest cached power below k. The walk always
 	// left-multiplies the base one step at a time — the same sequence of
@@ -349,14 +414,17 @@ func (c *PowerCache) powLocked(k int) *Matrix {
 			best = p
 		}
 	}
-	m := c.powers[best]
+	m := c.powers[best].m
 	for p := best; p < k; p++ {
 		m = m.Mul(c.base)
 		if c.retain(p+1, k) {
-			c.powers[p+1] = m
+			c.powers[p+1] = power{m, BandOf(m)}
 		}
 	}
-	return m
+	if p, ok := c.powers[k]; ok {
+		return p
+	}
+	return power{m, BandOf(m)}
 }
 
 // retain decides whether the walk keeps power p on the way to target k.
@@ -386,7 +454,7 @@ func (c *PowerCache) PowLog(k int) *Matrix {
 	if lm, ok := c.logs[k]; ok {
 		return lm
 	}
-	a := c.powLocked(k)
+	a := c.powLocked(k).m
 	lm = NewMatrix(a.Rows, a.Cols)
 	for idx, v := range a.Data {
 		if v <= 0 {

@@ -275,3 +275,71 @@ func TestSharedPowersConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestBandOfCoversSupport pins Band as a hull of the support: every
+// non-zero lies inside its row's and its column's range, the range ends
+// on non-zeros, and an all-zero row or column is empty.
+func TestBandOfCoversSupport(t *testing.T) {
+	m, _ := FromRows([][]float64{
+		{0, 0.5, 0, 0.5},
+		{0, 0, 0, 0},
+		{0.2, 0, 0, 0.8},
+		{0, 1, 0, 0},
+	})
+	b := BandOf(m)
+	want := Band{
+		RowLo: []int{1, 0, 0, 1}, RowHi: []int{4, 0, 4, 2},
+		ColLo: []int{2, 0, 0, 0}, ColHi: []int{3, 4, 0, 3},
+	}
+	for name, pair := range map[string][2][]int{
+		"RowLo": {b.RowLo, want.RowLo}, "RowHi": {b.RowHi, want.RowHi},
+		"ColLo": {b.ColLo, want.ColLo}, "ColHi": {b.ColHi, want.ColHi},
+	} {
+		for i := range pair[1] {
+			if pair[0][i] != pair[1][i] {
+				t.Errorf("%s = %v, want %v", name, pair[0], pair[1])
+				break
+			}
+		}
+	}
+}
+
+// TestPowBandTridiagonal checks the band PowerCache records for powers
+// of a tridiagonal matrix: half-width k, clipped at the edges, full
+// width from k = n−1 on — and that Pow and PowBand return one matrix.
+func TestPowBandTridiagonal(t *testing.T) {
+	const n = 9
+	a := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		a.Set(i, i, 0.8)
+		switch i {
+		case 0:
+			a.Set(0, 1, 0.2)
+		case n - 1:
+			a.Set(n-1, n-2, 0.2)
+		default:
+			a.Set(i, i-1, 0.1)
+			a.Set(i, i+1, 0.1)
+		}
+	}
+	c := NewPowerCache(a)
+	for k := 0; k <= n+2; k++ {
+		m, b := c.PowBand(k)
+		if m != c.Pow(k) {
+			t.Fatalf("PowBand(%d) and Pow(%d) return different matrices", k, k)
+		}
+		for i := 0; i < n; i++ {
+			lo, hi := max(0, i-k), min(n, i+k+1)
+			if b.RowLo[i] != lo || b.RowHi[i] != hi || b.ColLo[i] != lo || b.ColHi[i] != hi {
+				t.Fatalf("A^%d band at %d: rows [%d,%d) cols [%d,%d), want [%d,%d)",
+					k, i, b.RowLo[i], b.RowHi[i], b.ColLo[i], b.ColHi[i], lo, hi)
+			}
+		}
+	}
+	// Past the retention cap a power is built, not kept; its band is
+	// still recorded.
+	huge := NewPowerCache(a)
+	if _, b := huge.PowBand(powRetainCap + 40); b.RowLo[0] != 0 || b.RowHi[0] != n {
+		t.Errorf("uncached power band row 0 = [%d,%d), want [0,%d)", b.RowLo[0], b.RowHi[0], n)
+	}
+}

@@ -61,19 +61,45 @@ func RTOFor(rtt float64) float64 {
 	return rto
 }
 
-// Validate reports the first invalid field, if any.
+// Validate reports the first invalid field, if any: CheckEstimable's,
+// then a non-positive RTT or RTO or a negative send gap.
 func (s State) Validate() error {
+	if err := s.CheckEstimable(); err != nil {
+		return err
+	}
 	switch {
-	case s.CWND < 1:
-		return fmt.Errorf("tcp: cwnd %v < 1 segment", s.CWND)
-	case s.SSThresh < 1:
-		return fmt.Errorf("tcp: ssthresh %v < 1 segment", s.SSThresh)
 	case s.MinRTT <= 0:
 		return fmt.Errorf("tcp: min rtt %v <= 0", s.MinRTT)
 	case s.RTO <= 0:
 		return fmt.Errorf("tcp: rto %v <= 0", s.RTO)
 	case s.LastSendGap < 0:
 		return fmt.Errorf("tcp: last send gap %v < 0", s.LastSendGap)
+	}
+	return nil
+}
+
+// CheckEstimable reports the first field EstimateThroughput cannot run
+// on: a non-finite one (an infinite window never leaves slow-start
+// restart), or a window or threshold below one segment (every round
+// would send a single segment). A non-positive RTT it can run on.
+func (s State) CheckEstimable() error {
+	fields := [...]struct {
+		name string
+		v    float64
+	}{
+		{"cwnd", s.CWND}, {"ssthresh", s.SSThresh}, {"min rtt", s.MinRTT},
+		{"rtt", s.RTT}, {"rto", s.RTO}, {"last send gap", s.LastSendGap},
+	}
+	for _, f := range fields {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("tcp: %s %v is not a finite number", f.name, f.v)
+		}
+	}
+	switch {
+	case s.CWND < 1:
+		return fmt.Errorf("tcp: cwnd %v < 1 segment", s.CWND)
+	case s.SSThresh < 1:
+		return fmt.Errorf("tcp: ssthresh %v < 1 segment", s.SSThresh)
 	}
 	return nil
 }
@@ -184,6 +210,54 @@ func EstimateThroughput(gtbwMbps float64, s State, sizeBytes float64) float64 {
 	}
 	est := bytesPerSecToMbps(sizeBytes / (float64(rounds) * s.MinRTT))
 	return math.Min(est, gtbwMbps)
+}
+
+// saturationMax bounds the windows and payloads Saturation vouches for,
+// in segments and bytes: below it the helper's integer arithmetic is
+// exact and its round loop short.
+const saturationMax = 1 << 40
+
+// Saturation returns the point past which EstimateThroughput stops
+// depending on the link, for links up to topMbps: for every gtbwMbps ≤
+// topMbps with gtbwMbps ≥ mbps and BDPSegments(gtbwMbps, s.MinRTT) ≥
+// bdpSeg, EstimateThroughput(gtbwMbps, s, sizeBytes) is exactly mbps.
+// There the BDP exceeds every window the transfer uses, so the rounds
+// are the window's alone. On [0, topMbps] that test is monotone in
+// gtbwMbps, and it holds at topMbps. ok is false when the helper cannot
+// vouch for such a point — an empty or implausibly large payload, a
+// window below one segment or beyond saturationMax, a non-positive RTT,
+// a BDP at topMbps too large to count exactly, or a topMbps that does
+// not saturate — and the caller must evaluate every capacity.
+func Saturation(s State, sizeBytes, topMbps float64) (bdpSeg int, mbps float64, ok bool) {
+	if !(sizeBytes > 0 && sizeBytes < saturationMax) || !(s.MinRTT > 0) ||
+		!(s.CWND >= 1 && s.CWND < saturationMax) ||
+		!(topMbps*1e6/8*s.MinRTT/MSS < 1<<53) { // BDPSegments stays exact, so monotone
+		return 0, 0, false
+	}
+	s = ApplySlowStartRestart(s)
+	dataSeg := Segments(sizeBytes)
+	// EstimateThroughput's round loop with an unbounded BDP: every
+	// flight is the whole window.
+	rounds, sent, cwnd, widest := 0, 0, s.CWND, s.CWND
+	for sent < dataSeg {
+		widest = cwnd
+		sent += int(cwnd)
+		if cwnd < s.SSThresh {
+			cwnd *= 2
+		} else {
+			cwnd++
+		}
+		rounds++
+	}
+	// A BDP of at least the widest flight leaves every flight unclipped,
+	// and one above the initial window keeps the estimator out of its
+	// window-is-no-constraint branch.
+	bdpSeg = max(int(math.Ceil(widest)), int(s.CWND)+1)
+	mbps = bytesPerSecToMbps(sizeBytes / (float64(rounds) * s.MinRTT))
+	if !(topMbps >= mbps && BDPSegments(topMbps, s.MinRTT) >= bdpSeg) {
+		return 0, 0, false
+	}
+	return bdpSeg, mbps, true
 }
 
 // EstimateDownloadTime converts EstimateThroughput into a predicted

@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -61,12 +62,50 @@ func TestValidateCatchesBadFields(t *testing.T) {
 		func(s *State) { s.MinRTT = 0 },
 		func(s *State) { s.RTO = -1 },
 		func(s *State) { s.LastSendGap = -1 },
+		func(s *State) { s.CWND = math.NaN() },
+		func(s *State) { s.SSThresh = math.Inf(1) },
+		func(s *State) { s.RTT = math.Inf(-1) },
+		func(s *State) { s.LastSendGap = math.NaN() },
 	}
 	for i, mut := range mutations {
 		s := good
 		mut(&s)
 		if err := s.Validate(); err == nil {
 			t.Errorf("mutation %d not caught by Validate", i)
+		}
+	}
+}
+
+func TestCheckEstimable(t *testing.T) {
+	good := Fresh(0.08)
+	refused := map[string]func(*State){
+		"cwnd 0":            func(s *State) { s.CWND = 0 },
+		"cwnd 0.5":          func(s *State) { s.CWND = 0.5 },
+		"ssthresh 0":        func(s *State) { s.SSThresh = 0 },
+		"cwnd NaN":          func(s *State) { s.CWND = math.NaN() },
+		"cwnd +Inf":         func(s *State) { s.CWND = math.Inf(1) },
+		"min rtt NaN":       func(s *State) { s.MinRTT = math.NaN() },
+		"rtt -Inf":          func(s *State) { s.RTT = math.Inf(-1) },
+		"rto +Inf":          func(s *State) { s.RTO = math.Inf(1) },
+		"last send gap NaN": func(s *State) { s.LastSendGap = math.NaN() },
+	}
+	for name, mut := range refused {
+		s := good
+		mut(&s)
+		if err := s.CheckEstimable(); err == nil || !strings.Contains(err.Error(), strings.Fields(name)[0]) {
+			t.Errorf("%s: CheckEstimable = %v, want an error naming the field", name, err)
+		}
+	}
+	// The estimator runs on a zero RTT (link-limited) and a zero RTO;
+	// only Validate refuses them.
+	for _, mut := range []func(*State){
+		func(s *State) { s.MinRTT = 0 },
+		func(s *State) { s.RTO = 0 },
+	} {
+		s := good
+		mut(&s)
+		if err := s.CheckEstimable(); err != nil {
+			t.Errorf("CheckEstimable(%+v) = %v, want nil", s, err)
 		}
 	}
 }
@@ -246,5 +285,84 @@ func BenchmarkEstimatorDirect(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		EstimateThroughput(grid[i%len(grid)], st, 1e6)
+	}
+}
+
+// TestSaturationMatchesEstimator sweeps capacity finely up to the
+// grid top for a spread of states and sizes: Saturation's test is
+// monotone in capacity, holds at the top, and wherever it holds the
+// estimator returns exactly the saturated rate. A state whose window
+// stays the bottleneck up to the top is declined.
+func TestSaturationMatchesEstimator(t *testing.T) {
+	const top = 200.0
+	fresh := Fresh(0.08)
+	idle := fresh
+	idle.CWND, idle.SSThresh, idle.LastSendGap = 600, 300, 2
+	onePkt := State{CWND: 1, SSThresh: 1, MinRTT: 0.03, RTT: 0.03, RTO: 0.2}
+	hot := Fresh(0.04)
+	hot.CWND, hot.SSThresh = 2000, 2000
+	for _, tc := range []struct {
+		name      string
+		st        State
+		size      float64
+		saturates bool // within 0–top Mbps
+	}{
+		{"fresh small", fresh, 60e3, true},
+		{"fresh large", fresh, 1.5e6, true},
+		{"idle restart", idle, 800e3, true},
+		{"one-segment window", onePkt, 2e6, true},
+		{"single flight", fresh, MSS * 10, true},
+		{"hot", hot, 4e6, false},
+	} {
+		bdp, mbps, ok := Saturation(tc.st, tc.size, top)
+		if ok != tc.saturates {
+			t.Fatalf("%s: Saturation ok = %v, want %v (bdp %d, %v Mbps)", tc.name, ok, tc.saturates, bdp, mbps)
+		}
+		if !ok {
+			continue
+		}
+		seen := false
+		for g := 0.0; g <= top; g += 0.05 {
+			past := g >= mbps && BDPSegments(g, tc.st.MinRTT) >= bdp
+			if seen && !past {
+				t.Fatalf("%s: saturation test not monotone at %v Mbps", tc.name, g)
+			}
+			seen = past
+			if got := EstimateThroughput(g, tc.st, tc.size); past && math.Float64bits(got) != math.Float64bits(mbps) {
+				t.Fatalf("%s: EstimateThroughput(%v) = %v past saturation (bdp %d), want %v", tc.name, g, got, bdp, mbps)
+			}
+		}
+		if !(top >= mbps && BDPSegments(top, tc.st.MinRTT) >= bdp) {
+			t.Errorf("%s: saturation test fails at the top", tc.name)
+		}
+	}
+}
+
+// TestSaturationDeclines lists the inputs Saturation refuses to vouch
+// for; the caller then evaluates every capacity.
+func TestSaturationDeclines(t *testing.T) {
+	fresh := Fresh(0.08)
+	mod := func(f func(s *State)) State { s := fresh; f(&s); return s }
+	for name, tc := range map[string]struct {
+		st        State
+		size, top float64
+	}{
+		"zero size":              {fresh, 0, 100},
+		"NaN size":               {fresh, math.NaN(), 100},
+		"+Inf size":              {fresh, math.Inf(1), 100},
+		"huge size":              {fresh, 1e15, 100},
+		"zero min rtt":           {mod(func(s *State) { s.MinRTT = 0 }), 1e6, 100},
+		"NaN min rtt":            {mod(func(s *State) { s.MinRTT = math.NaN() }), 1e6, 100},
+		"sub-segment cwnd":       {mod(func(s *State) { s.CWND = 0.5 }), 1e6, 100},
+		"NaN cwnd":               {mod(func(s *State) { s.CWND = math.NaN() }), 1e6, 100},
+		"+Inf cwnd":              {mod(func(s *State) { s.CWND = math.Inf(1) }), 1e6, 100},
+		"cwnd past the bound":    {mod(func(s *State) { s.CWND = 1e300 }), 1e6, 100},
+		"top below saturation":   {fresh, 1.5e6, 50},
+		"BDP at the top inexact": {mod(func(s *State) { s.MinRTT = 1e200 }), 1e6, 100},
+		"NaN top":                {fresh, 1e6, math.NaN()},
+	} {
+		if _, _, ok := Saturation(tc.st, tc.size, tc.top); ok {
+			t.Errorf("%s: Saturation vouched for %+v, size %v, top %v", name, tc.st, tc.size, tc.top)
+		}
 	}
 }
