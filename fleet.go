@@ -143,7 +143,11 @@ func WithFleetReady(fn func(addr string)) CampaignOption {
 // shard's store is accepted they are folded into the campaign store;
 // the folded report — Report, WriteReport, Serve, /v1/report — is
 // byte-identical to a single-process run of the same campaign, no
-// matter how many agents ran, died, or had their work stolen.
+// matter how many agents ran, died, or had their work stolen. Before
+// it returns and closes the listener, every live agent is told the
+// campaign is done (waiting at most twice the lease TTL, at least a
+// second), so surviving agents exit cleanly rather than find the
+// dispatcher gone.
 //
 // The constraints of Dispatch apply (WithStore required; no
 // WithCorpus/WithArms/WithProgress/WithShard).
@@ -206,6 +210,10 @@ func (c *Campaign) ServeFleet(ctx context.Context, n int) (*FleetDispatchResult,
 	}
 
 	res, err := d.Wait(ctx)
+	if err == nil {
+		// Agents still polling hear "done" before the listener closes.
+		d.Drain(ctx)
+	}
 	// Stash the agents' streamed trace sets (even on failure — partial
 	// traces are a crash post-mortem) so Trace and /v1/trace keep
 	// serving the fleet-wide view after the dispatch.

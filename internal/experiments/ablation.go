@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"veritas/internal/abduction"
-	"veritas/internal/abr"
 	"veritas/internal/engine"
 	"veritas/internal/hmm"
 	"veritas/internal/stats"
@@ -30,40 +28,29 @@ func init() {
 // retained abductions; only one posterior sample is drawn since the
 // Viterbi trace is sample-independent.
 func inferRMSE(s Scale, cfg abduction.Config) (meanRMSE float64, err error) {
-	traces, err := regimeTraces(s)
+	gts, err := regimeTraces(s)
 	if err != nil {
 		return 0, err
 	}
-	vid := testVideo(s)
-	corpus := make([]engine.SessionSpec, len(traces))
-	for i, gt := range traces {
-		c := cfg
-		c.Seed = s.Seed + int64(i)
-		c.NumSamples = 1
-		net := testbedNet(s.Seed + int64(i))
-		corpus[i] = engine.SessionSpec{
-			ID:        fmt.Sprintf("abl-%03d", i),
-			Trace:     gt,
-			Video:     vid,
-			NewABR:    func() abr.Algorithm { return abr.NewMPC() },
-			BufferCap: settingABuffer,
-			Net:       &net,
-			Abduct:    c,
-		}
+	clip := s.clip()
+	corpus := make([]engine.SessionSpec, len(gts))
+	for i, gt := range gts {
+		corpus[i] = deployed(fmt.Sprintf("abl-%03d", i), gt, clip, s.Seed+int64(i))
+		corpus[i].Abduct = cfg
+		corpus[i].Abduct.Seed = s.Seed + int64(i)
+		corpus[i].Abduct.NumSamples = 1
 	}
-	ecfg := engineConfig(s)
-	ecfg.KeepAbductions = true
-	res, err := engine.Run(context.Background(), ecfg, corpus, nil)
+	sessions, err := run(s, corpus, nil, true)
 	if err != nil {
 		return 0, err
 	}
 	var sum float64
-	for i, sr := range res.Sessions {
+	for i, sr := range sessions {
 		recs := sr.Log.Records
 		horizon := recs[len(recs)-1].End
-		sum += traceRMSE(sr.Abd.MostLikelyTrace(), traces[i], horizon)
+		sum += traceRMSE(sr.Abd.MostLikelyTrace(), gts[i], horizon)
 	}
-	return sum / float64(len(res.Sessions)), nil
+	return sum / float64(len(sessions)), nil
 }
 
 // traceRMSE samples both traces at 1 s over [0, horizon].

@@ -1,11 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
+	"math"
 
 	"veritas/internal/abduction"
-	"veritas/internal/abr"
 	"veritas/internal/engine"
 	"veritas/internal/player"
 	"veritas/internal/stats"
@@ -13,77 +12,14 @@ import (
 
 func init() {
 	register("fig8", "True impact of changing the ABR from MPC to BBA", fig8)
-	register("fig9", "Predicted impact of MPC→BBA: Baseline vs Veritas vs ground truth", fig9)
-	register("fig10", "Predicted impact of increasing the buffer from 5 s to 30 s", fig10)
+	register("fig9", "Predicted impact of MPC→BBA: Baseline vs Veritas vs ground truth",
+		prediction("fig9", "Predicted performance if MPC were replaced by BBA", toBBA))
+	register("fig10", "Predicted impact of increasing the buffer from 5 s to 30 s",
+		prediction("fig10", "Predicted performance if the buffer were 30 s instead of 5 s", toBuffer30))
 	register("fig11", "Predicted impact of switching to a higher quality ladder", fig11)
-	register("fig13", "Predicted impact of MPC→BOLA (appendix)", fig13)
+	register("fig13", "Predicted impact of MPC→BOLA (appendix)",
+		prediction("fig13", "Predicted performance if MPC were replaced by BOLA", toBOLA))
 	register("fig14", "Average bitrate across all counterfactual queries (appendix)", fig14)
-}
-
-// settingA is the deployed system of the paper's evaluation: MPC with a
-// 5 s buffer on the default ladder.
-const settingABuffer = player.DefaultBufferCap
-
-// cfScenario is one counterfactual query: the Setting B to replay.
-type cfScenario struct {
-	Name    string
-	Setting func(s Scale) abduction.Setting
-}
-
-func bbaScenario() cfScenario {
-	return cfScenario{
-		Name: "MPC->BBA",
-		Setting: func(s Scale) abduction.Setting {
-			return abduction.Setting{
-				Video:     testVideo(s),
-				NewABR:    func() abr.Algorithm { return abr.NewBBA() },
-				BufferCap: settingABuffer,
-				Net:       testbedNet(2),
-			}
-		},
-	}
-}
-
-func bolaScenario() cfScenario {
-	return cfScenario{
-		Name: "MPC->BOLA",
-		Setting: func(s Scale) abduction.Setting {
-			return abduction.Setting{
-				Video:     testVideo(s),
-				NewABR:    func() abr.Algorithm { return abr.NewBOLA() },
-				BufferCap: settingABuffer,
-				Net:       testbedNet(2),
-			}
-		},
-	}
-}
-
-func bufferScenario() cfScenario {
-	return cfScenario{
-		Name: "buffer 5s->30s",
-		Setting: func(s Scale) abduction.Setting {
-			return abduction.Setting{
-				Video:     testVideo(s),
-				NewABR:    func() abr.Algorithm { return abr.NewMPC() },
-				BufferCap: 30,
-				Net:       testbedNet(2),
-			}
-		},
-	}
-}
-
-func ladderScenario() cfScenario {
-	return cfScenario{
-		Name: "higher qualities",
-		Setting: func(s Scale) abduction.Setting {
-			return abduction.Setting{
-				Video:     higherVideo(s),
-				NewABR:    func() abr.Algorithm { return abr.NewMPC() },
-				BufferCap: settingABuffer,
-				Net:       testbedNet(2),
-			}
-		},
-	}
 }
 
 // cfResult holds one trace's outcomes under a what-if setting.
@@ -94,61 +30,46 @@ type cfResult struct {
 	Samples  []player.Metrics // Setting B on each Veritas sample
 }
 
-// runCounterfactualMatrix executes the full Figure-6 pipeline over the
-// scale's trace set, batched on the fleet engine: every trace becomes
-// one corpus session, every scenario one what-if arm, and the engine
-// fans the Abduct + replay work across the worker pool. Each session
-// is simulated and abduced once however many arms replay over it —
-// fig14's four panels share one inversion. Per-trace seeds match
-// the original serial implementation, so tables are unchanged and
-// identical for every worker count. Results are keyed by scenario name.
-func runCounterfactualMatrix(s Scale, scs []cfScenario) (map[string][]cfResult, error) {
-	traces, err := regimeTraces(s)
+// counterfactuals executes the full Figure-6 pipeline over the scale's
+// trace set, batched on the fleet engine: every trace becomes one
+// Setting A session, every whatIf entry in ids one arm, and the engine
+// fans the Abduct + replay work across the worker pool. Each session is
+// simulated and abduced once however many arms replay over it — fig14's
+// four panels share one inversion. Seeds are per trace, so tables are
+// identical for every worker count. out[k] holds ids[k]'s results in
+// trace order.
+func counterfactuals(s Scale, ids ...int) ([][]cfResult, error) {
+	gts, err := regimeTraces(s)
 	if err != nil {
 		return nil, err
 	}
-	vid := testVideo(s)
-	corpus := make([]engine.SessionSpec, len(traces))
-	for i, gt := range traces {
-		net := testbedNet(s.Seed + int64(i))
-		corpus[i] = engine.SessionSpec{
-			ID:        fmt.Sprintf("trace-%03d", i),
-			Trace:     gt,
-			Video:     vid,
-			NewABR:    func() abr.Algorithm { return abr.NewMPC() },
-			BufferCap: settingABuffer,
-			Net:       &net,
-			Abduct: abduction.Config{
-				NumSamples: s.Samples,
-				Seed:       s.Seed + int64(i)*101,
-			},
-		}
+	clip := s.clip()
+	corpus := make([]engine.SessionSpec, len(gts))
+	for i, gt := range gts {
+		corpus[i] = deployed(fmt.Sprintf("trace-%03d", i), gt, clip, s.Seed+int64(i))
+		corpus[i].Abduct = abduction.Config{NumSamples: s.Samples, Seed: s.Seed + int64(i)*101}
 	}
-	arms := make([]engine.Arm, len(scs))
-	for i, sc := range scs {
-		arms[i] = engine.Arm{Name: sc.Name, Setting: sc.Setting(s)}
-	}
-	res, err := engine.Run(context.Background(), engineConfig(s), corpus, arms)
+	sessions, err := run(s, corpus, arms(clip, ids...), false)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string][]cfResult, len(scs))
-	for _, sr := range res.Sessions {
-		for _, oc := range sr.Arms {
-			out[oc.Name] = append(out[oc.Name],
+	out := make([][]cfResult, len(ids))
+	for _, sr := range sessions {
+		for k, oc := range sr.Arms {
+			out[k] = append(out[k],
 				cfResult{SettingA: sr.SettingA, Truth: oc.Truth, Baseline: oc.Baseline, Samples: oc.Samples})
 		}
 	}
 	return out, nil
 }
 
-// runCounterfactual runs a single scenario.
-func runCounterfactual(s Scale, sc cfScenario) ([]cfResult, error) {
-	m, err := runCounterfactualMatrix(s, []cfScenario{sc})
+// runCounterfactual runs a single whatIf entry.
+func runCounterfactual(s Scale, id int) ([]cfResult, error) {
+	out, err := counterfactuals(s, id)
 	if err != nil {
 		return nil, err
 	}
-	return m[sc.Name], nil
+	return out[0], nil
 }
 
 // metricSeries extracts the per-trace values of one metric for each
@@ -206,17 +127,10 @@ func addMetricRows(t *Table, label string, ms metricSeries, scalePct bool) {
 func (ms metricSeries) absErrMedians() (base, veritas float64) {
 	var be, ve []float64
 	for i := range ms.Truth {
-		be = append(be, abs(ms.Baseline[i]-ms.Truth[i]))
-		ve = append(ve, abs((ms.VLow[i]+ms.VHigh[i])/2-ms.Truth[i]))
+		be = append(be, math.Abs(ms.Baseline[i]-ms.Truth[i]))
+		ve = append(ve, math.Abs((ms.VLow[i]+ms.VHigh[i])/2-ms.Truth[i]))
 	}
 	return stats.Median(be), stats.Median(ve)
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // predictionTable renders a fig9/10/11/13-style table for one scenario.
@@ -249,7 +163,7 @@ func predictionTable(id, title string, results []cfResult) *Table {
 }
 
 func fig8(s Scale) (*Table, error) {
-	results, err := runCounterfactual(s, bbaScenario())
+	results, err := runCounterfactual(s, toBBA)
 	if err != nil {
 		return nil, err
 	}
@@ -282,24 +196,20 @@ func fig8(s Scale) (*Table, error) {
 	return t, nil
 }
 
-func fig9(s Scale) (*Table, error) {
-	results, err := runCounterfactual(s, bbaScenario())
-	if err != nil {
-		return nil, err
+// prediction is a fig9/10/13-style figure: the prediction table of one
+// whatIf entry.
+func prediction(id, title string, w int) func(Scale) (*Table, error) {
+	return func(s Scale) (*Table, error) {
+		results, err := runCounterfactual(s, w)
+		if err != nil {
+			return nil, err
+		}
+		return predictionTable(id, title, results), nil
 	}
-	return predictionTable("fig9", "Predicted performance if MPC were replaced by BBA", results), nil
-}
-
-func fig10(s Scale) (*Table, error) {
-	results, err := runCounterfactual(s, bufferScenario())
-	if err != nil {
-		return nil, err
-	}
-	return predictionTable("fig10", "Predicted performance if the buffer were 30 s instead of 5 s", results), nil
 }
 
 func fig11(s Scale) (*Table, error) {
-	results, err := runCounterfactual(s, ladderScenario())
+	results, err := runCounterfactual(s, toHigher)
 	if err != nil {
 		return nil, err
 	}
@@ -317,46 +227,26 @@ func fig11(s Scale) (*Table, error) {
 	return t, nil
 }
 
-func fig13(s Scale) (*Table, error) {
-	results, err := runCounterfactual(s, bolaScenario())
-	if err != nil {
-		return nil, err
-	}
-	return predictionTable("fig13", "Predicted performance if MPC were replaced by BOLA", results), nil
-}
-
 func fig14(s Scale) (*Table, error) {
 	t := &Table{
 		ID:     "fig14",
 		Title:  "Average bitrate (Mbps) for every counterfactual query",
 		Header: []string{"panel", "truth (GTBW)", "Baseline", "Veritas(Low)", "Veritas(High)"},
 	}
-	panels := []struct {
-		label string
-		sc    cfScenario
-	}{
-		{"(b) MPC->BBA", bbaScenario()},
-		{"(c) MPC->BOLA", bolaScenario()},
-		{"(d) buffer 30s", bufferScenario()},
-		{"(e) higher ladder", ladderScenario()},
-	}
-	scs := make([]cfScenario, len(panels))
-	for i, p := range panels {
-		scs[i] = p.sc
-	}
+	ids := []int{toBBA, toBOLA, toBuffer30, toHigher}
+	labels := []string{"(b) MPC->BBA", "(c) MPC->BOLA", "(d) buffer 30s", "(e) higher ladder"}
 	// One engine run: the corpus is simulated and abduced once, all
 	// four panels replay as arms over the shared posteriors.
-	byName, err := runCounterfactualMatrix(s, scs)
+	byPanel, err := counterfactuals(s, ids...)
 	if err != nil {
 		return nil, err
 	}
 	var okCount int
-	for _, p := range panels {
-		results := byName[p.sc.Name]
+	for k, results := range byPanel {
 		br := collect(results, abduction.MetricAvgBitrate)
-		t.AddRow(p.label+" median", stats.Median(br.Truth), stats.Median(br.Baseline),
+		t.AddRow(labels[k]+" median", stats.Median(br.Truth), stats.Median(br.Baseline),
 			stats.Median(br.VLow), stats.Median(br.VHigh))
-		if p.label == "(b) MPC->BBA" {
+		if ids[k] == toBBA {
 			// Panel (a) of the paper compares Setting A and B truths.
 			var a, b []float64
 			for _, r := range results {
@@ -371,6 +261,6 @@ func fig14(s Scale) (*Table, error) {
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"Baseline's median avg-bitrate fell below truth on %d/%d panels (paper: Baseline underestimates, e.g. 3.1 vs 3.5 Mbps for BBA)",
-		okCount, len(panels)))
+		okCount, len(ids)))
 	return t, nil
 }

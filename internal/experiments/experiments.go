@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"veritas/internal/trace"
+	"veritas/internal/video"
 )
 
 // Table is one regenerated figure: a titled grid of rows plus notes
@@ -123,6 +124,8 @@ func (s Scale) Validate() error {
 		return fmt.Errorf("experiments: NumTraces %d <= 0", s.NumTraces)
 	case s.NumChunks < 20:
 		return fmt.Errorf("experiments: NumChunks %d < 20", s.NumChunks)
+	case s.NumChunks > video.Default().NumChunks():
+		return fmt.Errorf("experiments: NumChunks %d > the default clip's %d", s.NumChunks, video.Default().NumChunks())
 	case s.FuguTraces <= 0:
 		return fmt.Errorf("experiments: FuguTraces %d <= 0", s.FuguTraces)
 	case s.TestTraces <= 0:

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -24,6 +26,7 @@ func TestScaleValidate(t *testing.T) {
 	bad := []func(*Scale){
 		func(s *Scale) { s.NumTraces = 0 },
 		func(s *Scale) { s.NumChunks = 10 },
+		func(s *Scale) { s.NumChunks = 301 },
 		func(s *Scale) { s.FuguTraces = 0 },
 		func(s *Scale) { s.TestTraces = 0 },
 		func(s *Scale) { s.Samples = 0 },
@@ -102,13 +105,25 @@ func TestAddRowFormatting(t *testing.T) {
 	}
 }
 
-// TestEveryExperimentRuns executes all twelve generators at tiny scale
-// and sanity-checks the output tables.
+// TestEveryExperimentRuns executes all seventeen generators at tiny
+// scale, sanity-checks the output tables and compares each render byte
+// for byte with testdata/golden/<id>.txt. A golden file with no
+// registered experiment fails the test too.
 func TestEveryExperimentRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	s := tinyScale()
+	goldens, err := filepath.Glob(filepath.Join("testdata", "golden", "*.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range goldens {
+		id := strings.TrimSuffix(filepath.Base(g), ".txt")
+		if _, ok := Get(id); !ok {
+			t.Errorf("golden %s has no registered experiment", g)
+		}
+	}
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
@@ -132,7 +147,14 @@ func TestEveryExperimentRuns(t *testing.T) {
 			}
 			var sb strings.Builder
 			if err := tab.Render(&sb); err != nil {
-				t.Errorf("render: %v", err)
+				t.Fatalf("render: %v", err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", "golden", id+".txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sb.String(); got != string(want) {
+				t.Errorf("render differs from testdata/golden/%s.txt:\n--- got\n%s--- want\n%s", id, got, want)
 			}
 		})
 	}
@@ -176,7 +198,7 @@ func TestFig9ShapeHolds(t *testing.T) {
 	s := QuickScale()
 	s.NumTraces = 6
 	s.NumChunks = 80
-	results, err := runCounterfactual(s, bbaScenario())
+	results, err := runCounterfactual(s, toBBA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +236,7 @@ func TestScenarioAndWorkersPlumb(t *testing.T) {
 	s := tinyScale()
 	s.Workers = 2
 	s.Scenario = "lte"
-	results, err := runCounterfactual(s, bbaScenario())
+	results, err := runCounterfactual(s, toBBA)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
+	"math"
 
 	"veritas/internal/abduction"
 	"veritas/internal/abr"
@@ -22,35 +22,31 @@ func init() {
 // associational model underestimates; Veritas abduces the GTBW from the
 // session prefix and stays near the diagonal.
 func fig12(s Scale) (*Table, error) {
-	trainTraces, err := wideTraces(s.Seed+20_000, s.FuguTraces)
+	trainTraces, err := traces(wideLink, s.Seed+20_000, s.FuguTraces)
 	if err != nil {
 		return nil, err
 	}
-	vid := testVideo(s)
-	logs, err := batchSessions(s, vid, trainTraces,
-		func(int) func() abr.Algorithm { return func() abr.Algorithm { return abr.NewMPC() } },
-		func(i int) int64 { return s.Seed + int64(i) })
+	logs, err := deployedLogs(s, trainTraces)
 	if err != nil {
 		return nil, err
 	}
-	ds := fugu.BuildDataset(logs, fugu.DefaultK)
-	pred, err := fugu.TrainPredictor(ds, fugu.PredictorConfig{
-		Seed:  s.Seed,
-		Train: fugu.TrainConfig{Epochs: 40, Seed: s.Seed + 1},
-	})
+	pred, err := trainFugu(s, logs)
 	if err != nil {
 		return nil, err
 	}
 
-	testTraces, err := wideTraces(s.Seed+30_000, s.TestTraces)
+	testTraces, err := traces(wideLink, s.Seed+30_000, s.TestTraces)
 	if err != nil {
 		return nil, err
 	}
-	testLogs, err := batchSessions(s, vid, testTraces,
-		func(i int) func() abr.Algorithm {
-			return func() abr.Algorithm { return abr.NewRandom(s.Seed + int64(i)*7) }
-		},
-		func(i int) int64 { return s.Seed + int64(1000+i) })
+	clip := s.clip()
+	test := make([]engine.SessionSpec, len(testTraces))
+	for i, gt := range testTraces {
+		seed := s.Seed + int64(i)*7
+		test[i] = deployed(fmt.Sprintf("sim-%03d", i), gt, clip, s.Seed+int64(1000+i))
+		test[i].NewABR = func() abr.Algorithm { return abr.NewRandom(seed) }
+	}
+	testLogs, err := simulate(s, test)
 	if err != nil {
 		return nil, err
 	}
@@ -85,11 +81,11 @@ func fig12(s Scale) (*Table, error) {
 			})
 		}
 	}
-	res, err := engine.Run(context.Background(), engineConfig(s), specs, nil)
+	sessions, err := run(s, specs, nil, false)
 	if err != nil {
 		return nil, err
 	}
-	for i, sr := range res.Sessions {
+	for i, sr := range sessions {
 		pts[i].veritasP = sr.Predictions[0]
 	}
 
@@ -123,8 +119,8 @@ func fig12(s Scale) (*Table, error) {
 	var fuguUnder, veritasErr, fuguErr []float64
 	for _, p := range pts {
 		fuguUnder = append(fuguUnder, p.actual-p.fuguP) // positive = underestimate
-		fuguErr = append(fuguErr, abs(p.fuguP-p.actual))
-		veritasErr = append(veritasErr, abs(p.veritasP-p.actual))
+		fuguErr = append(fuguErr, math.Abs(p.fuguP-p.actual))
+		veritasErr = append(veritasErr, math.Abs(p.veritasP-p.actual))
 	}
 	p90Under := stats.Percentile(fuguUnder, 90)
 	worstUnder := stats.Max(fuguUnder)

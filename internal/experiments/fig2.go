@@ -5,7 +5,7 @@ import (
 	"math"
 	"math/rand"
 
-	"veritas/internal/abr"
+	"veritas/internal/engine"
 	"veritas/internal/fugu"
 	"veritas/internal/netem"
 	"veritas/internal/player"
@@ -32,17 +32,23 @@ var fig2aBuckets = []struct {
 	{"2.0-4.2", 2.0, 4.2},
 }
 
-// fig2aSessions runs MPC over the poor+good trace mix and returns the
-// per-chunk logs, shared by fig2a and fig2b. The sessions are
-// independent, so they batch on the fleet engine.
+// fig2aSessions streams Setting A over the poor+good trace mix and
+// returns the per-chunk logs, shared by fig2a and fig2b.
 func fig2aSessions(s Scale) ([]*player.SessionLog, error) {
-	traces, err := poorGoodTraces(s.Seed+500, s.FuguTraces)
+	mix, err := poorGoodTraces(s.Seed+500, s.FuguTraces)
 	if err != nil {
 		return nil, err
 	}
-	return batchSessions(s, testVideo(s), traces,
-		func(int) func() abr.Algorithm { return func() abr.Algorithm { return abr.NewMPC() } },
-		func(i int) int64 { return s.Seed + int64(i) })
+	return deployedLogs(s, mix)
+}
+
+// trainFugu trains the FuguNN download-time predictor on logs, the same
+// way for both Fugu figures (2b and 12).
+func trainFugu(s Scale, logs []*player.SessionLog) (*fugu.Predictor, error) {
+	return fugu.TrainPredictor(fugu.BuildDataset(logs, fugu.DefaultK), fugu.PredictorConfig{
+		Seed:  s.Seed,
+		Train: fugu.TrainConfig{Epochs: 40, Seed: s.Seed + 1},
+	})
 }
 
 func fig2a(s Scale) (*Table, error) {
@@ -102,11 +108,7 @@ func fig2b(s Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds := fugu.BuildDataset(logs, fugu.DefaultK)
-	pred, err := fugu.TrainPredictor(ds, fugu.PredictorConfig{
-		Seed:  s.Seed,
-		Train: fugu.TrainConfig{Epochs: 40, Seed: s.Seed + 1},
-	})
+	pred, err := trainFugu(s, logs)
 	if err != nil {
 		return nil, err
 	}
@@ -114,19 +116,16 @@ func fig2b(s Scale) (*Table, error) {
 	// Fresh poor trace: the ABR has been picking low qualities, so the
 	// history is all small chunks. Ask the causal question for a forced
 	// low- and a forced high-quality next chunk.
-	poorSet, err := trace.GenerateSet(trace.GenConfig{
-		MinMbps: 0.05, MaxMbps: 0.3, Interval: 5, Horizon: 3600,
-		StepMbps: 0.05, JumpProb: 0.02, Seed: s.Seed + 77_000,
-	}, 1)
+	poorSet, err := traces(poorLink, s.Seed+77_000, 1)
 	if err != nil {
 		return nil, err
 	}
-	poor := poorSet[0]
-	vid := testVideo(s)
-	log, _, err := session(vid, abr.NewMPC(), poor, settingABuffer, s.Seed+9)
+	poor, vid := poorSet[0], s.clip()
+	poorLog, err := simulate(s, []engine.SessionSpec{deployed("fig2b", poor, vid, s.Seed+9)})
 	if err != nil {
 		return nil, err
 	}
+	log := poorLog[0]
 
 	type agg struct{ actual, predicted []float64 }
 	var low, high agg

@@ -2,10 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"veritas/internal/abduction"
-	"veritas/internal/abr"
+	"veritas/internal/engine"
 	"veritas/internal/stats"
 	"veritas/internal/trace"
 )
@@ -26,15 +25,13 @@ func fig7(s Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	vid := testVideo(s)
-	log, _, err := session(vid, abr.NewMPC(), gt, settingABuffer, s.Seed+7)
+	spec := deployed("fig7", gt, s.clip(), s.Seed+7)
+	spec.Abduct = abduction.Config{NumSamples: s.Samples, Seed: s.Seed + 7}
+	sessions, err := run(s, []engine.SessionSpec{spec}, nil, true)
 	if err != nil {
 		return nil, err
 	}
-	abd, err := abduction.Abduct(log, abduction.Config{NumSamples: s.Samples, Seed: s.Seed + 7})
-	if err != nil {
-		return nil, err
-	}
+	log, abd := sessions[0].Log, sessions[0].Abd
 	base, err := abduction.BaselineTrace(log)
 	if err != nil {
 		return nil, err
@@ -66,24 +63,12 @@ func fig7(s Scale) (*Table, error) {
 		t.AddRow(tt, gt.At(tt), base.At(tt), lo, hi, ml.At(tt))
 	}
 
-	// Per-second RMSE of each estimate against the truth.
-	rmse := func(est *trace.Trace) float64 {
-		var errs []float64
-		for tt := 0.0; tt < horizon; tt++ {
-			errs = append(errs, est.At(tt)-gt.At(tt))
-		}
-		sq := make([]float64, len(errs))
-		for i, e := range errs {
-			sq[i] = e * e
-		}
-		return math.Sqrt(stats.Mean(sq))
-	}
-	baseRMSE := rmse(base)
+	baseRMSE := traceRMSE(base, gt, horizon)
 	var sampleRMSEs []float64
 	for _, sm := range samples {
-		sampleRMSEs = append(sampleRMSEs, rmse(sm))
+		sampleRMSEs = append(sampleRMSEs, traceRMSE(sm, gt, horizon))
 	}
-	t.AddRow("RMSE", 0.0, baseRMSE, stats.Min(sampleRMSEs), stats.Max(sampleRMSEs), rmse(ml))
+	t.AddRow("RMSE", 0.0, baseRMSE, stats.Min(sampleRMSEs), stats.Max(sampleRMSEs), traceRMSE(ml, gt, horizon))
 	if stats.Max(sampleRMSEs) < baseRMSE {
 		t.Notes = append(t.Notes,
 			"SHAPE OK: every Veritas sample is closer to GTBW than Baseline (paper Fig 7)")

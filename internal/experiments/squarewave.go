@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"veritas/internal/abduction"
-	"veritas/internal/abr"
 	"veritas/internal/engine"
 	"veritas/internal/stats"
 	"veritas/internal/trace"
@@ -27,7 +25,7 @@ func extSquare(s Scale) (*Table, error) {
 		Title:  "GTBW recovery on square waves alternating between lo and hi every 60 s",
 		Header: []string{"lo/hi (Mbps)", "Baseline RMSE", "Veritas RMSE", "Veritas hi-plateau mean", "Veritas lo-plateau mean"},
 	}
-	vid := testVideo(s)
+	clip := s.clip()
 	type band struct{ lo, hi float64 }
 	var wins int
 	bands := []band{{2, 6}, {3, 8}, {4, 5}}
@@ -39,25 +37,15 @@ func extSquare(s Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		net := testbedNet(s.Seed + int64(bi))
-		corpus[bi] = engine.SessionSpec{
-			ID:        fmt.Sprintf("square-%d", bi),
-			Trace:     sq,
-			Video:     vid,
-			NewABR:    func() abr.Algorithm { return abr.NewMPC() },
-			BufferCap: settingABuffer,
-			Net:       &net,
-			Abduct:    abduction.Config{NumSamples: 1, Seed: s.Seed + int64(bi)},
-		}
+		corpus[bi] = deployed(fmt.Sprintf("square-%d", bi), sq, clip, s.Seed+int64(bi))
+		corpus[bi].Abduct = abduction.Config{NumSamples: 1, Seed: s.Seed + int64(bi)}
 	}
-	ecfg := engineConfig(s)
-	ecfg.KeepAbductions = true
-	res, err := engine.Run(context.Background(), ecfg, corpus, nil)
+	sessions, err := run(s, corpus, nil, true)
 	if err != nil {
 		return nil, err
 	}
 	for bi, b := range bands {
-		sr := res.Sessions[bi]
+		sr := sessions[bi]
 		sq := corpus[bi].Trace
 		log := sr.Log
 		base, err := abduction.BaselineTrace(log)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -94,6 +95,7 @@ type agentInfo struct {
 	lastSeen  time.Time
 	completed int
 	lost      bool // a lease it held was revoked, nothing seen since
+	told      bool // answered "done": it will not ask again
 }
 
 // Dispatcher is the fleet control plane: the lease table, the agent
@@ -335,6 +337,47 @@ func (d *Dispatcher) finish() (*Result, error) {
 	return res, nil
 }
 
+// Drain keeps a completed campaign's "done" answer reachable for the
+// agents still polling for work. It returns once every agent that may
+// ask again has been told "done", after twice the lease TTL (at least
+// a second), or when ctx ends. An agent that lost a lease to stealing
+// and was not seen since, or went a whole TTL unseen, is not waited
+// for: a live idle agent polls every TTL/2. Call it between Wait and
+// closing the listener — closing right after Wait races the last
+// uploader's next lease request, and that agent would find the
+// dispatcher gone instead of the campaign done.
+func (d *Dispatcher) Drain(ctx context.Context) {
+	ttl := d.cfg.leaseTTL()
+	bound := time.NewTimer(max(2*ttl, time.Second))
+	defer bound.Stop()
+	now := time.Now()
+	d.mu.Lock()
+	var waitFor []*agentInfo
+	for _, a := range d.agents {
+		if !a.lost && now.Sub(a.lastSeen) <= ttl {
+			waitFor = append(waitFor, a)
+		}
+	}
+	d.mu.Unlock()
+	tick := time.NewTicker(10 * time.Millisecond)
+	defer tick.Stop()
+	for {
+		d.mu.Lock()
+		pending := slices.ContainsFunc(waitFor, func(a *agentInfo) bool { return !a.told })
+		d.mu.Unlock()
+		if !pending {
+			return
+		}
+		select {
+		case <-ctx.Done():
+			return
+		case <-bound.C:
+			return
+		case <-tick.C:
+		}
+	}
+}
+
 // Close releases the folded store handle, if serving began, and the
 // live tier's tailed shard stores.
 func (d *Dispatcher) Close() error {
@@ -490,7 +533,7 @@ func (d *Dispatcher) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if d.tab.isComplete() {
-		writeJSON(w, http.StatusOK, leaseResponse{Status: "done"})
+		d.tellDone(w, req.Agent)
 		return
 	}
 	shard, epoch, ok := d.tab.acquire(req.Agent)
@@ -500,7 +543,7 @@ func (d *Dispatcher) handleLease(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if d.tab.isComplete() {
-			writeJSON(w, http.StatusOK, leaseResponse{Status: "done"})
+			d.tellDone(w, req.Agent)
 			return
 		}
 		retry := d.cfg.leaseTTL() / 2
@@ -519,6 +562,21 @@ func (d *Dispatcher) handleLease(w http.ResponseWriter, r *http.Request) {
 		TTLMs:  d.cfg.leaseTTL().Milliseconds(),
 		Spec:   d.cfg.Spec,
 	})
+}
+
+// tellDone answers a lease request with "done" and records that the
+// agent heard it (Drain waits for that). The answer is flushed first,
+// so a listener closed the moment Drain returns cannot cut it off.
+func (d *Dispatcher) tellDone(w http.ResponseWriter, agent string) {
+	writeJSON(w, http.StatusOK, leaseResponse{Status: "done"})
+	if f, ok := w.(http.Flusher); ok {
+		f.Flush()
+	}
+	d.mu.Lock()
+	if a, ok := d.agents[agent]; ok {
+		a.told = true
+	}
+	d.mu.Unlock()
 }
 
 func (d *Dispatcher) handleHeartbeat(w http.ResponseWriter, r *http.Request) {

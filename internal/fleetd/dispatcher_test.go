@@ -396,6 +396,57 @@ func TestDispatcherStealFencing(t *testing.T) {
 	}
 }
 
+// TestDispatcherDrainWaitsForLiveAgents: after the campaign completes,
+// Drain holds until the agent that finished it has been told "done" —
+// closing the listener sooner would leave that agent to find the
+// dispatcher gone — and does not wait for an agent whose lease was
+// stolen and which was never seen again.
+func TestDispatcherDrainWaitsForLiveAgents(t *testing.T) {
+	d, srv, _, clock := testDispatcher(t, 1, nil)
+	for _, name := range []string{"ghost", "heir"} {
+		if code := postJSON(t, srv.URL+"/v1/agents", registerRequest{Name: name}, nil); code != 200 {
+			t.Fatalf("register %s: HTTP %d", name, code)
+		}
+	}
+	var lease leaseResponse
+	if code := postJSON(t, srv.URL+"/v1/lease", leaseRequest{Agent: "ghost"}, &lease); code != 200 || lease.Status != "lease" {
+		t.Fatalf("ghost lease: HTTP %d, %+v", code, lease)
+	}
+	clock.advance(2 * time.Minute)
+	if code := postJSON(t, srv.URL+"/v1/lease", leaseRequest{Agent: "heir"}, &lease); code != 200 || lease.Status != "lease" {
+		t.Fatalf("heir lease after expiry: HTTP %d, %+v", code, lease)
+	}
+	heirStore := filepath.Join(t.TempDir(), "heir-0")
+	buildShardStore(t, heirStore, 0, 1)
+	if code := uploadStore(t, srv.URL, heirStore, "heir", 0, lease.Epoch); code != 200 {
+		t.Fatalf("heir upload: HTTP %d", code)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := d.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	drained := make(chan struct{})
+	go func() {
+		d.Drain(ctx)
+		close(drained)
+	}()
+	select {
+	case <-drained:
+		t.Fatal("Drain returned before the heir was told the campaign is done")
+	case <-time.After(50 * time.Millisecond):
+	}
+	if code := postJSON(t, srv.URL+"/v1/lease", leaseRequest{Agent: "heir"}, &lease); code != 200 || lease.Status != "done" {
+		t.Fatalf("post-completion lease: HTTP %d, %+v", code, lease)
+	}
+	select {
+	case <-drained:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Drain still waiting after every live agent heard done (is it waiting for the ghost?)")
+	}
+}
+
 // TestDispatcherControlBodyCap: a control body over maxControlBody is
 // refused before it is acted on — an over-cap heartbeat gets 413 and
 // does not renew the lease it names, while the same heartbeat under the

@@ -22,8 +22,8 @@ func TestNewNetValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.NumLayers() != 2 || n.InputSize() != 4 || n.OutputSize() != 1 {
-		t.Error("layer accessors wrong")
+	if len(n.weights) != 2 || n.sizes[0] != 4 || n.sizes[len(n.sizes)-1] != 1 {
+		t.Error("layer shape wrong")
 	}
 }
 

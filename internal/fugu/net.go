@@ -59,15 +59,6 @@ func NewNet(sizes []int, seed int64) (*Net, error) {
 	return n, nil
 }
 
-// NumLayers returns the number of weight layers.
-func (n *Net) NumLayers() int { return len(n.weights) }
-
-// InputSize returns the expected input dimension.
-func (n *Net) InputSize() int { return n.sizes[0] }
-
-// OutputSize returns the output dimension.
-func (n *Net) OutputSize() int { return n.sizes[len(n.sizes)-1] }
-
 // Forward runs inference, returning the output activations.
 func (n *Net) Forward(x []float64) []float64 {
 	if len(x) != n.sizes[0] {
