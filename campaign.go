@@ -12,7 +12,7 @@ package veritas
 //		veritas.WithMatrix([]string{"bba", "bola"}, []float64{5, 30}),
 //		veritas.WithStore("campaign.store"),
 //	)
-//	res, _ := c.Run(ctx)      // or c.Resume(ctx) after a crash
+//	res, _ := c.Run(ctx)      // with WithResume, after a crash too
 //	rep, _ := c.Report()      // aggregate report (store-backed if stored)
 //	_ = c.Serve(ctx, ":8077") // query API over the persisted corpus
 
@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"veritas/internal/abduction"
+	"veritas/internal/dispatch"
 	"veritas/internal/engine"
 	"veritas/internal/mathx"
 	"veritas/internal/serve"
@@ -130,13 +131,9 @@ type campaignOptions struct {
 	resume        bool
 
 	// Multi-process dispatch (see Campaign.Dispatch).
-	dispatchBinary      string
-	dispatchDir         string
-	dispatchRestarts    int
-	dispatchRestartsSet bool
-	dispatchBackoff     time.Duration
-	dispatchEvents      func(DispatchEvent)
-	dispatchStatus      string
+	dispatchRestarts int
+	dispatchEvents   func(DispatchEvent)
+	dispatchStatus   string
 
 	// Networked fleet dispatch (see Campaign.ServeFleet).
 	fleetAddr     string
@@ -316,7 +313,7 @@ func WithStore(dir string) CampaignOption {
 }
 
 // WithReadOnlyStore opens the campaign store for queries only: Run and
-// Resume fail, Serve and Report answer from the store as of open time.
+// Results fail, Serve and Report answer from the store as of open time.
 // This is how a serving process attaches to a store a campaign may
 // still be appending to.
 func WithReadOnlyStore() CampaignOption {
@@ -331,7 +328,7 @@ func WithReadOnlyStore() CampaignOption {
 // tolerant of the directory not existing yet) and every query first
 // picks up rows appended since the last one — so Serve answers
 // /v1/report and the series endpoints live, mid-campaign, without
-// restarts. Run and Resume fail, as with WithReadOnlyStore; unlike it,
+// restarts. Run and Results fail, as with WithReadOnlyStore; unlike it,
 // the corpus a query sees keeps growing. Requires WithStore.
 func WithWatch() CampaignOption {
 	return func(o *campaignOptions) error {
@@ -380,23 +377,6 @@ func WithResume() CampaignOption {
 func WithProgress(fn func(FleetSessionResult)) CampaignOption {
 	return func(o *campaignOptions) error {
 		o.onResult = fn
-		return nil
-	}
-}
-
-// WithProgressCounts calls fn once per completed session with the
-// count completed so far and the total this run will execute (the
-// corpus minus any resume skips and out-of-shard sessions) — the
-// lightweight progress hook a shard worker streams back to the
-// dispatch supervisor. fn is called from worker goroutines and must be
-// safe for concurrent use; each call carries a distinct done value but
-// calls may be observed out of order.
-func WithProgressCounts(fn func(done, total int)) CampaignOption {
-	return func(o *campaignOptions) error {
-		if fn == nil {
-			return errors.New("veritas: WithProgressCounts(nil)")
-		}
-		o.onProgress = fn
 		return nil
 	}
 }
@@ -461,8 +441,8 @@ func WithDispatchStatus(addr string) CampaignOption {
 // Campaign is a batch causal-query campaign: a corpus of sessions, a
 // matrix of what-if arms, and the run/persistence/serving machinery
 // around them. Build one with NewCampaign; the zero value is not
-// usable. Methods are safe for concurrent use, but only one Run,
-// Resume or Results may execute at a time.
+// usable. Methods are safe for concurrent use, but only one Run or
+// Results may execute at a time.
 type Campaign struct {
 	opt campaignOptions
 	reg *telemetry.Registry // nil with WithoutTelemetry
@@ -485,7 +465,7 @@ type Campaign struct {
 // scenario × engine.DefaultSessionsPer sessions, no arms, GOMAXPROCS
 // workers, abduction.DefaultSamples posterior samples, no persistence.
 func NewCampaign(opts ...CampaignOption) (*Campaign, error) {
-	return newCampaign(campaignOptions{}, opts...)
+	return newCampaign(campaignOptions{dispatchRestarts: dispatch.DefaultMaxRestarts}, opts...)
 }
 
 // newCampaign applies opts on top of o — a dispatch worker starts from
@@ -765,7 +745,7 @@ func (c *Campaign) engineConfig() engine.Config {
 
 // prepare materializes corpus and arms, opens the store, and assembles
 // the engine config (store sink + resume skip set) for one execution.
-func (c *Campaign) prepare(resume bool) ([]FleetSpec, []FleetArm, engine.Config, error) {
+func (c *Campaign) prepare() ([]FleetSpec, []FleetArm, engine.Config, error) {
 	var zero engine.Config
 	if c.opt.readOnly {
 		if c.opt.watch {
@@ -784,7 +764,7 @@ func (c *Campaign) prepare(resume bool) ([]FleetSpec, []FleetArm, engine.Config,
 			return nil, nil, zero, err
 		}
 		cfg.Sink = st
-		if resume {
+		if c.opt.resume {
 			skip := make(map[string]bool)
 			for _, k := range st.Keys() {
 				skip[k] = true
@@ -822,26 +802,12 @@ func (c *Campaign) end(res *FleetResult) {
 // skipped. Results are deterministic in the options, independent of
 // the worker count.
 func (c *Campaign) Run(ctx context.Context) (*FleetResult, error) {
-	return c.run(ctx, c.opt.resume)
-}
-
-// Resume is Run with the resume behavior forced on: sessions already
-// in the store are skipped, whatever the options said. It requires
-// WithStore.
-func (c *Campaign) Resume(ctx context.Context) (*FleetResult, error) {
-	if c.opt.storeDir == "" {
-		return nil, errors.New("veritas: Resume needs WithStore: there is nowhere to resume from")
-	}
-	return c.run(ctx, true)
-}
-
-func (c *Campaign) run(ctx context.Context, resume bool) (*FleetResult, error) {
 	if err := c.begin(); err != nil {
 		return nil, err
 	}
 	var res *FleetResult
 	defer func() { c.end(res) }()
-	corpus, arms, cfg, err := c.prepare(resume)
+	corpus, arms, cfg, err := c.prepare()
 	if err != nil {
 		return nil, err
 	}
@@ -871,7 +837,7 @@ func (c *Campaign) Results(ctx context.Context) *ResultStream {
 	if err := c.begin(); err != nil {
 		return &ResultStream{done: true, err: err}
 	}
-	corpus, arms, cfg, err := c.prepare(c.opt.resume)
+	corpus, arms, cfg, err := c.prepare()
 	if err != nil {
 		c.end(nil)
 		return &ResultStream{done: true, err: err}
@@ -1077,21 +1043,9 @@ func (c *Campaign) Serve(ctx context.Context, addr string) error {
 	return serve.ListenAndServe(ctx, addr, h)
 }
 
-// WatchServe serves a live view of a store another process is still
-// writing: the handler tails the store before answering, so /v1/report
-// and friends track the running campaign. It requires WithWatch — the
-// method exists so "am I actually watching?" fails loudly at the call
-// site instead of silently serving a frozen snapshot.
-func (c *Campaign) WatchServe(ctx context.Context, addr string) error {
-	if !c.opt.watch {
-		return errors.New("veritas: WatchServe requires WithWatch")
-	}
-	return c.Serve(ctx, addr)
-}
-
 // Close releases the campaign's store handle, if one was opened. The
 // campaign remains inspectable but can no longer run, report or serve.
-// Close refuses while a Run, Resume or Results is in flight — closing
+// Close refuses while a Run or Results is in flight — closing
 // the store under active workers would abort the run mid-append;
 // cancel the run's context (or drain the result stream) first.
 func (c *Campaign) Close() error {

@@ -497,12 +497,12 @@ func TestCampaignResume(t *testing.T) {
 	}
 	st.Close()
 
-	c2, err := veritas.NewCampaign(append(quickOptions(), veritas.WithStore(partial))...)
+	c2, err := veritas.NewCampaign(append(quickOptions(), veritas.WithStore(partial), veritas.WithResume())...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	res, err := c2.Resume(context.Background())
+	res, err := c2.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,11 +111,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	serveFn := c.Serve
-	if *watch {
-		serveFn = c.WatchServe
-	}
-	if err := serveFn(ctx, *addr); err != nil && err != http.ErrServerClosed {
+	if err := c.Serve(ctx, *addr); err != nil && err != http.ErrServerClosed {
 		cli.Fatal(logger, err)
 	}
 	// Clean shutdown: flush the one-line JSON telemetry digest (request

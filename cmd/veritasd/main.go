@@ -38,6 +38,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -51,118 +52,143 @@ import (
 // dispatcher's report.
 var logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 
-func main() {
-	// Re-exec entrypoints, in inheritance order: an agent's worker
-	// children inherit the agent env, so the worker trigger must be
-	// checked first.
-	veritas.DispatchWorkerMain()
-	veritas.FleetAgentMain()
+// daemonFlags is the command line of both roles.
+type daemonFlags struct {
+	join, name, dir, addr, tracePath string
+	pprofAddr, logFormat, logLevel   string
+	shards, restarts                 int
+	leaseTTL, maxLease               time.Duration
+	serve, progress, quiet           bool
+	campaign                         cli.CampaignFlags
+}
 
-	join := flag.String("join", "", "agent mode: join the fleet dispatcher at this base URL (e.g. http://host:9300) and work leases")
-	name := flag.String("name", "", "agent mode: requested agent id (default: dispatcher-assigned)")
-	dir := flag.String("dir", "", "agent mode: parent directory for local shard stores (default: a fresh temp dir; reuse one to resume partial shards)")
-	addr := flag.String("addr", "", "dispatcher mode: listen address for agents and the fleet status API (e.g. :9300)")
-	shards := flag.Int("shards", 0, "dispatcher mode: number of shards to lease out")
-	leaseTTL := flag.Duration("lease-ttl", 0, "dispatcher mode: lease TTL; an agent silent this long is stolen from (default 10s)")
-	maxLease := flag.Duration("max-lease", 0, "dispatcher mode: hard per-lease deadline after which even a heartbeating straggler is stolen from (default: none)")
-	serve := flag.Bool("serve", false, "dispatcher mode: keep serving the folded corpus on -addr after the campaign")
-	restarts := flag.Int("restarts", 2, "per-lease local crash-restart budget (both modes: agents restart their own workers)")
-	progress := flag.Bool("progress", false, "log every per-shard progress event instead of the rate-limited fleet summary")
-	tracePath := flag.String("trace", "", "dispatcher mode: write the fleet-wide Chrome trace-event JSON to this file after the campaign")
+// register declares every flag of both roles on fs.
+func (f *daemonFlags) register(fs *flag.FlagSet) {
+	fs.StringVar(&f.join, "join", "", "agent mode: join the fleet dispatcher at this base URL (e.g. http://host:9300) and work leases")
+	fs.StringVar(&f.name, "name", "", "agent mode: requested agent id (default: dispatcher-assigned)")
+	fs.StringVar(&f.dir, "dir", "", "agent mode: parent directory for local shard stores (default: a fresh temp dir; reuse one to resume partial shards)")
+	fs.IntVar(&f.restarts, "restarts", 2, "agent mode: per-lease local crash-restart budget (0 disables restarts)")
+	fs.StringVar(&f.addr, "addr", "", "dispatcher mode: listen address for agents and the fleet status API (e.g. :9300)")
+	fs.IntVar(&f.shards, "shards", 0, "dispatcher mode: number of shards to lease out")
+	fs.DurationVar(&f.leaseTTL, "lease-ttl", 0, "dispatcher mode: lease TTL; an agent silent this long is stolen from (default 10s)")
+	fs.DurationVar(&f.maxLease, "max-lease", 0, "dispatcher mode: hard per-lease deadline after which even a heartbeating straggler is stolen from (default: none)")
+	fs.BoolVar(&f.serve, "serve", false, "dispatcher mode: keep serving the folded corpus on -addr after the campaign")
+	fs.StringVar(&f.tracePath, "trace", "", "dispatcher mode: write the fleet-wide Chrome trace-event JSON to this file after the campaign")
+	fs.BoolVar(&f.progress, "progress", false, "log every per-shard progress event instead of the rate-limited fleet summary")
 
 	// The dispatcher owns the campaign definition; agents learn it from
 	// the lease spec.
-	var o cli.CampaignFlags
-	o.Register(flag.CommandLine, "dispatcher mode: ",
+	f.campaign.Register(fs, "dispatcher mode: ",
 		"worker pool size per agent worker process (0 = its GOMAXPROCS)",
 		"fold the fleet's shard stores into this corpus store directory")
 
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	logFormat := flag.String("log", "text", "structured log format on stderr: text or json")
-	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-	quiet := flag.Bool("quiet", false, "skip the one-line JSON telemetry summary on clean shutdown")
+	fs.StringVar(&f.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	fs.StringVar(&f.logFormat, "log", "text", "structured log format on stderr: text or json")
+	fs.StringVar(&f.logLevel, "log-level", "info", "minimum log level: debug, info, warn, error")
+	fs.BoolVar(&f.quiet, "quiet", false, "skip the one-line JSON telemetry summary on clean shutdown")
+}
+
+func main() {
+	// An agent's workers are re-execs of this binary: the worker
+	// entrypoint runs their shard and exits.
+	veritas.DispatchWorkerMain()
+
+	var f daemonFlags
+	f.register(flag.CommandLine)
 	flag.Parse()
 
-	log, err := cli.NewLogger(os.Stderr, *logFormat, *logLevel)
+	log, err := cli.NewLogger(os.Stderr, f.logFormat, f.logLevel)
 	if err != nil {
 		cli.Fatal(logger, err)
 	}
 	logger = log
-	cli.StartPprof(logger, *pprofAddr)
+	cli.StartPprof(logger, f.pprofAddr)
+
+	set := map[string]bool{}
+	flag.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
+	if err := flagConflicts(set, f.join, f.addr); err != nil {
+		cli.Fatal(logger, err)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	if f.join != "" {
+		err = agentMain(ctx, f)
+	} else {
+		err = dispatcherMain(ctx, f)
+	}
+	if err != nil {
+		cli.Fatal(logger, err)
+	}
+}
+
+// agentFlags are read only by an agent and sharedFlags by both roles;
+// every other flag shapes the dispatcher's campaign.
+var (
+	agentFlags  = map[string]bool{"join": true, "name": true, "dir": true, "restarts": true}
+	sharedFlags = map[string]bool{"progress": true, "pprof": true, "log": true, "log-level": true, "quiet": true}
+)
+
+// flagConflicts returns why the explicitly set flags (set, by name) do
+// not make one role, or nil: exactly one of -join (agent) and -addr
+// (dispatcher), and no flag the chosen role would silently ignore.
+func flagConflicts(set map[string]bool, join, addr string) error {
 	switch {
-	case *join != "" && *addr != "":
-		cli.Fatal(logger, errors.New("-join (agent) and -addr (dispatcher) are mutually exclusive: one process, one role"))
-	case *join != "":
-		// Dispatcher-shaping flags mean nothing to an agent; the lease
-		// spec carries the campaign. Refuse rather than silently ignore.
-		if stray := strayAgentFlags(flag.CommandLine); len(stray) > 0 {
-			cli.Fatal(logger, fmt.Errorf("-join takes only agent flags; the dispatcher's lease defines the campaign (drop %s)",
-				strings.Join(stray, ", ")))
-		}
-		if err := agentMain(ctx, *join, *name, *dir, *restarts, *progress); err != nil {
-			cli.Fatal(logger, err)
-		}
-	case *addr != "":
-		if *shards < 1 {
-			cli.Fatal(logger, fmt.Errorf("-shards %d: a dispatcher needs at least 1 shard to lease out", *shards))
-		}
-		if o.StoreDir == "" {
-			cli.Fatal(logger, errors.New("-addr needs -store: the folded corpus has to land somewhere"))
-		}
-		if err := dispatcherMain(ctx, o, *addr, *shards, *leaseTTL, *maxLease, *tracePath, *serve, *progress, *quiet); err != nil {
-			cli.Fatal(logger, err)
-		}
-	default:
-		cli.Fatal(logger, errors.New("pick a role: -addr :9300 -shards n -store dir (dispatcher) or -join http://host:9300 (agent)"))
+	case join != "" && addr != "":
+		return errors.New("-join (agent) and -addr (dispatcher) are mutually exclusive: one process, one role")
+	case join == "" && addr == "":
+		return errors.New("pick a role: -addr :9300 -shards n -store dir (dispatcher) or -join http://host:9300 (agent)")
 	}
-}
-
-// strayAgentFlags returns the explicitly-set flags that have no
-// meaning in agent mode.
-func strayAgentFlags(fs *flag.FlagSet) []string {
-	agentOK := map[string]bool{
-		"join": true, "name": true, "dir": true, "restarts": true,
-		"progress": true, "pprof": true, "log": true, "log-level": true, "quiet": true,
-	}
+	agent := join != ""
 	var stray []string
-	fs.Visit(func(f *flag.Flag) {
-		if !agentOK[f.Name] {
-			stray = append(stray, "-"+f.Name)
+	for name := range set {
+		if !sharedFlags[name] && agentFlags[name] != agent {
+			stray = append(stray, "-"+name)
 		}
-	})
-	return stray
+	}
+	if len(stray) == 0 {
+		return nil
+	}
+	sort.Strings(stray)
+	if agent {
+		return fmt.Errorf("-join takes only agent flags; the dispatcher's lease defines the campaign (drop %s)", strings.Join(stray, ", "))
+	}
+	return fmt.Errorf("-addr takes no agent flags; each agent sets its own (drop %s)", strings.Join(stray, ", "))
 }
 
-// agentMain runs the agent role: join the dispatcher and work leases
-// until the campaign completes or ctx is cancelled.
-func agentMain(ctx context.Context, join, name, dir string, restarts int, verbose bool) error {
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "veritasd-agent-")
-		if err != nil {
-			return err
-		}
-		dir = tmp
-		logger.Info("using a fresh store directory (pass -dir to make partial shards resumable across agent restarts)", "dir", dir)
-	}
+// agentConfig is the FleetAgentConfig the agent flags ask for.
+func (f daemonFlags) agentConfig() veritas.FleetAgentConfig {
 	cfg := veritas.FleetAgentConfig{
-		Dispatcher: join,
-		Name:       name,
-		Dir:        dir,
-		Restarts:   restarts,
+		Dispatcher: f.join,
+		Name:       f.name,
+		Dir:        f.dir,
+		Restarts:   f.restarts,
 		Logf: func(format string, args ...any) {
 			logger.Info("agent: " + fmt.Sprintf(format, args...))
 		},
 	}
-	if verbose {
+	if f.progress {
 		cfg.Events = func(e veritas.DispatchEvent) {
 			if e.Type == veritas.DispatchProgress {
 				logger.Info("shard progress", "shard", e.Shard, "done", e.Done, "total", e.Total)
 			}
 		}
+	}
+	return cfg
+}
+
+// agentMain runs the agent role: join the dispatcher and work leases
+// until the campaign completes or ctx is cancelled.
+func agentMain(ctx context.Context, f daemonFlags) error {
+	cfg := f.agentConfig()
+	if cfg.Dir == "" {
+		tmp, err := os.MkdirTemp("", "veritasd-agent-")
+		if err != nil {
+			return err
+		}
+		cfg.Dir = tmp
+		logger.Info("using a fresh store directory (pass -dir to make partial shards resumable across agent restarts)", "dir", tmp)
 	}
 	res, err := veritas.RunFleetAgent(ctx, cfg)
 	if res != nil {
@@ -180,7 +206,14 @@ func agentMain(ctx context.Context, join, name, dir string, restarts int, verbos
 
 // dispatcherMain runs the dispatcher role: serve the fleet, fold,
 // report, and optionally keep serving the folded corpus.
-func dispatcherMain(ctx context.Context, o cli.CampaignFlags, addr string, shards int, ttl, maxLease time.Duration, tracePath string, serve, progress, quiet bool) error {
+func dispatcherMain(ctx context.Context, f daemonFlags) error {
+	o, addr, shards := f.campaign, f.addr, f.shards
+	if shards < 1 {
+		return fmt.Errorf("-shards %d: a dispatcher needs at least 1 shard to lease out", shards)
+	}
+	if o.StoreDir == "" {
+		return errors.New("-addr needs -store: the folded corpus has to land somewhere")
+	}
 	opts, err := o.Options()
 	if err != nil {
 		return err
@@ -191,13 +224,13 @@ func dispatcherMain(ctx context.Context, o cli.CampaignFlags, addr string, shard
 			logger.Info("fleet dispatcher up", "addr", bound, "shards", shards,
 				"endpoints", "POST /v1/agents /v1/lease /v1/heartbeat /v1/upload; GET /v1/status /metrics /v1/trace")
 		}),
-		veritas.WithDispatchEvents(cli.NewDispatchPrinter(logger, shards, progress).Handle),
+		veritas.WithDispatchEvents(cli.NewDispatchPrinter(logger, shards, f.progress).Handle),
 	)
-	if ttl > 0 {
-		opts = append(opts, veritas.WithFleetLease(ttl))
+	if f.leaseTTL > 0 {
+		opts = append(opts, veritas.WithFleetLease(f.leaseTTL))
 	}
-	if maxLease > 0 {
-		opts = append(opts, veritas.WithFleetMaxLease(maxLease))
+	if f.maxLease > 0 {
+		opts = append(opts, veritas.WithFleetMaxLease(f.maxLease))
 	}
 	c, err := veritas.NewCampaign(opts...)
 	if err != nil {
@@ -217,7 +250,7 @@ func dispatcherMain(ctx context.Context, o cli.CampaignFlags, addr string, shard
 	res, err := c.ServeFleet(ctx, shards)
 	// Export whatever traces the run streamed up even when it failed:
 	// they are the post-mortem.
-	if terr := cli.WriteTrace(logger, c, tracePath); terr != nil && err == nil {
+	if terr := cli.WriteTrace(logger, c, f.tracePath); terr != nil && err == nil {
 		err = terr
 	}
 	if err != nil {
@@ -229,7 +262,7 @@ func dispatcherMain(ctx context.Context, o cli.CampaignFlags, addr string, shard
 	if err := c.WriteReport(os.Stdout); err != nil {
 		return err
 	}
-	if serve {
+	if f.serve {
 		// ServeFleet released -addr when the campaign finished; rebind
 		// it for plain corpus serving (agents polling for more work get
 		// 404s now, which RunFleetAgent treats as "dispatcher gone").
@@ -246,7 +279,7 @@ func dispatcherMain(ctx context.Context, o cli.CampaignFlags, addr string, shard
 			return err
 		}
 	}
-	if !quiet {
+	if !f.quiet {
 		if err := cli.WriteTelemetrySummary(os.Stderr, c.Telemetry().Summary()); err != nil {
 			logger.Error("telemetry summary", "error", err)
 		}

@@ -14,12 +14,12 @@ package veritas
 //	_ = c.WriteReport(os.Stdout) // byte-identical to a 1-process run
 //
 // Dispatch spawns one worker process per shard (a re-exec of the
-// worker binary, the current executable by default), streams their
-// progress, restarts crashed shards with resume into their same store
-// under a bounded, exponentially backed-off budget, and folds the
-// shard stores into the campaign's store. The host binary must call
-// DispatchWorkerMain at the top of main so the re-exec'd children run
-// the worker instead of the host program.
+// running executable), streams their progress, restarts crashed shards
+// with resume into their same store under a bounded, exponentially
+// backed-off budget, and folds the shard stores into the campaign's
+// store. The host binary must call DispatchWorkerMain at the top of
+// main so the re-exec'd children run the worker instead of the host
+// program.
 
 import (
 	"context"
@@ -75,33 +75,6 @@ const (
 // presence is what turns DispatchWorkerMain into the worker.
 const dispatchWorkerEnv = "VERITAS_DISPATCH_WORKER"
 
-// WithDispatchBinary sets the worker binary Dispatch re-execs (default:
-// the current executable). The binary must call DispatchWorkerMain at
-// the top of its main, as cmd/fleet does.
-func WithDispatchBinary(path string) CampaignOption {
-	return func(o *campaignOptions) error {
-		if path == "" {
-			return errors.New("veritas: WithDispatchBinary needs a path")
-		}
-		o.dispatchBinary = path
-		return nil
-	}
-}
-
-// WithDispatchDir sets the parent directory the per-shard stores live
-// under (default: the campaign store directory plus ".shards"). The
-// shard stores persist after the fold, so a later Dispatch — or a
-// manual FoldShards over the directory — can resume or refold them.
-func WithDispatchDir(dir string) CampaignOption {
-	return func(o *campaignOptions) error {
-		if dir == "" {
-			return errors.New("veritas: WithDispatchDir needs a directory")
-		}
-		o.dispatchDir = dir
-		return nil
-	}
-}
-
 // WithDispatchRestarts bounds the per-shard crash-restart budget: a
 // shard may be relaunched at most n times after its first run (default
 // 2). n = 0 disables restarts; a shard that fails n+1 times fails the
@@ -112,20 +85,6 @@ func WithDispatchRestarts(n int) CampaignOption {
 			return fmt.Errorf("veritas: dispatch restarts %d is negative (0 disables restarts)", n)
 		}
 		o.dispatchRestarts = n
-		o.dispatchRestartsSet = true
-		return nil
-	}
-}
-
-// WithDispatchBackoff sets the delay before a crashed shard's first
-// relaunch (default 500ms); it doubles per subsequent restart of the
-// same shard, capped at 30s.
-func WithDispatchBackoff(d time.Duration) CampaignOption {
-	return func(o *campaignOptions) error {
-		if d <= 0 {
-			return fmt.Errorf("veritas: dispatch backoff %v must be positive", d)
-		}
-		o.dispatchBackoff = d
 		return nil
 	}
 }
@@ -178,25 +137,26 @@ func (s workerSpec) command(binary string, env []string, shard, of int, store st
 // processes — the one-command replacement for launching one
 // `fleet -shard i/n` per terminal and folding by hand. Each worker
 // computes shard i of n into its own store under the dispatch
-// directory; crashed workers are restarted with resume into their same
-// store (bounded by WithDispatchRestarts, backed off per
-// WithDispatchBackoff); when every shard completes, the shard stores
-// are folded into the campaign's store, whose aggregate report — and
-// served /v1/report body — is byte-identical to a single-process run
-// of the same campaign. After Dispatch returns, Report, WriteReport,
-// Serve and Handler answer from the folded store.
+// directory, the store directory plus ".shards"; crashed workers are
+// restarted with resume into their same store (bounded by
+// WithDispatchRestarts, after a backoff that starts at 500ms and
+// doubles); when every shard completes, the shard stores are folded
+// into the campaign's store, whose aggregate report — and served
+// /v1/report body — is byte-identical to a single-process run of the
+// same campaign. After Dispatch returns, Report, WriteReport, Serve
+// and Handler answer from the folded store.
 //
 // Dispatch requires WithStore (the fold destination) and a campaign
 // whose result-shaping options are serializable across processes: no
 // WithCorpus or WithArms (Go values cannot cross a process boundary),
-// no WithShard (Dispatch owns the partition), and no
-// WithProgress/WithProgressCounts (use WithDispatchEvents for the
-// supervised event stream). Cancelling ctx terminates every
-// worker gracefully; finished sessions are durable in the shard
-// stores, so rerunning Dispatch resumes where the shards stopped.
+// no WithShard (Dispatch owns the partition), and no WithProgress (use
+// WithDispatchEvents for the supervised event stream). Cancelling ctx
+// terminates every worker gracefully; finished sessions are durable in
+// the shard stores, so rerunning Dispatch resumes where the shards
+// stopped.
 //
-// The worker binary (WithDispatchBinary, default the current
-// executable) must call DispatchWorkerMain at the top of main.
+// The running executable is the worker binary, so it must call
+// DispatchWorkerMain at the top of main.
 func (c *Campaign) Dispatch(ctx context.Context, n int) (*DispatchResult, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("veritas: dispatch shard count %d must be at least 1", n)
@@ -211,13 +171,9 @@ func (c *Campaign) Dispatch(ctx context.Context, n int) (*DispatchResult, error)
 	}
 	defer c.end(nil)
 
-	binary := o.dispatchBinary
-	if binary == "" {
-		exe, err := os.Executable()
-		if err != nil {
-			return nil, fmt.Errorf("veritas: resolving the worker binary: %w", err)
-		}
-		binary = exe
+	binary, err := os.Executable()
+	if err != nil {
+		return nil, fmt.Errorf("veritas: resolving the worker binary: %w", err)
 	}
 	// One machine runs all n workers: with no explicit worker count,
 	// split GOMAXPROCS across them instead of oversubscribing n-fold.
@@ -226,10 +182,6 @@ func (c *Campaign) Dispatch(ctx context.Context, n int) (*DispatchResult, error)
 		if spec.Workers = runtime.GOMAXPROCS(0) / n; spec.Workers < 1 {
 			spec.Workers = 1
 		}
-	}
-	restarts := dispatch.DefaultMaxRestarts
-	if o.dispatchRestartsSet {
-		restarts = o.dispatchRestarts
 	}
 
 	// The status tracker folds the event stream into the queryable
@@ -247,8 +199,7 @@ func (c *Campaign) Dispatch(ctx context.Context, n int) (*DispatchResult, error)
 		// replaceability check decidable before any worker runs.
 		FoldInto:     storeDir,
 		Fingerprints: c.fingerprints(),
-		MaxRestarts:  restarts,
-		Backoff:      o.dispatchBackoff,
+		MaxRestarts:  o.dispatchRestarts,
 		OnEvent: func(e DispatchEvent) {
 			tracker.Handle(e)
 			if userEvents != nil {
@@ -304,8 +255,8 @@ func (c *Campaign) dispatchPreflight(method, owner string) (storeDir, shardDir s
 		err = fmt.Errorf("veritas: WithShard and %s are mutually exclusive: %s owns the shard partition", method, owner)
 	case o.callerSupplied():
 		err = fmt.Errorf("veritas: %s cannot serialize WithCorpus/WithArms across processes; run those campaigns in-process or shard them by hand", method)
-	case o.onResult != nil || o.onProgress != nil:
-		err = errors.New("veritas: WithProgress/WithProgressCounts do not cross the worker process boundary; use WithDispatchEvents")
+	case o.onResult != nil:
+		err = errors.New("veritas: WithProgress does not cross the worker process boundary; use WithDispatchEvents")
 	}
 	if err != nil {
 		return "", "", workerSpec{}, err
@@ -313,11 +264,7 @@ func (c *Campaign) dispatchPreflight(method, owner string) (storeDir, shardDir s
 	// Clean before deriving siblings: a trailing slash would nest the
 	// shard directory (and the fold's temporary) inside the store.
 	storeDir = filepath.Clean(o.storeDir)
-	shardDir = o.dispatchDir
-	if shardDir == "" {
-		shardDir = storeDir + ".shards"
-	}
-	return storeDir, shardDir, workerSpec{
+	return storeDir, storeDir + ".shards", workerSpec{
 		campaignSpec: o.campaignSpec,
 		Workers:      o.workers,
 		NoTelem:      o.noTelemetry,
@@ -391,7 +338,8 @@ func dispatchWorker(raw string, stdout, stderr *os.File) int {
 		workers:      spec.Workers,
 		noTelemetry:  spec.NoTelem,
 		noTracing:    spec.NoTrace,
-	}, WithStore(spec.Store), WithResume(), WithShard(spec.Shard, spec.Of), WithProgressCounts(progress))
+		onProgress:   progress,
+	}, WithStore(spec.Store), WithResume(), WithShard(spec.Shard, spec.Of))
 	if err != nil {
 		return fail(err)
 	}

@@ -3,19 +3,33 @@ package veritas_test
 // The dispatched-campaign harness. TestMain makes the test binary a
 // valid dispatch worker (exactly as cmd/fleet's main does), so
 // Campaign.Dispatch can re-exec this binary as its shard workers —
-// no go-build of cmd/fleet needed. The equivalence pin (one worker
-// SIGKILLed mid-run, folded output byte-identical to a single-process
-// run) lives in dispatch_unix_test.go.
+// no go-build of cmd/fleet needed — and a fleet agent when the fleet
+// harness starts it with fleetAgentEnv set. The equivalence pins (one
+// worker or agent SIGKILLed mid-run, folded output byte-identical to a
+// single-process run) live in dispatch_unix_test.go and
+// fleetd_unix_test.go.
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
+	"syscall"
 	"testing"
 
 	"veritas"
 )
+
+// fleetAgentEnv carries the JSON FleetAgentConfig of a re-exec of this
+// test binary that the fleet harness starts as an agent.
+const fleetAgentEnv = "VERITAS_TEST_FLEET_AGENT"
 
 func TestMain(m *testing.M) {
 	// When a dispatch supervisor under test re-execs this binary as a
@@ -23,8 +37,27 @@ func TestMain(m *testing.M) {
 	// that role and exit instead of the test suite. Worker first: agent
 	// processes spawn workers that inherit the agent environment.
 	veritas.DispatchWorkerMain()
-	veritas.FleetAgentMain()
+	if raw := os.Getenv(fleetAgentEnv); raw != "" {
+		os.Exit(fleetAgent(raw))
+	}
 	os.Exit(m.Run())
+}
+
+// fleetAgent runs the agent raw configures until the campaign completes
+// (0) or fails (1); SIGINT and SIGTERM end it cleanly.
+func fleetAgent(raw string) int {
+	var cfg veritas.FleetAgentConfig
+	if err := json.Unmarshal([]byte(raw), &cfg); err != nil {
+		fmt.Fprintln(os.Stderr, "fleet agent:", err)
+		return 1
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if _, err := veritas.RunFleetAgent(ctx, cfg); err != nil && !errors.Is(err, context.Canceled) {
+		fmt.Fprintln(os.Stderr, "fleet agent:", err)
+		return 1
+	}
+	return 0
 }
 
 // dispatchOptions is the campaign the dispatch harness runs: big
@@ -79,12 +112,8 @@ func TestDispatchOptionValidation(t *testing.T) {
 		opt  veritas.CampaignOption
 		want string
 	}{
-		{"empty binary", veritas.WithDispatchBinary(""), "needs a path"},
-		{"empty dir", veritas.WithDispatchDir(""), "needs a directory"},
 		{"negative restarts", veritas.WithDispatchRestarts(-1), "negative"},
-		{"zero backoff", veritas.WithDispatchBackoff(0), "must be positive"},
 		{"nil events", veritas.WithDispatchEvents(nil), "nil"},
-		{"nil progress counts", veritas.WithProgressCounts(nil), "nil"},
 	} {
 		if _, err := veritas.NewCampaign(tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.want)
@@ -110,42 +139,54 @@ func TestDispatchRefusesOpenStore(t *testing.T) {
 	}
 }
 
-// TestWithProgressCounts pins the in-process progress hook the worker
-// protocol is built on: every completed session reports, the final
-// count equals the executed total, and the totals account for resume
-// skips and shard partitions.
-func TestWithProgressCounts(t *testing.T) {
-	var (
-		calls  []int
-		totals = map[int]bool{}
-	)
-	c, err := veritas.NewCampaign(append(quickOptions(),
-		veritas.WithProgressCounts(func(done, total int) {
-			calls = append(calls, done)
-			totals[total] = true
-		}),
-		veritas.WithWorkers(1), // serialize so the slice needs no lock
-	)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(calls) != res.Executed {
-		t.Errorf("progress called %d times, want %d", len(calls), res.Executed)
-	}
-	if len(totals) != 1 || !totals[res.Executed] {
-		t.Errorf("progress totals = %v, want exactly {%d}", totals, res.Executed)
-	}
-	highest := 0
-	for _, d := range calls {
-		if d > highest {
-			highest = d
+// TestFleetAgentRestartBudget: an agent's restart budget is taken as
+// given, the rule WithDispatchRestarts follows. A stub dispatcher leases
+// one shard whose spec every worker refuses (this binary, re-exec'd,
+// exits 1) and then answers "done": the worker runs budget+1 times
+// before the lease is released, so Restarts 0 is one attempt, not the
+// default two restarts. A negative budget is refused before anything
+// runs.
+func TestFleetAgentRestartBudget(t *testing.T) {
+	for _, restarts := range []int{0, 1} {
+		var leased atomic.Bool
+		var released atomic.Int32
+		mux := http.NewServeMux()
+		mux.HandleFunc("POST /v1/agents", func(w http.ResponseWriter, r *http.Request) {
+			fmt.Fprint(w, `{"agent":"a","shards":1,"leaseTTLMs":60000,"heartbeatMs":60000}`)
+		})
+		mux.HandleFunc("POST /v1/lease", func(w http.ResponseWriter, r *http.Request) {
+			if leased.CompareAndSwap(false, true) {
+				fmt.Fprint(w, `{"status":"lease","shard":0,"of":1,"epoch":1,"ttlMs":60000,"spec":{"sessions":-3}}`)
+				return
+			}
+			fmt.Fprint(w, `{"status":"done"}`)
+		})
+		mux.HandleFunc("POST /v1/release", func(w http.ResponseWriter, r *http.Request) {
+			released.Add(1)
+			fmt.Fprint(w, `{}`)
+		})
+		srv := httptest.NewServer(mux)
+		res, err := veritas.RunFleetAgent(context.Background(), veritas.FleetAgentConfig{
+			Dispatcher: srv.URL,
+			Dir:        t.TempDir(),
+			Restarts:   restarts,
+		})
+		srv.Close()
+		if err != nil {
+			t.Fatalf("Restarts %d: RunFleetAgent: %v", restarts, err)
+		}
+		if res.Restarts != restarts || res.Released != 1 || released.Load() != 1 {
+			t.Errorf("Restarts %d: agent result %+v with %d release(s), want %d restart(s) then one release",
+				restarts, res, released.Load(), restarts)
 		}
 	}
-	if highest != res.Executed {
-		t.Errorf("final progress count %d, want %d", highest, res.Executed)
+
+	_, err := veritas.RunFleetAgent(context.Background(), veritas.FleetAgentConfig{
+		Dispatcher: "127.0.0.1:1",
+		Dir:        t.TempDir(),
+		Restarts:   -1,
+	})
+	if err == nil || !strings.Contains(err.Error(), "negative") {
+		t.Errorf("Restarts -1: err = %v, want a negative-budget refusal", err)
 	}
 }

@@ -14,15 +14,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"testing"
-	"time"
 
 	"veritas"
 )
@@ -77,7 +73,6 @@ func TestDispatchedCampaignEquivalence(t *testing.T) {
 	c, err := veritas.NewCampaign(append(dispatchOptions(),
 		veritas.WithStore(dst),
 		veritas.WithDispatchRestarts(3),
-		veritas.WithDispatchBackoff(time.Millisecond),
 		veritas.WithDispatchEvents(events),
 	)...)
 	if err != nil {
@@ -180,55 +175,5 @@ func seedShardStore(t *testing.T, dir string, index, count int) {
 	defer st.Close()
 	if n := st.Len(); n != 1 {
 		t.Fatalf("seeded shard store holds %d sessions, want 1", n)
-	}
-}
-
-// TestDispatchWorkerEnvGolden pins the exact VERITAS_DISPATCH_WORKER
-// JSON a Dispatch hands its workers, recorded at the commit before the
-// settings moved into one campaignSpec. The worker binary is a script
-// that records its environment and fails, so the dispatch itself errors
-// (no restarts allowed) — only what it emitted matters.
-func TestDispatchWorkerEnvGolden(t *testing.T) {
-	tmp := t.TempDir()
-	out := filepath.Join(tmp, "env.out")
-	worker := filepath.Join(tmp, "worker.sh")
-	script := "#!/bin/sh\nprintf '%s\\n' \"$VERITAS_DISPATCH_WORKER\" >> " + out + "\nexit 1\n"
-	if err := os.WriteFile(worker, []byte(script), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	shards := filepath.Join(tmp, "shards")
-	c, err := veritas.NewCampaign(append(goldenOptions(),
-		veritas.WithStore(filepath.Join(tmp, "c.store")),
-		veritas.WithDispatchDir(shards),
-		veritas.WithDispatchBinary(worker),
-		veritas.WithDispatchRestarts(0),
-	)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Dispatch(context.Background(), 2); err == nil {
-		t.Fatal("a dispatch of failing workers succeeded")
-	}
-	raw, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := strings.Split(strings.TrimSpace(strings.ReplaceAll(string(raw), shards, "DIR")), "\n")
-	sort.Strings(got)
-	const settings = `{"scenarios":["lte","wifi"],"sessions":3,"chunks":40,"samples":2,"seed":7,"buffer":10,"abrs":["bba","bola"],"buffers":[5,30],"workers":2,"notracing":true,`
-	want := []string{
-		settings + `"shard":0,"of":2,"store":"DIR/shard-0.store"}`,
-		settings + `"shard":1,"of":2,"store":"DIR/shard-1.store"}`,
-	}
-	// A sibling may be cancelled before it starts once the first worker
-	// fails; every worker that did start must have seen its golden.
-	if len(got) == 0 || len(got) > len(want) {
-		t.Fatalf("recorded %d worker environments, want 1 or 2:\n%s", len(got), raw)
-	}
-	for _, line := range got {
-		if line != want[0] && line != want[1] {
-			t.Errorf("worker environment moved\nwant %s\n  or %s\ngot  %s", want[0], want[1], line)
-		}
 	}
 }

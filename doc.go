@@ -30,9 +30,9 @@
 //     a checksummed binary frame with its floats bit for bit — stores
 //     of JSON rows from older builds still open — and folds the same
 //     partials on every append, so Report never rescans stored rows),
-//     with Run/Resume/Results/Report/Serve tying a
-//     campaign's execution, durability, streaming iteration and HTTP
-//     serving together (internal/serve is the HTTP query layer).
+//     with Run/Results/Report/Serve tying a campaign's execution,
+//     durability, streaming iteration and HTTP serving together
+//     (internal/serve is the HTTP query layer).
 //   - Campaign.Dispatch scales a campaign across worker processes:
 //     a supervisor (internal/dispatch) launches one re-exec'd worker
 //     per shard (see DispatchWorkerMain), streams their progress,

@@ -3,7 +3,7 @@ package veritas
 // The networked fleet layer: Campaign.ServeFleet is Campaign.Dispatch
 // with the worker pool spread across machines. The dispatching process
 // becomes a control plane — it computes nothing itself — and any number
-// of veritasd agents (or any binary calling FleetAgentMain) join over
+// of veritasd agents (or any binary calling RunFleetAgent) join over
 // HTTP, lease shards, run them with the exact same re-exec'd
 // DispatchWorkerMain machinery a local dispatch uses, and ship their
 // shard stores back for verification and folding:
@@ -35,10 +35,6 @@ import (
 	"net"
 	"os"
 	"os/exec"
-	"os/signal"
-	"slices"
-	"strings"
-	"syscall"
 	"time"
 
 	"veritas/internal/dispatch"
@@ -64,13 +60,6 @@ const (
 	// DispatchUpload: an agent's shard store was verified and accepted.
 	DispatchUpload = dispatch.EventUpload
 )
-
-// fleetAgentEnv carries an agent config to a process started as a
-// fleet agent; its presence is what turns FleetAgentMain into the
-// agent. (Distinct from dispatchWorkerEnv: an agent *spawns* workers,
-// with dispatchWorkerEnv set, which is why DispatchWorkerMain must be
-// called before FleetAgentMain in main.)
-const fleetAgentEnv = "VERITAS_FLEET_AGENT"
 
 // WithFleet makes the campaign dispatchable over the network: ServeFleet
 // listens on addr (host:port; port 0 picks a free port, see
@@ -238,11 +227,10 @@ type FleetAgentConfig struct {
 	// Reusing it across runs lets a re-leased shard resume from
 	// whatever this agent already computed. Required.
 	Dir string
-	// Restarts is the local crash-restart budget per lease (default
-	// 2); when exhausted the lease is released back to the dispatcher.
+	// Restarts is the local crash-restart budget per lease: 0 disables
+	// restarts and a negative budget is refused. When it is exhausted
+	// the lease is released back to the dispatcher.
 	Restarts int
-	// Backoff is the local restart backoff (default 500ms).
-	Backoff time.Duration
 	// Events, when set, receives the agent's local worker lifecycle
 	// event stream.
 	Events func(DispatchEvent) `json:"-"`
@@ -267,18 +255,11 @@ func RunFleetAgent(ctx context.Context, cfg FleetAgentConfig) (*FleetAgentResult
 	if err != nil {
 		return nil, fmt.Errorf("veritas: resolving the worker binary: %w", err)
 	}
-	restarts := cfg.Restarts
-	if restarts == 0 {
-		restarts = dispatch.DefaultMaxRestarts
-	} else if restarts < 0 {
-		restarts = 0
-	}
 	return fleetd.RunAgent(ctx, fleetd.AgentConfig{
 		Dispatcher:  cfg.Dispatcher,
 		Name:        cfg.Name,
 		Dir:         cfg.Dir,
-		MaxRestarts: restarts,
-		Backoff:     cfg.Backoff,
+		MaxRestarts: cfg.Restarts,
 		OnEvent:     cfg.Events,
 		Logf:        cfg.Logf,
 		Command: func(raw json.RawMessage, shard, of int, storeDir string) (*exec.Cmd, error) {
@@ -292,14 +273,7 @@ func RunFleetAgent(ctx context.Context, cfg FleetAgentConfig) (*FleetAgentResult
 					return nil, fmt.Errorf("veritas: decoding lease spec: %w", err)
 				}
 			}
-			// Strip this agent's own trigger from the child env: the
-			// worker must run DispatchWorkerMain, and must not become
-			// another agent under a main that orders the entrypoints
-			// differently.
-			env := slices.DeleteFunc(os.Environ(), func(kv string) bool {
-				return strings.HasPrefix(kv, fleetAgentEnv+"=")
-			})
-			return spec.command(binary, env, shard, of, storeDir)
+			return spec.command(binary, os.Environ(), shard, of, storeDir)
 		},
 	})
 }
@@ -312,30 +286,3 @@ type FleetAgentResult = fleetd.AgentResult
 // ErrFleetDispatcherGone is returned (possibly wrapped) by
 // RunFleetAgent when the dispatcher stops answering.
 var ErrFleetDispatcherGone = fleetd.ErrDispatcherGone
-
-// FleetAgentMain is the agent entrypoint for re-exec'd processes: when
-// the VERITAS_FLEET_AGENT environment variable holds a JSON
-// FleetAgentConfig, the process runs that agent until the campaign
-// completes (exit 0) or fails (exit 1), handling SIGINT/SIGTERM
-// gracefully; otherwise it returns immediately and main proceeds.
-//
-// Call it after DispatchWorkerMain — an agent's worker children
-// inherit its environment, and the worker trigger must win.
-func FleetAgentMain() {
-	raw := os.Getenv(fleetAgentEnv)
-	if raw == "" {
-		return
-	}
-	var cfg FleetAgentConfig
-	if err := json.Unmarshal([]byte(raw), &cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "fleet agent:", err)
-		os.Exit(1)
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if _, err := RunFleetAgent(ctx, cfg); err != nil && !errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, "fleet agent:", err)
-		os.Exit(1)
-	}
-	os.Exit(0)
-}

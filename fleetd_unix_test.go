@@ -57,13 +57,13 @@ func spawnFleetAgent(t *testing.T, dispatcher, name, dir string, out *bytes.Buff
 		Dispatcher: dispatcher,
 		Name:       name,
 		Dir:        dir,
-		Backoff:    time.Millisecond,
+		Restarts:   2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cmd := exec.Command(exe)
-	cmd.Env = append(os.Environ(), "VERITAS_FLEET_AGENT="+string(cfg))
+	cmd.Env = append(os.Environ(), fleetAgentEnv+"="+string(cfg))
 	cmd.Stdout = out
 	cmd.Stderr = out
 	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}

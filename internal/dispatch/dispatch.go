@@ -20,7 +20,7 @@
 //     are already durable in the shard store.
 //   - Signal forwarding. When ctx is cancelled (the operator's Ctrl-C
 //     or SIGTERM), every live worker is terminated gracefully and
-//     given Grace to sync its store before being killed.
+//     given DefaultGrace to sync its store before being killed.
 //   - Fold-after-supervision. Once every shard has completed, the
 //     shard stores are folded — ordered by recorded shard index, so
 //     the result is deterministic — into FoldInto, yielding one corpus
@@ -96,17 +96,14 @@ type Config struct {
 	// lifecycle. Required.
 	Command func(w Worker) (*exec.Cmd, error)
 	// MaxRestarts is the per-shard crash-restart budget (not counting
-	// the first launch); zero disables restarts, negative means
-	// DefaultMaxRestarts. A shard that fails MaxRestarts+1 times fails
-	// the dispatch and cancels its siblings.
+	// the first launch), taken as given: zero disables restarts and a
+	// negative budget is refused. A shard that fails MaxRestarts+1 times
+	// fails the dispatch and cancels its siblings.
 	MaxRestarts int
 	// Backoff is the delay before the first restart; it doubles per
 	// subsequent restart of the same shard, capped at 30s. Zero or
 	// negative means DefaultBackoff.
 	Backoff time.Duration
-	// Grace is how long a terminated worker gets to exit (and sync its
-	// store) before it is killed. Zero or negative means DefaultGrace.
-	Grace time.Duration
 	// OnEvent, when set, receives the merged lifecycle/progress/log
 	// event stream. Calls are serialized by the supervisor, so the
 	// callback needs no locking of its own.
@@ -128,13 +125,6 @@ type Config struct {
 	KeepProcessGroup bool
 }
 
-func (c Config) maxRestarts() int {
-	if c.MaxRestarts < 0 {
-		return DefaultMaxRestarts
-	}
-	return c.MaxRestarts
-}
-
 func (c Config) backoff(attempt int) time.Duration {
 	d := c.Backoff
 	if d <= 0 {
@@ -149,11 +139,13 @@ func (c Config) backoff(attempt int) time.Duration {
 	return d
 }
 
-func (c Config) grace() time.Duration {
-	if c.Grace <= 0 {
-		return DefaultGrace
+// checkBudget refuses a negative restart budget: 0 already means no
+// restarts, so a negative one can only be a mistake.
+func (c Config) checkBudget() error {
+	if c.MaxRestarts < 0 {
+		return fmt.Errorf("dispatch: restart budget %d is negative (0 disables restarts)", c.MaxRestarts)
 	}
-	return c.Grace
+	return nil
 }
 
 // EventType labels a supervisor event.
@@ -267,6 +259,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("dispatch: Config.Dir is required")
 	}
+	if err := cfg.checkBudget(); err != nil {
+		return nil, err
+	}
 	// A trailing slash would derive paths *inside* the directories they
 	// should sit next to ("c.store/" + ".folding").
 	cfg.Dir = filepath.Clean(cfg.Dir)
@@ -370,6 +365,9 @@ func RunShard(ctx context.Context, cfg Config, shard int, storeDir string) (int,
 	if shard < 0 || shard >= cfg.Shards {
 		return 0, fmt.Errorf("dispatch: shard %d out of range 0..%d", shard, cfg.Shards-1)
 	}
+	if err := cfg.checkBudget(); err != nil {
+		return 0, err
+	}
 	var emitMu sync.Mutex
 	emit := func(e Event) {
 		if cfg.OnEvent == nil {
@@ -460,7 +458,6 @@ func checkShardsComplete(dirs []string, shards int) error {
 // backoff until the worker succeeds, the budget runs out, or the run
 // is cancelled.
 func babysit(ctx context.Context, cfg Config, shard int, dir string, emit func(Event), restarts *atomic.Int64) error {
-	budget := cfg.maxRestarts()
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -474,7 +471,7 @@ func babysit(ctx context.Context, cfg Config, shard int, dir string, emit func(E
 			// we requested; don't burn restart budget on it.
 			return ctx.Err()
 		}
-		if attempt >= budget {
+		if attempt >= cfg.MaxRestarts {
 			return fmt.Errorf("dispatch: shard %d/%d failed permanently after %d attempt(s): %w",
 				shard, cfg.Shards, attempt+1, err)
 		}
@@ -496,7 +493,7 @@ func babysit(ctx context.Context, cfg Config, shard int, dir string, emit func(E
 
 // runWorker runs one worker attempt to completion: wire pipes, start,
 // stream events, forward cancellation as a graceful terminate (then a
-// kill after Grace), and return the exit error.
+// kill after DefaultGrace), and return the exit error.
 func runWorker(ctx context.Context, cfg Config, w Worker, emit func(Event)) error {
 	cmd, err := cfg.Command(w)
 	if err != nil {
@@ -549,7 +546,7 @@ func runWorker(ctx context.Context, cfg Config, w Worker, emit func(Event)) erro
 			terminate(cmd.Process, !cfg.KeepProcessGroup)
 			select {
 			case <-waitDone:
-			case <-time.After(cfg.grace()):
+			case <-time.After(DefaultGrace):
 				kill(cmd.Process, !cfg.KeepProcessGroup)
 			}
 		}

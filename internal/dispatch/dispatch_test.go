@@ -526,7 +526,6 @@ func TestDispatchCancellation(t *testing.T) {
 		_, err := Run(ctx, Config{
 			Shards: 2,
 			Dir:    dir,
-			Grace:  100 * time.Millisecond,
 			OnEvent: func(e Event) {
 				got.add(e)
 				if e.Type == EventStart {
@@ -556,12 +555,19 @@ func TestDispatchCancellation(t *testing.T) {
 
 func TestDispatchConfigValidation(t *testing.T) {
 	for name, cfg := range map[string]Config{
-		"zero shards": {Dir: "x", Command: sh("true")},
-		"no command":  {Shards: 1, Dir: "x"},
-		"no dir":      {Shards: 1, Command: sh("true")},
+		"zero shards":             {Dir: "x", Command: sh("true")},
+		"no command":              {Shards: 1, Dir: "x"},
+		"no dir":                  {Shards: 1, Command: sh("true")},
+		"negative restart budget": {Shards: 1, Dir: "x", Command: sh("true"), MaxRestarts: -1},
 	} {
 		if _, err := Run(context.Background(), cfg); err == nil {
 			t.Errorf("%s accepted", name)
 		}
+	}
+	// A negative budget is refused, never read as a default: 0 already
+	// means no restarts. RunShard, the fleet agent's entry, too.
+	cfg := Config{Shards: 1, Command: sh("true"), MaxRestarts: -1}
+	if _, err := RunShard(context.Background(), cfg, 0, t.TempDir()); err == nil || !strings.Contains(err.Error(), "negative") {
+		t.Errorf("RunShard with MaxRestarts -1: err = %v, want a negative-budget refusal", err)
 	}
 }

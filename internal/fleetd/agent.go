@@ -45,14 +45,11 @@ type AgentConfig struct {
 	// this to the VERITAS_DISPATCH_WORKER re-exec machinery). The
 	// worker's stdout/stderr are owned by the agent. Required.
 	Command func(spec json.RawMessage, shard, of int, storeDir string) (*exec.Cmd, error)
-	// MaxRestarts is the local crash-restart budget per lease
-	// (negative means dispatch.DefaultMaxRestarts; see
-	// dispatch.Config.MaxRestarts). When the budget is exhausted the
-	// agent releases the lease back to the dispatcher.
+	// MaxRestarts is the local crash-restart budget per lease, taken
+	// as given like dispatch.Config.MaxRestarts: zero disables restarts
+	// and a negative budget is refused. When the budget is exhausted
+	// the agent releases the lease back to the dispatcher.
 	MaxRestarts int
-	// Backoff and Grace mirror dispatch.Config.
-	Backoff time.Duration
-	Grace   time.Duration
 	// OnEvent, when set, receives the agent's local worker lifecycle
 	// events (starts, progress, lines, exits, restarts), serialized.
 	OnEvent func(dispatch.Event)
@@ -97,6 +94,9 @@ func RunAgent(ctx context.Context, cfg AgentConfig) (*AgentResult, error) {
 	}
 	if cfg.Command == nil {
 		return nil, errors.New("fleetd: AgentConfig.Command is required")
+	}
+	if cfg.MaxRestarts < 0 {
+		return nil, fmt.Errorf("fleetd: restart budget %d is negative (0 disables restarts)", cfg.MaxRestarts)
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("fleetd: %w", err)
@@ -346,8 +346,6 @@ func (a *Agent) workLease(ctx context.Context, l leaseResponse) {
 	cfg := dispatch.Config{
 		Shards:           l.Of,
 		MaxRestarts:      a.cfg.MaxRestarts,
-		Backoff:          a.cfg.Backoff,
-		Grace:            a.cfg.Grace,
 		KeepProcessGroup: true,
 		Command: func(w dispatch.Worker) (*exec.Cmd, error) {
 			return a.cfg.Command(l.Spec, w.Shard, w.Shards, w.StoreDir)

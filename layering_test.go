@@ -374,3 +374,89 @@ func TestOneBinaryForTheSmallTools(t *testing.T) {
 		})
 	}
 }
+
+// TestEveryOptionHasACaller fences the facade against knobs only tests
+// reach: every exported With* constructor of the root package is called
+// from at least one non-test file of the module — bench/, cmd/,
+// examples/ and internal/ count, the constructor's own declaration does
+// not.
+func TestEveryOptionHasACaller(t *testing.T) {
+	fset := token.NewFileSet()
+	facade, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := make(map[string]int)
+	for _, name := range facade {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range file.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "With") {
+				calls[fd.Name.Name] = 0
+			}
+		}
+	}
+	if len(calls) < 20 {
+		t.Fatalf("found %d With* constructors in the root package, want the facade's options", len(calls))
+	}
+
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		root := filepath.Dir(path) == "."
+		ast.Inspect(file, func(n ast.Node) bool {
+			if fd, ok := n.(*ast.FuncDecl); ok && root && fd.Recv == nil {
+				if _, isOption := calls[fd.Name.Name]; isOption {
+					return false // a constructor does not call itself into use
+				}
+			}
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			var name string
+			switch fun := call.Fun.(type) {
+			case *ast.Ident:
+				if root {
+					name = fun.Name
+				}
+			case *ast.SelectorExpr:
+				if pkg, ok := fun.X.(*ast.Ident); ok && pkg.Name == "veritas" && !root {
+					name = fun.Sel.Name
+				}
+			}
+			if _, isOption := calls[name]; isOption {
+				calls[name]++
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, n := range calls {
+		if n == 0 {
+			t.Errorf("veritas.%s has no caller outside tests: delete it, or give it one", name)
+		}
+	}
+}

@@ -3,8 +3,8 @@ package veritas_test
 // Byte goldens of the campaign definition's two wires, recorded at the
 // commit before the settings moved into one campaignSpec: campaign.json
 // on disk (every scenario spelling) and the spec a fleet lease carries.
-// The worker-environment golden needs a fake worker binary and lives in
-// dispatch_unix_test.go. A store, a dispatcher or an agent one version
+// The worker-environment golden builds the worker command from
+// unexported parts and lives in spec_test.go. A store, a dispatcher or an agent one version
 // behind must keep reading what this version writes, so these strings
 // change only with a migration story.
 

@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"veritas/internal/abduction"
+	"veritas/internal/dispatch"
 	"veritas/internal/engine"
 	"veritas/internal/player"
 )
@@ -150,6 +151,50 @@ func TestEverySpecFieldIsFingerprintedCarriedAndValidated(t *testing.T) {
 				t.Errorf("worker exited %d on a lease with %s = %v", code, name, hostile)
 			}
 		})
+	}
+}
+
+// TestDispatchWorkerEnvGolden pins the exact VERITAS_DISPATCH_WORKER
+// JSON a Dispatch hands its workers, recorded at the commit before the
+// settings moved into one campaignSpec. It builds each shard's command
+// as Dispatch does — the spec from dispatchPreflight, the process from
+// workerSpec.command — without starting it.
+func TestDispatchWorkerEnvGolden(t *testing.T) {
+	c, err := NewCampaign(
+		WithScenarios("lte", "wifi"),
+		WithSessions(3),
+		WithChunks(40),
+		WithSamples(2),
+		WithSeed(7),
+		WithDeployedBuffer(10),
+		WithMatrix([]string{"bba", "bola"}, []float64{5, 30}),
+		WithWorkers(2),
+		WithoutTracing(),
+		WithStore(filepath.Join(t.TempDir(), "c.store")),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, dir, spec, err := c.dispatchPreflight("Dispatch", "Dispatch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const settings = `{"scenarios":["lte","wifi"],"sessions":3,"chunks":40,"samples":2,"seed":7,"buffer":10,"abrs":["bba","bola"],"buffers":[5,30],"workers":2,"notracing":true,`
+	for shard, want := range []string{
+		settings + `"shard":0,"of":2,"store":"DIR/shard-0.store"}`,
+		settings + `"shard":1,"of":2,"store":"DIR/shard-1.store"}`,
+	} {
+		cmd, err := spec.command("worker", nil, shard, 2, dispatch.ShardDir(dir, shard))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cmd.Env) != 1 {
+			t.Fatalf("worker environment %q, want the spec alone", cmd.Env)
+		}
+		if got := strings.ReplaceAll(cmd.Env[0], dir, "DIR"); got != dispatchWorkerEnv+"="+want {
+			t.Errorf("worker environment moved\nwant %s=%s\ngot  %s", dispatchWorkerEnv, want, got)
+		}
 	}
 }
 

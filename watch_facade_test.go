@@ -96,8 +96,4 @@ func TestWatchCampaignTailsAnotherCampaignsStore(t *testing.T) {
 	if _, err := w.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "WithWatch") {
 		t.Errorf("watch campaign Run error = %v, want a WithWatch mention", err)
 	}
-	// WatchServe on a non-watch campaign fails loudly.
-	if err := c.WatchServe(context.Background(), "127.0.0.1:0"); err == nil || !strings.Contains(err.Error(), "WithWatch") {
-		t.Errorf("WatchServe without WithWatch = %v, want error", err)
-	}
 }
