@@ -525,12 +525,10 @@ func newCampaign(o campaignOptions, opts ...CampaignOption) (*Campaign, error) {
 		// process-wide, so overlapping campaigns in one process each
 		// report the shared totals.)
 		c.reg.RegisterFunc("veritas_powers_cache_hits_total", telemetry.CounterFunc, func() float64 {
-			h, _ := mathx.SharedPowerStats()
-			return float64(h)
+			return float64(mathx.SharedPowersDetail().Hits)
 		})
 		c.reg.RegisterFunc("veritas_powers_cache_misses_total", telemetry.CounterFunc, func() float64 {
-			_, m := mathx.SharedPowerStats()
-			return float64(m)
+			return float64(mathx.SharedPowersDetail().Misses())
 		})
 	}
 	return c, nil

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"path/filepath"
 	"slices"
 	"sort"
 	"strconv"
@@ -19,6 +20,12 @@ import (
 	"veritas/internal/telemetry"
 	"veritas/internal/tracing"
 )
+
+// incomingDir is where uploads are received and verified before they
+// are accepted, under Config.Dir. It holds no shard.json of its own, so
+// shard discovery (store.DiscoverShards: adoption, the live tier,
+// `fleet -fold`) never takes a staged upload for a shard store.
+const incomingDir = ".incoming"
 
 // Config parameterizes a fleet dispatcher.
 type Config struct {
@@ -145,6 +152,10 @@ func New(cfg Config) (*Dispatcher, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("fleetd: %w", err)
 	}
+	// An upload a previous run staged but never accepted is debris.
+	if err := os.RemoveAll(filepath.Join(cfg.Dir, incomingDir)); err != nil {
+		return nil, fmt.Errorf("fleetd: clearing staged uploads: %w", err)
+	}
 	dirs := make([]string, cfg.Shards)
 	for i := range dirs {
 		dirs[i] = dispatch.ShardDir(cfg.Dir, i)
@@ -168,17 +179,9 @@ func New(cfg Config) (*Dispatcher, error) {
 		return nil, err
 	}
 	for _, dir := range found {
-		m, ok, err := store.ReadShardMeta(dir)
+		m, _, err := store.ReadShardMeta(dir) // DiscoverShards returns stamped directories only
 		if err != nil {
 			return nil, err
-		}
-		if !ok {
-			// An unstampped directory under Dir is debris from a crashed
-			// receive; it was never accepted, so clear it.
-			if err := os.RemoveAll(dir); err != nil {
-				return nil, fmt.Errorf("fleetd: clearing %s: %w", dir, err)
-			}
-			continue
 		}
 		if m.Count != cfg.Shards || dispatch.ShardDir(cfg.Dir, m.Index) != dir {
 			return nil, fmt.Errorf("fleetd: %s holds shard %d/%d of another layout, not 1 of %d; fold or remove it first",
@@ -638,12 +641,13 @@ func (d *Dispatcher) handleRelease(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleUpload accepts a shipped shard store: fence, receive into a
-// lease-scoped staging directory, verify (CRC framing at receive;
-// shard assignment, campaign fingerprint and every segment frame in
-// VerifyShard), then re-fence and move into the fold set. The second
-// fence closes the verification window: a lease that expired mid-
-// upload loses, its staging directory is discarded, and the re-leased
-// agent's upload is the one accepted.
+// lease-scoped staging directory under Dir/.incoming, verify (file CRCs
+// at receive; shard assignment, campaign fingerprint and every segment
+// frame in VerifyShard — a shipped store carries no sidecar that could
+// stand in for the walk), then re-fence and move into the fold set. The
+// second fence closes the verification window: a lease that expired
+// mid-upload loses, its staging directory is discarded, and the
+// re-leased agent's upload is the one accepted.
 func (d *Dispatcher) handleUpload(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	agent := q.Get("agent")
@@ -659,7 +663,7 @@ func (d *Dispatcher) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeLeaseError(w, err)
 		return
 	}
-	staging := fmt.Sprintf("%s.incoming-e%d", dispatch.ShardDir(d.cfg.Dir, shard), epoch)
+	staging := filepath.Join(d.cfg.Dir, incomingDir, fmt.Sprintf("shard-%d-e%d", shard, epoch))
 	if err := os.RemoveAll(staging); err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return

@@ -534,6 +534,31 @@ func TestDispatcherAdoptsPreviousShards(t *testing.T) {
 	}
 }
 
+// TestDispatcherClearsStagedUploads: an upload a previous dispatcher
+// received and verified but never moved into place carries a
+// shard.json, yet it was never accepted. A restarted dispatcher starts
+// over it, adopts nothing from it and leaves no staging directory.
+func TestDispatcherClearsStagedUploads(t *testing.T) {
+	src := t.TempDir()
+	buildShardStore(t, src, 0, 2)
+	var buf bytes.Buffer
+	if _, err := store.Ship(&buf, src); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "shards")
+	incoming := filepath.Join(dir, ".incoming")
+	if _, err := store.Receive(&buf, filepath.Join(incoming, "shard-0-e1")); err != nil {
+		t.Fatal(err)
+	}
+	_, _, log, _ := testDispatcher(t, 2, func(c *Config) { c.Dir = dir })
+	if n := log.count(dispatch.EventUpload); n != 0 {
+		t.Errorf("the dispatcher adopted %d staged upload(s)", n)
+	}
+	if _, err := os.Stat(incoming); !os.IsNotExist(err) {
+		t.Errorf("the staged upload outlived the restart (stat err %v)", err)
+	}
+}
+
 // TestAgentWorksLeasesEndToEnd runs a real Agent against a real
 // dispatcher over HTTP, with a stub worker command (cp of a pre-built
 // shard store) standing in for the veritas re-exec: the agent leases

@@ -174,9 +174,4 @@ func TestSharedPowersMissSplit(t *testing.T) {
 	if d1.Misses() != d1.ColdMisses+d1.CollisionMisses+d1.CapacityMisses {
 		t.Error("Misses() != sum of causes")
 	}
-	h, m := SharedPowerStats()
-	dd := SharedPowersDetail()
-	if h != dd.Hits || m != dd.Misses() {
-		t.Error("legacy SharedPowerStats disagrees with SharedPowersDetail")
-	}
 }

@@ -523,8 +523,7 @@ type SharedPowersStats struct {
 	CapacityMisses uint64
 }
 
-// Misses returns the total miss count across all three causes — the
-// value the legacy two-counter SharedPowerStats reports.
+// Misses returns the total miss count across all three causes.
 func (s SharedPowersStats) Misses() uint64 {
 	return s.ColdMisses + s.CollisionMisses + s.CapacityMisses
 }
@@ -565,15 +564,6 @@ func SharedPowers(base *Matrix) *PowerCache {
 		sharedPowers.caches[fp] = c
 	}
 	return c
-}
-
-// SharedPowerStats returns the cumulative hit/miss counts of
-// SharedPowers lookups since process start. The miss count folds cold,
-// collision and capacity misses together; SharedPowersDetail splits
-// them.
-func SharedPowerStats() (hits, misses uint64) {
-	d := SharedPowersDetail()
-	return d.Hits, d.Misses()
 }
 
 // SharedPowersDetail returns the cumulative per-cause lookup counters

@@ -223,15 +223,15 @@ func TestSharedPowersReusesCaches(t *testing.T) {
 	// A base unique to this test so the process-wide registry stats are
 	// attributable.
 	base, _ := FromRows([][]float64{{0.8125, 0.1875}, {0.34375, 0.65625}})
-	h0, m0 := SharedPowerStats()
+	d0 := SharedPowersDetail()
 	c1 := SharedPowers(base)
 	c2 := SharedPowers(base.Clone())
-	h1, m1 := SharedPowerStats()
+	d := SharedPowersDetail().Sub(d0)
 	if c1 != c2 {
 		t.Fatal("identical matrices got distinct shared caches")
 	}
-	if h1-h0 != 1 || m1-m0 != 1 {
-		t.Errorf("stats delta = %d hits %d misses, want 1 and 1", h1-h0, m1-m0)
+	if d.Hits != 1 || d.Misses() != 1 {
+		t.Errorf("stats delta = %d hits %d misses, want 1 and 1", d.Hits, d.Misses())
 	}
 	// Shared caches serve the powers a private cache computes, bit for
 	// bit (Equal compares elements with ==) — cold, and again through a

@@ -103,9 +103,6 @@ func (h *Live) refresh() (*engine.Partials, uint64) {
 	keep := make(map[string]bool, len(dirs))
 	order := make([]string, 0, len(dirs))
 	for _, dir := range dirs {
-		if strings.Contains(dir, ".incoming") {
-			continue // a fleetd upload still being staged
-		}
 		if _, ok := h.stores[dir]; !ok {
 			st, err := store.OpenWatch(dir, store.Options{})
 			if err != nil {

@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -127,14 +126,10 @@ func TestLiveHandlerEmptyParentAndLateShards(t *testing.T) {
 		t.Errorf("empty live report covers %d sessions", rep.Sessions)
 	}
 
-	// Shards appearing later are picked up; staging directories
-	// (.incoming) are ignored.
-	if err := os.MkdirAll(parent, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(filepath.Join(parent, "shard-1.store.incoming-e1"), 0o755); err != nil {
-		t.Fatal(err)
-	}
+	// Shards appearing later are picked up; an upload a fleet dispatcher
+	// is still staging, a stamped store one level further down in
+	// .incoming, is not a shard.
+	shardFixture(t, filepath.Join(parent, ".incoming"), [][]engine.SessionRow{{testRow(9, "fcc")}})
 	shardFixture(t, parent, [][]engine.SessionRow{{testRow(0, "fcc")}})
 	rec = doGet(t, h, "/v1/live/report", "")
 	if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil {

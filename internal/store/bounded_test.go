@@ -133,9 +133,19 @@ func TestCorruptLengthIsCheckedAgainstTheFile(t *testing.T) {
 
 	t.Run("the sidecar spot-check rejects it", func(t *testing.T) {
 		dir, off := twoRows(t)
-		claimHugePayload(t, filepath.Join(dir, segName(0)), off)
+		path := filepath.Join(dir, segName(0))
+		claimHugePayload(t, path, off)
+		seg, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer seg.Close()
+		fi, err := seg.Stat()
+		if err != nil {
+			t.Fatal(err)
+		}
 		var ok bool
-		if got := allocatedBy(func() { _, ok = (&Store{dir: dir}).tryLoadSidecar(0) }); got > bound {
+		if got := allocatedBy(func() { _, ok = (&Store{dir: dir}).tryLoadSidecar(0, seg, fi.Size()) }); got > bound {
 			t.Errorf("the spot-check allocated %d bytes on a corrupt length", got)
 		}
 		if ok {

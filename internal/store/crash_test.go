@@ -315,6 +315,23 @@ func TestStoreCrashFuzz(t *testing.T) {
 				}
 			}
 
+			// Every open mode follows the one rule: before the writable
+			// Open below cuts anything, a watcher indexes exactly the keys
+			// a read-only Open recovers.
+			ro, err := Open(target, Options{ReadOnly: true})
+			if err != nil {
+				t.Fatalf("read-only reopen after corruption: %v", err)
+			}
+			ws, err := OpenWatch(target, Options{})
+			if err != nil {
+				t.Fatalf("watch reopen after corruption: %v", err)
+			}
+			if got, want := ws.Keys(), ro.Keys(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("OpenWatch indexed %v, read-only Open %v", got, want)
+			}
+			ro.Close()
+			ws.Close()
+
 			s2, err := Open(target, Options{})
 			if err != nil {
 				t.Fatalf("reopen after corruption: %v", err)
@@ -355,5 +372,73 @@ func TestStoreCrashFuzz(t *testing.T) {
 				t.Errorf("row appended after recovery lost: ok=%v err=%v", ok, err)
 			}
 		})
+	}
+}
+
+// TestCorruptSealedSegmentIsOneError: a byte flipped inside a sealed
+// segment whose sidecar is gone is corruption, not a torn tail, and
+// every way of opening the store refuses it with the same error —
+// writable and read-only Open, OpenWatch, VerifyShard — and leaves the
+// segment as it found it. A watcher must not serve the frames before
+// the flip as if they were the whole corpus.
+func TestCorruptSealedSegmentIsOneError(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Create(dir, Options{SegmentBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillStore(t, s, 60, "fcc")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteShardMeta(dir, ShardMeta{Index: 0, Count: 1}); err != nil {
+		t.Fatal(err)
+	}
+	segs := segmentPaths(t, dir)
+	if len(segs) < 2 {
+		t.Fatalf("60 rows made %d segment(s); the case needs a sealed one", len(segs))
+	}
+	fi, err := os.Stat(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipByte(t, segs[0], fi.Size()/2)
+	if err := os.Remove(filepath.Join(dir, sidecarName(0))); err != nil {
+		t.Fatal(err)
+	}
+	damaged, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, want := Open(dir, Options{ReadOnly: true})
+	if want == nil || !strings.Contains(want.Error(), "only the newest segment may be torn") {
+		t.Fatalf("read-only Open = %v, want the sealed-segment corruption refused", want)
+	}
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("%s = %v, want %v", what, err, want)
+		}
+	}
+	ws, err := OpenWatch(dir, Options{})
+	if err == nil {
+		t.Errorf("OpenWatch serves %d of 60 sessions", ws.Len())
+		_, err = ws.Refresh()
+		ws.Close()
+	}
+	refused("OpenWatch", err)
+	_, err = VerifyShard(dir, 0, 1, nil)
+	refused("VerifyShard", err)
+	w, err := Open(dir, Options{})
+	if err == nil {
+		w.Close()
+	}
+	refused("writable Open", err)
+	if after, err := os.ReadFile(segs[0]); err != nil || !reflect.DeepEqual(after, damaged) {
+		t.Errorf("a refusing open modified the corrupt segment (err %v)", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, sidecarName(0))); !os.IsNotExist(err) {
+		t.Errorf("a refusing open wrote a sidecar for the corrupt segment (stat err %v)", err)
 	}
 }

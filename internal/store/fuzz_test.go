@@ -164,16 +164,22 @@ func FuzzDecodeRow(f *testing.F) {
 }
 
 // FuzzOpenEnvelope drives the envelope decoder through its two users: a
-// fuzzed sidecar is rejected or yields exactly the frame scan's index,
+// fuzzed sidecar is rejected or yields exactly the frame walk's index,
 // a fuzzed snapshot is rejected or restores exactly the rebuild's report.
 func FuzzOpenEnvelope(f *testing.F) {
 	dir := fuzzStore(f)
 	sidecarPath, snapPath := filepath.Join(dir, sidecarName(0)), filepath.Join(dir, partialsName)
 	s := &Store{dir: dir, opt: Options{ReadOnly: true}}
-	scanned, err := s.scanSegment(0, false)
-	if err != nil {
-		f.Fatal(err)
-	}
+	seg0 := mustRead(f, filepath.Join(dir, segName(0)))
+	var scanned []entry
+	walkFrames(bytes.NewReader(seg0), int64(len(segMagic)), int64(len(seg0)), func(off int64, key, payload []byte) error {
+		scen, idx, err := peekRow(payload)
+		if err != nil {
+			f.Fatal(err)
+		}
+		scanned = append(scanned, entry{key: string(key), scenario: scen, index: idx, off: off})
+		return nil
+	})
 	rebuilt := engine.NewPartials()
 	for num := 0; num < 2; num++ {
 		seg := mustRead(f, filepath.Join(dir, segName(num)))
@@ -201,7 +207,7 @@ func FuzzOpenEnvelope(f *testing.F) {
 		if err := os.WriteFile(sidecarPath, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if entries, ok := s.tryLoadSidecar(0); ok {
+		if entries, ok := s.tryLoadSidecar(0, bytes.NewReader(seg0), int64(len(seg0))); ok {
 			if len(entries) != len(scanned) {
 				t.Fatalf("sidecar accepted with %d entries, the scan finds %d", len(entries), len(scanned))
 			}

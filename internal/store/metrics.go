@@ -17,8 +17,8 @@ type storeMetrics struct {
 	segments    *telemetry.Gauge
 	recoveries  *telemetry.Counter
 	recoveredB  *telemetry.Counter
-	scLoads     *telemetry.Counter
-	scScans     *telemetry.Counter
+	scLoads     *telemetry.Counter // segments indexed from their sidecar (Open, or a watch store's first sight)
+	scScans     *telemetry.Counter // segments walked from offset 0 instead, the newest included
 
 	// Live query tier: incremental-aggregate and watch-mode health.
 	partialFolds      *telemetry.Counter // rows folded incrementally (append or tail)

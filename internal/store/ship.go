@@ -13,13 +13,16 @@ package store
 //	  u32 0 (end of files) | u32 fileCount
 //
 // Only the files that *are* the store travel: campaign.json,
-// shard.json, segments (seg-*.vseg) and their sidecar indexes
-// (seg-*.vidx). The LOCK file is host-local state and never ships;
-// stray temporaries are skipped. Receive verifies every frame's CRC
-// and refuses path separators in names (an archive must not write
-// outside its target directory), and VerifyShard then proves the
-// received directory really is shard i of n of the expected campaign
-// before the dispatcher accepts it into the fold set.
+// shard.json and the segments (seg-*.vseg). Host-local state never
+// ships: not the LOCK file, and not the sidecar indexes (seg-*.vidx),
+// which spot-check only a segment's last frame and so may stand in for
+// a full walk only on the machine that wrote the segment. Stray
+// temporaries are skipped. Receive verifies every file's CRC, refuses
+// path separators in names (an archive must not write outside its
+// target directory) and any file that is not part of a shipped store,
+// and VerifyShard then walks every frame of every segment and proves
+// the received directory really is shard i of n of the expected
+// campaign before the dispatcher accepts it into the fold set.
 
 import (
 	"encoding/binary"
@@ -54,17 +57,16 @@ const (
 // shipped-store stream.
 var ErrShipCorrupt = errors.New("store: shipped store corrupt")
 
-// shippable says whether name is part of the store proper. The LOCK
-// file is the local writer flock (meaningless on another host);
-// anything else unexpected (editor droppings, .tmp leftovers) is
-// skipped rather than shipped.
+// shippable says whether name is part of a shipped store. The LOCK
+// file (the local writer flock) and the sidecars (trusted only where
+// they were written) stay behind; anything else unexpected (editor
+// droppings, .tmp leftovers) is skipped rather than shipped.
 func shippable(name string) bool {
 	switch name {
 	case CampaignMetaFile, ShardMetaFile:
 		return true
 	}
-	return strings.HasPrefix(name, segPrefix) &&
-		(strings.HasSuffix(name, segSuffix) || strings.HasSuffix(name, sidecarSuffix))
+	return strings.HasPrefix(name, segPrefix) && strings.HasSuffix(name, segSuffix)
 }
 
 // Ship writes dir's store files to w in the shipped-store format,
@@ -221,9 +223,10 @@ func readContent(r io.Reader, size uint64) ([]byte, error) {
 // campaign: shard.json must record exactly that assignment,
 // campaign.json must structurally equal one of the acceptable
 // fingerprint forms (when fps is non-empty), and the store itself must
-// open read-only — which walks every segment frame, so a corrupt or
-// torn upload is caught here, before acceptance, not at fold time.
-// Returns the store's session count.
+// open read-only with no torn tail. A received store carries no
+// sidecars, so that open walks every segment frame: a corrupt or torn
+// upload is caught here, before acceptance, not at fold time. Returns
+// the store's session count.
 func VerifyShard(dir string, index, count int, fps [][]byte) (int, error) {
 	meta, ok, err := ReadShardMeta(dir)
 	if err != nil {

@@ -49,6 +49,12 @@ func TestShipReceiveRoundTrip(t *testing.T) {
 			t.Errorf("%s travelled with the store", junk)
 		}
 	}
+	if len(sidecarPaths(t, src)) == 0 {
+		t.Fatal("the source store has no sidecar: the check below proves nothing")
+	}
+	if idx := sidecarPaths(t, dst); len(idx) != 0 {
+		t.Errorf("sidecars travelled with the store: %v", idx)
+	}
 	// Everything that did travel arrived byte for byte.
 	files, err := os.ReadDir(dst)
 	if err != nil || len(files) != received {
@@ -140,7 +146,7 @@ func TestReceiveRejectsUnsafeNames(t *testing.T) {
 		buf.Write(trailer[:])
 		return buf.Bytes()
 	}
-	for _, name := range []string{"../evil", "a/b.vseg", `a\b.vseg`, "..", "LOCK", "random.bin"} {
+	for _, name := range []string{"../evil", "a/b.vseg", `a\b.vseg`, "..", "LOCK", "random.bin", sidecarName(0)} {
 		dst := filepath.Join(t.TempDir(), "received")
 		_, err := Receive(bytes.NewReader(frame(name)), dst)
 		if !errors.Is(err, ErrShipCorrupt) {
@@ -169,6 +175,48 @@ func TestReceiveRefusesNonEmptyDir(t *testing.T) {
 	// only for directories Receive populated from scratch.
 	if _, err := os.Stat(filepath.Join(dst, "resident")); err != nil {
 		t.Errorf("refusal destroyed pre-existing contents: %v", err)
+	}
+}
+
+// TestVerifyShardWalksShippedSegments: a sidecar spot-checks only its
+// segment's last frame, so sidecars stay on the machine that wrote them
+// and a shipped store is verified by walking every frame. A byte
+// flipped inside a sealed segment whose sidecar is intact is refused at
+// VerifyShard, before the upload is accepted, not at fold time.
+func TestVerifyShardWalksShippedSegments(t *testing.T) {
+	src := t.TempDir()
+	s, err := Create(src, Options{SegmentBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillStore(t, s, 60, "fcc")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteShardMeta(src, ShardMeta{Index: 0, Count: 1}); err != nil {
+		t.Fatal(err)
+	}
+	segs := segmentPaths(t, src)
+	if len(segs) < 2 {
+		t.Fatalf("60 rows made %d segment(s); the case needs a sealed one", len(segs))
+	}
+	fi, err := os.Stat(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipByte(t, segs[0], fi.Size()/2)
+
+	var buf bytes.Buffer
+	if _, err := Ship(&buf, src); err != nil {
+		t.Fatal(err)
+	}
+	dst := filepath.Join(t.TempDir(), "received")
+	if _, err := Receive(&buf, dst); err != nil {
+		t.Fatalf("the stream itself is intact, Receive refused it: %v", err)
+	}
+	n, err := VerifyShard(dst, 0, 1, nil)
+	if err == nil || !strings.Contains(err.Error(), "only the newest segment may be torn") {
+		t.Fatalf("VerifyShard = (%d sessions, %v), want the corrupt sealed segment refused", n, err)
 	}
 }
 

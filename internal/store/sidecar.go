@@ -4,7 +4,7 @@ package store
 // every frame of every segment to rebuild the resident key index —
 // O(total bytes), painful for a folded million-session corpus. A
 // sidecar ("seg-00000.vidx" next to "seg-00000.vseg") persists one
-// sealed segment's slice of the index, so Open rebuilds the index in
+// segment's slice of the index, so Open rebuilds the index in
 // O(segments): read each sidecar, spot-check the final frame, done.
 //
 // Sidecars are strictly an optimization, never a source of truth:
@@ -13,31 +13,37 @@ package store
 //     recorded segment size matches the file on disk, and the final
 //     frame it points at parses, passes the frame CRC and holds a row
 //     format this build knows (so a store from a newer build is refused
-//     by the scan at Open, not at the first Get). Anything
-//     else — missing, truncated, bit-flipped, stale — falls back to
-//     the full frame scan of that segment, which is exactly the PR 2
-//     open path, so stores written before sidecars existed (or whose
-//     sidecars were lost) open unchanged.
+//     by the walk at Open, not at the first Get). Anything else —
+//     missing, truncated, bit-flipped, stale — falls back to the full
+//     frame walk of that segment (indexSegment), so stores written
+//     before sidecars existed, or whose sidecars were lost, open
+//     unchanged.
 //   - Frame CRCs are still verified on every read, so a sidecar can
 //     misdirect a lookup at worst into a loud checksum error, never
 //     into silently wrong data.
+//   - Only the last frame is spot-checked, so a sidecar stands in for
+//     the walk only on the machine that wrote the segment, where the
+//     crash model is a torn or flipped tail. Sidecars never travel:
+//     Ship leaves them behind and Receive refuses them, so a store that
+//     crossed machines is walked frame by frame when it is verified.
 //
 // Sidecars are written when a segment seals (append rotation), when
 // the store closes (covering the active segment), and re-written to
-// heal after a scan fallback of a sealed segment. All writes are
-// write-then-rename and best-effort: a failed sidecar write degrades
-// the next Open to a scan, it never fails the append path.
+// heal after a writable Open had to walk a sealed segment. All writes
+// are write-then-rename and best-effort: a failed sidecar write
+// degrades the next Open to a walk, it never fails the append path.
 //
 // On-disk format: the checksummed envelope of frame.go under the magic
 // "VSIDX1\n\x00", whose payload is the JSON
 // {SegmentSize, Entries:[{Key,Scenario,Index,Off}]}.
 //
 // Entries are in frame (append) order, so folding them into the key
-// index reproduces the scan's last-write-wins semantics exactly.
+// index reproduces the walk's last-write-wins semantics exactly.
 
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -83,15 +89,11 @@ func (s *Store) writeSidecar(num int, segSize int64, entries []entry) error {
 }
 
 // tryLoadSidecar loads segment num's index slice from its sidecar,
-// returning ok=false (fall back to a frame scan) on any doubt: missing
-// or unreadable file, bad magic, bad checksum, a recorded size that no
-// longer matches the segment, or a final frame that does not verify.
-func (s *Store) tryLoadSidecar(num int) ([]entry, bool) {
-	segPath := filepath.Join(s.dir, segName(num))
-	fi, err := os.Stat(segPath)
-	if err != nil {
-		return nil, false
-	}
+// returning ok=false (fall back to the frame walk) on any doubt: missing
+// or unreadable file, bad magic, bad checksum, a recorded size other
+// than size, the segment's (read through seg), or a final frame that
+// does not verify.
+func (s *Store) tryLoadSidecar(num int, seg io.ReaderAt, size int64) ([]entry, bool) {
 	raw, err := os.ReadFile(filepath.Join(s.dir, sidecarName(num)))
 	if err != nil {
 		return nil, false
@@ -104,7 +106,7 @@ func (s *Store) tryLoadSidecar(num int) ([]entry, bool) {
 	if json.Unmarshal(payload, &sf) != nil {
 		return nil, false
 	}
-	if sf.SegmentSize != fi.Size() {
+	if sf.SegmentSize != size {
 		return nil, false // stale: the segment grew or was truncated since
 	}
 	if len(sf.Entries) == 0 {
@@ -115,11 +117,15 @@ func (s *Store) tryLoadSidecar(num int) ([]entry, bool) {
 		return nil, true
 	}
 	// Spot-check the tail: the final frame must parse, end exactly at
-	// the recorded segment size, and pass its CRC. This catches the
-	// crash-model corruptions (torn or flipped segment tails) without
-	// rescanning the whole segment.
+	// the recorded segment size, pass its CRC and hold a row this build
+	// reads. This catches the crash-model corruptions (torn or flipped
+	// segment tails) without walking the whole segment.
 	last := sf.Entries[len(sf.Entries)-1]
-	if !verifyFrameAt(segPath, last.Off, sf.SegmentSize) {
+	key, tail, _, err := readFrameAt(seg, last.Off, size, nil)
+	if err != nil || last.Off+frameHdrLen+int64(len(key)+len(tail)) != size {
+		return nil, false
+	}
+	if _, _, err := peekRow(tail); err != nil {
 		return nil, false
 	}
 	entries := make([]entry, len(sf.Entries))
@@ -130,20 +136,4 @@ func (s *Store) tryLoadSidecar(num int) ([]entry, bool) {
 		entries[i] = entry{key: e.Key, scenario: e.Scenario, index: e.Index, seg: num, off: e.Off}
 	}
 	return entries, true
-}
-
-// verifyFrameAt reports whether an intact frame holding a row this
-// build can read starts at off and ends exactly at size.
-func verifyFrameAt(segPath string, off, size int64) bool {
-	f, err := os.Open(segPath)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	key, payload, _, err := readFrameAt(f, off, size, nil)
-	if err != nil || off+frameHdrLen+int64(len(key)+len(payload)) != size {
-		return false
-	}
-	_, _, err = peekRow(payload)
-	return err == nil
 }

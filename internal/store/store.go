@@ -28,25 +28,26 @@
 // of the newest segment; Open detects it (short frame or CRC mismatch),
 // truncates the segment back to the last intact record, and reports the
 // dropped bytes via Recovered. Torn frames anywhere else are corruption
-// and fail Open. Records themselves are immutable once written; a
-// re-run session is appended again and the newer record wins.
+// and fail Open and OpenWatch alike: one indexer (indexSegment) decides
+// what every segment holds, in every mode. Records themselves are
+// immutable once written; a re-run session is appended again and the
+// newer record wins.
 //
 // Memory. The resident index holds (key, scenario, index, location)
 // per record — tens of bytes — never payloads, so a store of millions
 // of sessions serves point lookups in O(log n) by binary search over
 // the sorted key index while the rows stay on disk.
 //
-// Reopen cost. Sealed segments carry sidecar indexes (see sidecar.go)
-// so Open rebuilds the resident index in O(segments) instead of
-// re-reading every frame; a missing, stale or corrupt sidecar falls
-// back to the full scan of that segment, so pre-sidecar stores open
-// unchanged.
+// Reopen cost. Segments carry sidecar indexes (see sidecar.go) so Open
+// rebuilds the resident index in O(segments) instead of re-reading
+// every frame; a missing, stale or corrupt sidecar falls back to the
+// full walk of that segment, so pre-sidecar stores open unchanged.
+// Sidecars never leave the machine that wrote them.
 package store
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -130,8 +131,8 @@ type Store struct {
 	activeEntries []entry // the active segment's frames, in append order
 	recovered     int64
 	gen           uint64 // bumped on every append, including same-key overwrites
-	sidecarLoads  int    // segments whose index came from a sidecar at Open
-	sidecarScans  int    // segments that needed a full frame scan at Open
+	sidecarLoads  int    // segments indexed from their sidecar (by Open or the watch tail)
+	sidecarScans  int    // segments that needed a frame walk from offset 0 instead
 	closed        bool
 	met           storeMetrics
 
@@ -162,120 +163,84 @@ func Open(dir string, opt Options) (*Store, error) {
 		} else if !fi.IsDir() {
 			return nil, fmt.Errorf("store: %s is not a directory", dir)
 		}
-	} else {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
+	} else if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
+	return newStore(dir, opt, (*Store).load)
+}
+
+// newStore is the one constructor behind Open and OpenWatch: it builds
+// an empty store over dir, lets fill index it, and registers the store's
+// gauges once that succeeded. A failed fill leaves no file or lock held.
+func newStore(dir string, opt Options, fill func(*Store) error) (*Store, error) {
 	s := &Store{dir: dir, opt: opt, readers: make(map[int]segReader), met: newStoreMetrics(opt.Telemetry)}
-	if !opt.ReadOnly {
-		// Single-writer discipline: two campaigns appending to one
-		// store would track offsets independently and corrupt each
-		// other's view. The flock is released automatically if the
-		// process dies, so crash-resume never needs manual cleanup.
-		if err := s.acquireLock(); err != nil {
-			return nil, err
-		}
-	}
-	opened := false
-	defer func() {
-		if !opened {
-			s.releaseLock()
-		}
-	}()
-	nums, err := s.segmentNumbers()
-	if err != nil {
+	if err := fill(s); err != nil {
+		s.closeFiles()
 		return nil, err
 	}
-	if opt.ReadOnly && len(nums) == 0 {
-		return nil, fmt.Errorf("store: %s holds no segments", dir)
-	}
-	byKey := make(map[string]entry)
-	var lastEntries []entry
-	for i, num := range nums {
-		last := i == len(nums)-1
-		segEntries, err := s.loadSegment(num, last)
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range segEntries { // frame order: later frames win
-			byKey[e.key] = e
-		}
-		if last {
-			lastEntries = segEntries
-		}
-	}
-	s.entries = make([]entry, 0, len(byKey))
-	for _, e := range byKey {
-		s.entries = append(s.entries, e)
-	}
-	sort.Slice(s.entries, func(i, j int) bool { return s.entries[i].key < s.entries[j].key })
-
-	switch {
-	case opt.ReadOnly:
-		s.activeNum = nums[len(nums)-1]
-	case len(nums) == 0:
-		if err := s.newSegment(0); err != nil {
-			return nil, err
-		}
-	default:
-		if err := s.openActive(nums[len(nums)-1]); err != nil {
-			return nil, err
-		}
-		// The last segment becomes the active one; keep its frame
-		// list so Close (and the next rotation) can write a complete
-		// sidecar for it.
-		s.activeEntries = lastEntries
-	}
-	segs := len(nums)
-	if segs == 0 && !opt.ReadOnly {
-		segs = 1 // the fresh segment created above
-	}
-	s.met.segments.Set(float64(segs))
-	if s.recovered > 0 {
-		s.met.recoveries.Inc()
-		s.met.recoveredB.Add(uint64(s.recovered))
-	}
-	s.met.scLoads.Add(uint64(s.sidecarLoads))
-	s.met.scScans.Add(uint64(s.sidecarScans))
 	if reg := opt.Telemetry; reg != nil {
 		// Evaluated at snapshot time, outside the registry lock, so
 		// taking s.mu inside is safe. Both keep working after Close.
 		reg.RegisterFunc("veritas_store_sessions", telemetry.GaugeFunc, func() float64 { return float64(s.Len()) })
 		reg.RegisterFunc("veritas_store_generation", telemetry.GaugeFunc, func() float64 { return float64(s.Generation()) })
 	}
-	opened = true
 	return s, nil
 }
 
-// loadSegment rebuilds one segment's slice of the index: from its
-// sidecar when one verifies, by a full frame scan otherwise. A sealed
-// segment that needed a scan gets its sidecar re-written (healed) so
-// the next Open is O(segments) again.
-func (s *Store) loadSegment(num int, last bool) ([]entry, error) {
-	if entries, ok := s.tryLoadSidecar(num); ok {
-		s.sidecarLoads++
-		return entries, nil
-	}
-	entries, err := s.scanSegment(num, last)
-	if err != nil {
-		return nil, err
-	}
-	s.sidecarScans++
-	if !s.opt.ReadOnly && !last {
-		// Best-effort: a failed heal just means another scan next time.
-		size := int64(len(segMagic))
-		if fi, err := os.Stat(filepath.Join(s.dir, segName(num))); err == nil {
-			size = fi.Size()
+// load is Open's fill: it indexes every segment, counts the newest
+// one's short tail as recovered and, unless read-only, cuts it away and
+// makes that segment the one appends go to.
+func (s *Store) load() error {
+	if !s.opt.ReadOnly {
+		// Single-writer discipline: two campaigns appending to one
+		// store would track offsets independently and corrupt each
+		// other's view. The flock is released automatically if the
+		// process dies, so crash-resume never needs manual cleanup.
+		if err := s.acquireLock(); err != nil {
+			return err
 		}
-		_ = s.writeSidecar(num, size, entries)
 	}
-	return entries, nil
+	nums, err := s.segmentNumbers()
+	if err != nil {
+		return err
+	}
+	if len(nums) == 0 {
+		if s.opt.ReadOnly {
+			return fmt.Errorf("store: %s holds no segments", s.dir)
+		}
+		s.met.segments.Set(1)
+		return s.newSegment(0, os.O_EXCL)
+	}
+	s.activeNum = nums[len(nums)-1]
+	var entries []entry
+	var end, size int64
+	for _, n := range nums {
+		if entries, end, size, err = s.indexSegment(n, 0); err != nil {
+			return err
+		}
+		s.staged = append(s.staged, entries...)
+	}
+	s.mergeIndex()
+	s.met.segments.Set(float64(len(nums)))
+	// entries, end and size are the newest segment's now: the one that
+	// may end short, where a crash tore an append.
+	if s.recovered = size - end; s.recovered > 0 {
+		s.met.recoveries.Inc()
+		s.met.recoveredB.Add(uint64(s.recovered))
+	}
+	if s.opt.ReadOnly {
+		return nil
+	}
+	// Keep the newest segment's frame list so Close (and the next
+	// rotation) can write a complete sidecar for it.
+	s.activeEntries = entries
+	return s.openActive(end)
 }
 
-// SidecarStats reports how Open rebuilt the resident index: segments
-// restored from sidecar indexes versus segments that needed a full
-// frame scan (no sidecar, a stale or corrupt one, or a torn tail).
+// SidecarStats reports how the resident index was built: segments
+// restored from sidecar indexes versus segments that needed a frame
+// walk from offset 0 (no sidecar, a stale or corrupt one, or a torn
+// tail). A watch store counts each segment the first time it sees it.
 func (s *Store) SidecarStats() (fromSidecar, scanned int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -315,79 +280,80 @@ func (s *Store) segmentNumbers() ([]int, error) {
 	return nums, nil
 }
 
-// scanSegment walks one segment's frames, returning every intact record
-// in frame order. A torn tail is recovered (truncated, unless
-// read-only) when the segment is the last one, and fatal otherwise.
-func (s *Store) scanSegment(num int, last bool) ([]entry, error) {
-	path := filepath.Join(s.dir, segName(num))
-	f, err := os.Open(path)
+// indexSegment indexes segment n from offset off. It is the one reader
+// of what a segment holds, behind Open (writable or read-only) and the
+// watch tail. From offset 0 a sidecar that verifies (see sidecar.go)
+// stands in for the frames and covers the whole segment; otherwise the
+// header is checked and the intact frames are walked. It returns the
+// entries in frame order, end — the first byte no intact frame accounts
+// for, 0 when the header is missing — and the segment's size.
+//
+// The rule for a segment that ends short (end < size, or no header) is
+// the same everywhere: only the newest segment may, because a crash tore
+// its tail (Open) or a write is still in flight (the watch tail), and
+// the caller decides which. A sealed segment that does not index to its
+// end is corrupt, an error in every mode. A frame that passes its CRC
+// and does not parse is an error anywhere: it is a row format this build
+// does not know, and truncating it away (or indexing it under no
+// scenario) would lose or misfile committed rows.
+//
+// A writable store heals a sealed segment that needed the walk by
+// rewriting its sidecar, so the next Open skips the walk again. Caller
+// holds mu, or owns the store outright as Open does.
+func (s *Store) indexSegment(n int, off int64) (entries []entry, end, size int64, err error) {
+	r, err := s.readerLocked(n)
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return nil, 0, 0, err
 	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+	if size, err = r.limit(); err != nil {
+		return nil, 0, 0, fmt.Errorf("store: %w", err)
 	}
-	size := fi.Size()
-
-	var entries []entry
-	good, torn := int64(0), true // until the magic verifies: a header that never landed, or junk
-	magic := make([]byte, len(segMagic))
-	if _, err := f.ReadAt(magic, 0); err == nil && string(magic) == segMagic {
-		// A frame that passes its CRC and still does not parse is not a
-		// torn tail: it is a row format this build does not know, and
-		// truncating it away (or indexing it under no scenario) would
-		// lose or misfile committed rows.
-		good, err = walkFrames(f, int64(len(segMagic)), size, func(off int64, key, payload []byte) error {
+	from := off
+	if off == 0 {
+		if entries, ok := s.tryLoadSidecar(n, r.f, size); ok {
+			s.sidecarLoads++
+			s.met.scLoads.Inc()
+			return entries, size, size, nil
+		}
+		s.sidecarScans++
+		s.met.scScans.Inc()
+		var magic [len(segMagic)]byte
+		if _, err := r.f.ReadAt(magic[:], 0); err == nil && string(magic[:]) == segMagic {
+			off = int64(len(segMagic))
+		}
+	}
+	end = off
+	if off > 0 {
+		end, err = walkFrames(r.f, off, size, func(at int64, key, payload []byte) error {
 			scen, idx, err := peekRow(payload)
 			if err != nil {
-				return fmt.Errorf("store: %s@%d: %w", segName(num), off, err)
+				return fmt.Errorf("store: %s@%d: %w", segName(n), at, err)
 			}
-			entries = append(entries, entry{key: string(key), scenario: scen, index: idx, seg: num, off: off})
+			entries = append(entries, entry{key: string(key), scenario: scen, index: idx, seg: n, off: at})
 			return nil
 		})
 		if err != nil {
-			return nil, err
-		}
-		torn = good < size
-	}
-	if !torn {
-		return entries, nil
-	}
-	if !last {
-		return nil, fmt.Errorf("store: %s: corrupt frame at offset %d (%d bytes follow); only the newest segment may be torn",
-			path, good, size-good)
-	}
-	s.recovered += size - good
-	if s.opt.ReadOnly {
-		return entries, nil
-	}
-	if err := os.Truncate(path, good); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	if good < int64(len(segMagic)) {
-		// The crash landed before the magic header itself was durable.
-		// Rewrite it, or the records appended next would sit in a
-		// header-less segment and be dropped wholesale on the following
-		// Open.
-		w, err := os.OpenFile(path, os.O_WRONLY|os.O_TRUNC, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
-		defer w.Close()
-		if _, err := w.Write([]byte(segMagic)); err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
-		if err := w.Sync(); err != nil {
-			return nil, fmt.Errorf("store: %w", err)
+			return nil, 0, 0, err
 		}
 	}
-	return entries, nil
+	if n < s.activeNum {
+		if end < size || end == 0 {
+			return nil, 0, 0, fmt.Errorf("store: %s: corrupt frame at offset %d (%d bytes follow); only the newest segment may be torn",
+				filepath.Join(s.dir, segName(n)), end, size-end)
+		}
+		if from == 0 && !s.opt.ReadOnly {
+			// Best-effort: a failed heal just means another walk next time.
+			_ = s.writeSidecar(n, size, entries)
+		}
+	}
+	return entries, end, size, nil
 }
 
-func (s *Store) newSegment(num int) error {
-	f, err := os.OpenFile(filepath.Join(s.dir, segName(num)), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+// newSegment creates segment num with its header and makes it the one
+// appends go to. flag is os.O_EXCL for a fresh segment, or os.O_TRUNC to
+// restart one whose header never became durable.
+func (s *Store) newSegment(num, flag int) error {
+	f, err := os.OpenFile(filepath.Join(s.dir, segName(num)), os.O_CREATE|os.O_WRONLY|flag, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
@@ -406,20 +372,26 @@ func (s *Store) newSegment(num int) error {
 	return nil
 }
 
-func (s *Store) openActive(num int) error {
-	path := filepath.Join(s.dir, segName(num))
+// openActive makes the newest segment the one appends go to, first
+// cutting it back to end, where its intact frames stop. A segment whose
+// header never became durable is restarted instead, or the records
+// appended next would sit behind no header and be dropped wholesale by
+// the following Open.
+func (s *Store) openActive(end int64) error {
+	if end < int64(len(segMagic)) {
+		return s.newSegment(s.activeNum, os.O_TRUNC)
+	}
+	path := filepath.Join(s.dir, segName(s.activeNum))
+	if s.recovered > 0 {
+		if err := os.Truncate(path, end); err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	size, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	s.active = f
-	s.activeNum = num
-	s.activeLen = size
+	s.active, s.activeLen = f, end
 	return nil
 }
 
@@ -463,7 +435,7 @@ func (s *Store) Append(row engine.SessionRow) (err error) {
 		// Seal the segment with its sidecar so the next Open skips the
 		// frame scan. Best-effort: the frames are the source of truth.
 		_ = s.writeSidecar(s.activeNum, s.activeLen, s.activeEntries)
-		if err := s.newSegment(s.activeNum + 1); err != nil {
+		if err := s.newSegment(s.activeNum+1, os.O_EXCL); err != nil {
 			return err
 		}
 		s.met.fsyncs.Inc()
@@ -551,19 +523,29 @@ func (s *Store) Close() error {
 	s.closed = true
 	var first error
 	if s.active != nil {
-		if err := s.active.Sync(); err != nil && first == nil {
+		if err := s.active.Sync(); err != nil {
 			first = err
-		} else if err == nil {
+		} else {
 			s.met.fsyncs.Inc()
 		}
-		if err := s.active.Close(); err != nil && first == nil {
-			first = err
-		}
-		s.active = nil
 		// A clean close seals the active segment too: with every
 		// segment carrying a current sidecar, the next Open rebuilds
 		// the whole index without scanning a single frame.
 		_ = s.writeSidecar(s.activeNum, s.activeLen, s.activeEntries)
+	}
+	if err := s.closeFiles(); err != nil && first == nil {
+		first = err
+	}
+	return first
+}
+
+// closeFiles releases every handle the store holds: the active segment,
+// the shared readers and the writer lock.
+func (s *Store) closeFiles() error {
+	var first error
+	if s.active != nil {
+		first = s.active.Close()
+		s.active = nil
 	}
 	for _, r := range s.readers {
 		if err := r.f.Close(); err != nil && first == nil {

@@ -2,23 +2,26 @@ package store
 
 // Watch mode: tail a store another process is still writing.
 //
-// A read-only Open wants a finished corpus — it scans once, treats a
+// A read-only Open wants a finished corpus — it indexes once, treats a
 // torn tail as recovered loss, and never looks at the directory again.
-// OpenWatch instead keeps per-segment scan positions and re-checks the
+// OpenWatch instead keeps per-segment index positions and re-checks the
 // directory on every Refresh: new bytes in the newest segment are
-// framed and folded in, a freshly sealed segment is picked up through
-// its sidecar without a re-scan, and a brand-new segment starts a new
-// tail. An incomplete frame at a tail is never an error here — it is a
-// write in flight, so the refresh stops before it and the next refresh
-// retries from the same position.
+// framed and folded in, a segment seen for the first time is indexed
+// from offset 0 (through its sidecar when one verifies), and a brand-new
+// segment starts a new tail. Both read segments through the one indexer
+// (indexSegment) and so follow its one rule: an incomplete frame or a
+// missing header at the end of the newest segment is a write in flight,
+// so the refresh stops before it and the next refresh retries from the
+// same position; a sealed segment that does not index to its end is
+// corrupt, and every refresh returns that error, as Open does.
 //
 // The one thing a watcher cannot incrementally survive is the store
 // moving backwards — a segment shrinking or vanishing means the
 // directory was truncated, compacted, or replaced wholesale. Refresh
-// then resets: it drops the index, readers, scan positions, and partial
-// aggregates, bumps the watch epoch (so stale folds lose by sequence
-// number) and the generation (so every ETag built on it changes), and
-// rescans from scratch.
+// then resets: it drops the index, readers, index positions, and
+// partial aggregates, bumps the watch epoch (so stale folds lose by
+// sequence number) and the generation (so every ETag built on it
+// changes), and re-indexes from scratch.
 //
 // Appends, truncation, and locking are all absent: a watch store is
 // ReadOnly, takes no writer lock, and never mutates the directory —
@@ -29,8 +32,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"veritas/internal/telemetry"
 )
 
 // OpenWatch opens dir for tailing: read-only, tolerant of the directory
@@ -42,22 +43,11 @@ func OpenWatch(dir string, opt Options) (*Store, error) {
 	if fi, err := os.Stat(dir); err == nil && !fi.IsDir() {
 		return nil, fmt.Errorf("store: %s is not a directory", dir)
 	}
-	s := &Store{
-		dir:      dir,
-		opt:      opt,
-		readers:  make(map[int]segReader),
-		watch:    true,
-		watchPos: make(map[int]int64),
-		met:      newStoreMetrics(opt.Telemetry),
-	}
-	if _, err := s.Refresh(); err != nil {
-		return nil, err
-	}
-	if reg := opt.Telemetry; reg != nil {
-		reg.RegisterFunc("veritas_store_sessions", telemetry.GaugeFunc, func() float64 { return float64(s.Len()) })
-		reg.RegisterFunc("veritas_store_generation", telemetry.GaugeFunc, func() float64 { return float64(s.Generation()) })
-	}
-	return s, nil
+	return newStore(dir, opt, func(s *Store) error {
+		s.watch, s.watchPos = true, make(map[int]int64)
+		_, err := s.Refresh()
+		return err
+	})
 }
 
 // IsWatch reports whether the store was opened with OpenWatch.
@@ -131,81 +121,45 @@ func (s *Store) watchResetLocked() {
 	s.met.watchResets.Inc()
 }
 
-// tailSegmentLocked folds segment n's frames from the last scanned
-// position up to size. Caller holds mu.
+// tailSegmentLocked folds segment n's frames from the last indexed
+// position on. The newest segment ending short is a write in flight:
+// the position stops before it and the next refresh retries from there.
+// Caller holds mu.
 func (s *Store) tailSegmentLocked(n int, size int64) (added int, err error) {
 	pos := s.watchPos[n]
 	if pos >= size {
 		return 0, nil
 	}
-	if pos == 0 && n < s.activeNum {
-		// First sight of an already-sealed segment (the writer rotated
-		// past it, or the watcher started on an existing store): its
-		// sidecar replays the frame list without a scan.
-		if entries, ok := s.tryLoadSidecar(n); ok {
-			s.sidecarLoads++
-			s.met.scLoads.Inc()
-			for _, e := range entries {
-				if err := s.ingestWatchEntry(e, nil); err != nil {
-					return added, err
-				}
-				added++
-			}
-			s.watchPos[n] = size
-			return added, nil
-		}
-		s.sidecarScans++
-		s.met.scScans.Inc()
-	}
-	r, err := s.readerLocked(n)
+	entries, end, _, err := s.indexSegment(n, pos)
 	if err != nil {
-		return 0, nil // unreadable right now; retry next refresh
+		return 0, err
 	}
-	if pos == 0 {
-		magic := make([]byte, len(segMagic))
-		if _, err := r.f.ReadAt(magic, 0); err != nil || string(magic) != segMagic {
-			return 0, nil // header write in flight
-		}
-		pos = int64(len(segMagic))
-	}
-	// A torn or in-flight frame is where the walk stops; the next
-	// refresh retries from there. A frame that verifies and does not
-	// parse is an error, now and on every later refresh: it is a row
-	// format this build does not know, not a write in flight.
-	s.watchPos[n], err = walkFrames(r.f, pos, size, func(off int64, key, payload []byte) error {
-		scen, idx, err := peekRow(payload)
-		if err != nil {
-			return fmt.Errorf("store: %s@%d: %w", segName(n), off, err)
-		}
-		e := entry{key: string(key), scenario: scen, index: idx, seg: n, off: off}
-		if err := s.ingestWatchEntry(e, payload); err != nil {
-			return err
+	for _, e := range entries {
+		if err := s.ingestWatchEntry(e); err != nil {
+			s.watchPos[n] = e.off // retry from the row that failed
+			return added, err
 		}
 		added++
-		return nil
-	})
-	return added, err
+	}
+	s.watchPos[n] = end
+	return added, nil
 }
 
 // ingestWatchEntry stages one tailed entry and, when the partials are
-// built, folds its row into them. payload is the entry's verified row
-// payload, or nil when a sidecar supplied the entry without its frame
-// being read — the row is then read back only if the fold needs it.
-// Caller holds mu.
-func (s *Store) ingestWatchEntry(e entry, payload []byte) error {
+// built, reads its row back and folds it into them. Caller holds mu.
+func (s *Store) ingestWatchEntry(e entry) error {
 	s.staged = append(s.staged, e)
 	s.gen++
 	if s.partials == nil {
 		return nil
 	}
-	if payload == nil {
-		r, err := s.readerLocked(e.seg)
-		if err != nil {
-			return err
-		}
-		if payload, _, err = s.readPayload(r, e, nil); err != nil {
-			return err
-		}
+	r, err := s.readerLocked(e.seg)
+	if err != nil {
+		return err
+	}
+	payload, _, err := s.readPayload(r, e, nil)
+	if err != nil {
+		return err
 	}
 	row, err := decodeRow(payload)
 	if err != nil {
