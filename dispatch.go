@@ -261,8 +261,8 @@ func (c *Campaign) dispatchPreflight(method, owner string) (storeDir, shardDir s
 	if err != nil {
 		return "", "", workerSpec{}, err
 	}
-	// Clean before deriving siblings: a trailing slash would nest the
-	// shard directory (and the fold's temporary) inside the store.
+	// Clean before deriving the shard directory: a trailing slash would
+	// nest it inside the store.
 	storeDir = filepath.Clean(o.storeDir)
 	return storeDir, storeDir + ".shards", workerSpec{
 		campaignSpec: o.campaignSpec,

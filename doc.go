@@ -48,6 +48,12 @@
 // in for the paper's Mahimahi testbed, a synthetic VBR video, a player,
 // and the MPC/BBA/BOLA ABR algorithms. The internal/experiments package
 // regenerates every figure of the paper's evaluation; see EXPERIMENTS.md.
+// Its testbed.go declares the paper's setups once — Setting A, the
+// what-if Setting Bs, the trace sets — and that table stays unexported.
+// The programs under examples/ and the benchmark under bench/ restate
+// those setups through this package's public API, as any caller would:
+// they are the public restatement, not a second definition to keep in
+// step.
 //
 // # Quick start
 //
@@ -106,7 +112,10 @@
 // or a leak costs one shard, never the supervisor), reported over one
 // protocol (the worker's NDJSON progress stream), tracked in one
 // dispatch.Status, described by one spec (workerSpec, spec.go),
-// pre-flighted by one check and folded by one FoldStores.
+// pre-flighted by one shard-layout check (dispatch.CheckLayout) and one
+// fold-target check (store.CheckFoldTarget), and folded by one
+// store.Fold, which lands atomically and owns the one rule for
+// replacing its destination.
 //
 // What differs is who owns a shard's store while it runs, and no merge
 // removes that. The local supervisor owns the shard directories: a

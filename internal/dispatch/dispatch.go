@@ -79,17 +79,13 @@ type Config struct {
 	// ShardDir lays them out. Created if missing.
 	Dir string
 	// FoldInto, when non-empty, is the store directory the shard stores
-	// are folded into after every shard completes. An existing FoldInto
-	// is replaced only when its campaign.json matches the shards' (a
-	// previous fold of this same campaign, reproducible from the shard
-	// stores sitting next to it); anything else is refused.
+	// are folded into (store.Fold, under its replace rule) after every
+	// shard completes.
 	FoldInto string
-	// Fingerprints, when set, are the acceptable campaign.json forms of
-	// the campaign being dispatched. They make the FoldInto
-	// replaceability check decidable before any worker runs even when
-	// the shard stores haven't been stamped yet (a fresh dispatch), so
-	// a destination holding a different campaign fails fast instead of
-	// after the whole campaign computed.
+	// Fingerprints are the acceptable campaign.json forms of the
+	// campaign being dispatched: Run's pre-flight (store.CheckFoldTarget)
+	// judges FoldInto by them before any worker runs, so a destination
+	// holding a different campaign fails fast, not after the campaign.
 	Fingerprints [][]byte
 	// Command builds the process for one worker attempt. The supervisor
 	// owns the process's stdout/stderr (do not set them) and its
@@ -137,6 +133,18 @@ func (c Config) backoff(attempt int) time.Duration {
 		d = maxBackoff
 	}
 	return d
+}
+
+// emitter returns the supervisor's one serialized path to OnEvent.
+func (c Config) emitter() func(Event) {
+	var mu sync.Mutex
+	return func(e Event) {
+		if c.OnEvent != nil {
+			mu.Lock()
+			defer mu.Unlock()
+			c.OnEvent(e)
+		}
+	}
 }
 
 // checkBudget refuses a negative restart budget: 0 already means no
@@ -262,12 +270,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.checkBudget(); err != nil {
 		return nil, err
 	}
-	// A trailing slash would derive paths *inside* the directories they
-	// should sit next to ("c.store/" + ".folding").
-	cfg.Dir = filepath.Clean(cfg.Dir)
-	if cfg.FoldInto != "" {
-		cfg.FoldInto = filepath.Clean(cfg.FoldInto)
-	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("dispatch: %w", err)
 	}
@@ -275,31 +277,20 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	for i := range dirs {
 		dirs[i] = ShardDir(cfg.Dir, i)
 	}
-	if err := checkLayout(cfg.Dir, dirs, cfg.Shards); err != nil {
+	if _, err := CheckLayout(cfg.Dir, cfg.Shards); err != nil {
 		return nil, err
 	}
 	if cfg.FoldInto != "" {
 		// Fail fast on a fold destination that can never be replaced —
 		// discovering that only after a multi-hour campaign would waste
-		// the whole run. Lenient mode: when neither the shard stores
-		// nor Config.Fingerprints can prove a match the decision is
-		// deferred to the strict fold-time check, which reruns once the
-		// shard stores carry their fingerprints.
-		if err := checkReplaceable(cfg.FoldInto, dirs, cfg.Fingerprints, false); err != nil {
+		// the whole run.
+		if err := store.CheckFoldTarget(cfg.FoldInto, dirs, cfg.Fingerprints); err != nil {
 			return nil, err
 		}
 	}
 
 	start := time.Now()
-	var emitMu sync.Mutex
-	emit := func(e Event) {
-		if cfg.OnEvent == nil {
-			return
-		}
-		emitMu.Lock()
-		defer emitMu.Unlock()
-		cfg.OnEvent(e)
-	}
+	emit := cfg.emitter()
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -339,7 +330,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 	res := &Result{ShardDirs: dirs, Restarts: int(restarts.Load())}
 	if cfg.FoldInto != "" {
-		n, err := foldShards(cfg.FoldInto, dirs, cfg.Fingerprints, cfg.Tracer)
+		n, err := store.Fold(cfg.FoldInto, store.Options{Tracer: cfg.Tracer}, dirs...)
 		if err != nil {
 			return nil, err
 		}
@@ -368,65 +359,44 @@ func RunShard(ctx context.Context, cfg Config, shard int, storeDir string) (int,
 	if err := cfg.checkBudget(); err != nil {
 		return 0, err
 	}
-	var emitMu sync.Mutex
-	emit := func(e Event) {
-		if cfg.OnEvent == nil {
-			return
-		}
-		emitMu.Lock()
-		defer emitMu.Unlock()
-		cfg.OnEvent(e)
-	}
+	emit := cfg.emitter()
 	var restarts atomic.Int64
 	err := babysit(ctx, cfg, shard, storeDir, emit, &restarts)
 	return int(restarts.Load()), err
 }
 
-// FoldStores folds completed per-shard stores into dst under the same
-// replaceability discipline Run applies after supervision: dst is
-// replaced only when provably a stale fold of this campaign (its
-// campaign.json matches the shards', or one of the acceptable
-// fingerprints), and the fold lands in a temporary sibling first so a
-// crash never leaves a half-written dst. Exported for the fleetd
-// dispatcher, which collects its shard stores over the network instead
-// of supervising local processes but must fold identically.
-func FoldStores(dst string, dirs []string, fps [][]byte, trc *tracing.Tracer) (int, error) {
-	if err := checkShardsComplete(dirs, len(dirs)); err != nil {
-		return 0, err
-	}
-	return foldShards(dst, dirs, fps, trc)
-}
-
-// checkLayout is the pre-flight partial-shard detection: every shard
-// store already under dir must belong to this dispatch — same shard
-// count, and sitting in the directory its recorded index names. A
-// leftover from a dispatch with a different shard count (or a stray
-// shard store dropped into dir) is refused before any worker starts,
-// because resuming workers into mispartitioned stores would mix
-// differently partitioned runs.
-func checkLayout(dir string, expect []string, shards int) error {
+// CheckLayout is the pre-flight partial-shard detection both control
+// planes run: every shard store already under dir must belong to a
+// dispatch of shards shards — same shard count, and sitting in the
+// directory its recorded index names (ShardDir). A leftover from a
+// dispatch with a different shard count (or a stray shard store dropped
+// into dir) is refused before any worker starts or lease is granted,
+// because resuming into mispartitioned stores would mix differently
+// partitioned runs. It returns the shards whose stores are there.
+func CheckLayout(dir string, shards int) (stamped []int, err error) {
 	found, err := store.DiscoverShards(dir)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, d := range found {
 		m, ok, err := store.ReadShardMeta(d)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if !ok {
 			continue // raced away; the worker will re-stamp it
 		}
 		if m.Count != shards {
-			return fmt.Errorf("dispatch: %s holds shard %d/%d of a previous layout, not 1 of %d; fold or remove it first",
+			return nil, fmt.Errorf("dispatch: %s holds shard %d/%d of a previous layout, not 1 of %d; fold or remove it first",
 				d, m.Index, m.Count, shards)
 		}
-		if d != expect[m.Index] {
-			return fmt.Errorf("dispatch: %s records shard %d/%d but shard %d writes to %s; remove the stray store",
-				d, m.Index, m.Count, m.Index, expect[m.Index])
+		if want := ShardDir(dir, m.Index); d != want {
+			return nil, fmt.Errorf("dispatch: %s records shard %d/%d but shard %d writes to %s; remove the stray store",
+				d, m.Index, m.Count, m.Index, want)
 		}
+		stamped = append(stamped, m.Index)
 	}
-	return nil
+	return stamped, nil
 }
 
 // checkShardsComplete is the post-run counterpart: with more than one
@@ -627,84 +597,4 @@ func drain(err error, r io.Reader, w Worker, pid int, stream string, emit func(E
 		Type: EventLine, Shard: w.Shard, Attempt: w.Attempt, PID: pid, Stream: stream,
 		Line: fmt.Sprintf("[supervisor] %s scan aborted (%v); %d trailing bytes discarded", stream, err, n),
 	})
-}
-
-// foldShards folds the shard stores into dst, replacing a previous
-// fold of the same campaign. The fold lands in a temporary sibling
-// first, so a crash mid-fold never leaves a half-written dst; dst is
-// replaced only after the fresh fold fully succeeded, and only when
-// what it holds is provably a stale fold of this campaign (same
-// campaign.json as the shards carry).
-func foldShards(dst string, dirs []string, fps [][]byte, trc *tracing.Tracer) (int, error) {
-	if err := checkReplaceable(dst, dirs, fps, true); err != nil {
-		return 0, err
-	}
-	tmp := dst + ".folding"
-	if err := os.RemoveAll(tmp); err != nil {
-		return 0, fmt.Errorf("dispatch: %w", err)
-	}
-	n, err := store.Fold(tmp, store.Options{Tracer: trc}, dirs...)
-	if err != nil {
-		os.RemoveAll(tmp)
-		return 0, err
-	}
-	if err := os.RemoveAll(dst); err != nil {
-		return 0, fmt.Errorf("dispatch: %w", err)
-	}
-	if err := os.Rename(tmp, dst); err != nil {
-		return 0, fmt.Errorf("dispatch: %w", err)
-	}
-	return n, nil
-}
-
-// checkReplaceable decides whether dst may be replaced by a fresh
-// fold: yes when it is absent or empty, and yes when its campaign.json
-// equals the shards' (it is a previous dispatch's fold output,
-// reproducible from the shard stores). Any other store is someone
-// else's data and is refused. When no shard store carries a
-// fingerprint yet (a fresh dispatch), the caller-supplied acceptable
-// fingerprints decide instead; with neither available, strict refuses
-// (a fold target that cannot be proven ours must not be deleted) while
-// lenient defers to the strict fold-time recheck.
-func checkReplaceable(dst string, dirs []string, fps [][]byte, strict bool) error {
-	entries, err := os.ReadDir(dst)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("dispatch: %w", err)
-	}
-	if len(entries) == 0 {
-		return nil
-	}
-	dstFP, dstRaw, err := store.ReadCampaignMeta(dst)
-	if err != nil {
-		return err
-	}
-	if dstRaw == nil {
-		return fmt.Errorf("dispatch: fold destination %s already exists and carries no campaign.json; not replacing it", dst)
-	}
-	for _, d := range dirs {
-		_, raw, err := store.ReadCampaignMeta(d)
-		if err != nil {
-			return err
-		}
-		if raw == nil {
-			continue
-		}
-		if !store.CampaignMatches(dstFP, raw) {
-			return fmt.Errorf("dispatch: fold destination %s holds a different campaign than shard store %s; not replacing it", dst, d)
-		}
-		return nil
-	}
-	if store.CampaignMatches(dstFP, fps...) {
-		return nil
-	}
-	if len(fps) > 0 {
-		return fmt.Errorf("dispatch: fold destination %s holds a different campaign than the one being dispatched; not replacing it", dst)
-	}
-	if !strict {
-		return nil
-	}
-	return fmt.Errorf("dispatch: fold destination %s exists but the shard stores carry no campaign.json to match it against; not replacing it", dst)
 }

@@ -38,11 +38,12 @@ type Config struct {
 	// (a previous interrupted fleet run resumes).
 	Dir string
 	// FoldInto, when non-empty, is the store directory the shard
-	// stores are folded into once every shard's upload is accepted.
+	// stores are folded into (store.Fold) once every shard's upload is
+	// accepted.
 	FoldInto string
 	// Fingerprints are the acceptable campaign.json forms; uploads are
-	// verified against them before acceptance, and the fold target's
-	// replaceability check uses them exactly as a local dispatch does.
+	// verified against them, and New's pre-flight judges FoldInto by
+	// them exactly as a local dispatch does (store.CheckFoldTarget).
 	Fingerprints [][]byte
 	// Spec is the opaque worker spec template each lease carries to
 	// its agent (the facade's workerSpec without shard assignment; the
@@ -140,8 +141,8 @@ type Dispatcher struct {
 }
 
 // New builds a dispatcher: lays out (or adopts) the shard directory,
-// pre-accepts verified shard stores a previous run left, and arms the
-// lease table.
+// runs a local dispatch's pre-flight, pre-accepts verified shard
+// stores a previous run left, and arms the lease table.
 func New(cfg Config) (*Dispatcher, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("fleetd: shard count %d must be at least 1", cfg.Shards)
@@ -160,6 +161,15 @@ func New(cfg Config) (*Dispatcher, error) {
 	for i := range dirs {
 		dirs[i] = dispatch.ShardDir(cfg.Dir, i)
 	}
+	stamped, err := dispatch.CheckLayout(cfg.Dir, cfg.Shards)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.FoldInto != "" {
+		if err := store.CheckFoldTarget(cfg.FoldInto, dirs, cfg.Fingerprints); err != nil {
+			return nil, err
+		}
+	}
 	d := &Dispatcher{
 		cfg:    cfg,
 		tab:    newTable(cfg.Shards, cfg.LeaseTTL, cfg.MaxLease, cfg.MaxGrants, cfg.now),
@@ -174,25 +184,13 @@ func New(cfg Config) (*Dispatcher, error) {
 	// verifies as shard i/n of this campaign is done work we must not
 	// recompute — and anything that *doesn't* verify is refused now,
 	// not at fold time.
-	found, err := store.DiscoverShards(cfg.Dir)
-	if err != nil {
-		return nil, err
-	}
-	for _, dir := range found {
-		m, _, err := store.ReadShardMeta(dir) // DiscoverShards returns stamped directories only
-		if err != nil {
-			return nil, err
-		}
-		if m.Count != cfg.Shards || dispatch.ShardDir(cfg.Dir, m.Index) != dir {
-			return nil, fmt.Errorf("fleetd: %s holds shard %d/%d of another layout, not 1 of %d; fold or remove it first",
-				dir, m.Index, m.Count, cfg.Shards)
-		}
-		n, err := store.VerifyShard(dir, m.Index, m.Count, cfg.Fingerprints)
+	for _, i := range stamped {
+		n, err := store.VerifyShard(dirs[i], i, cfg.Shards, cfg.Fingerprints)
 		if err != nil {
 			return nil, fmt.Errorf("fleetd: adopting previous shard store: %w", err)
 		}
-		d.tab.markDone(m.Index)
-		d.emit(dispatch.Event{Type: dispatch.EventUpload, Shard: m.Index, Done: n})
+		d.tab.markDone(i)
+		d.emit(dispatch.Event{Type: dispatch.EventUpload, Shard: i, Done: n})
 	}
 	return d, nil
 }
@@ -317,7 +315,7 @@ func (d *Dispatcher) finish() (*Result, error) {
 	if d.cfg.FoldInto != "" {
 		d.landing.Lock() // wait out an accepted store still being moved into place
 		d.landing.Unlock()
-		n, err := dispatch.FoldStores(d.cfg.FoldInto, d.dirs, d.cfg.Fingerprints, d.cfg.Tracer)
+		n, err := store.Fold(d.cfg.FoldInto, store.Options{Tracer: d.cfg.Tracer}, d.dirs...)
 		if err != nil {
 			return nil, err
 		}

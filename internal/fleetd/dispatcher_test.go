@@ -3,9 +3,11 @@ package fleetd
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -670,4 +672,105 @@ func TestAgentTreatsLeaseNotFoundAsDispatcherGone(t *testing.T) {
 	if res == nil || res.Agent != "late" {
 		t.Fatalf("result = %+v, want a registered agent named late", res)
 	}
+}
+
+// TestNewRefusesFoldTargetItCannotReplace: the fleet dispatcher runs
+// the pre-flight a local dispatch runs, so a fold destination the
+// campaign could never replace fails New, before any lease is granted,
+// with the errors dispatch.Run gives.
+func TestNewRefusesFoldTargetItCannotReplace(t *testing.T) {
+	other := t.TempDir()
+	if err := os.WriteFile(filepath.Join(other, store.CampaignMetaFile), []byte(`{"seed": 99}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	plain := t.TempDir()
+	if err := os.WriteFile(filepath.Join(plain, "keep.txt"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ours := t.TempDir()
+	if err := os.WriteFile(filepath.Join(ours, store.CampaignMetaFile), testFingerprint, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ name, foldInto, want string }{
+		{"another campaign", other, "different campaign"},
+		{"no campaign.json", plain, "no campaign.json"},
+		{"a previous fold of ours", ours, ""},
+	} {
+		d, err := New(Config{
+			Shards:       2,
+			Dir:          filepath.Join(t.TempDir(), "shards"),
+			FoldInto:     c.foldInto,
+			Fingerprints: [][]byte{testFingerprint},
+		})
+		if err == nil {
+			d.Close()
+		}
+		if (c.want == "") != (err == nil) || (err != nil && !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("%s: New = %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestUploadRefusesShippedSidecars pins the mixed-version refusal: an
+// agent built before sidecars stopped travelling ships each segment's
+// .vidx with it. The dispatcher answers 400 naming the file, so the
+// upload is refused rather than trusted.
+func TestUploadRefusesShippedSidecars(t *testing.T) {
+	_, srv, _, _ := testDispatcher(t, 1, nil)
+	postJSON(t, srv.URL+"/v1/agents", registerRequest{Name: "old"}, nil)
+	var lease leaseResponse
+	if code := postJSON(t, srv.URL+"/v1/lease", leaseRequest{Agent: "old"}, &lease); code != 200 {
+		t.Fatalf("lease: HTTP %d", code)
+	}
+	src := t.TempDir()
+	buildShardStore(t, src, 0, 1)
+	url := fmt.Sprintf("%s/v1/upload?agent=old&shard=0&epoch=%d", srv.URL, lease.Epoch)
+	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(shipWithSidecars(t, src)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, store.ErrShipCorrupt.Error()) ||
+		!strings.Contains(body.Error, `"seg-00000.vidx"`) {
+		t.Errorf("upload with a sidecar = HTTP %d %q, want 400 naming seg-00000.vidx", resp.StatusCode, body.Error)
+	}
+}
+
+// shipWithSidecars encodes dir in the shipped-store format the way Ship
+// did while sidecars still travelled: every store file but the LOCK,
+// sorted by name, the .vidx sidecars included.
+func shipWithSidecars(t *testing.T, dir string) []byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := []byte("VSHIP1\n\x00")
+	files, sidecars := 0, 0
+	for _, e := range entries { // ReadDir sorts by name
+		if e.Name() == "LOCK" {
+			continue
+		}
+		content, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream = binary.LittleEndian.AppendUint32(stream, uint32(len(e.Name())))
+		stream = binary.LittleEndian.AppendUint64(stream, uint64(len(content)))
+		stream = binary.LittleEndian.AppendUint32(stream, crc32.ChecksumIEEE(content))
+		stream = append(append(stream, e.Name()...), content...)
+		files++
+		if strings.HasSuffix(e.Name(), ".vidx") {
+			sidecars++
+		}
+	}
+	if sidecars == 0 {
+		t.Fatalf("%s has no sidecar to ship", dir)
+	}
+	stream = binary.LittleEndian.AppendUint32(stream, 0)
+	return binary.LittleEndian.AppendUint32(stream, uint32(files))
 }

@@ -161,7 +161,7 @@ func TestTableDoneShardRejectsEverything(t *testing.T) {
 
 // TestTableSweepAfterCompleteIsNoop pins the expiry-during-fold edge:
 // once every shard is done nothing is leased, so a sweep racing the
-// fold (the Wait timer fires while FoldStores runs) revokes nothing
+// fold (the Wait timer fires while store.Fold runs) revokes nothing
 // and the completion state is untouched.
 func TestTableSweepAfterCompleteIsNoop(t *testing.T) {
 	clock := newFakeClock()

@@ -82,16 +82,23 @@ type reportQuery struct {
 	percentiles []float64
 }
 
-// cacheKey is the canonical identity of the query for the body cache:
-// spellings that parse to the same query share a key (percentiles=50,90,
-// "50, 90" and 50.0,90; an explicit default list and an absent one),
-// and no two different queries do. The free-text filters are quoted, so
-// no byte inside one can pass for a field boundary. Percentile order
-// stays significant, as it is in the response.
+// cacheKey is the canonical identity of the query for the body cache at
+// endpoint, over the fields the endpoint reads (the report reads only
+// the scenario and ABR filters; only percentiles reads the list):
+// spellings that parse to the same answer share a key (percentiles=50,90,
+// "50, 90" and 50.0,90; an explicit default list and an absent one; a
+// metric on the report), and no two different answers do. The free-text
+// filters are quoted, so no byte inside one can pass for a field
+// boundary. Percentile order stays significant, as in the response.
 func (q *reportQuery) cacheKey(endpoint string) string {
-	b := fmt.Appendf(nil, "%s %t%q%q%q%s %s", endpoint, q.scenarioSet, q.scenario, q.abr, q.arm, q.metricKey, q.estimator)
-	for _, p := range q.percentiles {
-		b = strconv.AppendFloat(append(b, ','), p, 'g', -1, 64)
+	b := fmt.Appendf(nil, "%s %t%q%q", endpoint, q.scenarioSet, q.scenario, q.abr)
+	if endpoint != "report" {
+		b = fmt.Appendf(b, "%q%s %s", q.arm, q.metricKey, q.estimator)
+	}
+	if endpoint == "percentiles" {
+		for _, p := range q.percentiles {
+			b = strconv.AppendFloat(append(b, ','), p, 'g', -1, 64)
+		}
 	}
 	return string(b)
 }

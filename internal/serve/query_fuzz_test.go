@@ -68,6 +68,8 @@ func FuzzReportQuery(f *testing.F) {
 		{"arm=bba-5s&percentiles=50,,90", "arm=bba-5s&percentiles=,"},
 		{"arm=x%00y", "abr=%00x&arm=y"},
 		{"arm=bba-5s&percentiles=50,90", "arm=bba-5s&percentiles=90,50"},
+		{"abr=bba&arm=bba-5s&metric=rebuf&estimator=truth&percentiles=50", "abr=bba"},
+		{"arm=bba-5s&percentiles=50", "arm=bba-5s&percentiles=90"},
 	} {
 		f.Add(seed[0], seed[1])
 	}
@@ -95,8 +97,10 @@ func FuzzReportQuery(f *testing.F) {
 			if aerr != nil {
 				t.Fatalf("the canonical spelling of %q does not parse: %s", raw, aerr.Message)
 			}
-			if got, want := canon.cacheKey("report"), q.cacheKey("report"); got != want {
-				t.Fatalf("canonicalising %q twice moves its key:\n%q\n%q", raw, want, got)
+			for _, ep := range reportEndpoints {
+				if got, want := canon.cacheKey(ep.name), q.cacheKey(ep.name); got != want {
+					t.Fatalf("canonicalising %q twice moves its %s key:\n%q\n%q", raw, ep.name, want, got)
+				}
 			}
 			queries = append(queries, q, canon)
 		}
@@ -116,4 +120,39 @@ func FuzzReportQuery(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestCacheKeyIgnoresUnreadFields: a cache key carries only the fields
+// its endpoint reads, so two spellings that differ in nothing else share
+// one entry.
+func TestCacheKeyIgnoresUnreadFields(t *testing.T) {
+	for _, c := range []struct {
+		endpoint, a, b string
+		same           bool
+	}{
+		{"report", "abr=bba", "abr=bba&arm=bba-5s&metric=rebuf&estimator=truth&percentiles=50", true},
+		{"report", "abr=bba", "abr=bola", false},
+		{"report", "", "scenario=lte", false},
+		{"cdf", "arm=bba-5s", "arm=bba-5s&percentiles=50", true},
+		{"series", "arm=bba-5s&percentiles=1,2", "arm=bba-5s&percentiles=50", true},
+		{"cdf", "arm=bba-5s", "arm=bba-5s&metric=rebuf", false},
+		{"series", "arm=bba-5s", "arm=bba-5s&estimator=truth", false},
+		{"series", "arm=bba-5s", "arm=bba-5s&abr=bola", false},
+		{"percentiles", "arm=bba-5s&percentiles=50", "arm=bba-5s&percentiles=90", false},
+	} {
+		key := func(raw string) string {
+			vals, err := url.ParseQuery(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, aerr := parseReportQuery(vals)
+			if aerr != nil {
+				t.Fatalf("parsing %q: %s", raw, aerr.Message)
+			}
+			return q.cacheKey(c.endpoint)
+		}
+		if got := key(c.a) == key(c.b); got != c.same {
+			t.Errorf("%s: %q and %q share a key = %v, want %v", c.endpoint, c.a, c.b, got, c.same)
+		}
+	}
 }

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 )
 
@@ -174,7 +175,9 @@ func ReadShardMeta(dir string) (m ShardMeta, ok bool, err error) {
 // a partial fold would serve an incomplete "campaign" under the full
 // campaign fingerprint. Sources without metadata keep caller order.
 // Either way the fold itself is Merge: sessions deduplicate by ID,
-// last listed source wins.
+// last listed source wins, and it lands as Merge's does, except that it
+// carries the sources' campaign.json and so may replace a previous fold
+// of its campaign.
 func Fold(dst string, opt Options, srcs ...string) (n int, err error) {
 	if len(srcs) == 0 {
 		return 0, errors.New("store: Fold needs at least one source")
@@ -199,17 +202,86 @@ func Fold(dst string, opt Options, srcs ...string) (n int, err error) {
 	}
 	tb.Span("order", orderT0, map[string]any{"sources": len(ordered)})
 	mergeT0 := tb.Now()
-	n, err = Merge(dst, opt, ordered...)
+	n, err = land(dst, opt, fp, ordered)
 	if err != nil {
 		return 0, err
 	}
 	tb.Span("merge", mergeT0, nil)
-	if fp != nil {
-		if err := writeFileAtomic(filepath.Join(dst, CampaignMetaFile), fp); err != nil {
-			return 0, fmt.Errorf("store: %w", err)
-		}
-	}
 	return n, nil
+}
+
+// land merges srcs into <dst>.folding, with fp (when non-nil) as its
+// campaign.json, and only then renames it over dst, if replaceable
+// allows; the store it replaces is renamed aside to <dst>.replaced, not
+// deleted in place. So at every moment a reader can see, dst is absent,
+// the store it held before, or the complete new fold, and a crash
+// leaves at most the two siblings, which the next fold clears.
+func land(dst string, opt Options, fp []byte, srcs []string) (int, error) {
+	if dst == "" {
+		return 0, errors.New("store: fold destination is empty")
+	}
+	dst = filepath.Clean(dst) // a trailing slash would put the siblings inside dst
+	if err := replaceable(dst, [][]byte{fp}); err != nil {
+		return 0, err
+	}
+	tmp, old := dst+".folding", dst+".replaced"
+	if err := errors.Join(os.RemoveAll(tmp), os.RemoveAll(old)); err != nil {
+		return 0, fmt.Errorf("store: %w", err)
+	}
+	n, err := merge(tmp, opt, srcs)
+	if err == nil && fp != nil {
+		err = writeFileAtomic(filepath.Join(tmp, CampaignMetaFile), fp)
+	}
+	if err != nil {
+		os.RemoveAll(tmp)
+		return 0, err
+	}
+	if err := os.Rename(dst, old); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return 0, fmt.Errorf("store: %w", err)
+	}
+	if err := os.Rename(tmp, dst); err != nil {
+		return 0, fmt.Errorf("store: %w", err)
+	}
+	os.RemoveAll(old) // best effort: the next fold clears what is left
+	return n, nil
+}
+
+// replaceable is the one rule for when a fold may replace dst: dst is
+// absent or empty, or carries a campaign.json matching one of forms —
+// the fold's own, so dst is a previous fold of the same campaign,
+// reproducible from its sources. Anything else is someone else's data;
+// a fold with no campaign.json (Merge) replaces no non-empty dst.
+func replaceable(dst string, forms [][]byte) error {
+	entries, err := os.ReadDir(dst)
+	if errors.Is(err, os.ErrNotExist) || (err == nil && len(entries) == 0) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	have, raw, err := ReadCampaignMeta(dst)
+	switch {
+	case err != nil:
+		return err
+	case raw == nil:
+		return fmt.Errorf("store: fold destination %s already exists and carries no %s; not replacing it", dst, CampaignMetaFile)
+	case !CampaignMatches(have, forms...):
+		return fmt.Errorf("store: fold destination %s holds a different campaign than this fold; not replacing it", dst)
+	}
+	return nil
+}
+
+// CheckFoldTarget is the fold's pre-flight, run by both control planes
+// before any worker starts or lease is granted: it applies replaceable
+// to dst now, not after the campaign computed, with the campaign's
+// acceptable campaign.json forms and whatever campaign.json the shard
+// stores srcs already carry.
+func CheckFoldTarget(dst string, srcs []string, forms [][]byte) error {
+	fp, err := commonFingerprint(srcs)
+	if err != nil {
+		return err
+	}
+	return replaceable(dst, append(slices.Clip(forms), fp)) // a nil fp matches nothing
 }
 
 // orderByShard sorts srcs by recorded shard index when every source

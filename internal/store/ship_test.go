@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -155,6 +156,36 @@ func TestReceiveRejectsUnsafeNames(t *testing.T) {
 		if _, serr := os.Stat(dst); !os.IsNotExist(serr) {
 			t.Errorf("refused frame %q left %s behind", name, dst)
 		}
+	}
+}
+
+// TestReceiveRefusesShippedSidecars pins the mixed-version refusal: an
+// agent built while sidecars still travelled ships each segment's .vidx
+// with it, and Receive refuses that stream naming the file.
+func TestReceiveRefusesShippedSidecars(t *testing.T) {
+	src := shipShard(t, 0, 1, []int{0, 1}, `{"seed":1}`)
+	stream := []byte(shipMagic)
+	names := []string{CampaignMetaFile, segName(0), sidecarName(0), ShardMetaFile} // sorted, as Ship sends them
+	for _, name := range names {
+		content, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream = binary.LittleEndian.AppendUint32(stream, uint32(len(name)))
+		stream = binary.LittleEndian.AppendUint64(stream, uint64(len(content)))
+		stream = binary.LittleEndian.AppendUint32(stream, crc32.ChecksumIEEE(content))
+		stream = append(append(stream, name...), content...)
+	}
+	stream = binary.LittleEndian.AppendUint32(stream, 0)
+	stream = binary.LittleEndian.AppendUint32(stream, uint32(len(names)))
+
+	dst := filepath.Join(t.TempDir(), "received")
+	_, err := Receive(bytes.NewReader(stream), dst)
+	if !errors.Is(err, ErrShipCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("%q", sidecarName(0))) {
+		t.Errorf("Receive of a stream carrying a sidecar = %v, want ErrShipCorrupt naming %s", err, sidecarName(0))
+	}
+	if _, serr := os.Stat(dst); !os.IsNotExist(serr) {
+		t.Errorf("the refused stream left %s behind", dst)
 	}
 }
 

@@ -855,10 +855,17 @@ func (s *Store) Scan(fn func(engine.SessionRow) error) error {
 // are dropped, and the surviving records are written in sorted key
 // order, one at a time, so compaction memory is bounded by a single
 // row. Returns the number of sessions in the merged store.
+// It is built in <dst>.folding and renamed into place only when
+// complete (land), and never replaces a dst that is not empty.
 func Merge(dst string, opt Options, srcs ...string) (int, error) {
 	if len(srcs) == 0 {
 		return 0, errors.New("store: Merge needs at least one source")
 	}
+	return land(dst, opt, nil, srcs)
+}
+
+// merge writes the merge of srcs into the fresh store dst.
+func merge(dst string, opt Options, srcs []string) (int, error) {
 	opened := make([]*Store, 0, len(srcs))
 	defer func() {
 		for _, st := range opened {

@@ -30,6 +30,7 @@ func OpenStore(dir string, opt FleetStoreOptions) (*FleetStore, error) {
 // The caller's ordering is the precedence; to fold the per-shard
 // stores of a sharded campaign, use FoldShards, which orders by shard
 // index instead of trusting however the directories were enumerated.
+// Like FoldShards it lands atomically, but dst must be absent or empty.
 func MergeStores(dst string, srcs ...string) (int, error) {
 	return store.Merge(dst, store.Options{}, srcs...)
 }
@@ -43,6 +44,12 @@ func MergeStores(dst string, srcs ...string) (int, error) {
 // fingerprints refuse to fold). The folded store's aggregate report is
 // byte-identical to the report of a single unsharded run of the same
 // campaign.
+//
+// The fold lands atomically: built in <dst>.folding, it replaces dst
+// only when complete, so a failed or crashed fold never shows at dst
+// (a crash leaves only siblings the next fold clears). dst may be
+// absent, empty, or a stale fold of the same campaign — so re-running
+// FoldShards into its own output refreshes it; anything else is refused.
 func FoldShards(dst string, srcs ...string) (int, error) {
 	return store.Fold(dst, store.Options{}, srcs...)
 }
