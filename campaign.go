@@ -235,7 +235,9 @@ func WithArms(arms ...FleetArm) CampaignOption {
 	}
 }
 
-// WithWorkers sets the engine worker-pool size (default GOMAXPROCS).
+// WithWorkers sets the engine worker-pool size (default GOMAXPROCS),
+// which also builds the synthetic corpus. Like sharding, it shapes how
+// fast a campaign runs, never what it computes.
 func WithWorkers(n int) CampaignOption {
 	return func(o *campaignOptions) error {
 		if n < 0 {
@@ -573,6 +575,7 @@ func (c *Campaign) materialize() ([]FleetSpec, []FleetArm, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ccfg := c.opt.corpusConfig()
+	ccfg.Workers = c.opt.workers // how fast, never what: not in the spec
 	if c.corpus == nil {
 		if c.opt.corpus != nil {
 			c.corpus = c.opt.corpus

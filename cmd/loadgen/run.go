@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"veritas/internal/mathx"
 	"veritas/internal/stats"
 )
 
@@ -240,7 +241,7 @@ func run(cfg config, c corpus) runResult {
 // samplers (derived deterministically from the base seed, so two runs
 // with the same seed issue the same request sequence per worker).
 func worker(cfg config, c corpus, id int, deadline time.Time) map[string]*epStats {
-	r := rand.New(rand.NewSource(cfg.seed + int64(id)*9973))
+	r := mathx.NewRand(cfg.seed + int64(id)*9973)
 	var zScen, zArm *rand.Zipf
 	if len(c.scenarios) > 0 {
 		zScen = rand.NewZipf(r, cfg.zipfS, cfg.zipfV, uint64(len(c.scenarios)-1))

@@ -1,6 +1,10 @@
 package abr
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"veritas/internal/mathx"
+)
 
 // Random picks qualities uniformly at random. The paper uses random
 // bitrate selection to build the interventional test set of Figure 12:
@@ -12,7 +16,7 @@ type Random struct {
 
 // NewRandom returns a seeded Random algorithm.
 func NewRandom(seed int64) *Random {
-	return &Random{rng: rand.New(rand.NewSource(seed))}
+	return &Random{rng: mathx.NewRand(seed)}
 }
 
 // Name implements Algorithm.

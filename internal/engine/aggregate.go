@@ -34,21 +34,25 @@ type Summary struct {
 	Min, P10, P25, P50, P75, P90, Max float64
 }
 
+// summaryRanks are the percentiles a Summary reports, in field order.
+var summaryRanks = []float64{10, 25, 50, 75, 90}
+
 // Summarize computes a Summary over vals; the zero Summary for empty
-// input.
+// input. The five percentiles are read from one sorted copy.
 func Summarize(vals []float64) Summary {
 	if len(vals) == 0 {
 		return Summary{}
 	}
+	p := stats.Percentiles(vals, summaryRanks)
 	return Summary{
 		N:    len(vals),
 		Mean: stats.Mean(vals),
 		Min:  stats.Min(vals),
-		P10:  stats.Percentile(vals, 10),
-		P25:  stats.Percentile(vals, 25),
-		P50:  stats.Percentile(vals, 50),
-		P75:  stats.Percentile(vals, 75),
-		P90:  stats.Percentile(vals, 90),
+		P10:  p[0],
+		P25:  p[1],
+		P50:  p[2],
+		P75:  p[3],
+		P90:  p[4],
 		Max:  stats.Max(vals),
 	}
 }

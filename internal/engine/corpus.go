@@ -3,6 +3,9 @@ package engine
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"veritas/internal/abduction"
 	"veritas/internal/abr"
@@ -45,6 +48,10 @@ type CorpusConfig struct {
 	NewABR func() abr.Algorithm
 	// Seed derives every trace, jitter and abduction seed in the corpus.
 	Seed int64
+	// Workers is how many goroutines build the specs; 0 means
+	// GOMAXPROCS. It shapes only how fast the corpus is built, never
+	// what it holds.
+	Workers int
 }
 
 // squareBands are the square-wave variants the "square" scenario cycles
@@ -75,7 +82,10 @@ func (cfg CorpusConfig) video() *video.Video {
 }
 
 // BuildCorpus materializes the corpus as engine session specs. The
-// result is fully deterministic in the config.
+// result is fully deterministic in the config: each spec depends only on
+// its own index, so Workers goroutines fill the slots in any order and
+// the specs — and the error, the lowest-index one — are those a serial
+// build gives.
 func BuildCorpus(cfg CorpusConfig) ([]SessionSpec, error) {
 	scenarios := cfg.Scenarios
 	if len(scenarios) == 0 {
@@ -95,40 +105,84 @@ func BuildCorpus(cfg CorpusConfig) ([]SessionSpec, error) {
 	}
 	vid := cfg.video()
 
-	corpus := make([]SessionSpec, 0, len(scenarios)*per)
-	for si, name := range scenarios {
-		for i := 0; i < per; i++ {
-			seed := cfg.Seed + int64(si)*10_000 + int64(i)
-			var gt *trace.Trace
-			var err error
-			switch name {
-			case "square":
-				b := squareBands[i%len(squareBands)]
-				gt, err = trace.SquareWave(b.lo, b.hi, b.halfPeriod, 720)
-			default:
-				var gcfg trace.GenConfig
-				gcfg, err = trace.RegimeConfig(name, seed)
-				if err == nil {
-					gt, err = trace.Generate(gcfg)
-				}
+	corpus := make([]SessionSpec, len(scenarios)*per)
+	build := func(k int) error {
+		si, i := k/per, k%per
+		name := scenarios[si]
+		seed := cfg.Seed + int64(si)*10_000 + int64(i)
+		var gt *trace.Trace
+		var err error
+		switch name {
+		case "square":
+			b := squareBands[i%len(squareBands)]
+			gt, err = trace.SquareWave(b.lo, b.hi, b.halfPeriod, 720)
+		default:
+			var gcfg trace.GenConfig
+			gcfg, err = trace.RegimeConfig(name, seed)
+			if err == nil {
+				gt, err = trace.Generate(gcfg)
 			}
-			if err != nil {
-				return nil, fmt.Errorf("engine: corpus scenario %q: %w", name, err)
-			}
-			net := netem.DefaultConfig()
-			net.Seed = seed
-			corpus = append(corpus, SessionSpec{
-				ID:        fmt.Sprintf("%s-%03d", name, i),
-				Scenario:  name,
-				Trace:     gt,
-				Video:     vid,
-				NewABR:    newABR,
-				BufferCap: buf,
-				Net:       &net,
-			})
 		}
+		if err != nil {
+			return fmt.Errorf("engine: corpus scenario %q: %w", name, err)
+		}
+		net := netem.DefaultConfig()
+		net.Seed = seed
+		corpus[k] = SessionSpec{
+			ID:        fmt.Sprintf("%s-%03d", name, i),
+			Scenario:  name,
+			Trace:     gt,
+			Video:     vid,
+			NewABR:    newABR,
+			BufferCap: buf,
+			Net:       &net,
+		}
+		return nil
+	}
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if err := forEachIndex(len(corpus), workers, build); err != nil {
+		return nil, err
 	}
 	return corpus, nil
+}
+
+// forEachIndex runs fn(0) … fn(n−1) on up to workers goroutines (at
+// least one) and returns the error of the lowest index that failed.
+// Indices are handed out in increasing order, each one handed out runs,
+// and handing out stops once a failure is seen, so every index below a
+// failed one has run: the error is the one a serial loop stopping at its
+// first failure returns.
+func forEachIndex(n, workers int, fn func(int) error) error {
+	workers = min(max(workers, 1), n)
+	errs := make([]error, n)
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				k := int(next.Add(1) - 1)
+				if k >= n {
+					return
+				}
+				if errs[k] = fn(k); errs[k] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ABRs returns the algorithm names BuildMatrix accepts.

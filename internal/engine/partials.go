@@ -261,7 +261,15 @@ func partialArmNames(rows []*PartialSession) []string {
 // estimator, in view order, with per-session arm multiplicity preserved.
 // Sessions missing the arm (or the truth, for EstTruth) are skipped.
 func partialSeries(rows []*PartialSession, arm string, est ArmEstimator, m int) []float64 {
-	var out []float64
+	n := 0
+	for _, s := range rows {
+		for i := range s.Arms {
+			if s.Arms[i].Name == arm {
+				n++
+			}
+		}
+	}
+	out := make([]float64, 0, n)
 	for _, s := range rows {
 		for i := range s.Arms {
 			if s.Arms[i].Name != arm {
@@ -271,6 +279,9 @@ func partialSeries(rows []*PartialSession, arm string, est ArmEstimator, m int) 
 				out = append(out, v)
 			}
 		}
+	}
+	if len(out) == 0 {
+		return nil // an empty series is nil, which JSON bodies show as null
 	}
 	return out
 }

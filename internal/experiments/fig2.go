@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"veritas/internal/engine"
 	"veritas/internal/fugu"
+	"veritas/internal/mathx"
 	"veritas/internal/netem"
 	"veritas/internal/player"
 	"veritas/internal/stats"
@@ -207,7 +207,7 @@ func fig2c(s Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(s.Seed + 31))
+	rng := mathx.NewRand(s.Seed + 31)
 
 	// Payloads of 2^1..2^12 KB with random 0.12–8 s inter-send gaps, as
 	// in the paper's controlled experiment.

@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
+	"veritas/internal/mathx"
 	"veritas/internal/netem"
 	"veritas/internal/stats"
 	"veritas/internal/tcp"
@@ -21,7 +21,7 @@ func init() {
 // compare the throughput f predicts from the pre-download TCP state with
 // the throughput the emulator actually delivered.
 func fig5(s Scale) (*Table, error) {
-	rng := rand.New(rand.NewSource(s.Seed + 51))
+	rng := mathx.NewRand(s.Seed + 51)
 	var errorsMbps []float64
 
 	payloadsPer := 6 * s.TestTraces

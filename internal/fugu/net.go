@@ -12,7 +12,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
+
+	"veritas/internal/mathx"
 )
 
 // Net is a plain multilayer perceptron with ReLU hidden activations and
@@ -40,7 +41,7 @@ func NewNet(sizes []int, seed int64) (*Net, error) {
 			return nil, fmt.Errorf("fugu: layer %d has non-positive size %d", i, s)
 		}
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := mathx.NewRand(seed)
 	n := &Net{sizes: append([]int(nil), sizes...)}
 	for l := 0; l+1 < len(sizes); l++ {
 		in, out := sizes[l], sizes[l+1]
@@ -117,7 +118,7 @@ func (n *Net) Train(X, Y [][]float64, cfg TrainConfig) (float64, error) {
 		return 0, fmt.Errorf("fugu: bad dataset: %d inputs, %d targets", len(X), len(Y))
 	}
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := mathx.NewRand(cfg.Seed)
 	idx := make([]int, len(X))
 	for i := range idx {
 		idx[i] = i

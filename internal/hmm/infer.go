@@ -2,7 +2,6 @@ package hmm
 
 import (
 	"errors"
-	"math/rand"
 
 	"veritas/internal/mathx"
 )
@@ -60,7 +59,7 @@ func (m *Model) Infer(obs []Observation, k int, seed int64) (*Inference, error) 
 	inf := &Inference{Path: path, PathLogProb: best, Post: post}
 	if k > 0 {
 		samples := sc.samples(k, N)
-		rng := rand.New(rand.NewSource(seed))
+		rng := mathx.NewRand(seed)
 		for s := 0; s < k; s++ {
 			if err := m.sampleInto(samples[s], sc, rng, post, path); err != nil {
 				return nil, err

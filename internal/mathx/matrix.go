@@ -1,6 +1,7 @@
 // Package mathx provides the small dense-matrix and numerical routines
 // that the Veritas EHMM needs: row-stochastic matrices, cached matrix
-// powers, log-domain helpers and Gaussian densities.
+// powers, log-domain helpers and Gaussian densities — and the module's
+// one seeded random source, NewRand.
 //
 // All matrices are dense, row-major float64. A matrix's support is
 // recorded separately as a Band: the EHMM's tridiagonal prior makes

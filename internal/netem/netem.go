@@ -13,11 +13,13 @@
 // queueing/cross-traffic noise. The residual gap between the emulator
 // and f is what Figure 5 of the paper measures.
 //
-// Jitter is one standard-normal draw per round. A Conn from NewConn draws
-// from a generator of its own; a Conn from (*Jitter).NewConn reads the
-// same seed's draws, in the same order, from a Jitter shared by every
-// replay of that seed — so replays seed the generator once between them,
-// not once each, and download exactly as private connections would.
+// Jitter is one standard-normal draw per round from mathx.NewRand(Seed),
+// the module's one seeded source, whose draws equal math/rand's
+// rand.New(rand.NewSource(Seed)). A Conn from NewConn draws from a
+// generator of its own; a Conn from (*Jitter).NewConn reads the same
+// seed's draws, in the same order, from a Jitter shared by every replay
+// of that seed — so replays seed the generator once between them, not
+// once each, and download exactly as private connections would.
 package netem
 
 import (
@@ -27,6 +29,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"veritas/internal/mathx"
 	"veritas/internal/tcp"
 	"veritas/internal/trace"
 )
@@ -152,7 +155,7 @@ func NewConn(cfg Config) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.rng = rand.New(rand.NewSource(cfg.Seed))
+	c.rng = mathx.NewRand(cfg.Seed)
 	return c, nil
 }
 
@@ -169,7 +172,8 @@ func newConn(cfg Config) (*Conn, error) {
 	}, nil
 }
 
-// Jitter is one seed's sequence of NormFloat64 draws — exactly those a
+// Jitter is one seed's sequence of NormFloat64 draws from
+// mathx.NewRand(seed) — exactly those math/rand's
 // rand.New(rand.NewSource(seed)) would make — drawn lazily and kept, so
 // that any number of connections can read the sequence from its start
 // while the generator is seeded once. Safe for concurrent use.
@@ -199,7 +203,7 @@ func (j *Jitter) upTo(n int) []float64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.rng == nil {
-		j.rng = rand.New(rand.NewSource(j.seed))
+		j.rng = mathx.NewRand(j.seed)
 	}
 	for len(j.draws) <= n {
 		for k := 0; k < jitterBlock; k++ {

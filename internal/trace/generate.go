@@ -3,7 +3,8 @@ package trace
 import (
 	"fmt"
 	"math"
-	"math/rand"
+
+	"veritas/internal/mathx"
 )
 
 // GenConfig describes a synthetic FCC-like bandwidth process. The paper
@@ -127,19 +128,19 @@ func Generate(cfg GenConfig) (*Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := mathx.NewRand(cfg.Seed)
 	n := int(math.Ceil(cfg.Horizon / cfg.Interval))
-	vals := make([]float64, n)
+	pts := make([]Point, n)
 	span := cfg.MaxMbps - cfg.MinMbps
 	cur := cfg.MinMbps + rng.Float64()*span
 	fadeLeft := 0
 	for i := 0; i < n; i++ {
 		if fadeLeft > 0 {
-			vals[i] = cfg.FadeMbps
+			pts[i].Mbps = cfg.FadeMbps
 			fadeLeft--
 			continue
 		}
-		vals[i] = cur
+		pts[i].Mbps = cur
 		if cfg.FadeProb > 0 && rng.Float64() < cfg.FadeProb {
 			fadeLeft = cfg.FadeIntervals
 			if fadeLeft < 1 {
@@ -169,7 +170,7 @@ func Generate(cfg GenConfig) (*Trace, error) {
 			cur = cfg.MaxMbps
 		}
 	}
-	return FromSteps(cfg.Interval, vals)
+	return fromPoints(cfg.Interval, pts)
 }
 
 // GenerateSet produces n traces with seeds cfg.Seed, cfg.Seed+1, ...

@@ -66,17 +66,28 @@ func New(points []Point) (*Trace, error) {
 // remembers its interval, so At, NextChange and Segment find a step by
 // index.
 func FromSteps(interval float64, mbps []float64) (*Trace, error) {
+	pts := make([]Point, len(mbps))
+	for i, v := range mbps {
+		pts[i].Mbps = v
+	}
+	return fromPoints(interval, pts)
+}
+
+// fromPoints is FromSteps over points whose bandwidths are already
+// filled in: it sets point i's time to i*interval, runs FromSteps'
+// checks and keeps pts as the trace's own — so a generator fills one
+// slice and nothing is copied.
+func fromPoints(interval float64, pts []Point) (*Trace, error) {
 	if !(interval > 0) || math.IsInf(interval, 1) {
 		return nil, errors.New("trace: interval must be a positive finite number")
 	}
-	if len(mbps) == 0 {
+	if len(pts) == 0 {
 		return nil, errors.New("trace: need at least one step")
 	}
-	pts := make([]Point, len(mbps))
-	for i, v := range mbps {
-		pts[i] = Point{T: float64(i) * interval, Mbps: v}
+	for i := range pts {
+		pts[i].T = float64(i) * interval
 		if !pts[i].valid() {
-			return nil, fmt.Errorf("trace: invalid bandwidth %v at t=%v", v, pts[i].T)
+			return nil, fmt.Errorf("trace: invalid bandwidth %v at t=%v", pts[i].Mbps, pts[i].T)
 		}
 		if i > 0 && !(pts[i].T > pts[i-1].T) {
 			return nil, fmt.Errorf("trace: interval %v does not advance time at step %d", interval, i)

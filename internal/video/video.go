@@ -8,8 +8,9 @@ package video
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
+
+	"veritas/internal/mathx"
 )
 
 // Quality is one rung of the encoding ladder.
@@ -130,14 +131,18 @@ func Synthesize(cfg Config) (*Video, error) {
 		sizes: make([][]float64, cfg.NumChunks),
 		ssims: make([][]float64, cfg.NumChunks),
 	}
+	rng := mathx.NewRand(cfg.Seed * 1_000_003)
 	for n := 0; n < cfg.NumChunks; n++ {
 		v.sizes[n] = make([]float64, len(cfg.Ladder))
 		v.ssims[n] = make([]float64, len(cfg.Ladder))
-		// Per-chunk generator derived from (seed, chunk index) so the
+		// Per-chunk sequence derived from (seed, chunk index) so the
 		// same seed yields the same scene complexity regardless of the
 		// ladder — WithLadder relies on this to model re-encoding the
-		// same content.
-		rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(n)))
+		// same content. Reseeding restarts the generator exactly as a
+		// fresh one of that seed would start.
+		if n > 0 {
+			rng.Seed(cfg.Seed*1_000_003 + int64(n))
+		}
 		// One complexity draw per chunk, shared across qualities.
 		complexity := math.Exp(rng.NormFloat64()*cfg.VBRStd - cfg.VBRStd*cfg.VBRStd/2)
 		for q, rung := range cfg.Ladder {

@@ -5,8 +5,9 @@ package veritas_test
 // serves), no deprecated shim or staticcheck suppression creeps back
 // into the module, every report is reduced by engine.Partials, and each
 // on-disk format is known to one file of internal/store, a campaign's
-// settings and their defaults are each written once, and the small
-// single-session tools stay subcommands of one binary.
+// settings and their defaults are each written once, the small
+// single-session tools stay subcommands of one binary, and every seeded
+// generator is mathx.NewRand.
 
 import (
 	"go/ast"
@@ -458,5 +459,66 @@ func TestEveryOptionHasACaller(t *testing.T) {
 		if n == 0 {
 			t.Errorf("veritas.%s has no caller outside tests: delete it, or give it one", name)
 		}
+	}
+}
+
+// TestOneSeededSource: every seeded generator in the module comes from
+// mathx.NewRand, whose draws equal math/rand's; no non-test file outside
+// internal/mathx seeds a math/rand source of its own. (bench/ is a
+// module of its own.)
+func TestOneSeededSource(t *testing.T) {
+	fset := token.NewFileSet()
+	newRands := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || path == filepath.Join("internal", "mathx") ||
+				(path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		names := map[string]string{} // local import name → import path
+		for _, imp := range file.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			local := p[strings.LastIndex(p, "/")+1:]
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			names[local] = p
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			pkg, ok := sel.X.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			switch {
+			case names[pkg.Name] == "math/rand" && sel.Sel.Name == "NewSource":
+				t.Errorf("%s: rand.NewSource seeds a second source; use mathx.NewRand", fset.Position(sel.Pos()))
+			case names[pkg.Name] == "veritas/internal/mathx" && sel.Sel.Name == "NewRand":
+				newRands++
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if newRands == 0 {
+		t.Fatal("found no mathx.NewRand caller: the walk saw none of the module's generators")
 	}
 }
