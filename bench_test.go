@@ -18,6 +18,7 @@ import (
 	"veritas/internal/abduction"
 	"veritas/internal/engine"
 	"veritas/internal/experiments"
+	"veritas/internal/store"
 )
 
 func benchFigure(b *testing.B, id string) {
@@ -241,7 +242,7 @@ func benchRow(i int) FleetRow {
 // BenchmarkStoreWrite measures streaming-persistence throughput: one
 // checksummed, segmented append per completed session.
 func BenchmarkStoreWrite(b *testing.B) {
-	s, err := OpenStore(b.TempDir(), FleetStoreOptions{})
+	s, err := store.Open(b.TempDir(), store.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func BenchmarkStoreWrite(b *testing.B) {
 // against a multi-segment store of 1000 sessions.
 func BenchmarkStoreQuery(b *testing.B) {
 	dir := b.TempDir()
-	s, err := OpenStore(dir, FleetStoreOptions{SegmentBytes: 1 << 16})
+	s, err := store.Open(dir, store.Options{SegmentBytes: 1 << 16})
 	if err != nil {
 		b.Fatal(err)
 	}

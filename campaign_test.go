@@ -24,6 +24,8 @@ import (
 	"veritas"
 	"veritas/internal/engine"
 	"veritas/internal/engine/enginetest"
+	"veritas/internal/store"
+	"veritas/internal/trace"
 )
 
 // quickOptions is a campaign small enough for unit tests but covering
@@ -68,7 +70,7 @@ func TestCampaignOptionValidation(t *testing.T) {
 			veritas.WithArms(), veritas.WithMatrix([]string{"bba"}, []float64{5}),
 		}, "mutually exclusive"},
 		{"corpus and scenario mix", []veritas.CampaignOption{
-			veritas.WithCorpus(veritas.FleetSpec{Trace: veritas.ConstantTrace(5)}),
+			veritas.WithCorpus(veritas.FleetSpec{Trace: trace.Constant(5)}),
 			veritas.WithScenarios("lte"),
 		}, "WithCorpus replaces"},
 		{"empty corpus", []veritas.CampaignOption{veritas.WithCorpus()}, "at least one"},
@@ -188,7 +190,7 @@ func pr2StoreReport(t *testing.T, dir string) (meta, report []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := veritas.OpenStore(dir, veritas.FleetStoreOptions{})
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +485,7 @@ func TestCampaignResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	partial := filepath.Join(t.TempDir(), "partial.store")
-	st, err := veritas.OpenStore(partial, veritas.FleetStoreOptions{})
+	st, err := store.Open(partial, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +531,7 @@ func TestCampaignResultsStreams(t *testing.T) {
 	for i := range specs {
 		specs[i] = veritas.FleetSpec{
 			ID:           fmt.Sprintf("s-%03d", i),
-			Trace:        veritas.ConstantTrace(4 + float64(i%5)),
+			Trace:        trace.Constant(4 + float64(i%5)),
 			MaxChunks:    12,
 			SimulateOnly: true,
 		}
@@ -709,7 +711,7 @@ func TestDefaultingParity(t *testing.T) {
 
 	// RunSession and a campaign spec with the same explicit inputs and
 	// defaulted video/net/buffer must compute identical sessions.
-	gt := veritas.ConstantTrace(5)
+	gt := trace.Constant(5)
 	sess, err := veritas.RunSession(veritas.SessionConfig{Trace: gt, ABR: veritas.NewMPC(), MaxChunks: 20})
 	if err != nil {
 		t.Fatal(err)
@@ -795,8 +797,8 @@ func TestCampaignResultsEarlyCancelNoGoroutineLeak(t *testing.T) {
 // store-backed one kept the last, breaking store-vs-RAM byte identity.
 func TestCampaignRejectsDuplicateSessionIDs(t *testing.T) {
 	specs := []veritas.FleetSpec{
-		{ID: "a", Trace: veritas.ConstantTrace(5), MaxChunks: 10},
-		{ID: "a", Trace: veritas.ConstantTrace(3), MaxChunks: 10},
+		{ID: "a", Trace: trace.Constant(5), MaxChunks: 10},
+		{ID: "a", Trace: trace.Constant(3), MaxChunks: 10},
 	}
 	const want = `engine: sessions 0 and 1 share ID "a"`
 	for name, extra := range map[string][]veritas.CampaignOption{
@@ -868,7 +870,7 @@ func TestCampaignOptionsCopyTheirArguments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := []veritas.FleetSpec{{ID: "mine", Trace: veritas.ConstantTrace(5)}}
+	specs := []veritas.FleetSpec{{ID: "mine", Trace: trace.Constant(5)}}
 	given := []veritas.FleetArm{arm}
 	c2, err := veritas.NewCampaign(veritas.WithCorpus(specs...), veritas.WithArms(given...))
 	if err != nil {

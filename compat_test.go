@@ -6,7 +6,13 @@ package veritas_test
 // build if any is renamed, removed, or changes signature. (The
 // pre-Campaign free functions — RunFleet, BuildCorpus, FleetMatrix,
 // NewStoreHandler, ServeStore and friends — were deleted with their
-// pins; NewCampaign and internal/engine are the spellings.)
+// pins; NewCampaign and internal/engine are the spellings. So were the
+// functions no non-test file called, with the types only they took:
+// MergeStores and OpenStore with FleetStoreOptions, where FoldShards
+// and internal/store's Open are the spellings; ConstantTrace, now
+// trace.Constant; NewFestive, now NewABR("festive"); PredictDownloadTime
+// and PredictNextChunkTime, now the Abduction's PredictDownloadTime
+// method; and QoE, DefaultQoEWeights and QoEWeights, which nothing read.)
 
 import (
 	"testing"
@@ -32,14 +38,12 @@ var (
 	_ *veritas.Session           = nil
 	_ veritas.WhatIf             = veritas.WhatIf{}
 	_ *veritas.Outcome           = nil
-	_ veritas.QoEWeights         = veritas.QoEWeights{}
 	_ veritas.FleetSpec          = veritas.FleetSpec{}
 	_ veritas.FleetArm           = veritas.FleetArm{}
 	_ *veritas.FleetResult       = nil
 	_ veritas.FleetSessionResult = veritas.FleetSessionResult{}
 	_ veritas.FleetCacheStats    = veritas.FleetCacheStats{}
 	_ *veritas.FleetStore        = nil
-	_ veritas.FleetStoreOptions  = veritas.FleetStoreOptions{}
 	_ veritas.FleetRow           = veritas.FleetRow{}
 	_ veritas.FleetArmOutcome    = veritas.FleetArmOutcome{}
 	_ veritas.FleetReport        = veritas.FleetReport{}
@@ -50,11 +54,9 @@ var (
 	_ func(int64) veritas.TraceConfig                                                = veritas.DefaultTraceConfig
 	_ func(veritas.TraceConfig) (*veritas.Trace, error)                              = veritas.GenerateTrace
 	_ func(veritas.TraceConfig, int) ([]*veritas.Trace, error)                       = veritas.GenerateTraceSet
-	_ func(float64) *veritas.Trace                                                   = veritas.ConstantTrace
 	_ func() veritas.ABR                                                             = veritas.NewMPC
 	_ func() veritas.ABR                                                             = veritas.NewBBA
 	_ func() veritas.ABR                                                             = veritas.NewBOLA
-	_ func() veritas.ABR                                                             = veritas.NewFestive
 	_ func(int64) veritas.ABR                                                        = veritas.NewRandomABR
 	_ func(int) veritas.ABR                                                          = veritas.NewFixedABR
 	_ func(int64) *veritas.Video                                                     = veritas.DefaultVideo
@@ -65,12 +67,7 @@ var (
 	_ func(*veritas.SessionLog) (*veritas.Trace, error)                              = veritas.Baseline
 	_ func(*veritas.Abduction, veritas.WhatIf) (*veritas.Outcome, error)             = veritas.Counterfactual
 	_ func(*veritas.Trace, veritas.WhatIf) (veritas.Metrics, error)                  = veritas.Oracle
-	_ func(*veritas.Abduction, float64, veritas.TCPState, float64) float64           = veritas.PredictDownloadTime
-	_ func() veritas.QoEWeights                                                      = veritas.DefaultQoEWeights
-	_ func(*veritas.SessionLog, veritas.QoEWeights) float64                          = veritas.QoE
-	_ func(*veritas.Abduction, float64, float64) float64                             = veritas.PredictNextChunkTime
-	_ func(string, veritas.FleetStoreOptions) (*veritas.FleetStore, error)           = veritas.OpenStore
-	_ func(string, ...string) (int, error)                                           = veritas.MergeStores
+	_ func(*veritas.Abduction, float64, veritas.TCPState, float64) float64           = (*veritas.Abduction).PredictDownloadTime
 )
 
 // Old methods, pinned as method values.

@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"veritas"
+	"veritas/internal/store"
 )
 
 func TestDispatchedCampaignEquivalence(t *testing.T) {
@@ -168,7 +169,7 @@ func seedShardStore(t *testing.T, dir string, index, count int) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := veritas.OpenStore(dir, veritas.FleetStoreOptions{ReadOnly: true})
+	st, err := store.Open(dir, store.Options{ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,8 @@
 //   - Counterfactual replays a changed design (different ABR, buffer
 //     size, or quality ladder) over those traces and reports the range
 //     of outcomes.
-//   - PredictDownloadTime answers interventional queries about
-//     hypothetical next chunks.
+//   - An Abduction's PredictDownloadTime method answers
+//     interventional queries about hypothetical next chunks.
 //   - Baseline and Oracle provide the comparison estimators the paper
 //     evaluates against.
 //   - NewCampaign batches all of the above over a corpus of sessions:

@@ -20,6 +20,7 @@ import (
 	"veritas/internal/engine"
 	"veritas/internal/engine/enginetest"
 	"veritas/internal/serve"
+	"veritas/internal/store"
 )
 
 func TestRunFleetFacade(t *testing.T) {
@@ -108,7 +109,7 @@ func TestStoreFacade(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	st, err := OpenStore(dir, FleetStoreOptions{})
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestStoreFacade(t *testing.T) {
 
 	// Reopen read-only and check the HTTP layer returns the same
 	// aggregate report JSON as the oracle over the run's in-RAM rows.
-	ro, err := OpenStore(dir, FleetStoreOptions{ReadOnly: true})
+	ro, err := store.Open(dir, store.Options{ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,13 +148,13 @@ func TestStoreFacade(t *testing.T) {
 	}
 
 	// Compaction keeps every session.
-	merged := filepath.Join(t.TempDir(), "merged")
-	n, err := MergeStores(merged, dir)
+	folded := filepath.Join(t.TempDir(), "folded")
+	n, err := FoldShards(folded, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != len(corpus) {
-		t.Fatalf("MergeStores folded %d sessions, want %d", n, len(corpus))
+		t.Fatalf("FoldShards folded %d sessions, want %d", n, len(corpus))
 	}
 }
 
@@ -176,7 +177,7 @@ func TestWorkerSpecIgnoresRetiredNoCacheKey(t *testing.T) {
 		if code := dispatchWorker(raw, devnull, os.Stderr); code != 0 {
 			t.Fatalf("worker exited %d on spec %s", code, raw)
 		}
-		st, err := OpenStore(dir, FleetStoreOptions{ReadOnly: true})
+		st, err := store.Open(dir, store.Options{ReadOnly: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"veritas/internal/abduction"
 	"veritas/internal/abr"
@@ -106,7 +104,7 @@ func BuildCorpus(cfg CorpusConfig) ([]SessionSpec, error) {
 	vid := cfg.video()
 
 	corpus := make([]SessionSpec, len(scenarios)*per)
-	build := func(k int) error {
+	build := func(_, k int) error {
 		si, i := k/per, k%per
 		name := scenarios[si]
 		seed := cfg.Seed + int64(si)*10_000 + int64(i)
@@ -147,42 +145,6 @@ func BuildCorpus(cfg CorpusConfig) ([]SessionSpec, error) {
 		return nil, err
 	}
 	return corpus, nil
-}
-
-// forEachIndex runs fn(0) … fn(n−1) on up to workers goroutines (at
-// least one) and returns the error of the lowest index that failed.
-// Indices are handed out in increasing order, each one handed out runs,
-// and handing out stops once a failure is seen, so every index below a
-// failed one has run: the error is the one a serial loop stopping at its
-// first failure returns.
-func forEachIndex(n, workers int, fn func(int) error) error {
-	workers = min(max(workers, 1), n)
-	errs := make([]error, n)
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				k := int(next.Add(1) - 1)
-				if k >= n {
-					return
-				}
-				if errs[k] = fn(k); errs[k] != nil {
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ABRs returns the algorithm names BuildMatrix accepts.

@@ -62,19 +62,28 @@ func TestBuildCorpusIndependentOfWorkers(t *testing.T) {
 
 // TestForEachIndexReturnsLowestError: however the failures race, the
 // error returned is the lowest failed index's, and every index below it
-// ran — what a serial loop stopping at its first failure gives.
+// ran — what a serial loop stopping at its first failure gives. Each
+// call names its goroutine, one of min(workers, n) (at least one), and
+// no goroutine runs two calls at once, so per-worker state indexed by
+// it needs no lock.
 func TestForEachIndexReturnsLowestError(t *testing.T) {
 	const n, first = 40, 7
-	if err := forEachIndex(0, 4, func(int) error { panic("no index to run") }); err != nil {
+	if err := forEachIndex(0, 4, func(int, int) error { panic("no index to run") }); err != nil {
 		t.Fatalf("no indices: %v", err)
 	}
 	for _, workers := range []int{0, 1, 2, 3, 64} {
 		var mu sync.Mutex
 		ran := make([]bool, n)
-		err := forEachIndex(n, workers, func(k int) error {
+		busy := make([]bool, min(max(workers, 1), n))
+		err := forEachIndex(n, workers, func(w, k int) error {
 			mu.Lock()
-			ran[k] = true
+			if w < 0 || w >= len(busy) || busy[w] {
+				mu.Unlock()
+				return fmt.Errorf("index %d: worker %d out of range or already busy", k, w)
+			}
+			ran[k], busy[w] = true, true
 			mu.Unlock()
+			defer func() { mu.Lock(); busy[w] = false; mu.Unlock() }()
 			switch {
 			case k == first:
 				time.Sleep(5 * time.Millisecond) // later failures land first

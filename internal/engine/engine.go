@@ -285,8 +285,9 @@ func (r *Result) SessionsPerSecond() float64 {
 
 // Run executes the fleet: every corpus session through the full
 // pipeline, every arm of the query matrix, across the worker pool.
-// The first session error cancels the run; ctx cancellation aborts
-// promptly with ctx.Err().
+// A session error stops the run, and the error of the lowest failed
+// session index is returned, whatever the worker count; ctx
+// cancellation aborts promptly with ctx.Err().
 func Run(ctx context.Context, cfg Config, corpus []SessionSpec, arms []Arm) (*Result, error) {
 	if len(corpus) == 0 {
 		return nil, errors.New("engine: empty corpus")
@@ -325,89 +326,62 @@ func Run(ctx context.Context, cfg Config, corpus []SessionSpec, arms []Arm) (*Re
 	pow0 := mathx.SharedPowersDetail()
 	em := newEngineMetrics(cfg.Telemetry)
 
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	parts := NewPartials()
 	var results []SessionResult
 	if !cfg.DiscardResults {
 		results = make([]SessionResult, len(corpus))
 	}
-	var (
-		wg        sync.WaitGroup
-		errOnce   sync.Once
-		firstErr  error
-		completed atomic.Int64
-		// next is the work queue: the corpus index the next free worker
-		// takes. One session per pull keeps workers busy however skewed
-		// session costs are.
-		next atomic.Int64
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Per-worker reusable state: the inference arena, sized by
-			// the largest session this worker sees and recycled across
-			// its whole slice. KeepAbductions retains per-session
-			// results that would alias the recycled arena, so that mode
-			// allocates fresh buffers per session instead.
-			var sc *hmm.Scratch
+	var completed atomic.Int64
+	// Per-worker reusable state: the inference arena, sized by the
+	// largest session its worker sees and recycled across all of them.
+	// KeepAbductions retains per-session results that would alias the
+	// recycled arena, so that mode allocates fresh buffers per session
+	// instead.
+	scratch := make([]*hmm.Scratch, workers)
+	err := forEachIndex(len(corpus), workers, func(w, i int) error {
+		if !cfg.inShard(i) || cfg.Skip[specID(corpus[i], i)] {
+			return nil
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if scratch[w] == nil && !cfg.KeepAbductions {
+			scratch[w] = hmm.NewScratch()
+		}
+		tb := cfg.Tracer.Start("session", specID(corpus[i], i))
+		res, err := runOne(cfg, corpus[i], arms, i, scratch[w], em, tb)
+		tb.Finish(err)
+		if err != nil {
+			return fmt.Errorf("engine: session %d (%s): %w", i, corpus[i].ID, err)
+		}
+		parts.FoldRow(res.Row(), 0)
+		if cfg.Sink != nil {
+			if err := cfg.Sink.Put(res); err != nil {
+				return fmt.Errorf("engine: session %d (%s): sink: %w", i, corpus[i].ID, err)
+			}
+		}
+		if cfg.OnResult != nil {
+			cfg.OnResult(res)
+		}
+		if cfg.OnProgress != nil {
+			cfg.OnProgress(int(completed.Add(1)), executed)
+		}
+		if cfg.Sink != nil {
+			// The sink owns the full data now; retaining every log in
+			// Result.Sessions would defeat the streaming path's bounded
+			// memory.
+			res.Log = nil
 			if !cfg.KeepAbductions {
-				sc = hmm.NewScratch()
+				res.Abd = nil
 			}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(corpus) || runCtx.Err() != nil {
-					return
-				}
-				if !cfg.inShard(i) || cfg.Skip[specID(corpus[i], i)] {
-					continue
-				}
-				tb := cfg.Tracer.Start("session", specID(corpus[i], i))
-				res, err := runOne(cfg, corpus[i], arms, i, sc, em, tb)
-				tb.Finish(err)
-				if err != nil {
-					fail(fmt.Errorf("engine: session %d (%s): %w", i, corpus[i].ID, err))
-					return
-				}
-				parts.FoldRow(res.Row(), 0)
-				if cfg.Sink != nil {
-					if err := cfg.Sink.Put(res); err != nil {
-						fail(fmt.Errorf("engine: session %d (%s): sink: %w", i, corpus[i].ID, err))
-						return
-					}
-				}
-				if cfg.OnResult != nil {
-					cfg.OnResult(res)
-				}
-				if cfg.OnProgress != nil {
-					cfg.OnProgress(int(completed.Add(1)), executed)
-				}
-				if cfg.Sink != nil {
-					// The sink owns the full data now; retaining
-					// every log in Result.Sessions would defeat
-					// the streaming path's bounded memory.
-					res.Log = nil
-					if !cfg.KeepAbductions {
-						res.Abd = nil
-					}
-				}
-				if !cfg.DiscardResults {
-					results[i] = res
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		}
+		if !cfg.DiscardResults {
+			results[i] = res
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -424,6 +398,44 @@ func Run(ctx context.Context, cfg Config, corpus []SessionSpec, arms []Arm) (*Re
 		Workers:      workers,
 		Elapsed:      time.Since(start),
 	}, nil
+}
+
+// forEachIndex runs fn(w, 0) … fn(w, n−1) on up to workers goroutines
+// (at least one), w being the index of the goroutine that runs the
+// call, and returns the error of the lowest index that failed. Indices
+// are handed out one at a time, in increasing order, so the goroutines
+// stay busy however skewed the calls' costs are; each one handed out
+// runs, and handing out stops once a failure is seen, so every index below a
+// failed one has run: the error is the one a serial loop stopping at
+// its first failure returns.
+func forEachIndex(n, workers int, fn func(w, k int) error) error {
+	workers = min(max(workers, 1), n)
+	errs := make([]error, n)
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				k := int(next.Add(1) - 1)
+				if k >= n {
+					return
+				}
+				if errs[k] = fn(w, k); errs[k] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // specID returns the effective session ID the engine uses everywhere:

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"veritas/internal/abduction"
 	"veritas/internal/abr"
@@ -208,6 +209,39 @@ func TestCancellation(t *testing.T) {
 	}
 	if got := n.Load(); got >= int64(len(corpus)) {
 		t.Errorf("cancellation did not stop the fleet: %d/%d sessions ran", got, len(corpus))
+	}
+}
+
+// TestRunReportsLowestFailedSession: with two failing sessions, Run
+// reports the lower index's error at every worker count, even when the
+// higher one fails first.
+func TestRunReportsLowestFailedSession(t *testing.T) {
+	corpus := testCorpus(t, 2)
+	for i := range corpus {
+		corpus[i].SimulateOnly = true
+	}
+	lo, hi := corpus[2].ID, corpus[5].ID
+	var want string
+	for _, workers := range []int{1, 4} {
+		cfg := Config{Workers: workers, Sink: sinkFunc(func(r SessionResult) error {
+			switch r.ID {
+			case lo:
+				time.Sleep(20 * time.Millisecond) // the higher failure lands first
+				return fmt.Errorf("refused %s", r.ID)
+			case hi:
+				return fmt.Errorf("refused %s", r.ID)
+			}
+			return nil
+		})}
+		_, err := Run(context.Background(), cfg, corpus, nil)
+		if err == nil || !strings.Contains(err.Error(), "refused "+lo) {
+			t.Fatalf("workers=%d: err = %v, want session %s's", workers, err, lo)
+		}
+		if want == "" {
+			want = err.Error()
+		} else if err.Error() != want {
+			t.Errorf("workers=%d: err = %q, workers=1 gave %q", workers, err, want)
+		}
 	}
 }
 

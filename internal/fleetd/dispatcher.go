@@ -58,9 +58,6 @@ type Config struct {
 	// so one slow machine cannot hold the campaign's tail hostage.
 	// Heartbeats renew the TTL, never the deadline.
 	MaxLease time.Duration
-	// MaxGrants caps leases per shard before the campaign fails
-	// (default DefaultMaxGrants).
-	MaxGrants int
 	// OnEvent, when set, receives the dispatcher's serialized event
 	// stream: lease grants, steals, relayed progress, accepted
 	// uploads, the fold.
@@ -172,7 +169,7 @@ func New(cfg Config) (*Dispatcher, error) {
 	}
 	d := &Dispatcher{
 		cfg:    cfg,
-		tab:    newTable(cfg.Shards, cfg.LeaseTTL, cfg.MaxLease, cfg.MaxGrants, cfg.now),
+		tab:    newTable(cfg.Shards, cfg.LeaseTTL, cfg.MaxLease, cfg.now),
 		status: dispatch.NewStatus(cfg.Shards, cfg.Telemetry, cfg.Tracer),
 		start:  time.Now(),
 		dirs:   dirs,

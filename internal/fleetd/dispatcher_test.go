@@ -497,10 +497,10 @@ func TestDispatcherControlBodyCap(t *testing.T) {
 // lease turns the campaign fatal, and both the lease handler and Wait
 // report it.
 func TestDispatcherLeaseBudgetFailsCampaign(t *testing.T) {
-	d, srv, _, clock := testDispatcher(t, 1, func(c *Config) { c.MaxGrants = 2 })
+	d, srv, _, clock := testDispatcher(t, 1, nil)
 
 	postJSON(t, srv.URL+"/v1/agents", registerRequest{Name: "crashy"}, nil)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < DefaultMaxGrants; i++ {
 		var lease leaseResponse
 		if code := postJSON(t, srv.URL+"/v1/lease", leaseRequest{Agent: "crashy"}, &lease); code != 200 || lease.Status != "lease" {
 			t.Fatalf("lease %d: HTTP %d, %+v", i, code, lease)

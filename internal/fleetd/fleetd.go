@@ -180,26 +180,22 @@ type steal struct {
 // table is the lease table: the dispatcher's single source of truth
 // for who owns which shard. All methods are safe for concurrent use.
 type table struct {
-	mu        sync.Mutex
-	now       func() time.Time
-	ttl       time.Duration
-	maxLease  time.Duration // zero: no straggler deadline
-	maxGrants int
-	leases    []lease
-	done      int
-	fatal     error
+	mu       sync.Mutex
+	now      func() time.Time
+	ttl      time.Duration
+	maxLease time.Duration // zero: no straggler deadline
+	leases   []lease
+	done     int
+	fatal    error
 	// completeCh closes exactly once, when every shard is done or the
 	// table turns fatal.
 	completeCh chan struct{}
 	steals     int
 }
 
-func newTable(shards int, ttl, maxLease time.Duration, maxGrants int, now func() time.Time) *table {
+func newTable(shards int, ttl, maxLease time.Duration, now func() time.Time) *table {
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
-	}
-	if maxGrants <= 0 {
-		maxGrants = DefaultMaxGrants
 	}
 	if now == nil {
 		now = time.Now
@@ -208,7 +204,6 @@ func newTable(shards int, ttl, maxLease time.Duration, maxGrants int, now func()
 		now:        now,
 		ttl:        ttl,
 		maxLease:   maxLease,
-		maxGrants:  maxGrants,
 		leases:     make([]lease, shards),
 		completeCh: make(chan struct{}),
 	}
@@ -229,7 +224,7 @@ func (t *table) acquire(agent string) (shard, epoch int, ok bool) {
 		if l.state != statePending {
 			continue
 		}
-		if l.grants >= t.maxGrants {
+		if l.grants >= DefaultMaxGrants {
 			t.failLocked(fmt.Errorf("fleetd: shard %d exhausted its lease budget (%d grants); campaign failed", i, l.grants))
 			return 0, 0, false
 		}

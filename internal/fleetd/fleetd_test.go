@@ -42,7 +42,7 @@ func completed(t *table) bool {
 
 func TestTableLeaseLifecycle(t *testing.T) {
 	clock := newFakeClock()
-	tab := newTable(2, time.Second, 0, 0, clock.now)
+	tab := newTable(2, time.Second, 0, clock.now)
 
 	shard, epoch, ok := tab.acquire("a")
 	if !ok || shard != 0 || epoch != 1 {
@@ -93,7 +93,7 @@ func TestTableLeaseLifecycle(t *testing.T) {
 // cannot corrupt a shard its successor now owns.
 func TestTableEpochFencing(t *testing.T) {
 	clock := newFakeClock()
-	tab := newTable(1, time.Second, 0, 0, clock.now)
+	tab := newTable(1, time.Second, 0, clock.now)
 
 	if _, epoch, ok := tab.acquire("ghost"); !ok || epoch != 1 {
 		t.Fatalf("acquire epoch = %d, want 1", epoch)
@@ -138,7 +138,7 @@ func TestTableEpochFencing(t *testing.T) {
 // notably a second upload completing — answers ErrShardDone.
 func TestTableDoneShardRejectsEverything(t *testing.T) {
 	clock := newFakeClock()
-	tab := newTable(1, time.Second, 0, 0, clock.now)
+	tab := newTable(1, time.Second, 0, clock.now)
 	if _, _, ok := tab.acquire("a"); !ok {
 		t.Fatal("acquire failed")
 	}
@@ -165,7 +165,7 @@ func TestTableDoneShardRejectsEverything(t *testing.T) {
 // and the completion state is untouched.
 func TestTableSweepAfterCompleteIsNoop(t *testing.T) {
 	clock := newFakeClock()
-	tab := newTable(2, time.Second, 0, 0, clock.now)
+	tab := newTable(2, time.Second, 0, clock.now)
 	for i := 0; i < 2; i++ {
 		shard, epoch, ok := tab.acquire("a")
 		if !ok {
@@ -192,7 +192,7 @@ func TestTableSweepAfterCompleteIsNoop(t *testing.T) {
 // matter how diligently it heartbeats.
 func TestTableStragglerDeadline(t *testing.T) {
 	clock := newFakeClock()
-	tab := newTable(1, time.Second, 3*time.Second, 0, clock.now)
+	tab := newTable(1, time.Second, 3*time.Second, clock.now)
 	if _, _, ok := tab.acquire("slow"); !ok {
 		t.Fatal("acquire failed")
 	}
@@ -218,8 +218,8 @@ func TestTableStragglerDeadline(t *testing.T) {
 // granted eventually fails the campaign instead of looping forever.
 func TestTableGrantCapTurnsFatal(t *testing.T) {
 	clock := newFakeClock()
-	tab := newTable(1, time.Second, 0, 2, clock.now)
-	for i := 0; i < 2; i++ {
+	tab := newTable(1, time.Second, 0, clock.now)
+	for i := 0; i < DefaultMaxGrants; i++ {
 		if _, _, ok := tab.acquire("crashy"); !ok {
 			t.Fatalf("acquire %d refused", i)
 		}
@@ -228,7 +228,7 @@ func TestTableGrantCapTurnsFatal(t *testing.T) {
 		}
 	}
 	if _, _, ok := tab.acquire("crashy"); ok {
-		t.Fatal("third grant exceeded the cap")
+		t.Fatalf("grant %d exceeded the cap", DefaultMaxGrants+1)
 	}
 	err := tab.err()
 	if err == nil || !strings.Contains(err.Error(), "lease budget") {
@@ -246,7 +246,7 @@ func TestTableGrantCapTurnsFatal(t *testing.T) {
 // is not a steal, and the shard is immediately grantable again.
 func TestTableReleaseRequeuesWithoutSteal(t *testing.T) {
 	clock := newFakeClock()
-	tab := newTable(1, time.Second, 0, 0, clock.now)
+	tab := newTable(1, time.Second, 0, clock.now)
 	if _, _, ok := tab.acquire("a"); !ok {
 		t.Fatal("acquire failed")
 	}

@@ -39,12 +39,6 @@ type Config struct {
 	// RTT is the base round-trip time in seconds (the paper's testbed
 	// uses an 80 ms end-to-end delay).
 	RTT float64
-	// InitCWND is the initial congestion window in segments; 0 means the
-	// Linux default.
-	InitCWND float64
-	// MaxCWND caps the congestion window in segments (standing in for
-	// the receive window); 0 means a generous default.
-	MaxCWND float64
 	// SlowStartRestart enables RFC 2861 congestion-window validation
 	// after idle periods. The paper's testbed has it on.
 	SlowStartRestart bool
@@ -52,17 +46,6 @@ type Config struct {
 	// bandwidth noise (queueing, cross traffic). 0 disables noise and
 	// makes the emulator deterministic.
 	JitterStd float64
-	// QueueFactor sizes the bottleneck's droptail queue as a fraction of
-	// the BDP. When the congestion window exceeds BDP·(1+QueueFactor)
-	// the sender experiences a loss: ssthresh and cwnd collapse to
-	// Beta·cwnd. This keeps ssthresh near the BDP — without it a
-	// lossless emulation lets cwnd grow without bound and slow-start
-	// restart recovers unrealistically fast. Negative disables loss;
-	// 0 means the default 0.25.
-	QueueFactor float64
-	// Beta is the multiplicative-decrease factor applied on a
-	// congestion event (0 means the CUBIC-like default 0.7).
-	Beta float64
 	// Seed seeds the jitter generator.
 	Seed int64
 }
@@ -79,21 +62,23 @@ func DefaultConfig() Config {
 	}
 }
 
-func (c Config) withDefaults() Config {
-	if c.InitCWND == 0 {
-		c.InitCWND = tcp.InitCWND
-	}
-	if c.MaxCWND == 0 {
-		c.MaxCWND = 20000
-	}
-	if c.QueueFactor == 0 {
-		c.QueueFactor = 0.25
-	}
-	if c.Beta == 0 {
-		c.Beta = 0.7
-	}
-	return c
-}
+// The emulated sender's fixed congestion control. A connection starts
+// at tcp.InitCWND segments, the Linux default.
+const (
+	// maxCWND caps the congestion window in segments, standing in for
+	// the receive window.
+	maxCWND = 20000
+	// queueFactor sizes the bottleneck's droptail queue as a fraction of
+	// the BDP. When the congestion window exceeds BDP·(1+queueFactor)
+	// the sender experiences a loss: ssthresh and cwnd collapse to
+	// beta·cwnd. This keeps ssthresh near the BDP — without it a
+	// lossless emulation lets cwnd grow without bound and slow-start
+	// restart recovers unrealistically fast.
+	queueFactor = 0.25
+	// beta is the CUBIC-like multiplicative-decrease factor applied on a
+	// congestion event.
+	beta = 0.7
+)
 
 // Validate reports the first invalid field, if any.
 func (c Config) Validate() error {
@@ -101,8 +86,7 @@ func (c Config) Validate() error {
 		name string
 		v    float64
 	}{
-		{"RTT", c.RTT}, {"InitCWND", c.InitCWND}, {"MaxCWND", c.MaxCWND},
-		{"JitterStd", c.JitterStd}, {"QueueFactor", c.QueueFactor}, {"Beta", c.Beta},
+		{"RTT", c.RTT}, {"JitterStd", c.JitterStd},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("netem: %s %v is not a finite number", f.name, f.v)
@@ -111,14 +95,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.RTT <= 0:
 		return fmt.Errorf("netem: RTT %v <= 0", c.RTT)
-	case c.InitCWND < 0:
-		return fmt.Errorf("netem: InitCWND %v < 0", c.InitCWND)
-	case c.MaxCWND < 0:
-		return fmt.Errorf("netem: MaxCWND %v < 0", c.MaxCWND)
 	case c.JitterStd < 0 || c.JitterStd > 0.5:
 		return fmt.Errorf("netem: JitterStd %v outside [0, 0.5]", c.JitterStd)
-	case c.Beta < 0 || c.Beta >= 1:
-		return fmt.Errorf("netem: Beta %v outside [0, 1)", c.Beta)
 	}
 	return nil
 }
@@ -164,10 +142,9 @@ func newConn(cfg Config) (*Conn, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
 	return &Conn{
 		cfg:      cfg,
-		cwnd:     cfg.InitCWND,
+		cwnd:     tcp.InitCWND,
 		ssthresh: tcp.DefaultSSThresh,
 	}, nil
 }
@@ -336,16 +313,16 @@ func (c *Conn) Download(start, sizeBytes float64, tr *trace.Trace) (end float64,
 		}
 		// Droptail loss at the bottleneck: multiplicative decrease once
 		// the window overruns the pipe plus queue.
-		if c.cfg.QueueFactor >= 0 && c.cwnd > bdp*(1+c.cfg.QueueFactor) {
-			dec := c.cfg.Beta * c.cwnd
+		if c.cwnd > bdp*(1+queueFactor) {
+			dec := beta * c.cwnd
 			if dec < 2 {
 				dec = 2
 			}
 			c.ssthresh = dec
 			c.cwnd = dec
 		}
-		if c.cwnd > c.cfg.MaxCWND {
-			c.cwnd = c.cfg.MaxCWND
+		if c.cwnd > maxCWND {
+			c.cwnd = maxCWND
 		}
 	}
 	c.lastSend = t

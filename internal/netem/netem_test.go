@@ -28,8 +28,6 @@ func TestConfigValidate(t *testing.T) {
 		{RTT: -1},
 		{RTT: 0.08, JitterStd: -0.1},
 		{RTT: 0.08, JitterStd: 0.9},
-		{RTT: 0.08, InitCWND: -1},
-		{RTT: 0.08, MaxCWND: -1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -50,11 +48,7 @@ func TestConfigRefusesNonFinite(t *testing.T) {
 		set  func(*Config, float64)
 	}{
 		{"RTT", func(c *Config, v float64) { c.RTT = v }},
-		{"InitCWND", func(c *Config, v float64) { c.InitCWND = v }},
-		{"MaxCWND", func(c *Config, v float64) { c.MaxCWND = v }},
 		{"JitterStd", func(c *Config, v float64) { c.JitterStd = v }},
-		{"QueueFactor", func(c *Config, v float64) { c.QueueFactor = v }},
-		{"Beta", func(c *Config, v float64) { c.Beta = v }},
 	}
 	for _, f := range fields {
 		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {

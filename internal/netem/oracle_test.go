@@ -63,16 +63,16 @@ func downloadOracle(c *Conn, start, sizeBytes float64, tr *trace.Trace) (end flo
 		} else {
 			c.cwnd++
 		}
-		if c.cfg.QueueFactor >= 0 && c.cwnd > bdp*(1+c.cfg.QueueFactor) {
-			dec := c.cfg.Beta * c.cwnd
+		if c.cwnd > bdp*(1+queueFactor) {
+			dec := beta * c.cwnd
 			if dec < 2 {
 				dec = 2
 			}
 			c.ssthresh = dec
 			c.cwnd = dec
 		}
-		if c.cwnd > c.cfg.MaxCWND {
-			c.cwnd = c.cfg.MaxCWND
+		if c.cwnd > maxCWND {
+			c.cwnd = maxCWND
 		}
 	}
 	c.lastSend = t
@@ -147,14 +147,11 @@ func oracleTraces(t *testing.T) map[string]*trace.Trace {
 func oracleConfigs() map[string]Config {
 	noSSR := DefaultConfig()
 	noSSR.SlowStartRestart = false
-	lossless := DefaultConfig()
-	lossless.QueueFactor = -1
 	return map[string]Config{
 		"default":       DefaultConfig(),
 		"no jitter":     deterministic(),
 		"strong jitter": {RTT: 0.08, SlowStartRestart: true, JitterStd: 0.5, Seed: 42},
 		"no SSR":        noSSR,
-		"lossless":      lossless,
 	}
 }
 

@@ -257,44 +257,3 @@ func TestDecodeLogRejectsEmpty(t *testing.T) {
 		t.Error("bad JSON should fail")
 	}
 }
-
-func TestQoE(t *testing.T) {
-	log := &SessionLog{
-		ChunkSeconds: 2,
-		Records: []ChunkRecord{
-			{BitrateMbps: 2, RebufSeconds: 0},
-			{BitrateMbps: 4, RebufSeconds: 1},
-			{BitrateMbps: 4, RebufSeconds: 0},
-		},
-	}
-	w := QoEWeights{Rebuf: 4, Smooth: 1}
-	// bitrate sum 10, rebuf penalty 4, smoothness |4-2|+|4-4| = 2.
-	want := (10.0 - 4 - 2) / 3
-	if got := QoE(log, w); math.Abs(got-want) > 1e-12 {
-		t.Errorf("QoE = %v, want %v", got, want)
-	}
-	if QoE(nil, w) != 0 {
-		t.Error("nil log should give 0")
-	}
-	if QoE(&SessionLog{}, w) != 0 {
-		t.Error("empty log should give 0")
-	}
-}
-
-func TestQoEOrdersAlgorithmsSanely(t *testing.T) {
-	// On a fast link, MPC's QoE should beat a forced-lowest-quality
-	// session (higher bitrate, no stalls either way).
-	logMPC, _, err := Run(testConfig(t, 20, abr.NewMPC()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	logLow, _, err := Run(testConfig(t, 20, &abr.Fixed{Quality: 0}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := DefaultQoEWeights()
-	if QoE(logMPC, w) <= QoE(logLow, w) {
-		t.Errorf("MPC QoE %v should beat lowest-quality QoE %v on a fast link",
-			QoE(logMPC, w), QoE(logLow, w))
-	}
-}

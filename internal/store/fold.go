@@ -1,17 +1,17 @@
 package store
 
-// Folding sharded campaigns. A campaign sharded across processes (or
-// machines) appends each shard's sessions to its own store; Fold
-// compacts the per-shard stores back into one queryable corpus. It is
-// Merge plus the shard discipline:
+// Folding stores. A campaign sharded across processes (or machines)
+// appends each shard's sessions to its own store; Fold compacts the
+// per-shard stores back into one queryable corpus. It is the one way to
+// combine stores: the compaction pass (merge, last listed source wins a
+// duplicate session) plus the shard discipline:
 //
 //   - Sources are ordered by their recorded shard index (shard.json),
 //     not by the order the caller (or a directory walk) happened to
 //     list them, so duplicate session keys resolve last-write-wins by
 //     shard index — deterministically, however the shards were
-//     enumerated. Sources without shard metadata keep caller order,
-//     which is how pre-shard stores keep folding the way Merge always
-//     did.
+//     enumerated. Plain stores, without shard metadata, keep caller
+//     order.
 //   - The campaign fingerprint (campaign.json) is propagated into the
 //     folded store when every source that carries one agrees; sources
 //     with conflicting fingerprints refuse to fold — mixing rows
@@ -90,8 +90,8 @@ func expandSources(srcs []string) ([]string, error) {
 			continue
 		}
 		if _, rdErr := os.ReadDir(dir); rdErr != nil {
-			// Not an enumerable directory: keep it and let Merge fail
-			// (or fold it) with its real error.
+			// Not an enumerable directory: keep it and let the fold
+			// fail with its real error.
 			out = append(out, dir)
 			continue
 		}
@@ -102,7 +102,7 @@ func expandSources(srcs []string) ([]string, error) {
 			return nil, err
 		}
 		if len(kids) == 0 {
-			// A plain pre-shard store: folds with Merge semantics.
+			// A plain store: it folds as itself, in caller order.
 			out = append(out, dir)
 			continue
 		}
@@ -174,10 +174,10 @@ func ReadShardMeta(dir string) (m ShardMeta, ok bool, err error) {
 // deployment mistake silent picking would make nondeterministic, and
 // a partial fold would serve an incomplete "campaign" under the full
 // campaign fingerprint. Sources without metadata keep caller order.
-// Either way the fold itself is Merge: sessions deduplicate by ID,
-// last listed source wins, and it lands as Merge's does, except that it
-// carries the sources' campaign.json and so may replace a previous fold
-// of its campaign.
+// Either way sessions deduplicate by ID and the last listed source
+// wins. The folded store carries the sources' campaign.json, if any, and
+// so may replace a previous fold of its campaign; a fold of plain
+// stores carries none and replaces no non-empty dst.
 func Fold(dst string, opt Options, srcs ...string) (n int, err error) {
 	if len(srcs) == 0 {
 		return 0, errors.New("store: Fold needs at least one source")
@@ -250,7 +250,8 @@ func land(dst string, opt Options, fp []byte, srcs []string) (int, error) {
 // absent or empty, or carries a campaign.json matching one of forms —
 // the fold's own, so dst is a previous fold of the same campaign,
 // reproducible from its sources. Anything else is someone else's data;
-// a fold with no campaign.json (Merge) replaces no non-empty dst.
+// a fold with no campaign.json (of plain stores) replaces no non-empty
+// dst.
 func replaceable(dst string, forms [][]byte) error {
 	entries, err := os.ReadDir(dst)
 	if errors.Is(err, os.ErrNotExist) || (err == nil && len(entries) == 0) {
@@ -314,7 +315,7 @@ func orderByShard(srcs []string) ([]string, error) {
 		return append([]string(nil), srcs...), nil // pre-shard stores: keep caller order
 	}
 	if len(withoutMeta) > 0 {
-		return nil, fmt.Errorf("store: fold mixes shard stores with store(s) carrying no %s (%v); fold the shards alone, then compact the rest with Merge",
+		return nil, fmt.Errorf("store: fold mixes shard stores with store(s) carrying no %s (%v); fold the shards alone",
 			ShardMetaFile, withoutMeta)
 	}
 	count := withMeta[0].meta.Count
@@ -333,8 +334,7 @@ func orderByShard(srcs []string) ([]string, error) {
 	if len(withMeta) != count {
 		// A partial fold would carry the full campaign fingerprint
 		// while missing whole shards' sessions — it must fail loudly,
-		// not serve a silently incomplete "campaign". (MergeStores is
-		// the escape hatch for deliberately partial compactions.)
+		// not serve a silently incomplete "campaign".
 		var missing []int
 		for i := 0; i < count; i++ {
 			if _, ok := seen[i]; !ok {

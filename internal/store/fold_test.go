@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -179,38 +180,65 @@ func TestFoldPropagatesCampaignFingerprint(t *testing.T) {
 }
 
 func TestFoldWithoutShardMetaKeepsCallerOrder(t *testing.T) {
-	// Pre-shard stores: no shard.json anywhere, so Fold degrades to
-	// Merge semantics — the later-listed source wins.
-	mk := func(ssim float64) string {
-		dir := t.TempDir()
-		s, err := Create(dir, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		row := testRow(0, "fcc")
-		row.SettingA.AvgSSIM = ssim
-		if err := s.Append(row); err != nil {
-			t.Fatal(err)
-		}
-		s.Close()
-		return dir
-	}
-	dirA, dirB := mk(0.1), mk(0.2)
-	dst := filepath.Join(t.TempDir(), "folded")
-	if _, err := Fold(dst, Options{}, dirA, dirB); err != nil {
+	// Plain stores: no shard.json and no campaign.json anywhere, so the
+	// caller's order is the precedence — the later-listed source wins.
+	dirA, dirB := t.TempDir(), t.TempDir()
+	a, err := Create(dirA, Options{})
+	if err != nil {
 		t.Fatal(err)
+	}
+	fillStore(t, a, 5, "fcc")
+	a.Close()
+
+	b, err := Create(dirB, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillStore(t, b, 5, "lte")
+	// Overlap: b re-ran fcc-002 with a different outcome.
+	rerun := testRow(2, "fcc")
+	rerun.SettingA.AvgSSIM = 0.5
+	if err := b.Append(rerun); err != nil {
+		t.Fatal(err)
+	}
+	b.Close()
+
+	dst := filepath.Join(t.TempDir(), "folded")
+	n, err := Fold(dst, Options{}, dirA, dirB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 10 {
+		t.Fatalf("Fold kept %d sessions, want 10 (5+5, one superseded)", n)
 	}
 	ro, err := Open(dst, Options{ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ro.Close()
-	got, _, err := ro.Get("fcc-000")
+	got, _, err := ro.Get("fcc-002")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.SettingA.AvgSSIM != 0.2 {
-		t.Errorf("caller-order fold kept SSIM %v, want the later source's 0.2", got.SettingA.AvgSSIM)
+	if got.SettingA.AvgSSIM != 0.5 {
+		t.Errorf("caller-order fold kept SSIM %v for fcc-002, want the later source's 0.5", got.SettingA.AvgSSIM)
+	}
+	scens := ro.Scenarios()
+	if len(scens) != 2 || scens[0].Scenario != "fcc" || scens[0].Sessions != 5 || scens[1].Sessions != 5 {
+		t.Errorf("folded scenarios = %+v", scens)
+	}
+	ro.Close()
+
+	// The fold carries no campaign.json, so nothing proves a non-empty
+	// dst reproducible: not even its own output is replaced.
+	before := dirFiles(t, dst)
+	if _, err := Fold(dst, Options{}, dirA); err == nil || !strings.Contains(err.Error(), "no campaign.json") {
+		t.Errorf("plain fold over a non-empty dst = %v, want a refusal naming campaign.json", err)
+	}
+	if !reflect.DeepEqual(before, dirFiles(t, dst)) {
+		t.Error("a refused fold changed its destination")
+	}
+	if _, err := Fold(filepath.Join(t.TempDir(), "again"), Options{}); err == nil {
+		t.Error("Fold with no sources should error")
 	}
 }
 

@@ -106,24 +106,16 @@ func noSiblings(t *testing.T, dst string) {
 func TestFailedFoldIsNeverVisible(t *testing.T) {
 	bad := truncatedRowStore(t, landFP)
 
-	for _, c := range []struct {
-		name string
-		fold func(dst string, srcs ...string) (int, error)
-	}{
-		{"Fold", func(dst string, srcs ...string) (int, error) { return Fold(dst, Options{}, srcs...) }},
-		{"Merge", func(dst string, srcs ...string) (int, error) { return Merge(dst, Options{}, srcs...) }},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			dst := filepath.Join(t.TempDir(), "folded")
-			if _, err := c.fold(dst, bad); err == nil || !strings.Contains(err.Error(), "malformed row") {
-				t.Fatalf("%s over a row cut short = %v, want the decode error", c.name, err)
-			}
-			if files := dirFiles(t, dst); files != nil {
-				t.Errorf("the failed %s is visible at dst: %d file(s)", c.name, len(files))
-			}
-			noSiblings(t, dst)
-		})
-	}
+	t.Run("Fold", func(t *testing.T) {
+		dst := filepath.Join(t.TempDir(), "folded")
+		if _, err := Fold(dst, Options{}, bad); err == nil || !strings.Contains(err.Error(), "malformed row") {
+			t.Fatalf("Fold over a row cut short = %v, want the decode error", err)
+		}
+		if files := dirFiles(t, dst); files != nil {
+			t.Errorf("the failed Fold is visible at dst: %d file(s)", len(files))
+		}
+		noSiblings(t, dst)
+	})
 
 	// Over a previous fold of the same campaign, which Fold may replace.
 	dst := filepath.Join(t.TempDir(), "folded")
@@ -213,10 +205,6 @@ func TestFoldReplaceRule(t *testing.T) {
 		}},
 		{"a fold with no fingerprint", "different campaign", func() error {
 			_, err := Fold(dst, Options{}, campaignStore(t, []int{5}, ""))
-			return err
-		}},
-		{"Merge", "different campaign", func() error {
-			_, err := Merge(dst, Options{}, src)
 			return err
 		}},
 	} {

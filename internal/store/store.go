@@ -845,26 +845,14 @@ func (s *Store) Scan(fn func(engine.SessionRow) error) error {
 	return nil
 }
 
-// Merge folds one or more source stores into a fresh store at dst — the
-// compaction pass. Sessions are deduplicated by ID last-write-wins in
-// srcs order: when two sources hold the same key, the source listed
-// later wins, whatever order a directory walk produced the list in —
-// the caller's ordering IS the precedence, so equal srcs slices give
-// byte-identical merged stores. (Fold derives that ordering from shard
-// metadata; Merge itself never reorders.) Superseded and torn records
-// are dropped, and the surviving records are written in sorted key
-// order, one at a time, so compaction memory is bounded by a single
-// row. Returns the number of sessions in the merged store.
-// It is built in <dst>.folding and renamed into place only when
-// complete (land), and never replaces a dst that is not empty.
-func Merge(dst string, opt Options, srcs ...string) (int, error) {
-	if len(srcs) == 0 {
-		return 0, errors.New("store: Merge needs at least one source")
-	}
-	return land(dst, opt, nil, srcs)
-}
-
-// merge writes the merge of srcs into the fresh store dst.
+// merge writes the merge of srcs into the fresh store dst — the
+// compaction pass under Fold. Sessions are deduplicated by ID,
+// last-write-wins in srcs order: when two sources hold the same key,
+// the source listed later wins, so equal srcs slices give
+// byte-identical stores. Superseded and torn records are dropped, and
+// the surviving records are written in sorted key order, one at a time,
+// so compaction memory is bounded by a single row. It returns the
+// number of sessions written.
 func merge(dst string, opt Options, srcs []string) (int, error) {
 	opened := make([]*Store, 0, len(srcs))
 	defer func() {

@@ -277,58 +277,6 @@ func TestStoreReadOnly(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	dirA, dirB := t.TempDir(), t.TempDir()
-	a, err := Create(dirA, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillStore(t, a, 5, "fcc")
-	a.Close()
-
-	b, err := Create(dirB, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillStore(t, b, 5, "lte")
-	// Overlap: b re-ran fcc-002 with a different outcome; the later
-	// source must win.
-	rerun := testRow(2, "fcc")
-	rerun.SettingA.AvgSSIM = 0.5
-	if err := b.Append(rerun); err != nil {
-		t.Fatal(err)
-	}
-	b.Close()
-
-	dst := filepath.Join(t.TempDir(), "merged")
-	n, err := Merge(dst, Options{}, dirA, dirB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 10 {
-		t.Fatalf("Merge folded %d sessions, want 10 (5+5, one superseded)", n)
-	}
-	m, err := Open(dst, Options{ReadOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	got, _, err := m.Get("fcc-002")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.SettingA.AvgSSIM != 0.5 {
-		t.Errorf("merge kept the earlier record for fcc-002 (SSIM %v)", got.SettingA.AvgSSIM)
-	}
-	scens := m.Scenarios()
-	if len(scens) != 2 || scens[0].Scenario != "fcc" || scens[0].Sessions != 5 || scens[1].Sessions != 5 {
-		t.Errorf("merged scenarios = %+v", scens)
-	}
-	if _, err := Merge(filepath.Join(t.TempDir(), "again"), Options{}); err == nil {
-		t.Error("Merge with no sources should error")
-	}
-}
-
 // fleetCorpus builds a small real corpus + one arm for the end-to-end
 // store tests.
 func fleetCorpus(t testing.TB) ([]engine.SessionSpec, []engine.Arm) {

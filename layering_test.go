@@ -376,18 +376,21 @@ func TestOneBinaryForTheSmallTools(t *testing.T) {
 	}
 }
 
-// TestEveryOptionHasACaller fences the facade against knobs only tests
-// reach: every exported With* constructor of the root package is called
-// from at least one non-test file of the module — bench/, cmd/,
-// examples/ and internal/ count, the constructor's own declaration does
-// not.
+// TestEveryOptionHasACaller fences the facade against surface only tests
+// reach: every exported top-level function of the root package, each
+// With* option constructor among them, is referenced from at least one
+// non-test file of the module. bench/, cmd/, examples/ and internal/
+// count, and so does another function of the root package; a function's
+// own declaration does not. A reference need not be a call: a factory
+// handed over as a value (NewABR: veritas.NewBBA) is a caller too.
 func TestEveryOptionHasACaller(t *testing.T) {
 	fset := token.NewFileSet()
 	facade, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	calls := make(map[string]int)
+	refs := make(map[string]int)
+	options := 0
 	for _, name := range facade {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
@@ -397,13 +400,16 @@ func TestEveryOptionHasACaller(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, decl := range file.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "With") {
-				calls[fd.Name.Name] = 0
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.IsExported() {
+				refs[fd.Name.Name] = 0
+				if strings.HasPrefix(fd.Name.Name, "With") {
+					options++
+				}
 			}
 		}
 	}
-	if len(calls) < 20 {
-		t.Fatalf("found %d With* constructors in the root package, want the facade's options", len(calls))
+	if options < 20 {
+		t.Fatalf("found %d With* constructors among the root package's %d exported functions, want the facade's options", options, len(refs))
 	}
 
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -423,43 +429,83 @@ func TestEveryOptionHasACaller(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		root := filepath.Dir(path) == "."
-		ast.Inspect(file, func(n ast.Node) bool {
-			if fd, ok := n.(*ast.FuncDecl); ok && root && fd.Recv == nil {
-				if _, isOption := calls[fd.Name.Name]; isOption {
-					return false // a constructor does not call itself into use
+		if filepath.Dir(path) == "." {
+			for _, decl := range file.Decls {
+				self := ""
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil {
+					self = fd.Name.Name // a function does not reference itself into use
 				}
+				countFacadeRefs(decl, "", self, refs)
 			}
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			var name string
-			switch fun := call.Fun.(type) {
-			case *ast.Ident:
-				if root {
-					name = fun.Name
+			return nil
+		}
+		for _, imp := range file.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "veritas" {
+				pkg := "veritas"
+				if imp.Name != nil {
+					pkg = imp.Name.Name
 				}
-			case *ast.SelectorExpr:
-				if pkg, ok := fun.X.(*ast.Ident); ok && pkg.Name == "veritas" && !root {
-					name = fun.Sel.Name
-				}
+				countFacadeRefs(file, pkg, "", refs)
 			}
-			if _, isOption := calls[name]; isOption {
-				calls[name]++
-			}
-			return true
-		})
+		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, n := range calls {
+	for name, n := range refs {
 		if n == 0 {
 			t.Errorf("veritas.%s has no caller outside tests: delete it, or give it one", name)
 		}
 	}
+}
+
+// countFacadeRefs adds to refs each reference under node to a function
+// of the root package, other than self. Outside the root package (pkg
+// is the file's name for it) a reference is a selector pkg.Name. Inside
+// it (pkg is "") it is a bare identifier, but not one that names a
+// struct field, a method, a parameter or a composite literal's key.
+func countFacadeRefs(node ast.Node, pkg, self string, refs map[string]int) {
+	count := func(name string) {
+		if _, ok := refs[name]; ok && name != self {
+			refs[name]++
+		}
+	}
+	var visit func(ast.Node) bool
+	visit = func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			if x, ok := n.X.(*ast.Ident); ok && pkg != "" && x.Name == pkg {
+				count(n.Sel.Name)
+			}
+			ast.Inspect(n.X, visit)
+			return false
+		case *ast.KeyValueExpr:
+			if _, field := n.Key.(*ast.Ident); !field {
+				ast.Inspect(n.Key, visit)
+			}
+			ast.Inspect(n.Value, visit)
+			return false
+		case *ast.Field:
+			ast.Inspect(n.Type, visit)
+			return false
+		case *ast.FuncDecl:
+			if n.Recv != nil {
+				ast.Inspect(n.Recv, visit)
+			}
+			ast.Inspect(n.Type, visit)
+			if n.Body != nil {
+				ast.Inspect(n.Body, visit)
+			}
+			return false
+		case *ast.Ident:
+			if pkg == "" {
+				count(n.Name)
+			}
+		}
+		return true
+	}
+	ast.Inspect(node, visit)
 }
 
 // TestOneSeededSource: every seeded generator in the module comes from

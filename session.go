@@ -7,7 +7,6 @@ package veritas
 
 import (
 	"errors"
-	"math"
 
 	"veritas/internal/abduction"
 	"veritas/internal/abr"
@@ -45,7 +44,10 @@ type (
 	TCPState = tcp.State
 	// AbductionConfig parameterizes GTBW inference.
 	AbductionConfig = abduction.Config
-	// Abduction is the inferred posterior over GTBW traces.
+	// Abduction is the inferred posterior over GTBW traces. Its
+	// PredictDownloadTime method answers the interventional query of
+	// the paper's §4.4: the expected download time of a hypothetical
+	// chunk, given everything the abduction learned from the session.
 	Abduction = abduction.Abduction
 )
 
@@ -61,9 +63,6 @@ func GenerateTraceSet(cfg TraceConfig, n int) ([]*Trace, error) {
 	return trace.GenerateSet(cfg, n)
 }
 
-// ConstantTrace returns a trace holding mbps forever.
-func ConstantTrace(mbps float64) *Trace { return trace.Constant(mbps) }
-
 // TraceRegimes returns the names of the synthetic bandwidth regimes the
 // trace generator knows ("fcc", "lte", "wifi"). Campaign scenarios (see
 // Scenarios) are these plus the square-wave process.
@@ -77,10 +76,6 @@ func NewBBA() ABR { return abr.NewBBA() }
 
 // NewBOLA returns BOLA Basic.
 func NewBOLA() ABR { return abr.NewBOLA() }
-
-// NewFestive returns the FESTIVE rate-based algorithm with gradual
-// switching.
-func NewFestive() ABR { return abr.NewFestive() }
 
 // NewABR returns a fresh instance of the algorithm WithMatrix knows by
 // name; the error of an unknown name lists ABRs().
@@ -245,40 +240,4 @@ func Oracle(gt *Trace, w WhatIf) (Metrics, error) {
 		return Metrics{}, err
 	}
 	return abduction.Replay(gt, setting)
-}
-
-// PredictDownloadTime answers the interventional query of the paper's
-// §4.4: the expected download time of a hypothetical chunk of sizeBytes
-// requested at startSecs with TCP state st, given everything the
-// abduction learned from the session so far.
-func PredictDownloadTime(abd *Abduction, startSecs float64, st TCPState, sizeBytes float64) float64 {
-	return abd.PredictDownloadTime(startSecs, st, sizeBytes)
-}
-
-// QoEWeights parameterizes the linear QoE score; see
-// DefaultQoEWeights.
-type QoEWeights = player.QoEWeights
-
-// DefaultQoEWeights returns the MPC paper's QoE-lin coefficients.
-func DefaultQoEWeights() QoEWeights { return player.DefaultQoEWeights() }
-
-// QoE computes the per-chunk-average linear quality-of-experience score
-// of a session log (bitrate minus rebuffering and switching penalties).
-func QoE(log *SessionLog, w QoEWeights) float64 { return player.QoE(log, w) }
-
-// PredictNextChunkTime is a convenience wrapper predicting the download
-// time of a chunk requested gapSecs after the last logged chunk ended,
-// on the same connection. It returns NaN when the abduction carries no
-// session log or the log has no records: there is no "last chunk" to
-// anchor the prediction to.
-func PredictNextChunkTime(abd *Abduction, gapSecs, sizeBytes float64) float64 {
-	log := abd.Log()
-	if log == nil || len(log.Records) == 0 {
-		return math.NaN()
-	}
-	recs := log.Records
-	last := recs[len(recs)-1]
-	st := last.TCP
-	st.LastSendGap = gapSecs
-	return abd.PredictDownloadTime(last.End+gapSecs, st, sizeBytes)
 }
