@@ -65,9 +65,6 @@ type (
 	FleetResult = engine.Result
 	// FleetSessionResult is one session's outcomes.
 	FleetSessionResult = engine.SessionResult
-	// FleetCacheStats counts hits and misses of the fleet's shared
-	// transition-power cache (FleetResult.Powers).
-	FleetCacheStats = engine.CacheStats
 	// FleetRow is the compact per-session record the store persists,
 	// the partial aggregates reduce, and Campaign.Results streams.
 	FleetRow = engine.SessionRow
@@ -425,11 +422,14 @@ func WithoutTracing() CampaignOption {
 }
 
 // WithDispatchStatus serves the dispatcher's live status API on addr
-// for the duration of a Dispatch: GET /v1/status (per-shard progress,
-// restarts, merged telemetry as JSON) and GET /metrics (the supervisor
-// registry merged with every worker's latest snapshot, as Prometheus
-// text). The listener binds when Dispatch starts and closes when it
-// returns; a bind failure fails the dispatch fast.
+// for the duration of a Dispatch — the GET routes the fleet listener
+// serves too: GET /v1/status (per-shard progress, restarts, merged
+// telemetry as JSON), GET /metrics (the supervisor registry merged with
+// every worker's latest snapshot, as Prometheus text), GET /v1/trace
+// (the merged fleet traces), GET /healthz, and GET /v1/live/* (the
+// report family over the in-progress shard stores). The listener binds
+// when Dispatch starts and closes when it returns; a bind failure fails
+// the dispatch fast.
 func WithDispatchStatus(addr string) CampaignOption {
 	return func(o *campaignOptions) error {
 		if addr == "" {
@@ -665,24 +665,14 @@ func (c *Campaign) ensureStoreLocked() (*FleetStore, error) {
 		c.st = st
 		return st, nil
 	}
+	// The first form is canonical (it is what a fresh store gets); later
+	// forms only matter against an existing store that spelt the same
+	// campaign differently.
 	var fps [][]byte
 	if !c.opt.readOnly {
 		fps = c.fingerprints()
 	}
-	if len(fps) == 0 {
-		fps = [][]byte{nil}
-	}
-	var st *store.Store
-	var err error
-	for _, fp := range fps {
-		// The first form is canonical (it is what a fresh store gets);
-		// later forms only matter against an existing store that spelt
-		// the same campaign differently.
-		st, err = store.OpenCampaign(c.opt.storeDir, opt, fp)
-		if err == nil || !errors.Is(err, store.ErrCampaignMismatch) {
-			break
-		}
-	}
+	st, err := store.OpenCampaign(c.opt.storeDir, opt, fps...)
 	if err != nil {
 		return nil, err
 	}

@@ -375,6 +375,16 @@ func TestCampaignFingerprintScope(t *testing.T) {
 	} else if res.Executed != 0 {
 		t.Errorf("resume executed %d sessions, want 0", res.Executed)
 	}
+	// The store was opened once, not once per form tried: every segment
+	// was indexed (from its sidecar or by a scan) exactly one time.
+	segs, err := filepath.Glob(filepath.Join(explicitDir, "seg-*.vseg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segments in %s (%v)", explicitDir, err)
+	}
+	tel := cd.Telemetry().Counters
+	if n := tel["veritas_store_sidecar_loads_total"] + tel["veritas_store_sidecar_scans_total"]; n != uint64(len(segs)) {
+		t.Errorf("resume indexed %d segments, want %d (one open of the store)", n, len(segs))
+	}
 
 	// Caller-built arms cannot be fingerprinted: no campaign.json is
 	// written, instead of one that would silently vouch for rows

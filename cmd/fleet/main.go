@@ -123,7 +123,7 @@ func dispatchRun(ctx context.Context, o cli.CampaignFlags, n, restarts int, serv
 	}
 	logger.Info("dispatching campaign", "sessions", len(corpus), "arms", len(arms), "workers", n)
 	if statusAddr != "" {
-		logger.Info("status listener up", "addr", statusAddr, "endpoints", "/v1/status /metrics /v1/trace")
+		logger.Info("status listener up", "addr", statusAddr, "endpoints", cli.StatusEndpoints)
 	}
 	res, err := c.Dispatch(ctx, n)
 	// The trace export covers failed dispatches too: the traces that

@@ -222,7 +222,7 @@ func dispatcherMain(ctx context.Context, f daemonFlags) error {
 		veritas.WithFleet(addr),
 		veritas.WithFleetReady(func(bound string) {
 			logger.Info("fleet dispatcher up", "addr", bound, "shards", shards,
-				"endpoints", "POST /v1/agents /v1/lease /v1/heartbeat /v1/upload; GET /v1/status /metrics /v1/trace")
+				"endpoints", "POST /v1/agents /v1/lease /v1/heartbeat /v1/release /v1/upload; GET "+cli.StatusEndpoints)
 		}),
 		veritas.WithDispatchEvents(cli.NewDispatchPrinter(logger, shards, f.progress).Handle),
 	)

@@ -42,7 +42,6 @@ var (
 	_ veritas.FleetArm           = veritas.FleetArm{}
 	_ *veritas.FleetResult       = nil
 	_ veritas.FleetSessionResult = veritas.FleetSessionResult{}
-	_ veritas.FleetCacheStats    = veritas.FleetCacheStats{}
 	_ *veritas.FleetStore        = nil
 	_ veritas.FleetRow           = veritas.FleetRow{}
 	_ veritas.FleetArmOutcome    = veritas.FleetArmOutcome{}

@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -162,14 +161,11 @@ func (c *Campaign) Dispatch(ctx context.Context, n int) (*DispatchResult, error)
 		return nil, fmt.Errorf("veritas: dispatch shard count %d must be at least 1", n)
 	}
 	o := c.opt
-	storeDir, dir, spec, err := c.dispatchPreflight("Dispatch", "Dispatch")
+	p, spec, err := c.beginDispatch("Dispatch", "Dispatch", n)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.beginDispatch(); err != nil {
-		return nil, err
-	}
-	defer c.end(nil)
+	defer c.endDispatch(p)
 
 	binary, err := os.Executable()
 	if err != nil {
@@ -183,69 +179,36 @@ func (c *Campaign) Dispatch(ctx context.Context, n int) (*DispatchResult, error)
 			spec.Workers = 1
 		}
 	}
-
-	// The status tracker folds the event stream into the queryable
-	// fleet view. It always runs (Handle is a few map updates) so
-	// WithDispatchEvents consumers and the status listener see one
-	// consistent picture; the listener itself is opt-in.
-	tracker := dispatch.NewStatus(n, c.reg, c.trc)
-	userEvents := o.dispatchEvents
-
-	cfg := dispatch.Config{
-		Shards: n,
-		Dir:    dir,
-		Tracer: c.trc,
-		// The campaign's acceptable fingerprints make the fold-target
-		// replaceability check decidable before any worker runs.
-		FoldInto:     storeDir,
-		Fingerprints: c.fingerprints(),
-		MaxRestarts:  o.dispatchRestarts,
-		OnEvent: func(e DispatchEvent) {
-			tracker.Handle(e)
-			if userEvents != nil {
-				userEvents(e)
-			}
-		},
-		Command: func(w dispatch.Worker) (*exec.Cmd, error) {
-			return spec.command(binary, os.Environ(), w.Shard, w.Shards, w.StoreDir)
-		},
-	}
 	if o.dispatchStatus != "" {
 		ln, err := net.Listen("tcp", o.dispatchStatus)
 		if err != nil {
 			return nil, fmt.Errorf("veritas: dispatch status listener: %w", err)
 		}
-		// The live query tier rides on the status listener: while the
-		// workers are still appending, /v1/live/report (and cdf, series,
-		// percentiles) serves the combined shard aggregates — the same
-		// numbers the folded store will serve once the dispatch lands.
-		live := serve.NewLive(dir, serve.WithWatchInterval(250*time.Millisecond))
-		defer live.Close()
-		mux := http.NewServeMux()
-		mux.Handle("/", tracker.Handler())
-		mux.Handle("GET /v1/live/", live)
-		srv := serve.NewServer(mux)
+		srv := serve.NewServer(p.Routes())
 		go srv.Serve(ln)
 		defer srv.Close()
 	}
-	res, err := dispatch.Run(ctx, cfg)
-	// Stash the workers' streamed trace sets (even on failure — partial
-	// traces are exactly what a crash post-mortem wants) so Trace and
-	// /v1/trace keep serving the fleet-wide view after the dispatch.
-	c.mu.Lock()
-	c.workerTraces = tracker.WorkerTraces()
-	c.mu.Unlock()
-	return res, err
+	return dispatch.Run(ctx, p, dispatch.Workers{
+		MaxRestarts: o.dispatchRestarts,
+		Command: func(w dispatch.Worker) (*exec.Cmd, error) {
+			return spec.command(binary, os.Environ(), w.Shard, w.Shards, w.StoreDir)
+		},
+	})
 }
 
-// dispatchPreflight is the option check Dispatch and ServeFleet share:
-// it refuses campaigns that cannot be fanned out across processes
-// (method names the caller in the errors, owner whoever owns the shard
-// partition) and derives the fold destination, the directory the shard
-// stores live under, and the worker spec carrying every result-shaping
-// option — shard assignment and store left for the caller to fill.
-func (c *Campaign) dispatchPreflight(method, owner string) (storeDir, shardDir string, spec workerSpec, err error) {
+// beginDispatch starts the half of Dispatch and ServeFleet the two
+// share. It refuses campaigns that cannot be fanned out across
+// processes (method names the caller in the errors, owner whoever owns
+// the shard partition) or whose store is open in this process — the
+// fold replaces the store directory on disk, which must not happen
+// under a live handle — and marks the campaign running. It then builds
+// the dispatch's plane over the directory beside the store, with the
+// store as the fold destination, and derives the worker spec carrying
+// every result-shaping option (shard assignment and store left for the
+// caller to fill). endDispatch undoes it.
+func (c *Campaign) beginDispatch(method, owner string, n int) (*dispatch.Plane, workerSpec, error) {
 	o := c.opt
+	var err error
 	switch {
 	case o.storeDir == "":
 		err = fmt.Errorf("veritas: %s needs WithStore: the folded corpus has to land somewhere", method)
@@ -259,12 +222,40 @@ func (c *Campaign) dispatchPreflight(method, owner string) (storeDir, shardDir s
 		err = errors.New("veritas: WithProgress does not cross the worker process boundary; use WithDispatchEvents")
 	}
 	if err != nil {
-		return "", "", workerSpec{}, err
+		return nil, workerSpec{}, err
+	}
+	c.mu.Lock()
+	switch {
+	case c.running:
+		err = errors.New("veritas: campaign is already running")
+	case c.st != nil:
+		err = fmt.Errorf("veritas: the campaign store is open in this process; Close it before %s (the fold replaces the store directory)", method)
+	default:
+		c.running = true
+	}
+	c.mu.Unlock()
+	if err != nil {
+		return nil, workerSpec{}, err
 	}
 	// Clean before deriving the shard directory: a trailing slash would
 	// nest it inside the store.
-	storeDir = filepath.Clean(o.storeDir)
-	return storeDir, storeDir + ".shards", workerSpec{
+	storeDir := filepath.Clean(o.storeDir)
+	p, err := dispatch.NewPlane(dispatch.Config{
+		Shards:   n,
+		Dir:      storeDir + ".shards",
+		FoldInto: storeDir,
+		// The campaign's acceptable fingerprints make the fold-target
+		// replaceability check decidable before any shard runs.
+		Fingerprints: c.fingerprints(),
+		OnEvent:      o.dispatchEvents,
+		Telemetry:    c.reg,
+		Tracer:       c.trc,
+	})
+	if err != nil {
+		c.end(nil)
+		return nil, workerSpec{}, err
+	}
+	return p, workerSpec{
 		campaignSpec: o.campaignSpec,
 		Workers:      o.workers,
 		NoTelem:      o.noTelemetry,
@@ -272,20 +263,17 @@ func (c *Campaign) dispatchPreflight(method, owner string) (storeDir, shardDir s
 	}, nil
 }
 
-// beginDispatch marks the campaign running and insists its store is
-// not open in this process: the fold replaces the store directory on
-// disk, which must not happen under a live handle.
-func (c *Campaign) beginDispatch() error {
+// endDispatch ends what beginDispatch started. It keeps the workers'
+// streamed trace sets — even after a failure, since partial traces are
+// exactly what a crash post-mortem wants — so Trace and /v1/trace keep
+// serving the fleet-wide view after the dispatch.
+func (c *Campaign) endDispatch(p *dispatch.Plane) {
+	traces := p.WorkerTraces()
+	p.Close()
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.running {
-		return errors.New("veritas: campaign is already running")
-	}
-	if c.st != nil {
-		return errors.New("veritas: the campaign store is open in this process; Close it before Dispatch (the fold replaces the store directory)")
-	}
-	c.running = true
-	return nil
+	c.workerTraces = traces
+	c.mu.Unlock()
+	c.end(nil)
 }
 
 // DispatchWorkerMain is the worker entrypoint behind Campaign.Dispatch.

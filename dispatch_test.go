@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -188,5 +189,94 @@ func TestFleetAgentRestartBudget(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "negative") {
 		t.Errorf("Restarts -1: err = %v, want a negative-budget refusal", err)
+	}
+}
+
+// TestDispatchListenersServeOneSurface: the local status listener and
+// the fleet listener serve one GET surface (dispatch.Plane.Routes), so
+// each path answers both with the same status code and content type.
+// The local listener is probed from the fold event, while the dispatch
+// still runs; the fleet listener as soon as it is bound, before any
+// agent joins, and there an unknown path is the folded-corpus route's
+// 503 where the local listener has no such route and says 404.
+func TestDispatchListenersServeOneSurface(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a real worker process")
+	}
+	type answer struct {
+		code  int
+		ctype string
+	}
+	paths := []string{"/v1/status", "/metrics", "/v1/trace", "/healthz", "/v1/live/report", "/v1/no-such-route"}
+	probe := func(base string) map[string]answer {
+		out := make(map[string]answer)
+		for _, path := range paths {
+			resp, err := http.Get(base + path)
+			if err != nil {
+				t.Errorf("GET %s: %v", path, err)
+				continue
+			}
+			resp.Body.Close()
+			out[path] = answer{resp.StatusCode, resp.Header.Get("Content-Type")}
+		}
+		return out
+	}
+	opts := []veritas.CampaignOption{
+		veritas.WithScenarios("fcc"),
+		veritas.WithSessions(1),
+		veritas.WithChunks(25),
+		veritas.WithSamples(2),
+		veritas.WithMatrix([]string{"bba"}, []float64{5}),
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	statusAddr := ln.Addr().String()
+	ln.Close()
+	var local map[string]answer
+	c, err := veritas.NewCampaign(append(opts,
+		veritas.WithStore(filepath.Join(t.TempDir(), "local.store")),
+		veritas.WithDispatchStatus(statusAddr),
+		veritas.WithDispatchEvents(func(e veritas.DispatchEvent) {
+			if e.Type == veritas.DispatchFold {
+				local = probe("http://" + statusAddr)
+			}
+		}))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Dispatch(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var fleet map[string]answer
+	f, err := veritas.NewCampaign(append(opts,
+		veritas.WithStore(filepath.Join(t.TempDir(), "fleet.store")),
+		veritas.WithFleet("127.0.0.1:0"),
+		veritas.WithFleetReady(func(addr string) {
+			fleet = probe("http://" + addr)
+			cancel()
+		}))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.ServeFleet(ctx, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ServeFleet = %v, want it cancelled once probed", err)
+	}
+
+	for _, path := range paths[:len(paths)-1] {
+		if l, fl := local[path], fleet[path]; l != fl || l.code != http.StatusOK {
+			t.Errorf("GET %s: local listener %d %q, fleet listener %d %q; want one 200 answer", path, l.code, l.ctype, fl.code, fl.ctype)
+		}
+	}
+	unknown := paths[len(paths)-1]
+	if l, fl := local[unknown].code, fleet[unknown].code; l != http.StatusNotFound || fl != http.StatusServiceUnavailable {
+		t.Errorf("GET %s: local listener %d, fleet listener %d; want 404 and 503 before the fold", unknown, l, fl)
 	}
 }

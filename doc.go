@@ -107,15 +107,23 @@
 //
 // internal/dispatch and internal/fleetd both turn a campaign into
 // shards and end in the same fold, and they stay two packages on
-// purpose. What they could share they do: a shard is run by one function
-// (dispatch.RunShard: a re-exec'd worker process per shard, so a crash
-// or a leak costs one shard, never the supervisor), reported over one
-// protocol (the worker's NDJSON progress stream), tracked in one
-// dispatch.Status, described by one spec (workerSpec, spec.go),
-// pre-flighted by one shard-layout check (dispatch.CheckLayout) and one
-// fold-target check (store.CheckFoldTarget), and folded by one
+// purpose. What they could share they do: a shard is run by one
+// supervisor loop (dispatch.Run and RunShard: a re-exec'd worker
+// process per shard, so a crash or a leak costs one shard, never the
+// supervisor), reported over one protocol (the worker's NDJSON progress
+// stream) and described by one spec (workerSpec, spec.go). The rest of
+// a dispatch's lifecycle has one owner, dispatch.Plane, which the
+// facade builds once per dispatch (beginDispatch) whichever plane runs
+// it. The Plane pre-flights the shard directory with the one
+// shard-layout check (dispatch.CheckLayout) and the one fold-target
+// check (store.CheckFoldTarget); fans every event out, serialized, into
+// the one dispatch.Status view and the caller's callback; folds with
 // store.Fold, which lands atomically and owns the one rule for
-// replacing its destination.
+// replacing its destination; and serves the one GET surface of a
+// dispatch listener (/v1/status, /metrics, /v1/trace, /healthz,
+// /v1/live/*), the live tier and the workers' trace sets included.
+// TestOneDispatchLifecycle (layering_test.go) keeps each of those
+// calls to one site.
 //
 // What differs is who owns a shard's store while it runs, and no merge
 // removes that. The local supervisor owns the shard directories: a
@@ -127,8 +135,10 @@
 // and work stealing are for. Routing local shards through lease and
 // upload would trade resume for a loopback copy of every store; driving
 // remote agents from the supervisor would need the shared filesystem
-// the fleet exists to do without. When last sized (PR 20) a merge could
-// delete dispatch.Run's supervision loop and its layout check, about
-// 130 lines, and would pay for them with a second meaning for every
-// lease state. So: two planes, one shard runner, one wire, one fold.
+// the fleet exists to do without. Giving the shared half its one owner
+// took the non-test Go of both planes and their facade halves
+// (internal/dispatch, internal/fleetd, dispatch.go, fleet.go) from
+// 3,284 lines to 3,271; what a merge could still delete is dispatch.Run,
+// 45 lines, paid for with a second meaning for every lease state. So:
+// two planes, one shard runner, one wire, one lifecycle, one fold.
 package veritas

@@ -156,32 +156,16 @@ func (c *Campaign) ServeFleet(ctx context.Context, n int) (*FleetDispatchResult,
 	// worker count is not split across shards — each agent machine runs
 	// one worker at a time and should use its own capacity (or the
 	// explicit WithWorkers).
-	storeDir, dir, lease, err := c.dispatchPreflight("ServeFleet", "the fleet dispatcher")
+	p, lease, err := c.beginDispatch("ServeFleet", "the fleet dispatcher", n)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.beginDispatch(); err != nil {
-		return nil, err
-	}
-	defer c.end(nil)
+	defer c.endDispatch(p)
 	spec, err := json.Marshal(lease)
 	if err != nil {
 		return nil, err
 	}
-
-	userEvents := o.dispatchEvents
-	d, err := fleetd.New(fleetd.Config{
-		Shards:       n,
-		Dir:          dir,
-		FoldInto:     storeDir,
-		Fingerprints: c.fingerprints(),
-		Spec:         spec,
-		LeaseTTL:     o.fleetTTL,
-		MaxLease:     o.fleetMaxLease,
-		OnEvent:      userEvents,
-		Telemetry:    c.reg,
-		Tracer:       c.trc,
-	})
+	d, err := fleetd.New(p, fleetd.Config{Spec: spec, LeaseTTL: o.fleetTTL, MaxLease: o.fleetMaxLease})
 	if err != nil {
 		return nil, err
 	}
@@ -203,12 +187,6 @@ func (c *Campaign) ServeFleet(ctx context.Context, n int) (*FleetDispatchResult,
 		// Agents still polling hear "done" before the listener closes.
 		d.Drain(ctx)
 	}
-	// Stash the agents' streamed trace sets (even on failure — partial
-	// traces are a crash post-mortem) so Trace and /v1/trace keep
-	// serving the fleet-wide view after the dispatch.
-	c.mu.Lock()
-	c.workerTraces = d.WorkerTraces()
-	c.mu.Unlock()
 	return res, err
 }
 

@@ -9,6 +9,11 @@ import (
 	"veritas"
 )
 
+// StatusEndpoints names every GET route a dispatch listener serves —
+// fleet's -status listener and veritasd's fleet listener alike — for
+// the line each CLI logs when its listener is up.
+const StatusEndpoints = "/v1/status /metrics /v1/trace /healthz /v1/live/report /v1/live/report/cdf /v1/live/report/series /v1/live/report/percentiles /v1/live/status"
+
 // DispatchPrinter renders a dispatch event stream for the terminal —
 // the local supervisor's (fleet -dispatch) and the networked
 // dispatcher's (veritasd) alike. Lifecycle events (starts, leases,

@@ -1,10 +1,18 @@
 // Package dispatch is the shard supervisor of the Veritas fleet: the
 // control plane that turns the manual multi-process runbook — launch
 // one `fleet -shard i/n` per machine, wait, copy the stores together,
-// fold — into a single supervised lifecycle on one machine.
+// fold — into a single supervised lifecycle on one machine. It also
+// holds the half of a dispatch the networked plane (package fleetd)
+// shares with it: the Plane.
 //
-// Run spawns one worker process per shard, each writing its slice of
-// the campaign into its own store directory under Config.Dir, and
+// NewPlane enforces the shard layout before anything runs: a store
+// directory under Dir left by a different shard assignment (a previous
+// run with another shard count, or a stray store) is detected via its
+// shard.json and refused, because resuming workers into mispartitioned
+// stores would corrupt the campaign.
+//
+// Run then spawns one worker process per shard, each writing its slice
+// of the campaign into its own store directory under Config.Dir, and
 // babysits them:
 //
 //   - Progress streaming. Worker stdout is scanned for the NDJSON
@@ -26,12 +34,6 @@
 //     the result is deterministic — into FoldInto, yielding one corpus
 //     whose aggregate report is byte-identical to a single-process run
 //     of the same campaign.
-//
-// The supervisor also enforces the shard layout before spawning
-// anything: a store directory under Dir left by a different shard
-// assignment (a previous run with another shard count, or a stray
-// store) is detected via its shard.json and refused, because resuming
-// workers into mispartitioned stores would corrupt the campaign.
 package dispatch
 
 import (
@@ -41,7 +43,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"sync"
@@ -71,22 +72,43 @@ type Worker struct {
 	StoreDir string
 }
 
-// Config parameterizes a supervised dispatch.
+// Config describes one dispatch to either control plane; NewPlane
+// builds the dispatch's shared half from it.
 type Config struct {
-	// Shards is the number of worker processes (and corpus shards).
+	// Shards is the campaign's shard count: the worker processes of a
+	// local dispatch, the unit of leasing of a fleet one.
 	Shards int
 	// Dir is the parent directory the per-shard stores live under, as
 	// ShardDir lays them out. Created if missing.
 	Dir string
 	// FoldInto, when non-empty, is the store directory the shard stores
-	// are folded into (store.Fold, under its replace rule) after every
+	// are folded into (store.Fold, under its replace rule) once every
 	// shard completes.
 	FoldInto string
 	// Fingerprints are the acceptable campaign.json forms of the
-	// campaign being dispatched: Run's pre-flight (store.CheckFoldTarget)
-	// judges FoldInto by them before any worker runs, so a destination
-	// holding a different campaign fails fast, not after the campaign.
+	// campaign being dispatched: NewPlane's pre-flight
+	// (store.CheckFoldTarget) judges FoldInto by them before any shard
+	// runs, so a destination holding a different campaign fails fast,
+	// not after the campaign. A fleet dispatcher verifies uploads
+	// against them too.
 	Fingerprints [][]byte
+	// OnEvent, when set, receives the dispatch's merged event stream.
+	// Calls are serialized (Plane.Emit), so the callback needs no
+	// locking of its own.
+	OnEvent func(Event)
+	// Telemetry and Tracer observe the control plane itself: the Status
+	// view keeps per-shard gauges in Telemetry and merges it with every
+	// worker's streamed snapshot; Tracer records one trace per worker
+	// attempt (spawn → exit, errored on crash), one per restart backoff
+	// wait, and the fold. Worker-side session traces arrive separately
+	// as EventTraces. Either may be nil.
+	Telemetry *telemetry.Registry
+	Tracer    *tracing.Tracer
+}
+
+// Workers says how a shard's worker processes are run: one per shard
+// under Run, one per lease under a fleet agent's RunShard.
+type Workers struct {
 	// Command builds the process for one worker attempt. The supervisor
 	// owns the process's stdout/stderr (do not set them) and its
 	// lifecycle. Required.
@@ -100,16 +122,6 @@ type Config struct {
 	// subsequent restart of the same shard, capped at 30s. Zero or
 	// negative means DefaultBackoff.
 	Backoff time.Duration
-	// OnEvent, when set, receives the merged lifecycle/progress/log
-	// event stream. Calls are serialized by the supervisor, so the
-	// callback needs no locking of its own.
-	OnEvent func(Event)
-	// Tracer, when set, records supervisor-side traces: one per worker
-	// attempt (spawn → exit, errored on crash), one per restart backoff
-	// wait, and the fold (threaded into store.Fold). Worker-side session
-	// traces arrive separately as EventTraces; a Status tracker merges
-	// both into the fleet view. Nil means supervisor tracing off.
-	Tracer *tracing.Tracer
 	// KeepProcessGroup leaves workers in the supervisor's own process
 	// group instead of isolating each into its own. A terminal-run
 	// dispatcher wants isolation (Ctrl-C must reach only the
@@ -121,8 +133,8 @@ type Config struct {
 	KeepProcessGroup bool
 }
 
-func (c Config) backoff(attempt int) time.Duration {
-	d := c.Backoff
+func (wk Workers) backoff(attempt int) time.Duration {
+	d := wk.Backoff
 	if d <= 0 {
 		d = DefaultBackoff
 	}
@@ -135,23 +147,14 @@ func (c Config) backoff(attempt int) time.Duration {
 	return d
 }
 
-// emitter returns the supervisor's one serialized path to OnEvent.
-func (c Config) emitter() func(Event) {
-	var mu sync.Mutex
-	return func(e Event) {
-		if c.OnEvent != nil {
-			mu.Lock()
-			defer mu.Unlock()
-			c.OnEvent(e)
-		}
+// check refuses a missing Command and a negative restart budget: 0
+// already means no restarts, so a negative one can only be a mistake.
+func (wk Workers) check() error {
+	if wk.Command == nil {
+		return errors.New("dispatch: Workers.Command is required")
 	}
-}
-
-// checkBudget refuses a negative restart budget: 0 already means no
-// restarts, so a negative one can only be a mistake.
-func (c Config) checkBudget() error {
-	if c.MaxRestarts < 0 {
-		return fmt.Errorf("dispatch: restart budget %d is negative (0 disables restarts)", c.MaxRestarts)
+	if wk.MaxRestarts < 0 {
+		return fmt.Errorf("dispatch: restart budget %d is negative (0 disables restarts)", wk.MaxRestarts)
 	}
 	return nil
 }
@@ -252,45 +255,17 @@ func ShardDir(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%d.store", i))
 }
 
-// Run executes a supervised dispatch: spawn every shard's worker,
-// babysit crashes with restart-resume, then fold. The first shard to
-// exhaust its restart budget cancels the others (their stores stay
-// resumable); ctx cancellation terminates every worker gracefully and
-// returns ctx's error.
-func Run(ctx context.Context, cfg Config) (*Result, error) {
-	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("dispatch: shard count %d must be at least 1", cfg.Shards)
-	}
-	if cfg.Command == nil {
-		return nil, errors.New("dispatch: Config.Command is required")
-	}
-	if cfg.Dir == "" {
-		return nil, errors.New("dispatch: Config.Dir is required")
-	}
-	if err := cfg.checkBudget(); err != nil {
+// Run is the local control plane: it spawns every shard's worker,
+// babysits crashes with restart-resume, then folds (Plane.Fold). The
+// first shard to exhaust its restart budget cancels the others (their
+// stores stay resumable); ctx cancellation terminates every worker
+// gracefully and returns ctx's error.
+func Run(ctx context.Context, p *Plane, wk Workers) (*Result, error) {
+	if err := wk.check(); err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("dispatch: %w", err)
-	}
-	dirs := make([]string, cfg.Shards)
-	for i := range dirs {
-		dirs[i] = ShardDir(cfg.Dir, i)
-	}
-	if _, err := CheckLayout(cfg.Dir, cfg.Shards); err != nil {
-		return nil, err
-	}
-	if cfg.FoldInto != "" {
-		// Fail fast on a fold destination that can never be replaced —
-		// discovering that only after a multi-hour campaign would waste
-		// the whole run.
-		if err := store.CheckFoldTarget(cfg.FoldInto, dirs, cfg.Fingerprints); err != nil {
-			return nil, err
-		}
-	}
-
 	start := time.Now()
-	emit := cfg.emitter()
+	sup := supervisor{wk: wk, shards: p.cfg.Shards, trc: p.cfg.Tracer, emit: p.Emit}
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -300,20 +275,17 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		firstErr error
 		restarts atomic.Int64
 	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-	for i := 0; i < cfg.Shards; i++ {
+	for i, dir := range p.dirs {
 		wg.Add(1)
-		go func(shard int) {
+		go func() {
 			defer wg.Done()
-			if err := babysit(runCtx, cfg, shard, dirs[shard], emit, &restarts); err != nil {
-				fail(err)
+			if err := sup.babysit(runCtx, i, dir, &restarts); err != nil {
+				errOnce.Do(func() {
+					firstErr = err
+					cancel()
+				})
 			}
-		}(i)
+		}()
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
@@ -324,44 +296,40 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	if err := checkShardsComplete(dirs, cfg.Shards); err != nil {
+	if err := checkShardsComplete(p.dirs, p.cfg.Shards); err != nil {
 		return nil, err
 	}
-
-	res := &Result{ShardDirs: dirs, Restarts: int(restarts.Load())}
-	if cfg.FoldInto != "" {
-		n, err := store.Fold(cfg.FoldInto, store.Options{Tracer: cfg.Tracer}, dirs...)
-		if err != nil {
-			return nil, err
-		}
-		res.Folded = n
-		emit(Event{Type: EventFold, Done: n})
+	folded, err := p.Fold()
+	if err != nil {
+		return nil, err
 	}
-	res.Elapsed = time.Since(start)
-	return res, nil
+	return &Result{ShardDirs: p.ShardDirs(), Restarts: int(restarts.Load()), Folded: folded, Elapsed: time.Since(start)}, nil
 }
 
-// RunShard runs one shard's worker lifecycle under cfg — the per-shard
-// slice of Run, without the fan-out, layout checks, or fold: spawn the
-// worker into storeDir, stream its events, and restart crashes with
-// backoff under the budget. It exists for fleet agents, which hold a
-// lease on exactly one shard at a time and fold nothing locally (the
-// dispatcher folds after uploads); Config.Shards is the campaign's
-// total shard count, not a process fan-out. Returns the restart count
-// alongside the terminal error.
-func RunShard(ctx context.Context, cfg Config, shard int, storeDir string) (int, error) {
-	if cfg.Command == nil {
-		return 0, errors.New("dispatch: Config.Command is required")
-	}
-	if shard < 0 || shard >= cfg.Shards {
-		return 0, fmt.Errorf("dispatch: shard %d out of range 0..%d", shard, cfg.Shards-1)
-	}
-	if err := cfg.checkBudget(); err != nil {
+// RunShard runs shard of of's worker lifecycle — the per-shard slice of
+// Run, without a Plane: spawn the worker into storeDir, stream its
+// events to onEvent (serialized; nil drops them), and restart crashes
+// with backoff under the budget. It exists for fleet agents, which hold
+// a lease on exactly one shard at a time and fold nothing locally (the
+// dispatcher folds after uploads). Returns the restart count alongside
+// the terminal error.
+func RunShard(ctx context.Context, wk Workers, shard, of int, storeDir string, onEvent func(Event)) (int, error) {
+	if err := wk.check(); err != nil {
 		return 0, err
 	}
-	emit := cfg.emitter()
+	if shard < 0 || shard >= of {
+		return 0, fmt.Errorf("dispatch: shard %d out of range 0..%d", shard, of-1)
+	}
+	var mu sync.Mutex
+	emit := func(e Event) {
+		if onEvent != nil {
+			mu.Lock()
+			defer mu.Unlock()
+			onEvent(e)
+		}
+	}
 	var restarts atomic.Int64
-	err := babysit(ctx, cfg, shard, storeDir, emit, &restarts)
+	err := supervisor{wk: wk, shards: of, emit: emit}.babysit(ctx, shard, storeDir, &restarts)
 	return int(restarts.Load()), err
 }
 
@@ -424,15 +392,25 @@ func checkShardsComplete(dirs []string, shards int) error {
 	return nil
 }
 
+// supervisor runs the workers of one dispatch (Run) or one lease
+// (RunShard): shards is the campaign's shard count, trc (may be nil)
+// traces attempts and backoffs, and emit is the serialized event path.
+type supervisor struct {
+	wk     Workers
+	shards int
+	trc    *tracing.Tracer
+	emit   func(Event)
+}
+
 // babysit owns one shard's lifecycle: spawn, stream, and restart with
 // backoff until the worker succeeds, the budget runs out, or the run
 // is cancelled.
-func babysit(ctx context.Context, cfg Config, shard int, dir string, emit func(Event), restarts *atomic.Int64) error {
+func (s supervisor) babysit(ctx context.Context, shard int, dir string, restarts *atomic.Int64) error {
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		err := runWorker(ctx, cfg, Worker{Shard: shard, Shards: cfg.Shards, Attempt: attempt, StoreDir: dir}, emit)
+		err := s.runWorker(ctx, Worker{Shard: shard, Shards: s.shards, Attempt: attempt, StoreDir: dir})
 		if err == nil {
 			return nil
 		}
@@ -441,14 +419,14 @@ func babysit(ctx context.Context, cfg Config, shard int, dir string, emit func(E
 			// we requested; don't burn restart budget on it.
 			return ctx.Err()
 		}
-		if attempt >= cfg.MaxRestarts {
+		if attempt >= s.wk.MaxRestarts {
 			return fmt.Errorf("dispatch: shard %d/%d failed permanently after %d attempt(s): %w",
-				shard, cfg.Shards, attempt+1, err)
+				shard, s.shards, attempt+1, err)
 		}
-		delay := cfg.backoff(attempt)
-		emit(Event{Type: EventRestart, Shard: shard, Attempt: attempt + 1, Delay: delay, Err: err})
+		delay := s.wk.backoff(attempt)
+		s.emit(Event{Type: EventRestart, Shard: shard, Attempt: attempt + 1, Delay: delay, Err: err})
 		restarts.Add(1)
-		tb := cfg.Tracer.Start("backoff", fmt.Sprintf("shard-%d", shard))
+		tb := s.trc.Start("backoff", fmt.Sprintf("shard-%d", shard))
 		tb.SetAttr("attempt", attempt+1)
 		tb.SetAttr("delaySeconds", delay.Seconds())
 		select {
@@ -464,8 +442,8 @@ func babysit(ctx context.Context, cfg Config, shard int, dir string, emit func(E
 // runWorker runs one worker attempt to completion: wire pipes, start,
 // stream events, forward cancellation as a graceful terminate (then a
 // kill after DefaultGrace), and return the exit error.
-func runWorker(ctx context.Context, cfg Config, w Worker, emit func(Event)) error {
-	cmd, err := cfg.Command(w)
+func (s supervisor) runWorker(ctx context.Context, w Worker) error {
+	cmd, err := s.wk.Command(w)
 	if err != nil {
 		return fmt.Errorf("dispatch: shard %d command: %w", w.Shard, err)
 	}
@@ -480,27 +458,27 @@ func runWorker(ctx context.Context, cfg Config, w Worker, emit func(Event)) erro
 	if err != nil {
 		return fmt.Errorf("dispatch: %w", err)
 	}
-	if !cfg.KeepProcessGroup {
+	if !s.wk.KeepProcessGroup {
 		isolate(cmd)
 	}
 	if err := cmd.Start(); err != nil {
 		return fmt.Errorf("dispatch: shard %d: %w", w.Shard, err)
 	}
 	pid := cmd.Process.Pid
-	tb := cfg.Tracer.Start("worker", fmt.Sprintf("shard-%d", w.Shard))
+	tb := s.trc.Start("worker", fmt.Sprintf("shard-%d", w.Shard))
 	tb.SetAttr("attempt", w.Attempt+1)
 	tb.SetAttr("pid", pid)
-	emit(Event{Type: EventStart, Shard: w.Shard, Attempt: w.Attempt, PID: pid})
+	s.emit(Event{Type: EventStart, Shard: w.Shard, Attempt: w.Attempt, PID: pid})
 
 	var scanWg sync.WaitGroup
 	scanWg.Add(2)
 	go func() {
 		defer scanWg.Done()
-		scanStdout(stdout, w, pid, emit)
+		scanStdout(stdout, w, pid, s.emit)
 	}()
 	go func() {
 		defer scanWg.Done()
-		scanLines(stderr, w, pid, "stderr", emit)
+		scanLines(stderr, w, pid, "stderr", s.emit)
 	}()
 
 	// Forward cancellation: terminate gracefully, then kill after the
@@ -513,11 +491,11 @@ func runWorker(ctx context.Context, cfg Config, w Worker, emit func(Event)) erro
 		select {
 		case <-waitDone:
 		case <-ctx.Done():
-			terminate(cmd.Process, !cfg.KeepProcessGroup)
+			terminate(cmd.Process, !s.wk.KeepProcessGroup)
 			select {
 			case <-waitDone:
 			case <-time.After(DefaultGrace):
-				kill(cmd.Process, !cfg.KeepProcessGroup)
+				kill(cmd.Process, !s.wk.KeepProcessGroup)
 			}
 		}
 	}()
@@ -527,7 +505,7 @@ func runWorker(ctx context.Context, cfg Config, w Worker, emit func(Event)) erro
 	close(waitDone)
 	killWg.Wait()
 	tb.Finish(err)
-	emit(Event{Type: EventExit, Shard: w.Shard, Attempt: w.Attempt, PID: pid, Err: err})
+	s.emit(Event{Type: EventExit, Shard: w.Shard, Attempt: w.Attempt, PID: pid, Err: err})
 	return err
 }
 

@@ -26,7 +26,7 @@ import (
 	"veritas/internal/store"
 )
 
-// collector gathers supervisor events; Run serializes OnEvent calls,
+// collector gathers supervisor events; Plane.Emit serializes OnEvent calls,
 // but the test goroutine reads concurrently, hence the lock.
 type collector struct {
 	mu     sync.Mutex
@@ -62,6 +62,16 @@ func testRow(i int) engine.SessionRow {
 		SettingA:  m,
 		Arms:      []engine.ArmOutcome{{Name: "bba-5s", Baseline: m, Samples: []player.Metrics{m}, Truth: m, HasTruth: true}},
 	}
+}
+
+// run is a whole local dispatch: a Plane over cfg, supervised by Run.
+func run(ctx context.Context, cfg Config, wk Workers) (*Result, error) {
+	p, err := NewPlane(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer p.Close()
+	return Run(ctx, p, wk)
 }
 
 // sh builds a Command factory that runs script through sh for every
@@ -124,12 +134,13 @@ func TestDispatchSuccessAndFold(t *testing.T) {
 	prepShards(t, dir, 2, fp)
 
 	var got collector
-	res, err := Run(context.Background(), Config{
+	res, err := run(context.Background(), Config{
 		Shards:   2,
 		Dir:      dir,
 		FoldInto: dst,
-		Backoff:  time.Millisecond,
 		OnEvent:  got.add,
+	}, Workers{
+		Backoff: time.Millisecond,
 		Command: sh(`printf '{"type":"progress","done":1,"total":2}\n'
 printf '{"type":"progress","done":2,"total":2}\n'
 echo not-a-protocol-line
@@ -200,12 +211,13 @@ func TestDispatchRestartResume(t *testing.T) {
 	prepShards(t, dir, 2, nil)
 
 	var got collector
-	res, err := Run(context.Background(), Config{
-		Shards:      2,
-		Dir:         dir,
+	res, err := run(context.Background(), Config{
+		Shards:  2,
+		Dir:     dir,
+		OnEvent: got.add,
+	}, Workers{
 		MaxRestarts: 2,
 		Backoff:     time.Millisecond,
-		OnEvent:     got.add,
 		Command: func(w Worker) (*exec.Cmd, error) {
 			// Shard 1 crashes on its first attempt; the relaunch (the
 			// "resume") succeeds.
@@ -243,13 +255,14 @@ func TestDispatchRestartBudgetExhaustion(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "shards")
 	dst := filepath.Join(t.TempDir(), "folded.store")
 	var got collector
-	_, err := Run(context.Background(), Config{
-		Shards:      1,
-		Dir:         dir,
-		FoldInto:    dst,
+	_, err := run(context.Background(), Config{
+		Shards:   1,
+		Dir:      dir,
+		FoldInto: dst,
+		OnEvent:  got.add,
+	}, Workers{
 		MaxRestarts: 2,
 		Backoff:     time.Millisecond,
-		OnEvent:     got.add,
 		Command:     sh("exit 3"),
 	})
 	if err == nil {
@@ -276,9 +289,10 @@ func TestDispatchRestartBudgetExhaustion(t *testing.T) {
 }
 
 func TestDispatchZeroRestartBudget(t *testing.T) {
-	_, err := Run(context.Background(), Config{
-		Shards:  1,
-		Dir:     filepath.Join(t.TempDir(), "shards"),
+	_, err := run(context.Background(), Config{
+		Shards: 1,
+		Dir:    filepath.Join(t.TempDir(), "shards"),
+	}, Workers{
 		Command: sh("exit 1"),
 		Backoff: time.Millisecond,
 		// MaxRestarts 0 means "no restarts", not "default": the zero
@@ -296,9 +310,10 @@ func TestDispatchPartialShardDetection(t *testing.T) {
 	// before any worker starts.
 	makeShardStore(t, ShardDir(dir, 0), ShardMetaLike{Index: 0, Count: 3}, []int{0}, nil)
 	spawned := 0
-	_, err := Run(context.Background(), Config{
+	_, err := run(context.Background(), Config{
 		Shards: 2,
 		Dir:    dir,
+	}, Workers{
 		Command: func(Worker) (*exec.Cmd, error) {
 			spawned++
 			return exec.Command("sh", "-c", "true"), nil
@@ -315,7 +330,12 @@ func TestDispatchPartialShardDetection(t *testing.T) {
 	// likewise refused.
 	dir2 := filepath.Join(t.TempDir(), "shards")
 	makeShardStore(t, filepath.Join(dir2, "elsewhere.store"), ShardMetaLike{Index: 0, Count: 2}, []int{0}, nil)
-	_, err = Run(context.Background(), Config{Shards: 2, Dir: dir2, Command: sh("true")})
+	_, err = run(context.Background(), Config{
+		Shards: 2,
+		Dir:    dir2,
+	}, Workers{
+		Command: sh("true"),
+	})
 	if err == nil || !strings.Contains(err.Error(), "stray") {
 		t.Errorf("stray shard store accepted: err = %v", err)
 	}
@@ -325,9 +345,10 @@ func TestDispatchRefusesSilentlyEmptyShard(t *testing.T) {
 	// A "worker" that exits 0 without leaving a stamped shard store —
 	// a host binary that forgot DispatchWorkerMain, say — must fail the
 	// dispatch, not fold an incomplete campaign.
-	_, err := Run(context.Background(), Config{
-		Shards:  2,
-		Dir:     filepath.Join(t.TempDir(), "shards"),
+	_, err := run(context.Background(), Config{
+		Shards: 2,
+		Dir:    filepath.Join(t.TempDir(), "shards"),
+	}, Workers{
 		Command: sh("true"),
 	})
 	if err == nil || !strings.Contains(err.Error(), "left no shard store") {
@@ -343,13 +364,14 @@ func TestDispatchFoldReplacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	prepShards(t, dir, 2, fp)
-	cfg := Config{Shards: 2, Dir: dir, FoldInto: dst, Backoff: time.Millisecond, Command: sh("true")}
+	cfg := Config{Shards: 2, Dir: dir, FoldInto: dst}
+	wk := Workers{Backoff: time.Millisecond, Command: sh("true")}
 
 	// First dispatch folds; a rerun replaces its own stale fold.
-	if _, err := Run(context.Background(), cfg); err != nil {
+	if _, err := run(context.Background(), cfg, wk); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(context.Background(), cfg)
+	res, err := run(context.Background(), cfg, wk)
 	if err != nil {
 		t.Fatalf("re-dispatch over a previous fold: %v", err)
 	}
@@ -368,11 +390,11 @@ func TestDispatchFoldReplacement(t *testing.T) {
 	}
 	cfg.FoldInto = other
 	spawned := 0
-	cfg.Command = func(Worker) (*exec.Cmd, error) {
+	wk.Command = func(Worker) (*exec.Cmd, error) {
 		spawned++
 		return exec.Command("sh", "-c", "true"), nil
 	}
-	if _, err := Run(context.Background(), cfg); err == nil ||
+	if _, err := run(context.Background(), cfg, wk); err == nil ||
 		!strings.Contains(err.Error(), "different campaign") {
 		t.Errorf("fold replaced someone else's store: err = %v", err)
 	}
@@ -387,7 +409,7 @@ func TestDispatchFoldReplacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.FoldInto = plain
-	if _, err := Run(context.Background(), cfg); err == nil ||
+	if _, err := run(context.Background(), cfg, wk); err == nil ||
 		!strings.Contains(err.Error(), "no campaign.json") {
 		t.Errorf("fold aimed at a fingerprint-less directory: err = %v", err)
 	}
@@ -401,10 +423,9 @@ func TestDispatchFoldReplacement(t *testing.T) {
 		Shards:   1,
 		Dir:      filepath.Join(t.TempDir(), "shards"),
 		FoldInto: filepath.Join(t.TempDir(), "new.store"),
-		Command:  sh("true"),
 	}
 	makeShardStore(t, ShardDir(fresh.Dir, 0), ShardMetaLike{Index: 0, Count: 1}, []int{0}, nil)
-	if _, err := Run(context.Background(), fresh); err != nil {
+	if _, err := run(context.Background(), fresh, Workers{Command: sh("true")}); err != nil {
 		t.Errorf("fresh dispatch refused at preflight: %v", err)
 	}
 }
@@ -431,12 +452,12 @@ func TestDispatchFingerprintPreflight(t *testing.T) {
 		Dir:          filepath.Join(t.TempDir(), "shards"), // fresh: nothing stamped
 		FoldInto:     mkDst(),
 		Fingerprints: [][]byte{ourFP},
-		Command: func(Worker) (*exec.Cmd, error) {
-			spawned++
-			return exec.Command("sh", "-c", "true"), nil
-		},
 	}
-	if _, err := Run(context.Background(), cfg); err == nil ||
+	wk := Workers{Command: func(Worker) (*exec.Cmd, error) {
+		spawned++
+		return exec.Command("sh", "-c", "true"), nil
+	}}
+	if _, err := run(context.Background(), cfg, wk); err == nil ||
 		!strings.Contains(err.Error(), "different campaign") {
 		t.Errorf("mismatched destination passed preflight: err = %v", err)
 	}
@@ -457,12 +478,13 @@ func TestDispatchFingerprintPreflight(t *testing.T) {
 	if err := os.Remove(filepath.Join(dst, store.ShardMetaFile)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(context.Background(), Config{
+	res, err := run(context.Background(), Config{
 		Shards:       1,
 		Dir:          dir + string(os.PathSeparator),
 		FoldInto:     dst + string(os.PathSeparator),
 		Fingerprints: [][]byte{ourFP},
-		Command:      sh("true"),
+	}, Workers{
+		Command: sh("true"),
 	})
 	if err != nil {
 		t.Fatalf("matching destination refused: %v", err)
@@ -487,10 +509,11 @@ func TestDispatchOverlongOutputLine(t *testing.T) {
 	var got collector
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(context.Background(), Config{
+		_, err := run(context.Background(), Config{
 			Shards:  1,
 			Dir:     dir,
 			OnEvent: got.add,
+		}, Workers{
 			// One 2MB line (no newline until the end), then more output
 			// the scanner will never see but the drain must swallow.
 			Command: sh("head -c 2000000 /dev/zero | tr '\\0' x; echo; echo after >&2"),
@@ -523,7 +546,7 @@ func TestDispatchCancellation(t *testing.T) {
 	started := make(chan struct{}, 2)
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(ctx, Config{
+		_, err := run(ctx, Config{
 			Shards: 2,
 			Dir:    dir,
 			OnEvent: func(e Event) {
@@ -532,6 +555,7 @@ func TestDispatchCancellation(t *testing.T) {
 					started <- struct{}{}
 				}
 			},
+		}, Workers{
 			Command: sh("sleep 60"),
 		})
 		done <- err
@@ -554,20 +578,24 @@ func TestDispatchCancellation(t *testing.T) {
 }
 
 func TestDispatchConfigValidation(t *testing.T) {
-	for name, cfg := range map[string]Config{
-		"zero shards":             {Dir: "x", Command: sh("true")},
-		"no command":              {Shards: 1, Dir: "x"},
-		"no dir":                  {Shards: 1, Command: sh("true")},
-		"negative restart budget": {Shards: 1, Dir: "x", Command: sh("true"), MaxRestarts: -1},
+	dir := t.TempDir()
+	for name, c := range map[string]struct {
+		cfg Config
+		wk  Workers
+	}{
+		"zero shards":             {Config{Dir: dir}, Workers{Command: sh("true")}},
+		"no command":              {Config{Shards: 1, Dir: dir}, Workers{}},
+		"no dir":                  {Config{Shards: 1}, Workers{Command: sh("true")}},
+		"negative restart budget": {Config{Shards: 1, Dir: dir}, Workers{Command: sh("true"), MaxRestarts: -1}},
 	} {
-		if _, err := Run(context.Background(), cfg); err == nil {
+		if _, err := run(context.Background(), c.cfg, c.wk); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
 	// A negative budget is refused, never read as a default: 0 already
 	// means no restarts. RunShard, the fleet agent's entry, too.
-	cfg := Config{Shards: 1, Command: sh("true"), MaxRestarts: -1}
-	if _, err := RunShard(context.Background(), cfg, 0, t.TempDir()); err == nil || !strings.Contains(err.Error(), "negative") {
+	wk := Workers{Command: sh("true"), MaxRestarts: -1}
+	if _, err := RunShard(context.Background(), wk, 0, 1, t.TempDir(), nil); err == nil || !strings.Contains(err.Error(), "negative") {
 		t.Errorf("RunShard with MaxRestarts -1: err = %v, want a negative-budget refusal", err)
 	}
 }

@@ -1,9 +1,7 @@
 package dispatch
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"sync"
 	"time"
 
@@ -13,16 +11,9 @@ import (
 
 // Status folds the supervisor's event stream into a queryable fleet
 // view: per-shard progress, restart and exit accounting, and the latest
-// telemetry snapshot each worker streamed up the protocol. Feed every
-// Event to Handle (chain it in front of any other Config.OnEvent
-// consumer) and serve Handler on the dispatcher's status listener:
-//
-//	GET /v1/status  per-shard progress + merged telemetry, as JSON
-//	GET /metrics    supervisor registry merged with every worker's
-//	                latest snapshot, in Prometheus text format
-//	GET /v1/trace   the fleet-wide "slowest sessions" view — supervisor
-//	                traces merged with every worker's latest notable
-//	                set — as Chrome trace-event JSON (Perfetto-loadable)
+// telemetry snapshot each worker streamed up the protocol. A Plane
+// feeds it every Event (Plane.Emit) and serves its Snapshot and Traces
+// on the dispatch listener (Plane.Routes).
 //
 // The merged /metrics view is what makes a dispatched campaign
 // observable from one scrape target: engine stage histograms and store
@@ -112,7 +103,7 @@ type StatusSnapshot struct {
 	Steals int `json:"steals,omitempty"`
 	Folded int `json:"folded,omitempty"`
 	// ElapsedSeconds is wall-clock time since the tracker was built
-	// (the supervisor builds it just before Run).
+	// (NewPlane builds it).
 	ElapsedSeconds float64 `json:"elapsedSeconds"`
 	// Telemetry is the merged fleet registry: the supervisor's own
 	// metrics summed with every shard's latest worker snapshot.
@@ -151,7 +142,7 @@ func NewStatus(shards int, reg *telemetry.Registry, trc *tracing.Tracer) *Status
 	return st
 }
 
-// Handle folds one supervisor event into the view. Config.OnEvent
+// Handle folds one supervisor event into the view. Plane.Emit
 // serializes its calls, so Handle contends only with snapshot readers.
 func (st *Status) Handle(e Event) {
 	st.mu.Lock()
@@ -291,8 +282,7 @@ func (st *Status) Snapshot() StatusSnapshot {
 }
 
 // WorkerTraces returns each shard's latest streamed notable-trace set
-// (nil slots for shards that streamed none yet). The facade stashes
-// these after a dispatch so Campaign.Trace keeps serving the fleet view.
+// (nil slots for shards that streamed none yet).
 func (st *Status) WorkerTraces() [][]tracing.Trace {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -309,31 +299,4 @@ func (st *Status) WorkerTraces() [][]tracing.Trace {
 func (st *Status) Traces() []tracing.Trace {
 	sets := st.WorkerTraces()
 	return tracing.Merge(st.trc.Keep(), append([][]tracing.Trace{st.trc.Traces()}, sets...)...)
-}
-
-// Handler serves the fleet view over HTTP: /v1/status (JSON),
-// /metrics (Prometheus text, the merged fleet registry), and /v1/trace
-// (the merged fleet trace set as Chrome trace-event JSON).
-func (st *Status) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/status", func(w http.ResponseWriter, r *http.Request) {
-		body, err := json.Marshal(st.Snapshot())
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		st.Snapshot().Telemetry.WritePrometheus(w)
-	})
-	mux.HandleFunc("GET /v1/trace", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := tracing.WriteChrome(w, st.Traces()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	return mux
 }

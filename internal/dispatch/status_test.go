@@ -85,12 +85,24 @@ func TestStatusWithoutRegistry(t *testing.T) {
 	}
 }
 
+// testPlane builds a Plane of shards shards over a fresh directory, for
+// serving its Status view.
+func testPlane(t *testing.T, shards int, reg *telemetry.Registry, trc *tracing.Tracer) *Plane {
+	t.Helper()
+	p, err := NewPlane(Config{Shards: shards, Dir: t.TempDir(), Telemetry: reg, Tracer: trc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	return p
+}
+
 func TestStatusHandler(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	st := NewStatus(1, reg, nil)
-	st.Handle(Event{Type: EventStart, Shard: 0, PID: 9})
-	st.Handle(Event{Type: EventProgress, Shard: 0, Done: 4, Total: 4})
-	srv := httptest.NewServer(st.Handler())
+	p := testPlane(t, 1, reg, nil)
+	p.Emit(Event{Type: EventStart, Shard: 0, PID: 9})
+	p.Emit(Event{Type: EventProgress, Shard: 0, Done: 4, Total: 4})
+	srv := httptest.NewServer(p.Routes())
 	defer srv.Close()
 
 	resp, err := srv.Client().Get(srv.URL + "/v1/status")
@@ -128,7 +140,8 @@ func TestStatusHandler(t *testing.T) {
 
 func TestStatusMergesWorkerTraces(t *testing.T) {
 	trc := tracing.New(4)
-	st := NewStatus(2, nil, trc)
+	p := testPlane(t, 2, nil, trc)
+	st := p.status
 
 	wall := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	mk := func(id string, shard int, dur float64) tracing.Trace {
@@ -150,7 +163,7 @@ func TestStatusMergesWorkerTraces(t *testing.T) {
 
 	// The /v1/trace endpoint serves the merged set as parseable Chrome
 	// trace-event JSON.
-	srv := httptest.NewServer(st.Handler())
+	srv := httptest.NewServer(p.Routes())
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/v1/trace")
 	if err != nil {
@@ -181,8 +194,9 @@ func TestStatusMergesWorkerTraces(t *testing.T) {
 // -race; every scrape must parse and be internally consistent.
 func TestStatusConcurrentScrapeDuringTransitions(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	st := NewStatus(3, reg, tracing.New(8))
-	srv := httptest.NewServer(st.Handler())
+	p := testPlane(t, 3, reg, tracing.New(8))
+	st := p.status
+	srv := httptest.NewServer(p.Routes())
 	defer srv.Close()
 
 	stop := make(chan struct{})

@@ -230,24 +230,6 @@ type SessionResult struct {
 	Abd *abduction.Abduction
 }
 
-// CacheStats counts hits and misses of one cache over a run.
-type CacheStats struct {
-	Hits   uint64
-	Misses uint64
-}
-
-// Lookups returns the total number of cache lookups seen.
-func (c CacheStats) Lookups() uint64 { return c.Hits + c.Misses }
-
-// HitRate returns Hits / Lookups, or 0 when the cache saw no traffic.
-func (c CacheStats) HitRate() float64 {
-	n := c.Lookups()
-	if n == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(n)
-}
-
 // Result is a completed fleet run.
 type Result struct {
 	Sessions []SessionResult // in corpus order; zero entries for skipped or out-of-shard sessions
@@ -259,14 +241,12 @@ type Result struct {
 	// capacity grid was already in the process-wide cache. The counts
 	// are a delta of process-global counters, so they are best-effort
 	// when several fleet runs (or other mathx.SharedPowers users)
-	// overlap in one process.
-	Powers CacheStats
-	// PowersDetail splits Powers.Misses by cause — cold (first sight of
-	// a grid, inserted), fingerprint collision (never cacheable), and
-	// registry capacity (cap reached) — the split a cache-health gauge
-	// needs, since only repeated collision/capacity misses indicate a
-	// thrashing fleet.
-	PowersDetail mathx.SharedPowersStats
+	// overlap in one process. Misses are split by cause — cold (first
+	// sight of a grid, inserted), fingerprint collision (never
+	// cacheable), and registry capacity (cap reached) — the split a
+	// cache-health gauge needs, since only repeated collision/capacity
+	// misses indicate a thrashing fleet.
+	Powers mathx.SharedPowersStats
 	// Executed is the number of sessions actually run (corpus size
 	// minus the resume skip set and any out-of-shard sessions).
 	Executed int
@@ -390,13 +370,12 @@ func Run(ctx context.Context, cfg Config, corpus []SessionSpec, arms []Arm) (*Re
 	powDelta := mathx.SharedPowersDetail().Sub(pow0)
 	em.powers(powDelta)
 	return &Result{
-		Sessions:     results,
-		Partials:     parts,
-		Powers:       CacheStats{Hits: powDelta.Hits, Misses: powDelta.Misses()},
-		PowersDetail: powDelta,
-		Executed:     executed,
-		Workers:      workers,
-		Elapsed:      time.Since(start),
+		Sessions: results,
+		Partials: parts,
+		Powers:   powDelta,
+		Executed: executed,
+		Workers:  workers,
+		Elapsed:  time.Since(start),
 	}, nil
 }
 

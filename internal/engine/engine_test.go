@@ -466,7 +466,7 @@ func TestSharedPowerAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Powers.Lookups(); got != uint64(len(corpus)) {
+	if got := res.Powers.Hits + res.Powers.Misses(); got != uint64(len(corpus)) {
 		t.Errorf("power-cache lookups = %d, want one per session (%d)", got, len(corpus))
 	}
 	if res.Powers.Hits == 0 {

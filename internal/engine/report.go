@@ -147,10 +147,11 @@ func (r *Result) WriteReport(w io.Writer) error {
 func (r *Result) WriteEngineStats(w io.Writer) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "\n-- engine --\n")
-	if r.Powers.Lookups() > 0 {
+	if p := r.Powers; p.Hits+p.Misses() > 0 {
+		lookups := p.Hits + p.Misses()
 		fmt.Fprintf(&b, "transition-power cache: %d lookups, %.1f%% shared (%d hits, %d new grids, %d collision, %d over-cap)\n",
-			r.Powers.Lookups(), r.Powers.HitRate()*100, r.Powers.Hits,
-			r.PowersDetail.ColdMisses, r.PowersDetail.CollisionMisses, r.PowersDetail.CapacityMisses)
+			lookups, float64(p.Hits)/float64(lookups)*100, p.Hits,
+			p.ColdMisses, p.CollisionMisses, p.CapacityMisses)
 	}
 	fmt.Fprintf(&b, "elapsed %v, %d sessions executed (%.2f sessions/sec)\n",
 		r.Elapsed.Round(1e6), r.Executed, r.SessionsPerSecond())

@@ -46,7 +46,7 @@ type AgentConfig struct {
 	// worker's stdout/stderr are owned by the agent. Required.
 	Command func(spec json.RawMessage, shard, of int, storeDir string) (*exec.Cmd, error)
 	// MaxRestarts is the local crash-restart budget per lease, taken
-	// as given like dispatch.Config.MaxRestarts: zero disables restarts
+	// as given like dispatch.Workers.MaxRestarts: zero disables restarts
 	// and a negative budget is refused. When the budget is exhausted
 	// the agent releases the lease back to the dispatcher.
 	MaxRestarts int
@@ -343,36 +343,35 @@ func (a *Agent) workLease(ctx context.Context, l leaseResponse) {
 	// The worker itself: the exact machinery of a local dispatch, for
 	// one shard, with the worker kept in our process group so the
 	// whole agent tree dies together (work stealing handles the rest).
-	cfg := dispatch.Config{
-		Shards:           l.Of,
+	wk := dispatch.Workers{
 		MaxRestarts:      a.cfg.MaxRestarts,
 		KeepProcessGroup: true,
 		Command: func(w dispatch.Worker) (*exec.Cmd, error) {
 			return a.cfg.Command(l.Spec, w.Shard, w.Shards, w.StoreDir)
 		},
-		OnEvent: func(e dispatch.Event) {
-			e.Agent = a.id
-			e.Epoch = l.Epoch
-			switch e.Type {
-			case dispatch.EventProgress:
-				prog.mu.Lock()
-				prog.done, prog.total = e.Done, e.Total
-				prog.mu.Unlock()
-			case dispatch.EventTelemetry:
-				prog.mu.Lock()
-				prog.snap = e.Telemetry
-				prog.mu.Unlock()
-			case dispatch.EventTraces:
-				prog.mu.Lock()
-				prog.traces = e.Traces
-				prog.mu.Unlock()
-			}
-			if a.cfg.OnEvent != nil {
-				a.cfg.OnEvent(e)
-			}
-		},
 	}
-	restarts, err := dispatch.RunShard(workCtx, cfg, l.Shard, storeDir)
+	onEvent := func(e dispatch.Event) {
+		e.Agent = a.id
+		e.Epoch = l.Epoch
+		switch e.Type {
+		case dispatch.EventProgress:
+			prog.mu.Lock()
+			prog.done, prog.total = e.Done, e.Total
+			prog.mu.Unlock()
+		case dispatch.EventTelemetry:
+			prog.mu.Lock()
+			prog.snap = e.Telemetry
+			prog.mu.Unlock()
+		case dispatch.EventTraces:
+			prog.mu.Lock()
+			prog.traces = e.Traces
+			prog.mu.Unlock()
+		}
+		if a.cfg.OnEvent != nil {
+			a.cfg.OnEvent(e)
+		}
+	}
+	restarts, err := dispatch.RunShard(workCtx, wk, l.Shard, l.Of, storeDir, onEvent)
 	a.res.Restarts += restarts
 	close(hbDone)
 	hbWg.Wait()

@@ -17,7 +17,6 @@ import (
 	"veritas/internal/dispatch"
 	"veritas/internal/serve"
 	"veritas/internal/store"
-	"veritas/internal/telemetry"
 	"veritas/internal/tracing"
 )
 
@@ -27,24 +26,11 @@ import (
 // `fleet -fold`) never takes a staged upload for a shard store.
 const incomingDir = ".incoming"
 
-// Config parameterizes a fleet dispatcher.
+// Config parameterizes a fleet dispatcher: the lease policy and what
+// a lease carries. What the dispatch shares with a local one — shard
+// count, directories, fold, fingerprints, events, telemetry — is its
+// dispatch.Plane.
 type Config struct {
-	// Shards is the campaign's shard count — the unit of leasing.
-	Shards int
-	// Dir is the parent directory accepted shard stores land under,
-	// laid out exactly like a local dispatch (dispatch.ShardDir), so
-	// FoldShards and `fleet -fold` work on it unchanged. Created if
-	// missing. Verified shard stores already present are counted done
-	// (a previous interrupted fleet run resumes).
-	Dir string
-	// FoldInto, when non-empty, is the store directory the shard
-	// stores are folded into (store.Fold) once every shard's upload is
-	// accepted.
-	FoldInto string
-	// Fingerprints are the acceptable campaign.json forms; uploads are
-	// verified against them, and New's pre-flight judges FoldInto by
-	// them exactly as a local dispatch does (store.CheckFoldTarget).
-	Fingerprints [][]byte
 	// Spec is the opaque worker spec template each lease carries to
 	// its agent (the facade's workerSpec without shard assignment; the
 	// agent fills shard/of/store and hands it to the worker process
@@ -58,15 +44,6 @@ type Config struct {
 	// so one slow machine cannot hold the campaign's tail hostage.
 	// Heartbeats renew the TTL, never the deadline.
 	MaxLease time.Duration
-	// OnEvent, when set, receives the dispatcher's serialized event
-	// stream: lease grants, steals, relayed progress, accepted
-	// uploads, the fold.
-	OnEvent func(dispatch.Event)
-	// Telemetry and Tracer observe the dispatcher itself; worker
-	// telemetry and traces arriving in heartbeats are merged into the
-	// same views with per-agent labels. Both may be nil.
-	Telemetry *telemetry.Registry
-	Tracer    *tracing.Tracer
 
 	// now is the clock (tests); nil means time.Now.
 	now func() time.Time
@@ -108,13 +85,11 @@ type agentInfo struct {
 // operators talk to. Create with New, serve Handler, and Wait for the
 // campaign to complete.
 type Dispatcher struct {
-	cfg    Config
-	tab    *table
-	status *dispatch.Status
-	start  time.Time
-	dirs   []string
-
-	emitMu sync.Mutex
+	cfg   Config
+	plane *dispatch.Plane
+	dc    dispatch.Config // the plane's
+	tab   *table
+	start time.Time
 
 	mu     sync.Mutex
 	agents map[string]*agentInfo
@@ -130,77 +105,41 @@ type Dispatcher struct {
 	reportMu sync.Mutex
 	reportH  http.Handler
 	folded   *store.Store
-
-	// live serves /v1/live/* over the accepted (and still-uploading)
-	// shard stores while the campaign runs — the incremental view;
-	// /v1/report stays 503 until the fold, as always.
-	live *serve.Live
 }
 
-// New builds a dispatcher: lays out (or adopts) the shard directory,
-// runs a local dispatch's pre-flight, pre-accepts verified shard
-// stores a previous run left, and arms the lease table.
-func New(cfg Config) (*Dispatcher, error) {
-	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("fleetd: shard count %d must be at least 1", cfg.Shards)
-	}
-	if cfg.Dir == "" {
-		return nil, errors.New("fleetd: Config.Dir is required")
-	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("fleetd: %w", err)
-	}
+// New builds the dispatcher of a pre-flighted plane (dispatch.NewPlane
+// has laid out the shard directory and judged the fold target): it
+// clears uploads a previous run staged, adopts the verified shard
+// stores that run left, and arms the lease table. The caller closes the
+// plane after the dispatcher.
+func New(p *dispatch.Plane, cfg Config) (*Dispatcher, error) {
+	dc := p.Config()
 	// An upload a previous run staged but never accepted is debris.
-	if err := os.RemoveAll(filepath.Join(cfg.Dir, incomingDir)); err != nil {
+	if err := os.RemoveAll(filepath.Join(dc.Dir, incomingDir)); err != nil {
 		return nil, fmt.Errorf("fleetd: clearing staged uploads: %w", err)
-	}
-	dirs := make([]string, cfg.Shards)
-	for i := range dirs {
-		dirs[i] = dispatch.ShardDir(cfg.Dir, i)
-	}
-	stamped, err := dispatch.CheckLayout(cfg.Dir, cfg.Shards)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.FoldInto != "" {
-		if err := store.CheckFoldTarget(cfg.FoldInto, dirs, cfg.Fingerprints); err != nil {
-			return nil, err
-		}
 	}
 	d := &Dispatcher{
 		cfg:    cfg,
-		tab:    newTable(cfg.Shards, cfg.LeaseTTL, cfg.MaxLease, cfg.now),
-		status: dispatch.NewStatus(cfg.Shards, cfg.Telemetry, cfg.Tracer),
+		plane:  p,
+		dc:     dc,
+		tab:    newTable(dc.Shards, cfg.LeaseTTL, cfg.MaxLease, cfg.now),
 		start:  time.Now(),
-		dirs:   dirs,
 		agents: make(map[string]*agentInfo),
-		live:   serve.NewLive(cfg.Dir, serve.WithWatchInterval(250*time.Millisecond)),
 	}
-	d.status.SetAgentSource(d.agentRows)
+	p.SetAgentSource(d.agentRows)
 	// Adopt shard stores a previous fleet run completed: anything that
 	// verifies as shard i/n of this campaign is done work we must not
 	// recompute — and anything that *doesn't* verify is refused now,
 	// not at fold time.
-	for _, i := range stamped {
-		n, err := store.VerifyShard(dirs[i], i, cfg.Shards, cfg.Fingerprints)
+	for _, i := range p.Stamped() {
+		n, err := store.VerifyShard(dispatch.ShardDir(dc.Dir, i), i, dc.Shards, dc.Fingerprints)
 		if err != nil {
 			return nil, fmt.Errorf("fleetd: adopting previous shard store: %w", err)
 		}
 		d.tab.markDone(i)
-		d.emit(dispatch.Event{Type: dispatch.EventUpload, Shard: i, Done: n})
+		p.Emit(dispatch.Event{Type: dispatch.EventUpload, Shard: i, Done: n})
 	}
 	return d, nil
-}
-
-// emit serializes the event stream into the status tracker and the
-// caller's OnEvent.
-func (d *Dispatcher) emit(e dispatch.Event) {
-	d.emitMu.Lock()
-	defer d.emitMu.Unlock()
-	d.status.Handle(e)
-	if d.cfg.OnEvent != nil {
-		d.cfg.OnEvent(e)
-	}
 }
 
 // touch updates an agent's last-seen time.
@@ -265,7 +204,7 @@ func (d *Dispatcher) markLost(agent string) {
 func (d *Dispatcher) Sweep() {
 	for _, s := range d.tab.sweep() {
 		d.markLost(s.agent)
-		d.emit(dispatch.Event{
+		d.plane.Emit(dispatch.Event{
 			Type: dispatch.EventSteal, Shard: s.shard, Agent: s.agent, Epoch: s.epoch,
 			Err: errors.New(s.reason),
 		})
@@ -300,7 +239,7 @@ func (d *Dispatcher) Wait(ctx context.Context) (*Result, error) {
 // finish folds the accepted shard stores and arms the report handler.
 func (d *Dispatcher) finish() (*Result, error) {
 	res := &Result{
-		ShardDirs: append([]string(nil), d.dirs...),
+		ShardDirs: d.plane.ShardDirs(),
 		Steals:    d.tab.stealCount(),
 	}
 	d.mu.Lock()
@@ -309,24 +248,23 @@ func (d *Dispatcher) finish() (*Result, error) {
 	}
 	d.mu.Unlock()
 	sort.Strings(res.Agents)
-	if d.cfg.FoldInto != "" {
+	if d.dc.FoldInto != "" {
 		d.landing.Lock() // wait out an accepted store still being moved into place
 		d.landing.Unlock()
-		n, err := store.Fold(d.cfg.FoldInto, store.Options{Tracer: d.cfg.Tracer}, d.dirs...)
+		n, err := d.plane.Fold()
 		if err != nil {
 			return nil, err
 		}
 		res.Folded = n
-		d.emit(dispatch.Event{Type: dispatch.EventFold, Done: n})
 		// Serve the folded corpus from the fleet port: /v1/report (and
 		// the rest of the store query surface) answers 503 until the
 		// fold, then byte-identically to any other serving of this
 		// campaign.
-		st, err := store.Open(d.cfg.FoldInto, store.Options{ReadOnly: true})
+		st, err := store.Open(d.dc.FoldInto, store.Options{ReadOnly: true})
 		if err != nil {
 			return nil, err
 		}
-		h := serve.New(st, serve.WithTelemetry(d.cfg.Telemetry), serve.WithTracer(d.cfg.Tracer))
+		h := serve.New(st, serve.WithTelemetry(d.dc.Telemetry), serve.WithTracer(d.dc.Tracer))
 		d.reportMu.Lock()
 		d.folded, d.reportH = st, h
 		d.reportMu.Unlock()
@@ -376,59 +314,35 @@ func (d *Dispatcher) Drain(ctx context.Context) {
 	}
 }
 
-// Close releases the folded store handle, if serving began, and the
-// live tier's tailed shard stores.
+// Close releases the folded store handle, if serving began.
 func (d *Dispatcher) Close() error {
-	liveErr := d.live.Close()
 	d.reportMu.Lock()
 	defer d.reportMu.Unlock()
-	if d.folded != nil {
-		err := d.folded.Close()
-		d.folded, d.reportH = nil, nil
-		if err != nil {
-			return err
-		}
+	if d.folded == nil {
+		return nil
 	}
-	return liveErr
+	err := d.folded.Close()
+	d.folded, d.reportH = nil, nil
+	return err
 }
 
-// WorkerTraces exposes the status tracker's per-shard streamed trace
-// sets (the facade stashes them after the dispatch).
-func (d *Dispatcher) WorkerTraces() [][]tracing.Trace {
-	return d.status.WorkerTraces()
-}
-
-// Handler serves the fleet control plane:
+// Handler serves the fleet control plane: the plane's GET surface
+// (dispatch.Plane.Routes: /v1/status with agent rows, /metrics with
+// per-agent labels, /v1/trace, /healthz, /v1/live/*) plus
 //
 //	POST /v1/agents     agent registration
 //	POST /v1/lease      lease requests
 //	POST /v1/heartbeat  lease renewal + progress/telemetry/trace relay
 //	POST /v1/release    agent-initiated lease return
 //	POST /v1/upload     shipped shard store acceptance
-//	GET  /v1/status     shard + agent rows, merged telemetry (JSON)
-//	GET  /metrics       merged fleet registry, per-agent labels
-//	GET  /v1/trace      merged fleet traces (Chrome trace-event JSON)
-//	GET  /healthz       liveness
-//	GET  /v1/live/...   incremental aggregates over the shard stores
-//	GET  /v1/report     503 until the fold; then the folded corpus
+//	     /v1/report ... 503 until the fold; then the folded corpus
 func (d *Dispatcher) Handler() http.Handler {
-	mux := http.NewServeMux()
+	mux := d.plane.Routes()
 	mux.HandleFunc("POST /v1/agents", d.handleRegister)
 	mux.HandleFunc("POST /v1/lease", d.handleLease)
 	mux.HandleFunc("POST /v1/heartbeat", d.handleHeartbeat)
 	mux.HandleFunc("POST /v1/release", d.handleRelease)
 	mux.HandleFunc("POST /v1/upload", d.handleUpload)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("ok\n"))
-	})
-	statusH := d.status.Handler()
-	mux.Handle("GET /v1/status", statusH)
-	mux.Handle("GET /metrics", statusH)
-	mux.Handle("GET /v1/trace", statusH)
-	// The live tier answers while the campaign runs; it never takes
-	// over /v1/report, which stays "the folded corpus or 503" so that
-	// pollers can use it as the completion signal.
-	mux.Handle("GET /v1/live/", d.live)
 	// Everything else — /v1/report, /v1/sessions, /v1/scenarios — is
 	// the folded corpus, available once the fold completed.
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
@@ -507,7 +421,7 @@ func (d *Dispatcher) handleRegister(w http.ResponseWriter, r *http.Request) {
 	ttl := d.cfg.leaseTTL()
 	writeJSON(w, http.StatusOK, registerResponse{
 		Agent:       id,
-		Shards:      d.cfg.Shards,
+		Shards:      d.dc.Shards,
 		LeaseTTLMs:  ttl.Milliseconds(),
 		HeartbeatMs: (ttl / 3).Milliseconds(),
 	})
@@ -551,11 +465,11 @@ func (d *Dispatcher) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, leaseResponse{Status: "wait", RetryMs: retry.Milliseconds()})
 		return
 	}
-	d.emit(dispatch.Event{Type: dispatch.EventLease, Shard: shard, Agent: req.Agent, Epoch: epoch})
+	d.plane.Emit(dispatch.Event{Type: dispatch.EventLease, Shard: shard, Agent: req.Agent, Epoch: epoch})
 	writeJSON(w, http.StatusOK, leaseResponse{
 		Status: "lease",
 		Shard:  shard,
-		Of:     d.cfg.Shards,
+		Of:     d.dc.Shards,
 		Epoch:  epoch,
 		TTLMs:  d.cfg.leaseTTL().Milliseconds(),
 		Spec:   d.cfg.Spec,
@@ -592,14 +506,14 @@ func (d *Dispatcher) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	// identical series from different machines stay distinct, traces
 	// stamped with shard and agent.
 	if req.Total > 0 || req.Done > 0 {
-		d.emit(dispatch.Event{
+		d.plane.Emit(dispatch.Event{
 			Type: dispatch.EventProgress, Shard: req.Shard, Agent: req.Agent, Epoch: req.Epoch,
 			Done: req.Done, Total: req.Total,
 		})
 	}
 	if req.Snapshot != nil {
 		snap := req.Snapshot.Relabel("agent", req.Agent)
-		d.emit(dispatch.Event{
+		d.plane.Emit(dispatch.Event{
 			Type: dispatch.EventTelemetry, Shard: req.Shard, Agent: req.Agent, Epoch: req.Epoch,
 			Telemetry: &snap,
 		})
@@ -610,7 +524,7 @@ func (d *Dispatcher) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 			traces[i].Shard = req.Shard
 			traces[i].Agent = req.Agent
 		}
-		d.emit(dispatch.Event{
+		d.plane.Emit(dispatch.Event{
 			Type: dispatch.EventTraces, Shard: req.Shard, Agent: req.Agent, Epoch: req.Epoch,
 			Traces: traces,
 		})
@@ -628,7 +542,7 @@ func (d *Dispatcher) handleRelease(w http.ResponseWriter, r *http.Request) {
 		writeLeaseError(w, err)
 		return
 	}
-	d.emit(dispatch.Event{
+	d.plane.Emit(dispatch.Event{
 		Type: dispatch.EventExit, Shard: req.Shard, Agent: req.Agent, Epoch: req.Epoch,
 		Err: fmt.Errorf("released by agent: %s", req.Error),
 	})
@@ -658,7 +572,7 @@ func (d *Dispatcher) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeLeaseError(w, err)
 		return
 	}
-	staging := filepath.Join(d.cfg.Dir, incomingDir, fmt.Sprintf("shard-%d-e%d", shard, epoch))
+	staging := filepath.Join(d.dc.Dir, incomingDir, fmt.Sprintf("shard-%d-e%d", shard, epoch))
 	if err := os.RemoveAll(staging); err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
@@ -667,7 +581,7 @@ func (d *Dispatcher) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	sessions, err := store.VerifyShard(staging, shard, d.cfg.Shards, d.cfg.Fingerprints)
+	sessions, err := store.VerifyShard(staging, shard, d.dc.Shards, d.dc.Fingerprints)
 	if err != nil {
 		os.RemoveAll(staging)
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
@@ -681,7 +595,7 @@ func (d *Dispatcher) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeLeaseError(w, err)
 		return
 	}
-	dst := d.dirs[shard]
+	dst := dispatch.ShardDir(d.dc.Dir, shard)
 	if err := os.RemoveAll(dst); err == nil {
 		err = os.Rename(staging, dst)
 	}
@@ -697,6 +611,6 @@ func (d *Dispatcher) handleUpload(w http.ResponseWriter, r *http.Request) {
 		a.completed++
 	}
 	d.mu.Unlock()
-	d.emit(dispatch.Event{Type: dispatch.EventUpload, Shard: shard, Agent: agent, Epoch: epoch, Done: sessions})
+	d.plane.Emit(dispatch.Event{Type: dispatch.EventUpload, Shard: shard, Agent: agent, Epoch: epoch, Done: sessions})
 	writeJSON(w, http.StatusOK, uploadResponse{Sessions: sessions})
 }

@@ -107,33 +107,48 @@ func (l *eventLog) count(typ dispatch.EventType) int {
 	return n
 }
 
+// newDispatcher builds a dispatcher over a fresh plane of dc; close
+// releases both.
+func newDispatcher(dc dispatch.Config, cfg Config) (d *Dispatcher, closeAll func(), err error) {
+	p, err := dispatch.NewPlane(dc)
+	if err != nil {
+		return nil, nil, err
+	}
+	if d, err = New(p, cfg); err != nil {
+		p.Close()
+		return nil, nil, err
+	}
+	return d, func() { d.Close(); p.Close() }, nil
+}
+
 // testDispatcher builds a dispatcher (with injected clock and event
 // log) and serves it over httptest.
-func testDispatcher(t *testing.T, shards int, mutate func(*Config)) (*Dispatcher, *httptest.Server, *eventLog, *fakeClock) {
+func testDispatcher(t *testing.T, shards int, mutate func(*dispatch.Config)) (*Dispatcher, *httptest.Server, *eventLog, *fakeClock) {
 	t.Helper()
 	clock := newFakeClock()
 	log := &eventLog{}
-	cfg := Config{
+	dc := dispatch.Config{
 		Shards:       shards,
 		Dir:          filepath.Join(t.TempDir(), "shards"),
 		FoldInto:     filepath.Join(t.TempDir(), "folded"),
 		Fingerprints: [][]byte{testFingerprint},
-		Spec:         json.RawMessage(`{"chunks": 25}`),
-		LeaseTTL:     time.Minute,
 		OnEvent:      log.add,
 		Telemetry:    telemetry.NewRegistry(),
 		Tracer:       tracing.New(8),
-		now:          clock.now,
 	}
 	if mutate != nil {
-		mutate(&cfg)
+		mutate(&dc)
 	}
-	d, err := New(cfg)
+	d, closeAll, err := newDispatcher(dc, Config{
+		Spec:     json.RawMessage(`{"chunks": 25}`),
+		LeaseTTL: time.Minute,
+		now:      clock.now,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(d.Handler())
-	t.Cleanup(func() { srv.Close(); d.Close() })
+	t.Cleanup(func() { srv.Close(); closeAll() })
 	return d, srv, log, clock
 }
 
@@ -523,7 +538,7 @@ func TestDispatcherLeaseBudgetFailsCampaign(t *testing.T) {
 func TestDispatcherAdoptsPreviousShards(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "shards")
 	buildShardStore(t, dispatch.ShardDir(dir, 0), 0, 2)
-	d, srv, log, _ := testDispatcher(t, 2, func(c *Config) { c.Dir = dir })
+	d, srv, log, _ := testDispatcher(t, 2, func(c *dispatch.Config) { c.Dir = dir })
 	_ = d
 
 	if log.count(dispatch.EventUpload) != 1 {
@@ -552,7 +567,7 @@ func TestDispatcherClearsStagedUploads(t *testing.T) {
 	if _, err := store.Receive(&buf, filepath.Join(incoming, "shard-0-e1")); err != nil {
 		t.Fatal(err)
 	}
-	_, _, log, _ := testDispatcher(t, 2, func(c *Config) { c.Dir = dir })
+	_, _, log, _ := testDispatcher(t, 2, func(c *dispatch.Config) { c.Dir = dir })
 	if n := log.count(dispatch.EventUpload); n != 0 {
 		t.Errorf("the dispatcher adopted %d staged upload(s)", n)
 	}
@@ -674,10 +689,10 @@ func TestAgentTreatsLeaseNotFoundAsDispatcherGone(t *testing.T) {
 	}
 }
 
-// TestNewRefusesFoldTargetItCannotReplace: the fleet dispatcher runs
-// the pre-flight a local dispatch runs, so a fold destination the
-// campaign could never replace fails New, before any lease is granted,
-// with the errors dispatch.Run gives.
+// TestNewRefusesFoldTargetItCannotReplace: the fleet dispatcher is
+// built on the plane a local dispatch is built on, so a fold destination
+// the campaign could never replace fails its pre-flight, before any
+// lease is granted, with the errors a local dispatch gives.
 func TestNewRefusesFoldTargetItCannotReplace(t *testing.T) {
 	other := t.TempDir()
 	if err := os.WriteFile(filepath.Join(other, store.CampaignMetaFile), []byte(`{"seed": 99}`), 0o644); err != nil {
@@ -696,14 +711,14 @@ func TestNewRefusesFoldTargetItCannotReplace(t *testing.T) {
 		{"no campaign.json", plain, "no campaign.json"},
 		{"a previous fold of ours", ours, ""},
 	} {
-		d, err := New(Config{
+		_, closeAll, err := newDispatcher(dispatch.Config{
 			Shards:       2,
 			Dir:          filepath.Join(t.TempDir(), "shards"),
 			FoldInto:     c.foldInto,
 			Fingerprints: [][]byte{testFingerprint},
-		})
+		}, Config{})
 		if err == nil {
-			d.Close()
+			closeAll()
 		}
 		if (c.want == "") != (err == nil) || (err != nil && !strings.Contains(err.Error(), c.want)) {
 			t.Errorf("%s: New = %v, want %q", c.name, err, c.want)

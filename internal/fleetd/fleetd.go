@@ -33,10 +33,12 @@
 // folded campaign report is the same no matter which agents ran what,
 // or how many times leases moved.
 //
-// The event vocabulary is the local dispatcher's (package dispatch)
-// plus three fleet verbs — EventLease, EventSteal, EventUpload — so
-// one Status tracker renders both planes: /v1/status shows shard rows
-// with their lease holders plus live agent rows, /metrics carries
+// The dispatcher is built on a dispatch.Plane, the half it shares with
+// a local dispatch: pre-flight, event fan-out, fold, and the GET
+// surface. The event vocabulary is the local dispatcher's plus three
+// fleet verbs — EventLease, EventSteal, EventUpload — so the plane's
+// one Status view renders both: /v1/status shows shard rows with their
+// lease holders plus live agent rows, /metrics carries
 // per-agent-labeled worker telemetry next to the dispatcher's own
 // gauges, and /v1/trace merges agent-stamped traces into the
 // fleet-wide slowest-sessions view.

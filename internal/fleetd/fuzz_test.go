@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"veritas/internal/dispatch"
 )
 
 // FuzzControlBody: whatever bytes reach the dispatcher as a control
@@ -33,11 +35,11 @@ func FuzzControlBody(f *testing.F) {
 		http.StatusGone: true, http.StatusRequestEntityTooLarge: true,
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		d, err := New(Config{Shards: 2, Dir: t.TempDir(), LeaseTTL: time.Minute})
+		d, closeAll, err := newDispatcher(dispatch.Config{Shards: 2, Dir: t.TempDir()}, Config{LeaseTTL: time.Minute})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer d.Close()
+		defer closeAll()
 		h := d.Handler()
 		for _, path := range []string{"/v1/agents", "/v1/lease", "/v1/heartbeat", "/v1/release"} {
 			rec := httptest.NewRecorder()

@@ -25,27 +25,32 @@ var ErrCampaignMismatch = errors.New("store: campaign fingerprint mismatch")
 // wrapping ErrCampaignMismatch — mixing rows computed under different
 // settings into one "coherent" aggregate must never happen silently.
 //
-// fingerprint must be valid JSON; equality is structural, so formatting
-// differences do not matter. A nil fingerprint degrades to a plain
+// forms are the acceptable JSON spellings of the fingerprint: a fresh
+// store records forms[0], and an existing one must match any of them
+// (CampaignMatches), so the store is opened once whichever spelling it
+// carries. Each form must be valid JSON; equality is structural, so
+// formatting differences do not matter. No form degrades to a plain
 // Open with no campaign discipline.
-func OpenCampaign(dir string, opt Options, fingerprint []byte) (*Store, error) {
+func OpenCampaign(dir string, opt Options, forms ...[]byte) (*Store, error) {
 	s, err := Open(dir, opt)
 	if err != nil {
 		return nil, err
 	}
-	if fingerprint == nil {
+	if len(forms) == 0 {
 		return s, nil
 	}
-	if err := checkFingerprint(dir, fingerprint, opt.ReadOnly); err != nil {
+	if err := checkFingerprint(dir, forms, opt.ReadOnly); err != nil {
 		s.Close()
 		return nil, err
 	}
 	return s, nil
 }
 
-func checkFingerprint(dir string, want []byte, readOnly bool) error {
-	if err := json.Unmarshal(want, new(any)); err != nil {
-		return fmt.Errorf("store: campaign fingerprint is not valid JSON: %w", err)
+func checkFingerprint(dir string, forms [][]byte, readOnly bool) error {
+	for _, form := range forms {
+		if err := json.Unmarshal(form, new(any)); err != nil {
+			return fmt.Errorf("store: campaign fingerprint is not valid JSON: %w", err)
+		}
 	}
 	have, raw, err := ReadCampaignMeta(dir)
 	if err != nil {
@@ -56,12 +61,12 @@ func checkFingerprint(dir string, want []byte, readOnly bool) error {
 		if readOnly {
 			return fmt.Errorf("store: %s carries no %s to verify against (not a campaign store?)", dir, CampaignMetaFile)
 		}
-		if err := writeFileAtomic(path, want); err != nil {
+		if err := writeFileAtomic(path, forms[0]); err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
 		return nil
 	}
-	if !CampaignMatches(have, want) {
+	if !CampaignMatches(have, forms...) {
 		return fmt.Errorf("%w: %s holds a campaign run with different settings (see %s); repeat them exactly or use a fresh store",
 			ErrCampaignMismatch, dir, path)
 	}

@@ -33,14 +33,33 @@ func TestOpenCampaignFingerprint(t *testing.T) {
 	st.Close()
 
 	// Different fingerprint: refused with the sentinel error.
-	if _, err := OpenCampaign(dir, Options{}, []byte(`{"Seed":2,"Chunks":120}`)); !errors.Is(err, ErrCampaignMismatch) {
+	other := []byte(`{"Seed":2,"Chunks":120}`)
+	if _, err := OpenCampaign(dir, Options{}, other); !errors.Is(err, ErrCampaignMismatch) {
 		t.Fatalf("mismatched fingerprint: err = %v, want ErrCampaignMismatch", err)
+	}
+
+	// Several forms: the store matches its own spelling in any position,
+	// and a fresh store records the first.
+	st, err = OpenCampaign(dir, Options{}, other, fp)
+	if err != nil {
+		t.Fatalf("store's own form listed second: %v", err)
+	}
+	st.Close()
+	fresh := t.TempDir()
+	st, err = OpenCampaign(fresh, Options{}, other, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	if got, err := os.ReadFile(filepath.Join(fresh, CampaignMetaFile)); err != nil || string(got) != string(other) {
+		t.Errorf("fresh store recorded %q (%v), want the first form %q", got, err, other)
 	}
 }
 
 func TestOpenCampaignNilFingerprintIsPlainOpen(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenCampaign(dir, Options{}, nil)
+	// No form at all is a plain Open.
+	st, err := OpenCampaign(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,9 @@ package veritas_test
 // into the module, every report is reduced by engine.Partials, and each
 // on-disk format is known to one file of internal/store, a campaign's
 // settings and their defaults are each written once, the small
-// single-session tools stay subcommands of one binary, and every seeded
-// generator is mathx.NewRand.
+// single-session tools stay subcommands of one binary, every seeded
+// generator is mathx.NewRand, and the half of a dispatch both control
+// planes share is built in one place.
 
 import (
 	"go/ast"
@@ -16,6 +17,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -566,5 +568,84 @@ func TestOneSeededSource(t *testing.T) {
 	}
 	if newRands == 0 {
 		t.Fatal("found no mathx.NewRand caller: the walk saw none of the module's generators")
+	}
+}
+
+// TestOneDispatchLifecycle: the half of a dispatch both control planes
+// share is written once, in dispatch.Plane. Across internal/dispatch,
+// internal/fleetd and the root package, the live tier, the status view,
+// the layout check and the fold-target check each have exactly one
+// non-test call site, and across the two planes so does store.Fold (the
+// root package's FoldShards is the manual fold, outside both planes).
+func TestOneDispatchLifecycle(t *testing.T) {
+	planes := []string{".", filepath.Join("internal", "dispatch"), filepath.Join("internal", "fleetd")}
+	type fn struct{ pkg, name string }
+	checks := []struct {
+		fn
+		dirs []string
+	}{
+		{fn{"veritas/internal/serve", "NewLive"}, planes},
+		{fn{"veritas/internal/dispatch", "NewStatus"}, planes},
+		{fn{"veritas/internal/dispatch", "CheckLayout"}, planes},
+		{fn{"veritas/internal/store", "CheckFoldTarget"}, planes},
+		{fn{"veritas/internal/store", "Fold"}, planes[1:]},
+	}
+	scope := make(map[fn][]string)
+	for _, c := range checks {
+		scope[c.fn] = c.dirs
+	}
+	sites := make(map[fn][]string)
+	fset := token.NewFileSet()
+	for _, dir := range planes {
+		self := "veritas"
+		if dir != "." {
+			self += "/" + filepath.ToSlash(dir)
+		}
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no source found under %s (err %v)", dir, err)
+		}
+		for _, name := range files {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			file, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			imports := map[string]string{} // local import name → import path
+			for _, imp := range file.Imports {
+				p, _ := strconv.Unquote(imp.Path.Value)
+				local := p[strings.LastIndex(p, "/")+1:]
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+				imports[local] = p
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				var key fn
+				switch f := call.Fun.(type) {
+				case *ast.Ident:
+					key = fn{self, f.Name}
+				case *ast.SelectorExpr:
+					if x, ok := f.X.(*ast.Ident); ok && imports[x.Name] != "" {
+						key = fn{imports[x.Name], f.Sel.Name}
+					}
+				}
+				if slices.Contains(scope[key], dir) {
+					sites[key] = append(sites[key], fset.Position(call.Pos()).String())
+				}
+				return true
+			})
+		}
+	}
+	for _, c := range checks {
+		if got := sites[c.fn]; len(got) != 1 {
+			t.Errorf("%s.%s has %d call sites in the control planes, want 1 (dispatch.Plane's): %v", c.pkg, c.name, len(got), got)
+		}
 	}
 }

@@ -157,7 +157,7 @@ func TestEverySpecFieldIsFingerprintedCarriedAndValidated(t *testing.T) {
 // TestDispatchWorkerEnvGolden pins the exact VERITAS_DISPATCH_WORKER
 // JSON a Dispatch hands its workers, recorded at the commit before the
 // settings moved into one campaignSpec. It builds each shard's command
-// as Dispatch does — the spec from dispatchPreflight, the process from
+// as Dispatch does — the spec from beginDispatch, the process from
 // workerSpec.command — without starting it.
 func TestDispatchWorkerEnvGolden(t *testing.T) {
 	c, err := NewCampaign(
@@ -176,10 +176,12 @@ func TestDispatchWorkerEnvGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	_, dir, spec, err := c.dispatchPreflight("Dispatch", "Dispatch")
+	p, spec, err := c.beginDispatch("Dispatch", "Dispatch", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.endDispatch(p)
+	dir := p.Config().Dir
 	const settings = `{"scenarios":["lte","wifi"],"sessions":3,"chunks":40,"samples":2,"seed":7,"buffer":10,"abrs":["bba","bola"],"buffers":[5,30],"workers":2,"notracing":true,`
 	for shard, want := range []string{
 		settings + `"shard":0,"of":2,"store":"DIR/shard-0.store"}`,
