@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -38,22 +39,32 @@ type Summary struct {
 var summaryRanks = []float64{10, 25, 50, 75, 90}
 
 // Summarize computes a Summary over vals; the zero Summary for empty
-// input. The five percentiles are read from one sorted copy.
+// input. The five percentiles are read from one sorted copy; vals is
+// left as it was.
 func Summarize(vals []float64) Summary {
+	return summarizeInPlace(slices.Clone(vals))
+}
+
+// summarizeInPlace is Summarize over a scratch series the caller owns:
+// the mean, min and max read vals in input order, as Summarize does,
+// then one in-place sort serves the percentiles, so vals is left
+// sorted. The float operations are Summarize's, so is the result.
+func summarizeInPlace(vals []float64) Summary {
 	if len(vals) == 0 {
 		return Summary{}
 	}
-	p := stats.Percentiles(vals, summaryRanks)
+	mean, lo, hi := stats.Mean(vals), stats.Min(vals), stats.Max(vals)
+	p := stats.PercentilesInPlace(vals, summaryRanks)
 	return Summary{
 		N:    len(vals),
-		Mean: stats.Mean(vals),
-		Min:  stats.Min(vals),
+		Mean: mean,
+		Min:  lo,
 		P10:  p[0],
 		P25:  p[1],
 		P50:  p[2],
 		P75:  p[3],
 		P90:  p[4],
-		Max:  stats.Max(vals),
+		Max:  hi,
 	}
 }
 

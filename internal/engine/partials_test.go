@@ -181,25 +181,86 @@ func TestPartialsSnapshotRoundTrip(t *testing.T) {
 	for i := 0; i < 15; i++ {
 		p.FoldRow(synthRow(i, 1), uint64(i))
 	}
-	snap := p.Snapshot()
-	if len(snap) != 15 {
-		t.Fatalf("snapshot has %d sessions, want 15", len(snap))
+	// The wire form must survive a JSON round trip (the store persists
+	// it), and must be what the old reducer extracted from each row.
+	var snap []json.RawMessage
+	n := 0
+	if err := p.EachPartial(func(ps *PartialSession) error {
+		b, err := json.Marshal(ps)
+		if want, _ := json.Marshal(ReducePartial(synthRow(n, 1), uint64(n))); string(b) != string(want) {
+			t.Errorf("digest %d on the wire:\ngot:  %s\nwant: %s", n, b, want)
+		}
+		snap = append(snap, b)
+		n++
+		return err
+	}); err != nil {
+		t.Fatal(err)
 	}
-	// Snapshot must survive a JSON round trip (the store persists it).
-	b, err := json.Marshal(snap)
+	if n != 15 {
+		t.Fatalf("snapshot has %d sessions, want 15", n)
+	}
+	raw, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var back []PartialSession
-	if err := json.Unmarshal(b, &back); err != nil {
+	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
 	p2 := NewPartials()
 	for _, ps := range back {
-		p2.FoldPartial(ps)
+		if err := p2.FoldPartial(ps); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got, want := reportJSON(t, p2.Report("")), reportJSON(t, p.Report("")); string(got) != string(want) {
 		t.Fatalf("restored report diverged:\ngot:  %s\nwant: %s", got, want)
+	}
+	// A digest without one cell per metric is refused, not folded.
+	bad := back[0]
+	bad.Arms = append([]PartialArm(nil), bad.Arms...)
+	bad.Arms[1].Low = bad.Arms[1].Low[:1]
+	if err := p2.FoldPartial(bad); err == nil {
+		t.Fatal("FoldPartial accepted a digest with one Low cell")
+	}
+}
+
+// Merge lands each digest as of the given sequence: a snapshot merged
+// as of 0 loses to whatever was folded live, and shards merged in order
+// as of their position let the later shard win, as a fold does. The
+// merged state shares no mutable state with its source.
+func TestPartialsMergePrecedence(t *testing.T) {
+	live := NewPartials()
+	live.FoldRow(synthRow(1, 7), 5) // a live append, newer than the snapshot
+	snap := NewPartials()
+	snap.FoldRow(synthRow(1, 1), 900)
+	snap.FoldRow(synthRow(2, 1), 901)
+	live.Merge(snap, 0)
+	want := NewAggregator(0)
+	want.AddRow(synthRow(1, 7))
+	want.AddRow(synthRow(2, 1))
+	if got, exp := reportJSON(t, live.Report("")), reportJSON(t, want.Report()); string(got) != string(exp) {
+		t.Fatalf("snapshot merged as of 0 overrode a live fold:\ngot:  %s\nwant: %s", got, exp)
+	}
+
+	shard0, shard1 := NewPartials(), NewPartials()
+	shard0.FoldRow(synthRow(3, 1), 800) // a high seq from its own store
+	shard0.FoldRow(synthRow(4, 1), 801)
+	shard1.FoldRow(synthRow(3, 2), 1) // re-run on the later shard
+	combined := NewPartials()
+	combined.Merge(shard0, 0)
+	combined.Merge(shard1, 1)
+	want = NewAggregator(0)
+	want.AddRow(synthRow(3, 2))
+	want.AddRow(synthRow(4, 1))
+	exp := reportJSON(t, want.Report())
+	if got := reportJSON(t, combined.Report("")); string(got) != string(exp) {
+		t.Fatalf("later shard did not win:\ngot:  %s\nwant: %s", got, exp)
+	}
+	shard1.FoldRow(synthRow(3, 9), 2)
+	shard0.FoldRow(synthRow(5, 1), 802)
+	if got := reportJSON(t, combined.Report("")); string(got) != string(exp) {
+		t.Fatal("folds into a merged source changed the merged state")
 	}
 }
 
@@ -283,5 +344,85 @@ func TestWriteAggregateGolden(t *testing.T) {
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Errorf("WriteAggregate over the %s report drifted from %s (re-record with -update if deliberate)\ngot:\n%s\nwant:\n%s", c.reducer, golden, got.Bytes(), want)
 		}
+	}
+}
+
+// A re-fold swaps in a new digest instead of writing over the one a
+// concurrent report is reading (run under -race: before the swap, this
+// raced in Report, Series and ArmUnion).
+func TestPartialsRefoldDuringReport(t *testing.T) {
+	p := NewPartials()
+	for i := 0; i < 40; i++ {
+		p.FoldRow(synthRow(i, 1), uint64(i))
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for gen := 0; gen < 400; gen++ {
+			i := gen % 40
+			row := synthRow(i, int64(gen))
+			row.Index = i + gen%2 // moves the session too
+			p.FoldRow(row, uint64(100+gen))
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		if rep := p.Report(""); rep.Sessions != 40 {
+			t.Fatalf("report over %d sessions, want 40", rep.Sessions)
+		}
+		p.Series("scenario-1", "mpc", EstVeritasMid, 2)
+		p.ArmUnion("")
+	}
+}
+
+// benchRows are 9,000 sessions shaped like the default campaign's:
+// four arms with the truth, K = 5 samples, a few predictions.
+func benchRows() []SessionRow {
+	rows := make([]SessionRow, 9000)
+	for i := range rows {
+		row := synthRow(i, 1)
+		arm := row.Arms[0]
+		arm.Truth, arm.HasTruth = arm.Baseline, true
+		arm.Samples = append(arm.Samples[:0:0], arm.Baseline, arm.Truth, arm.Baseline, arm.Truth, arm.Baseline)
+		row.Arms = row.Arms[:0:0]
+		for _, name := range []string{"bba-5s", "bba-30s", "mpc-5s", "mpc-30s"} {
+			arm.Name = name
+			row.Arms = append(row.Arms, arm)
+		}
+		rows[i] = row
+	}
+	return rows
+}
+
+// BenchmarkPartialsFold folds 9,000 sessions into a fresh Partials; its
+// B/op is what a corpus's digests cost.
+func BenchmarkPartialsFold(b *testing.B) {
+	rows := benchRows()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		p := NewPartials()
+		for i, row := range rows {
+			p.FoldRow(row, uint64(i))
+		}
+	}
+}
+
+// BenchmarkPartialsReport builds the unfiltered report over 9,000
+// folded sessions; its B/op is the garbage of one report-family miss.
+func BenchmarkPartialsReport(b *testing.B) {
+	p := NewPartials()
+	for i, row := range benchRows() {
+		p.FoldRow(row, uint64(i))
+	}
+	p.Report("") // sorts the view once, as the first report of a generation does
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		p.Report("")
 	}
 }

@@ -10,8 +10,10 @@ import (
 
 // reportMetrics are the fleet-report rows: query key, label, extractor,
 // and the multiplier applied for display (rebuffering is shown in
-// percent). The key is the spelling the /v1 query surface accepts.
-var reportMetrics = []struct {
+// percent). The key is the spelling the /v1 query surface accepts. It is
+// an array so that its length is a constant: a digest's slab layout
+// (partials.go) is sized by it.
+var reportMetrics = [...]struct {
 	key   string
 	label string
 	fn    abduction.MetricFn

@@ -135,6 +135,65 @@ func TestReportCacheIsBoundedInBytes(t *testing.T) {
 	}
 }
 
+// TestReportCacheHoldsOneGeneration: a report family's cache holds the
+// bodies of one generation. An append moves the generation, and the
+// first body built at it empties the cache: the bytes held are that
+// body's alone, not the dead generation's too.
+func TestReportCacheHoldsOneGeneration(t *testing.T) {
+	st, err := store.Create(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	fillStore(t, st, 20, "fcc")
+	reg := telemetry.NewRegistry()
+	h := New(st, WithTelemetry(reg))
+
+	mustGet(t, h, "/v1/report")
+	mustGet(t, h, "/v1/report/series?arm=bba-5s")
+	mustGet(t, h, "/v1/report/cdf?arm=bba-5s")
+	if _, _, held := reportCacheStats(reg); held == 0 {
+		t.Fatal("nothing cached")
+	}
+	if err := st.Append(testRow(20, "lte")); err != nil {
+		t.Fatal(err)
+	}
+	body := mustGet(t, h, "/v1/report")
+	if _, _, held := reportCacheStats(reg); held != float64(len(body)) {
+		t.Errorf("after a report at the new generation the cache holds %v bytes, want the %d of that report alone", held, len(body))
+	}
+	if _, misses, _ := reportCacheStats(reg); misses != 4 {
+		t.Errorf("%d misses, want 4", misses)
+	}
+}
+
+// TestBodyCacheDropsAnOlderGeneration: putAt from a generation older
+// than the cache holds (a request that read the view before another
+// moved it on) stores nothing, and one from a newer generation starts
+// the cache over.
+func TestBodyCacheDropsAnOlderGeneration(t *testing.T) {
+	c := newBodyCache(8, 100)
+	c.putAt(2, "a", "g2", []byte("aa"))
+	c.putAt(2, "b", "g2", []byte("bbb"))
+	c.putAt(1, "c", "g1", []byte("c"))
+	if _, ok := c.get("c", "g1"); ok {
+		t.Error("a body from an older generation was stored")
+	}
+	if _, _, n := c.stats(); n != 5 {
+		t.Errorf("cache holds %d bytes, want 5", n)
+	}
+	c.putAt(3, "a", "g3", []byte("A"))
+	if _, ok := c.get("b", "g2"); ok {
+		t.Error("a body of the previous generation survived a put at a newer one")
+	}
+	if body, ok := c.get("a", "g3"); !ok || string(body) != "A" {
+		t.Errorf("get(a, g3) = %q, %v", body, ok)
+	}
+	if _, _, n := c.stats(); n != 1 {
+		t.Errorf("cache holds %d bytes, want 1", n)
+	}
+}
+
 // TestOversizedBodyIsNotAdmitted: one body above the byte bound must not
 // flush the cache on its way through.
 func TestOversizedBodyIsNotAdmitted(t *testing.T) {

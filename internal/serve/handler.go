@@ -272,7 +272,9 @@ var reportEndpoints = []reportEndpoint{
 // to; the generation makes the family's ETag ("<etagPrefix>-<generation>":
 // it moves on every append, including same-key overwrites, so an
 // unchanged tag proves the aggregate is still current for any filter),
-// and the tag is the version the family's body cache stores under.
+// and the tag is the version the family's body cache stores under. The
+// cache holds one generation: the first body built at a newer one
+// empties it.
 func mountReportFamily(rt router, prefix, etagPrefix string, view func() (*engine.Partials, uint64, error)) {
 	cache := newBodyCache(reportCacheCap, reportCacheBytes)
 	cache.register(rt.reg,
@@ -295,15 +297,15 @@ func mountReportFamily(rt router, prefix, etagPrefix string, view func() (*engin
 				writeAPIError(w, errInternal(err))
 				return
 			}
-			etag := fmt.Sprintf("\"%s-%d\"", etagPrefix, gen)
-			serveReport(w, r, ep, q, p, cache, etag)
+			serveReport(w, r, ep, q, p, cache, etagPrefix, gen)
 		})
 	}
 }
 
 // serveReport answers one report-family request: consult the body
-// cache at the current generation's tag, validate against the partials,
-// honor If-None-Match, then build and cache the body.
+// cache at the generation's tag ("<etagPrefix>-<gen>"), validate
+// against the partials, honor If-None-Match, then build and cache the
+// body at gen.
 //
 // Two ordering rules carry over from the original report handler and
 // are pinned by tests: a cached body at the current generation skips
@@ -311,7 +313,8 @@ func mountReportFamily(rt router, prefix, etagPrefix string, view func() (*engin
 // nothing changed since), and the 304 check runs only after validation,
 // so a conditional request can never turn a 404 into a 304.
 func serveReport(w http.ResponseWriter, r *http.Request, ep reportEndpoint, q *reportQuery, p *engine.Partials,
-	cache *bodyCache, etag string) {
+	cache *bodyCache, etagPrefix string, gen uint64) {
+	etag := fmt.Sprintf("\"%s-%d\"", etagPrefix, gen)
 	key := q.cacheKey(ep.name)
 	body, cached := cache.get(key, etag)
 	if !cached {
@@ -330,7 +333,7 @@ func serveReport(w http.ResponseWriter, r *http.Request, ep reportEndpoint, q *r
 			writeAPIError(w, errInternal(err))
 			return
 		}
-		cache.put(key, etag, body)
+		cache.putAt(gen, key, etag, body)
 	}
 	w.Header().Set("ETag", etag)
 	if notModified {
@@ -385,9 +388,11 @@ func buildReport(q *reportQuery, p *engine.Partials) any {
 	return p.ReportFiltered(q.scenario, q.armOK())
 }
 
+// buildCDF and buildPercentiles own the series Partials.Series returns,
+// so they sort it in place rather than have stats copy it again.
 func buildCDF(q *reportQuery, p *engine.Partials) any {
 	series := p.Series(q.scenario, q.arm, q.estimator, q.metricIdx)
-	points := stats.CDF(series)
+	points := stats.CDFInPlace(series)
 	if points == nil {
 		points = []stats.CDFPoint{}
 	}
@@ -404,7 +409,7 @@ func buildSeries(q *reportQuery, p *engine.Partials) any {
 
 func buildPercentiles(q *reportQuery, p *engine.Partials) any {
 	series := p.Series(q.scenario, q.arm, q.estimator, q.metricIdx)
-	vals := stats.Percentiles(series, q.percentiles)
+	vals := stats.PercentilesInPlace(series, q.percentiles)
 	out := make([]percentileValue, len(vals)) // empty series: empty list, never NaN
 	for i, v := range vals {
 		out[i] = percentileValue{P: q.percentiles[i], Value: v}
@@ -417,14 +422,17 @@ func buildPercentiles(q *reportQuery, p *engine.Partials) any {
 // one entry at a time from the cold end when either is exceeded. A body
 // is served only at the version it was stored under (a session's record
 // version, a report family's generation tag); a put at a newer version
-// replaces the stale body in place, so a key never holds two.
+// replaces the stale body in place, so a key never holds two. A report
+// family's cache also holds one generation only (putAt): no request
+// can ask for an older one's bodies again.
 type bodyCache struct {
 	maxEntries, maxBytes int // maxEntries <= 0: caching is off
 
 	mu           sync.Mutex
 	ll           *list.List // of *bodyItem, front = most recent
 	items        map[string]*list.Element
-	bytes        int // sum of len(body) over the items
+	bytes        int    // sum of len(body) over the items
+	gen          uint64 // the generation putAt last stored at
 	hits, misses uint64
 }
 
@@ -474,11 +482,34 @@ func (c *bodyCache) get(key, ver string) ([]byte, bool) {
 // larger than the whole byte bound is not admitted: it would evict every
 // other entry and then itself.
 func (c *bodyCache) put(key, ver string, body []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.putLocked(key, ver, body)
+}
+
+// putAt is put for a cache that holds one generation of bodies: a body
+// from a generation newer than the cache holds first empties it, and a
+// body from an older one (a request that read the view before a
+// concurrent one moved it on) is dropped.
+func (c *bodyCache) putAt(gen uint64, key, ver string, body []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch {
+	case gen < c.gen:
+		return
+	case gen > c.gen:
+		c.ll.Init()
+		clear(c.items)
+		c.bytes, c.gen = 0, gen
+	}
+	c.putLocked(key, ver, body)
+}
+
+// putLocked stores body under key at ver. Caller holds mu.
+func (c *bodyCache) putLocked(key, ver string, body []byte) {
 	if c.maxEntries <= 0 || len(body) > c.maxBytes {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		it := el.Value.(*bodyItem)
 		c.bytes += len(body) - len(it.body)

@@ -8,7 +8,7 @@ package serve
 // aggregates — the same bodies the folded store will serve, available
 // mid-dispatch.
 //
-// Shards are combined by folding each store's partial digests in shard
+// Shards are combined by merging each store's partial digests in shard
 // order (the same precedence Fold gives duplicate session keys), so a
 // session re-run on a later shard supersedes the earlier record exactly
 // as the fold will resolve it.
@@ -136,16 +136,15 @@ func (h *Live) refresh() (*engine.Partials, uint64) {
 		return h.combined, h.combGen
 	}
 	combined := engine.NewPartials()
-	for _, dir := range order {
+	for i, dir := range order {
 		p, err := h.stores[dir].Partials()
 		if err != nil {
 			return h.lastGoodLocked()
 		}
-		for _, ps := range p.Snapshot() {
-			// Shard order is fold order: a later shard's record for the
-			// same session wins, matching Fold's precedence.
-			combined.FoldPartial(ps)
-		}
+		// Shard order is fold order: merged as of its position, a later
+		// shard's record for the same session wins, matching Fold's
+		// precedence. The digests are shared with the shard, not copied.
+		combined.Merge(p, uint64(i))
 	}
 	h.rounds++
 	h.combined = combined

@@ -38,7 +38,7 @@ func canonicalSpelling(q *reportQuery) url.Values {
 // status and the body.
 func uncachedAnswer(ep reportEndpoint, q *reportQuery, p *engine.Partials) (int, []byte) {
 	rec := httptest.NewRecorder()
-	serveReport(rec, httptest.NewRequest(http.MethodGet, "/", nil), ep, q, p, newBodyCache(0, 0), `"fuzz-1"`)
+	serveReport(rec, httptest.NewRequest(http.MethodGet, "/", nil), ep, q, p, newBodyCache(0, 0), "fuzz", 1)
 	return rec.Code, rec.Body.Bytes()
 }
 

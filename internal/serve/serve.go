@@ -37,9 +37,11 @@
 // encoded response bodies, evicting entry by entry. /v1/sessions/{id}
 // keeps one keyed by the session's record version and sized by
 // WithCacheEntries; each report family keeps one keyed by the canonical
-// query (query.go) at the current generation, bounded to 256 entries
-// and 4 MiB whatever the corpus size. A hit writes stored bytes: no
-// store read, no decode, no json.Marshal.
+// query (query.go), bounded to 256 entries and 4 MiB whatever the
+// corpus size, which holds bodies of the current generation only: the
+// first body built at a newer generation empties it, and a body built
+// from an older view than the cache holds is not stored. A hit writes
+// stored bytes: no store read, no decode, no json.Marshal.
 //
 // NewServer and ListenAndServe build the http.Server every listener in
 // the module runs behind, with the header timeout and size limits a

@@ -5,6 +5,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -76,12 +77,20 @@ func Percentiles(xs []float64, ps []float64) []float64 {
 	if len(xs) == 0 || len(ps) == 0 {
 		return nil
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
+	return PercentilesInPlace(slices.Clone(xs), ps)
+}
+
+// PercentilesInPlace is Percentiles over a series the caller owns and
+// no longer needs in its input order: it sorts xs in place instead of a
+// copy. The values are the same as Percentiles'.
+func PercentilesInPlace(xs []float64, ps []float64) []float64 {
+	if len(xs) == 0 || len(ps) == 0 {
+		return nil
+	}
+	sort.Float64s(xs)
 	out := make([]float64, len(ps))
 	for i, p := range ps {
-		out[i] = percentileSorted(sorted, p)
+		out[i] = percentileSorted(xs, p)
 	}
 	return out
 }
@@ -152,15 +161,19 @@ type CDFPoint struct {
 
 // CDF returns the empirical CDF of xs evaluated at every sample point.
 func CDF(xs []float64) []CDFPoint {
+	return CDFInPlace(slices.Clone(xs))
+}
+
+// CDFInPlace is CDF over a series the caller owns and no longer needs
+// in its input order: it sorts xs in place instead of a copy.
+func CDFInPlace(xs []float64) []CDFPoint {
 	if len(xs) == 0 {
 		return nil
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	out := make([]CDFPoint, len(sorted))
-	n := float64(len(sorted))
-	for i, x := range sorted {
+	sort.Float64s(xs)
+	out := make([]CDFPoint, len(xs))
+	n := float64(len(xs))
+	for i, x := range xs {
 		out[i] = CDFPoint{X: x, P: float64(i+1) / n}
 	}
 	return out

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -135,5 +136,30 @@ func TestHistogram(t *testing.T) {
 	}
 	if Histogram(xs, 0, 1, 0) != nil {
 		t.Error("Histogram with 0 bins should be nil")
+	}
+}
+
+// The in-place forms return what the copying forms return, and leave
+// their input sorted rather than copying it.
+func TestInPlaceFormsMatchCopies(t *testing.T) {
+	xs := []float64{3, math.Inf(-1), 0, 7, math.Copysign(0, -1), 3, math.NaN(), -2}
+	ranks := []float64{0, 10, 50, 90, 100}
+	wantP := Percentiles(xs, ranks)
+	wantC := CDF(xs)
+
+	in := append([]float64(nil), xs...)
+	gotP := PercentilesInPlace(in, ranks)
+	if fmt.Sprint(gotP) != fmt.Sprint(wantP) {
+		t.Errorf("PercentilesInPlace = %v, Percentiles = %v", gotP, wantP)
+	}
+	if !sort.Float64sAreSorted(in) {
+		t.Errorf("PercentilesInPlace left %v unsorted", in)
+	}
+	in = append(in[:0], xs...)
+	if gotC := CDFInPlace(in); fmt.Sprint(gotC) != fmt.Sprint(wantC) {
+		t.Errorf("CDFInPlace = %v, CDF = %v", gotC, wantC)
+	}
+	if PercentilesInPlace(nil, ranks) != nil || CDFInPlace(nil) != nil {
+		t.Error("empty input must give nil")
 	}
 }

@@ -13,6 +13,14 @@ import (
 	"veritas/internal/telemetry"
 )
 
+// partialsFile is the JSON payload of a partials snapshot as
+// json.Marshal shapes it: what encodePartials writes one digest at a
+// time and decodePartials reads back.
+type partialsFile struct {
+	Layout   []partialsLayoutSeg
+	Sessions []engine.PartialSession
+}
+
 // copyFixture copies testdata/<name> into a temp dir, so a test may
 // open it without ever writing into the checked-in bytes.
 func copyFixture(t testing.TB, name string) string {

@@ -452,11 +452,25 @@ func (d *rowDecoder) metrics(m *player.Metrics) {
 // sealEnvelope wraps payload in the checksummed envelope the metadata
 // files (sidecars, the partials snapshot) share, under an 8-byte magic.
 func sealEnvelope(magic string, payload []byte) []byte {
-	buf := make([]byte, 0, len(magic)+envelopeHdrLen+len(payload))
-	buf = append(buf, magic...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	return append(buf, payload...)
+	return sealHead(magic, append(envelopeHead(magic, len(payload)), payload...))
+}
+
+// envelopeHead starts an envelope whose payload (of about sizeHint
+// bytes) is appended in place: the magic and room for the header, which
+// sealHead fills in.
+func envelopeHead(magic string, sizeHint int) []byte {
+	buf := make([]byte, len(magic)+envelopeHdrLen, len(magic)+envelopeHdrLen+sizeHint)
+	copy(buf, magic)
+	return buf
+}
+
+// sealHead fills in the header of buf, an envelopeHead with the payload
+// appended, and returns it.
+func sealHead(magic string, buf []byte) []byte {
+	payload := buf[len(magic)+envelopeHdrLen:]
+	binary.LittleEndian.PutUint32(buf[len(magic):], crc32.ChecksumIEEE(payload))
+	binary.LittleEndian.PutUint32(buf[len(magic)+4:], uint32(len(payload)))
+	return buf
 }
 
 // openEnvelope returns the payload of an envelope sealed under magic,

@@ -11,7 +11,10 @@ package store
 // Snapshot file. dir/partials.vagg persists the reduced digests with
 // the segment layout they cover: the checksummed envelope of frame.go
 // under the magic "VPART1\n\x00", whose payload is the JSON
-// {Layout:[{Seg,Size}], Sessions:[engine.PartialSession]}.
+// {Layout:[{Seg,Size}], Sessions:[engine.PartialSession]}. Save and
+// restore stream it one digest at a time (encodePartials,
+// decodePartials), straight from and into the engine's slabs, so
+// neither holds a second copy of every digest.
 //
 // Like sidecars, the snapshot is an optimization, never a source of
 // truth: it is trusted only if its checksum verifies and its recorded
@@ -21,8 +24,10 @@ package store
 // snapshots existed — or whose snapshot was lost — serve unchanged.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -46,12 +51,6 @@ func packSeq(epoch uint64, seg int, off int64) uint64 {
 type partialsLayoutSeg struct {
 	Seg  int
 	Size int64
-}
-
-// partialsFile is the JSON payload of a partials snapshot.
-type partialsFile struct {
-	Layout   []partialsLayoutSeg
-	Sessions []engine.PartialSession
 }
 
 // Partials returns the store's incremental aggregate state, building it
@@ -129,7 +128,7 @@ func (s *Store) Partials() (*engine.Partials, error) {
 	}
 }
 
-// restorePartialsSnapshot folds a verified snapshot's digests into p
+// restorePartialsSnapshot merges a verified snapshot's digests into p
 // and returns the (segment, offset) frontier it covers. restored=false
 // (frontier 0,0 — cover nothing) on any doubt.
 func (s *Store) restorePartialsSnapshot(p *engine.Partials) (coverSeg int, coverOff int64, restored bool) {
@@ -141,40 +140,93 @@ func (s *Store) restorePartialsSnapshot(p *engine.Partials) (coverSeg int, cover
 	if !ok {
 		return 0, 0, false
 	}
-	var pf partialsFile
-	if json.Unmarshal(payload, &pf) != nil {
+	layout, q, ok := decodePartials(payload, s.layoutIsPrefix)
+	if !ok {
 		return 0, 0, false
 	}
-	if len(pf.Layout) == 0 {
-		return 0, 0, false
+	// As of sequence 0: the persisted sequence numbers were packed under
+	// the writing store's epochs, and anything this store has folded
+	// live since the build began must win over them.
+	p.Merge(q, 0)
+	lastL := layout[len(layout)-1]
+	return lastL.Seg, lastL.Size, true
+}
+
+// layoutIsPrefix reports whether a snapshot's recorded layout is an
+// exact prefix of the store: every recorded segment present, sealed
+// ones byte-identical in size, the last no longer than the file is now.
+// Segments are append-only, so any mismatch means truncation,
+// replacement, or a foreign store — rebuild from frames.
+func (s *Store) layoutIsPrefix(layout []partialsLayoutSeg) bool {
+	if len(layout) == 0 {
+		return false
 	}
-	// The recorded layout must be an exact prefix of the store: every
-	// recorded segment present, sealed ones byte-identical in size, the
-	// last no longer than the file is now. Segments are append-only, so
-	// any mismatch means truncation, replacement, or a foreign store —
-	// rebuild from frames.
-	for i, ls := range pf.Layout {
+	for i, ls := range layout {
 		if ls.Seg != i {
-			return 0, 0, false // segment numbering is dense from 0
+			return false // segment numbering is dense from 0
 		}
 		fi, err := os.Stat(filepath.Join(s.dir, segName(ls.Seg)))
 		if err != nil {
-			return 0, 0, false
+			return false
 		}
-		last := i == len(pf.Layout)-1
+		last := i == len(layout)-1
 		if (!last && fi.Size() != ls.Size) || fi.Size() < ls.Size {
-			return 0, 0, false
+			return false
 		}
 	}
-	for _, ps := range pf.Sessions {
-		// Neutralize persisted sequence numbers: they were packed under
-		// the writing store's epochs and must lose to anything this
-		// store folds live.
-		ps.Seq = 0
-		p.FoldPartial(ps)
+	return true
+}
+
+// decodePartials streams a snapshot payload — the JSON object
+// {"Layout":[…],"Sessions":[…]}, in that order, as encodePartials
+// writes it — into a fresh Partials one digest at a time, so no
+// decoded copy of the whole digest list is ever held. layoutOK vets the
+// layout before any digest is decoded. ok=false on anything else: a
+// snapshot is an optimization, and doubt means rebuild.
+func decodePartials(payload []byte, layoutOK func([]partialsLayoutSeg) bool) (layout []partialsLayoutSeg, q *engine.Partials, ok bool) {
+	dec := json.NewDecoder(bytes.NewReader(payload))
+	expect := func(want any) bool {
+		t, err := dec.Token()
+		return err == nil && t == want
 	}
-	lastL := pf.Layout[len(pf.Layout)-1]
-	return lastL.Seg, lastL.Size, true
+	if !expect(json.Delim('{')) || !expect("Layout") || dec.Decode(&layout) != nil || !layoutOK(layout) ||
+		!expect("Sessions") || !expect(json.Delim('[')) {
+		return nil, nil, false
+	}
+	q = engine.NewPartials()
+	for dec.More() {
+		var ps engine.PartialSession
+		if dec.Decode(&ps) != nil || q.FoldPartial(ps) != nil {
+			return nil, nil, false
+		}
+	}
+	if !expect(json.Delim(']')) || !expect(json.Delim('}')) {
+		return nil, nil, false
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, nil, false // trailing data
+	}
+	return layout, q, true
+}
+
+// encodePartials appends a snapshot payload to buf, one digest at a
+// time: the bytes json.Marshal gives for {Layout, Sessions} with
+// Sessions the digests in (Index, ID) order, without building that
+// list.
+func encodePartials(buf []byte, layout []partialsLayoutSeg, p *engine.Partials) ([]byte, error) {
+	lb, err := json.Marshal(layout)
+	if err != nil {
+		return nil, err
+	}
+	buf = append(append(append(buf, `{"Layout":`...), lb...), `,"Sessions":[`...)
+	sep := ""
+	err = p.EachPartial(func(ps *engine.PartialSession) error {
+		b, err := json.Marshal(ps)
+		buf = append(append(buf, sep...), b...)
+		sep = ","
+		return err
+	})
+	return append(buf, "]}"...), err
 }
 
 // savePartialsLocked persists the current partial aggregates next to
@@ -205,12 +257,11 @@ func (s *Store) savePartialsLocked() error {
 		}
 		layout = append(layout, partialsLayoutSeg{Seg: n, Size: size})
 	}
-	pf := partialsFile{Layout: layout, Sessions: s.partials.Snapshot()}
-	payload, err := json.Marshal(pf)
+	env, err := encodePartials(envelopeHead(partialsMagic, 0), layout, s.partials)
 	if err != nil {
 		return fmt.Errorf("store: partials: %w", err)
 	}
-	if err := writeFileAtomic(filepath.Join(s.dir, partialsName), sealEnvelope(partialsMagic, payload)); err != nil {
+	if err := writeFileAtomic(filepath.Join(s.dir, partialsName), sealHead(partialsMagic, env)); err != nil {
 		return fmt.Errorf("store: partials: %w", err)
 	}
 	s.met.partialSnapWrites.Inc()

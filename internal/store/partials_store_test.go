@@ -125,6 +125,79 @@ func TestPartialsSnapshotRoundTripOnDisk(t *testing.T) {
 	}
 }
 
+// TestPartialsSnapshotIsMarshalShaped: the snapshot a store streams
+// out, digest by digest, is byte for byte the json.Marshal of its
+// {Layout, Sessions} payload, and a checksum-valid payload in any other
+// shape is not trusted: the store rebuilds and reports the same.
+func TestPartialsSnapshotIsMarshalShaped(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Create(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillStore(t, s, 8, "fcc")
+	row := testRow(8, "lte")
+	row.Arms, row.Predictions = nil, []float64{0.5} // an arm-less row
+	if err := s.Append(row); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Partials(); err != nil {
+		t.Fatal(err)
+	}
+	want := enginetest.OracleJSON(t, s.Scan, "")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, partialsName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, ok := openEnvelope(partialsMagic, raw)
+	if !ok {
+		t.Fatal("snapshot envelope does not verify")
+	}
+	var pf partialsFile
+	if err := json.Unmarshal(payload, &pf); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := json.Marshal(pf); !bytes.Equal(again, payload) {
+		t.Fatalf("streamed payload is not json.Marshal's:\nstreamed: %s\nmarshal:  %s", payload, again)
+	}
+	if len(pf.Sessions) != 9 {
+		t.Fatalf("snapshot holds %d digests, want 9", len(pf.Sessions))
+	}
+
+	short := pf
+	short.Sessions = append([]engine.PartialSession(nil), pf.Sessions...)
+	short.Sessions[0].Arms = append([]engine.PartialArm(nil), short.Sessions[0].Arms...)
+	short.Sessions[0].Arms[0].Baseline = nil
+	shortJSON, _ := json.Marshal(short)
+	layoutJSON, _ := json.Marshal(pf.Layout)
+	sessionsJSON, _ := json.Marshal(pf.Sessions)
+	for name, odd := range map[string][]byte{
+		"sessions first": []byte(`{"Sessions":` + string(sessionsJSON) + `,"Layout":` + string(layoutJSON) + `}`),
+		"trailing data":  append(append([]byte(nil), payload...), ` {}`...),
+		"null layout":    []byte(`{"Layout":null,"Sessions":` + string(sessionsJSON) + `}`),
+		"a short digest": shortJSON,
+	} {
+		if err := os.WriteFile(path, sealEnvelope(partialsMagic, odd), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ro, err := Open(dir, Options{ReadOnly: true, Telemetry: telemetry.NewRegistry()})
+		if err != nil {
+			t.Fatalf("%s: open: %v", name, err)
+		}
+		if got := partialsReportBytes(t, ro, ""); !bytes.Equal(got, want) {
+			t.Fatalf("%s: report differs from the full scan", name)
+		}
+		if loads := ro.met.partialSnapLoads.Value(); loads != 0 {
+			t.Errorf("%s: snapshot was trusted (loads=%d)", name, loads)
+		}
+		ro.Close()
+	}
+}
+
 // TestPartialsCorruptSnapshotRebuilds: a corrupt or stale partials.vagg
 // must be ignored (full rebuild), never trusted, never fatal.
 func TestPartialsCorruptSnapshotRebuilds(t *testing.T) {
