@@ -283,3 +283,42 @@ func BenchmarkStoreQuery(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStoreOpen measures a read-only reopen of a closed
+// multi-segment store of 3000 sessions from its sidecars — the resident
+// index rebuilt without reading a frame beyond each segment's last —
+// and its Close. Building the store is set-up, outside the timing.
+func BenchmarkStoreOpen(b *testing.B) {
+	dir := b.TempDir()
+	s, err := store.Open(dir, store.Options{SegmentBytes: 1 << 16})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 3000
+	for i := 0; i < n; i++ {
+		if err := s.Append(benchRow(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.vseg"))
+	if len(segs) < 4 {
+		b.Fatalf("%d rows made %d segment file(s); the benchmark is of a multi-segment store", n, len(segs))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := store.Open(dir, store.Options{ReadOnly: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if loaded, _ := r.SidecarStats(); loaded != len(segs) || r.Len() != n {
+			b.Fatalf("reopen took %d of %d segments from sidecars and holds %d sessions, want all and %d", loaded, len(segs), r.Len(), n)
+		}
+		if err := r.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -317,3 +317,44 @@ func TestRowCountsAreCheckedAgainstThePayload(t *testing.T) {
 		t.Errorf("err = %v, want the arm count refused", err)
 	}
 }
+
+// TestSidecarCountIsCheckedAgainstThePayload: a sidecar claiming 2⁶⁰
+// entries over a handful of bytes is refused — by the decoder, and so by
+// Open's sidecar load, which walks the segment instead — before the
+// claim is allocated.
+func TestSidecarCountIsCheckedAgainstThePayload(t *testing.T) {
+	payload := binary.AppendUvarint(nil, uint64(len(segMagic)))
+	payload = binary.AppendUvarint(payload, 1<<60)
+	payload = append(payload, 1, 'k', 0, 0, byte(len(segMagic)))
+	var err error
+	if got := allocatedBy(func() { _, _, err = decodeSidecar(payload, 0) }); got > 1<<20 {
+		t.Errorf("decodeSidecar allocated %d bytes for a %d-byte payload", got, len(payload))
+	}
+	if err == nil || !strings.Contains(err.Error(), "count") {
+		t.Errorf("err = %v, want the entry count refused", err)
+	}
+
+	dir := t.TempDir()
+	s, err := Create(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillStore(t, s, 2, "fcc")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, sidecarName(0)), sealEnvelope(sidecarMagic, payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var st *Store
+	if got := allocatedBy(func() { st, err = Open(dir, Options{ReadOnly: true}) }); got > 1<<20 {
+		t.Errorf("Open allocated %d bytes over a sidecar claiming 2⁶⁰ entries", got)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if loaded, scanned := st.SidecarStats(); loaded != 0 || scanned != 1 || st.Len() != 2 {
+		t.Errorf("SidecarStats = (%d, %d), Len = %d; want the segment walked to its 2 rows", loaded, scanned, st.Len())
+	}
+}

@@ -47,12 +47,13 @@ func copyFixture(t testing.TB, name string) string {
 // testdata/store_pr18 was written by the commit before the codecs moved
 // into frame.go (SegmentBytes 4096, so seg-00000 is sealed; six appends
 // of five sessions, lte-001 overwritten; closed cleanly, so both
-// segments carry sidecars and partials.vagg covers every row). It must
-// open through the fast paths and report what its rows say — and every
-// encoder must reproduce its bytes exactly, which is what makes a
-// sidecar or snapshot written today readable by that commit. Its rows
-// are JSON: this build reads them and no longer writes them, so their
-// reproduction goes through the test-only JSON encoder.
+// segments carry sidecars and partials.vagg covers every row). Its
+// sidecars are the JSON-era VSIDX1 kind, which this build walks past and
+// a writable open rewrites as binary VSIDX2 ones; its report, segments
+// and snapshot must come through unchanged — every encoder reproduces
+// their bytes exactly. Its rows are JSON: this build reads them and no
+// longer writes them, so their reproduction goes through the test-only
+// JSON encoder.
 func TestStoreWrittenByPR18(t *testing.T) {
 	checkFixtureStore(t, "store_pr18", `{"seed":18, "sessions":5}`, func(dst []byte, row engine.SessionRow) ([]byte, error) {
 		payload, err := encodeRowJSON(row)
@@ -71,27 +72,38 @@ func TestStoreWrittenByPR21(t *testing.T) {
 }
 
 // checkFixtureStore opens a copy of a two-segment, five-session, shard
-// 0/1 fixture and pins its report, its fast paths and its bytes;
-// appendRow is the row encoder of the fixture's era.
+// 0/1 fixture with JSON-era sidecars and pins the way up to binary
+// ones: a read-only open walks both segments and reports what the rows
+// say; a writable open and Close leave two binary sidecars and every
+// other file as it was; the next read-only open takes both segments from
+// those sidecars and reports the same bytes. Segments and the snapshot
+// re-encode byte for byte; appendRow is the row encoder of the
+// fixture's era.
 func checkFixtureStore(t *testing.T, name, campaign string, appendRow func([]byte, engine.SessionRow) ([]byte, error)) {
 	dir := copyFixture(t, name)
 	if n, err := VerifyShard(dir, 0, 1, [][]byte{[]byte(campaign)}); err != nil || n != 5 {
 		t.Fatalf("VerifyShard = (%d, %v), want 5 sessions of shard 0/1", n, err)
 	}
-	s, err := Open(dir, Options{ReadOnly: true, Telemetry: telemetry.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
+	readOnly := func(wantLoaded, wantScanned int) []byte {
+		t.Helper()
+		s, err := Open(dir, Options{ReadOnly: true, Telemetry: telemetry.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if loaded, scanned := s.SidecarStats(); loaded != wantLoaded || scanned != wantScanned {
+			t.Errorf("SidecarStats = (%d loaded, %d scanned), want (%d, %d)", loaded, scanned, wantLoaded, wantScanned)
+		}
+		got, want := partialsReportBytes(t, s, ""), enginetest.OracleJSON(t, s.Scan, "")
+		if !bytes.Equal(got, want) {
+			t.Errorf("report from the restored snapshot differs from the oracle over the rows:\n got %s\nwant %s", got, want)
+		}
+		if loads, rebuilds := s.met.partialSnapLoads.Value(), s.met.partialRebuilds.Value(); loads != 1 || rebuilds != 0 {
+			t.Errorf("snapshot loads = %d, rebuilds = %d; want the partials restored from partials.vagg", loads, rebuilds)
+		}
+		return got
 	}
-	defer s.Close()
-	if loaded, scanned := s.SidecarStats(); loaded != 2 || scanned != 0 {
-		t.Errorf("SidecarStats = (%d loaded, %d scanned), want both segments from their sidecars", loaded, scanned)
-	}
-	if got, want := partialsReportBytes(t, s, ""), enginetest.OracleJSON(t, s.Scan, ""); !bytes.Equal(got, want) {
-		t.Errorf("report from the restored snapshot differs from the oracle over the rows:\n got %s\nwant %s", got, want)
-	}
-	if loads, rebuilds := s.met.partialSnapLoads.Value(), s.met.partialRebuilds.Value(); loads != 1 || rebuilds != 0 {
-		t.Errorf("snapshot loads = %d, rebuilds = %d; want the partials restored from partials.vagg", loads, rebuilds)
-	}
+	before := readOnly(0, 2) // the fixture's sidecars are JSON: both segments walked
 
 	// Segments: decode every frame and row, encode them again.
 	for num := 0; num < 2; num++ {
@@ -120,31 +132,65 @@ func checkFixtureStore(t *testing.T, name, campaign string, appendRow func([]byt
 		}
 	}
 
-	// Envelopes: open, decode the payload, encode and seal it again.
-	reseal := func(name, magic string, into any) {
-		t.Helper()
-		want, err := os.ReadFile(filepath.Join(dir, name))
+	// The snapshot: open, decode the payload, encode and seal it again.
+	want, err := os.ReadFile(filepath.Join(dir, partialsName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, ok := openEnvelope(partialsMagic, want)
+	if !ok {
+		t.Fatalf("%s: envelope does not verify", partialsName)
+	}
+	var snap partialsFile
+	if err := json.Unmarshal(payload, &snap); err != nil {
+		t.Fatalf("%s: %v", partialsName, err)
+	}
+	again, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sealEnvelope(partialsMagic, again), want) {
+		t.Errorf("%s: re-sealing its decoded payload does not reproduce the file", partialsName)
+	}
+
+	// A writable open heals the sidecars and touches nothing else.
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range []string{segName(0), segName(1), partialsName, CampaignMetaFile, ShardMetaFile} {
+		got, err := os.ReadFile(filepath.Join(dir, file))
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload, ok := openEnvelope(magic, want)
-		if !ok {
-			t.Fatalf("%s: envelope does not verify", name)
-		}
-		if err := json.Unmarshal(payload, into); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		again, err := json.Marshal(into)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(sealEnvelope(magic, again), want) {
-			t.Errorf("%s: re-sealing its decoded payload does not reproduce the file", name)
+		if want, err := os.ReadFile(filepath.Join("testdata", name, file)); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s changed under a writable open and Close (read err %v)", file, err)
 		}
 	}
-	reseal(sidecarName(0), sidecarMagic, new(sidecarFile))
-	reseal(sidecarName(1), sidecarMagic, new(sidecarFile))
-	reseal(partialsName, partialsMagic, new(partialsFile))
+	idx := sidecarPaths(t, dir)
+	if len(idx) != 2 {
+		t.Fatalf("a writable open and Close left %d sidecars, want 2", len(idx))
+	}
+	for num, p := range idx {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, ok := openEnvelope(sidecarMagic, raw)
+		if !ok {
+			t.Fatalf("%s is not a %q sidecar", filepath.Base(p), sidecarMagic)
+		}
+		if _, entries, err := decodeSidecar(payload, num); err != nil || len(entries) == 0 {
+			t.Errorf("%s: %d entries (err %v)", filepath.Base(p), len(entries), err)
+		}
+	}
+
+	if after := readOnly(2, 0); !bytes.Equal(after, before) {
+		t.Errorf("the report over the healed sidecars differs from the walked one:\n got %s\nwant %s", after, before)
+	}
 }
 
 // TestBinaryRowsAppendedBehindJSONRows: a JSON-era store reopened

@@ -21,9 +21,13 @@ package store
 //     '{': the row as JSON, which is what every store held before the
 //     tag existed. Still decoded, never written.
 //     Anything else is a format from a newer build and is refused.
+//   - Sidecar payload, one segment's slice of the key index —
+//     appendSidecar / decodeSidecar: segment size (uvarint) | entry
+//     count (uvarint) | per frame, in frame order: key | scenario |
+//     index (varint) | frame offset (uvarint), strings as in the row.
 //   - Envelope (sidecars, the partials snapshot): 8-byte magic |
-//     u32 crc32(payload) | u32 payloadLen | payload — sealEnvelope /
-//     openEnvelope.
+//     u32 crc32(payload) | u32 payloadLen | payload — envelopeHead and
+//     sealHead around a payload encoded in place / openEnvelope.
 //
 // All integers are little-endian, all checksums CRC-32 (IEEE). Decoders
 // never allocate from a length or count field before checking it against
@@ -268,7 +272,7 @@ func decodeRow(payload []byte) (row engine.SessionRow, err error) {
 		err = json.Unmarshal(payload, &row)
 		return row, err
 	}
-	d := rowDecoder{b: body}
+	d := decoder{b: body, what: "row"}
 	row.Index = d.int()
 	row.ID = d.string()
 	row.Scenario = d.string()
@@ -322,7 +326,7 @@ func peekRow(payload []byte) (scenario string, index int, err error) {
 		err = json.Unmarshal(payload, &row)
 		return row.Scenario, row.Index, err
 	}
-	d := rowDecoder{b: body}
+	d := decoder{b: body, what: "row"}
 	index = d.int()
 	d.bytes() // the ID: the frame's key already carries it
 	scenario = d.string()
@@ -343,25 +347,26 @@ func rowFormat(payload []byte) (body []byte, isJSON bool, err error) {
 	return payload[1:], false, nil
 }
 
-// rowDecoder consumes a binary row payload from the front. The first
-// failure sticks and empties b, so every later read returns zero at once
-// and callers check err when they are done. It accepts only what
-// encodeRow writes — minimal varints, known flag bits, finite floats, a
-// count only under its flag — so a row that decodes re-encodes to the
-// same bytes.
-type rowDecoder struct {
-	b   []byte
-	err error
+// decoder consumes a binary payload (a row or a sidecar) from the
+// front. The first failure sticks and empties b, so every later read
+// returns zero at once and callers check err when they are done. It
+// accepts only what the encoders write — minimal varints, known flag
+// bits, finite floats, a count only under its flag — so a payload that
+// decodes re-encodes to the same bytes.
+type decoder struct {
+	b    []byte
+	what string // the payload's kind, for the error
+	err  error
 }
 
-func (d *rowDecoder) fail(format string, args ...any) {
+func (d *decoder) fail(format string, args ...any) {
 	if d.err == nil {
-		d.err = fmt.Errorf("malformed row: "+format, args...)
+		d.err = fmt.Errorf("malformed "+d.what+": "+format, args...)
 	}
 	d.b = nil
 }
 
-func (d *rowDecoder) uvarint() uint64 {
+func (d *decoder) uvarint() uint64 {
 	v, n := binary.Uvarint(d.b)
 	if n <= 0 || (n > 1 && d.b[n-1] == 0) {
 		d.fail("bad varint")
@@ -372,7 +377,7 @@ func (d *rowDecoder) uvarint() uint64 {
 }
 
 // int reads a zig-zag varint that must fit the platform's int.
-func (d *rowDecoder) int() int {
+func (d *decoder) int() int {
 	u := d.uvarint()
 	v := int64(u >> 1)
 	if u&1 != 0 {
@@ -385,11 +390,22 @@ func (d *rowDecoder) int() int {
 	return int(v)
 }
 
+// size reads an unsigned varint that must fit an int64: a byte size or
+// offset.
+func (d *decoder) size() int64 {
+	u := d.uvarint()
+	if u > math.MaxInt64 {
+		d.fail("size %d overflows int64", u)
+		return 0
+	}
+	return int64(u)
+}
+
 // count reads an element count and checks it against the bytes that
 // remain, at minLen per element, before the caller allocates. It returns
 // -1 for a sequence that was nil when encoded (present is false), which
 // must count zero elements.
-func (d *rowDecoder) count(minLen int, present bool) int {
+func (d *decoder) count(minLen int, present bool) int {
 	n := d.uvarint()
 	if n > uint64(len(d.b)/minLen) {
 		d.fail("count %d exceeds the %d bytes that remain", n, len(d.b))
@@ -404,7 +420,7 @@ func (d *rowDecoder) count(minLen int, present bool) int {
 	return int(n)
 }
 
-func (d *rowDecoder) bytes() []byte {
+func (d *decoder) bytes() []byte {
 	n := d.uvarint()
 	if n > uint64(len(d.b)) {
 		d.fail("string of %d bytes exceeds the %d that remain", n, len(d.b))
@@ -415,9 +431,17 @@ func (d *rowDecoder) bytes() []byte {
 	return s
 }
 
-func (d *rowDecoder) string() string { return string(d.bytes()) }
+func (d *decoder) string() string { return string(d.bytes()) }
 
-func (d *rowDecoder) flags(mask byte) byte {
+// stringIn reads a string as bytes does, but slices it from whole — the
+// decoder's entire input as one string — instead of copying it.
+func (d *decoder) stringIn(whole string) string {
+	b := d.bytes()
+	end := len(whole) - len(d.b)
+	return whole[end-len(b) : end]
+}
+
+func (d *decoder) flags(mask byte) byte {
 	if len(d.b) == 0 || d.b[0]&^mask != 0 {
 		d.fail("bad flags byte")
 		return 0
@@ -427,7 +451,7 @@ func (d *rowDecoder) flags(mask byte) byte {
 	return f
 }
 
-func (d *rowDecoder) float() float64 {
+func (d *decoder) float() float64 {
 	if len(d.b) < 8 {
 		d.fail("truncated float")
 		return 0
@@ -441,7 +465,7 @@ func (d *rowDecoder) float() float64 {
 	return f
 }
 
-func (d *rowDecoder) metrics(m *player.Metrics) {
+func (d *decoder) metrics(m *player.Metrics) {
 	for _, f := range [metricFloats]*float64{&m.AvgSSIM, &m.RebufRatio, &m.AvgBitrateMbps, &m.RebufSeconds, &m.PlaybackSeconds, &m.SessionSeconds} {
 		*f = d.float()
 	}
@@ -449,15 +473,82 @@ func (d *rowDecoder) metrics(m *player.Metrics) {
 	m.QualitySwitches = d.int()
 }
 
-// sealEnvelope wraps payload in the checksummed envelope the metadata
-// files (sidecars, the partials snapshot) share, under an 8-byte magic.
-func sealEnvelope(magic string, payload []byte) []byte {
-	return sealHead(magic, append(envelopeHead(magic, len(payload)), payload...))
+// The fewest bytes one sidecar entry occupies: a key of one byte, an
+// empty scenario, a one-byte index and offset.
+const minSidecarEntryLen = 2 + 1 + 1 + 1
+
+// maxInterned bounds the scenario labels a sidecar decode interns; past
+// it a label is still sliced from the payload, just not shared.
+const maxInterned = 8
+
+// appendSidecar appends the sidecar payload of a segment of segSize
+// bytes whose frames entries index, in frame order.
+func appendSidecar(dst []byte, segSize int64, entries []entry) []byte {
+	b := binary.AppendUvarint(dst, uint64(segSize))
+	b = binary.AppendUvarint(b, uint64(len(entries)))
+	for i := range entries {
+		e := &entries[i]
+		b = appendString(b, e.key)
+		b = appendString(b, e.scenario)
+		b = binary.AppendVarint(b, int64(e.index))
+		b = binary.AppendUvarint(b, uint64(e.off))
+	}
+	return b
 }
 
-// envelopeHead starts an envelope whose payload (of about sizeHint
-// bytes) is appended in place: the magic and room for the header, which
-// sealHead fills in.
+// decodeSidecar is appendSidecar's inverse, filling in seg as every
+// entry's segment. The count is checked against the bytes that follow it
+// before the entries are allocated; then the payload is copied into one
+// string that every key and scenario is sliced from, and the scenarios
+// are interned, so a sidecar of any length costs three allocations.
+// Entries must hold a non-empty key of at most maxKeyLen bytes and
+// strictly increasing offsets past the segment header and inside
+// segSize.
+func decodeSidecar(payload []byte, seg int) (segSize int64, entries []entry, err error) {
+	d := decoder{b: payload, what: "sidecar"}
+	segSize = d.size()
+	n := d.count(minSidecarEntryLen, true)
+	if d.err != nil {
+		return 0, nil, d.err
+	}
+	whole := string(payload)
+	entries = make([]entry, n)
+	scenarios := make([]string, 0, maxInterned)
+	prev := int64(len(segMagic)) - 1
+	for i := 0; i < n && d.err == nil; i++ {
+		e := &entries[i]
+		e.key = d.stringIn(whole)
+		e.scenario = d.stringIn(whole)
+		if j := slices.Index(scenarios, e.scenario); j >= 0 {
+			e.scenario = scenarios[j]
+		} else if len(scenarios) < maxInterned {
+			scenarios = append(scenarios, e.scenario)
+		}
+		e.index = d.int()
+		e.seg = seg
+		e.off = d.size()
+		switch {
+		case d.err != nil:
+		case e.key == "" || len(e.key) > maxKeyLen:
+			d.fail("entry %d has a key of %d bytes", i, len(e.key))
+		case e.off <= prev || e.off >= segSize:
+			d.fail("entry %d at offset %d, after %d in a %d-byte segment", i, e.off, prev, segSize)
+		}
+		prev = e.off
+	}
+	if d.err == nil && len(d.b) != 0 {
+		d.fail("%d bytes follow the entries", len(d.b))
+	}
+	if d.err != nil {
+		return 0, nil, d.err
+	}
+	return segSize, entries, nil
+}
+
+// envelopeHead starts the checksummed envelope the metadata files
+// (sidecars, the partials snapshot) share, under an 8-byte magic, for a
+// payload (of about sizeHint bytes) appended in place: the magic and
+// room for the header, which sealHead fills in.
 func envelopeHead(magic string, sizeHint int) []byte {
 	buf := make([]byte, len(magic)+envelopeHdrLen, len(magic)+envelopeHdrLen+sizeHint)
 	copy(buf, magic)

@@ -194,6 +194,9 @@ func FuzzOpenEnvelope(f *testing.F) {
 		f.Fatal(err)
 	}
 
+	// The JSON-era sidecar of the same layout's fixture: its magic is
+	// refused before its payload is read.
+	f.Add(mustRead(f, filepath.Join("testdata", "store_pr21", sidecarName(0))))
 	for _, raw := range [][]byte{mustRead(f, sidecarPath), mustRead(f, snapPath)} {
 		f.Add(raw)
 		f.Add(raw[:len(raw)-1])
@@ -229,6 +232,54 @@ func FuzzOpenEnvelope(f *testing.F) {
 			if !bytes.Equal(got, wantReport) {
 				t.Fatalf("snapshot accepted but reports\n%s\nthe rebuild reports\n%s", got, wantReport)
 			}
+		}
+	})
+}
+
+// FuzzDecodeSidecar: over any payload decodeSidecar returns an error or
+// entries that appendSidecar encodes back to exactly the payload, all
+// in the segment it was told, having allocated no more than a small
+// multiple of the payload.
+func FuzzDecodeSidecar(f *testing.F) {
+	dir := fuzzStore(f)
+	for num := 0; num < 2; num++ {
+		payload, ok := openEnvelope(sidecarMagic, mustRead(f, filepath.Join(dir, sidecarName(num))))
+		if !ok {
+			f.Fatalf("%s does not open", sidecarName(num))
+		}
+		f.Add(payload)
+		f.Add(payload[:len(payload)/2])
+		f.Add(payload[:len(payload)-1])
+		f.Add(flipped(payload, 1))
+		f.Add(flipped(payload, len(payload)/3))
+		f.Add(append(append([]byte(nil), payload...), 0))
+		// The entry count patched to 2⁶³.
+		_, sizeLen := binary.Uvarint(payload)
+		_, countLen := binary.Uvarint(payload[sizeLen:])
+		huge := append(append([]byte(nil), payload[:sizeLen]...), binary.AppendUvarint(nil, 1<<63)...)
+		f.Add(append(huge, payload[sizeLen+countLen:]...))
+	}
+	f.Add([]byte(nil))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var size int64
+		var entries []entry
+		var err error
+		// A decoded entry is 56 bytes for the 5 its shortest encoding
+		// takes, plus one string copy of the payload; the constant is
+		// slack for the fuzz worker's other goroutines.
+		if got := allocatedBy(func() { size, entries, err = decodeSidecar(payload, 7) }); got > uint64(16*len(payload)+1<<16) {
+			t.Fatalf("decodeSidecar allocated %d bytes over a %d-byte payload", got, len(payload))
+		}
+		if err != nil {
+			return
+		}
+		for i, e := range entries {
+			if e.seg != 7 {
+				t.Fatalf("entry %d decoded into segment %d, want 7", i, e.seg)
+			}
+		}
+		if again := appendSidecar(nil, size, entries); !bytes.Equal(again, payload) {
+			t.Fatalf("sidecar re-encodes to\n%x\nfrom\n%x", again, payload)
 		}
 	})
 }

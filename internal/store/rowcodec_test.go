@@ -37,6 +37,13 @@ func appendFrame(dst []byte, key string, payload []byte) []byte {
 	return dst
 }
 
+// sealEnvelope wraps payload in the envelope under magic; production
+// code only ever seals a payload it encodes in place (envelopeHead,
+// sealHead).
+func sealEnvelope(magic string, payload []byte) []byte {
+	return sealHead(magic, append(envelopeHead(magic, len(payload)), payload...))
+}
+
 // writeJSONStore lays rows out as dir's one segment the way the JSON-era
 // store framed them (no sidecar, no snapshot: Open scans it).
 func writeJSONStore(t testing.TB, dir string, rows ...engine.SessionRow) {

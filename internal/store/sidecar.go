@@ -34,14 +34,19 @@ package store
 // degrades the next Open to a walk, it never fails the append path.
 //
 // On-disk format: the checksummed envelope of frame.go under the magic
-// "VSIDX1\n\x00", whose payload is the JSON
-// {SegmentSize, Entries:[{Key,Scenario,Index,Off}]}.
+// "VSIDX2\n\x00", whose payload is binary (appendSidecar / decodeSidecar
+// in frame.go): the segment's size, then per frame its key, scenario,
+// index and offset. Sidecars written before that payload was binary
+// carry the magic "VSIDX1\n\x00" and a JSON payload; this build fails
+// their magic check like any other doubtful sidecar and walks the
+// segment; a writable open rewrites the sidecar in the new format (a
+// sealed segment's at once, the newest one's at Close). Builds that know
+// only the JSON sidecar walk a binary one the same way.
 //
 // Entries are in frame (append) order, so folding them into the key
 // index reproduces the walk's last-write-wins semantics exactly.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -49,40 +54,17 @@ import (
 )
 
 const (
-	sidecarMagic  = "VSIDX1\n\x00"
+	sidecarMagic  = "VSIDX2\n\x00"
 	sidecarSuffix = ".vidx"
 )
 
 func sidecarName(n int) string { return fmt.Sprintf("%s%05d%s", segPrefix, n, sidecarSuffix) }
 
-// sidecarEntry is one frame's slot in a serialized sidecar.
-type sidecarEntry struct {
-	Key      string
-	Scenario string
-	Index    int
-	Off      int64
-}
-
-// sidecarFile is the JSON payload of a sidecar.
-type sidecarFile struct {
-	// SegmentSize is the segment's byte size when the sidecar was
-	// written; a mismatch on disk marks the sidecar stale.
-	SegmentSize int64
-	Entries     []sidecarEntry
-}
-
 // writeSidecar persists the index slice for segment num. Errors are
 // returned for tests but callers treat them as best-effort.
 func (s *Store) writeSidecar(num int, segSize int64, entries []entry) error {
-	sf := sidecarFile{SegmentSize: segSize, Entries: make([]sidecarEntry, len(entries))}
-	for i, e := range entries {
-		sf.Entries[i] = sidecarEntry{Key: e.key, Scenario: e.scenario, Index: e.index, Off: e.off}
-	}
-	payload, err := json.Marshal(sf)
-	if err != nil {
-		return fmt.Errorf("store: sidecar: %w", err)
-	}
-	if err := writeFileAtomic(filepath.Join(s.dir, sidecarName(num)), sealEnvelope(sidecarMagic, payload)); err != nil {
+	buf := appendSidecar(envelopeHead(sidecarMagic, 32*len(entries)), segSize, entries)
+	if err := writeFileAtomic(filepath.Join(s.dir, sidecarName(num)), sealHead(sidecarMagic, buf)); err != nil {
 		return fmt.Errorf("store: sidecar: %w", err)
 	}
 	return nil
@@ -90,9 +72,10 @@ func (s *Store) writeSidecar(num int, segSize int64, entries []entry) error {
 
 // tryLoadSidecar loads segment num's index slice from its sidecar,
 // returning ok=false (fall back to the frame walk) on any doubt: missing
-// or unreadable file, bad magic, bad checksum, a recorded size other
-// than size, the segment's (read through seg), or a final frame that
-// does not verify.
+// or unreadable file, bad magic, bad checksum, a payload that does not
+// decode, a recorded size other than size, the segment's (read through
+// seg), or a final frame that does not verify or does not hold the
+// entry the sidecar records for it.
 func (s *Store) tryLoadSidecar(num int, seg io.ReaderAt, size int64) ([]entry, bool) {
 	raw, err := os.ReadFile(filepath.Join(s.dir, sidecarName(num)))
 	if err != nil {
@@ -102,38 +85,26 @@ func (s *Store) tryLoadSidecar(num int, seg io.ReaderAt, size int64) ([]entry, b
 	if !ok {
 		return nil, false
 	}
-	var sf sidecarFile
-	if json.Unmarshal(payload, &sf) != nil {
-		return nil, false
+	segSize, entries, err := decodeSidecar(payload, num)
+	if err != nil || segSize != size {
+		return nil, false // corrupt, or stale: the segment grew or was truncated since
 	}
-	if sf.SegmentSize != size {
-		return nil, false // stale: the segment grew or was truncated since
-	}
-	if len(sf.Entries) == 0 {
+	if len(entries) == 0 {
 		// An empty segment is exactly its magic header.
-		if sf.SegmentSize != int64(len(segMagic)) {
-			return nil, false
-		}
-		return nil, true
+		return nil, size == int64(len(segMagic))
 	}
 	// Spot-check the tail: the final frame must parse, end exactly at
-	// the recorded segment size, pass its CRC and hold a row this build
-	// reads. This catches the crash-model corruptions (torn or flipped
-	// segment tails) without walking the whole segment.
-	last := sf.Entries[len(sf.Entries)-1]
-	key, tail, _, err := readFrameAt(seg, last.Off, size, nil)
-	if err != nil || last.Off+frameHdrLen+int64(len(key)+len(tail)) != size {
+	// the recorded segment size, pass its CRC and hold the row the entry
+	// names, in a format this build reads. This catches the crash-model
+	// corruptions (torn or flipped segment tails) without walking the
+	// whole segment.
+	last := entries[len(entries)-1]
+	key, tail, _, err := readFrameAt(seg, last.off, size, nil)
+	if err != nil || last.off+frameHdrLen+int64(len(key)+len(tail)) != size || string(key) != last.key {
 		return nil, false
 	}
-	if _, _, err := peekRow(tail); err != nil {
+	if scen, idx, err := peekRow(tail); err != nil || scen != last.scenario || idx != last.index {
 		return nil, false
-	}
-	entries := make([]entry, len(sf.Entries))
-	for i, e := range sf.Entries {
-		if e.Key == "" || e.Off < int64(len(segMagic)) || e.Off >= sf.SegmentSize {
-			return nil, false
-		}
-		entries[i] = entry{key: e.Key, scenario: e.Scenario, index: e.Index, seg: num, off: e.Off}
 	}
 	return entries, true
 }

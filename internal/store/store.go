@@ -40,9 +40,12 @@
 //
 // Reopen cost. Segments carry sidecar indexes (see sidecar.go) so Open
 // rebuilds the resident index in O(segments) instead of re-reading
-// every frame; a missing, stale or corrupt sidecar falls back to the
-// full walk of that segment, so pre-sidecar stores open unchanged.
-// Sidecars never leave the machine that wrote them.
+// every frame: one read of each binary sidecar, a few allocations per
+// segment however many rows it holds, one spot-checked final frame, and
+// one stable sort of the entries merged without a map. A missing,
+// stale, corrupt or JSON-era sidecar falls back to the full walk of that
+// segment, so pre-sidecar stores open unchanged. Sidecars never leave
+// the machine that wrote them.
 package store
 
 import (
@@ -50,7 +53,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -67,6 +72,9 @@ const (
 	// DefaultSegmentBytes is the rotation threshold when
 	// Options.SegmentBytes is zero.
 	DefaultSegmentBytes = 1 << 20
+
+	// maxKeptFrame caps the frame buffer Append keeps between calls.
+	maxKeptFrame = 1 << 20
 )
 
 // ErrReadOnly is returned by Append on a store opened with ReadOnly.
@@ -129,6 +137,7 @@ type Store struct {
 	activeNum     int      // the newest segment, the only one that can still grow; appends go to it
 	activeLen     int64
 	activeEntries []entry // the active segment's frames, in append order
+	frame         []byte  // Append's frame buffer, reused under mu
 	recovered     int64
 	gen           uint64 // bumped on every append, including same-key overwrites
 	sidecarLoads  int    // segments indexed from their sidecar (by Open or the watch tail)
@@ -404,10 +413,6 @@ func (s *Store) Append(row engine.SessionRow) (err error) {
 	if len(row.ID) > maxKeyLen {
 		return fmt.Errorf("store: key %q exceeds %d bytes", row.ID[:32]+"…", maxKeyLen)
 	}
-	frame, err := appendRowFrame(nil, row)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
 
 	var t0 time.Time
 	if s.met.appendSec != nil {
@@ -415,9 +420,16 @@ func (s *Store) Append(row engine.SessionRow) (err error) {
 	}
 	tb := s.opt.Tracer.Start("append", row.ID)
 	defer func() { tb.Finish(err) }()
-	tb.SetAttr("bytes", len(frame))
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	frame, err := appendRowFrame(s.frame[:0], row)
+	if s.frame = frame; cap(frame) > maxKeptFrame {
+		s.frame = nil // one outsized row does not pin its buffer for the store's life
+	}
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	tb.SetAttr("bytes", len(frame))
 	switch {
 	case s.closed:
 		return ErrClosed
@@ -603,24 +615,56 @@ func (s *Store) Dir() string { return s.dir }
 // Recovered returns the number of torn-tail bytes dropped during Open.
 func (s *Store) Recovered() int64 { return s.recovered }
 
-// mergeIndex folds staged entries into the sorted index. Caller holds mu.
+// mergeIndex folds staged entries into the sorted index, the later
+// record winning wherever two share a key: the staged batch is
+// stable-sorted by key (append order survives within a key), cut to its
+// last record per key and merged into the index from the back, in place.
+// O(n + k log k) for an index of n and a batch of k. Caller holds mu.
 func (s *Store) mergeIndex() {
 	if len(s.staged) == 0 {
 		return
 	}
-	byKey := make(map[string]entry, len(s.entries)+len(s.staged))
-	for _, e := range s.entries {
-		byKey[e.key] = e
+	batch := s.staged
+	slices.SortStableFunc(batch, func(a, b entry) int { return strings.Compare(a.key, b.key) })
+	k := 0
+	for i := range batch {
+		if i+1 < len(batch) && batch[i+1].key == batch[i].key {
+			continue // a later record supersedes this one
+		}
+		batch[k] = batch[i]
+		k++
 	}
-	for _, e := range s.staged { // append order: later wins
-		byKey[e.key] = e
+	batch = batch[:k]
+	if len(s.entries) == 0 {
+		s.entries, s.staged = batch, s.entries[:0]
+		return
 	}
-	s.staged = s.staged[:0]
-	s.entries = s.entries[:0]
-	for _, e := range byKey {
-		s.entries = append(s.entries, e)
+	i, j := len(s.entries)-1, k-1
+	merged := slices.Grow(s.entries, k)[:len(s.entries)+k]
+	w := len(merged) - 1
+	for ; j >= 0; w-- {
+		c := -1
+		if i >= 0 {
+			c = strings.Compare(merged[i].key, batch[j].key)
+		}
+		switch {
+		case c > 0:
+			merged[w] = merged[i]
+			i--
+		case c == 0: // the staged record wins
+			merged[w] = batch[j]
+			i--
+			j--
+		default:
+			merged[w] = batch[j]
+			j--
+		}
 	}
-	sort.Slice(s.entries, func(i, j int) bool { return s.entries[i].key < s.entries[j].key })
+	// merged[:i+1] never moved; one slot per superseded key sits between
+	// it and the merged tail at merged[w+1:].
+	n := i + 1 + copy(merged[i+1:], merged[w+1:])
+	clear(merged[n:])
+	s.entries, s.staged = merged[:n], batch[:0]
 }
 
 // snapshotIndex returns the merged, key-sorted index. The slice must
@@ -682,8 +726,11 @@ type SessionInfo struct {
 // Sessions lists the stored sessions (sorted by ID), optionally
 // restricted to one scenario.
 func (s *Store) Sessions(scenario string) []SessionInfo {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.mergeIndex()
 	var out []SessionInfo
-	for _, e := range s.snapshotIndex() {
+	for _, e := range s.entries {
 		if scenario != "" && e.scenario != scenario {
 			continue
 		}
@@ -696,9 +743,12 @@ func (s *Store) Sessions(scenario string) []SessionInfo {
 // session counts, sorted by label.
 func (s *Store) Scenarios() []ScenarioInfo {
 	counts := make(map[string]int)
-	for _, e := range s.snapshotIndex() {
+	s.mu.Lock()
+	s.mergeIndex()
+	for _, e := range s.entries {
 		counts[e.scenario]++
 	}
+	s.mu.Unlock()
 	out := make([]ScenarioInfo, 0, len(counts))
 	for name, n := range counts {
 		out = append(out, ScenarioInfo{Scenario: name, Sessions: n})

@@ -187,7 +187,7 @@ func TestTheStoreOwnsItsBytes(t *testing.T) {
 	mayImport := map[string]map[string]bool{
 		"hash/crc32":      {"frame.go": true, "ship.go": true},
 		"encoding/binary": {"frame.go": true, "ship.go": true},
-		"encoding/json":   {"frame.go": true, "campaign.go": true, "fold.go": true, "sidecar.go": true, "partials.go": true},
+		"encoding/json":   {"frame.go": true, "campaign.go": true, "fold.go": true, "partials.go": true},
 	}
 	for _, dir := range []string{storeDir, filepath.Join("internal", "dispatch")} {
 		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
