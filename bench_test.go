@@ -12,6 +12,7 @@ package veritas
 import (
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -320,5 +321,58 @@ func BenchmarkStoreOpen(b *testing.B) {
 		if err := r.Close(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkStorePartials measures the first Partials() on a read-only
+// reopen of a closed multi-segment store of 3000 sessions that carries a
+// partials.vagg: every indexed row read and folded into fresh digests
+// (the store never reads the snapshot). Building the store, each reopen
+// and each Close are set-up, outside the timing.
+func BenchmarkStorePartials(b *testing.B) {
+	dir := b.TempDir()
+	s, err := store.Open(dir, store.Options{SegmentBytes: 1 << 16})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 3000
+	for i := 0; i < n; i++ {
+		if err := s.Append(benchRow(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := s.Partials(); err != nil { // so that Close writes the snapshot
+		b.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.vseg")); len(segs) < 4 {
+		b.Fatalf("%d rows made %d segment file(s); the benchmark is of a multi-segment store", n, len(segs))
+	}
+	if _, err := os.Stat(filepath.Join(dir, "partials.vagg")); err != nil {
+		b.Fatalf("the store carries no snapshot: %v", err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		r, err := store.Open(dir, store.Options{ReadOnly: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		p, err := r.Partials()
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := p.Sessions(); got != n {
+			b.Fatalf("Partials() holds %d sessions, want %d", got, n)
+		}
+		if err := r.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }

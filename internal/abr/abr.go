@@ -87,39 +87,3 @@ func (f *Fixed) Name() string { return fmt.Sprintf("Fixed(%d)", f.Quality) }
 
 // Choose implements Algorithm.
 func (f *Fixed) Choose(ctx Context) int { return clampQuality(f.Quality, ctx.Video) }
-
-// ThroughputRule is the classic rate-based rule: pick the highest
-// quality whose nominal bitrate fits under a safety fraction of the
-// predicted throughput. It serves as a simple reference algorithm.
-type ThroughputRule struct {
-	// Safety scales the predicted throughput (default 0.9).
-	Safety float64
-	// Window is the harmonic-mean window (default 5).
-	Window int
-}
-
-// Name implements Algorithm.
-func (t *ThroughputRule) Name() string { return "ThroughputRule" }
-
-// Choose implements Algorithm.
-func (t *ThroughputRule) Choose(ctx Context) int {
-	safety := t.Safety
-	if safety == 0 {
-		safety = 0.9
-	}
-	window := t.Window
-	if window == 0 {
-		window = 5
-	}
-	pred := HarmonicMean(ctx.PastThroughputMbps, window) * safety
-	if pred <= 0 {
-		return 0
-	}
-	best := 0
-	for q := 0; q < ctx.Video.NumQualities(); q++ {
-		if ctx.Video.Quality(q).Mbps <= pred {
-			best = q
-		}
-	}
-	return best
-}

@@ -54,24 +54,6 @@ func TestFixedClamps(t *testing.T) {
 	}
 }
 
-func TestThroughputRule(t *testing.T) {
-	v := testVideo(t)
-	tr := &ThroughputRule{}
-	// High throughput: top rung.
-	if got := tr.Choose(ctxWith(v, 3, []float64{50, 50, 50})); got != v.NumQualities()-1 {
-		t.Errorf("high throughput chose %d", got)
-	}
-	// No history: lowest.
-	if got := tr.Choose(ctxWith(v, 3, nil)); got != 0 {
-		t.Errorf("no history chose %d", got)
-	}
-	// ~1 Mbps: should pick a rung with bitrate <= 0.9.
-	got := tr.Choose(ctxWith(v, 3, []float64{1, 1, 1}))
-	if v.Quality(got).Mbps > 0.9 {
-		t.Errorf("1 Mbps chose rung with bitrate %v", v.Quality(got).Mbps)
-	}
-}
-
 func TestMPCStartsLow(t *testing.T) {
 	v := testVideo(t)
 	m := NewMPC()
@@ -195,7 +177,7 @@ func TestRandomCoversLadderAndIsSeeded(t *testing.T) {
 }
 
 func TestNames(t *testing.T) {
-	for _, a := range []Algorithm{NewMPC(), NewBBA(), NewBOLA(), NewRandom(1), &Fixed{}, &ThroughputRule{}} {
+	for _, a := range []Algorithm{NewMPC(), NewBBA(), NewBOLA(), NewRandom(1), &Fixed{}} {
 		if a.Name() == "" {
 			t.Errorf("%T has empty name", a)
 		}

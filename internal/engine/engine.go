@@ -80,9 +80,9 @@ type Config struct {
 	// `cmd/fleet -store`. Put is called from worker goroutines; the
 	// first Put error aborts the run. Setting a Sink also bounds the
 	// run's memory: Result.Sessions then retains only the compact
-	// per-session fields (logs — and abductions, unless
-	// KeepAbductions — are dropped once sunk), since the full data
-	// lives in the sink.
+	// per-session fields (logs are dropped once sunk, and abductions
+	// are kept only under KeepAbductions), since the full data lives
+	// in the sink.
 	Sink Sink
 	// Skip holds effective session IDs (SessionSpec.ID, or the
 	// "session-<index>" default) to leave out of the run: they are not
@@ -351,9 +351,6 @@ func Run(ctx context.Context, cfg Config, corpus []SessionSpec, arms []Arm) (*Re
 			// Result.Sessions would defeat the streaming path's bounded
 			// memory.
 			res.Log = nil
-			if !cfg.KeepAbductions {
-				res.Abd = nil
-			}
 		}
 		if !cfg.DiscardResults {
 			results[i] = res

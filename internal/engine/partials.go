@@ -2,7 +2,6 @@ package engine
 
 import (
 	"encoding/binary"
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -46,8 +45,9 @@ import (
 // lock while folds continue.
 
 // PartialSession is one session's digest on the wire: the element type
-// of the store's partials snapshot. Partials converts between it
-// and its slabs (FoldPartial, EachPartial); nothing else uses it.
+// of the store's partials snapshot, which the store writes and no
+// longer reads. EachPartial converts slabs to it; nothing else uses
+// it. It goes with the snapshot writer (see internal/store/partials.go).
 type PartialSession struct {
 	// Seq orders folds of the same session ID: FoldRow ignores a row
 	// whose Seq is below the recorded one, so replaying a store's
@@ -222,41 +222,11 @@ func (p *Partials) FoldRow(row SessionRow, seq uint64) bool {
 		key = appendKeyArm(key, oc.Name, oc.HasTruth)
 	}
 	copy(slab[len(row.Arms)*armStride:], row.Predictions)
-	return p.fold(&digest{seq: seq, index: row.Index, id: row.ID, slab: slab}, row.Scenario, key, false)
-}
-
-// FoldPartial folds a digest in its wire form, unconditionally: the
-// caller's fold order is the precedence (last write wins), which is how
-// a snapshot restore imposes its order. It refuses a digest whose arms
-// do not carry one cell per report metric under every estimator they
-// claim.
-func (p *Partials) FoldPartial(ps PartialSession) error {
-	slab := make([]float64, len(ps.Arms)*armStride+len(ps.Predictions))
-	var kb [128]byte
-	key := appendKeyHead(kb[:0], ps.Scenario, len(ps.Arms))
-	for i := range ps.Arms {
-		a := &ps.Arms[i]
-		if len(a.Baseline) != numMetrics || len(a.Low) != numMetrics || len(a.High) != numMetrics ||
-			(a.HasTruth && len(a.Truth) != numMetrics) {
-			return fmt.Errorf("engine: digest %q arm %q: want %d cells per estimator", ps.ID, a.Name, numMetrics)
-		}
-		cells := slab[i*armStride:]
-		copy(cells[cellBaseline*numMetrics:], a.Baseline)
-		copy(cells[cellLow*numMetrics:], a.Low)
-		copy(cells[cellHigh*numMetrics:], a.High)
-		if a.HasTruth {
-			copy(cells[cellTruth*numMetrics:], a.Truth)
-		}
-		key = appendKeyArm(key, a.Name, a.HasTruth)
-	}
-	copy(slab[len(ps.Arms)*armStride:], ps.Predictions)
-	p.fold(&digest{seq: ps.Seq, index: ps.Index, id: ps.ID, slab: slab}, ps.Scenario, key, true)
-	return nil
+	return p.fold(&digest{seq: seq, index: row.Index, id: row.ID, slab: slab}, row.Scenario, key)
 }
 
 // Merge folds every digest src holds into p as of sequence seq: each
-// lands unless p holds its ID at a higher Seq, FoldRow's rule. A
-// snapshot restore merges as of 0, so anything folded live wins; the
+// lands unless p holds its ID at a higher Seq, FoldRow's rule. The
 // live tier merges shard i as of i, so a later shard's record wins, as
 // in a fold. Digests are immutable, so the slabs are shared, not
 // copied.
@@ -271,14 +241,14 @@ func (p *Partials) Merge(src *Partials, seq uint64) {
 			l = p.internLocked(d.layout.scenario, []byte(d.layout.key))
 			interned[d.layout] = l
 		}
-		p.foldLocked(&digest{seq: seq, index: d.index, id: d.id, slab: d.slab}, l, false)
+		p.foldLocked(&digest{seq: seq, index: d.index, id: d.id, slab: d.slab}, l)
 	}
 }
 
-func (p *Partials) fold(d *digest, scenario string, key []byte, force bool) bool {
+func (p *Partials) fold(d *digest, scenario string, key []byte) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.foldLocked(d, p.internLocked(scenario, key), force)
+	return p.foldLocked(d, p.internLocked(scenario, key))
 }
 
 // internLocked returns p's layout for key, adding it on first sight. A
@@ -298,12 +268,12 @@ func (p *Partials) internLocked(scenario string, key []byte) *layout {
 	return l
 }
 
-// foldLocked installs d with layout l. A digest already held for the ID
-// is swapped out, never written: a report may be reading it. Caller
-// holds mu.
-func (p *Partials) foldLocked(d *digest, l *layout, force bool) bool {
+// foldLocked installs d with layout l unless the digest held for the
+// ID carries a higher Seq. A digest already held is swapped out, never
+// written: a report may be reading it. Caller holds mu.
+func (p *Partials) foldLocked(d *digest, l *layout) bool {
 	cur, ok := p.sessions[d.id]
-	if ok && !force && d.seq < cur.seq {
+	if ok && d.seq < cur.seq {
 		return false
 	}
 	d.layout = l
@@ -366,8 +336,8 @@ func (p *Partials) view(scenario string) []*digest {
 }
 
 // EachPartial calls fn with every digest in (Index, ID) order, in its
-// wire form — the store's snapshot hook, which encodes one digest at a
-// time. ps is reused from call to call and its cells alias the digest:
+// wire form — the store's snapshot writer, which encodes one digest at
+// a time. ps is reused from call to call and its cells alias the digest:
 // fn must neither keep nor modify it. The first error fn returns stops
 // the walk and is returned.
 func (p *Partials) EachPartial(fn func(ps *PartialSession) error) error {

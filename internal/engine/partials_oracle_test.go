@@ -93,14 +93,14 @@ func newOraclePartials() *oraclePartials {
 }
 
 func (p *oraclePartials) FoldRow(row SessionRow, seq uint64) bool {
-	return p.fold(ReducePartial(row, seq), false)
+	return p.fold(ReducePartial(row, seq))
 }
 
-func (p *oraclePartials) fold(ps PartialSession, force bool) bool {
+func (p *oraclePartials) fold(ps PartialSession) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if cur, ok := p.sessions[ps.ID]; ok {
-		if !force && ps.Seq < cur.Seq {
+		if ps.Seq < cur.Seq {
 			return false
 		}
 		if cur.Index != ps.Index {
@@ -355,24 +355,20 @@ func TestPartialsMatchOldReducer(t *testing.T) {
 				}
 			}
 		}
-		// The wire form round-trips: a Partials restored from the
-		// EachPartial stream reports what the old reducer reports.
-		restored := NewPartials()
+		// The wire form the snapshot writer streams is the old
+		// reducer's digest list, session for session.
+		var stream []json.RawMessage
 		if err := got.EachPartial(func(ps *PartialSession) error {
-			b, err := json.Marshal(ps)
-			if err != nil {
-				return err
-			}
-			var back PartialSession
-			if err := json.Unmarshal(b, &back); err != nil {
-				return err
-			}
-			return restored.FoldPartial(back)
+			b, err := json.Marshal(ps) // ps is reused: encode it now
+			stream = append(stream, b)
+			return err
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if a, b := reportJSON(t, restored.Report("")), reportJSON(t, want.ReportFiltered("", nil)); string(a) != string(b) {
-			t.Fatalf("seed %d: restored report diverged:\nslab: %s\nold:  %s", seed, a, b)
+		a, _ := json.Marshal(stream)
+		b, _ := json.Marshal(want.view(""))
+		if string(a) != string(b) {
+			t.Fatalf("seed %d: EachPartial diverged:\nslab: %s\nold:  %s", seed, a, b)
 		}
 	}
 }

@@ -137,23 +137,6 @@ func TestPartialsFoldRowSupersedes(t *testing.T) {
 	}
 }
 
-// FoldPartial is unconditional: caller order is precedence, which is
-// what snapshot restore and cross-store merges rely on.
-func TestPartialsFoldPartialOrderWins(t *testing.T) {
-	old := ReducePartial(synthRow(3, 1), 500)
-	new_ := ReducePartial(synthRow(3, 2), 1) // lower seq, folded later
-
-	p := NewPartials()
-	p.FoldPartial(old)
-	p.FoldPartial(new_)
-
-	want := NewAggregator(0)
-	want.AddRow(synthRow(3, 2))
-	if got, exp := reportJSON(t, p.Report("")), reportJSON(t, want.Report()); string(got) != string(exp) {
-		t.Fatalf("FoldPartial order not respected:\ngot:  %s\nwant: %s", got, exp)
-	}
-}
-
 func TestPartialsSeriesMatchesAggregator(t *testing.T) {
 	agg := NewAggregator(0)
 	p := NewPartials()
@@ -176,52 +159,37 @@ func TestPartialsSeriesMatchesAggregator(t *testing.T) {
 	}
 }
 
+// TestPartialsSnapshotRoundTrip: the wire form the store's snapshot
+// writer streams survives a JSON round trip and is, digest by digest,
+// what the old reducer extracted from each row.
 func TestPartialsSnapshotRoundTrip(t *testing.T) {
 	p := NewPartials()
 	for i := 0; i < 15; i++ {
 		p.FoldRow(synthRow(i, 1), uint64(i))
 	}
-	// The wire form must survive a JSON round trip (the store persists
-	// it), and must be what the old reducer extracted from each row.
-	var snap []json.RawMessage
 	n := 0
 	if err := p.EachPartial(func(ps *PartialSession) error {
 		b, err := json.Marshal(ps)
+		if err != nil {
+			return err
+		}
 		if want, _ := json.Marshal(ReducePartial(synthRow(n, 1), uint64(n))); string(b) != string(want) {
 			t.Errorf("digest %d on the wire:\ngot:  %s\nwant: %s", n, b, want)
 		}
-		snap = append(snap, b)
+		var back PartialSession
+		if err := json.Unmarshal(b, &back); err != nil {
+			return err
+		}
+		if again, _ := json.Marshal(back); string(again) != string(b) {
+			t.Errorf("digest %d does not survive a JSON round trip:\ngot:  %s\nwant: %s", n, again, b)
+		}
 		n++
-		return err
+		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if n != 15 {
 		t.Fatalf("snapshot has %d sessions, want 15", n)
-	}
-	raw, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back []PartialSession
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	p2 := NewPartials()
-	for _, ps := range back {
-		if err := p2.FoldPartial(ps); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got, want := reportJSON(t, p2.Report("")), reportJSON(t, p.Report("")); string(got) != string(want) {
-		t.Fatalf("restored report diverged:\ngot:  %s\nwant: %s", got, want)
-	}
-	// A digest without one cell per metric is refused, not folded.
-	bad := back[0]
-	bad.Arms = append([]PartialArm(nil), bad.Arms...)
-	bad.Arms[1].Low = bad.Arms[1].Low[:1]
-	if err := p2.FoldPartial(bad); err == nil {
-		t.Fatal("FoldPartial accepted a digest with one Low cell")
 	}
 }
 

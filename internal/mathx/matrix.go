@@ -481,9 +481,6 @@ func (c *PowerCache) Retained() (powers, logs int) {
 	return len(c.powers), len(c.logs)
 }
 
-// Base returns a copy of the cached base matrix.
-func (c *PowerCache) Base() *Matrix { return c.base.Clone() }
-
 // sharedPowers is the process-wide transition-power registry: fleets of
 // sessions whose models use identical transition matrices (equal
 // capacity grids) share one PowerCache instead of recomputing A^Δn per

@@ -184,13 +184,9 @@ func TestMatrixString(t *testing.T) {
 func TestPowerCacheBase(t *testing.T) {
 	a, _ := FromRows([][]float64{{0.9, 0.1}, {0.2, 0.8}})
 	c := NewPowerCache(a)
-	b := c.Base()
-	if b.At(0, 0) != 0.9 {
-		t.Error("Base() returned wrong matrix")
-	}
-	b.Set(0, 0, 99) // mutating the copy must not corrupt the cache
+	a.Set(0, 0, 99) // mutating the argument must not corrupt the cache
 	if c.Pow(1).At(0, 0) != 0.9 {
-		t.Error("Base() copy aliased the cache")
+		t.Error("NewPowerCache aliased its argument")
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 
 // partialsFile is the JSON payload of a partials snapshot as
 // json.Marshal shapes it: what encodePartials writes one digest at a
-// time and decodePartials reads back.
+// time.
 type partialsFile struct {
 	Layout   []partialsLayoutSeg
 	Sessions []engine.PartialSession
@@ -49,11 +49,11 @@ func copyFixture(t testing.TB, name string) string {
 // of five sessions, lte-001 overwritten; closed cleanly, so both
 // segments carry sidecars and partials.vagg covers every row). Its
 // sidecars are the JSON-era VSIDX1 kind, which this build walks past and
-// a writable open rewrites as binary VSIDX2 ones; its report, segments
-// and snapshot must come through unchanged — every encoder reproduces
-// their bytes exactly. Its rows are JSON: this build reads them and no
-// longer writes them, so their reproduction goes through the test-only
-// JSON encoder.
+// a writable open rewrites as binary VSIDX2 ones; its snapshot is never
+// read; its report, folded from the rows, and its segments and snapshot
+// must come through unchanged — every encoder reproduces their bytes
+// exactly. Its rows are JSON: this build reads them and no longer writes
+// them, so their reproduction goes through the test-only JSON encoder.
 func TestStoreWrittenByPR18(t *testing.T) {
 	checkFixtureStore(t, "store_pr18", `{"seed":18, "sessions":5}`, func(dst []byte, row engine.SessionRow) ([]byte, error) {
 		payload, err := encodeRowJSON(row)
@@ -73,9 +73,9 @@ func TestStoreWrittenByPR21(t *testing.T) {
 
 // checkFixtureStore opens a copy of a two-segment, five-session, shard
 // 0/1 fixture with JSON-era sidecars and pins the way up to binary
-// ones: a read-only open walks both segments and reports what the rows
-// say; a writable open and Close leave two binary sidecars and every
-// other file as it was; the next read-only open takes both segments from
+// ones: a read-only open walks both segments and folds the report from
+// the rows, not from the fixture's partials.vagg; a writable open and
+// Close leave two binary sidecars and every other file as it was; the next read-only open takes both segments from
 // those sidecars and reports the same bytes. Segments and the snapshot
 // re-encode byte for byte; appendRow is the row encoder of the
 // fixture's era.
@@ -96,10 +96,10 @@ func checkFixtureStore(t *testing.T, name, campaign string, appendRow func([]byt
 		}
 		got, want := partialsReportBytes(t, s, ""), enginetest.OracleJSON(t, s.Scan, "")
 		if !bytes.Equal(got, want) {
-			t.Errorf("report from the restored snapshot differs from the oracle over the rows:\n got %s\nwant %s", got, want)
+			t.Errorf("report differs from the oracle over the rows:\n got %s\nwant %s", got, want)
 		}
-		if loads, rebuilds := s.met.partialSnapLoads.Value(), s.met.partialRebuilds.Value(); loads != 1 || rebuilds != 0 {
-			t.Errorf("snapshot loads = %d, rebuilds = %d; want the partials restored from partials.vagg", loads, rebuilds)
+		if folds, rebuilds := s.met.partialFolds.Value(), s.met.partialRebuilds.Value(); folds != 5 || rebuilds != 1 {
+			t.Errorf("partial folds = %d, rebuilds = %d; want the five indexed rows folded in one build", folds, rebuilds)
 		}
 		return got
 	}
@@ -203,7 +203,7 @@ func TestBinaryRowsAppendedBehindJSONRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Partials(); err != nil { // restored from the snapshot; the appends fold live
+	if _, err := s.Partials(); err != nil { // folded from the rows; the appends fold live
 		t.Fatal(err)
 	}
 	old := s.Keys()

@@ -22,8 +22,7 @@ type storeMetrics struct {
 
 	// Live query tier: incremental-aggregate and watch-mode health.
 	partialFolds      *telemetry.Counter // rows folded incrementally (append or tail)
-	partialRebuilds   *telemetry.Counter // full partial rebuilds (no usable snapshot)
-	partialSnapLoads  *telemetry.Counter // partials restored from a snapshot file
+	partialRebuilds   *telemetry.Counter // partials built by folding every indexed row
 	partialSnapWrites *telemetry.Counter // partials snapshot files written
 	watchRefreshes    *telemetry.Counter // watch Refresh passes
 	watchRows         *telemetry.Counter // rows picked up by watch refreshes
@@ -50,7 +49,6 @@ func newStoreMetrics(reg *telemetry.Registry) storeMetrics {
 
 		partialFolds:      reg.Counter("veritas_store_partial_folds_total"),
 		partialRebuilds:   reg.Counter("veritas_store_partial_rebuilds_total"),
-		partialSnapLoads:  reg.Counter("veritas_store_partial_snapshot_loads_total"),
 		partialSnapWrites: reg.Counter("veritas_store_partial_snapshot_writes_total"),
 		watchRefreshes:    reg.Counter("veritas_store_watch_refreshes_total"),
 		watchRows:         reg.Counter("veritas_store_watch_rows_total"),

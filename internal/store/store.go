@@ -46,6 +46,15 @@
 // stale, corrupt or JSON-era sidecar falls back to the full walk of that
 // segment, so pre-sidecar stores open unchanged. Sidecars never leave
 // the machine that wrote them.
+//
+// Partial aggregates. A store folds its indexed rows into
+// engine.Partials on the first Partials() call and every append after;
+// that is the only way it gets them. A writable store's Close also
+// writes them to partials.vagg, which no build of this package reads:
+// restoring it was slower than folding the binary rows it summarises,
+// and its checksum and recorded segment sizes could not tell digests
+// that disagree with the rows. The writer stays until the corpus-maint
+// benchmark tolerates the file's absence (partials.go).
 package store
 
 import (
@@ -527,9 +536,9 @@ func (s *Store) Close() error {
 		return nil
 	}
 	if !s.opt.ReadOnly {
-		// Persist the partial aggregates so the next open (or a watch
-		// reader) restores them instead of re-reducing every row.
-		// Best-effort: the frames are the source of truth.
+		// Write the partials snapshot for builds that still restore it;
+		// this one folds the rows instead (partials.go). Best-effort:
+		// the frames are the source of truth.
 		_ = s.savePartialsLocked()
 	}
 	s.closed = true
