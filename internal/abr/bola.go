@@ -11,6 +11,9 @@ import "math"
 // over qualities q, where Q is the buffer level in chunks, S_q the chunk
 // size, v_q = ln(S_q / S_min) the utility, and V, γp are derived from the
 // buffer capacity so the top quality is reachable just below the cap.
+// The utilities depend on the clip alone, so they are read from the
+// clip's table (video.Video.Utilities), built once per clip, not taken
+// per decision.
 type BOLA struct {
 	// GammaP is the γp hyperparameter trading utility against
 	// rebuffering avoidance (default 5, as in the BOLA paper's
@@ -37,10 +40,11 @@ func (b *BOLA) Choose(ctx Context) int {
 	if minSize <= 0 {
 		return 0
 	}
-	// Utilities v_q = ln(S_q/S_min), v_0 = 0, computed where used: a
-	// decision allocates nothing.
+	// Utilities v_q = ln(S_q/S_min), v_0 = 0, read from the clip's
+	// table: a decision takes no logarithm and allocates nothing.
+	util := v.Utilities(chunk)
 	bufMaxChunks := ctx.BufferCap / v.ChunkSeconds()
-	vMax := math.Log(v.Size(chunk, nq-1) / minSize)
+	vMax := util[nq-1]
 	// V chosen so the score of the top quality crosses zero just below
 	// the buffer cap (the standard BOLA derivation).
 	V := math.Max(0.1, (bufMaxChunks-1)/(vMax+gp))
@@ -49,9 +53,9 @@ func (b *BOLA) Choose(ctx Context) int {
 	bestQ := 0
 	bestScore := math.Inf(-1)
 	anyPositive := false
-	for q := 0; q < nq; q++ {
+	for q, vq := range util {
 		size := v.Size(chunk, q)
-		score := (V*(math.Log(size/minSize)+gp) - Q) / size
+		score := (V*(vq+gp) - Q) / size
 		if score > 0 {
 			anyPositive = true
 		}

@@ -133,14 +133,19 @@ func (m *MPC) Choose(ctx Context) int {
 	// Backward pass: upper[d][last] bounds the summed steps d..h-1 of
 	// any path whose chunk d-1 had quality last: step d scored holding b,
 	// the most buffer such a path can, the deeper ones by upper[d+1].
+	// Every row is resliced to dl's length so the compiler proves each
+	// index in range and drops the bounds checks.
 	clear(p.upper[hn:])
 	for d := h - 1; d >= 1; d-- {
-		dl, next := p.dl[d*nq:(d+1)*nq], p.upper[(d+1)*nq:(d+2)*nq]
-		for last := 0; last < nq; last++ {
-			b := p.after(p.bmax[d-1], p.dl[(d-1)*nq+last])
-			pen, u := p.pen[(last+1)*nq:(last+2)*nq], math.Inf(-1)
+		dl := p.dl[d*nq : (d+1)*nq]
+		rate, next := p.rate[:len(dl)], p.upper[(d+1)*nq : (d+2)*nq][:len(dl)]
+		prev, up := p.dl[(d-1)*nq:d*nq], p.upper[d*nq:(d+1)*nq]
+		up, bprev := up[:len(prev)], p.bmax[d-1]
+		for last, tl := range prev {
+			b := p.after(bprev, tl)
+			pen, u := p.pen[(last+1)*nq : (last+2)*nq][:len(dl)], math.Inf(-1)
 			for q, t := range dl {
-				r := p.rate[q]
+				r := rate[q]
 				if t > b {
 					r -= p.rebufPen * (t - b)
 				}
@@ -148,7 +153,7 @@ func (m *MPC) Choose(ctx Context) int {
 					u = r
 				}
 			}
-			p.upper[d*nq+last] = u
+			up[last] = u
 		}
 	}
 

@@ -20,6 +20,14 @@
 // seed's draws, in the same order, from a Jitter shared by every replay
 // of that seed — so replays seed the generator once between them, not
 // once each, and download exactly as private connections would.
+//
+// Download is the innermost loop of every simulation and replay, so it
+// does only the arithmetic its answer needs: the congestion state, path
+// constants and jitter tape position live in locals for the whole
+// download; slow-start restart is tcp.SlowStartRestart, the one copy of
+// the rule, applied to the window directly; and a round divides out its
+// serialization time only where that could exceed the RTT. The result
+// equals the plain per-round loop (oracle_test.go) bit for bit.
 package netem
 
 import (
@@ -206,19 +214,6 @@ func (j *Jitter) NewConn(cfg Config) (*Conn, error) {
 	return c, nil
 }
 
-// norm returns the connection's next standard-normal jitter draw.
-func (c *Conn) norm() float64 {
-	if c.jit == nil {
-		return c.rng.NormFloat64()
-	}
-	if c.drawn == len(c.tape) {
-		c.tape = c.jit.upTo(c.drawn)
-	}
-	v := c.tape[c.drawn]
-	c.drawn++
-	return v
-}
-
 // State returns the TCP control state at time now — the snapshot the
 // player logs at the start of each chunk download (the paper's W_sn,
 // collected via tcp_info / ss on the real testbed).
@@ -256,6 +251,12 @@ func (c *Conn) Restore(st tcp.State, now float64) {
 // returns the completion time. The connection's congestion state is
 // updated in place (including slow-start restart for the idle gap before
 // start).
+//
+// The round loop keeps the window, threshold, path constants and jitter
+// tape position in locals and writes them back once, when the download
+// ends or stalls. A round's serialization time num/den is divided out
+// only when num ≥ RTT·den·(1 − 1e-12): below that the quotient rounds to
+// at most RTT, so max(RTT, num/den) is RTT without it.
 func (c *Conn) Download(start, sizeBytes float64, tr *trace.Trace) (end float64, err error) {
 	if sizeBytes <= 0 {
 		return start, nil
@@ -263,68 +264,106 @@ func (c *Conn) Download(start, sizeBytes float64, tr *trace.Trace) (end float64,
 	if tr == nil {
 		return 0, errors.New("netem: nil trace")
 	}
+	rtt, jitterStd := c.cfg.RTT, c.cfg.JitterStd
+	cwnd, ssthresh := c.cwnd, c.ssthresh
 	if c.cfg.SlowStartRestart && c.hasSent {
-		st := c.State(start)
-		st = tcp.ApplySlowStartRestart(st)
-		c.cwnd = st.CWND
-		c.ssthresh = st.SSThresh
+		idle := start - c.lastSend
+		if idle < 0 {
+			idle = 0
+		}
+		cwnd, ssthresh = tcp.SlowStartRestart(cwnd, ssthresh, idle, tcp.RTOFor(rtt))
 	}
+	// The guard's bound: rttBelow·den as computed stays below RTT·den,
+	// since its three roundings add under 4e-16 to the 1e-12 margin. So
+	// num under it means num/den < RTT exactly, and the rounded quotient
+	// is at most RTT.
+	rttBelow := rtt * (1 - 1e-12)
+	rng, jit, tape, drawn := c.rng, c.jit, c.tape, c.drawn
 
 	t := start
 	remaining := float64(tcp.Segments(sizeBytes))
-	// The bandwidth is constant on [t, next): look it up again only once
-	// a round carries t past next, not every round.
-	gtbw, next := tr.Segment(t)
 	for remaining > 0 {
-		if t >= next {
-			gtbw, next = tr.Segment(t)
-		}
+		// The bandwidth is constant on [t, next): the rounds from t run
+		// in the inner loop, which calls nothing on its common path, and
+		// the trace is looked up again only once a round carries t past
+		// next.
+		gtbw, next := tr.Segment(t)
 		if gtbw <= 0 {
 			if math.IsInf(next, 1) {
+				c.cwnd, c.ssthresh, c.tape, c.drawn = cwnd, ssthresh, tape, drawn
 				return 0, ErrStalled
 			}
 			t = next
 			continue
 		}
-		rate := gtbw
-		if c.cfg.JitterStd > 0 {
-			noise := 1 + c.norm()*c.cfg.JitterStd
-			rate = gtbw * max(0.5, min(1.5, noise))
-		}
-		bdp := float64(tcp.BDPSegments(rate, c.cfg.RTT))
-		flight := min(c.cwnd, bdp)
-		if flight > remaining {
-			flight = remaining
-		}
-		if flight < 1 {
-			flight = 1
-		}
-		// A round takes one RTT unless the link is so slow that
-		// serializing the flight dominates (sub-MSS bandwidth-delay
-		// products).
-		serialization := flight * tcp.MSS * 8 / (rate * 1e6)
-		roundTime := max(c.cfg.RTT, serialization)
-		t += roundTime
-		remaining -= flight
-		if c.cwnd < c.ssthresh {
-			c.cwnd *= 2
-		} else {
-			c.cwnd++
-		}
-		// Droptail loss at the bottleneck: multiplicative decrease once
-		// the window overruns the pipe plus queue.
-		if c.cwnd > bdp*(1+queueFactor) {
-			dec := beta * c.cwnd
-			if dec < 2 {
-				dec = 2
+		for {
+			rate := gtbw
+			if jitterStd > 0 {
+				var z float64
+				if jit == nil {
+					z = rng.NormFloat64()
+				} else {
+					if drawn == len(tape) {
+						tape = jit.upTo(drawn)
+					}
+					z = tape[drawn]
+					drawn++
+				}
+				// A draw is finite, so the noise is never NaN and the clamp
+				// needs no NaN rule.
+				noise := 1 + z*jitterStd
+				if noise > 1.5 {
+					noise = 1.5
+				} else if noise < 0.5 {
+					noise = 0.5
+				}
+				rate = gtbw * noise
 			}
-			c.ssthresh = dec
-			c.cwnd = dec
-		}
-		if c.cwnd > maxCWND {
-			c.cwnd = maxCWND
+			bdp := float64(tcp.BDPSegments(rate, rtt))
+			// min(cwnd, bdp), a NaN window (Restore takes any state) included.
+			flight := bdp
+			if !(cwnd >= bdp) {
+				flight = cwnd
+			}
+			if flight > remaining {
+				flight = remaining
+			}
+			if flight < 1 {
+				flight = 1
+			}
+			// A round takes one RTT unless the link is so slow that
+			// serializing the flight dominates (sub-MSS bandwidth-delay
+			// products).
+			roundTime := rtt
+			if num, den := flight*tcp.MSS*8, rate*1e6; !(num < rttBelow*den) {
+				roundTime = max(rtt, num/den)
+			}
+			t += roundTime
+			remaining -= flight
+			if cwnd < ssthresh {
+				cwnd *= 2
+			} else {
+				cwnd++
+			}
+			// Droptail loss at the bottleneck: multiplicative decrease once
+			// the window overruns the pipe plus queue.
+			if cwnd > bdp*(1+queueFactor) {
+				dec := beta * cwnd
+				if dec < 2 {
+					dec = 2
+				}
+				ssthresh = dec
+				cwnd = dec
+			}
+			if cwnd > maxCWND {
+				cwnd = maxCWND
+			}
+			if !(remaining > 0) || t >= next {
+				break
+			}
 		}
 	}
+	c.cwnd, c.ssthresh, c.tape, c.drawn = cwnd, ssthresh, tape, drawn
 	c.lastSend = t
 	c.hasSent = true
 	return t, nil

@@ -243,3 +243,50 @@ func TestJitterIsSeededAndBounded(t *testing.T) {
 		t.Log("note: different jitter seed produced identical download (possible but unlikely)")
 	}
 }
+
+// BenchmarkDownload times the round loop the way a replay drives it: one
+// op is a 60-chunk script of 0.1–3 MB chunks on a warm shared-Jitter
+// connection (the tape already drawn) over a 1 s step trace, back to
+// back or with a 2 s idle gap before each chunk, past the RTO, so
+// slow-start restart runs every time.
+func BenchmarkDownload(b *testing.B) {
+	steps := make([]float64, 400)
+	for i := range steps {
+		steps[i] = []float64{3, 8, 1.5, 12, 0.6, 5, 0, 20}[i%8]
+	}
+	tr, err := trace.FromSteps(1, steps)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	j := NewJitter(cfg.Seed)
+	for _, bc := range []struct {
+		name string
+		gap  float64
+	}{{"back-to-back", 0}, {"idle-gaps", 2}} {
+		b.Run(bc.name, func(b *testing.B) {
+			fresh, err := j.NewConn(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			c := new(Conn)
+			session := func() {
+				*c = *fresh
+				t := 0.0
+				for k := 0; k < 60; k++ {
+					end, err := c.Download(t+bc.gap, 0.1e6+float64(k%7)*0.45e6, tr)
+					if err != nil {
+						b.Fatal(err)
+					}
+					t = end
+				}
+			}
+			session() // warm: the tape is drawn once
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				session()
+			}
+		})
+	}
+}

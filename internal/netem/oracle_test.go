@@ -12,9 +12,12 @@ import (
 )
 
 // downloadOracle is Conn.Download as it stood before a download looked
-// the bandwidth up once per trace step and read its jitter through
-// Conn.norm: an At (and, on a zero step, a NextChange) every round, a
-// draw from the connection's private generator, math.Min and math.Max.
+// the bandwidth up once per trace step, read its jitter from a shared
+// tape and kept its state in locals: an At (and, on a zero step, a
+// NextChange) every round, a draw from the connection's private
+// generator, slow-start restart through a whole tcp.State, the window
+// and threshold updated on the Conn every round, math.Min and math.Max,
+// and a serialization division every round.
 func downloadOracle(c *Conn, start, sizeBytes float64, tr *trace.Trace) (end float64, err error) {
 	if sizeBytes <= 0 {
 		return start, nil
@@ -234,4 +237,108 @@ func TestJitterRefusesAnotherSeed(t *testing.T) {
 	if _, err := NewJitter(7).NewConn(cfg); err == nil {
 		t.Error("an invalid config was accepted on a shared jitter")
 	}
+}
+
+// fuzzDownloads is the most downloads one fuzz input scripts: each is a
+// (gap, size) byte pair.
+const fuzzDownloads = 16
+
+// FuzzDownloadMatchesOracle runs one download script through the
+// oracle and through four connections — a private one, one on a fresh
+// Jitter, and two that take turns on another Jitter, so one refills the
+// shared tape mid-download while the other reads what it drew. Each
+// download must end at the oracle's time (or stall where it does), and
+// leave the oracle's window and threshold, bit for bit; at the end every
+// connection's next draw must be the oracle's, so each consumed as many.
+//
+// The trace is FromSteps(interval, steps): byte b is a step of mbps·b/64
+// Mbps, so b = 0 is a zero-bandwidth stretch and b = 64 is mbps itself.
+// A plan pair (g, s) waits g/16 s, on either side of the RTO, and
+// fetches (s+1)²·40 bytes, from under one segment to 2.6 MB. jitter/510
+// is the JitterStd.
+func FuzzDownloadMatchesOracle(f *testing.F) {
+	plan := []byte{0, 40, 0, 200, 30, 3, 0, 255, 160, 90, 2, 0, 0, 120}
+	for _, rtt := range []float64{0.16, 0.02, 0.6} {
+		// At this rate one segment serializes in exactly one RTT (a
+		// sub-MSS bandwidth-delay product): seeds at the division
+		// guard's boundary, a few ulps and a few 1e-12 to either side.
+		edge := tcp.MSS * 8 / (rtt * 1e6)
+		for _, mbps := range []float64{
+			edge, math.Nextafter(edge, 0), math.Nextafter(edge, 1),
+			edge * (1 - 1e-12), edge * (1 + 1e-12), edge * (1 - 3e-12), edge * (1 + 3e-12),
+		} {
+			f.Add(rtt, mbps, uint8(0), true, int64(1), 1.0, []byte{64, 64, 0, 64}, plan)
+			f.Add(rtt, mbps, uint8(51), false, int64(3), 0.5, []byte{64, 70, 60}, plan)
+		}
+	}
+	// The testbed path over steps with zero stretches, SSR on and off;
+	// at 0.5 Mbps a 2.6 MB fetch takes hundreds of jittered rounds, so
+	// the shared tapes refill mid-download.
+	f.Add(0.16, 0.5, uint8(51), true, int64(1), 2.0, []byte{64, 0, 0, 128, 16, 255, 0, 40}, plan)
+	f.Add(0.16, 8.0, uint8(255), false, int64(-7), 0.7, []byte{30, 0, 90, 1, 200}, plan)
+	f.Add(0.08, 4.0, uint8(5), true, int64(42), 3.0, []byte{64, 0}, plan) // stalls
+	f.Add(0.3, 40.0, uint8(100), true, int64(9), 10.0, []byte{255, 10, 255}, []byte{255, 255, 0, 255, 200, 255})
+	f.Fuzz(func(t *testing.T, rtt, mbps float64, jitter uint8, ssr bool, seed int64, interval float64, steps, plan []byte) {
+		if !(rtt >= 0.001 && rtt <= 1) || !(mbps >= 1e-4 && mbps <= 1e4) || !(interval >= 0.01 && interval <= 1e3) {
+			t.Skip()
+		}
+		if len(steps) == 0 || len(steps) > 64 {
+			t.Skip()
+		}
+		mbpsSteps := make([]float64, len(steps))
+		for i, b := range steps {
+			mbpsSteps[i] = mbps * float64(b) / 64
+		}
+		tr, err := trace.FromSteps(interval, mbpsSteps)
+		if err != nil {
+			t.Skip()
+		}
+		cfg := Config{RTT: rtt, SlowStartRestart: ssr, JitterStd: float64(jitter) / 510, Seed: seed}
+		var script []download
+		for i := 0; i+1 < len(plan) && len(script) < fuzzDownloads; i += 2 {
+			script = append(script, download{float64(plan[i]) / 16, math.Pow(float64(plan[i+1])+1, 2) * 40})
+		}
+
+		oracle := newTestConn(t, cfg)
+		j, turns := NewJitter(seed), NewJitter(seed)
+		conns := []*Conn{newTestConn(t, cfg), mustShared(t, j, cfg), mustShared(t, turns, cfg), mustShared(t, turns, cfg)}
+		names := []string{"private", "shared", "first of two", "second of two"}
+		starts := make([]float64, len(conns))
+		oStart := 0.0
+		for k, d := range script {
+			want, wantErr := downloadOracle(oracle, oStart+d.gap, d.bytes, tr)
+			for i, c := range conns {
+				got, err := c.Download(starts[i]+d.gap, d.bytes, tr)
+				if !errors.Is(err, wantErr) || err == nil && got != want {
+					t.Fatalf("%s: download %d = (%v, %v), oracle (%v, %v)", names[i], k, got, err, want, wantErr)
+				}
+				if c.cwnd != oracle.cwnd || c.ssthresh != oracle.ssthresh {
+					t.Fatalf("%s: after download %d cwnd %v ssthresh %v, oracle %v %v", names[i], k, c.cwnd, c.ssthresh, oracle.cwnd, oracle.ssthresh)
+				}
+				starts[i] = got
+			}
+			if wantErr != nil {
+				break
+			}
+			oStart = want
+		}
+		next := oracle.rng.NormFloat64()
+		if got := conns[0].rng.NormFloat64(); got != next {
+			t.Fatalf("private: next draw %v, oracle's %v", got, next)
+		}
+		for i, c := range conns[1:] {
+			if got := c.jit.upTo(c.drawn)[c.drawn]; got != next {
+				t.Fatalf("%s: next draw (index %d) %v, oracle's %v", names[i+1], c.drawn, got, next)
+			}
+		}
+	})
+}
+
+func mustShared(t *testing.T, j *Jitter, cfg Config) *Conn {
+	t.Helper()
+	c, err := j.NewConn(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }

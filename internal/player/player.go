@@ -194,7 +194,10 @@ func run(cfg Config, conn *netem.Conn, log *SessionLog) (Metrics, error) {
 			return Metrics{}, fmt.Errorf("player: ABR %s chose invalid quality %d", cfg.ABR.Name(), q)
 		}
 		size := v.Size(i, q)
-		st := conn.State(t)
+		var st tcp.State // the state the download starts from, read only for the log
+		if log != nil {
+			st = conn.State(t)
+		}
 		end, err := conn.Download(t, size, cfg.Trace)
 		if err != nil {
 			return Metrics{}, fmt.Errorf("player: chunk %d: %w", i, err)

@@ -134,24 +134,32 @@ func BDPSegments(gtbwMbps, rtt float64) int {
 // ("cwnd << 2"), which contradicts the Linux behaviour it cites; we
 // implement the kernel's tcp_cwnd_restart semantics (see DESIGN.md §3).
 func ApplySlowStartRestart(s State) State {
-	if s.LastSendGap <= s.RTO {
-		return s
+	s.CWND, s.SSThresh = SlowStartRestart(s.CWND, s.SSThresh, s.LastSendGap, s.RTO)
+	return s
+}
+
+// SlowStartRestart is ApplySlowStartRestart on the two values it
+// changes: the window and threshold after idle seconds without a send
+// on a connection whose retransmission timeout is rto. It is the one
+// copy of the rule; the emulator applies it to a live connection's
+// window without building a State.
+func SlowStartRestart(cwnd, ssthresh, idle, rto float64) (float64, float64) {
+	if idle <= rto {
+		return cwnd, ssthresh
 	}
 	// ssthresh = max(ssthresh, 3/4 cwnd) — matches the paper's
 	// (cwnd>>1)+(cwnd>>2) update.
-	restartThresh := 0.75 * s.CWND
-	if restartThresh > s.SSThresh {
-		s.SSThresh = restartThresh
+	if restartThresh := 0.75 * cwnd; restartThresh > ssthresh {
+		ssthresh = restartThresh
 	}
-	idle := s.LastSendGap
-	for idle > s.RTO && s.CWND > InitCWND {
-		idle -= s.RTO
-		s.CWND /= 2
+	for idle > rto && cwnd > InitCWND {
+		idle -= rto
+		cwnd /= 2
 	}
-	if s.CWND < InitCWND {
-		s.CWND = InitCWND
+	if cwnd < InitCWND {
+		cwnd = InitCWND
 	}
-	return s
+	return cwnd, ssthresh
 }
 
 // EstimateThroughput is the paper's estimator f (Algorithm 4): the

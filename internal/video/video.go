@@ -111,11 +111,20 @@ func (c Config) Validate() error {
 }
 
 // Video is an encoded clip: immutable per-chunk sizes and SSIMs for every
-// quality.
+// quality, and a table of BOLA's utilities ln(S_q/S_0) built from the
+// sizes on first use (see Utilities). A Prefix view keeps a pointer to
+// the synthesised clip it was cut from and reads that clip's table, so
+// the table is built once per synthesised clip, ≈ 19 KB for the default
+// one.
 type Video struct {
 	cfg   Config
 	sizes [][]float64 // [chunk][quality] bytes
 	ssims [][]float64 // [chunk][quality]
+	// full is the synthesised clip a Prefix view shares rows and
+	// utilities with; nil on a synthesised clip, which owns them.
+	full     *Video
+	utilOnce sync.Once
+	util     []float64 // [chunk*qualities + quality], set by utilOnce
 }
 
 // Synthesize builds a video from the config, deterministically from the
@@ -184,9 +193,17 @@ func (v *Video) Prefix(n int) *Video {
 	if n >= v.cfg.NumChunks {
 		return v
 	}
-	p := &Video{cfg: v.cfg, sizes: v.sizes[:n:n], ssims: v.ssims[:n:n]}
+	p := &Video{cfg: v.cfg, sizes: v.sizes[:n:n], ssims: v.ssims[:n:n], full: v.owner()}
 	p.cfg.NumChunks = n
 	return p
+}
+
+// owner returns the synthesised clip whose rows v reads.
+func (v *Video) owner() *Video {
+	if v.full != nil {
+		return v.full
+	}
+	return v
 }
 
 // NumChunks returns the chunk count.
@@ -215,6 +232,28 @@ func (v *Video) Quality(q int) Quality { return v.cfg.Ladder[q] }
 
 // Size returns the encoded size in bytes of chunk n at quality q.
 func (v *Video) Size(n, q int) float64 { return v.sizes[n][q] }
+
+// Utilities returns chunk n's utility per quality, ln(S_q/S_0): 0 at
+// quality 0, the ladder's height long. The table behind it is built
+// once per synthesised clip, on the first call from any goroutine, and
+// the returned row must not be modified.
+func (v *Video) Utilities(n int) []float64 {
+	o := v.owner()
+	o.utilOnce.Do(o.buildUtilities)
+	nq, end := len(v.cfg.Ladder), len(v.sizes)*len(v.cfg.Ladder)
+	u := o.util[:end:end] // a view's chunks only, as Size allows
+	return u[n*nq : (n+1)*nq : (n+1)*nq]
+}
+
+func (v *Video) buildUtilities() {
+	nq := len(v.cfg.Ladder)
+	v.util = make([]float64, len(v.sizes)*nq)
+	for n, row := range v.sizes {
+		for q, size := range row {
+			v.util[n*nq+q] = math.Log(size / row[0])
+		}
+	}
+}
 
 // SSIM returns the SSIM of chunk n at quality q.
 func (v *Video) SSIM(n, q int) float64 { return v.ssims[n][q] }

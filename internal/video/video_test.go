@@ -2,6 +2,7 @@ package video
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -198,4 +199,47 @@ func TestPrefixEqualsSynthesis(t *testing.T) {
 		}
 	}()
 	full.Prefix(0)
+}
+
+// TestUtilitiesSharedByPrefixViews: a clip's utility row is ln(S_q/S_0)
+// of its sizes, its views read the clip's one table (the same memory),
+// and a view refuses a chunk past its end as Size does. The first calls
+// come from several goroutines at once (run with -race).
+func TestUtilitiesSharedByPrefixViews(t *testing.T) {
+	cfg := DefaultConfig(4)
+	cfg.NumChunks = 50
+	full := MustSynthesize(cfg)
+	views := []*Video{full.Prefix(30), full, full.Prefix(40).Prefix(10)}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(v *Video) {
+			defer wg.Done()
+			for n := 0; n < v.NumChunks(); n++ {
+				u := v.Utilities(n)
+				if len(u) != v.NumQualities() || u[0] != 0 {
+					t.Errorf("chunk %d: utilities %v", n, u)
+					return
+				}
+				for q, got := range u {
+					if want := math.Log(v.Size(n, q) / v.Size(n, 0)); got != want {
+						t.Errorf("chunk %d quality %d: utility %v, want %v", n, q, got, want)
+						return
+					}
+				}
+			}
+		}(views[g%len(views)])
+	}
+	wg.Wait()
+	for _, v := range views {
+		if &v.Utilities(9)[0] != &full.Utilities(9)[0] {
+			t.Errorf("a %d-chunk view reads a table of its own", v.NumChunks())
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a 30-chunk view served chunk 30's utilities")
+		}
+	}()
+	views[0].Utilities(30)
 }
