@@ -16,7 +16,6 @@ import (
 	"sync"
 
 	"veritas/internal/hmm"
-	"veritas/internal/netem"
 	"veritas/internal/player"
 	"veritas/internal/tcp"
 	"veritas/internal/trace"
@@ -83,7 +82,9 @@ func (c Config) withDefaults(maxObservedMbps float64) Config {
 
 // Abduction is the result of inverting a session log: the fitted model,
 // the observation sequence, the Viterbi path, the posterior, and K
-// sampled GTBW traces.
+// sampled GTBW traces. Its replays read their jitter from the process's
+// one draw sequence per network seed (see player.Replay), so an
+// Abduction holds no jitter of its own.
 type Abduction struct {
 	Model        *hmm.Model
 	Observations []hmm.Observation
@@ -104,13 +105,6 @@ type Abduction struct {
 	baseline    *trace.Trace
 	baselineErr error
 	samples     []*trace.Trace
-
-	// The jitter draws of its replays, one sequence per network seed,
-	// likewise made on first use and then read by every replay of that
-	// seed: a retained Abduction keeps them (a few thousand draws for a
-	// 300-chunk session).
-	jitterMu sync.Mutex
-	jitters  []*netem.Jitter
 }
 
 // Observations converts a session log into the EHMM's evidence sequence.
@@ -267,9 +261,6 @@ func Abduct(log *player.SessionLog, cfg Config) (*Abduction, error) {
 		cfg:          cfg,
 	}, nil
 }
-
-// Log returns the session log the abduction was built from.
-func (a *Abduction) Log() *player.SessionLog { return a.log }
 
 // ConfigUsed returns the (defaulted) configuration.
 func (a *Abduction) ConfigUsed() Config { return a.cfg }

@@ -339,18 +339,6 @@ func TestAbductErrorPaths(t *testing.T) {
 	}
 }
 
-func TestLogAccessor(t *testing.T) {
-	gt := trace.Constant(5)
-	log := runSession(t, gt, abr.NewMPC())
-	abd, err := Abduct(log, Config{NumSamples: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if abd.Log() != log {
-		t.Error("Log() should return the abducted session log")
-	}
-}
-
 func TestIgnoreTCPStateDegradesRecovery(t *testing.T) {
 	gt := trace.Constant(6)
 	log := runSession(t, gt, abr.NewMPC())

@@ -425,77 +425,98 @@ func TestEstimateTracesBuiltOnce(t *testing.T) {
 	wg.Wait()
 }
 
-// TestReplaysMatchOracleAcrossGoroutines asks one Abduction for every
-// arm's Counterfactual and truth Replay from two goroutines at once —
-// both reading the Abduction's one jitter sequence while it is still
-// being drawn (run with -race) — and wants the oracle's metrics: a
-// private generator and a full log per replay. A setting of another
-// network seed gets a sequence of its own.
+// TestReplaysMatchOracleAcrossGoroutines runs the Counterfactual and
+// truth Replay of every arm of two Abductions — two sessions, one
+// network seed — from many goroutines at once, all reading the seed's
+// one shared jitter sequence while it is still being drawn (run with
+// -race), and wants the oracle's metrics: a private generator and a full
+// log per replay. One arm runs on another seed, so two sequences grow
+// side by side.
 func TestReplaysMatchOracleAcrossGoroutines(t *testing.T) {
-	log := sessionLog(t, 7, 0, 5)
-	truth, err := trace.Generate(trace.DefaultFCC(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeded := netem.DefaultConfig()
-	seeded.Seed = 99
+	net := netem.DefaultConfig()
+	net.Seed = 4099 // no other test's seed: the sequence starts undrawn
+	other := net
+	other.Seed = 99
 	var settings []Setting
 	for _, buf := range []float64{5, 30} {
 		settings = append(settings,
-			Setting{Video: video.Default(), NewABR: func() abr.Algorithm { return abr.NewBBA() }, BufferCap: buf, Net: netem.DefaultConfig()},
-			Setting{Video: video.Default(), NewABR: func() abr.Algorithm { return abr.NewBOLA() }, BufferCap: buf, Net: netem.DefaultConfig()})
+			Setting{Video: video.Default(), NewABR: func() abr.Algorithm { return abr.NewBBA() }, BufferCap: buf, Net: net},
+			Setting{Video: video.Default(), NewABR: func() abr.Algorithm { return abr.NewBOLA() }, BufferCap: buf, Net: net})
 	}
-	settings = append(settings, Setting{Video: video.Default(), NewABR: func() abr.Algorithm { return abr.NewMPC() }, BufferCap: 5, Net: seeded})
+	settings = append(settings, Setting{Video: video.Default(), NewABR: func() abr.Algorithm { return abr.NewMPC() }, BufferCap: 5, Net: other})
 
-	a, err := Abduct(log, Config{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
+	type session struct {
+		a         *Abduction
+		truth     *trace.Trace
+		wantCF    []*CounterfactualOutcome
+		wantTruth []player.Metrics
 	}
-	wantCF := make([]*CounterfactualOutcome, len(settings))
-	wantTruth := make([]player.Metrics, len(settings))
-	for i, s := range settings {
-		wantCF[i] = counterfactualOracle(t, a, s)
-		if wantTruth[i], err = replayOracle(truth, s); err != nil {
+	var sessions []session
+	for _, seed := range []int64{7, 11} {
+		a, err := Abduct(sessionLog(t, seed, 0, 5), Config{Seed: 3})
+		if err != nil {
 			t.Fatal(err)
 		}
+		truth, err := trace.Generate(trace.DefaultFCC(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss := session{a: a, truth: truth, wantCF: make([]*CounterfactualOutcome, len(settings)), wantTruth: make([]player.Metrics, len(settings))}
+		for i, s := range settings {
+			ss.wantCF[i] = counterfactualOracle(t, a, s)
+			if ss.wantTruth[i], err = replayOracle(truth, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sessions = append(sessions, ss)
 	}
 	var wg sync.WaitGroup
-	for g := 0; g < 2; g++ {
+	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			ss := sessions[g%len(sessions)]
 			for k := range settings {
-				i := (k + g*len(settings)/2) % len(settings) // the two start on different arms
+				i := (k + g) % len(settings) // the goroutines start on different arms
 				s := settings[i]
-				got, err := a.Counterfactual(s)
+				got, err := ss.a.Counterfactual(s)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if got.Baseline != wantCF[i].Baseline {
-					t.Errorf("setting %d: Baseline %+v, oracle %+v", i, got.Baseline, wantCF[i].Baseline)
+				if got.Baseline != ss.wantCF[i].Baseline {
+					t.Errorf("goroutine %d, setting %d: Baseline %+v, oracle %+v", g, i, got.Baseline, ss.wantCF[i].Baseline)
 				}
 				for k := range got.Samples {
-					if got.Samples[k] != wantCF[i].Samples[k] {
-						t.Errorf("setting %d: sample %d %+v, oracle %+v", i, k, got.Samples[k], wantCF[i].Samples[k])
+					if got.Samples[k] != ss.wantCF[i].Samples[k] {
+						t.Errorf("goroutine %d, setting %d: sample %d %+v, oracle %+v", g, i, k, got.Samples[k], ss.wantCF[i].Samples[k])
 					}
 				}
-				m, err := a.Replay(truth, s)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if m != wantTruth[i] {
-					t.Errorf("setting %d: truth replay %+v, oracle %+v", i, m, wantTruth[i])
-				}
-				if m, err := Replay(truth, s); err != nil || m != wantTruth[i] {
-					t.Errorf("setting %d: package Replay %+v (%v), oracle %+v", i, m, err, wantTruth[i])
+				if m, err := Replay(ss.truth, s); err != nil || m != ss.wantTruth[i] {
+					t.Errorf("goroutine %d, setting %d: truth replay %+v (%v), oracle %+v", g, i, m, err, ss.wantTruth[i])
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if len(a.jitters) != 2 {
-		t.Errorf("%d jitter sequences for two network seeds", len(a.jitters))
+}
+
+// TestCounterfactualStallsOnZeroTail pins today's latent stall: a sample
+// path whose last state is the grid's 0 Mbps holds 0 Mbps past the log,
+// so a replay that runs into it can never finish, and Counterfactual
+// fails with an error wrapping netem.ErrStalled.
+func TestCounterfactualStallsOnZeroTail(t *testing.T) {
+	a, err := Abduct(sessionLog(t, 7, 0, 5), Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Model.Capacity(0) != 0 {
+		t.Fatalf("grid state 0 is %v Mbps, want 0", a.Model.Capacity(0))
+	}
+	p := a.SampledPaths[len(a.SampledPaths)-1]
+	p[len(p)-1] = 0 // before first use: the sample traces are built from the paths
+	s := Setting{Video: video.Default(), NewABR: func() abr.Algorithm { return abr.NewBBA() }, BufferCap: 5, Net: netem.DefaultConfig()}
+	if _, err := a.Counterfactual(s); !errors.Is(err, netem.ErrStalled) {
+		t.Fatalf("Counterfactual err = %v, want one wrapping netem.ErrStalled", err)
 	}
 }

@@ -36,21 +36,8 @@ func (s Setting) Validate() error {
 
 // Replay runs a full session under the setting over the given bandwidth
 // trace and returns its metrics. This is the "emulate the video session
-// in Setting B" step of Figure 6.
+// in Setting B" step of Figure 6. Safe for concurrent use.
 func Replay(tr *trace.Trace, s Setting) (player.Metrics, error) {
-	return replay(tr, s, nil)
-}
-
-// Replay is the package's Replay reading its jitter from the draw
-// sequence this Abduction keeps for s.Net.Seed — the one every
-// Counterfactual replay of that seed reads — instead of seeding a
-// generator of its own. The metrics are the same. Safe for concurrent
-// use.
-func (a *Abduction) Replay(tr *trace.Trace, s Setting) (player.Metrics, error) {
-	return replay(tr, s, a.jitter(s.Net.Seed))
-}
-
-func replay(tr *trace.Trace, s Setting, j *netem.Jitter) (player.Metrics, error) {
 	if err := s.Validate(); err != nil {
 		return player.Metrics{}, err
 	}
@@ -60,23 +47,7 @@ func replay(tr *trace.Trace, s Setting, j *netem.Jitter) (player.Metrics, error)
 		Trace:     tr,
 		Net:       s.Net,
 		BufferCap: s.BufferCap,
-	}, j)
-}
-
-// jitter returns the Abduction's draw sequence for seed, made on first
-// use. A session's replays almost always share one seed (the default
-// path's), so a short list serves.
-func (a *Abduction) jitter(seed int64) *netem.Jitter {
-	a.jitterMu.Lock()
-	defer a.jitterMu.Unlock()
-	for _, j := range a.jitters {
-		if j.Seed() == seed {
-			return j
-		}
-	}
-	j := netem.NewJitter(seed)
-	a.jitters = append(a.jitters, j)
-	return j
+	})
 }
 
 // CounterfactualOutcome collects the replay results for one session and
@@ -108,23 +79,21 @@ func (o *CounterfactualOutcome) BitrateRange() (low, high float64) {
 }
 
 // Counterfactual replays the what-if setting over the session's Baseline
-// trace and every Veritas sample trace, all reading one jitter sequence
-// (see Abduction.Replay). (The oracle replay over the true GTBW is the
-// caller's job, since only the experiment harness holds the ground
-// truth.)
+// trace and every Veritas sample trace. (The oracle replay over the true
+// GTBW is the caller's job, since only the experiment harness holds the
+// ground truth.)
 func (a *Abduction) Counterfactual(s Setting) (*CounterfactualOutcome, error) {
 	a.tracesOnce.Do(a.buildTraces)
 	if a.baselineErr != nil {
 		return nil, a.baselineErr
 	}
-	j := a.jitter(s.Net.Seed)
-	baseM, err := replay(a.baseline, s, j)
+	baseM, err := Replay(a.baseline, s)
 	if err != nil {
 		return nil, err
 	}
 	out := &CounterfactualOutcome{Baseline: baseM, Samples: make([]player.Metrics, len(a.samples))}
 	for i, tr := range a.samples {
-		if out.Samples[i], err = replay(tr, s, j); err != nil {
+		if out.Samples[i], err = Replay(tr, s); err != nil {
 			return nil, err
 		}
 	}

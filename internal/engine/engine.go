@@ -511,7 +511,7 @@ func runOne(cfg Config, spec SessionSpec, arms []Arm, idx int, sc *hmm.Scratch, 
 		}
 		oc := ArmOutcome{Name: arm.Name, Baseline: out.Baseline, Samples: out.Samples}
 		if spec.Trace != nil {
-			truth, err := abd.Replay(spec.Trace, arm.Setting)
+			truth, err := abduction.Replay(spec.Trace, arm.Setting)
 			if err != nil {
 				return res, fmt.Errorf("arm %s oracle: %w", arm.Name, err)
 			}

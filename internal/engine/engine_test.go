@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -362,6 +363,25 @@ func TestEstimatorHookReachesInference(t *testing.T) {
 	}
 	if slices.Equal(paper.Sessions[0].Abd.ViterbiPath, identity.Sessions[0].Abd.ViterbiPath) {
 		t.Error("identity estimator left the Viterbi path unchanged: the hook never reached inference")
+	}
+}
+
+// TestRunFailsOnStalledSample pins today's latent stall end to end: an
+// estimator under which only the grid's 0 Mbps state explains the log
+// puts every sampled path, tail included, in that state, so each sample
+// replay can never finish, and the whole run fails with the arm's error,
+// which wraps netem.ErrStalled.
+func TestRunFailsOnStalledSample(t *testing.T) {
+	corpus := testCorpus(t, 1)[:1]
+	corpus[0].Abduct.HMM.Estimator = func(gtbwMbps float64, _ tcp.State, _ float64) float64 {
+		if gtbwMbps == 0 {
+			return 0
+		}
+		return 1e6
+	}
+	_, err := Run(context.Background(), Config{Workers: 1, Samples: 2, Seed: 1}, corpus, testArms(30))
+	if !errors.Is(err, netem.ErrStalled) || !strings.Contains(err.Error(), "arm bba-5s") {
+		t.Fatalf("err = %v, want arm bba-5s's, wrapping netem.ErrStalled", err)
 	}
 }
 

@@ -197,9 +197,6 @@ func TestPredictValidation(t *testing.T) {
 	if _, err := p.Predict(make([]HistoryEntry, 3), 1e6); err == nil {
 		t.Error("wrong history length should fail")
 	}
-	if p.K() != 4 {
-		t.Errorf("K() = %d", p.K())
-	}
 }
 
 func TestPredictNonNegative(t *testing.T) {

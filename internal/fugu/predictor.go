@@ -163,9 +163,6 @@ func TrainPredictor(samples []Sample, cfg PredictorConfig) (*Predictor, error) {
 	return p, nil
 }
 
-// K returns the history length the predictor expects.
-func (p *Predictor) K() int { return p.k }
-
 // Predict returns the predicted download time in seconds for the next
 // chunk of the given size after the given history. Predictions are
 // clamped at zero (a download cannot take negative time).

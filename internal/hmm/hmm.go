@@ -186,9 +186,6 @@ func Tridiagonal(n int, stay float64) *mathx.Matrix {
 	return m
 }
 
-// Config returns the model's configuration.
-func (m *Model) Config() Config { return m.cfg }
-
 // NumStates returns the size of the capacity grid.
 func (m *Model) NumStates() int { return len(m.states) }
 

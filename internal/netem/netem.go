@@ -16,10 +16,15 @@
 // Jitter is one standard-normal draw per round from mathx.NewRand(Seed),
 // the module's one seeded source, whose draws equal math/rand's
 // rand.New(rand.NewSource(Seed)). A Conn from NewConn draws from a
-// generator of its own; a Conn from (*Jitter).NewConn reads the same
-// seed's draws, in the same order, from a Jitter shared by every replay
-// of that seed — so replays seed the generator once between them, not
-// once each, and download exactly as private connections would.
+// generator of its own. A Conn from NewSharedConn reads the same draws,
+// in the same order, from the process's one sequence for its seed: every
+// shared connection of a seed reads that sequence from its start, so the
+// generator is seeded once per seed per process, not once per
+// connection, and each downloads exactly as a private connection would.
+// The registry keeps each sequence for the life of the process, grown to
+// as many draws as the longest run of any one connection of its seed (a
+// few thousand for a 300-chunk session); past sharedJitterCap seeds, a
+// shared connection of a new seed reads a sequence of its own.
 //
 // Download is the innermost loop of every simulation and replay, so it
 // does only the arithmetic its answer needs: the congestion state, path
@@ -118,10 +123,10 @@ type Conn struct {
 	lastSend float64
 	hasSent  bool
 	// The jitter source: a private generator (NewConn), or a shared
-	// Jitter read from index 0 through tape, the prefix of its draws
+	// jitter read from index 0 through tape, the prefix of its draws
 	// this connection has fetched so far.
 	rng   *rand.Rand
-	jit   *Jitter
+	jit   *jitter
 	tape  []float64
 	drawn int
 }
@@ -157,34 +162,26 @@ func newConn(cfg Config) (*Conn, error) {
 	}, nil
 }
 
-// Jitter is one seed's sequence of NormFloat64 draws from
-// mathx.NewRand(seed) — exactly those math/rand's
-// rand.New(rand.NewSource(seed)) would make — drawn lazily and kept, so
-// that any number of connections can read the sequence from its start
-// while the generator is seeded once. Safe for concurrent use.
-type Jitter struct {
+// jitter is one seed's sequence of NormFloat64 draws from
+// mathx.NewRand(seed), drawn lazily and kept, so that any number of
+// connections can read the sequence from its start while the generator
+// is seeded once. Safe for concurrent use.
+type jitter struct {
 	seed  int64
 	mu    sync.Mutex
 	rng   *rand.Rand // nil until the first draw
 	draws []float64
 }
 
-// jitterBlock is how many draws a Jitter makes at a time: a few per cent
+// jitterBlock is how many draws a jitter makes at a time: a few per cent
 // of a 300-chunk session's rounds, so a replay fetches a handful of times
 // and the sequence overshoots its longest reader by little.
 const jitterBlock = 256
 
-// NewJitter returns the draw sequence of seed. Nothing is drawn — and
-// the generator is not seeded — until a connection needs a draw.
-func NewJitter(seed int64) *Jitter { return &Jitter{seed: seed} }
-
-// Seed returns the seed the sequence is drawn from.
-func (j *Jitter) Seed() int64 { return j.seed }
-
 // upTo returns the draws so far, at least n+1 of them. Draws never
 // change once made, so a caller reads its returned prefix without the
 // lock while later calls append beyond it.
-func (j *Jitter) upTo(n int) []float64 {
+func (j *jitter) upTo(n int) []float64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.rng == nil {
@@ -198,19 +195,43 @@ func (j *Jitter) upTo(n int) []float64 {
 	return j.draws
 }
 
-// NewConn returns a fresh connection over the configured path whose
-// jitter is read from j instead of a private generator. cfg.Seed must
-// be j's seed; the connection then downloads exactly as NewConn(cfg)'s
-// would.
-func (j *Jitter) NewConn(cfg Config) (*Conn, error) {
-	if cfg.Seed != j.seed {
-		return nil, fmt.Errorf("netem: config seed %d, jitter drawn from seed %d", cfg.Seed, j.seed)
+// sharedJitters is the process-wide registry of draw sequences, one per
+// seed, bounded so that a stream of distinct seeds cannot grow it
+// without limit.
+var sharedJitters = struct {
+	mu      sync.Mutex
+	jitters map[int64]*jitter
+}{jitters: make(map[int64]*jitter)}
+
+// sharedJitterCap bounds the registry. Replays use few seeds (every
+// what-if arm of a campaign shares the default path's); past the cap a
+// new seed's connection reads a sequence of its own, not registered.
+const sharedJitterCap = 64
+
+// sharedJitter returns the registered sequence of seed, registering a
+// new one while there is room.
+func sharedJitter(seed int64) *jitter {
+	sharedJitters.mu.Lock()
+	defer sharedJitters.mu.Unlock()
+	if j := sharedJitters.jitters[seed]; j != nil {
+		return j
 	}
+	j := &jitter{seed: seed}
+	if len(sharedJitters.jitters) < sharedJitterCap {
+		sharedJitters.jitters[seed] = j
+	}
+	return j
+}
+
+// NewSharedConn returns a fresh connection over the configured path that
+// reads its jitter from the process's sequence of cfg.Seed instead of a
+// private generator. It downloads exactly as NewConn(cfg)'s would.
+func NewSharedConn(cfg Config) (*Conn, error) {
 	c, err := newConn(cfg)
 	if err != nil {
 		return nil, err
 	}
-	c.jit = j
+	c.jit = sharedJitter(cfg.Seed)
 	return c, nil
 }
 

@@ -245,7 +245,7 @@ func TestJitterIsSeededAndBounded(t *testing.T) {
 }
 
 // BenchmarkDownload times the round loop the way a replay drives it: one
-// op is a 60-chunk script of 0.1–3 MB chunks on a warm shared-Jitter
+// op is a 60-chunk script of 0.1–3 MB chunks on a warm shared
 // connection (the tape already drawn) over a 1 s step trace, back to
 // back or with a 2 s idle gap before each chunk, past the RTO, so
 // slow-start restart runs every time.
@@ -259,13 +259,12 @@ func BenchmarkDownload(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	j := NewJitter(cfg.Seed)
 	for _, bc := range []struct {
 		name string
 		gap  float64
 	}{{"back-to-back", 0}, {"idle-gaps", 2}} {
 		b.Run(bc.name, func(b *testing.B) {
-			fresh, err := j.NewConn(cfg)
+			fresh, err := NewSharedConn(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"veritas/internal/mathx"
 	"veritas/internal/tcp"
 	"veritas/internal/trace"
 )
@@ -159,17 +160,13 @@ func oracleConfigs() map[string]Config {
 }
 
 // TestDownloadMatchesOracle pins Download — private generator or shared
-// Jitter — to the per-round oracle, end time for end time.
+// sequence — to the per-round oracle, end time for end time.
 func TestDownloadMatchesOracle(t *testing.T) {
 	for tname, tr := range oracleTraces(t) {
 		for cname, cfg := range oracleConfigs() {
 			want, wantErr := runScript(tr, newTestConn(t, cfg), downloadOracle)
 			private, privErr := runScript(tr, newTestConn(t, cfg), (*Conn).Download)
-			jc, err := NewJitter(cfg.Seed).NewConn(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shared, sharedErr := runScript(tr, jc, (*Conn).Download)
+			shared, sharedErr := runScript(tr, newSharedTestConn(t, cfg), (*Conn).Download)
 			if !errors.Is(privErr, wantErr) || !errors.Is(sharedErr, wantErr) {
 				t.Fatalf("%s, %s: errors %v and %v, oracle %v", tname, cname, privErr, sharedErr, wantErr)
 			}
@@ -183,12 +180,14 @@ func TestDownloadMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestSharedJitterAcrossGoroutines has several connections read one
-// Jitter at once, each from its start, while the sequence is still being
-// drawn (run with -race): every one must download as a private
-// connection of the seed does.
+// TestSharedJitterAcrossGoroutines has many shared connections of one
+// seed read its sequence at once, each from its start, while the
+// sequence is still being drawn (run with -race): every one must
+// download as a private connection of the seed does, having read
+// exactly mathx.NewRand(seed)'s NormFloat64 draws.
 func TestSharedJitterAcrossGoroutines(t *testing.T) {
 	cfg := DefaultConfig()
+	cfg.Seed = 8191 // no other test's seed: the sequence starts undrawn
 	trs := oracleTraces(t)
 	want := map[string][]float64{}
 	for name, tr := range trs {
@@ -198,14 +197,17 @@ func TestSharedJitterAcrossGoroutines(t *testing.T) {
 		}
 		want[name] = ends
 	}
-	j := NewJitter(cfg.Seed)
+	var draws []float64
+	rng := mathx.NewRand(cfg.Seed)
 	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var used []*Conn
 	for g := 0; g < 4; g++ {
 		for name, tr := range trs {
 			wg.Add(1)
 			go func(name string, tr *trace.Trace) {
 				defer wg.Done()
-				c, err := j.NewConn(cfg)
+				c, err := NewSharedConn(cfg)
 				if err != nil {
 					t.Error(err)
 					return
@@ -217,25 +219,82 @@ func TestSharedJitterAcrossGoroutines(t *testing.T) {
 				}
 				for i := range ends {
 					if ends[i] != want[name][i] {
-						t.Errorf("%s: download %d ends at %v on the shared jitter, %v on a private one", name, i, ends[i], want[name][i])
+						t.Errorf("%s: download %d ends at %v on the shared sequence, %v on a private one", name, i, ends[i], want[name][i])
 						return
 					}
 				}
+				mu.Lock()
+				used = append(used, c)
+				mu.Unlock()
 			}(name, tr)
 		}
 	}
 	wg.Wait()
+	for _, c := range used {
+		if c.jit != sharedJitter(cfg.Seed) {
+			t.Fatal("two shared connections of one seed read different sequences")
+		}
+		for len(draws) < c.drawn {
+			draws = append(draws, rng.NormFloat64())
+		}
+		for i, z := range c.tape[:c.drawn] {
+			if z != draws[i] {
+				t.Fatalf("draw %d read %v, mathx.NewRand(%d) draws %v", i, z, cfg.Seed, draws[i])
+			}
+		}
+	}
 }
 
-func TestJitterRefusesAnotherSeed(t *testing.T) {
+// TestSharedJitterCap fills the registry, then asks for a new seed: its
+// connection downloads as a private one does, reads a sequence nobody
+// else reads, and the registry does not grow.
+func TestSharedJitterCap(t *testing.T) {
+	sharedJitters.mu.Lock()
+	saved := sharedJitters.jitters
+	sharedJitters.jitters = make(map[int64]*jitter)
+	sharedJitters.mu.Unlock()
+	t.Cleanup(func() {
+		sharedJitters.mu.Lock()
+		sharedJitters.jitters = saved
+		sharedJitters.mu.Unlock()
+	})
+
 	cfg := DefaultConfig()
-	cfg.Seed = 7
-	if _, err := NewJitter(1).NewConn(cfg); err == nil || !strings.Contains(err.Error(), "seed") {
-		t.Errorf("a seed-7 config on a seed-1 jitter: err = %v", err)
+	for seed := int64(0); seed < sharedJitterCap; seed++ {
+		cfg.Seed = 1000 + seed
+		newSharedTestConn(t, cfg)
 	}
+	cfg.Seed = 42
+	tr := oracleTraces(t)["fcc"]
+	want, err := runScript(tr, newTestConn(t, cfg), (*Conn).Download)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := newSharedTestConn(t, cfg), newSharedTestConn(t, cfg)
+	got, err := runScript(tr, a, (*Conn).Download)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("download %d past the cap ends at %v, privately %v", i, got[i], want[i])
+		}
+	}
+	if a.jit == b.jit {
+		t.Error("two connections of a seed past the cap share a sequence")
+	}
+	if n := len(sharedJitters.jitters); n != sharedJitterCap {
+		t.Errorf("registry holds %d sequences, cap %d", n, sharedJitterCap)
+	}
+}
+
+// TestSharedConnRefusesInvalidConfig: a shared connection validates its
+// config as NewConn does.
+func TestSharedConnRefusesInvalidConfig(t *testing.T) {
+	cfg := DefaultConfig()
 	cfg.RTT = math.NaN()
-	if _, err := NewJitter(7).NewConn(cfg); err == nil {
-		t.Error("an invalid config was accepted on a shared jitter")
+	if _, err := NewSharedConn(cfg); err == nil || !strings.Contains(err.Error(), "RTT") {
+		t.Errorf("RTT NaN: err = %v, want one naming RTT", err)
 	}
 }
 
@@ -244,18 +303,20 @@ func TestJitterRefusesAnotherSeed(t *testing.T) {
 const fuzzDownloads = 16
 
 // FuzzDownloadMatchesOracle runs one download script through the
-// oracle and through four connections — a private one, one on a fresh
-// Jitter, and two that take turns on another Jitter, so one refills the
-// shared tape mid-download while the other reads what it drew. Each
-// download must end at the oracle's time (or stall where it does), and
-// leave the oracle's window and threshold, bit for bit; at the end every
+// oracle and through four connections — a private one, a shared one, and
+// two that take turns on a fresh sequence of the seed, so one refills
+// the tape mid-download while the other reads what it drew — and then
+// through a fifth, shared connection that starts only once the others
+// have grown its seed's tape past every draw it reads. Each download
+// must end at the oracle's time (or stall where it does), and leave the
+// oracle's window and threshold, bit for bit; at the end every
 // connection's next draw must be the oracle's, so each consumed as many.
 //
 // The trace is FromSteps(interval, steps): byte b is a step of mbps·b/64
 // Mbps, so b = 0 is a zero-bandwidth stretch and b = 64 is mbps itself.
 // A plan pair (g, s) waits g/16 s, on either side of the RTO, and
-// fetches (s+1)²·40 bytes, from under one segment to 2.6 MB. jitter/510
-// is the JitterStd.
+// fetches (s+1)²·40 bytes, from under one segment to 2.6 MB.
+// jitterStd/510 is the JitterStd.
 func FuzzDownloadMatchesOracle(f *testing.F) {
 	plan := []byte{0, 40, 0, 200, 30, 3, 0, 255, 160, 90, 2, 0, 0, 120}
 	for _, rtt := range []float64{0.16, 0.02, 0.6} {
@@ -278,7 +339,7 @@ func FuzzDownloadMatchesOracle(f *testing.F) {
 	f.Add(0.16, 8.0, uint8(255), false, int64(-7), 0.7, []byte{30, 0, 90, 1, 200}, plan)
 	f.Add(0.08, 4.0, uint8(5), true, int64(42), 3.0, []byte{64, 0}, plan) // stalls
 	f.Add(0.3, 40.0, uint8(100), true, int64(9), 10.0, []byte{255, 10, 255}, []byte{255, 255, 0, 255, 200, 255})
-	f.Fuzz(func(t *testing.T, rtt, mbps float64, jitter uint8, ssr bool, seed int64, interval float64, steps, plan []byte) {
+	f.Fuzz(func(t *testing.T, rtt, mbps float64, jitterStd uint8, ssr bool, seed int64, interval float64, steps, plan []byte) {
 		if !(rtt >= 0.001 && rtt <= 1) || !(mbps >= 1e-4 && mbps <= 1e4) || !(interval >= 0.01 && interval <= 1e3) {
 			t.Skip()
 		}
@@ -293,35 +354,55 @@ func FuzzDownloadMatchesOracle(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		cfg := Config{RTT: rtt, SlowStartRestart: ssr, JitterStd: float64(jitter) / 510, Seed: seed}
+		cfg := Config{RTT: rtt, SlowStartRestart: ssr, JitterStd: float64(jitterStd) / 510, Seed: seed}
 		var script []download
 		for i := 0; i+1 < len(plan) && len(script) < fuzzDownloads; i += 2 {
 			script = append(script, download{float64(plan[i]) / 16, math.Pow(float64(plan[i+1])+1, 2) * 40})
 		}
 
 		oracle := newTestConn(t, cfg)
-		j, turns := NewJitter(seed), NewJitter(seed)
-		conns := []*Conn{newTestConn(t, cfg), mustShared(t, j, cfg), mustShared(t, turns, cfg), mustShared(t, turns, cfg)}
-		names := []string{"private", "shared", "first of two", "second of two"}
-		starts := make([]float64, len(conns))
+		type step struct {
+			end, cwnd, ssthresh float64
+			err                 error
+		}
+		var oracleSteps []step
 		oStart := 0.0
-		for k, d := range script {
-			want, wantErr := downloadOracle(oracle, oStart+d.gap, d.bytes, tr)
-			for i, c := range conns {
-				got, err := c.Download(starts[i]+d.gap, d.bytes, tr)
-				if !errors.Is(err, wantErr) || err == nil && got != want {
-					t.Fatalf("%s: download %d = (%v, %v), oracle (%v, %v)", names[i], k, got, err, want, wantErr)
-				}
-				if c.cwnd != oracle.cwnd || c.ssthresh != oracle.ssthresh {
-					t.Fatalf("%s: after download %d cwnd %v ssthresh %v, oracle %v %v", names[i], k, c.cwnd, c.ssthresh, oracle.cwnd, oracle.ssthresh)
-				}
-				starts[i] = got
-			}
-			if wantErr != nil {
+		for _, d := range script {
+			end, err := downloadOracle(oracle, oStart+d.gap, d.bytes, tr)
+			oracleSteps = append(oracleSteps, step{end, oracle.cwnd, oracle.ssthresh, err})
+			if err != nil {
 				break
 			}
-			oStart = want
+			oStart = end
 		}
+		// check drives conns through the script in lockstep against the
+		// oracle's steps.
+		check := func(names []string, conns []*Conn) {
+			starts := make([]float64, len(conns))
+			for k, want := range oracleSteps {
+				for i, c := range conns {
+					got, err := c.Download(starts[i]+script[k].gap, script[k].bytes, tr)
+					if !errors.Is(err, want.err) || err == nil && got != want.end {
+						t.Fatalf("%s: download %d = (%v, %v), oracle (%v, %v)", names[i], k, got, err, want.end, want.err)
+					}
+					if c.cwnd != want.cwnd || c.ssthresh != want.ssthresh {
+						t.Fatalf("%s: after download %d cwnd %v ssthresh %v, oracle %v %v", names[i], k, c.cwnd, c.ssthresh, want.cwnd, want.ssthresh)
+					}
+					starts[i] = got
+				}
+			}
+		}
+		turns := &jitter{seed: seed}
+		conns := []*Conn{newTestConn(t, cfg), newSharedTestConn(t, cfg), newTestConn(t, cfg), newTestConn(t, cfg)}
+		conns[2].rng, conns[2].jit = nil, turns
+		conns[3].rng, conns[3].jit = nil, turns
+		names := []string{"private", "shared", "first of two", "second of two"}
+		check(names, conns)
+		// The shared connection has read every draw the script takes.
+		late := newSharedTestConn(t, cfg)
+		check([]string{"late shared"}, []*Conn{late})
+		conns, names = append(conns, late), append(names, "late shared")
+
 		next := oracle.rng.NormFloat64()
 		if got := conns[0].rng.NormFloat64(); got != next {
 			t.Fatalf("private: next draw %v, oracle's %v", got, next)
@@ -334,9 +415,9 @@ func FuzzDownloadMatchesOracle(f *testing.F) {
 	})
 }
 
-func mustShared(t *testing.T, j *Jitter, cfg Config) *Conn {
+func newSharedTestConn(t *testing.T, cfg Config) *Conn {
 	t.Helper()
-	c, err := j.NewConn(cfg)
+	c, err := NewSharedConn(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

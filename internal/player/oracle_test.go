@@ -203,11 +203,10 @@ func oracleCases(t *testing.T) []oracleCase {
 }
 
 // TestRunAndReplayMatchOracle pins the shared loop to the old Run: Run
-// logs the same records and both Run and Replay — with a private
-// generator or one shared Jitter read by every case of its seed — return
-// the same metrics, bit for bit.
+// logs the same records and Run and Replay — a private generator and the
+// process's shared sequence of the seed — return the same metrics, bit
+// for bit.
 func TestRunAndReplayMatchOracle(t *testing.T) {
-	jitters := map[int64]*netem.Jitter{}
 	for _, c := range oracleCases(t) {
 		cfg := c.cfg
 		cfg.ABR = c.newABR()
@@ -232,26 +231,19 @@ func TestRunAndReplayMatchOracle(t *testing.T) {
 				t.Fatalf("%s: record %d = %+v, oracle %+v", c.name, i, log.Records[i], wantLog.Records[i])
 			}
 		}
-		j := jitters[cfg.Net.Seed]
-		if j == nil {
-			j = netem.NewJitter(cfg.Net.Seed)
-			jitters[cfg.Net.Seed] = j
+		cfg.ABR = c.newABR()
+		if got, err = Replay(cfg); err != nil {
+			t.Fatalf("%s: Replay: %v", c.name, err)
 		}
-		for _, jit := range []*netem.Jitter{nil, j} {
-			cfg.ABR = c.newABR()
-			got, err := Replay(cfg, jit)
-			if err != nil {
-				t.Fatalf("%s: Replay: %v", c.name, err)
-			}
-			if got != want {
-				t.Errorf("%s: Replay (shared jitter %v) metrics %+v, oracle %+v", c.name, jit != nil, got, want)
-			}
+		if got != want {
+			t.Errorf("%s: Replay metrics %+v, oracle %+v", c.name, got, want)
 		}
 	}
 }
 
-// TestReplaySharedJitterConcurrently replays several settings over one
-// Jitter from several goroutines at once (run with -race).
+// TestReplaySharedJitterConcurrently replays several settings of one
+// seed from several goroutines at once (run with -race), all reading the
+// seed's one shared sequence.
 func TestReplaySharedJitterConcurrently(t *testing.T) {
 	cases := oracleCases(t)[:12]
 	want := make([]Metrics, len(cases))
@@ -263,7 +255,6 @@ func TestReplaySharedJitterConcurrently(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	j := netem.NewJitter(netem.DefaultConfig().Seed)
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
 		for i, c := range cases {
@@ -272,7 +263,7 @@ func TestReplaySharedJitterConcurrently(t *testing.T) {
 				defer wg.Done()
 				cfg := c.cfg
 				cfg.ABR = c.newABR()
-				got, err := Replay(cfg, j)
+				got, err := Replay(cfg)
 				if err != nil {
 					t.Error(err)
 					return
@@ -299,20 +290,20 @@ func TestRefusesNonFiniteBufferCap(t *testing.T) {
 		if _, _, err := Run(cfg); err == nil {
 			t.Errorf("BufferCap %v: Run accepted it", v)
 		}
-		if _, err := Replay(cfg, nil); err == nil {
+		if _, err := Replay(cfg); err == nil {
 			t.Errorf("BufferCap %v: Replay accepted it", v)
 		}
 	}
 	cfg := testConfig(t, 5, abr.NewBBA())
 	cfg.Net.RTT = math.NaN()
-	if _, err := Replay(cfg, netem.NewJitter(cfg.Net.Seed)); err == nil || !strings.Contains(err.Error(), "RTT") {
+	if _, err := Replay(cfg); err == nil || !strings.Contains(err.Error(), "RTT") {
 		t.Errorf("RTT NaN: Replay err = %v, want one naming RTT", err)
 	}
 }
 
 // BenchmarkReplay times the replay layer alone: one 300-chunk BBA
 // session replayed for its metrics over a 5 s-grid FCC trace, its jitter
-// read from a shared sequence that is already drawn — a what-if arm's
+// read from the seed's shared sequence, already drawn — a what-if arm's
 // unit of work.
 func BenchmarkReplay(b *testing.B) {
 	tr, err := trace.Generate(trace.DefaultFCC(1))
@@ -320,16 +311,15 @@ func BenchmarkReplay(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := Config{Video: video.Default(), Trace: tr, Net: netem.DefaultConfig(), BufferCap: DefaultBufferCap}
-	j := netem.NewJitter(cfg.Net.Seed)
 	cfg.ABR = abr.NewBBA()
-	if _, err := Replay(cfg, j); err != nil {
+	if _, err := Replay(cfg); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.ABR = abr.NewBBA()
-		if _, err := Replay(cfg, j); err != nil {
+		if _, err := Replay(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

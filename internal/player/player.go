@@ -144,21 +144,15 @@ func Run(cfg Config) (*SessionLog, Metrics, error) {
 }
 
 // Replay simulates the session for its metrics alone — the what-if
-// replays of a counterfactual query, which keep no log. With j nil the
-// connection draws its jitter from a generator of its own, as Run's
-// does; otherwise it reads it from j, which must be cfg.Net.Seed's
-// sequence. Either way the metrics are Run's, bit for bit.
-func Replay(cfg Config, j *netem.Jitter) (Metrics, error) {
+// replays of a counterfactual query, which keep no log. Its connection
+// reads its jitter from the process's one draw sequence for cfg.Net.Seed
+// (netem.NewSharedConn), which every replay of that seed shares instead
+// of seeding a generator of its own; the metrics are Run's, bit for bit.
+func Replay(cfg Config) (Metrics, error) {
 	if err := cfg.Validate(); err != nil {
 		return Metrics{}, err
 	}
-	var conn *netem.Conn
-	var err error
-	if j == nil {
-		conn, err = netem.NewConn(cfg.Net)
-	} else {
-		conn, err = j.NewConn(cfg.Net)
-	}
+	conn, err := netem.NewSharedConn(cfg.Net)
 	if err != nil {
 		return Metrics{}, err
 	}

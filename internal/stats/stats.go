@@ -178,49 +178,3 @@ func CDFInPlace(xs []float64) []CDFPoint {
 	}
 	return out
 }
-
-// RMSE returns the root mean squared error between predictions and truth.
-func RMSE(pred, truth []float64) float64 {
-	if len(pred) != len(truth) || len(pred) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for i := range pred {
-		d := pred[i] - truth[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(pred)))
-}
-
-// MAE returns the mean absolute error between predictions and truth.
-func MAE(pred, truth []float64) float64 {
-	if len(pred) != len(truth) || len(pred) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for i := range pred {
-		s += math.Abs(pred[i] - truth[i])
-	}
-	return s / float64(len(pred))
-}
-
-// Histogram counts xs into nbins equal-width bins over [lo, hi]. Samples
-// outside the range are clamped into the first/last bin.
-func Histogram(xs []float64, lo, hi float64, nbins int) []int {
-	if nbins <= 0 || hi <= lo {
-		return nil
-	}
-	counts := make([]int, nbins)
-	w := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		i := int((x - lo) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= nbins {
-			i = nbins - 1
-		}
-		counts[i]++
-	}
-	return counts
-}

@@ -116,29 +116,6 @@ func TestCDFMonotone(t *testing.T) {
 	}
 }
 
-func TestRMSEAndMAE(t *testing.T) {
-	pred := []float64{1, 2, 3}
-	truth := []float64{1, 2, 7}
-	wantRMSE := math.Sqrt(16.0 / 3)
-	if got := RMSE(pred, truth); math.Abs(got-wantRMSE) > 1e-12 {
-		t.Errorf("RMSE = %v, want %v", got, wantRMSE)
-	}
-	if got := MAE(pred, truth); math.Abs(got-4.0/3) > 1e-12 {
-		t.Errorf("MAE = %v, want %v", got, 4.0/3)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0.1, 0.2, 0.9, -5, 99}
-	h := Histogram(xs, 0, 1, 2)
-	if h[0] != 3 || h[1] != 2 {
-		t.Errorf("Histogram = %v, want [3 2] (outliers clamped)", h)
-	}
-	if Histogram(xs, 0, 1, 0) != nil {
-		t.Error("Histogram with 0 bins should be nil")
-	}
-}
-
 // The in-place forms return what the copying forms return, and leave
 // their input sorted rather than copying it.
 func TestInPlaceFormsMatchCopies(t *testing.T) {

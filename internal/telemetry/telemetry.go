@@ -152,14 +152,6 @@ func (h *Histogram) Since(t0 time.Time) {
 	h.Observe(time.Since(t0))
 }
 
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // snapshot captures the histogram's current state.
 func (h *Histogram) snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{

@@ -166,9 +166,6 @@ type Tracer struct {
 	// cursor once the ring is full.
 	errs    []Trace
 	errNext int
-	// seen counts every finished trace — with the retained sets it makes
-	// the sampling rate observable without keeping what was dropped.
-	seen uint64
 }
 
 // New returns a tracer retaining the keep slowest successful traces
@@ -203,7 +200,6 @@ func (tr *Tracer) Start(kind, id string) *T {
 func (tr *Tracer) finish(t Trace) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	tr.seen++
 	if t.Err != "" {
 		if len(tr.errs) < maxErrored {
 			tr.errs = append(tr.errs, t)
@@ -224,17 +220,6 @@ func (tr *Tracer) finish(t Trace) {
 	tr.slow = append(tr.slow, Trace{})
 	copy(tr.slow[i+1:], tr.slow[i:])
 	tr.slow[i] = t
-}
-
-// Stats reports how many traces finished and how many the sampler
-// currently retains (both 0 on nil).
-func (tr *Tracer) Stats() (seen, kept uint64) {
-	if tr == nil {
-		return 0, 0
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.seen, uint64(len(tr.slow) + len(tr.errs))
 }
 
 // Traces snapshots the notable set: every retained trace, slowest

@@ -38,10 +38,6 @@ func TestTailSamplingKeepsSlowest(t *testing.T) {
 			t.Fatalf("slot %d: dur %v, want %v (all: %v)", i, got[i].Dur, d, durs(got))
 		}
 	}
-	seen, kept := tr.Stats()
-	if seen != 10 || kept != 3 {
-		t.Fatalf("stats seen=%d kept=%d, want 10/3", seen, kept)
-	}
 }
 
 func TestTailSamplingInterleavedEviction(t *testing.T) {
@@ -154,9 +150,6 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	if got := tr.Traces(); got != nil {
 		t.Fatalf("nil tracer Traces() = %v, want nil", got)
 	}
-	if seen, kept := tr.Stats(); seen != 0 || kept != 0 {
-		t.Fatalf("nil tracer stats %d/%d", seen, kept)
-	}
 	if tr.Keep() != DefaultKeep {
 		t.Fatalf("nil tracer Keep() = %d", tr.Keep())
 	}
@@ -244,16 +237,12 @@ func TestTracerConcurrency(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 50; i++ {
 			tr.Traces()
-			tr.Stats()
 		}
 	}()
 	wg.Wait()
 	<-done
-	seen, kept := tr.Stats()
-	if seen != 1600 {
-		t.Fatalf("seen %d, want 1600", seen)
-	}
-	if kept == 0 || kept > seen {
-		t.Fatalf("kept %d out of %d", kept, seen)
+	// 8 workers × 200 traces, every 17th errored: 96 errors.
+	if kept, want := len(tr.Traces()), 8+min(96, maxErrored); kept != want {
+		t.Fatalf("kept %d traces, want %d", kept, want)
 	}
 }
