@@ -2,6 +2,7 @@ package abr
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"veritas/internal/video"
@@ -180,6 +181,31 @@ func TestNames(t *testing.T) {
 	for _, a := range []Algorithm{NewMPC(), NewBBA(), NewBOLA(), NewRandom(1), &Fixed{}} {
 		if a.Name() == "" {
 			t.Errorf("%T has empty name", a)
+		}
+	}
+}
+
+// TestZeroValueIsTheAlgorithm: with the parameters constants, a zero
+// value chooses as its constructor's instance does, decision after
+// decision of one stream (MPC's error history and Festive's rung carry
+// across the stream).
+func TestZeroValueIsTheAlgorithm(t *testing.T) {
+	v := testVideo(t)
+	for _, pair := range [][2]Algorithm{
+		{&MPC{}, NewMPC()}, {&BBA{}, NewBBA()}, {&BOLA{}, NewBOLA()}, {&Festive{}, NewFestive()},
+	} {
+		rng := rand.New(rand.NewSource(3))
+		var tputs []float64
+		last := -1
+		for i := 0; i < v.NumChunks(); i++ {
+			ctx := ctxWith(v, 5*rng.Float64(), tputs)
+			ctx.ChunkIndex, ctx.LastQuality = i, last
+			zero, built := pair[0].Choose(ctx), pair[1].Choose(ctx)
+			if zero != built {
+				t.Fatalf("%s chunk %d: zero value chose %d, constructor's %d", pair[1].Name(), i, zero, built)
+			}
+			last = zero
+			tputs = append(tputs, 0.2*math.Pow(100, rng.Float64()))
 		}
 	}
 }

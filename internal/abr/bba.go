@@ -6,39 +6,32 @@ package abr
 // streams the highest; in between it maps buffer linearly onto the
 // ladder. BBA is deliberately more aggressive than MPC at high buffer,
 // which is why the paper's Figure 8 shows it earning both higher SSIM
-// and more rebuffering.
-type BBA struct {
-	// ReservoirFrac is the fraction of the buffer cap treated as the
-	// reservoir (default 0.2).
-	ReservoirFrac float64
-	// CushionFrac is the fraction of the buffer cap at which the top
-	// quality is reached (default 0.6). With the small live-style
-	// buffers of the paper's testbed the steady-state buffer at request
-	// time sits near cap minus one chunk, so the cushion must end below
-	// that for BBA to show its characteristic aggressiveness (higher
-	// SSIM and more rebuffering than MPC, paper Fig 8).
-	CushionFrac float64
-}
+// and more rebuffering. The zero value is the algorithm, as NewBBA
+// returns it.
+type BBA struct{}
 
-// NewBBA returns BBA with the reservoir/cushion placement used by the
-// paper's testbed-scale buffers.
-func NewBBA() *BBA { return &BBA{ReservoirFrac: 0.2, CushionFrac: 0.6} }
+// BBA's rate map, as fractions of the buffer cap: the reservoir ends at
+// bbaReservoirFrac and the top quality is reached at bbaCushionFrac.
+// Huang et al. size both in seconds for a minutes-long buffer; scaled to
+// the paper's testbed buffers, the steady-state buffer at request time
+// sits near the cap minus one chunk, so the cushion must end below that
+// for BBA to show its characteristic aggressiveness (higher SSIM and
+// more rebuffering than MPC, paper Fig 8).
+const (
+	bbaReservoirFrac = 0.2
+	bbaCushionFrac   = 0.6
+)
+
+// NewBBA returns BBA.
+func NewBBA() *BBA { return &BBA{} }
 
 // Name implements Algorithm.
 func (b *BBA) Name() string { return "BBA" }
 
 // Choose implements Algorithm.
 func (b *BBA) Choose(ctx Context) int {
-	rf := b.ReservoirFrac
-	if rf == 0 {
-		rf = 0.2
-	}
-	cf := b.CushionFrac
-	if cf == 0 {
-		cf = 0.6
-	}
-	reservoir := rf * ctx.BufferCap
-	cushion := cf * ctx.BufferCap
+	reservoir := bbaReservoirFrac * ctx.BufferCap
+	cushion := bbaCushionFrac * ctx.BufferCap
 	nq := ctx.Video.NumQualities()
 	switch {
 	case ctx.BufferSeconds <= reservoir:

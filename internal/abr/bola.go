@@ -9,30 +9,26 @@ import "math"
 //	(V·(v_q + γp) − Q) / S_q
 //
 // over qualities q, where Q is the buffer level in chunks, S_q the chunk
-// size, v_q = ln(S_q / S_min) the utility, and V, γp are derived from the
-// buffer capacity so the top quality is reachable just below the cap.
+// size, v_q = ln(S_q / S_min) the utility, γp = bolaGammaP, and V is
+// derived from the buffer capacity so the top quality is reachable just
+// below the cap.
 // The utilities depend on the clip alone, so they are read from the
 // clip's table (video.Video.Utilities), built once per clip, not taken
-// per decision.
-type BOLA struct {
-	// GammaP is the γp hyperparameter trading utility against
-	// rebuffering avoidance (default 5, as in the BOLA paper's
-	// recommended setting).
-	GammaP float64
-}
+// per decision. The zero value is the algorithm, as NewBOLA returns it.
+type BOLA struct{}
 
-// NewBOLA returns BOLA Basic with the default γp.
-func NewBOLA() *BOLA { return &BOLA{GammaP: 5} }
+// bolaGammaP is γp, trading utility against rebuffering avoidance: 5,
+// the BOLA paper's recommended setting.
+const bolaGammaP = 5
+
+// NewBOLA returns BOLA Basic.
+func NewBOLA() *BOLA { return &BOLA{} }
 
 // Name implements Algorithm.
 func (b *BOLA) Name() string { return "BOLA" }
 
 // Choose implements Algorithm.
 func (b *BOLA) Choose(ctx Context) int {
-	gp := b.GammaP
-	if gp == 0 {
-		gp = 5
-	}
 	v := ctx.Video
 	nq := v.NumQualities()
 	chunk := ctx.ChunkIndex
@@ -47,7 +43,7 @@ func (b *BOLA) Choose(ctx Context) int {
 	vMax := util[nq-1]
 	// V chosen so the score of the top quality crosses zero just below
 	// the buffer cap (the standard BOLA derivation).
-	V := math.Max(0.1, (bufMaxChunks-1)/(vMax+gp))
+	V := math.Max(0.1, (bufMaxChunks-1)/(vMax+bolaGammaP))
 	Q := ctx.BufferSeconds / v.ChunkSeconds()
 
 	bestQ := 0
@@ -55,7 +51,7 @@ func (b *BOLA) Choose(ctx Context) int {
 	anyPositive := false
 	for q, vq := range util {
 		size := v.Size(chunk, q)
-		score := (V*(vq+gp) - Q) / size
+		score := (V*(vq+bolaGammaP) - Q) / size
 		if score > 0 {
 			anyPositive = true
 		}

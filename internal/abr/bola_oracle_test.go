@@ -11,12 +11,9 @@ import (
 
 // bolaOracle is BOLA.Choose as it stood before the utilities came from
 // the clip's table: a math.Log of every rung's size ratio, every
-// decision.
-func bolaOracle(b *BOLA, ctx Context) int {
-	gp := b.GammaP
-	if gp == 0 {
-		gp = 5
-	}
+// decision, with γp read from the constant.
+func bolaOracle(ctx Context) int {
+	const gp = bolaGammaP
 	v := ctx.Video
 	nq := v.NumQualities()
 	chunk := ctx.ChunkIndex
@@ -89,14 +86,12 @@ func randomBOLAContext(rng *rand.Rand, v *video.Video) Context {
 func TestBOLAMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i, v := range bolaClips() {
-		for _, gp := range []float64{0, 5, 0.5, 20} {
-			b := &BOLA{GammaP: gp}
-			for k := 0; k < 2000; k++ {
-				ctx := randomBOLAContext(rng, v)
-				if got, want := b.Choose(ctx), bolaOracle(b, ctx); got != want {
-					t.Fatalf("clip %d, γp %v, chunk %d of %d, buffer %v of %v: chose %d, oracle %d",
-						i, gp, ctx.ChunkIndex, v.NumChunks(), ctx.BufferSeconds, ctx.BufferCap, got, want)
-				}
+		b := NewBOLA()
+		for k := 0; k < 8000; k++ {
+			ctx := randomBOLAContext(rng, v)
+			if got, want := b.Choose(ctx), bolaOracle(ctx); got != want {
+				t.Fatalf("clip %d, chunk %d of %d, buffer %v of %v: chose %d, oracle %d",
+					i, ctx.ChunkIndex, v.NumChunks(), ctx.BufferSeconds, ctx.BufferCap, got, want)
 			}
 		}
 	}
@@ -116,7 +111,7 @@ func TestBOLAConcurrentFirstUse(t *testing.T) {
 			b := NewBOLA()
 			for k := 0; k < 300; k++ {
 				ctx := randomBOLAContext(rng, clips[(g+k)%len(clips)])
-				if got, want := b.Choose(ctx), bolaOracle(b, ctx); got != want {
+				if got, want := b.Choose(ctx), bolaOracle(ctx); got != want {
 					t.Errorf("goroutine %d: chunk %d chose %d, oracle %d", g, ctx.ChunkIndex, got, want)
 					return
 				}

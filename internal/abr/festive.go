@@ -5,52 +5,40 @@ package abr
 // covers: a harmonic-mean throughput target with gradual switching —
 // step up one rung only after the target has held for a few chunks,
 // step down immediately. It complements MPC/BBA/BOLA in the replay
-// engine and gives what-if queries a fourth algorithm family.
+// engine and gives what-if queries a fourth algorithm family. The zero
+// value is the algorithm, as NewFestive returns it.
 type Festive struct {
-	// Safety scales the predicted throughput (default 0.85).
-	Safety float64
-	// Window is the harmonic-mean window (default 5).
-	Window int
-	// UpDelay is how many consecutive chunks the target must exceed the
-	// current rung before stepping up (default 3).
-	UpDelay int
-
 	current int
 	upCount int
 	started bool
 }
 
-// NewFestive returns Festive with the standard parameters.
-func NewFestive() *Festive { return &Festive{Safety: 0.85, Window: 5, UpDelay: 3} }
+// Festive's parameters: the target is festiveSafety times the harmonic
+// mean of the last festiveWindow throughput observations, and a step up
+// waits for festiveUpDelay consecutive chunks whose target exceeds the
+// current rung. The 0.85 margin is FESTIVE's own. The window matches
+// MPC's, and the up-delay is one fixed count where FESTIVE's grows with
+// the rung: this reproduction's simplification of the original.
+const (
+	festiveSafety  = 0.85
+	festiveWindow  = 5
+	festiveUpDelay = 3
+)
+
+// NewFestive returns Festive.
+func NewFestive() *Festive { return &Festive{} }
 
 // Name implements Algorithm.
 func (f *Festive) Name() string { return "Festive" }
 
-func (f *Festive) params() (safety float64, window, upDelay int) {
-	safety = f.Safety
-	if safety == 0 {
-		safety = 0.85
-	}
-	window = f.Window
-	if window == 0 {
-		window = 5
-	}
-	upDelay = f.UpDelay
-	if upDelay == 0 {
-		upDelay = 3
-	}
-	return safety, window, upDelay
-}
-
 // Choose implements Algorithm.
 func (f *Festive) Choose(ctx Context) int {
-	safety, window, upDelay := f.params()
 	if !f.started {
 		f.started = true
 		f.current = 0
 		return 0
 	}
-	pred := HarmonicMean(ctx.PastThroughputMbps, window) * safety
+	pred := HarmonicMean(ctx.PastThroughputMbps, festiveWindow) * festiveSafety
 	// The reference rung: highest bitrate sustainable at the predicted
 	// throughput.
 	ref := 0
@@ -62,7 +50,7 @@ func (f *Festive) Choose(ctx Context) int {
 	switch {
 	case ref > f.current:
 		f.upCount++
-		if f.upCount >= upDelay {
+		if f.upCount >= festiveUpDelay {
 			f.current++
 			f.upCount = 0
 		}

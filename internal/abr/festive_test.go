@@ -20,7 +20,7 @@ func TestFestiveGradualUp(t *testing.T) {
 	ctx.ChunkIndex = 0
 	f.Choose(ctx) // startup chunk
 
-	// Each step up needs UpDelay consecutive confirmations, and rungs
+	// Each step up needs festiveUpDelay consecutive confirmations, and rungs
 	// rise one at a time.
 	prev := 0
 	for i := 1; i < 40; i++ {
@@ -78,7 +78,7 @@ func TestFestiveUpDelayResetsOnStall(t *testing.T) {
 		c.ChunkIndex = i + 1
 		got := f.Choose(c)
 		if got > prev {
-			t.Fatalf("step %d switched up without %d consecutive confirmations", i, f.UpDelay)
+			t.Fatalf("step %d switched up without %d consecutive confirmations", i, festiveUpDelay)
 		}
 		prev = got
 	}

@@ -6,77 +6,53 @@ import (
 	"veritas/internal/video"
 )
 
-// MPC is the model-predictive-control algorithm of Yin et al. (the
-// paper's default deployed ABR). At each step it predicts throughput
-// with a robust (error-discounted) harmonic mean, then searches quality
-// sequences over a short horizon, simulating buffer evolution, and
-// picks the first quality of the sequence maximizing a linear QoE:
-// Σ bitrate − RebufPenalty·rebuffer − SmoothPenalty·|Δbitrate|. Among
-// equally good sequences the lexicographically first wins. The search
-// is an exact branch and bound (see mpcPlan); both penalties must be
-// non-negative.
+// MPC is RobustMPC, the model-predictive-control algorithm of Yin et
+// al. (SIGCOMM 2015) and the paper's default deployed ABR. At each step
+// it predicts throughput with the harmonic mean of the last mpcWindow
+// observations, discounted by the predictor's recent worst relative
+// error, then searches quality sequences over the next mpcHorizon
+// chunks, simulating buffer evolution, and picks the first quality of
+// the sequence maximizing a linear QoE: Σ bitrate −
+// mpcRebufPenalty·rebuffer − mpcSmoothPenalty·|Δbitrate|. Among equally
+// good sequences the lexicographically first wins. The search is an
+// exact branch and bound (see mpcPlan).
+//
+// The parameters are constants: the paper's queries change which
+// algorithm a session runs and its buffer, never an algorithm's own
+// parameters. The zero value is RobustMPC, as NewMPC returns it.
 type MPC struct {
-	// Horizon is the lookahead depth in chunks (default 4).
-	Horizon int
-	// Window is the harmonic-mean window (default 5).
-	Window int
-	// RebufPenalty is QoE lost per second of rebuffering, in Mbps-equivalent
-	// units (default 8).
-	RebufPenalty float64
-	// SmoothPenalty scales the |Δbitrate| switching term. Unlike the
-	// fields above it has no zero-value default: 0 disables smoothing,
-	// and only NewMPC sets the usual 1.
-	SmoothPenalty float64
-	// Robust enables the RobustMPC error discount (default true via NewMPC).
-	Robust bool
-
-	maxErr float64 // running max relative prediction error (robust mode)
+	maxErr float64 // running max relative prediction error
 	plan   mpcPlan // planner tables and scratch, reused across Choose calls
 }
 
-// NewMPC returns RobustMPC with the defaults used across the
-// reproduction's experiments.
-func NewMPC() *MPC {
-	return &MPC{Horizon: 4, Window: 5, RebufPenalty: 8, SmoothPenalty: 1, Robust: true}
-}
+// RobustMPC's parameters. The five-observation window and the unit
+// switching penalty follow the common RobustMPC configuration; the
+// four-chunk horizon and the rebuffering penalty of 8 (Mbps of bitrate
+// per second of stall) are this reproduction's testbed values, with
+// which every experiment table and golden session was computed.
+const (
+	mpcHorizon       = 4 // lookahead depth, chunks
+	mpcWindow        = 5 // harmonic-mean window, observations
+	mpcRebufPenalty  = 8 // QoE lost per second of rebuffering, Mbps-equivalent
+	mpcSmoothPenalty = 1 // QoE lost per Mbps of switching
+)
+
+// NewMPC returns RobustMPC.
+func NewMPC() *MPC { return &MPC{} }
 
 // Name implements Algorithm.
 func (m *MPC) Name() string { return "MPC" }
 
-func (m *MPC) horizon() int {
-	if m.Horizon <= 0 {
-		return 4
-	}
-	return m.Horizon
-}
-
-func (m *MPC) window() int {
-	if m.Window <= 0 {
-		return 5
-	}
-	return m.Window
-}
-
-func (m *MPC) rebufPenalty() float64 {
-	if m.RebufPenalty == 0 {
-		return 8
-	}
-	return m.RebufPenalty
-}
-
-// predict returns the robust throughput estimate in Mbps.
+// predict returns the robust throughput estimate in Mbps: the harmonic
+// mean discounted by the max relative error of the harmonic-mean
+// predictor on past observations.
 func (m *MPC) predict(past []float64) float64 {
-	hm := HarmonicMean(past, m.window())
+	hm := HarmonicMean(past, mpcWindow)
 	if hm <= 0 {
 		return 0
 	}
-	if !m.Robust {
-		return hm
-	}
-	// RobustMPC: track the max relative error of the harmonic-mean
-	// predictor on past observations and discount by it.
 	if len(past) >= 2 {
-		prev := HarmonicMean(past[:len(past)-1], m.window())
+		prev := HarmonicMean(past[:len(past)-1], mpcWindow)
 		actual := past[len(past)-1]
 		if prev > 0 && actual > 0 {
 			err := math.Abs(prev-actual) / actual
@@ -99,13 +75,13 @@ func (m *MPC) Choose(ctx Context) int {
 		// systems the paper logs.
 		return 0
 	}
-	h := min(m.horizon(), v.NumChunks()-ctx.ChunkIndex)
+	h := min(mpcHorizon, v.NumChunks()-ctx.ChunkIndex)
 	if h <= 0 {
 		return 0
 	}
 	p := &m.plan
-	if p.video != v || p.smooth != m.SmoothPenalty {
-		p.setLadder(v, m.SmoothPenalty)
+	if p.video != v {
+		p.setLadder(v)
 	}
 	nq, hn := p.nq, h*p.nq
 	if n := 4*hn + nq + h; len(p.buf) < n {
@@ -113,7 +89,7 @@ func (m *MPC) Choose(ctx Context) int {
 	}
 	p.dl, p.step, p.key = p.buf[:hn], p.buf[hn:2*hn], p.buf[2*hn:3*hn]
 	p.upper, p.bmax = p.buf[3*hn:4*hn+nq], p.buf[4*hn+nq:4*hn+nq+h]
-	p.h, p.rebufPen, p.chunkSec, p.bufCap = h, m.rebufPenalty(), v.ChunkSeconds(), ctx.BufferCap
+	p.h, p.chunkSec, p.bufCap = h, v.ChunkSeconds(), ctx.BufferCap
 
 	// Forward pass: the download-time table, and bmax[d], the most any
 	// path can hold before chunk d (every earlier one at its fastest).
@@ -147,7 +123,7 @@ func (m *MPC) Choose(ctx Context) int {
 			for q, t := range dl {
 				r := rate[q]
 				if t > b {
-					r -= p.rebufPen * (t - b)
+					r -= mpcRebufPenalty * (t - b)
 				}
 				if r += next[q] - pen[q]; r > u {
 					u = r
@@ -180,33 +156,32 @@ func (m *MPC) Choose(ctx Context) int {
 // hundred thousand times more at any searchable horizon, so no leaf
 // that ties or beats the incumbent is ever cut.
 type mpcPlan struct {
-	video  *video.Video // ladder that rate and pen were built for
-	smooth float64      // SmoothPenalty that pen was built for
-	rate   []float64    // [q] ladder bitrate, Mbps
-	pen    []float64    // [(last+1)*nq+q] smooth·|rate_q − rate_last|; row 0 (no previous chunk) is zero
+	video *video.Video // ladder that rate and pen were built for
+	rate  []float64    // [q] ladder bitrate, Mbps
+	pen   []float64    // [(last+1)*nq+q] mpcSmoothPenalty·|rate_q − rate_last|; row 0 (no previous chunk) is zero
 
-	h, nq                      int
-	rebufPen, chunkSec, bufCap float64
-	buf                        []float64 // backing store of the tables below
-	dl                         []float64 // [d*nq+q] predicted download seconds
-	bmax                       []float64 // [d] upper bound on the buffer before chunk d
-	upper                      []float64 // [d*nq+last], rows 1..h; row h is zero
-	step, key                  []float64 // [d*nq+q] node scratch: step score, step + upper
-	first, bestQ               int       // depth-0 quality of the path being explored, and of the incumbent
-	best, floor                float64   // incumbent score, and the bound below which a subtree is cut
+	h, nq            int
+	chunkSec, bufCap float64
+	buf              []float64 // backing store of the tables below
+	dl               []float64 // [d*nq+q] predicted download seconds
+	bmax             []float64 // [d] upper bound on the buffer before chunk d
+	upper            []float64 // [d*nq+last], rows 1..h; row h is zero
+	step, key        []float64 // [d*nq+q] node scratch: step score, step + upper
+	first, bestQ     int       // depth-0 quality of the path being explored, and of the incumbent
+	best, floor      float64   // incumbent score, and the bound below which a subtree is cut
 }
 
 // setLadder rebuilds the per-ladder tables.
-func (p *mpcPlan) setLadder(v *video.Video, smooth float64) {
+func (p *mpcPlan) setLadder(v *video.Video) {
 	nq := v.NumQualities()
-	p.video, p.smooth, p.nq = v, smooth, nq
+	p.video, p.nq = v, nq
 	p.rate, p.pen = make([]float64, nq), make([]float64, (nq+1)*nq)
 	for q := range p.rate {
 		p.rate[q] = v.Quality(q).Mbps
 	}
 	for last, lr := range p.rate {
 		for q, r := range p.rate {
-			p.pen[(last+1)*nq+q] = smooth * math.Abs(r-lr)
+			p.pen[(last+1)*nq+q] = mpcSmoothPenalty * math.Abs(r-lr)
 		}
 	}
 }
@@ -227,7 +202,7 @@ func (p *mpcPlan) search(d int, buffer float64, last int, score float64) {
 	for q, t := range dl {
 		s := p.rate[q]
 		if t > buffer {
-			s -= p.rebufPen * (t - buffer)
+			s -= mpcRebufPenalty * (t - buffer)
 		}
 		s -= pen[q]
 		step[q], key[q] = s, s+upper[q]

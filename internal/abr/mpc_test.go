@@ -12,15 +12,15 @@ import (
 // exhaustiveChoose is MPC.Choose as it stood before the branch-and-bound
 // planner, kept verbatim as the oracle: a depth-first enumeration of
 // every quality sequence whose only pruning is "a perfect completion
-// cannot catch the incumbent". It advances m's error history exactly
-// like Choose, so feed it a twin instance.
+// cannot catch the incumbent". It reads MPC's constants and advances
+// m's error history exactly like Choose, so feed it a twin instance.
 func exhaustiveChoose(m *MPC, ctx Context) int {
 	v := ctx.Video
 	pred := m.predict(ctx.PastThroughputMbps)
 	if pred <= 0 {
 		return 0
 	}
-	horizon := m.horizon()
+	horizon := mpcHorizon
 	remaining := v.NumChunks() - ctx.ChunkIndex
 	if horizon > remaining {
 		horizon = remaining
@@ -56,9 +56,9 @@ func exhaustiveChoose(m *MPC, ctx Context) int {
 				nb = ctx.BufferCap
 			}
 			rate := v.Quality(q).Mbps
-			step := rate - m.rebufPenalty()*rebuf
+			step := rate - mpcRebufPenalty*rebuf
 			if lastQ >= 0 {
-				step -= m.SmoothPenalty * math.Abs(rate-v.Quality(lastQ).Mbps)
+				step -= mpcSmoothPenalty * math.Abs(rate-v.Quality(lastQ).Mbps)
 			}
 			seq[depth] = q
 			search(depth+1, nb, q, score+step)
@@ -86,25 +86,15 @@ func plannerClips() []*video.Video {
 // hostileSamples are throughput observations no real download produces.
 var hostileSamples = []float64{0, math.NaN(), math.Inf(1), math.Inf(-1), -3, 5e-324, 1e-300, 1e300, math.MaxFloat64}
 
-// randomPlannerCase draws one decision context and sets m's knobs for
-// it. kind 0 is the general mix, 1 the tie-heavy one (no VBR, no
-// smoothing), 2 a hostile throughput history.
+// randomPlannerCase draws one decision context and sets m's carried
+// error for it. kind 0 is the general mix, 1 the tie-heavy one (no VBR),
+// 2 a hostile throughput history.
 func randomPlannerCase(rng *rand.Rand, clips []*video.Video, kind int, m *MPC) Context {
 	v := clips[rng.Intn(len(clips))]
-	m.SmoothPenalty = []float64{1, 1, 1, 0, 0.5, 3}[rng.Intn(6)]
 	if kind == 1 {
 		v = clips[1+2*rng.Intn(2)]
-		m.SmoothPenalty = 0
 	}
 	nq := v.NumQualities()
-	// Deep horizons only where the oracle can afford them.
-	m.Horizon = []int{0, 1, 2, 3, 3, 4, 4, 4}[rng.Intn(8)]
-	if deep := rng.Intn(40); deep == 0 || (deep < 4 && nq < 8) {
-		m.Horizon = 5 + rng.Intn(2)
-	}
-	m.RebufPenalty = []float64{0, 0, 4.3, 20}[rng.Intn(4)]
-	m.Window = []int{0, 0, 3, 8}[rng.Intn(4)]
-	m.Robust = rng.Intn(4) != 0
 	// A fresh error history per case: carried across unrelated contexts
 	// it would grow until every prediction is near zero.
 	m.maxErr = 0.5 * rng.Float64() * float64(rng.Intn(2))
@@ -135,7 +125,7 @@ func randomPlannerCase(rng *rand.Rand, clips []*video.Video, kind int, m *MPC) C
 // million seeded contexts, the branch and bound and the exhaustive
 // oracle must pick the same quality. One planner instance serves a
 // whole stream of contexts, so its ladder tables and scratch are
-// re-targeted across clips, horizons and penalties on the way.
+// re-targeted across clips and cut horizons on the way.
 func TestMPCMatchesExhaustive(t *testing.T) {
 	total := 1 << 20
 	if testing.Short() {
@@ -154,12 +144,11 @@ func TestMPCMatchesExhaustive(t *testing.T) {
 					kind = 1 + r/9 // 70 % general, 20 % tie-heavy, 10 % hostile
 				}
 				ctx := randomPlannerCase(rng, clips, kind, plan)
-				oracle.Horizon, oracle.Window, oracle.Robust = plan.Horizon, plan.Window, plan.Robust
-				oracle.RebufPenalty, oracle.SmoothPenalty, oracle.maxErr = plan.RebufPenalty, plan.SmoothPenalty, plan.maxErr
+				oracle.maxErr = plan.maxErr
 				got, want := plan.Choose(ctx), exhaustiveChoose(oracle, ctx)
 				if got != want {
-					t.Fatalf("case %d (kind %d): planner chose %d, exhaustive search %d\nmpc %+v\nctx %+v",
-						i, kind, got, want, *oracle, ctx)
+					t.Fatalf("case %d (kind %d): planner chose %d, exhaustive search %d\ncarried error %v\nctx %+v",
+						i, kind, got, want, oracle.maxErr, ctx)
 				}
 			}
 		})
@@ -186,30 +175,6 @@ func TestMPCHostileHistory(t *testing.T) {
 	}
 }
 
-// TestMPCZeroValueSmoothPenalty pins the documented asymmetry: a
-// zero-value MPC gets the default horizon, window and rebuffer penalty
-// but no smoothing; only NewMPC sets SmoothPenalty to 1.
-func TestMPCZeroValueSmoothPenalty(t *testing.T) {
-	if got := NewMPC().SmoothPenalty; got != 1 {
-		t.Fatalf("NewMPC().SmoothPenalty = %v, want 1", got)
-	}
-	v := testVideo(t)
-	ctx := ctxWith(v, 1, []float64{1.5, 1.5, 1.5, 1.5, 1.5})
-	if got, want := (&MPC{}).Choose(ctx), exhaustiveChoose(&MPC{Horizon: 4, Window: 5, RebufPenalty: 8}, ctx); got != want {
-		t.Errorf("zero-value MPC chose %d, want %d (defaults 4/5/8, no smoothing)", got, want)
-	}
-	// The clip's last chunk on a fast link: nothing but a switching cost
-	// keeps the planner off the top rung.
-	ctx = ctxWith(v, 4, []float64{50, 50, 50, 50, 50})
-	ctx.ChunkIndex = v.NumChunks() - 1
-	if got := (&MPC{}).Choose(ctx); got != v.NumQualities()-1 {
-		t.Errorf("zero-value MPC chose %d on the last chunk, want the top rung: it must not smooth", got)
-	}
-	if got := (&MPC{SmoothPenalty: 2}).Choose(ctx); got != ctx.LastQuality {
-		t.Errorf("SmoothPenalty 2 chose %d on the last chunk, want to stay at %d", got, ctx.LastQuality)
-	}
-}
-
 // TestChooseDoesNotAllocate guards the replay and simulate hot paths: a
 // decision of BBA, BOLA or a warm MPC allocates nothing.
 func TestChooseDoesNotAllocate(t *testing.T) {
@@ -225,7 +190,7 @@ func TestChooseDoesNotAllocate(t *testing.T) {
 
 var sinkQuality int
 
-// BenchmarkMPCChoose times warm MPC decisions mid-clip at the default
+// BenchmarkMPCChoose times warm MPC decisions mid-clip at the full
 // horizon, where the predicted throughput sits below, inside and above
 // the ladder: the bound is loosest when rebuffering is unavoidable. One
 // op is a sweep of 256 decisions over chunk indices and buffer levels

@@ -38,8 +38,8 @@ func TestVecMulIntoDoesNotAllocate(t *testing.T) {
 }
 
 // TestInPlaceKernelsBitIdentical pins the determinism contract the hmm
-// layer relies on: the Into variants reproduce the allocating ones bit
-// for bit (same accumulation order, zero-then-accumulate).
+// layer relies on when it reuses scratch: each Into kernel overwrites
+// its destination, so a dirty dst gets the same bits as a zeroed one.
 func TestInPlaceKernelsBitIdentical(t *testing.T) {
 	a, _ := FromRows([][]float64{
 		{0.17, 0.33, 0.5},
@@ -48,33 +48,28 @@ func TestInPlaceKernelsBitIdentical(t *testing.T) {
 	})
 	b := a.Pow(3)
 	v := []float64{0.123456789, 0.987654321, 1.0 / 3.0}
-
-	m := a.Mul(b)
-	mi := NewMatrix(3, 3)
-	// Dirty dst: the kernel must fully overwrite it.
-	for i := range mi.Data {
-		mi.Data[i] = math.NaN()
-	}
-	a.MulInto(mi, b)
-	if !m.Equal(mi) {
-		t.Error("MulInto differs from Mul")
-	}
-
-	mv := a.MulVec(v)
-	mvi := []float64{math.NaN(), math.NaN(), math.NaN()}
-	a.MulVecInto(mvi, v)
-	for i := range mv {
-		if mv[i] != mvi[i] {
-			t.Errorf("MulVecInto[%d] = %v, MulVec = %v", i, mvi[i], mv[i])
+	dirty := func(xs []float64) {
+		for i := range xs {
+			xs[i] = math.NaN()
 		}
 	}
 
-	vm := a.VecMul(v)
-	vmi := []float64{math.NaN(), math.NaN(), math.NaN()}
-	a.VecMulInto(vmi, v)
-	for i := range vm {
-		if vm[i] != vmi[i] {
-			t.Errorf("VecMulInto[%d] = %v, VecMul = %v", i, vmi[i], vm[i])
+	clean, mi := NewMatrix(3, 3), NewMatrix(3, 3)
+	dirty(mi.Data)
+	a.MulInto(clean, b)
+	a.MulInto(mi, b)
+	if !clean.Equal(mi) {
+		t.Error("MulInto into a dirty dst differs from a zeroed one")
+	}
+	for name, kernel := range map[string]func(dst, v []float64){"MulVecInto": a.MulVecInto, "VecMulInto": a.VecMulInto} {
+		want, got := make([]float64, 3), make([]float64, 3)
+		dirty(got)
+		kernel(want, v)
+		kernel(got, v)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s into a dirty dst: [%d] = %v, zeroed dst %v", name, i, got[i], want[i])
+			}
 		}
 	}
 }

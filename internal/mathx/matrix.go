@@ -115,15 +115,8 @@ func (m *Matrix) MulInto(dst, b *Matrix) {
 	}
 }
 
-// MulVec returns m × v as a new vector.
-func (m *Matrix) MulVec(v []float64) []float64 {
-	out := make([]float64, m.Rows)
-	m.MulVecInto(out, v)
-	return out
-}
-
 // MulVecInto computes m × v into dst (length m.Rows), which must not
-// alias v. Same op order as MulVec, so results are bit-identical.
+// alias v.
 func (m *Matrix) MulVecInto(dst, v []float64) {
 	if m.Cols != len(v) {
 		panic(fmt.Sprintf("mathx: dimension mismatch %dx%d × vec(%d)", m.Rows, m.Cols, len(v)))
@@ -141,17 +134,8 @@ func (m *Matrix) MulVecInto(dst, v []float64) {
 	}
 }
 
-// VecMul returns vᵀ × m as a new vector (useful for forward recursions of
-// row-stochastic chains).
-func (m *Matrix) VecMul(v []float64) []float64 {
-	out := make([]float64, m.Cols)
-	m.VecMulInto(out, v)
-	return out
-}
-
 // VecMulInto computes vᵀ × m into dst (length m.Cols), which must not
-// alias v. Same accumulation order as VecMul, so results are
-// bit-identical.
+// alias v (useful for forward recursions of row-stochastic chains).
 func (m *Matrix) VecMulInto(dst, v []float64) {
 	if m.Rows != len(v) {
 		panic(fmt.Sprintf("mathx: dimension mismatch vec(%d) × %dx%d", len(v), m.Rows, m.Cols))

@@ -69,17 +69,19 @@ func TestMulDimensionPanic(t *testing.T) {
 
 func TestMulVec(t *testing.T) {
 	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	got := a.MulVec([]float64{1, 1})
+	got := make([]float64, 2)
+	a.MulVecInto(got, []float64{1, 1})
 	if got[0] != 3 || got[1] != 7 {
-		t.Errorf("MulVec = %v, want [3 7]", got)
+		t.Errorf("MulVecInto = %v, want [3 7]", got)
 	}
 }
 
 func TestVecMul(t *testing.T) {
 	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	got := a.VecMul([]float64{1, 1})
+	got := make([]float64, 2)
+	a.VecMulInto(got, []float64{1, 1})
 	if got[0] != 4 || got[1] != 6 {
-		t.Errorf("VecMul = %v, want [4 6]", got)
+		t.Errorf("VecMulInto = %v, want [4 6]", got)
 	}
 }
 

@@ -104,21 +104,29 @@ func (s State) CheckEstimable() error {
 	return nil
 }
 
+// segmentMax caps a segment count before it becomes an int: 2⁵³, the
+// bound past which a float64 stops counting every integer (Saturation's
+// bound). Converting a larger quotient is implementation-defined in Go
+// (on amd64 one past 2⁶³ wraps to a negative int), so a count is
+// clamped first; every count below the cap is the quotient's own.
+const segmentMax = 1 << 53
+
 // Segments returns the number of MSS-sized segments needed for a payload
-// of the given size in bytes (at least 1 for any positive size).
+// of the given size in bytes (at least 1 for any positive size, at most
+// 2⁵³).
 func Segments(bytes float64) int {
 	if bytes <= 0 {
 		return 0
 	}
-	return int(math.Ceil(bytes / MSS))
+	return int(min(math.Ceil(bytes/MSS), segmentMax))
 }
 
 // BDPSegments returns the bandwidth-delay product of a link running at
 // gtbw Mbps with the given RTT, expressed in segments (at least 1 so that
-// transmission always makes progress).
+// transmission always makes progress, at most 2⁵³).
 func BDPSegments(gtbwMbps, rtt float64) int {
 	bytes := gtbwMbps * 1e6 / 8 * rtt
-	seg := int(bytes / MSS)
+	seg := int(min(bytes/MSS, segmentMax))
 	if seg < 1 {
 		seg = 1
 	}
@@ -190,10 +198,11 @@ func EstimateThroughput(gtbwMbps float64, s State, sizeBytes float64) float64 {
 	dataSeg := Segments(sizeBytes)
 	bdpSeg := BDPSegments(gtbwMbps, s.MinRTT)
 
-	if int(s.CWND) >= bdpSeg {
+	if s.CWND >= float64(bdpSeg) {
 		// The window is no constraint: either the transfer is long enough
 		// to observe the full link rate, or it fits in one flight and the
-		// observed throughput is size over one RTT.
+		// observed throughput is size over one RTT. Compared as floats:
+		// a finite window past 2⁶³ segments has no int.
 		if dataSeg > bdpSeg {
 			return gtbwMbps
 		}

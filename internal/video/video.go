@@ -215,11 +215,6 @@ func (v *Video) NumQualities() int { return len(v.cfg.Ladder) }
 // ChunkSeconds returns playback seconds per chunk.
 func (v *Video) ChunkSeconds() float64 { return v.cfg.ChunkSeconds }
 
-// DurationSeconds returns the total playback duration.
-func (v *Video) DurationSeconds() float64 {
-	return float64(v.cfg.NumChunks) * v.cfg.ChunkSeconds
-}
-
 // Ladder returns a copy of the quality ladder.
 func (v *Video) Ladder() []Quality {
 	out := make([]Quality, len(v.cfg.Ladder))

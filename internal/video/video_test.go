@@ -96,8 +96,8 @@ func TestSSIMAnchorsMatchPaper(t *testing.T) {
 
 func TestDuration(t *testing.T) {
 	v := MustSynthesize(DefaultConfig(1))
-	if v.DurationSeconds() != 600 {
-		t.Errorf("default video duration %v, want 600", v.DurationSeconds())
+	if d := float64(v.NumChunks()) * v.ChunkSeconds(); d != 600 {
+		t.Errorf("default video duration %v, want 600", d)
 	}
 }
 
@@ -175,9 +175,9 @@ func TestPrefixEqualsSynthesis(t *testing.T) {
 		if got.NumChunks() != n || got.NumChunks() != want.NumChunks() {
 			t.Fatalf("Prefix(%d) has %d chunks, synthesis %d", n, got.NumChunks(), want.NumChunks())
 		}
-		if got.DurationSeconds() != want.DurationSeconds() || got.ChunkSeconds() != want.ChunkSeconds() || got.NumQualities() != want.NumQualities() {
-			t.Errorf("Prefix(%d): duration %v, chunk %v s, %d rungs; synthesis %v, %v s, %d",
-				n, got.DurationSeconds(), got.ChunkSeconds(), got.NumQualities(), want.DurationSeconds(), want.ChunkSeconds(), want.NumQualities())
+		if got.ChunkSeconds() != want.ChunkSeconds() || got.NumQualities() != want.NumQualities() {
+			t.Errorf("Prefix(%d): chunk %v s, %d rungs; synthesis %v s, %d",
+				n, got.ChunkSeconds(), got.NumQualities(), want.ChunkSeconds(), want.NumQualities())
 		}
 		for c := 0; c < n; c++ {
 			for q := 0; q < want.NumQualities(); q++ {
