@@ -244,10 +244,10 @@ func worker(cfg config, c corpus, id int, deadline time.Time) map[string]*epStat
 	r := mathx.NewRand(cfg.seed + int64(id)*9973)
 	var zScen, zArm *rand.Zipf
 	if len(c.scenarios) > 0 {
-		zScen = rand.NewZipf(r, cfg.zipfS, cfg.zipfV, uint64(len(c.scenarios)-1))
+		zScen = rand.NewZipf(&r.Rand, cfg.zipfS, cfg.zipfV, uint64(len(c.scenarios)-1))
 	}
 	if len(c.arms) > 0 {
-		zArm = rand.NewZipf(r, cfg.zipfS, cfg.zipfV, uint64(len(c.arms)-1))
+		zArm = rand.NewZipf(&r.Rand, cfg.zipfS, cfg.zipfV, uint64(len(c.arms)-1))
 	}
 	var totalWeight int
 	for _, m := range cfg.mix {
@@ -285,7 +285,7 @@ func worker(cfg config, c corpus, id int, deadline time.Time) map[string]*epStat
 
 // buildPath picks concrete query parameters for one request: Zipf-hot
 // scenarios and arms, rotating metrics and estimators uniformly.
-func buildPath(ep string, c corpus, r *rand.Rand, zScen, zArm *rand.Zipf) string {
+func buildPath(ep string, c corpus, r *mathx.Rand, zScen, zArm *rand.Zipf) string {
 	q := url.Values{}
 	// Half the aggregate reads filter by a (Zipf-hot) scenario, like
 	// per-scenario dashboard panels; the rest take the whole corpus.

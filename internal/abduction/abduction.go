@@ -98,13 +98,19 @@ type Abduction struct {
 	// The estimate traces of Figure 6 are properties of the session, not
 	// of a what-if arm: built on first use (Abduct stays trace-free for
 	// interventional callers), then read by every Counterfactual and
-	// SampleTraces. They are freshly allocated, never carved from
-	// Config.Scratch — but they are built from Observations and
-	// SampledPaths, so first use falls under the Scratch lifetime rule.
+	// SampleTraces. Their points share one slab: the Arena's when an
+	// Arena made the Abduction, else freshly allocated — but they are
+	// built from Observations and SampledPaths, so first use falls under
+	// the Scratch lifetime rule either way.
 	tracesOnce  sync.Once
 	baseline    *trace.Trace
 	baselineErr error
 	samples     []*trace.Trace
+
+	// The arena that made the Abduction, if any, and its Abduct count
+	// then: the Abduction's storage is its own while they agree.
+	arena *Arena
+	epoch uint64
 }
 
 // Observations converts a session log into the EHMM's evidence sequence.
@@ -265,59 +271,83 @@ func Abduct(log *player.SessionLog, cfg Config) (*Abduction, error) {
 // ConfigUsed returns the (defaulted) configuration.
 func (a *Abduction) ConfigUsed() Config { return a.cfg }
 
-// MostLikelyTrace returns the GTBW trace implied by the Viterbi path.
+// MostLikelyTrace returns the GTBW trace implied by the Viterbi path. It
+// is freshly allocated, and the caller's.
 func (a *Abduction) MostLikelyTrace() *trace.Trace {
-	return a.pathToTrace(a.ViterbiPath)
+	a.mustBeLive()
+	n := a.pathPoints()
+	return a.pathToTrace(a.ViterbiPath, make([]trace.Point, n), make([]int, n))
 }
 
 // SampleTraces returns the K posterior traces, interpolated onto the
 // δ grid (paper: "intermediate values are interpolated from sampled
 // C_s1:N"). Every call returns the same traces; do not modify the slice.
+// The traces of an Abduction an Arena made are valid only until that
+// Arena's next Abduct.
 func (a *Abduction) SampleTraces() []*trace.Trace {
+	a.mustBeLive()
 	a.tracesOnce.Do(a.buildTraces)
 	return a.samples
 }
 
-// buildTraces builds the session's estimate traces: the K sample traces
-// and the Baseline trace.
+// buildTraces builds the session's estimate traces, the K sample traces
+// and the Baseline trace, over one slab of points (traceStorage). The
+// log passed Abduct's checks; the Baseline checks it again, as
+// BaselineTrace does, before its size is trusted.
 func (a *Abduction) buildTraces() {
-	a.samples = make([]*trace.Trace, len(a.SampledPaths))
-	for i, p := range a.SampledPaths {
-		a.samples[i] = a.pathToTrace(p)
+	k, n := len(a.SampledPaths), a.pathPoints()
+	nb := 0
+	if a.baselineErr = checkRecords(a.log); a.baselineErr == nil {
+		nb = baselinePoints(a.log)
 	}
-	a.baseline, a.baselineErr = BaselineTrace(a.log)
+	pts, counts := a.traceStorage(k, n, nb)
+	a.samples = make([]*trace.Trace, k)
+	for i, p := range a.SampledPaths {
+		a.samples[i] = a.pathToTrace(p, pts[i*n:(i+1)*n:(i+1)*n], counts)
+	}
+	if a.baselineErr == nil {
+		a.baseline, a.baselineErr = baselineInto(pts[k*n:], a.log)
+	}
 }
 
-// pathToTrace expands per-chunk states into a per-interval trace:
-// intervals carrying one or more chunk starts take (the mean of) those
-// chunks' capacities; intervals between chunk starts are linearly
-// interpolated and re-quantized to the ε grid; leading/trailing
-// intervals hold the nearest inferred value.
-func (a *Abduction) pathToTrace(path []int) *trace.Trace {
+// pathPoints is the step count of a path's trace: one per δ-interval
+// through the last chunk start's, plus one of padding beyond the final
+// chunk so replays that run longer (e.g. more rebuffering in Setting B)
+// still see defined bandwidth; Trace.At holds the last value beyond the
+// end anyway.
+func (a *Abduction) pathPoints() int {
+	return a.Observations[len(a.Observations)-1].StartInterval + 2
+}
+
+// pathToTrace expands per-chunk states into a per-interval trace over
+// pts (pathPoints long; the trace keeps it), using counts (as long) as
+// its per-interval tally: intervals carrying one or more chunk starts
+// take (the mean of) those chunks' capacities; intervals between chunk
+// starts are linearly interpolated and re-quantized to the ε grid;
+// leading/trailing intervals hold the nearest inferred value. Both
+// buffers may hold anything on entry.
+func (a *Abduction) pathToTrace(path []int, pts []trace.Point, counts []int) *trace.Trace {
 	eps := a.cfg.HMM.EpsMbps
 	// Observations are in interval order (Infer refuses any other).
 	first := a.Observations[0].StartInterval
 	last := a.Observations[len(a.Observations)-1].StartInterval
-	// Pad beyond the final chunk so replays that run longer (e.g. more
-	// rebuffering in Setting B) still see defined bandwidth; Trace.At
-	// holds the last value beyond the end anyway.
-	vals := make([]float64, last+2)
-	counts := make([]int, len(vals)) // chunk starts per interval
+	clear(pts)
+	clear(counts) // chunk starts per interval
 
 	for i, o := range a.Observations {
 		// Multiple chunks start in one interval ("zero, one or more
 		// observations per hidden state"): average their draws.
 		idx := o.StartInterval
-		vals[idx] = (vals[idx]*float64(counts[idx]) + a.Model.Capacity(path[i])) / float64(counts[idx]+1)
+		pts[idx].Mbps = (pts[idx].Mbps*float64(counts[idx]) + a.Model.Capacity(path[i])) / float64(counts[idx]+1)
 		counts[idx]++
 	}
 
 	// Extend the edges; interpolate the gaps between intervals that
 	// carry a chunk start.
 	for i := 0; i < first; i++ {
-		vals[i] = vals[first]
+		pts[i].Mbps = pts[first].Mbps
 	}
-	vals[last+1] = vals[last]
+	pts[last+1].Mbps = pts[last].Mbps
 	prev := first
 	for i := first + 1; i <= last; i++ {
 		if counts[i] == 0 {
@@ -325,13 +355,13 @@ func (a *Abduction) pathToTrace(path []int) *trace.Trace {
 		}
 		for j := prev + 1; j < i; j++ {
 			t := float64(j-prev) / float64(i-prev)
-			v := vals[prev] + (vals[i]-vals[prev])*t
-			vals[j] = math.Round(v/eps) * eps
+			v := pts[prev].Mbps + (pts[i].Mbps-pts[prev].Mbps)*t
+			pts[j].Mbps = math.Round(v/eps) * eps
 		}
 		prev = i
 	}
 
-	tr, err := trace.FromSteps(a.cfg.HMM.DeltaSecs, vals)
+	tr, err := trace.FromPoints(a.cfg.HMM.DeltaSecs, pts)
 	if err != nil {
 		panic(fmt.Sprintf("abduction: internal trace construction failed: %v", err))
 	}
@@ -345,6 +375,7 @@ func (a *Abduction) pathToTrace(path []int) *trace.Trace {
 // matrix by the elapsed δ-intervals to get the expected GTBW, and runs
 // the estimator f.
 func (a *Abduction) PredictDownloadTime(startSecs float64, st tcp.State, sizeBytes float64) float64 {
+	a.mustBeLive()
 	lastObs := a.Observations[len(a.Observations)-1]
 	lastState := a.ViterbiPath[len(a.ViterbiPath)-1]
 	gap := int(startSecs/a.cfg.HMM.DeltaSecs) - lastObs.StartInterval

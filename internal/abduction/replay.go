@@ -41,13 +41,19 @@ func Replay(tr *trace.Trace, s Setting) (player.Metrics, error) {
 	if err := s.Validate(); err != nil {
 		return player.Metrics{}, err
 	}
-	return player.Replay(player.Config{
+	return player.Replay(s.playerConfig(tr))
+}
+
+// playerConfig is the session the setting streams over tr, with a fresh
+// ABR instance.
+func (s Setting) playerConfig(tr *trace.Trace) player.Config {
+	return player.Config{
 		Video:     s.Video,
 		ABR:       s.NewABR(),
 		Trace:     tr,
 		Net:       s.Net,
 		BufferCap: s.BufferCap,
-	})
+	}
 }
 
 // CounterfactualOutcome collects the replay results for one session and
@@ -81,19 +87,24 @@ func (o *CounterfactualOutcome) BitrateRange() (low, high float64) {
 // Counterfactual replays the what-if setting over the session's Baseline
 // trace and every Veritas sample trace. (The oracle replay over the true
 // GTBW is the caller's job, since only the experiment harness holds the
-// ground truth.)
+// ground truth.) On an Abduction an Arena made, the replays run through
+// the arena's connection and history (Arena.Replay), and the call fails
+// with ErrArenaReused once the arena has abducted another session.
 func (a *Abduction) Counterfactual(s Setting) (*CounterfactualOutcome, error) {
+	if err := a.live(); err != nil {
+		return nil, err
+	}
 	a.tracesOnce.Do(a.buildTraces)
 	if a.baselineErr != nil {
 		return nil, a.baselineErr
 	}
-	baseM, err := Replay(a.baseline, s)
+	baseM, err := a.arena.Replay(a.baseline, s)
 	if err != nil {
 		return nil, err
 	}
 	out := &CounterfactualOutcome{Baseline: baseM, Samples: make([]player.Metrics, len(a.samples))}
 	for i, tr := range a.samples {
-		if out.Samples[i], err = Replay(tr, s); err != nil {
+		if out.Samples[i], err = a.arena.Replay(tr, s); err != nil {
 			return nil, err
 		}
 	}

@@ -1,17 +1,13 @@
 package abr
 
-import (
-	"math/rand"
-
-	"veritas/internal/mathx"
-)
+import "veritas/internal/mathx"
 
 // Random picks qualities uniformly at random. The paper uses random
 // bitrate selection to build the interventional test set of Figure 12:
 // chunk-size sequences a deployed ABR would never produce, exactly where
 // associational predictors like Fugu are biased.
 type Random struct {
-	rng *rand.Rand
+	rng *mathx.Rand
 }
 
 // NewRandom returns a seeded Random algorithm.

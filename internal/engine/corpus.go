@@ -7,6 +7,7 @@ import (
 
 	"veritas/internal/abduction"
 	"veritas/internal/abr"
+	"veritas/internal/mathx"
 	"veritas/internal/netem"
 	"veritas/internal/player"
 	"veritas/internal/trace"
@@ -83,7 +84,8 @@ func (cfg CorpusConfig) video() *video.Video {
 // result is fully deterministic in the config: each spec depends only on
 // its own index, so Workers goroutines fill the slots in any order and
 // the specs — and the error, the lowest-index one — are those a serial
-// build gives.
+// build gives. Each goroutine keeps one generator and reseeds it for
+// every trace it draws (trace.GenerateWith).
 func BuildCorpus(cfg CorpusConfig) ([]SessionSpec, error) {
 	scenarios := cfg.Scenarios
 	if len(scenarios) == 0 {
@@ -103,8 +105,13 @@ func BuildCorpus(cfg CorpusConfig) ([]SessionSpec, error) {
 	}
 	vid := cfg.video()
 
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	corpus := make([]SessionSpec, len(scenarios)*per)
-	build := func(_, k int) error {
+	rngs := make([]*mathx.Rand, workers) // one per goroutine, made on its first trace
+	build := func(w, k int) error {
 		si, i := k/per, k%per
 		name := scenarios[si]
 		seed := cfg.Seed + int64(si)*10_000 + int64(i)
@@ -118,7 +125,10 @@ func BuildCorpus(cfg CorpusConfig) ([]SessionSpec, error) {
 			var gcfg trace.GenConfig
 			gcfg, err = trace.RegimeConfig(name, seed)
 			if err == nil {
-				gt, err = trace.Generate(gcfg)
+				if rngs[w] == nil {
+					rngs[w] = mathx.NewRand(seed)
+				}
+				gt, err = trace.GenerateWith(rngs[w], gcfg)
 			}
 		}
 		if err != nil {
@@ -136,10 +146,6 @@ func BuildCorpus(cfg CorpusConfig) ([]SessionSpec, error) {
 			Net:       &net,
 		}
 		return nil
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	if err := forEachIndex(len(corpus), workers, build); err != nil {
 		return nil, err

@@ -11,17 +11,36 @@ import (
 	"time"
 
 	"veritas/internal/stats"
+	"veritas/internal/trace"
 )
 
 // TestBuildCorpusIndependentOfWorkers: the worker count shapes how fast
 // the corpus is built, never what it holds — every spec's ID, scenario,
 // net seed and trace point, and the error of a corpus with bad
-// scenarios, are the serial build's.
+// scenarios, are the serial build's. The serial build's traces, each
+// drawn from its worker's one reseeded generator, are those a fresh
+// trace.Generate gives.
 func TestBuildCorpusIndependentOfWorkers(t *testing.T) {
 	cfg := CorpusConfig{SessionsPer: 5, NumChunks: 30, Seed: 4, Workers: 1}
 	serial, err := BuildCorpus(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, s := range serial {
+		if s.Scenario == "square" {
+			continue
+		}
+		gcfg, err := trace.RegimeConfig(s.Scenario, s.Net.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := trace.Generate(gcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(s.Trace, want) {
+			t.Errorf("spec %s: the worker's reseeded generator drew another trace than trace.Generate", s.ID)
+		}
 	}
 	bad := CorpusConfig{Scenarios: []string{"fcc", "lte", "dialup", "wifi", "vhs"}, SessionsPer: 3, Seed: 4, Workers: 1}
 	_, serialErr := BuildCorpus(bad)

@@ -10,12 +10,13 @@
 //   - A shared queue: workers pull one corpus index at a time, so they
 //     stay busy even when session costs are skewed (long rebuffering
 //     sessions abduce more intervals).
-//   - Scratch arenas: each worker owns one hmm.Scratch sized by the
-//     largest session shape it has seen and recycled across its whole
-//     corpus slice, so the per-session inference path is
-//     allocation-flat. Retained abductions (Config.KeepAbductions)
-//     would alias recycled memory, so that mode falls back to fresh
-//     per-session buffers.
+//   - Session arenas: each worker owns one abduction.Arena — inference
+//     slabs and one reseeded generator, one connection and throughput
+//     history, the estimate traces' step slabs — sized by the largest
+//     session shape it has seen and recycled across its whole corpus
+//     slice, so a session allocates little beyond what it returns.
+//     Retained abductions (Config.KeepAbductions) would alias recycled
+//     memory, so that mode falls back to fresh per-session buffers.
 //   - Shared transition powers: sessions with equal capacity grids
 //     share one process-wide table of transition-matrix powers (see
 //     mathx.SharedPowers) instead of rebuilding it per session.
@@ -35,7 +36,6 @@ import (
 
 	"veritas/internal/abduction"
 	"veritas/internal/abr"
-	"veritas/internal/hmm"
 	"veritas/internal/mathx"
 	"veritas/internal/netem"
 	"veritas/internal/player"
@@ -312,12 +312,13 @@ func Run(ctx context.Context, cfg Config, corpus []SessionSpec, arms []Arm) (*Re
 		results = make([]SessionResult, len(corpus))
 	}
 	var completed atomic.Int64
-	// Per-worker reusable state: the inference arena, sized by the
-	// largest session its worker sees and recycled across all of them.
-	// KeepAbductions retains per-session results that would alias the
-	// recycled arena, so that mode allocates fresh buffers per session
-	// instead.
-	scratch := make([]*hmm.Scratch, workers)
+	// Per-worker reusable state: the session arena (inference slabs and
+	// generator, connection, throughput history, trace slabs), sized by
+	// the largest session its worker sees and recycled across all of
+	// them. KeepAbductions retains per-session results that would alias
+	// the recycled arena, so that mode runs with a nil arena, which
+	// allocates fresh buffers per session instead.
+	arenas := make([]*abduction.Arena, workers)
 	err := forEachIndex(len(corpus), workers, func(w, i int) error {
 		if !cfg.inShard(i) || cfg.Skip[specID(corpus[i], i)] {
 			return nil
@@ -325,11 +326,11 @@ func Run(ctx context.Context, cfg Config, corpus []SessionSpec, arms []Arm) (*Re
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if scratch[w] == nil && !cfg.KeepAbductions {
-			scratch[w] = hmm.NewScratch()
+		if arenas[w] == nil && !cfg.KeepAbductions {
+			arenas[w] = new(abduction.Arena)
 		}
 		tb := cfg.Tracer.Start("session", specID(corpus[i], i))
-		res, err := runOne(cfg, corpus[i], arms, i, scratch[w], em, tb)
+		res, err := runOne(cfg, corpus[i], arms, i, arenas[w], em, tb)
 		tb.Finish(err)
 		if err != nil {
 			return fmt.Errorf("engine: session %d (%s): %w", i, corpus[i].ID, err)
@@ -425,11 +426,12 @@ func specID(spec SessionSpec, idx int) string {
 
 // runOne executes the full pipeline for one session. It is pure given
 // the spec and index — em and tb only observe durations and counts,
-// never steering computation, and the worker-owned sc only recycles
-// storage (a recycled arena behaves exactly like a fresh one) — which
-// is what makes fleet results independent of worker count, scheduling,
-// telemetry, and tracing. The caller finishes tb with runOne's error.
-func runOne(cfg Config, spec SessionSpec, arms []Arm, idx int, sc *hmm.Scratch, em *engineMetrics, tb *tracing.T) (SessionResult, error) {
+// never steering computation, and the worker-owned ar only recycles
+// storage (a recycled arena behaves exactly like a fresh one; a nil one
+// allocates per session) — which is what makes fleet results
+// independent of worker count, scheduling, telemetry, and tracing. The
+// caller finishes tb with runOne's error.
+func runOne(cfg Config, spec SessionSpec, arms []Arm, idx int, ar *abduction.Arena, em *engineMetrics, tb *tracing.T) (SessionResult, error) {
 	res := SessionResult{Index: idx, ID: specID(spec, idx), Scenario: spec.Scenario}
 	sessStart := em.now()
 	if spec.Scenario != "" {
@@ -458,7 +460,7 @@ func runOne(cfg Config, spec SessionSpec, arms []Arm, idx int, sc *hmm.Scratch, 
 		}
 		var m player.Metrics
 		var err error
-		log, m, err = player.Run(player.Config{
+		log, m, err = ar.Simulate(player.Config{
 			Video:     vid,
 			ABR:       newABR(),
 			Trace:     spec.Trace,
@@ -489,10 +491,9 @@ func runOne(cfg Config, spec SessionSpec, arms []Arm, idx int, sc *hmm.Scratch, 
 		// posteriors whatever the worker count.
 		acfg.Seed = cfg.Seed + 1 + int64(idx)*101
 	}
-	acfg.Scratch = sc // nil under KeepAbductions: results must own their buffers
 	abductStart := em.now()
 	abductT0 := tb.Now()
-	abd, err := abduction.Abduct(log, acfg)
+	abd, err := ar.Abduct(log, acfg) // a nil arena under KeepAbductions: results own their buffers
 	if err != nil {
 		return res, fmt.Errorf("abduct: %w", err)
 	}
@@ -511,7 +512,7 @@ func runOne(cfg Config, spec SessionSpec, arms []Arm, idx int, sc *hmm.Scratch, 
 		}
 		oc := ArmOutcome{Name: arm.Name, Baseline: out.Baseline, Samples: out.Samples}
 		if spec.Trace != nil {
-			truth, err := abduction.Replay(spec.Trace, arm.Setting)
+			truth, err := ar.Replay(spec.Trace, arm.Setting)
 			if err != nil {
 				return res, fmt.Errorf("arm %s oracle: %w", arm.Name, err)
 			}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -151,15 +152,25 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestArenaDoesNotChangeResults pins that the per-worker scratch arena
+// TestArenaDoesNotChangeResults pins that the per-worker session arena
 // is purely an allocation optimization: a run that recycles arenas
 // across sessions (the default) and a run that allocates fresh buffers
-// per session (KeepAbductions) produce byte-identical aggregates. One
+// per session (KeepAbductions) produce byte-identical results. One
 // worker forces every session of the corpus through the same arena —
-// the worst case for cross-session bleed.
+// the worst case for cross-session bleed — and the sessions' chunk
+// counts and the arms' clip lengths vary, so the generator, the
+// connection, the throughput history and the trace slabs are each
+// grown, shrunk and left dirty from one session to the next.
 func TestArenaDoesNotChangeResults(t *testing.T) {
-	corpus := testCorpus(t, 2)
+	corpus := testCorpus(t, 3)
+	for i := range corpus {
+		corpus[i].MaxChunks = []int{30, 7, 22, 1, 30, 12, 3}[i%7]
+	}
 	arms := testArms(30)
+	for _, a := range testArms(12) {
+		a.Name += "-12"
+		arms = append(arms, a)
+	}
 	arena, err := Run(context.Background(), Config{Workers: 1, Samples: 3, Seed: 1}, corpus, arms)
 	if err != nil {
 		t.Fatal(err)
@@ -171,15 +182,48 @@ func TestArenaDoesNotChangeResults(t *testing.T) {
 	if fingerprint(arena) != fingerprint(fresh) {
 		t.Error("arena reuse changed inference results")
 	}
+	for i, got := range arena.Sessions {
+		want := fresh.Sessions[i]
+		if got.SettingA != want.SettingA || !reflect.DeepEqual(got.Log, want.Log) || !reflect.DeepEqual(got.Arms, want.Arms) {
+			t.Fatalf("session %d (%d chunks): the arena run's log, Setting A or arms differ from the fresh run's", i, corpus[i].MaxChunks)
+		}
+	}
 	// Retained abductions must own their buffers: sessions on the same
-	// worker must not alias one shared arena.
-	for i := 1; i < len(fresh.Sessions); i++ {
-		a, b := fresh.Sessions[i-1].Abd, fresh.Sessions[i].Abd
-		if a == nil || b == nil {
+	// worker must not alias one shared arena, and each one still answers
+	// its own session's queries once every later session has run.
+	for i, s := range fresh.Sessions {
+		a := s.Abd
+		if a == nil {
 			t.Fatal("KeepAbductions did not retain abductions")
 		}
-		if len(a.ViterbiPath) > 0 && len(b.ViterbiPath) > 0 && &a.ViterbiPath[0] == &b.ViterbiPath[0] {
-			t.Fatal("retained abductions alias the same path buffer")
+		if i > 0 {
+			b := fresh.Sessions[i-1].Abd
+			if &a.ViterbiPath[0] == &b.ViterbiPath[0] || &a.Observations[0] == &b.Observations[0] {
+				t.Fatal("retained abductions alias the same path or observation buffer")
+			}
+			if ta, tb := a.SampleTraces()[0], b.SampleTraces()[0]; ta == tb {
+				t.Fatal("retained abductions share a sample trace")
+			}
+		}
+		acfg := a.ConfigUsed()
+		acfg.Scratch = nil
+		own, err := abduction.Abduct(s.Log, acfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, tr := range a.SampleTraces() {
+			if !reflect.DeepEqual(tr.Points(), own.SampleTraces()[k].Points()) {
+				t.Fatalf("session %d: retained sample trace %d changed after later sessions ran", i, k)
+			}
+		}
+		for k, arm := range arms {
+			out, err := a.Counterfactual(arm.Setting)
+			if err != nil {
+				t.Fatalf("session %d: a retained abduction's Counterfactual: %v", i, err)
+			}
+			if out.Baseline != s.Arms[k].Baseline || !reflect.DeepEqual(out.Samples, s.Arms[k].Samples) {
+				t.Fatalf("session %d: a retained abduction replays arm %s differently after the run", i, arm.Name)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"veritas/internal/abduction"
 	"veritas/internal/player"
+	"veritas/internal/trace"
 )
 
 // tinyScale keeps unit-test runtime low while still exercising every
@@ -253,6 +255,15 @@ func TestScenarioAndWorkersPlumb(t *testing.T) {
 	}
 }
 
+// stepRange returns the smallest and largest step values of tr.
+func stepRange(tr *trace.Trace) (min, max float64) {
+	min, max = math.Inf(1), math.Inf(-1)
+	for _, p := range tr.Points() {
+		min, max = math.Min(min, p.Mbps), math.Max(max, p.Mbps)
+	}
+	return min, max
+}
+
 func TestPoorGoodTraces(t *testing.T) {
 	traces, err := poorGoodTraces(1, 6)
 	if err != nil {
@@ -263,10 +274,10 @@ func TestPoorGoodTraces(t *testing.T) {
 	}
 	// First half poor, second half good.
 	for i := 0; i < 3; i++ {
-		if _, max := traces[i].MinMax(); max > 0.3+1e-9 {
+		if _, max := stepRange(traces[i]); max > 0.3+1e-9 {
 			t.Errorf("poor trace %d max %v", i, max)
 		}
-		if min, _ := traces[i+3].MinMax(); min < 9-1e-9 {
+		if min, _ := stepRange(traces[i+3]); min < 9-1e-9 {
 			t.Errorf("good trace %d min %v", i, min)
 		}
 	}

@@ -28,6 +28,37 @@ type Net struct {
 	mW, vW [][]float64
 	mB, vB [][]float64
 	step   int
+
+	train *trainArena // trainBatch's buffers, made on the first batch
+}
+
+// trainArena is the storage one minibatch step needs, kept with its Net
+// and reused by every batch: the per-layer gradient sums, the
+// activations of one sample, and the error signal per layer. Each
+// buffer is zeroed or fully overwritten before it is read, exactly where
+// a fresh allocation would have been zero, so training does the same
+// float operations in the same order as with fresh buffers.
+type trainArena struct {
+	gradW, gradB [][]float64 // per layer, like weights and biases
+	acts         [][]float64 // acts[0] is the input; acts[l+1] is layer l's output
+	deltas       [][]float64 // deltas[l]: the error at layer l's output
+}
+
+func newTrainArena(n *Net) *trainArena {
+	L := len(n.weights)
+	ta := &trainArena{
+		gradW:  make([][]float64, L),
+		gradB:  make([][]float64, L),
+		acts:   make([][]float64, L+1),
+		deltas: make([][]float64, L),
+	}
+	for l := 0; l < L; l++ {
+		ta.gradW[l] = make([]float64, len(n.weights[l]))
+		ta.gradB[l] = make([]float64, len(n.biases[l]))
+		ta.acts[l+1] = make([]float64, n.sizes[l+1])
+		ta.deltas[l] = make([]float64, n.sizes[l+1])
+	}
+	return ta
 }
 
 // NewNet builds a network with the given layer sizes (input, hidden...,
@@ -73,8 +104,15 @@ func (n *Net) Forward(x []float64) []float64 {
 }
 
 func (n *Net) layerForward(l int, in []float64, relu bool) []float64 {
+	out := make([]float64, n.sizes[l+1])
+	n.layerForwardInto(out, l, in, relu)
+	return out
+}
+
+// layerForwardInto writes layer l's activations for input in into out,
+// every cell of it.
+func (n *Net) layerForwardInto(out []float64, l int, in []float64, relu bool) {
 	inSize, outSize := n.sizes[l], n.sizes[l+1]
-	out := make([]float64, outSize)
 	w := n.weights[l]
 	for o := 0; o < outSize; o++ {
 		s := n.biases[l][o]
@@ -87,7 +125,6 @@ func (n *Net) layerForward(l int, in []float64, relu bool) []float64 {
 		}
 		out[o] = s
 	}
-	return out
 }
 
 // TrainConfig controls optimization.
@@ -140,28 +177,30 @@ func (n *Net) Train(X, Y [][]float64, cfg TrainConfig) (float64, error) {
 }
 
 // trainBatch accumulates gradients over the batch and applies one Adam
-// step; returns the summed loss.
+// step; returns the summed loss. Its buffers are the Net's trainArena.
 func (n *Net) trainBatch(X, Y [][]float64, batch []int, lr float64) float64 {
 	L := len(n.weights)
-	gradW := make([][]float64, L)
-	gradB := make([][]float64, L)
+	if n.train == nil {
+		n.train = newTrainArena(n)
+	}
+	ta := n.train
+	gradW, gradB, acts := ta.gradW, ta.gradB, ta.acts
 	for l := 0; l < L; l++ {
-		gradW[l] = make([]float64, len(n.weights[l]))
-		gradB[l] = make([]float64, len(n.biases[l]))
+		clear(gradW[l])
+		clear(gradB[l])
 	}
 
 	var loss float64
 	for _, s := range batch {
 		x, y := X[s], Y[s]
 		// Forward pass, keeping activations.
-		acts := make([][]float64, L+1)
 		acts[0] = x
 		for l := 0; l < L; l++ {
-			acts[l+1] = n.layerForward(l, acts[l], l < L-1)
+			n.layerForwardInto(acts[l+1], l, acts[l], l < L-1)
 		}
 		out := acts[L]
 		// MSE gradient at the output.
-		delta := make([]float64, len(out))
+		delta := ta.deltas[L-1]
 		for o := range out {
 			d := out[o] - y[o]
 			loss += 0.5 * d * d
@@ -184,7 +223,8 @@ func (n *Net) trainBatch(X, Y [][]float64, batch []int, lr float64) float64 {
 				}
 			}
 			if l > 0 {
-				prev := make([]float64, inSize)
+				prev := ta.deltas[l-1]
+				clear(prev)
 				for o := 0; o < outSize; o++ {
 					d := delta[o]
 					if d == 0 {
@@ -206,6 +246,7 @@ func (n *Net) trainBatch(X, Y [][]float64, batch []int, lr float64) float64 {
 		}
 	}
 
+	acts[0] = nil // the caller's sample, not the arena's
 	inv := 1 / float64(len(batch))
 	n.step++
 	const beta1, beta2, eps = 0.9, 0.999, 1e-8

@@ -162,7 +162,7 @@ func TestFitTransitionsImprovesLikelihood(t *testing.T) {
 		}
 	}
 	// The learned matrix must be a valid stochastic matrix.
-	if !fit.Model.trans.IsRowStochastic(1e-6) {
+	if !rowStochastic(fit.Model.trans, 1e-6) {
 		t.Error("learned transition matrix not row-stochastic")
 	}
 	// And inference with it must still work.

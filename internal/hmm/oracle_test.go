@@ -501,7 +501,7 @@ func oracleViterbiInto(m *Model, sc *Scratch, N int) ([]int, float64) {
 
 // oracleSampleInto is the parent's sampleInto, reading one column of
 // the materialised pair slab per step.
-func oracleSampleInto(m *Model, out []int, weights []float64, rng *rand.Rand, post *oraclePosterior, viterbi []int) error {
+func oracleSampleInto(m *Model, out []int, weights []float64, rng *mathx.Rand, post *oraclePosterior, viterbi []int) error {
 	N := post.Len()
 	if len(viterbi) != N {
 		return errors.New("hmm: viterbi path length mismatch")
@@ -570,7 +570,7 @@ func oracleInfer(t *testing.T, m *Model, obs []Observation, k int, seed int64) *
 	inf := &oracleInference{Path: path, PathLogProb: best, Post: post}
 	if k > 0 {
 		inf.Samples = sc.samples(k, N)
-		rng := rand.New(rand.NewSource(seed))
+		rng := mathx.NewRand(seed)
 		for s := 0; s < k; s++ {
 			if err := oracleSampleInto(m, inf.Samples[s], sc.weights, rng, post, path); err != nil {
 				t.Fatal(err)

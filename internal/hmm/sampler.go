@@ -2,7 +2,6 @@ package hmm
 
 import (
 	"errors"
-	"math/rand"
 
 	"veritas/internal/mathx"
 )
@@ -18,7 +17,7 @@ import (
 //
 // Only that column of Γ is computed (pairColumnInto). It expects Infer's
 // α/β pass and sc.total filled.
-func (m *Model) sampleInto(out []int, sc *Scratch, rng *rand.Rand, post *Posterior, viterbi []int) error {
+func (m *Model) sampleInto(out []int, sc *Scratch, rng *mathx.Rand, post *Posterior, viterbi []int) error {
 	N := post.Len()
 	if len(viterbi) != N {
 		return errors.New("hmm: viterbi path length mismatch")

@@ -10,7 +10,6 @@ package hmm
 // model's fit to the world: this judges the code, not the model.
 
 import (
-	"math/rand"
 	"testing"
 
 	"veritas/internal/mathx"
@@ -83,7 +82,7 @@ func sbcRanks(t *testing.T, m *Model, seed int64) [][sbcK + 1]int {
 
 // sbcRank is the number of samples below truth at chunk n, plus a
 // uniform share of those equal to it.
-func sbcRank(rng *rand.Rand, samples [][]int, n, truth int) int {
+func sbcRank(rng *mathx.Rand, samples [][]int, n, truth int) int {
 	below, ties := 0, 0
 	for _, s := range samples {
 		switch {

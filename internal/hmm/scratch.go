@@ -71,6 +71,10 @@ type Scratch struct {
 
 	// observation buffer (escapes into Abduction via ObservationsInto)
 	obs []Observation
+
+	// the worker's one generator: Infer's sampler reseeds it per call,
+	// and the layers above borrow it through Rand
+	rng *mathx.Rand
 }
 
 // NewScratch returns an empty arena; slabs grow on first use and are
@@ -156,6 +160,30 @@ func (sc *Scratch) Observations(n int) []Observation {
 	}
 	sc.obs = sc.obs[:n]
 	return sc.obs
+}
+
+// Rand returns the arena's one generator, made on first use. Whoever
+// draws from it reseeds it first — Infer's sampler with its seed, a
+// worker's deployed connection through netem.(*Conn).Reset — so no draw
+// depends on who drew before, and a worker reseeds one 4.9 KB register
+// per use instead of allocating one. Like the arena, it is not safe for
+// concurrent use.
+func (sc *Scratch) Rand() *mathx.Rand {
+	if sc.rng == nil {
+		sc.rng = mathx.NewRand(1)
+	}
+	return sc.rng
+}
+
+// reseeded returns the arena's generator reseeded with seed: seeded
+// once, when it is made, or reseeded after.
+func (sc *Scratch) reseeded(seed int64) *mathx.Rand {
+	if sc.rng == nil {
+		sc.rng = mathx.NewRand(seed)
+	} else {
+		sc.rng.Seed(seed)
+	}
+	return sc.rng
 }
 
 // scratch returns the model's attached arena, or a fresh private one

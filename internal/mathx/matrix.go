@@ -178,24 +178,6 @@ func (m *Matrix) Pow(k int) *Matrix {
 	return result
 }
 
-// IsRowStochastic reports whether every row sums to 1 within tol and all
-// entries are non-negative.
-func (m *Matrix) IsRowStochastic(tol float64) bool {
-	for i := 0; i < m.Rows; i++ {
-		var s float64
-		for _, v := range m.Row(i) {
-			if v < -tol {
-				return false
-			}
-			s += v
-		}
-		if math.Abs(s-1) > tol {
-			return false
-		}
-	}
-	return true
-}
-
 // NormalizeRows scales each row to sum to 1. Rows that sum to zero become
 // uniform distributions.
 func (m *Matrix) NormalizeRows() {

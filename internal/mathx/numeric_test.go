@@ -2,7 +2,6 @@ package mathx
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -55,7 +54,7 @@ func TestArgMax(t *testing.T) {
 }
 
 func TestSampleCategoricalDeterministicExtremes(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	rng := NewRand(1)
 	for i := 0; i < 100; i++ {
 		if got := SampleCategorical(rng, []float64{0, 0, 1, 0}); got != 2 {
 			t.Fatalf("SampleCategorical point mass drew %d", got)
@@ -64,7 +63,7 @@ func TestSampleCategoricalDeterministicExtremes(t *testing.T) {
 }
 
 func TestSampleCategoricalFrequencies(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
+	rng := NewRand(42)
 	w := []float64{1, 3}
 	counts := [2]int{}
 	const n = 20000
@@ -78,7 +77,7 @@ func TestSampleCategoricalFrequencies(t *testing.T) {
 }
 
 func TestSampleCategoricalAllZeroFallsBack(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+	rng := NewRand(7)
 	seen := map[int]bool{}
 	for i := 0; i < 200; i++ {
 		seen[SampleCategorical(rng, []float64{0, 0, 0})] = true

@@ -1,11 +1,9 @@
 package mathx
 
-import "math/rand"
-
 // SampleCategorical draws an index from the (not necessarily normalized)
 // non-negative weight vector w using rng. If all weights are zero it
 // falls back to a uniform draw so callers never receive an invalid index.
-func SampleCategorical(rng *rand.Rand, w []float64) int {
+func SampleCategorical(rng *Rand, w []float64) int {
 	if len(w) == 0 {
 		panic("mathx: SampleCategorical on empty weights")
 	}

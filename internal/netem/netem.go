@@ -15,15 +15,23 @@
 //
 // Jitter is one standard-normal draw per round from mathx.NewRand(Seed),
 // the module's one seeded source, whose draws equal math/rand's
-// rand.New(rand.NewSource(Seed)). A Conn from NewConn draws from a
-// generator of its own. A Conn from NewSharedConn reads the same draws,
-// in the same order, from the process's one sequence for its seed: every
-// shared connection of a seed reads that sequence from its start, so the
-// generator is seeded once per seed per process, not once per
-// connection, and each downloads exactly as a private connection would.
-// The registry keeps each sequence for the life of the process, grown to
-// as many draws as the longest run of any one connection of its seed (a
-// few thousand for a 300-chunk session); past sharedJitterCap seeds, a
+// rand.New(rand.NewSource(Seed)). Who owns the generator depends on how
+// the Conn was made, never what it draws:
+//   - A Conn from NewConn draws from a generator of its own.
+//   - A Conn readied by Reset draws from the caller's generator, which
+//     Reset reseeds with Seed: a fleet worker keeps one generator (in
+//     its hmm.Scratch) and one Conn, and every session's deployed
+//     connection reseeds that generator instead of allocating another.
+//   - A Conn from NewSharedConn, or readied by ResetShared, reads the
+//     same draws, in the same order, from the process's one sequence for
+//     its seed: every shared connection of a seed reads that sequence
+//     from its start, so the generator is seeded once per seed per
+//     process, not once per connection.
+//
+// Each downloads exactly as a NewConn connection would. The registry
+// keeps each sequence for the life of the process, grown to as many
+// draws as the longest run of any one connection of its seed (a few
+// thousand for a 300-chunk session); past sharedJitterCap seeds, a
 // shared connection of a new seed reads a sequence of its own.
 //
 // Download is the innermost loop of every simulation and replay, so it
@@ -39,7 +47,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 
 	"veritas/internal/mathx"
@@ -122,10 +129,10 @@ type Conn struct {
 	ssthresh float64
 	lastSend float64
 	hasSent  bool
-	// The jitter source: a private generator (NewConn), or a shared
-	// jitter read from index 0 through tape, the prefix of its draws
-	// this connection has fetched so far.
-	rng   *rand.Rand
+	// The jitter source: a generator (NewConn's own, or the caller's
+	// one handed to Reset), or a shared jitter read from index 0 through
+	// tape, the prefix of its draws this connection has fetched so far.
+	rng   *mathx.Rand
 	jit   *jitter
 	tape  []float64
 	drawn int
@@ -140,26 +147,45 @@ var ErrStalled = errors.New("netem: download stalled on zero bandwidth")
 // logs stay JSON-encodable.
 const NeverSentGap = 1e9
 
-// NewConn returns a fresh connection over the configured path.
+// NewConn returns a fresh connection over the configured path, with a
+// jitter generator of its own seeded with cfg.Seed.
 func NewConn(cfg Config) (*Conn, error) {
-	c, err := newConn(cfg)
-	if err != nil {
+	c := new(Conn)
+	if err := c.reset(cfg); err != nil {
 		return nil, err
 	}
 	c.rng = mathx.NewRand(cfg.Seed)
 	return c, nil
 }
 
-// newConn returns a connection with no jitter source yet.
-func newConn(cfg Config) (*Conn, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// Reset makes c the connection NewConn(cfg) returns, except that its
+// jitter comes from rng, reseeded here with cfg.Seed, instead of from a
+// generator of its own: the draws, and so every download, are those of
+// NewConn(cfg)'s connection. The caller owns rng and must not draw from
+// it while c is in use. A worker that streams one session after another
+// keeps one Conn and one generator this way instead of allocating both
+// per session. On an invalid cfg, c is left as it was.
+func (c *Conn) Reset(cfg Config, rng *mathx.Rand) error {
+	if err := c.reset(cfg); err != nil {
+		return err
 	}
-	return &Conn{
+	rng.Seed(cfg.Seed)
+	c.rng = rng
+	return nil
+}
+
+// reset returns c to a fresh connection over cfg with no jitter source
+// yet.
+func (c *Conn) reset(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	*c = Conn{
 		cfg:      cfg,
 		cwnd:     tcp.InitCWND,
 		ssthresh: tcp.DefaultSSThresh,
-	}, nil
+	}
+	return nil
 }
 
 // jitter is one seed's sequence of NormFloat64 draws from
@@ -169,7 +195,7 @@ func newConn(cfg Config) (*Conn, error) {
 type jitter struct {
 	seed  int64
 	mu    sync.Mutex
-	rng   *rand.Rand // nil until the first draw
+	rng   *mathx.Rand // nil until the first draw
 	draws []float64
 }
 
@@ -225,14 +251,24 @@ func sharedJitter(seed int64) *jitter {
 
 // NewSharedConn returns a fresh connection over the configured path that
 // reads its jitter from the process's sequence of cfg.Seed instead of a
-// private generator. It downloads exactly as NewConn(cfg)'s would.
+// generator. It downloads exactly as NewConn(cfg)'s would.
 func NewSharedConn(cfg Config) (*Conn, error) {
-	c, err := newConn(cfg)
-	if err != nil {
+	c := new(Conn)
+	if err := c.ResetShared(cfg); err != nil {
 		return nil, err
 	}
-	c.jit = sharedJitter(cfg.Seed)
 	return c, nil
+}
+
+// ResetShared makes c the connection NewSharedConn(cfg) returns, reusing
+// only its storage: a replay loop keeps one Conn instead of allocating
+// one per replay. On an invalid cfg, c is left as it was.
+func (c *Conn) ResetShared(cfg Config) error {
+	if err := c.reset(cfg); err != nil {
+		return err
+	}
+	c.jit = sharedJitter(cfg.Seed)
+	return nil
 }
 
 // State returns the TCP control state at time now — the snapshot the

@@ -1,6 +1,7 @@
 package player
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"veritas/internal/abr"
+	"veritas/internal/mathx"
 	"veritas/internal/netem"
 	"veritas/internal/tcp"
 	"veritas/internal/trace"
@@ -237,6 +239,73 @@ func TestRunAndReplayMatchOracle(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("%s: Replay metrics %+v, oracle %+v", c.name, got, want)
+		}
+	}
+}
+
+// TestScratchMatchesOracle streams every oracle case — clips of 300, 90
+// and 40 chunks, each ABR, both buffers — through one Scratch and one
+// generator, alternating Run and Replay, with a session that stalls
+// mid-download (leaving the connection and the history dirty) between
+// cases. Every log and metric must be the oracle's, bit for bit, and
+// every log Run returned must still hold its records once the Scratch
+// has streamed everything else: nothing returned points into it.
+func TestScratchMatchesOracle(t *testing.T) {
+	dying, err := trace.New([]trace.Point{{T: 0, Mbps: 5}, {T: 30, Mbps: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stall := Config{Video: video.Default(), Trace: dying, Net: netem.DefaultConfig(), BufferCap: 30}
+	var sc Scratch
+	rng := mathx.NewRand(99)
+	type kept struct {
+		name string
+		log  *SessionLog
+		want []ChunkRecord
+	}
+	var logs []kept
+	for i, c := range oracleCases(t) {
+		cfg := c.cfg
+		cfg.ABR = c.newABR()
+		wantLog, want, err := runOracle(cfg)
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", c.name, err)
+		}
+		cfg.ABR = c.newABR()
+		log, got, err := sc.Run(cfg, rng)
+		if err != nil {
+			t.Fatalf("%s: Scratch.Run: %v", c.name, err)
+		}
+		if got != want {
+			t.Errorf("%s: Scratch.Run metrics %+v, oracle %+v", c.name, got, want)
+		}
+		logs = append(logs, kept{c.name, log, wantLog.Records})
+		cfg.ABR = c.newABR()
+		if got, err = sc.Replay(cfg); err != nil {
+			t.Fatalf("%s: Scratch.Replay: %v", c.name, err)
+		}
+		if got != want {
+			t.Errorf("%s: Scratch.Replay metrics %+v, oracle %+v", c.name, got, want)
+		}
+		if i%3 == 0 {
+			stall.ABR = abr.NewBBA()
+			if _, err := sc.Replay(stall); !errors.Is(err, netem.ErrStalled) {
+				t.Fatalf("replay over a dying link: %v, want %v", err, netem.ErrStalled)
+			}
+			stall.ABR = abr.NewMPC()
+			if _, _, err := sc.Run(stall, rng); !errors.Is(err, netem.ErrStalled) {
+				t.Fatalf("session over a dying link: %v, want %v", err, netem.ErrStalled)
+			}
+		}
+	}
+	for _, k := range logs {
+		if len(k.log.Records) != len(k.want) {
+			t.Fatalf("%s: kept log has %d records, oracle %d", k.name, len(k.log.Records), len(k.want))
+		}
+		for i := range k.want {
+			if k.log.Records[i] != k.want[i] {
+				t.Fatalf("%s: kept log's record %d = %+v, oracle %+v", k.name, i, k.log.Records[i], k.want[i])
+			}
 		}
 	}
 }

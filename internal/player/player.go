@@ -16,6 +16,7 @@ import (
 	"math"
 
 	"veritas/internal/abr"
+	"veritas/internal/mathx"
 	"veritas/internal/netem"
 	"veritas/internal/tcp"
 	"veritas/internal/trace"
@@ -129,18 +130,23 @@ func Run(cfg Config) (*SessionLog, Metrics, error) {
 	if err != nil {
 		return nil, Metrics{}, err
 	}
-	log := &SessionLog{
+	log := newLog(cfg)
+	m, err := run(cfg, conn, log, make([]float64, 0, cfg.chunks()))
+	if err != nil {
+		return nil, Metrics{}, err
+	}
+	return log, m, nil
+}
+
+// newLog returns the empty log of a validated config's session.
+func newLog(cfg Config) *SessionLog {
+	return &SessionLog{
 		Records:      make([]ChunkRecord, 0, cfg.chunks()),
 		BufferCap:    cfg.BufferCap,
 		RTT:          cfg.Net.RTT,
 		ChunkSeconds: cfg.Video.ChunkSeconds(),
 		ABRName:      cfg.ABR.Name(),
 	}
-	m, err := run(cfg, conn, log)
-	if err != nil {
-		return nil, Metrics{}, err
-	}
-	return log, m, nil
 }
 
 // Replay simulates the session for its metrics alone — the what-if
@@ -156,13 +162,70 @@ func Replay(cfg Config) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
 	}
-	return run(cfg, conn, nil)
+	return run(cfg, conn, nil, make([]float64, 0, cfg.chunks()))
+}
+
+// Scratch is a replay arena: one connection and one throughput history
+// that every session streamed through it reuses, instead of allocating
+// a netem.Conn and a history of one float per chunk per session. A
+// fleet worker streams its deployed session and every what-if replay of
+// every session through one Scratch. Run and Replay through a Scratch
+// return exactly what the package's Run and Replay return, and nothing
+// they return points into the Scratch: the connection is reset and the
+// history refilled from its start by each call (the ABR contexts only
+// read the history, during the call). The zero Scratch is ready to use;
+// it is not safe for concurrent use.
+type Scratch struct {
+	conn  netem.Conn
+	tputs []float64
+}
+
+// history returns the reusable throughput history, emptied, with room
+// for the config's chunks.
+func (sc *Scratch) history(cfg Config) []float64 {
+	if n := cfg.chunks(); cap(sc.tputs) < n {
+		sc.tputs = make([]float64, 0, n)
+	}
+	return sc.tputs[:0]
+}
+
+// Run is Run(cfg) with the Scratch's connection, whose jitter comes from
+// rng reseeded with cfg.Net.Seed (netem.(*Conn).Reset): the same log and
+// metrics, bit for bit. The log is freshly allocated and the caller's.
+func (sc *Scratch) Run(cfg Config, rng *mathx.Rand) (*SessionLog, Metrics, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, Metrics{}, err
+	}
+	if err := sc.conn.Reset(cfg.Net, rng); err != nil {
+		return nil, Metrics{}, err
+	}
+	log := newLog(cfg)
+	m, err := run(cfg, &sc.conn, log, sc.history(cfg))
+	if err != nil {
+		return nil, Metrics{}, err
+	}
+	return log, m, nil
+}
+
+// Replay is Replay(cfg) with the Scratch's connection on the process's
+// jitter sequence for cfg.Net.Seed (netem.(*Conn).ResetShared): the same
+// metrics, bit for bit.
+func (sc *Scratch) Replay(cfg Config) (Metrics, error) {
+	if err := cfg.Validate(); err != nil {
+		return Metrics{}, err
+	}
+	if err := sc.conn.ResetShared(cfg.Net); err != nil {
+		return Metrics{}, err
+	}
+	return run(cfg, &sc.conn, nil, sc.history(cfg))
 }
 
 // run is the session loop of Run and Replay over a validated config: it
 // appends a record per chunk to log when log is not nil, and sums the
-// metrics as it goes, in record order.
-func run(cfg Config, conn *netem.Conn, log *SessionLog) (Metrics, error) {
+// metrics as it goes, in record order. pastTputs is the empty history
+// the loop appends each chunk's throughput to, with room for every
+// chunk.
+func run(cfg Config, conn *netem.Conn, log *SessionLog, pastTputs []float64) (Metrics, error) {
 	v := cfg.Video
 	n := cfg.chunks()
 	var (
@@ -172,7 +235,6 @@ func run(cfg Config, conn *netem.Conn, log *SessionLog) (Metrics, error) {
 		ssim, bitrate float64
 		lastQ         = -1
 		switches      int
-		pastTputs     = make([]float64, 0, n)
 	)
 
 	for i := 0; i < n; i++ {

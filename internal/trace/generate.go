@@ -128,7 +128,24 @@ func Generate(cfg GenConfig) (*Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rng := mathx.NewRand(cfg.Seed)
+	return generate(mathx.NewRand(cfg.Seed), cfg)
+}
+
+// GenerateWith is Generate drawing from rng, which it reseeds with
+// cfg.Seed: the same trace, without allocating and seeding a generator
+// of its own. A caller that generates many traces keeps one generator
+// for all of them (engine.BuildCorpus keeps one per worker).
+func GenerateWith(rng *mathx.Rand, cfg GenConfig) (*Trace, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	rng.Seed(cfg.Seed)
+	return generate(rng, cfg)
+}
+
+// generate draws the trace of a validated config from rng, seeded with
+// cfg.Seed.
+func generate(rng *mathx.Rand, cfg GenConfig) (*Trace, error) {
 	n := int(math.Ceil(cfg.Horizon / cfg.Interval))
 	pts := make([]Point, n)
 	span := cfg.MaxMbps - cfg.MinMbps
@@ -170,20 +187,23 @@ func Generate(cfg GenConfig) (*Trace, error) {
 			cur = cfg.MaxMbps
 		}
 	}
-	return fromPoints(cfg.Interval, pts)
+	return FromPoints(cfg.Interval, pts)
 }
 
 // GenerateSet produces n traces with seeds cfg.Seed, cfg.Seed+1, ...
-// so sets are reproducible and individually addressable.
+// so sets are reproducible and individually addressable. Trace i is
+// Generate's for seed cfg.Seed+i; one generator, reseeded per trace,
+// draws them all.
 func GenerateSet(cfg GenConfig, n int) ([]*Trace, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("trace: GenerateSet needs n > 0, got %d", n)
 	}
 	out := make([]*Trace, n)
+	rng := mathx.NewRand(cfg.Seed)
 	for i := range out {
 		c := cfg
 		c.Seed = cfg.Seed + int64(i)
-		tr, err := Generate(c)
+		tr, err := GenerateWith(rng, c)
 		if err != nil {
 			return nil, err
 		}

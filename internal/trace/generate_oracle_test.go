@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"veritas/internal/mathx"
 )
 
 // generateOracle is Generate as it was before the one seeded source: a
@@ -55,7 +57,11 @@ func generateOracle(cfg GenConfig) (*Trace, error) {
 	return FromSteps(cfg.Interval, vals)
 }
 
+// TestGenerateMatchesOracle pins Generate, and GenerateWith through one
+// generator reused (and so left mid-sequence) from case to case, to the
+// math/rand oracle; GenerateSet's traces are the oracle's of each seed.
 func TestGenerateMatchesOracle(t *testing.T) {
+	reused := mathx.NewRand(42)
 	for _, name := range Regimes() {
 		for _, seed := range []int64{0, 1, 2, 10_001, -7, math.MaxInt64} {
 			cfg, err := RegimeConfig(name, seed)
@@ -74,7 +80,42 @@ func TestGenerateMatchesOracle(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s seed %d: Generate differs from the math/rand oracle", name, seed)
 				}
+				if got, err = GenerateWith(reused, c); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s seed %d: GenerateWith a reused generator differs from the math/rand oracle", name, seed)
+				}
 			}
+		}
+		cfg, err := RegimeConfig(name, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set, err := GenerateSet(cfg, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, got := range set {
+			c := cfg
+			c.Seed += int64(i)
+			if want, _ := generateOracle(c); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: GenerateSet trace %d differs from the oracle's for seed %d", name, i, c.Seed)
+			}
+		}
+	}
+}
+
+// BenchmarkGenerate is one 720 s trace of the lte regime (720 steps), as
+// a corpus build draws it: through a warm generator, reseeded per trace.
+func BenchmarkGenerate(b *testing.B) {
+	cfg := DefaultLTE(1)
+	rng := mathx.NewRand(0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = int64(i)
+		if _, err := GenerateWith(rng, cfg); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

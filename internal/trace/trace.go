@@ -70,14 +70,16 @@ func FromSteps(interval float64, mbps []float64) (*Trace, error) {
 	for i, v := range mbps {
 		pts[i].Mbps = v
 	}
-	return fromPoints(interval, pts)
+	return FromPoints(interval, pts)
 }
 
-// fromPoints is FromSteps over points whose bandwidths are already
+// FromPoints is FromSteps over points whose bandwidths are already
 // filled in: it sets point i's time to i*interval, runs FromSteps'
 // checks and keeps pts as the trace's own — so a generator fills one
-// slice and nothing is copied.
-func fromPoints(interval float64, pts []Point) (*Trace, error) {
+// slice and nothing is copied. A caller that recycles pts (an arena's
+// step slab) recycles the trace's storage with it: the trace is then
+// valid only until pts is refilled.
+func FromPoints(interval float64, pts []Point) (*Trace, error) {
 	if !(interval > 0) || math.IsInf(interval, 1) {
 		return nil, errors.New("trace: interval must be a positive finite number")
 	}
@@ -188,20 +190,6 @@ func (tr *Trace) Mean(horizon float64) float64 {
 		t = next
 	}
 	return area / horizon
-}
-
-// MinMax returns the smallest and largest step values.
-func (tr *Trace) MinMax() (min, max float64) {
-	min, max = tr.points[0].Mbps, tr.points[0].Mbps
-	for _, p := range tr.points[1:] {
-		if p.Mbps < min {
-			min = p.Mbps
-		}
-		if p.Mbps > max {
-			max = p.Mbps
-		}
-	}
-	return min, max
 }
 
 // Encode writes the trace as lines of "<time> <mbps>\n", the textual
