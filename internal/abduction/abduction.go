@@ -116,7 +116,10 @@ type Abduction struct {
 // Observations converts a session log into the EHMM's evidence sequence.
 // deltaSecs is the GTBW interval length δ.
 func Observations(log *player.SessionLog, deltaSecs float64) ([]hmm.Observation, error) {
-	return observationsInto(nil, log, deltaSecs, false)
+	if err := checkObservations(log, deltaSecs, false); err != nil {
+		return nil, err
+	}
+	return observationsInto(nil, log, deltaSecs, false), nil
 }
 
 // maxStartInterval bounds a chunk's start time in δ-intervals (a week
@@ -167,19 +170,27 @@ func checkRecords(log *player.SessionLog) error {
 	return nil
 }
 
-// observationsInto is Observations with an optional arena: with a
-// scratch it fills the arena's reusable observation buffer instead of
-// allocating. With ignoreTCP every record's TCP state is replaced by a
-// warm steady-state connection (Config.IgnoreTCPState). A record whose
-// size is past maxSizeBytes, or whose state as the estimator will see
-// it fails tcp.State.CheckEstimable, is refused by index.
-func observationsInto(sc *hmm.Scratch, log *player.SessionLog, deltaSecs float64, ignoreTCP bool) ([]hmm.Observation, error) {
+// checkObservations refuses, by index, a log whose records
+// checkRecords refuses or that observation cannot convert.
+func checkObservations(log *player.SessionLog, deltaSecs float64, ignoreTCP bool) error {
 	if deltaSecs <= 0 {
-		return nil, fmt.Errorf("abduction: delta %v <= 0", deltaSecs)
+		return fmt.Errorf("abduction: delta %v <= 0", deltaSecs)
 	}
 	if err := checkRecords(log); err != nil {
-		return nil, err
+		return err
 	}
+	for i, r := range log.Records {
+		if _, err := observation(i, r, deltaSecs, ignoreTCP); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// observationsInto converts a log that passed checkObservations: into
+// the arena's reusable observation buffer with a scratch, else into a
+// fresh slice.
+func observationsInto(sc *hmm.Scratch, log *player.SessionLog, deltaSecs float64, ignoreTCP bool) []hmm.Observation {
 	var obs []hmm.Observation
 	if sc != nil {
 		obs = sc.Observations(len(log.Records))
@@ -187,30 +198,40 @@ func observationsInto(sc *hmm.Scratch, log *player.SessionLog, deltaSecs float64
 		obs = make([]hmm.Observation, len(log.Records))
 	}
 	for i, r := range log.Records {
-		interval := r.Start / deltaSecs
-		if !(interval < maxStartInterval) {
-			return nil, fmt.Errorf("abduction: record %d: start time %v s is past interval %d of %v s", i, r.Start, maxStartInterval, deltaSecs)
-		}
-		if r.SizeBytes > maxSizeBytes {
-			return nil, fmt.Errorf("abduction: record %d: size %v bytes is past the %d bytes a chunk may carry", i, r.SizeBytes, maxSizeBytes)
-		}
-		st := r.TCP
-		if ignoreTCP {
-			st = tcp.Fresh(st.MinRTT)
-			st.CWND = tcp.DefaultSSThresh // window never the bottleneck
-			st.LastSendGap = 0            // no slow-start restart
-		}
-		if err := st.CheckEstimable(); err != nil {
-			return nil, fmt.Errorf("abduction: record %d: %w", i, err)
-		}
-		obs[i] = hmm.Observation{
-			ThroughputMbps: r.ThroughputMbps,
-			TCP:            st,
-			SizeBytes:      r.SizeBytes,
-			StartInterval:  int(interval),
-		}
+		obs[i], _ = observation(i, r, deltaSecs, ignoreTCP) // checked
 	}
-	return obs, nil
+	return obs
+}
+
+// observation converts record i into the EHMM's evidence. With
+// ignoreTCP its TCP state is replaced by a warm steady-state connection
+// (Config.IgnoreTCPState). A record whose start is past
+// maxStartInterval, whose size is past maxSizeBytes, or whose state as
+// the estimator will see it fails tcp.State.CheckEstimable is refused
+// by index.
+func observation(i int, r player.ChunkRecord, deltaSecs float64, ignoreTCP bool) (hmm.Observation, error) {
+	interval := r.Start / deltaSecs
+	if !(interval < maxStartInterval) {
+		return hmm.Observation{}, fmt.Errorf("abduction: record %d: start time %v s is past interval %d of %v s", i, r.Start, maxStartInterval, deltaSecs)
+	}
+	if r.SizeBytes > maxSizeBytes {
+		return hmm.Observation{}, fmt.Errorf("abduction: record %d: size %v bytes is past the %d bytes a chunk may carry", i, r.SizeBytes, maxSizeBytes)
+	}
+	st := r.TCP
+	if ignoreTCP {
+		st = tcp.Fresh(st.MinRTT)
+		st.CWND = tcp.DefaultSSThresh // window never the bottleneck
+		st.LastSendGap = 0            // no slow-start restart
+	}
+	if err := st.CheckEstimable(); err != nil {
+		return hmm.Observation{}, fmt.Errorf("abduction: record %d: %w", i, err)
+	}
+	return hmm.Observation{
+		ThroughputMbps: r.ThroughputMbps,
+		TCP:            st,
+		SizeBytes:      r.SizeBytes,
+		StartInterval:  int(interval),
+	}, nil
 }
 
 func finiteNonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
@@ -219,36 +240,9 @@ func finiteNonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 // parameters are the paper's fixed hyperparameters; no EM is needed)
 // plus posterior sampling.
 func Abduct(log *player.SessionLog, cfg Config) (*Abduction, error) {
-	if log == nil || len(log.Records) == 0 {
-		return nil, errors.New("abduction: empty session log")
-	}
-	maxObs, maxAt := 0.0, 0
-	for i, r := range log.Records {
-		if r.ThroughputMbps > maxObs {
-			maxObs, maxAt = r.ThroughputMbps, i
-		}
-	}
-	sized := cfg.HMM.MaxMbps == 0 // the grid is sized from record maxAt
-	cfg = cfg.withDefaults(maxObs)
-
-	obs, err := observationsInto(cfg.Scratch, log, cfg.HMM.DeltaSecs, cfg.IgnoreTCPState)
+	cfg, obs, model, err := prepare(log, cfg, true)
 	if err != nil {
 		return nil, err
-	}
-	model, err := hmm.New(cfg.HMM)
-	if err != nil {
-		if sized {
-			return nil, fmt.Errorf("abduction: record %d: throughput %v Mbps sizes the capacity grid: %w", maxAt, maxObs, err)
-		}
-		return nil, err
-	}
-	model.SetScratch(cfg.Scratch)
-	if cfg.FitTransitions > 0 {
-		fit, err := model.FitTransitions(obs, cfg.FitTransitions, 0.1)
-		if err != nil {
-			return nil, fmt.Errorf("abduction: transition fit: %w", err)
-		}
-		model = fit.Model
 	}
 	// One Infer computes the gap vector and the log-emission table (the
 	// dominant estimator work) once and shares them across Viterbi,
@@ -266,6 +260,50 @@ func Abduct(log *player.SessionLog, cfg Config) (*Abduction, error) {
 		log:          log,
 		cfg:          cfg,
 	}, nil
+}
+
+// prepare is Abduct's preamble, which NewPredictor shares: it checks the
+// log, sizes the capacity grid from its largest throughput unless cfg
+// sets one, builds the model on cfg.Scratch and, with FitTransitions,
+// fits the transition matrix to the log. The observations are returned
+// (in cfg.Scratch's buffer when set) when keep is set or the fit read
+// them, and are nil otherwise.
+func prepare(log *player.SessionLog, cfg Config, keep bool) (Config, []hmm.Observation, *hmm.Model, error) {
+	if log == nil || len(log.Records) == 0 {
+		return cfg, nil, nil, errors.New("abduction: empty session log")
+	}
+	maxObs, maxAt := 0.0, 0
+	for i, r := range log.Records {
+		if r.ThroughputMbps > maxObs {
+			maxObs, maxAt = r.ThroughputMbps, i
+		}
+	}
+	sized := cfg.HMM.MaxMbps == 0 // the grid is sized from record maxAt
+	cfg = cfg.withDefaults(maxObs)
+
+	if err := checkObservations(log, cfg.HMM.DeltaSecs, cfg.IgnoreTCPState); err != nil {
+		return cfg, nil, nil, err
+	}
+	var obs []hmm.Observation
+	if keep || cfg.FitTransitions > 0 {
+		obs = observationsInto(cfg.Scratch, log, cfg.HMM.DeltaSecs, cfg.IgnoreTCPState)
+	}
+	model, err := hmm.New(cfg.HMM)
+	if err != nil {
+		if sized {
+			return cfg, nil, nil, fmt.Errorf("abduction: record %d: throughput %v Mbps sizes the capacity grid: %w", maxAt, maxObs, err)
+		}
+		return cfg, nil, nil, err
+	}
+	model.SetScratch(cfg.Scratch)
+	if cfg.FitTransitions > 0 {
+		fit, err := model.FitTransitions(obs, cfg.FitTransitions, 0.1)
+		if err != nil {
+			return cfg, nil, nil, fmt.Errorf("abduction: transition fit: %w", err)
+		}
+		model = fit.Model
+	}
+	return cfg, obs, model, nil
 }
 
 // ConfigUsed returns the (defaulted) configuration.
@@ -373,15 +411,24 @@ func (a *Abduction) pathToTrace(path []int, pts []trace.Point, counts []int) *tr
 // size starting at startSecs with TCP state st. It takes the Viterbi
 // state of the last observed chunk, advances it through the transition
 // matrix by the elapsed δ-intervals to get the expected GTBW, and runs
-// the estimator f.
+// the estimator f. A Predictor computes the same answer from that state
+// alone.
 func (a *Abduction) PredictDownloadTime(startSecs float64, st tcp.State, sizeBytes float64) float64 {
 	a.mustBeLive()
-	lastObs := a.Observations[len(a.Observations)-1]
-	lastState := a.ViterbiPath[len(a.ViterbiPath)-1]
-	gap := int(startSecs/a.cfg.HMM.DeltaSecs) - lastObs.StartInterval
+	last := a.Observations[len(a.Observations)-1].StartInterval
+	return predictDownloadTime(a.Model, a.cfg.HMM.DeltaSecs, last, a.ViterbiPath[len(a.ViterbiPath)-1], startSecs, st, sizeBytes)
+}
+
+// predictDownloadTime is the arithmetic of the interventional query,
+// for Abduction and Predictor alike: state is the Viterbi state of the
+// last chunk, which started in δ-interval lastInterval; it is advanced
+// by the intervals from there to startSecs (none if startSecs is
+// earlier), and the estimator runs at the expected GTBW.
+func predictDownloadTime(m *hmm.Model, deltaSecs float64, lastInterval, state int, startSecs float64, st tcp.State, sizeBytes float64) float64 {
+	gap := int(startSecs/deltaSecs) - lastInterval
 	if gap < 0 {
 		gap = 0
 	}
-	gtbw := a.Model.ExpectedCapacityAfter(lastState, gap)
+	gtbw := m.ExpectedCapacityAfter(state, gap)
 	return tcp.EstimateDownloadTime(gtbw, st, sizeBytes)
 }

@@ -2,6 +2,8 @@ package abduction
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -230,6 +232,58 @@ func TestVeritasRangeSecondOrderStats(t *testing.T) {
 	low, high = VeritasRange(ms[:2], MetricSSIM)
 	if low != 1 || high != 5 {
 		t.Errorf("VeritasRange with 2 samples = (%v, %v), want min/max", low, high)
+	}
+}
+
+// TestVeritasRangeAllocatesNothing: at the paper's K = 5 the samples
+// sort on the stack.
+func TestVeritasRangeAllocatesNothing(t *testing.T) {
+	ms := make([]player.Metrics, 5)
+	for i := range ms {
+		ms[i] = player.Metrics{AvgSSIM: float64(5 - i)}
+	}
+	if a := testing.AllocsPerRun(100, func() { VeritasRange(ms, MetricSSIM) }); a != 0 {
+		t.Fatalf("VeritasRange at K = 5: %v allocs, want 0", a)
+	}
+}
+
+// TestVeritasRangeMatchesSortedCopy compares VeritasRange with the
+// sort of a fresh copy, bit for bit, on both sides of the stack
+// buffer's 16 samples: ties, signed zeros, infinities and NaN included.
+func TestVeritasRangeMatchesSortedCopy(t *testing.T) {
+	oracle := func(samples []player.Metrics, f MetricFn) (low, high float64) {
+		vals := make([]float64, len(samples))
+		for i, m := range samples {
+			vals[i] = f(m)
+		}
+		sort.Float64s(vals)
+		switch {
+		case len(vals) == 0:
+			return 0, 0
+		case len(vals) <= 2:
+			return vals[0], vals[len(vals)-1]
+		default:
+			return vals[1], vals[len(vals)-2]
+		}
+	}
+	rng := rand.New(rand.NewSource(44))
+	pool := []float64{0, math.Copysign(0, -1), 1, 1, -2, math.Inf(1), math.Inf(-1), math.NaN(), 0.5}
+	for k := 0; k <= 40; k++ {
+		for rep := 0; rep < 20; rep++ {
+			ms := make([]player.Metrics, k)
+			for i := range ms {
+				v := rng.NormFloat64()
+				if rng.Intn(3) == 0 {
+					v = pool[rng.Intn(len(pool))]
+				}
+				ms[i] = player.Metrics{RebufRatio: v}
+			}
+			gl, gh := VeritasRange(ms, MetricRebufRatio)
+			wl, wh := oracle(ms, MetricRebufRatio)
+			if math.Float64bits(gl) != math.Float64bits(wl) || math.Float64bits(gh) != math.Float64bits(wh) {
+				t.Fatalf("K = %d: VeritasRange = (%v, %v), want (%v, %v)", k, gl, gh, wl, wh)
+			}
+		}
 	}
 }
 

@@ -21,7 +21,9 @@ import (
 //     traces and the Baseline trace.
 //
 // A fleet worker runs, per session: Simulate the deployed session,
-// Abduct its log, then Counterfactual and Replay for each arm. Every
+// Abduct its log, then Counterfactual and Replay for each arm — or,
+// for a session that only asks interventional queries, a Predictor of
+// its log instead of Abduct. Every
 // result equals the package functions' bit for bit: the arena changes
 // where the storage comes from, never a value.
 //
@@ -76,6 +78,21 @@ func (ar *Arena) Abduct(log *player.SessionLog, cfg Config) (*Abduction, error) 
 	}
 	a.arena, a.epoch = ar, ar.epoch
 	return a, nil
+}
+
+// Predictor is NewPredictor through the arena's inference slabs: the
+// recursion's vectors, and a transition fit's observations and slabs,
+// come from the arena, and the Predictor keeps none of them, so it
+// stays valid after the arena's next use. Like Abduct, it ends the
+// lifetime of the Abduction the arena made before.
+func (ar *Arena) Predictor(log *player.SessionLog, cfg Config) (*Predictor, error) {
+	if ar == nil {
+		cfg.Scratch = nil
+		return NewPredictor(log, cfg)
+	}
+	ar.epoch++ // the slabs are overwritten from here on, even if this fails
+	cfg.Scratch = &ar.inf
+	return NewPredictor(log, cfg)
 }
 
 // Replay is the package's Replay through the arena's connection and

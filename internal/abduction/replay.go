@@ -125,11 +125,17 @@ var (
 // VeritasRange summarizes the spread of a metric across the K sample
 // replays the way the paper reports it: the second-lowest and
 // second-highest values ("Veritas (Low)" and "Veritas (High)"). With
-// fewer than three samples it degrades to min/max.
+// fewer than three samples it degrades to min/max. Up to 16 samples
+// are sorted in a buffer on the stack, so a report's cells allocate
+// nothing at the paper's K.
 func VeritasRange(samples []player.Metrics, f MetricFn) (low, high float64) {
-	vals := make([]float64, len(samples))
-	for i, m := range samples {
-		vals[i] = f(m)
+	var buf [16]float64
+	vals := buf[:0]
+	if len(samples) > len(buf) {
+		vals = make([]float64, 0, len(samples))
+	}
+	for _, m := range samples {
+		vals = append(vals, f(m))
 	}
 	sort.Float64s(vals)
 	switch {

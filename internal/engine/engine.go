@@ -185,7 +185,10 @@ type SessionSpec struct {
 	// arms or predictions. Used to batch-generate corpora of logs.
 	SimulateOnly bool
 	// Predict lists interventional download-time queries answered from
-	// this session's abduction (paper §4.4).
+	// this session's abduction (paper §4.4). In a run with no arms and
+	// no KeepAbductions, such a session computes only what the queries
+	// read, the last chunk's Viterbi state (abduction.Predictor); the
+	// answers are the full abduction's, bit for bit.
 	Predict []PredictQuery
 }
 
@@ -493,7 +496,20 @@ func runOne(cfg Config, spec SessionSpec, arms []Arm, idx int, ar *abduction.Are
 	}
 	abductStart := em.now()
 	abductT0 := tb.Now()
-	abd, err := ar.Abduct(log, acfg) // a nil arena under KeepAbductions: results own their buffers
+	// A session that only asks interventional queries reads one value
+	// of its abduction, the last chunk's Viterbi state: a Predictor
+	// computes that alone, with no posterior, samples or traces.
+	var abd *abduction.Abduction
+	var pred interface {
+		PredictDownloadTime(startSecs float64, st tcp.State, sizeBytes float64) float64
+	}
+	var err error
+	if len(spec.Predict) > 0 && len(arms) == 0 && !cfg.KeepAbductions {
+		pred, err = ar.Predictor(log, acfg)
+	} else {
+		abd, err = ar.Abduct(log, acfg) // a nil arena under KeepAbductions: results own their buffers
+		pred = abd
+	}
 	if err != nil {
 		return res, fmt.Errorf("abduct: %w", err)
 	}
@@ -528,7 +544,7 @@ func runOne(cfg Config, spec SessionSpec, arms []Arm, idx int, ar *abduction.Are
 		predictStart := em.now()
 		predictT0 := tb.Now()
 		for _, q := range spec.Predict {
-			res.Predictions = append(res.Predictions, abd.PredictDownloadTime(q.StartSecs, q.TCP, q.SizeBytes))
+			res.Predictions = append(res.Predictions, pred.PredictDownloadTime(q.StartSecs, q.TCP, q.SizeBytes))
 		}
 		em.observe(em.predict, predictStart)
 		tb.Span("predict", predictT0, map[string]any{"queries": len(spec.Predict)})

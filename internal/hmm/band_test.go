@@ -1,6 +1,7 @@
 package hmm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -131,4 +132,71 @@ func FuzzEmissionRow(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestUniformPriorAtFullBandIsDense is the fourth metamorphic
+// invariant: the uniform prior has no zero for a band to skip, so every
+// power A^Δ with Δ ≥ 1 has a full band — each row and each column spans
+// the whole grid — and the banded kernels must read exactly the cells
+// the dense oracle reads. On grids of 2, 7, 21 and 91 states it checks
+// the bands, then Infer (path, score, γ, every pair column, K samples),
+// LastViterbiState, ExpectedCapacityAfter and a smoothed Baum–Welch fit
+// against the oracle_test.go kernels, bit for bit.
+func TestUniformPriorAtFullBandIsDense(t *testing.T) {
+	for gi, maxMbps := range []float64{0.5, 3, 10, 45} {
+		cfg := DefaultConfig(maxMbps)
+		cfg.Prior = "uniform"
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		S := m.NumStates()
+		label := fmt.Sprintf("uniform/S=%d", S)
+		for gap := 1; gap <= S+2; gap++ {
+			_, band := m.powCache.PowBand(gap)
+			for i := 0; i < S; i++ {
+				if band.RowLo[i] != 0 || band.RowHi[i] != S || band.ColLo[i] != 0 || band.ColHi[i] != S {
+					t.Fatalf("%s: A^%d's band at %d is rows [%d, %d), cols [%d, %d), want the full grid",
+						label, gap, i, band.RowLo[i], band.RowHi[i], band.ColLo[i], band.ColHi[i])
+				}
+			}
+		}
+
+		n := min(2*(S+3), 60)
+		obs := noisySession(rand.New(rand.NewSource(int64(440+gi))), n, func(i int) int { return i % (S + 3) })
+		sc := NewScratch()
+		m.SetScratch(sc)
+		seed := int64(7 + gi)
+		got, err := m.Infer(obs, 5, seed)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		want := oracleInfer(t, m, obs, 5, seed)
+		requireMatchesOracle(t, label, m, sc, got, want)
+		last, err := lastState(m, obs)
+		if err != nil || last != want.Path[n-1] {
+			t.Fatalf("%s: LastViterbiState = %d, %v; want the dense oracle's %d", label, last, err, want.Path[n-1])
+		}
+		for state := 0; state < S; state++ {
+			for gap := 0; gap <= 3; gap++ {
+				g, w := m.ExpectedCapacityAfter(state, gap), oracleExpectedCapacityAfter(m, state, gap)
+				if math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%s: ExpectedCapacityAfter(%d, %d) = %v, want %v", label, state, gap, g, w)
+				}
+			}
+		}
+		fit, err := m.FitTransitions(obs, 2, 0.1)
+		if err != nil {
+			t.Fatalf("%s: fit: %v", label, err)
+		}
+		wantA, _, err := oracleFitTransitions(m, obs, 2, 0.1)
+		if err != nil {
+			t.Fatalf("%s: oracle fit: %v", label, err)
+		}
+		for c, v := range wantA.Data {
+			if math.Float64bits(fit.Model.trans.Data[c]) != math.Float64bits(v) {
+				t.Fatalf("%s: fitted matrix differs at cell %d: %v, want %v", label, c, fit.Model.trans.Data[c], v)
+			}
+		}
+	}
 }

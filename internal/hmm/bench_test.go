@@ -34,6 +34,28 @@ func BenchmarkInfer(b *testing.B) {
 	}
 }
 
+// BenchmarkLastViterbiState is what an interventional query reads of
+// BenchmarkInfer's session: the last Viterbi state alone, through a
+// recycled Scratch.
+func BenchmarkLastViterbiState(b *testing.B) {
+	m, err := New(DefaultConfig(10))
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.SetScratch(NewScratch())
+	obs := benchSession(300)
+	if _, err := lastState(m, obs); err != nil { // grow the vectors once
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := lastState(m, obs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkInferWide is a fast link's grid: 300 chunks on 91 states
 // (45 Mbps at ε = 0.5), Δn cycling 0, 1, 2, K = 5, with no arena
 // attached — the way a kept abduction runs — so every slab Infer sizes

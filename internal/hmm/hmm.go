@@ -199,14 +199,23 @@ func gapsInto(d []int, obs []Observation) error {
 		d[0] = 0
 	}
 	for n := 1; n < len(obs); n++ {
-		g := obs[n].StartInterval - obs[n-1].StartInterval
-		if g < 0 {
-			return fmt.Errorf("hmm: observations out of order at %d (interval %d < %d)",
-				n, obs[n].StartInterval, obs[n-1].StartInterval)
+		g, err := gapAt(obs[n-1].StartInterval, obs[n].StartInterval, n)
+		if err != nil {
+			return err
 		}
 		d[n] = g
 	}
 	return nil
+}
+
+// gapAt returns Δn, the δ-intervals between the start interval prev of
+// chunk n−1 and cur of chunk n, or the error for a chunk that starts
+// before its predecessor.
+func gapAt(prev, cur, n int) (int, error) {
+	if cur < prev {
+		return 0, fmt.Errorf("hmm: observations out of order at %d (interval %d < %d)", n, cur, prev)
+	}
+	return cur - prev, nil
 }
 
 // emissionRowInto fills row (length S) with one chunk's log-emissions
@@ -239,5 +248,9 @@ func (m *Model) emissionRowInto(row []float64, o Observation) {
 	}
 }
 
-// ErrNoObservations is returned by Infer and FitTransitions on empty input.
+// ErrNoObservations is returned by Infer, LastViterbiState and
+// FitTransitions on empty input.
 var ErrNoObservations = errors.New("hmm: no observations")
+
+// ErrNegativeSamples is Infer's error for a negative sample count.
+var ErrNegativeSamples = errors.New("hmm: Infer requires k >= 0")

@@ -1,10 +1,6 @@
 package hmm
 
-import (
-	"errors"
-
-	"veritas/internal/mathx"
-)
+import "veritas/internal/mathx"
 
 // Inference bundles everything one abduction needs from the model: the
 // Viterbi path (Algorithm 3), the forward–backward posterior
@@ -30,7 +26,7 @@ func (m *Model) Infer(obs []Observation, k int, seed int64) (*Inference, error) 
 		return nil, ErrNoObservations
 	}
 	if k < 0 {
-		return nil, errors.New("hmm: Infer requires k >= 0")
+		return nil, ErrNegativeSamples
 	}
 	sc := m.scratch()
 	N := len(obs)

@@ -61,7 +61,7 @@ type Scratch struct {
 
 	// state-shaped vectors (S)
 	cur, next []float64 // Viterbi score ping-pong
-	weighted  []float64 // backward-pass emit×beta products
+	weighted  []float64 // backward-pass emit×beta products, or one chunk's emission row
 	weights   []float64 // sampler's categorical weights
 	emDen     []float64 // EM visit mass
 
@@ -126,6 +126,16 @@ func (sc *Scratch) inferSlabs(n, s int) {
 	sc.cur = growF(sc.cur, s)
 	sc.next = growF(sc.next, s)
 	sc.weights = growF(sc.weights, s)
+}
+
+// lastStateSlabs sizes what LastViterbiState reads and writes — two
+// score vectors and one log-emission row, each of s states — and
+// returns them. The row is sc.weighted, free because no α/β pass runs.
+func (sc *Scratch) lastStateSlabs(s int) (score, next, emit []float64) {
+	sc.cur = growF(sc.cur, s)
+	sc.next = growF(sc.next, s)
+	sc.weighted = growF(sc.weighted, s)
+	return sc.cur, sc.next, sc.weighted
 }
 
 // intervalSlabs sizes a Baum–Welch fit over t δ-intervals: the pass

@@ -112,6 +112,7 @@ func BenchmarkGenerate(b *testing.B) {
 	cfg := DefaultLTE(1)
 	rng := mathx.NewRand(0)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i)
 		if _, err := GenerateWith(rng, cfg); err != nil {
