@@ -30,7 +30,6 @@ import (
 	"veritas/internal/abduction"
 	"veritas/internal/dispatch"
 	"veritas/internal/engine"
-	"veritas/internal/mathx"
 	"veritas/internal/serve"
 	"veritas/internal/store"
 	"veritas/internal/telemetry"
@@ -381,7 +380,7 @@ func WithProgress(fn func(FleetSessionResult)) CampaignOption {
 }
 
 // WithoutTelemetry disables the campaign's metrics registry: no stage
-// timers, counters, or cache fold-ins are recorded, Telemetry returns
+// timers or counters are recorded, Telemetry returns
 // an empty snapshot, and /metrics on the serving layer carries only
 // serve-side request metrics. Telemetry never affects results either
 // way — a determinism test pins reports byte-identical with it on and
@@ -522,26 +521,16 @@ func newCampaign(o campaignOptions, opts ...CampaignOption) (*Campaign, error) {
 	}
 	if !o.noTelemetry {
 		c.reg = telemetry.NewRegistry()
-		// The shared transition-power cache keeps process-global
-		// counters; fold them in rather than double-counting. (They are
-		// process-wide, so overlapping campaigns in one process each
-		// report the shared totals.)
-		c.reg.RegisterFunc("veritas_powers_cache_hits_total", telemetry.CounterFunc, func() float64 {
-			return float64(mathx.SharedPowersDetail().Hits)
-		})
-		c.reg.RegisterFunc("veritas_powers_cache_misses_total", telemetry.CounterFunc, func() float64 {
-			return float64(mathx.SharedPowersDetail().Misses())
-		})
 	}
 	return c, nil
 }
 
 // Telemetry captures the campaign's metrics registry: engine stage
-// latencies and throughput, store append/fsync/recovery counters,
-// cache fold-ins, and — during a Dispatch — supervisor-side shard
-// gauges. The snapshot is plain data (JSON-ready, Prometheus-renderable
-// via WritePrometheus, additively mergeable). With WithoutTelemetry it
-// is empty.
+// latencies and throughput, the engine's transition-power cache
+// counters, store append/fsync/recovery counters, and — during a
+// Dispatch — supervisor-side shard gauges. The snapshot is plain data
+// (JSON-ready, Prometheus-renderable via WritePrometheus, additively
+// mergeable). With WithoutTelemetry it is empty.
 func (c *Campaign) Telemetry() TelemetrySnapshot {
 	return c.reg.Snapshot()
 }

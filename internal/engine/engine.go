@@ -18,8 +18,9 @@
 //     Retained abductions (Config.KeepAbductions) would alias recycled
 //     memory, so that mode falls back to fresh per-session buffers.
 //   - Shared transition powers: sessions with equal capacity grids
-//     share one process-wide table of transition-matrix powers (see
-//     mathx.SharedPowers) instead of rebuilding it per session.
+//     share one process-wide table of transition-matrix powers, keyed
+//     by the prior (see hmm.New and mathx.SharedPowers), instead of
+//     rebuilding the matrix and its powers per session.
 //   - Aggregation: every finished session folds into a thread-safe
 //     Partials (one digest per session); reports are built in session
 //     order, so they are byte-identical for every worker count.
@@ -245,10 +246,9 @@ type Result struct {
 	// are a delta of process-global counters, so they are best-effort
 	// when several fleet runs (or other mathx.SharedPowers users)
 	// overlap in one process. Misses are split by cause — cold (first
-	// sight of a grid, inserted), fingerprint collision (never
-	// cacheable), and registry capacity (cap reached) — the split a
-	// cache-health gauge needs, since only repeated collision/capacity
-	// misses indicate a thrashing fleet.
+	// sight of a grid, inserted) and registry capacity (cap reached) —
+	// the split a cache-health gauge needs, since only repeated
+	// capacity misses indicate a thrashing fleet.
 	Powers mathx.SharedPowersStats
 	// Executed is the number of sessions actually run (corpus size
 	// minus the resume skip set and any out-of-shard sessions).

@@ -27,12 +27,11 @@ type engineMetrics struct {
 	powerHits   *telemetry.Counter
 	powerMisses *telemetry.Counter
 	// The power-cache miss split by cause: cold misses are healthy
-	// one-per-grid warmup, collision and capacity misses repeat on
-	// every lookup and indicate a thrashing registry. The plain
-	// powerMisses total stays for dashboard compatibility.
-	powerColdMisses      *telemetry.Counter
-	powerCollisionMisses *telemetry.Counter
-	powerCapacityMisses  *telemetry.Counter
+	// one-per-grid warmup, capacity misses repeat on every lookup and
+	// indicate a thrashing registry. The plain powerMisses total stays
+	// for dashboard compatibility.
+	powerColdMisses     *telemetry.Counter
+	powerCapacityMisses *telemetry.Counter
 }
 
 func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
@@ -51,9 +50,8 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 		powerHits:   reg.Counter("veritas_engine_power_cache_hits_total"),
 		powerMisses: reg.Counter("veritas_engine_power_cache_misses_total"),
 
-		powerColdMisses:      reg.Counter(`veritas_engine_power_cache_miss_total{cause="cold"}`),
-		powerCollisionMisses: reg.Counter(`veritas_engine_power_cache_miss_total{cause="collision"}`),
-		powerCapacityMisses:  reg.Counter(`veritas_engine_power_cache_miss_total{cause="capacity"}`),
+		powerColdMisses:     reg.Counter(`veritas_engine_power_cache_miss_total{cause="cold"}`),
+		powerCapacityMisses: reg.Counter(`veritas_engine_power_cache_miss_total{cause="capacity"}`),
 	}
 }
 
@@ -85,6 +83,5 @@ func (m *engineMetrics) powers(p mathx.SharedPowersStats) {
 	m.powerHits.Add(p.Hits)
 	m.powerMisses.Add(p.Misses())
 	m.powerColdMisses.Add(p.ColdMisses)
-	m.powerCollisionMisses.Add(p.CollisionMisses)
 	m.powerCapacityMisses.Add(p.CapacityMisses)
 }

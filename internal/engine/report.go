@@ -151,9 +151,9 @@ func (r *Result) WriteEngineStats(w io.Writer) error {
 	fmt.Fprintf(&b, "\n-- engine --\n")
 	if p := r.Powers; p.Hits+p.Misses() > 0 {
 		lookups := p.Hits + p.Misses()
-		fmt.Fprintf(&b, "transition-power cache: %d lookups, %.1f%% shared (%d hits, %d new grids, %d collision, %d over-cap)\n",
+		fmt.Fprintf(&b, "transition-power cache: %d lookups, %.1f%% shared (%d hits, %d new grids, %d over-cap)\n",
 			lookups, float64(p.Hits)/float64(lookups)*100, p.Hits,
-			p.ColdMisses, p.CollisionMisses, p.CapacityMisses)
+			p.ColdMisses, p.CapacityMisses)
 	}
 	fmt.Fprintf(&b, "elapsed %v, %d sessions executed (%.2f sessions/sec)\n",
 		r.Elapsed.Round(1e6), r.Executed, r.SessionsPerSecond())

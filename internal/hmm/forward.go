@@ -46,7 +46,7 @@ func (p *Posterior) Gamma(n int) []float64 {
 // scale of 0 as an error; the chunk chain guards its divisions by
 // scale > 0 instead.
 func (m *Model) alphaBeta(sc *Scratch, P int, fixed *mathx.Matrix, fixedBand mathx.Band) (float64, error) {
-	ns := len(m.states)
+	ns := m.ns
 	intervals := fixed != nil
 	step := func(p int) (*mathx.Matrix, mathx.Band) {
 		if intervals {
@@ -79,8 +79,9 @@ func (m *Model) alphaBeta(sc *Scratch, P int, fixed *mathx.Matrix, fixedBand mat
 	}
 
 	a0, e0 := row(sc.alpha, 0), row(sc.emit, 0)
+	u := m.initMass()
 	for i := 0; i < ns; i++ {
-		a0[i] = m.initDist[i] * e0[i]
+		a0[i] = u * e0[i]
 	}
 	sc.scale[0] = mathx.Normalize(a0)
 	for p := 1; p < P; p++ {
@@ -181,7 +182,7 @@ func (sc *Scratch) pairInto(dst []float64, p int, a *mathx.Matrix, band mathx.Ba
 // marginals, carved from sc.gamma, and the per-pair normalizers
 // sc.total the capacity sampler divides its columns by.
 func (m *Model) posteriorInto(sc *Scratch, N int, ll float64) *Posterior {
-	ns := len(m.states)
+	ns := m.ns
 	post := &Posterior{
 		gamma:         sc.gamma[:N*ns],
 		n:             N,

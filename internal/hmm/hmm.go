@@ -97,11 +97,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("hmm: MaxMbps %v < EpsMbps %v", c.MaxMbps, c.EpsMbps)
 	case !(c.MaxMbps/c.EpsMbps < maxStates):
 		return fmt.Errorf("hmm: MaxMbps %v / EpsMbps %v is a grid of more than %d states", c.MaxMbps, c.EpsMbps, maxStates)
-	case c.DeltaSecs <= 0:
-		return fmt.Errorf("hmm: DeltaSecs %v <= 0", c.DeltaSecs)
-	case c.Sigma <= 0:
-		return fmt.Errorf("hmm: Sigma %v <= 0", c.Sigma)
-	case c.StayProb <= 0 || c.StayProb >= 1:
+	case !(c.DeltaSecs > 0 && c.DeltaSecs < math.Inf(1)):
+		return fmt.Errorf("hmm: DeltaSecs %v outside (0, +Inf)", c.DeltaSecs)
+	case !(c.Sigma > 0 && c.Sigma < math.Inf(1)):
+		return fmt.Errorf("hmm: Sigma %v outside (0, +Inf)", c.Sigma)
+	case !(c.StayProb > 0 && c.StayProb < 1):
 		return fmt.Errorf("hmm: StayProb %v outside (0, 1)", c.StayProb)
 	case c.Prior != "" && c.Prior != "tridiagonal" && c.Prior != "uniform":
 		return fmt.Errorf("hmm: unknown prior %q (want tridiagonal or uniform)", c.Prior)
@@ -111,52 +111,54 @@ func (c Config) Validate() error {
 
 // Model is an immutable EHMM ready for inference (the optional scratch
 // arena attached via SetScratch is the one piece of mutable state, and
-// it never influences results). Construct with New.
+// it never influences results). Construct with New. The capacity grid
+// and the uniform initial distribution are arithmetic on cfg and ns
+// (Capacity, initMass); the transition matrix is powCache's A^1.
 type Model struct {
 	cfg      Config
-	states   []float64 // states[i] = i*ε Mbps
-	initDist []float64 // uniform u
-	trans    *mathx.Matrix
+	ns       int // S, the size of the capacity grid
 	powCache *mathx.PowerCache
 	sc       *Scratch // optional reusable inference arena
 }
 
+// priorKey is everything the transition prior reads: the grid size,
+// the prior's structure and, for the tridiagonal prior only, StayProb.
+// It keys the process-wide power registry, so models with equal keys
+// share one cache and the S×S matrix is built once per key.
+type priorKey struct {
+	states  int
+	uniform bool
+	stay    float64
+}
+
 // New builds the model: a capacity grid {0, ε, 2ε, …, ⌊Max/ε⌋·ε}, a
-// tridiagonal transition matrix and a uniform initial distribution.
-// Transition powers A^k come from the process-wide cache keyed by the
-// matrix (mathx.SharedPowers), so sessions with identical capacity
-// grids compute each power once instead of once per session; shared and
-// private caches build powers by the same sequential walk, so which one
-// serves a model never changes a result.
+// tridiagonal (or uniform) transition matrix and a uniform initial
+// distribution. Transition powers A^k come from the process-wide cache
+// keyed by the prior (mathx.SharedPowers), so sessions with identical
+// capacity grids build the matrix and compute each power once instead
+// of once per session; shared and private caches build powers by the
+// same sequential walk, so which one serves a model never changes a
+// result.
 func New(cfg Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	n := int(math.Floor(cfg.MaxMbps/cfg.EpsMbps)) + 1
-	states := make([]float64, n)
-	for i := range states {
-		states[i] = float64(i) * cfg.EpsMbps
+	key := priorKey{states: n, uniform: cfg.Prior == "uniform"}
+	if !key.uniform {
+		key.stay = cfg.StayProb
 	}
-	var trans *mathx.Matrix
-	if cfg.Prior == "uniform" {
-		trans = mathx.NewMatrix(n, n)
-		for i := range trans.Data {
-			trans.Data[i] = 1 / float64(n)
+	powers := mathx.SharedPowers(key, func() *mathx.Matrix {
+		if !key.uniform {
+			return Tridiagonal(n, key.stay)
 		}
-	} else {
-		trans = Tridiagonal(n, cfg.StayProb)
-	}
-	init := make([]float64, n)
-	for i := range init {
-		init[i] = 1 / float64(n)
-	}
-	return &Model{
-		cfg:      cfg,
-		states:   states,
-		initDist: init,
-		trans:    trans,
-		powCache: mathx.SharedPowers(trans),
-	}, nil
+		u := mathx.NewMatrix(n, n)
+		for i := range u.Data {
+			u.Data[i] = 1 / float64(n)
+		}
+		return u
+	})
+	return &Model{cfg: cfg, ns: n, powCache: powers}, nil
 }
 
 // Tridiagonal returns the paper's prior transition matrix: each state
@@ -187,10 +189,14 @@ func Tridiagonal(n int, stay float64) *mathx.Matrix {
 }
 
 // NumStates returns the size of the capacity grid.
-func (m *Model) NumStates() int { return len(m.states) }
+func (m *Model) NumStates() int { return m.ns }
 
-// Capacity returns the GTBW in Mbps of state index i.
-func (m *Model) Capacity(i int) float64 { return m.states[i] }
+// Capacity returns the GTBW in Mbps of state index i: iε.
+func (m *Model) Capacity(i int) float64 { return float64(i) * m.cfg.EpsMbps }
+
+// initMass returns every state's probability under the uniform initial
+// distribution.
+func (m *Model) initMass() float64 { return 1 / float64(m.ns) }
 
 // gapsInto fills d (length len(obs)) with Δn for n = 1..N-1 (d[0] is
 // unused, kept for alignment) and validates ordering.
@@ -230,18 +236,18 @@ func gapAt(prev, cur, n int) (int, error) {
 // is evaluated cell by cell.
 func (m *Model) emissionRowInto(row []float64, o Observation) {
 	est := m.cfg.Estimator
-	first := len(m.states) // first saturated cell
+	first := m.ns // first saturated cell
 	if est == nil {
 		est = tcp.EstimateThroughput
-		if bdp, mbps, ok := tcp.Saturation(o.TCP, o.SizeBytes, m.states[len(m.states)-1]); ok {
-			first = sort.Search(len(m.states), func(i int) bool {
-				c := m.states[i]
+		if bdp, mbps, ok := tcp.Saturation(o.TCP, o.SizeBytes, m.Capacity(m.ns-1)); ok {
+			first = sort.Search(m.ns, func(i int) bool {
+				c := m.Capacity(i)
 				return c >= mbps && tcp.BDPSegments(c, o.TCP.MinRTT) >= bdp
 			})
 		}
 	}
-	for i, c := range m.states[:min(first+1, len(m.states))] {
-		row[i] = mathx.NormalLogPDF(o.ThroughputMbps, est(c, o.TCP, o.SizeBytes), m.cfg.Sigma)
+	for i := 0; i < min(first+1, m.ns); i++ {
+		row[i] = mathx.NormalLogPDF(o.ThroughputMbps, est(m.Capacity(i), o.TCP, o.SizeBytes), m.cfg.Sigma)
 	}
 	for i := first + 1; i < len(row); i++ {
 		row[i] = row[first]

@@ -2,6 +2,9 @@ package hmm
 
 import (
 	"math"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 
 	"veritas/internal/mathx"
@@ -53,6 +56,12 @@ func TestConfigValidate(t *testing.T) {
 		{EpsMbps: 0.5, MaxMbps: 1.5e300, DeltaSecs: 5, Sigma: 0.5, StayProb: 0.8},
 		{EpsMbps: 0.5, MaxMbps: math.Inf(1), DeltaSecs: 5, Sigma: 0.5, StayProb: 0.8},
 		{EpsMbps: 0.5, MaxMbps: math.NaN(), DeltaSecs: 5, Sigma: 0.5, StayProb: 0.8},
+		// Non-finite values that compare false against every bound.
+		{EpsMbps: 0.5, MaxMbps: 10, DeltaSecs: 5, Sigma: 0.5, StayProb: math.NaN()},
+		{EpsMbps: 0.5, MaxMbps: 10, DeltaSecs: 5, Sigma: math.NaN(), StayProb: 0.8},
+		{EpsMbps: 0.5, MaxMbps: 10, DeltaSecs: 5, Sigma: math.Inf(1), StayProb: 0.8},
+		{EpsMbps: 0.5, MaxMbps: 10, DeltaSecs: math.NaN(), Sigma: 0.5, StayProb: 0.8},
+		{EpsMbps: 0.5, MaxMbps: 10, DeltaSecs: math.Inf(1), Sigma: 0.5, StayProb: 0.8},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -65,6 +74,109 @@ func TestConfigValidate(t *testing.T) {
 	// The bound itself is legal: 1 Gbps at ε = 0.5 Mbps.
 	if err := DefaultConfig(1000).Validate(); err != nil {
 		t.Errorf("1 Gbps grid refused: %v", err)
+	}
+}
+
+// TestNewSharesPowersByPriorKey pins what the power registry key holds:
+// exactly what the transition prior reads. Equal priors share one
+// cache whatever else differs; a different grid, StayProb or structure
+// does not.
+func TestNewSharesPowersByPriorKey(t *testing.T) {
+	base := DefaultConfig(10)
+	cache := func(edit func(*Config)) *mathx.PowerCache {
+		t.Helper()
+		cfg := base
+		edit(&cfg)
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.powCache
+	}
+	d0 := mathx.SharedPowersDetail()
+	want := cache(func(*Config) {})
+	for _, c := range []struct {
+		name  string
+		edit  func(*Config)
+		share bool
+	}{
+		{"same config", func(*Config) {}, true},
+		{`prior "tridiagonal"`, func(c *Config) { c.Prior = "tridiagonal" }, true},
+		{"other sigma and delta", func(c *Config) { c.Sigma, c.DeltaSecs = 2, 1 }, true},
+		{"other grid, same S", func(c *Config) { c.EpsMbps, c.MaxMbps = 1, 20 }, true},
+		{"other S", func(c *Config) { c.MaxMbps = 10.5 }, false},
+		{"other stay", func(c *Config) { c.StayProb = 0.7 }, false},
+		{"uniform", func(c *Config) { c.Prior = "uniform" }, false},
+	} {
+		if got := cache(c.edit); (got == want) != c.share {
+			t.Errorf("%s: shares the default's cache = %v, want %v", c.name, got == want, c.share)
+		}
+	}
+	// The uniform prior reads no StayProb, so its key holds none.
+	u := cache(func(c *Config) { c.Prior = "uniform" })
+	if cache(func(c *Config) { c.Prior, c.StayProb = "uniform", 0.3 }) != u {
+		t.Error("uniform priors with different StayProb got different caches")
+	}
+	if d := mathx.SharedPowersDetail().Sub(d0); d.Hits+d.Misses() != 10 {
+		t.Errorf("%d lookups for 10 models, want one each", d.Hits+d.Misses())
+	}
+}
+
+// TestNewPastRegistryCap fills the process-wide registry, which cannot
+// be emptied again, so it runs itself in a child process of the test
+// binary.
+func TestNewPastRegistryCap(t *testing.T) {
+	if os.Getenv("HMM_TEST_FULL_REGISTRY") != "1" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestNewPastRegistryCap$", "-test.v")
+		cmd.Env = append(os.Environ(), "HMM_TEST_FULL_REGISTRY=1")
+		out, err := cmd.CombinedOutput()
+		if err != nil || !strings.Contains(string(out), "--- PASS: TestNewPastRegistryCap") {
+			t.Fatalf("child: %v\n%s", err, out)
+		}
+		return
+	}
+	type filler int
+	d0 := mathx.SharedPowersDetail()
+	for i := 0; mathx.SharedPowersDetail().Sub(d0).CapacityMisses == 0; i++ {
+		if i > 100000 {
+			t.Fatal("the registry never filled")
+		}
+		mathx.SharedPowers(filler(i), func() *mathx.Matrix { return mathx.Identity(1) })
+	}
+	cfg := DefaultConfig(12.5)
+	d1 := mathx.SharedPowersDetail()
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.powCache == b.powCache {
+		t.Error("past the cap, two models shared a cache")
+	}
+	if d := mathx.SharedPowersDetail().Sub(d1); d.CapacityMisses != 2 || d.Hits+d.Misses() != 2 {
+		t.Errorf("past the cap: %+v, want 2 capacity misses", d)
+	}
+	if !a.powCache.Pow(3).Equal(Tridiagonal(a.NumStates(), cfg.StayProb).Pow(3)) {
+		t.Error("a private cache serves other powers than the prior's")
+	}
+}
+
+// TestNewAllocatesOnlyTheModel: once a prior's key is in the registry,
+// New builds no grid, matrix or vector — the Model is its one
+// allocation.
+func TestNewAllocatesOnlyTheModel(t *testing.T) {
+	for _, prior := range []string{"", "uniform"} {
+		cfg := DefaultConfig(14.5)
+		cfg.Prior = prior
+		if _, err := New(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() { New(cfg) }); n > 1 {
+			t.Errorf("prior %q: warm New allocates %v times, want 1", prior, n)
+		}
 	}
 }
 

@@ -30,7 +30,7 @@ func (m *Model) Infer(obs []Observation, k int, seed int64) (*Inference, error) 
 	}
 	sc := m.scratch()
 	N := len(obs)
-	ns := len(m.states)
+	ns := m.ns
 	sc.inferSlabs(N, ns)
 	// The steps point into the power cache — a fitted model's private
 	// one included — so a recycled arena must not keep them alive.

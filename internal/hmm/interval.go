@@ -34,7 +34,7 @@ func (m *Model) intervalEmissionsInto(sc *Scratch, obs []Observation) (int, erro
 		return 0, err
 	}
 	T := obs[len(obs)-1].StartInterval + 1
-	ns := len(m.states)
+	ns := m.ns
 	sc.intervalSlabs(T, ns)
 	logE := sc.emitLog
 	for i := range logE {
@@ -82,9 +82,9 @@ func (m *Model) FitTransitions(obs []Observation, iters int, smoothing float64) 
 	if T < 2 {
 		return nil, errors.New("hmm: need at least two intervals to fit transitions")
 	}
-	ns := len(m.states)
+	ns := m.ns
 	xi, den := sc.pair, sc.emDen
-	a := m.trans.Clone()
+	a := m.powCache.Pow(1).Clone()
 	var lls []float64
 
 	for iter := 0; iter < iters; iter++ {
@@ -137,10 +137,10 @@ func (m *Model) FitTransitions(obs []Observation, iters int, smoothing float64) 
 		a = num
 	}
 
-	// The fitted model shares the immutable grid and initial
-	// distribution; its per-session matrix gets a private power cache,
-	// never an entry in the process-wide registry.
+	// The fitted model shares the grid and initial distribution; its
+	// per-session matrix gets a private power cache, never an entry in
+	// the process-wide registry.
 	fitted := *m
-	fitted.trans, fitted.powCache = a, mathx.NewPowerCache(a)
+	fitted.powCache = mathx.NewPowerCache(a)
 	return &FitResult{Model: &fitted, LogLikelihoods: lls}, nil
 }

@@ -19,11 +19,11 @@ func intervalPosterior(m *Model, obs []Observation) (gamma []float64, ll float64
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	ll, err = m.alphaBeta(sc, T, m.trans, mathx.BandOf(m.trans))
+	ll, err = m.alphaBeta(sc, T, m.powCache.Pow(1), mathx.BandOf(m.powCache.Pow(1)))
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	ns := len(m.states)
+	ns := m.ns
 	gamma = make([]float64, T*ns)
 	for i := range gamma {
 		gamma[i] = sc.alpha[i] * sc.beta[i]
@@ -162,7 +162,7 @@ func TestFitTransitionsImprovesLikelihood(t *testing.T) {
 		}
 	}
 	// The learned matrix must be a valid stochastic matrix.
-	if !rowStochastic(fit.Model.trans, 1e-6) {
+	if !rowStochastic(fit.Model.powCache.Pow(1), 1e-6) {
 		t.Error("learned transition matrix not row-stochastic")
 	}
 	// And inference with it must still work.
@@ -191,7 +191,7 @@ func TestFitTransitionsValidation(t *testing.T) {
 
 func TestFitTransitionsDoesNotMutateOriginal(t *testing.T) {
 	m := testModel(t, 10)
-	before := m.trans.Clone()
+	before := m.powCache.Pow(1).Clone()
 	var obs []Observation
 	for i := 0; i < 8; i++ {
 		obs = append(obs, obsFor(5, 2e6, i))
@@ -200,7 +200,7 @@ func TestFitTransitionsDoesNotMutateOriginal(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range before.Data {
-		if m.trans.Data[i] != before.Data[i] {
+		if m.powCache.Pow(1).Data[i] != before.Data[i] {
 			t.Fatal("FitTransitions mutated the original model")
 		}
 	}

@@ -71,20 +71,20 @@ func oracleEmissionLogProb(m *Model, obs Observation, i int) float64 {
 	if est == nil {
 		est = tcp.EstimateThroughput
 	}
-	pred := est(m.states[i], obs.TCP, obs.SizeBytes)
+	pred := est(float64(i)*m.cfg.EpsMbps, obs.TCP, obs.SizeBytes)
 	return mathx.NormalLogPDF(obs.ThroughputMbps, pred, m.cfg.Sigma)
 }
 
 func oracleEmissionTableInto(m *Model, tab []float64, obs []Observation) {
-	ns := len(m.states)
+	ns := m.ns
 	est := m.cfg.Estimator
 	if est == nil {
 		est = tcp.EstimateThroughput
 	}
 	for n, o := range obs {
 		row := tab[n*ns : (n+1)*ns]
-		for i := range m.states {
-			pred := est(m.states[i], o.TCP, o.SizeBytes)
+		for i := 0; i < ns; i++ {
+			pred := est(float64(i)*m.cfg.EpsMbps, o.TCP, o.SizeBytes)
 			row[i] = mathx.NormalLogPDF(o.ThroughputMbps, pred, m.cfg.Sigma)
 		}
 	}
@@ -105,7 +105,7 @@ func (p *oraclePosterior) Pair(n int) []float64 {
 }
 
 func oracleForwardBackwardInto(m *Model, sc *oracleScratch, N int) *oraclePosterior {
-	ns := len(m.states)
+	ns := m.ns
 	d := sc.gaps
 
 	for n := 0; n < N; n++ {
@@ -130,7 +130,7 @@ func oracleForwardBackwardInto(m *Model, sc *oracleScratch, N int) *oraclePoster
 	a0 := alphaRow(0)
 	e0 := emitRow(0)
 	for i := 0; i < ns; i++ {
-		a0[i] = m.initDist[i] * e0[i]
+		a0[i] = (1 / float64(ns)) * e0[i]
 	}
 	sc.scale[0] = mathx.Normalize(a0)
 
@@ -231,7 +231,7 @@ func oracleIntervalEmissionsInto(m *Model, sc *oracleScratch, obs []Observation)
 		return 0, err
 	}
 	T := obs[len(obs)-1].StartInterval + 1
-	ns := len(m.states)
+	ns := m.ns
 	sc.intervalSlabs(T, ns)
 	logE := sc.intLogE
 	for i := range logE {
@@ -254,10 +254,10 @@ func oracleIntervalPosterior(m *Model, obs []Observation) (gamma []float64, ll f
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	if err := oracleIntervalPasses(m, sc, T, m.trans); err != nil {
+	if err := oracleIntervalPasses(m, sc, T, m.powCache.Pow(1)); err != nil {
 		return nil, 0, 0, err
 	}
-	ns := len(m.states)
+	ns := m.ns
 	gamma = sc.intGamma[:T*ns]
 	for t := 0; t < T; t++ {
 		g := gamma[t*ns : (t+1)*ns]
@@ -280,7 +280,7 @@ func oracleIntervalPosterior(m *Model, obs []Observation) (gamma []float64, ll f
 }
 
 func oracleIntervalPasses(m *Model, sc *oracleScratch, T int, a *mathx.Matrix) error {
-	ns := len(m.states)
+	ns := m.ns
 	for t := 0; t < T; t++ {
 		logRow := sc.intLogE[t*ns : (t+1)*ns]
 		maxLog := mathx.NegInf
@@ -307,7 +307,7 @@ func oracleIntervalPasses(m *Model, sc *oracleScratch, T int, a *mathx.Matrix) e
 
 	a0, e0 := alphaRow(0), emitRow(0)
 	for i := 0; i < ns; i++ {
-		a0[i] = m.initDist[i] * e0[i]
+		a0[i] = (1 / float64(ns)) * e0[i]
 	}
 	sc.intScale[0] = mathx.Normalize(a0)
 	for t := 1; t < T; t++ {
@@ -364,9 +364,9 @@ func oracleFitTransitions(m *Model, obs []Observation, iters int, smoothing floa
 	if T < 2 {
 		return nil, nil, errors.New("hmm: need at least two intervals to fit transitions")
 	}
-	ns := len(m.states)
+	ns := m.ns
 	logE := sc.intLogE
-	a := m.trans.Clone()
+	a := m.powCache.Pow(1).Clone()
 	var lls []float64
 
 	for iter := 0; iter < iters; iter++ {
@@ -460,13 +460,13 @@ func oracleFitTransitions(m *Model, obs []Observation, iters int, smoothing floa
 // oracleViterbiInto is the parent's viterbiInto: every predecessor of
 // every state is searched, skipping −Inf log transitions.
 func oracleViterbiInto(m *Model, sc *Scratch, N int) ([]int, float64) {
-	ns := len(m.states)
+	ns := m.ns
 	d := sc.gaps
 
 	// score[i] = best log-prob of any path ending in state i at chunk n.
 	score, next := sc.cur, sc.next
 	for i := 0; i < ns; i++ {
-		score[i] = math.Log(m.initDist[i]) + sc.emitLog[i]
+		score[i] = math.Log(1/float64(ns)) + sc.emitLog[i]
 	}
 	for n := 1; n < N; n++ {
 		back := sc.back[n*ns : (n+1)*ns] // back[j] = predecessor of j at chunk n
@@ -506,7 +506,7 @@ func oracleSampleInto(m *Model, out []int, weights []float64, rng *mathx.Rand, p
 	if len(viterbi) != N {
 		return errors.New("hmm: viterbi path length mismatch")
 	}
-	ns := len(m.states)
+	ns := m.ns
 	out[N-1] = viterbi[N-1]
 	for n := N - 2; n >= 0; n-- {
 		nextState := out[n+1]
@@ -534,7 +534,7 @@ func oracleExpectedCapacityAfter(m *Model, state, gap int) float64 {
 	row := a.Row(state)
 	var e float64
 	for j, p := range row {
-		e += p * m.states[j]
+		e += p * (float64(j) * m.cfg.EpsMbps)
 	}
 	return e
 }
@@ -552,7 +552,7 @@ type oracleInference struct {
 // forward–backward with its pair slab, and K samples read from it.
 func oracleInfer(t *testing.T, m *Model, obs []Observation, k int, seed int64) *oracleInference {
 	t.Helper()
-	N, ns := len(obs), len(m.states)
+	N, ns := len(obs), m.ns
 	sc := &Scratch{}
 	sc.inferSlabs(N, ns)
 	if err := gapsInto(sc.gaps, obs); err != nil {
@@ -706,9 +706,9 @@ func TestOracleBitIdentical(t *testing.T) {
 						t.Fatalf("%s: fit: %v", label, err)
 					}
 					for i, v := range wantA.Data {
-						if fit.Model.trans.Data[i] != v {
+						if fit.Model.powCache.Pow(1).Data[i] != v {
 							t.Fatalf("%s: fitted matrix after %d iterations differs at cell %d: %v, want %v",
-								label, iters, i, fit.Model.trans.Data[i], v)
+								label, iters, i, fit.Model.powCache.Pow(1).Data[i], v)
 						}
 					}
 					// The EM log-likelihoods moved from ll += log s + shift
@@ -720,7 +720,7 @@ func TestOracleBitIdentical(t *testing.T) {
 					}
 					if iters == 3 {
 						fitted := *m
-						fitted.trans, fitted.powCache = wantA, mathx.NewPowerCache(wantA)
+						fitted.powCache = mathx.NewPowerCache(wantA)
 						fitted.sc = nil
 						got, err := fit.Model.Infer(s.obs, 4, seed)
 						if err != nil {

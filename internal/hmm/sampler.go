@@ -44,7 +44,7 @@ func (m *Model) sampleInto(out []int, sc *Scratch, rng *mathx.Rand, post *Poster
 // A^Δ's band that reach s are computed; every other weight is an exact
 // zero.
 func (m *Model) pairColumnInto(w []float64, sc *Scratch, n, s int) float64 {
-	ns := len(m.states)
+	ns := m.ns
 	a, band := sc.stepA[n+1], sc.stepBand[n+1]
 	an := sc.alpha[n*ns : (n+1)*ns]
 	eNext, bNext := sc.emit[(n+1)*ns+s], sc.beta[(n+1)*ns+s]
@@ -76,7 +76,7 @@ func (m *Model) ExpectedCapacityAfter(state, gap int) float64 {
 	row := a.Row(state)
 	var e float64
 	for j := band.RowLo[state]; j < band.RowHi[state]; j++ {
-		e += row[j] * m.states[j]
+		e += row[j] * m.Capacity(j)
 	}
 	return e
 }

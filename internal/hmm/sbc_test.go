@@ -58,7 +58,7 @@ func sbcRanks(t *testing.T, m *Model, seed int64) [][sbcK + 1]int {
 				truth[n] = truth[n-1]
 			default: // a gap of 1 δ: one step of the prior
 				interval++
-				copy(row, m.trans.Row(truth[n-1]))
+				copy(row, m.powCache.Pow(1).Row(truth[n-1]))
 				truth[n] = mathx.SampleCategorical(rng, row)
 			}
 			st, size := sbcStates[rng.Intn(len(sbcStates))], sbcSizes[rng.Intn(len(sbcSizes))]

@@ -20,7 +20,7 @@ import (
 // and sc.emitLog filled; back-pointers live in sc.back (N×S row-major)
 // and the returned path in sc.path.
 func (m *Model) viterbiInto(sc *Scratch, N int) ([]int, float64) {
-	ns := len(m.states)
+	ns := m.ns
 	d := sc.gaps
 
 	// score[i] = best log-prob of any path ending in state i at chunk n.
@@ -60,7 +60,7 @@ func (m *Model) LastViterbiState(n int, obs func(i int) Observation) (int, error
 		return 0, ErrNoObservations
 	}
 	sc := m.scratch()
-	score, next, emit := sc.lastStateSlabs(len(m.states))
+	score, next, emit := sc.lastStateSlabs(m.ns)
 	o := obs(0)
 	m.emissionRowInto(emit, o)
 	m.viterbiStart(score, emit)
@@ -83,8 +83,9 @@ func (m *Model) LastViterbiState(n int, obs func(i int) Observation) (int, error
 // viterbiStart fills score with the first chunk's Viterbi scores: the
 // log initial distribution plus that chunk's log-emission row.
 func (m *Model) viterbiStart(score, emit []float64) {
+	logU := math.Log(m.initMass())
 	for i := range score {
-		score[i] = math.Log(m.initDist[i]) + emit[i]
+		score[i] = logU + emit[i]
 	}
 }
 

@@ -151,22 +151,48 @@ func TestPowLogMatchesLogOfPow(t *testing.T) {
 }
 
 // TestSharedPowersMissSplit drives each miss cause — cold insert and
-// fingerprint collision — through matrices unique to this test and
-// checks the per-cause counters move (capacity misses would need a full
-// registry, so only the invariant Misses() == Σ causes is pinned there).
+// a full registry — through keys unique to this test and checks the
+// per-cause counters move. The registry is swapped for an empty one
+// while the test fills it to the cap, and restored afterwards.
 func TestSharedPowersMissSplit(t *testing.T) {
-	base, _ := FromRows([][]float64{{0.8671875, 0.1328125}, {0.2421875, 0.7578125}})
+	sharedPowers.mu.Lock()
+	saved := sharedPowers.caches
+	sharedPowers.caches = make(map[any]*PowerCache)
+	sharedPowers.mu.Unlock()
+	t.Cleanup(func() {
+		sharedPowers.mu.Lock()
+		sharedPowers.caches = saved
+		sharedPowers.mu.Unlock()
+	})
+
+	base := func() *Matrix { return Identity(1) }
 	d0 := SharedPowersDetail()
-	SharedPowers(base)
-	SharedPowers(base.Clone())
+	first := SharedPowers(testKey{"split", 0}, base)
+	if again := SharedPowers(testKey{"split", 0}, base); again != first {
+		t.Error("an inserted key missed")
+	}
 	d1 := SharedPowersDetail().Sub(d0)
-	if d1.ColdMisses != 1 {
-		t.Errorf("cold misses = %d, want 1 (first sight inserts)", d1.ColdMisses)
+	if d1.ColdMisses != 1 || d1.Hits != 1 || d1.CapacityMisses != 0 {
+		t.Errorf("after insert and hit: %+v, want 1 cold miss and 1 hit", d1)
 	}
-	if d1.Hits != 1 {
-		t.Errorf("hits = %d, want 1 (identical matrix reuses)", d1.Hits)
+	for i := 1; i < sharedPowersCap; i++ {
+		SharedPowers(testKey{"split", i}, base)
 	}
-	if d1.Misses() != d1.ColdMisses+d1.CollisionMisses+d1.CapacityMisses {
+	builds := 0
+	over := testKey{"split", sharedPowersCap}
+	a := SharedPowers(over, func() *Matrix { builds++; return Identity(1) })
+	b := SharedPowers(over, func() *Matrix { builds++; return Identity(1) })
+	d2 := SharedPowersDetail().Sub(d0)
+	if a == b || builds != 2 {
+		t.Errorf("past the cap: shared cache %v, %d builds; want a private cache per lookup", a == b, builds)
+	}
+	if d2.ColdMisses != sharedPowersCap || d2.CapacityMisses != 2 || d2.Hits != 1 {
+		t.Errorf("past the cap: %+v, want %d cold misses, 2 capacity misses, 1 hit", d2, sharedPowersCap)
+	}
+	if SharedPowers(testKey{"split", 0}, base) != first {
+		t.Error("a full registry stopped serving a key it holds")
+	}
+	if d := SharedPowersDetail().Sub(d0); d.Misses() != d.ColdMisses+d.CapacityMisses {
 		t.Error("Misses() != sum of causes")
 	}
 }

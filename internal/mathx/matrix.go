@@ -1,7 +1,9 @@
 // Package mathx provides the small dense-matrix and numerical routines
 // that the Veritas EHMM needs: row-stochastic matrices, cached matrix
-// powers, log-domain helpers and Gaussian densities — and the module's
-// one seeded random source, NewRand.
+// powers (shared process-wide under a key the caller chooses, so a
+// matrix is built once per key: SharedPowers), log-domain helpers and
+// Gaussian densities — and the module's one seeded random source,
+// NewRand.
 //
 // All matrices are dense, row-major float64. A matrix's support is
 // recorded separately as a Band: the EHMM's tridiagonal prior makes
@@ -13,10 +15,8 @@
 package mathx
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strings"
 	"sync"
@@ -229,21 +229,6 @@ func (m *Matrix) Equal(b *Matrix) bool {
 	return true
 }
 
-// Fingerprint returns a 64-bit FNV-1a hash of the matrix shape and the
-// raw bits of its elements — the key the shared power cache uses to
-// recognize identical transition matrices across sessions.
-func (m *Matrix) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(m.Rows)<<32|uint64(uint32(m.Cols)))
-	h.Write(buf[:])
-	for _, v := range m.Data {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		h.Write(buf[:])
-	}
-	return h.Sum64()
-}
-
 // Band is a square matrix's support, row by row and column by column:
 // the non-zero entries of row i lie in columns [RowLo[i], RowHi[i]) and
 // those of column j in rows [ColLo[j], ColHi[j]). An all-zero row or
@@ -448,85 +433,76 @@ func (c *PowerCache) Retained() (powers, logs int) {
 }
 
 // sharedPowers is the process-wide transition-power registry: fleets of
-// sessions whose models use identical transition matrices (equal
-// capacity grids) share one PowerCache instead of recomputing A^Δn per
-// session. Keyed by Matrix.Fingerprint with an equality check against
-// collisions; bounded so adversarial matrix diversity cannot grow it
-// without limit.
+// sessions whose models use the same transition prior (equal capacity
+// grids) share one PowerCache instead of recomputing A^Δn per session.
+// Keyed by a comparable description of the matrix that its caller
+// supplies, so a lookup never builds, hashes or compares the matrix;
+// bounded so adversarial grid diversity cannot grow it without limit.
 var sharedPowers = struct {
 	mu     sync.Mutex
-	caches map[uint64]*PowerCache
+	caches map[any]*PowerCache
 	stats  SharedPowersStats
-}{caches: make(map[uint64]*PowerCache)}
+}{caches: make(map[any]*PowerCache)}
 
 // sharedPowersCap bounds the registry. Grids in a fleet are few (one
-// per distinct MaxMbps after quantization); past the cap new matrices
-// get private caches and are still counted as misses.
+// per distinct MaxMbps after quantization); past the cap new keys get
+// private caches and are still counted as misses.
 const sharedPowersCap = 256
 
 // SharedPowersStats breaks SharedPowers lookup traffic down by cause.
 // A "miss" is any lookup that did not find a reusable cache, and the
-// three causes behave very differently: cold misses are the expected
-// one-per-grid warmup, collision misses mean two distinct matrices hash
-// to one fingerprint (the colliding matrix gets a private cache on
-// every lookup), and capacity misses mean the registry is full and the
-// grid diversity exceeds sharedPowersCap (also a private cache per
+// two causes behave very differently: cold misses are the expected
+// one-per-grid warmup, while capacity misses mean the registry is full
+// and the grid diversity exceeds sharedPowersCap (a private cache per
 // lookup). A telemetry gauge built from the sum alone cannot tell a
 // healthy warmup from a permanently-thrashing fleet.
 type SharedPowersStats struct {
 	Hits uint64
-	// ColdMisses counts first-sight matrices that were inserted into
-	// the registry.
+	// ColdMisses counts first-sight keys that were inserted into the
+	// registry.
 	ColdMisses uint64
-	// CollisionMisses counts lookups that found a fingerprint match
-	// with a different matrix (FNV-1a collision); such matrices are
-	// never inserted and miss on every lookup.
-	CollisionMisses uint64
 	// CapacityMisses counts lookups rejected because the registry held
-	// sharedPowersCap entries; they also miss on every lookup.
+	// sharedPowersCap entries; they miss on every lookup.
 	CapacityMisses uint64
 }
 
-// Misses returns the total miss count across all three causes.
+// Misses returns the total miss count across both causes.
 func (s SharedPowersStats) Misses() uint64 {
-	return s.ColdMisses + s.CollisionMisses + s.CapacityMisses
+	return s.ColdMisses + s.CapacityMisses
 }
 
 // Sub returns s minus t, counter by counter — for computing per-run
 // deltas of the process-wide totals.
 func (s SharedPowersStats) Sub(t SharedPowersStats) SharedPowersStats {
 	return SharedPowersStats{
-		Hits:            s.Hits - t.Hits,
-		ColdMisses:      s.ColdMisses - t.ColdMisses,
-		CollisionMisses: s.CollisionMisses - t.CollisionMisses,
-		CapacityMisses:  s.CapacityMisses - t.CapacityMisses,
+		Hits:           s.Hits - t.Hits,
+		ColdMisses:     s.ColdMisses - t.ColdMisses,
+		CapacityMisses: s.CapacityMisses - t.CapacityMisses,
 	}
 }
 
-// SharedPowers returns a process-wide PowerCache for base: sessions
-// with bit-identical matrices get the same cache, so transition powers
-// are computed once per grid rather than once per session. On a
-// fingerprint collision (hash equal, matrix different) or when the
-// registry is full, a private cache is returned.
-func SharedPowers(base *Matrix) *PowerCache {
-	fp := base.Fingerprint()
+// SharedPowers returns the process-wide PowerCache for key: every
+// lookup with an equal key gets the same cache, so transition powers
+// are computed once per grid rather than once per session. The key
+// must determine the matrix base builds, and base runs only when the
+// key is new, or when the registry is full, in which case its matrix
+// gets a private cache. Keys of different types never match. K is a
+// type parameter rather than any so that a lookup that finds its key
+// does not move the key to the heap.
+func SharedPowers[K comparable](key K, base func() *Matrix) *PowerCache {
 	sharedPowers.mu.Lock()
 	defer sharedPowers.mu.Unlock()
-	existing, collided := sharedPowers.caches[fp]
-	if collided && existing.base.Equal(base) {
+	if c, ok := sharedPowers.caches[key]; ok {
 		sharedPowers.stats.Hits++
-		return existing
+		return c
 	}
-	c := NewPowerCache(base)
-	switch {
-	case collided:
-		sharedPowers.stats.CollisionMisses++
-	case len(sharedPowers.caches) >= sharedPowersCap:
+	c := NewPowerCache(base())
+	if len(sharedPowers.caches) >= sharedPowersCap {
 		sharedPowers.stats.CapacityMisses++
-	default:
-		sharedPowers.stats.ColdMisses++
-		sharedPowers.caches[fp] = c
+		return c
 	}
+	sharedPowers.stats.ColdMisses++
+	sharedPowers.caches[key] = c
 	return c
 }
 

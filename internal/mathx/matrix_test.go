@@ -219,35 +219,49 @@ func TestNewMatrixPanicsOnBadShape(t *testing.T) {
 	NewMatrix(0, 3)
 }
 
-func TestFingerprintAndEqual(t *testing.T) {
+func TestMatrixEqual(t *testing.T) {
 	a, _ := FromRows([][]float64{{0.7, 0.3}, {0.4, 0.6}})
 	b, _ := FromRows([][]float64{{0.7, 0.3}, {0.4, 0.6}})
 	c, _ := FromRows([][]float64{{0.7, 0.3}, {0.4, 0.6000001}})
-	if !a.Equal(b) || a.Fingerprint() != b.Fingerprint() {
-		t.Error("equal matrices must share a fingerprint")
+	if !a.Equal(b) {
+		t.Error("equal matrices compare unequal")
 	}
-	if a.Equal(c) || a.Fingerprint() == c.Fingerprint() {
-		t.Error("different matrices should differ in fingerprint")
+	if a.Equal(c) {
+		t.Error("different matrices compare equal")
 	}
 	d, _ := FromRows([][]float64{{0.7, 0.3, 0.4, 0.6}}) // same data, other shape
-	if a.Equal(d) || a.Fingerprint() == d.Fingerprint() {
-		t.Error("shape must be part of the fingerprint")
+	if a.Equal(d) {
+		t.Error("shape must be part of equality")
 	}
 }
 
+// testKey is a registry key type no other package uses, so the keys
+// these tests insert are theirs alone.
+type testKey struct {
+	name string
+	n    int
+}
+
 func TestSharedPowersReusesCaches(t *testing.T) {
-	// A base unique to this test so the process-wide registry stats are
-	// attributable.
 	base, _ := FromRows([][]float64{{0.8125, 0.1875}, {0.34375, 0.65625}})
+	key := testKey{"reuses", 2}
+	builds := 0
+	build := func() *Matrix { builds++; return base.Clone() }
 	d0 := SharedPowersDetail()
-	c1 := SharedPowers(base)
-	c2 := SharedPowers(base.Clone())
+	c1 := SharedPowers(key, build)
+	c2 := SharedPowers(key, build)
 	d := SharedPowersDetail().Sub(d0)
 	if c1 != c2 {
-		t.Fatal("identical matrices got distinct shared caches")
+		t.Fatal("equal keys got distinct shared caches")
+	}
+	if builds != 1 {
+		t.Errorf("builder ran %d times, want once (for the new key)", builds)
 	}
 	if d.Hits != 1 || d.Misses() != 1 {
 		t.Errorf("stats delta = %d hits %d misses, want 1 and 1", d.Hits, d.Misses())
+	}
+	if c3 := SharedPowers(testKey{"reuses", 3}, build); c3 == c1 {
+		t.Error("a different key got the same cache")
 	}
 	// Shared caches serve the powers a private cache computes, bit for
 	// bit (Equal compares elements with ==) — cold, and again through a
@@ -255,7 +269,7 @@ func TestSharedPowersReusesCaches(t *testing.T) {
 	// whatever anchors the first caller left. hmm.New takes every prior's
 	// powers from here, so this is what makes inference independent of
 	// which sessions ran before.
-	for pass, c := range []*PowerCache{c1, SharedPowers(base)} {
+	for pass, c := range []*PowerCache{c1, SharedPowers(key, build)} {
 		private := NewPowerCache(base)
 		for _, k := range []int{3, 1, 9, 0, 4 + 20*pass} {
 			if got, want := c.Pow(k), private.Pow(k); !got.Equal(want) {
@@ -279,7 +293,7 @@ func TestSharedPowersConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c := SharedPowers(base)
+			c := SharedPowers(testKey{"concurrent", 2}, base.Clone)
 			for k := 0; k < 40; k++ {
 				got := c.Pow((k*7 + w) % 23)
 				if !got.Equal(want.Pow((k*7 + w) % 23)) {
