@@ -4,9 +4,10 @@
 // queries.
 //
 // The pipeline is: SessionLog → Observations (throughput, TCP state,
-// size, start interval per chunk) → EHMM inference (Viterbi +
-// forward–backward) → K posterior trace samples → counterfactual replay
-// in the changed setting, or interventional download-time prediction.
+// size, start interval per chunk) → EHMM inference (one forward pass:
+// the Viterbi recursion and α) → K posterior trace samples drawn
+// backward from α → counterfactual replay in the changed setting, or
+// interventional download-time prediction.
 package abduction
 
 import (
@@ -48,8 +49,8 @@ type Config struct {
 	// paper's fixed tridiagonal prior).
 	FitTransitions int
 	// Scratch, when set, is the reusable inference arena every buffer of
-	// the abduction — observations, Viterbi path, posterior slabs,
-	// sampled paths — is carved from, making repeat abductions through
+	// the abduction — observations, the forward pass's α slab, sampled
+	// paths — is carved from, making repeat abductions through
 	// the same arena allocation-flat. The returned Abduction then aliases
 	// the arena and is valid only until the next Abduct with the same
 	// Scratch (see hmm.Scratch); leave nil for results that must outlive
@@ -81,19 +82,26 @@ func (c Config) withDefaults(maxObservedMbps float64) Config {
 }
 
 // Abduction is the result of inverting a session log: the fitted model,
-// the observation sequence, the Viterbi path, the posterior, and K
-// sampled GTBW traces. Its replays read their jitter from the process's
-// one draw sequence per network seed (see player.Replay), so an
-// Abduction holds no jitter of its own.
+// the observation sequence and K sampled GTBW paths, drawn from the
+// forward pass's α (hmm.Model.Infer), plus the Viterbi state of the last
+// chunk, which PredictDownloadTime reads. Nothing else of the inference
+// is kept: no posterior marginals, and no Viterbi path until
+// MostLikelyTrace asks for one. Its replays read their jitter from the
+// process's one draw sequence per network seed (see player.Replay), so
+// an Abduction holds no jitter of its own.
 type Abduction struct {
 	Model        *hmm.Model
 	Observations []hmm.Observation
-	ViterbiPath  []int
-	Posterior    *hmm.Posterior
 	SampledPaths [][]int
 
-	log *player.SessionLog
-	cfg Config
+	log  *player.SessionLog
+	cfg  Config
+	last int // the Viterbi state of the last chunk
+
+	// The Viterbi path, built on the first MostLikelyTrace on slabs of
+	// its own (hmm.Model.ViterbiPath), so no arena holds it.
+	pathOnce sync.Once
+	path     []int
 
 	// The estimate traces of Figure 6 are properties of the session, not
 	// of a what-if arm: built on first use (Abduct stays trace-free for
@@ -244,9 +252,9 @@ func Abduct(log *player.SessionLog, cfg Config) (*Abduction, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One Infer computes the gap vector and the log-emission table (the
-	// dominant estimator work) once and shares them across Viterbi,
-	// forward–backward and the K samples.
+	// One Infer evaluates each chunk's emission row (the dominant
+	// estimator work) once, for the Viterbi recursion and α alike, and
+	// draws the K samples from α.
 	inf, err := model.Infer(obs, cfg.NumSamples, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -254,11 +262,10 @@ func Abduct(log *player.SessionLog, cfg Config) (*Abduction, error) {
 	return &Abduction{
 		Model:        model,
 		Observations: obs,
-		ViterbiPath:  inf.Path,
-		Posterior:    inf.Post,
 		SampledPaths: inf.Samples,
 		log:          log,
 		cfg:          cfg,
+		last:         inf.Last,
 	}, nil
 }
 
@@ -309,12 +316,19 @@ func prepare(log *player.SessionLog, cfg Config, keep bool) (Config, []hmm.Obser
 // ConfigUsed returns the (defaulted) configuration.
 func (a *Abduction) ConfigUsed() Config { return a.cfg }
 
-// MostLikelyTrace returns the GTBW trace implied by the Viterbi path. It
-// is freshly allocated, and the caller's.
+// MostLikelyTrace returns the GTBW trace implied by the Viterbi path,
+// which the first call builds (Abduct keeps only its last state). The
+// trace is freshly allocated, and the caller's.
 func (a *Abduction) MostLikelyTrace() *trace.Trace {
 	a.mustBeLive()
+	a.pathOnce.Do(func() {
+		var err error
+		if a.path, _, err = a.Model.ViterbiPath(a.Observations); err != nil {
+			panic(fmt.Sprintf("abduction: Viterbi path of abducted observations: %v", err))
+		}
+	})
 	n := a.pathPoints()
-	return a.pathToTrace(a.ViterbiPath, make([]trace.Point, n), make([]int, n))
+	return a.pathToTrace(a.path, make([]trace.Point, n), make([]int, n))
 }
 
 // SampleTraces returns the K posterior traces, interpolated onto the
@@ -416,7 +430,7 @@ func (a *Abduction) pathToTrace(path []int, pts []trace.Point, counts []int) *tr
 func (a *Abduction) PredictDownloadTime(startSecs float64, st tcp.State, sizeBytes float64) float64 {
 	a.mustBeLive()
 	last := a.Observations[len(a.Observations)-1].StartInterval
-	return predictDownloadTime(a.Model, a.cfg.HMM.DeltaSecs, last, a.ViterbiPath[len(a.ViterbiPath)-1], startSecs, st, sizeBytes)
+	return predictDownloadTime(a.Model, a.cfg.HMM.DeltaSecs, last, a.last, startSecs, st, sizeBytes)
 }
 
 // predictDownloadTime is the arithmetic of the interventional query,

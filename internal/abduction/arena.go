@@ -27,9 +27,9 @@ import (
 // result equals the package functions' bit for bit: the arena changes
 // where the storage comes from, never a value.
 //
-// Lifetime: an Abduction made by Arena.Abduct — its observations,
-// paths and posterior, and the sample and Baseline traces it builds —
-// points into the arena and is valid only until the next Arena.Abduct.
+// Lifetime: an Abduction made by Arena.Abduct — its observations and
+// sampled paths, and the sample and Baseline traces it builds — points
+// into the arena and is valid only until the next Arena.Abduct.
 // Calling its methods after that fails loudly: Counterfactual returns
 // ErrArenaReused, and SampleTraces, MostLikelyTrace and
 // PredictDownloadTime panic with it (slices and traces already taken

@@ -3,9 +3,12 @@ package abduction
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"veritas/internal/abr"
+	"veritas/internal/hmm"
+	"veritas/internal/mathx"
 	"veritas/internal/netem"
 	"veritas/internal/player"
 	"veritas/internal/tcp"
@@ -177,4 +180,53 @@ func mustPanicReused(t *testing.T, what string, f func()) {
 		}
 	}()
 	f()
+}
+
+// TestArmedAbductKeepsOneSlab: an armed Abduct leaves its arena's
+// inference slabs holding one N×S float slab, α, and beside it only
+// O(S + K·N): per chunk an observation and the step into it (A^Δn and
+// its band), the K sampled paths, and a few S-vectors. Every slice of
+// the hmm.Scratch is counted, so a new N×S slab, or a per-chunk one
+// the budget does not name, fails it. MostLikelyTrace builds the
+// Viterbi path on slabs of its own and leaves the count as it was.
+func TestArmedAbductKeepsOneSlab(t *testing.T) {
+	log := sessionLog(t, 3, 0, 5) // the full 300-chunk clip
+	const k = 5
+	var ar Arena
+	a, err := ar.Abduct(log, Config{NumSamples: k, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	N, S := len(a.Observations), a.Model.NumStates()
+	perChunk := int(reflect.TypeOf(hmm.Observation{}).Size()+reflect.TypeOf(mathx.Band{}).Size()) + 8
+	budget := N*perChunk + k*N*8 + k*24 + 8*8*S
+	check := func(when string) {
+		t.Helper()
+		var slabs, rest int
+		v := reflect.ValueOf(&ar.inf).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			if f.Kind() != reflect.Slice {
+				continue
+			}
+			bytes := f.Cap() * int(f.Type().Elem().Size())
+			if f.Cap() >= N*S {
+				slabs++
+				if f.Type().Elem().Kind() != reflect.Float64 || f.Cap() != N*S {
+					t.Errorf("%s: %s holds %d cells of %s, want α's %d floats", when, v.Type().Field(i).Name, f.Cap(), f.Type().Elem(), N*S)
+				}
+				continue
+			}
+			rest += bytes
+		}
+		if slabs != 1 {
+			t.Errorf("%s: the arena holds %d slabs of at least N×S = %d×%d cells, want 1", when, slabs, N, S)
+		}
+		if rest > budget {
+			t.Errorf("%s: the arena's other slices hold %d B, want at most O(S + K·N) = %d B", when, rest, budget)
+		}
+	}
+	check("after Abduct")
+	a.MostLikelyTrace()
+	check("after MostLikelyTrace")
 }

@@ -207,48 +207,34 @@ func TestAbductDegenerateLogs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fixed grid, observation above it: %v", err)
 	}
-	for n := 0; n < a.Posterior.Len(); n++ {
-		for _, v := range a.Posterior.Gamma(n) {
-			if math.IsNaN(v) {
-				t.Fatalf("NaN in the posterior of chunk %d", n)
-			}
-		}
+	// Every forward normalizer is positive and finite exactly when the
+	// log-likelihood is finite: no α row holds a NaN.
+	if inf, err := a.Model.Infer(a.Observations, 0, 1); err != nil || math.IsNaN(inf.LogLikelihood) || math.IsInf(inf.LogLikelihood, 0) {
+		t.Fatalf("forward pass above a fixed grid: log-likelihood %v, %v", inf.LogLikelihood, err)
 	}
 }
 
 // TestAbductSingleChunkLog runs the full pipeline on the smallest legal
-// session: one chunk means no transitions, a single-row posterior and no
-// chunk pair to normalise — every edge of the slab arithmetic.
+// session: one chunk means no transitions, a single α row and no chunk
+// pair to sample across — every edge of the slab arithmetic.
 func TestAbductSingleChunkLog(t *testing.T) {
 	a, err := Abduct(singleChunkLog(), Config{NumSamples: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.ViterbiPath) != 1 {
-		t.Fatalf("Viterbi path length %d, want 1", len(a.ViterbiPath))
+	path, _, err := a.Model.ViterbiPath(a.Observations)
+	if err != nil || len(path) != 1 || path[0] != a.last {
+		t.Fatalf("Viterbi path %v (%v), want the one state %d", path, err, a.last)
 	}
-	if a.Posterior.Len() != 1 {
-		t.Fatalf("posterior covers %d chunks, want 1", a.Posterior.Len())
-	}
-	if math.IsNaN(a.Posterior.LogLikelihood) {
-		t.Error("single-chunk log-likelihood is NaN")
-	}
-	var sum float64
-	for _, v := range a.Posterior.Gamma(0) {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatal("NaN/Inf in single-chunk posterior")
-		}
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("single-chunk Gamma sums to %v", sum)
+	if inf, err := a.Model.Infer(a.Observations, 0, 1); err != nil || math.IsNaN(inf.LogLikelihood) || math.IsInf(inf.LogLikelihood, 0) {
+		t.Errorf("single-chunk log-likelihood %v, %v", inf.LogLikelihood, err)
 	}
 	if len(a.SampledPaths) != 3 {
 		t.Fatalf("%d sampled paths, want 3", len(a.SampledPaths))
 	}
 	for _, p := range a.SampledPaths {
-		if len(p) != 1 {
-			t.Fatal("sampled path length != 1")
+		if len(p) != 1 || p[0] != a.last {
+			t.Fatalf("sampled path %v, want the pinned last state %d", p, a.last)
 		}
 	}
 	tr := a.MostLikelyTrace()
@@ -286,13 +272,11 @@ func TestAbductScratchReuseMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if shared.Posterior.LogLikelihood != fresh.Posterior.LogLikelihood {
-			t.Error("shared-arena log-likelihood differs from fresh run")
+		if shared.last != fresh.last {
+			t.Error("shared-arena last Viterbi state differs from fresh run")
 		}
-		for i := range fresh.ViterbiPath {
-			if shared.ViterbiPath[i] != fresh.ViterbiPath[i] {
-				t.Fatalf("Viterbi path differs at chunk %d", i)
-			}
+		if err := samePoints(shared.MostLikelyTrace(), fresh.MostLikelyTrace()); err != nil {
+			t.Fatalf("most likely trace: %v", err)
 		}
 		for s := range fresh.SampledPaths {
 			for i := range fresh.SampledPaths[s] {

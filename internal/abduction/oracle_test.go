@@ -308,7 +308,11 @@ func TestPathTracesMatchOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if err := samePoints(a.MostLikelyTrace(), pathToTraceOracle(a, a.ViterbiPath)); err != nil {
+		path, _, err := a.Model.ViterbiPath(a.Observations)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := samePoints(a.MostLikelyTrace(), pathToTraceOracle(a, path)); err != nil {
 			t.Errorf("%s: most likely trace: %v", name, err)
 		}
 		for i, tr := range a.SampleTraces() {

@@ -9,9 +9,9 @@ import (
 // Predictor answers the interventional query of §4.4 for one session
 // log from the one value the query reads of an abduction: the Viterbi
 // state of the last observed chunk. Where Abduct runs the whole
-// inference — the N×S emission table, Viterbi back-pointers, the α/β
-// pass, the posterior and K samples — a Predictor runs only the Viterbi
-// recursion forward (hmm.Model.LastViterbiState), reading the log's
+// forward pass — the N×S α slab and K samples drawn backward from it —
+// a Predictor runs the same pass without α (hmm.Model.LastViterbiState),
+// the Viterbi recursion alone, reading the log's
 // observations one at a time, so it costs O(S) storage whatever the
 // log's length. Its predictions equal the PredictDownloadTime of
 // Abduct's Abduction for the same log and Config bit for bit.

@@ -64,7 +64,7 @@ func requirePredictorMatchesAbduct(t *testing.T, label string, log, other *playe
 	if wantErr != nil {
 		return
 	}
-	want := abd.ViterbiPath[len(abd.ViterbiPath)-1]
+	want := abd.last
 	for _, p := range []*Predictor{fresh, recycled} {
 		if p.state != want {
 			t.Fatalf("%s: last state %d, want Abduct's %d", label, p.state, want)

@@ -14,9 +14,12 @@
 //     slabs and one reseeded generator, one connection and throughput
 //     history, the estimate traces' step slabs — sized by the largest
 //     session shape it has seen and recycled across its whole corpus
-//     slice, so a session allocates little beyond what it returns.
-//     Retained abductions (Config.KeepAbductions) would alias recycled
-//     memory, so that mode falls back to fresh per-session buffers.
+//     slice, so a session allocates little beyond what it returns. A Run
+//     takes its arenas from a process-wide pool and gives them back when
+//     it returns, so the next Run (the next shard, the next Stream
+//     batch) starts with arenas already sized. Retained abductions
+//     (Config.KeepAbductions) would alias recycled memory, so that mode
+//     falls back to fresh per-session buffers.
 //   - Shared transition powers: sessions with equal capacity grids
 //     share one process-wide table of transition-matrix powers, keyed
 //     by the prior (see hmm.New and mathx.SharedPowers), instead of
@@ -316,12 +319,19 @@ func Run(ctx context.Context, cfg Config, corpus []SessionSpec, arms []Arm) (*Re
 	}
 	var completed atomic.Int64
 	// Per-worker reusable state: the session arena (inference slabs and
-	// generator, connection, throughput history, trace slabs), sized by
-	// the largest session its worker sees and recycled across all of
+	// generator, connection, throughput history, trace slabs), taken from
+	// the pool on the worker's first session and recycled across all of
 	// them. KeepAbductions retains per-session results that would alias
 	// the recycled arena, so that mode runs with a nil arena, which
 	// allocates fresh buffers per session instead.
 	arenas := make([]*abduction.Arena, workers)
+	defer func() {
+		for _, a := range arenas {
+			if a != nil {
+				arenaPool.Put(a)
+			}
+		}
+	}()
 	err := forEachIndex(len(corpus), workers, func(w, i int) error {
 		if !cfg.inShard(i) || cfg.Skip[specID(corpus[i], i)] {
 			return nil
@@ -330,7 +340,7 @@ func Run(ctx context.Context, cfg Config, corpus []SessionSpec, arms []Arm) (*Re
 			return err
 		}
 		if arenas[w] == nil && !cfg.KeepAbductions {
-			arenas[w] = new(abduction.Arena)
+			arenas[w] = arenaPool.Get().(*abduction.Arena)
 		}
 		tb := cfg.Tracer.Start("session", specID(corpus[i], i))
 		res, err := runOne(cfg, corpus[i], arms, i, arenas[w], em, tb)
@@ -379,6 +389,14 @@ func Run(ctx context.Context, cfg Config, corpus []SessionSpec, arms []Arm) (*Re
 		Elapsed:  time.Since(start),
 	}, nil
 }
+
+// arenaPool holds the worker arenas no Run is using, so that the next
+// Run starts with arenas already sized. Arenas idle across two garbage
+// collections are dropped, so a long-lived process does not pin the
+// slabs of the largest session it ever ran. An Abduction that outlives
+// its Run and names a pooled arena is caught by the arena's epoch
+// (abduction.ErrArenaReused) once the arena is used again.
+var arenaPool = sync.Pool{New: func() any { return new(abduction.Arena) }}
 
 // forEachIndex runs fn(w, 0) … fn(w, n−1) on up to workers goroutines
 // (at least one), w being the index of the goroutine that runs the

@@ -8,7 +8,8 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"slices"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -152,6 +153,51 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestArenasSurviveRun: a Run gives its worker arenas back to the pool,
+// and the next Run takes them already sized, so it allocates no
+// inference slab: against a Run on a fresh arena, the Run after it
+// allocates at least the α slab (N×S floats, S ≥ 21 on the default
+// grid) and the K×N sample slab less. The collector is off, so the pool
+// keeps what it is given and two collections empty it; the race
+// detector drops a quarter of what a sync.Pool is given at random, so
+// the warm side is the least of ten Runs.
+func TestArenasSurviveRun(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	corpus, err := BuildCorpus(CorpusConfig{SessionsPer: 1, NumChunks: 200, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus = corpus[:1]
+	arms := testArms(200)[:1]
+	const k = 5
+	cfg := Config{Workers: 1, Samples: k, Seed: 1}
+	var res *Result
+	run := func() uint64 {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if res, err = Run(context.Background(), cfg, corpus, arms); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+
+	run() // warms the shared powers and jitter
+	runtime.GC()
+	runtime.GC() // empties the pool
+	cold := run()
+	warm := run()
+	for i := 0; i < 9; i++ {
+		warm = min(warm, run())
+	}
+	chunks := len(res.Sessions[0].Log.Records)
+	slabs := uint64(8 * (chunks*21 + k*chunks))
+	if cold < warm+slabs {
+		t.Errorf("a Run on a fresh arena allocated %d B, a Run after it %d B: %d B saved, want at least the inference slabs' %d B", cold, warm, int64(cold)-int64(warm), slabs)
+	}
+}
+
 // TestArenaDoesNotChangeResults pins that the per-worker session arena
 // is purely an allocation optimization: a run that recycles arenas
 // across sessions (the default) and a run that allocates fresh buffers
@@ -198,8 +244,8 @@ func TestArenaDoesNotChangeResults(t *testing.T) {
 		}
 		if i > 0 {
 			b := fresh.Sessions[i-1].Abd
-			if &a.ViterbiPath[0] == &b.ViterbiPath[0] || &a.Observations[0] == &b.Observations[0] {
-				t.Fatal("retained abductions alias the same path or observation buffer")
+			if &a.SampledPaths[0][0] == &b.SampledPaths[0][0] || &a.Observations[0] == &b.Observations[0] {
+				t.Fatal("retained abductions alias the same sampled path or observation buffer")
 			}
 			if ta, tb := a.SampleTraces()[0], b.SampleTraces()[0]; ta == tb {
 				t.Fatal("retained abductions share a sample trace")
@@ -405,8 +451,8 @@ func TestEstimatorHookReachesInference(t *testing.T) {
 	if err != nil {
 		t.Fatalf("spec with an estimator hook: %v", err)
 	}
-	if slices.Equal(paper.Sessions[0].Abd.ViterbiPath, identity.Sessions[0].Abd.ViterbiPath) {
-		t.Error("identity estimator left the Viterbi path unchanged: the hook never reached inference")
+	if reflect.DeepEqual(paper.Sessions[0].Abd.MostLikelyTrace(), identity.Sessions[0].Abd.MostLikelyTrace()) {
+		t.Error("identity estimator left the most likely trace unchanged: the hook never reached inference")
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 	"veritas/internal/tcp"
 )
 
-// TestBandedMatchesDense drives the banded kernels — α/β, Viterbi, the
-// per-pair normalizers, the sampler's columns and ExpectedCapacityAfter
-// — against the dense oracle over every band width a grid has: sessions
+// TestBandedMatchesDense drives the banded kernels — the forward pass's
+// α and Viterbi recursion, ViterbiPath, Γ through pairInto, the
+// sampler's draws and ExpectedCapacityAfter — against the dense oracle over every band width a grid has: sessions
 // whose gaps cycle through Δ = 0…S+2, so the tridiagonal powers run
 // from the identity through half-width k to full width and past it. The
 // uniform prior and EM-fitted matrices (smoothed, so dense; and
@@ -60,7 +60,7 @@ func TestBandedMatchesDense(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			requireMatchesOracle(t, label, m, sc, got, oracleInfer(t, m, obs, 5, seed))
+			requireMatchesOracle(t, label, m, sc, obs, got, oracleInfer(t, m, obs, 5, seed))
 
 			for state := 0; state < S; state++ {
 				for gap := 0; gap <= S+2; gap++ {
@@ -139,7 +139,8 @@ func FuzzEmissionRow(f *testing.F) {
 // power A^Δ with Δ ≥ 1 has a full band — each row and each column spans
 // the whole grid — and the banded kernels must read exactly the cells
 // the dense oracle reads. On grids of 2, 7, 21 and 91 states it checks
-// the bands, then Infer (path, score, γ, every pair column, K samples),
+// the bands, then Infer and ViterbiPath (path, score, α, every Γ through
+// pairInto, K samples),
 // LastViterbiState, ExpectedCapacityAfter and a smoothed Baum–Welch fit
 // against the oracle_test.go kernels, bit for bit.
 func TestUniformPriorAtFullBandIsDense(t *testing.T) {
@@ -172,7 +173,7 @@ func TestUniformPriorAtFullBandIsDense(t *testing.T) {
 			t.Fatalf("%s: %v", label, err)
 		}
 		want := oracleInfer(t, m, obs, 5, seed)
-		requireMatchesOracle(t, label, m, sc, got, want)
+		requireMatchesOracle(t, label, m, sc, obs, got, want)
 		last, err := lastState(m, obs)
 		if err != nil || last != want.Path[n-1] {
 			t.Fatalf("%s: LastViterbiState = %d, %v; want the dense oracle's %d", label, last, err, want.Path[n-1])

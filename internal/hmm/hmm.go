@@ -7,20 +7,22 @@
 //
 //	P(Y_n | W_sn, S_n, C_sn = c) = Normal(f(c, W_sn, S_n), σ²).
 //
-// The package has two entry points and one way to do each thing. Infer
-// runs the paper's three algorithms over one evaluation of the emission
-// table: the Viterbi variant (Algorithm 3), the scaled forward–backward
-// variant (Algorithm 2), and the posterior capacity sampler
-// (Algorithm 1), which computes only the column of the pairwise
-// posterior Γ that each step reads — Γ is never stored. FitTransitions
-// is Baum–Welch re-estimation of A on the chain over every δ-interval,
-// an extension beyond the paper. Both run the same α/β recursion
-// (alphaBeta) over the same Scratch slabs; they differ only in what a
-// position is (a chunk or an interval) and in the step matrix between
-// positions (A^Δn or A). Every loop over a step matrix runs over its
-// mathx.Band: the tridiagonal prior's A^Δ has half-width Δ, and the
-// entries skipped are exact zeros, so results are bit-identical to
-// dense loops (oracle_test.go keeps those).
+// The chunk chain has one forward pass (forward): per chunk it
+// evaluates the emission row once and feeds it to the Viterbi variant
+// (Algorithm 3) and to the scaled forward recursion (Algorithm 2's α).
+// Infer runs it and draws the posterior capacity samples (Algorithm 1)
+// backward from α alone: the column of the pairwise posterior Γ that
+// each draw reads is α_n(i)·A^Δ(i, s) times one constant, so no β, no
+// marginal and no normalizer is computed, and an armed session holds
+// one N×S slab. ViterbiPath runs the same pass with back-pointers for
+// the full path, and LastViterbiState with neither α nor back-pointers
+// for the interventional query. FitTransitions is Baum–Welch
+// re-estimation of A on the chain over every δ-interval, an extension
+// beyond the paper, and the package's one α/β pass (alphaBeta). Every
+// loop over a step matrix runs over its mathx.Band: the tridiagonal
+// prior's A^Δ has half-width Δ, and the entries skipped are exact
+// zeros, so results are bit-identical to dense loops (oracle_test.go
+// keeps those).
 package hmm
 
 import (
@@ -227,8 +229,8 @@ func gapAt(prev, cur, n int) (int, error) {
 // emissionRowInto fills row (length S) with one chunk's log-emissions
 // per Equation (3), a Gaussian around the embedded throughput
 // estimator's prediction: row[i] = log P(Y | W, S, C = iε). It is the
-// package's one emission evaluator — Infer calls it once per chunk,
-// FitTransitions once per chunk before grouping rows by interval.
+// package's one emission evaluator — the forward pass calls it once per
+// chunk, FitTransitions once per chunk before grouping rows by interval.
 //
 // With the paper's estimator, the capacities past tcp.Saturation — a
 // suffix of the grid — all predict the same rate, so the first of them
@@ -254,8 +256,8 @@ func (m *Model) emissionRowInto(row []float64, o Observation) {
 	}
 }
 
-// ErrNoObservations is returned by Infer, LastViterbiState and
-// FitTransitions on empty input.
+// ErrNoObservations is returned by Infer, ViterbiPath, LastViterbiState
+// and FitTransitions on empty input.
 var ErrNoObservations = errors.New("hmm: no observations")
 
 // ErrNegativeSamples is Infer's error for a negative sample count.

@@ -283,11 +283,10 @@ func TestViterbiRecoversConstantCapacity(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		obs = append(obs, obsFor(6.0, 4e6, i))
 	}
-	inf, err := m.Infer(obs, 0, 1)
+	path, ll, err := m.ViterbiPath(obs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path, ll := inf.Path, inf.PathLogProb
 	if math.IsInf(ll, -1) {
 		t.Fatal("log-likelihood is -Inf")
 	}
@@ -311,11 +310,10 @@ func TestViterbiRecoversStepChange(t *testing.T) {
 	for i := 10; i < 22; i++ {
 		obs = append(obs, obsFor(5.5, 4e6, i))
 	}
-	inf, err := m.Infer(obs, 0, 1)
+	path, _, err := m.ViterbiPath(obs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := inf.Path
 	for n := 0; n < 7; n++ {
 		if math.Abs(m.Capacity(path[n])-3.0) > 0.51 {
 			t.Errorf("chunk %d: %v Mbps, want ~3.0", n, m.Capacity(path[n]))
@@ -339,47 +337,25 @@ func TestViterbiZeroGapChunksShareState(t *testing.T) {
 	// states even under conflicting evidence.
 	m := testModel(t, 10)
 	obs := []Observation{obsFor(3, 4e6, 5), obsFor(8, 4e6, 5)}
-	inf, err := m.Infer(obs, 0, 1)
+	path, _, err := m.ViterbiPath(obs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := inf.Path
 	if path[0] != path[1] {
 		t.Errorf("zero-gap chunks got different states %d, %d", path[0], path[1])
 	}
 }
 
-// pairOf rebuilds the S×S pairwise posterior of chunks (n, n+1) from
-// the arena of the Infer that just ran on m, one sampler column at a
-// time: pairOf(...)[i*S+j] = Γ_{i,j,n}. Infer clears its step matrices
-// on return, so the one this pair reads is looked up again by its gap.
-func pairOf(m *Model, sc *Scratch, n int) []float64 {
-	ns := m.NumStates()
-	sc.stepA[n+1], sc.stepBand[n+1] = m.powCache.PowBand(sc.gaps[n+1])
-	defer func() { sc.stepA[n+1], sc.stepBand[n+1] = nil, mathx.Band{} }()
-	pair, col := make([]float64, ns*ns), make([]float64, ns)
-	for j := 0; j < ns; j++ {
-		m.pairColumnInto(col, sc, n, j)
-		for i, v := range col {
-			pair[i*ns+j] = v
-		}
-	}
-	return pair
-}
-
+// TestForwardBackwardGammaNormalized: the marginals Infer's α completes
+// to, and every pairwise posterior Γ built from that α through pairInto,
+// are distributions.
 func TestForwardBackwardGammaNormalized(t *testing.T) {
 	m := testModel(t, 10)
-	sc := NewScratch()
-	m.SetScratch(sc)
 	var obs []Observation
 	for i := 0; i < 15; i++ {
 		obs = append(obs, obsFor(5, 3e6, i*2))
 	}
-	inf, err := m.Infer(obs, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	post := inf.Post
+	post := posteriorOf(t, m, obs)
 	for n := 0; n < post.Len(); n++ {
 		var s float64
 		for _, v := range post.Gamma(n) {
@@ -394,7 +370,7 @@ func TestForwardBackwardGammaNormalized(t *testing.T) {
 	}
 	for n := 0; n < post.Len()-1; n++ {
 		var s float64
-		for _, v := range pairOf(m, sc, n) {
+		for _, v := range post.pair(n) {
 			s += v
 		}
 		if math.Abs(s-1) > 1e-9 {
@@ -403,10 +379,11 @@ func TestForwardBackwardGammaNormalized(t *testing.T) {
 	}
 }
 
+// TestPairMarginalsMatchGamma: Γ built through pairInto from Infer's α
+// sums, row by row and column by column, to the marginals of its two
+// chunks.
 func TestPairMarginalsMatchGamma(t *testing.T) {
 	m := testModel(t, 10)
-	sc := NewScratch()
-	m.SetScratch(sc)
 	var obs []Observation
 	for i := 0; i < 12; i++ {
 		cap := 4.0
@@ -415,14 +392,10 @@ func TestPairMarginalsMatchGamma(t *testing.T) {
 		}
 		obs = append(obs, obsFor(cap, 3e6, i))
 	}
-	inf, err := m.Infer(obs, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	post := inf.Post
+	post := posteriorOf(t, m, obs)
 	ns := m.NumStates()
 	for n := 0; n < post.Len()-1; n++ {
-		pair := pairOf(m, sc, n)
+		pair := post.pair(n)
 		for i := 0; i < ns; i++ {
 			var rowSum float64
 			for j := 0; j < ns; j++ {
@@ -452,11 +425,7 @@ func TestGammaPeaksNearTruth(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		obs = append(obs, obsFor(6.5, 4e6, i))
 	}
-	inf, err := m.Infer(obs, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	post := inf.Post
+	post := posteriorOf(t, m, obs)
 	for n := 0; n < post.Len(); n++ {
 		g := post.Gamma(n)
 		bi := 0
@@ -481,7 +450,11 @@ func TestSampleMatchesViterbiOnSharpPosterior(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viterbi, seq := inf.Path, inf.Samples[0]
+	viterbi, _, err := m.ViterbiPath(obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := inf.Samples[0]
 	// With noiseless synthetic observations, the posterior is sharp and
 	// samples should equal the Viterbi path everywhere.
 	for n := range seq {
@@ -562,11 +535,7 @@ func TestAmbiguousSmallChunksHaveWiderPosterior(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			obs = append(obs, obsFor(6, size, i))
 		}
-		inf, err := m.Infer(obs, 0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		post := inf.Post
+		post := posteriorOf(t, m, obs)
 		var h float64
 		for _, v := range post.Gamma(5) {
 			if v > 1e-12 {
@@ -605,11 +574,10 @@ func TestCustomEstimatorHook(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		obs = append(obs, Observation{ThroughputMbps: 3, TCP: cold, SizeBytes: 4e5, StartInterval: i})
 	}
-	inf, err := m.Infer(obs, 0, 1)
+	path, _, err := m.ViterbiPath(obs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := inf.Path
 	for n, s := range path {
 		if m.Capacity(s) != 3 {
 			t.Fatalf("chunk %d: identity estimator should infer 3 Mbps, got %v", n, m.Capacity(s))
@@ -618,11 +586,10 @@ func TestCustomEstimatorHook(t *testing.T) {
 	// The default model must infer a higher capacity for the same
 	// observations (it knows the cold connection under-reports).
 	md := testModel(t, 10)
-	infDefault, err := md.Infer(obs, 0, 1)
+	pathDefault, _, err := md.ViterbiPath(obs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pathDefault := infDefault.Path
 	if md.Capacity(pathDefault[5]) <= 3 {
 		t.Errorf("default estimator inferred %v, want > 3 (inversion of the cold state)",
 			md.Capacity(pathDefault[5]))

@@ -2,6 +2,8 @@ package hmm
 
 import (
 	"errors"
+	"fmt"
+	"math"
 
 	"veritas/internal/mathx"
 )
@@ -16,8 +18,9 @@ import (
 // The two views agree on the chunk-start marginals; the interval view
 // additionally supports exact Baum–Welch re-estimation of the
 // transition matrix, offered here as an extension beyond the paper's
-// fixed tridiagonal prior. It is the same α/β pass (alphaBeta) over the
-// same slabs, with T positions and a fixed step matrix.
+// fixed tridiagonal prior. It is the package's only backward pass: the
+// scaled α/β recursion (alphaBeta) over T positions with one fixed step
+// matrix, and the pairwise posterior (pairInto) its E-step reads.
 
 // intervalEmissionsInto groups the per-chunk log-emission rows by start
 // interval into sc.emitLog, sized here (with the rest of the interval
@@ -143,4 +146,106 @@ func (m *Model) FitTransitions(obs []Observation, iters int, smoothing float64) 
 	fitted := *m
 	fitted.powCache = mathx.NewPowerCache(a)
 	return &FitResult{Model: &fitted, LogLikelihoods: lls}, nil
+}
+
+// alphaBeta is the interval chain's scaled forward–backward pass (paper
+// Algorithm 2 with every step the fixed matrix a, whose band is band):
+// it rescales the log-emissions in sc.emitLog into sc.emit/sc.shift,
+// fills sc.alpha, sc.scale and sc.beta for T positions, and returns the
+// chain's log-likelihood. It expects sc.passSlabs sized for (T, S). An
+// interval may carry no usable evidence, so an all-−Inf emission row is
+// shifted by 0 (treated as uninformative), and a forward scale of 0 is
+// an error naming the interval. Both sweeps run over the band only: the
+// terms they skip are exact zeros.
+func (m *Model) alphaBeta(sc *Scratch, T int, a *mathx.Matrix, band mathx.Band) (float64, error) {
+	ns := m.ns
+	row := func(slab []float64, t int) []float64 { return slab[t*ns : (t+1)*ns] }
+
+	for t := 0; t < T; t++ {
+		logRow := row(sc.emitLog, t)
+		maxLog := rescaleMax(logRow)
+		if math.IsInf(maxLog, -1) {
+			maxLog = 0
+		}
+		sc.shift[t] = maxLog
+		e := row(sc.emit, t)
+		for i, v := range logRow {
+			e[i] = math.Exp(v - maxLog)
+		}
+	}
+
+	a0, e0 := row(sc.alpha, 0), row(sc.emit, 0)
+	u := m.initMass()
+	for i := 0; i < ns; i++ {
+		a0[i] = u * e0[i]
+	}
+	sc.scale[0] = mathx.Normalize(a0)
+	for t := 1; t < T; t++ {
+		pred := row(sc.alpha, t)
+		predictInto(pred, row(sc.alpha, t-1), a, band)
+		et := row(sc.emit, t)
+		for j := 0; j < ns; j++ {
+			pred[j] *= et[j]
+		}
+		sc.scale[t] = mathx.Normalize(pred)
+		if sc.scale[t] == 0 {
+			return 0, fmt.Errorf("hmm: interval chain died at t=%d (no state has support)", t)
+		}
+	}
+
+	bLast := row(sc.beta, T-1)
+	for i := range bLast {
+		bLast[i] = 1
+	}
+	for t := T - 2; t >= 0; t-- {
+		b := row(sc.beta, t)
+		// b[i] = Σ_j A[i][j] emit[t+1][j] beta[t+1][j] / scale[t+1]
+		weighted := sc.weighted
+		eNext, bNext := row(sc.emit, t+1), row(sc.beta, t+1)
+		for j := 0; j < ns; j++ {
+			weighted[j] = eNext[j] * bNext[j]
+		}
+		for i := 0; i < ns; i++ {
+			var s float64
+			arow := a.Row(i)
+			for j := band.RowLo[i]; j < band.RowHi[i]; j++ {
+				s += arow[j] * weighted[j]
+			}
+			if sc.scale[t+1] > 0 {
+				s /= sc.scale[t+1]
+			}
+			b[i] = s
+		}
+	}
+
+	var ll float64
+	for t := 0; t < T; t++ {
+		ll = addScale(ll, sc.scale[t], sc.shift[t])
+	}
+	return ll, nil
+}
+
+// pairInto writes the unnormalized pairwise posterior of positions
+// (t, t+1) under step matrix a — α_t(i)·a[i][j]·e_{t+1}(j)·β_{t+1}(j),
+// paper Equation (6) before its normalizer — into the S×S slab dst,
+// zeros off a's band included, and returns the sum of its cells. The
+// cells off the band are exact zeros, so the sum is the dense one bit
+// for bit. The EM E-step divides by the sum as it accumulates expected
+// transition counts.
+func (sc *Scratch) pairInto(dst []float64, t int, a *mathx.Matrix, band mathx.Band) float64 {
+	ns := a.Rows
+	at := sc.alpha[t*ns : (t+1)*ns]
+	eNext, bNext := sc.emit[(t+1)*ns:(t+2)*ns], sc.beta[(t+1)*ns:(t+2)*ns]
+	var total float64
+	for i := 0; i < ns; i++ {
+		drow := dst[i*ns : (i+1)*ns]
+		clear(drow)
+		arow := a.Row(i)
+		for j := band.RowLo[i]; j < band.RowHi[i]; j++ {
+			v := at[i] * arow[j] * eNext[j] * bNext[j]
+			drow[j] = v
+			total += v
+		}
+	}
+	return total
 }

@@ -74,11 +74,7 @@ func TestIntervalPosteriorMatchesChunkPosterior(t *testing.T) {
 	for i, c := range caps {
 		obs = append(obs, obsFor(c, 3e6, i*2))
 	}
-	inf, err := m.Infer(obs, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunkPost := inf.Post
+	chunkPost := posteriorOf(t, m, obs)
 	intGamma, intLL, _, err := intervalPosterior(m, obs)
 	if err != nil {
 		t.Fatal(err)

@@ -37,7 +37,8 @@ func lastStateSessions() []struct {
 }
 
 // TestLastViterbiStateMatchesInfer checks the O(S) recursion against
-// the last entry of Infer's Viterbi path and of the dense oracle's, for
+// the last state Infer pins its samples to and the last entry of the
+// dense oracle's Viterbi path, for
 // the paper's prior, the uniform prior and an EM-fitted matrix, with no
 // arena and with one arena recycled between Infer and LastViterbiState
 // on shapes that grow and shrink.
@@ -82,7 +83,7 @@ func TestLastViterbiStateMatchesInfer(t *testing.T) {
 					t.Fatalf("%s: Infer: %v", label, err)
 				}
 				N := len(s.obs)
-				if want := inf.Path[N-1]; got != want || got != dense[N-1] {
+				if want := inf.Last; got != want || got != dense[N-1] {
 					t.Fatalf("%s: LastViterbiState = %d, want Infer's %d (dense oracle %d)", label, got, want, dense[N-1])
 				}
 				base.SetScratch(nil)

@@ -20,7 +20,8 @@ import (
 // changed (receivers became parameters, the arena became oracleScratch,
 // which keeps the separate int* slabs the production Scratch lost).
 // TestOracleBitIdentical compares the production path against them bit
-// for bit.
+// for bit, and the sampler's draws against theirs wherever no column
+// underflowed (oracleSampleInto counts the draws where one did).
 //
 // The same file holds the dense kernels that the banded rewrite
 // replaced, again verbatim: the pair-slab posterior (oraclePosterior),
@@ -32,8 +33,8 @@ import (
 type oracleScratch struct {
 	emitLog, emit, alpha, beta, gamma, pair []float64
 	shift, scale                            []float64
-	gaps                                    []int
-	weighted                                []float64
+	gaps, back, path                        []int
+	weighted, weights, cur, next            []float64
 
 	intLogE, intEmit, intAlpha, intBeta, intGamma []float64
 	intShift, intScale                            []float64
@@ -50,7 +51,12 @@ func (sc *oracleScratch) chunkSlabs(n, s int) {
 	sc.shift = make([]float64, n)
 	sc.scale = make([]float64, n)
 	sc.gaps = make([]int, n)
+	sc.back = make([]int, n*s)
+	sc.path = make([]int, n)
 	sc.weighted = make([]float64, s)
+	sc.weights = make([]float64, s)
+	sc.cur = make([]float64, s)
+	sc.next = make([]float64, s)
 }
 
 func (sc *oracleScratch) intervalSlabs(t, s int) {
@@ -96,6 +102,7 @@ type oraclePosterior struct {
 	gamma, pair   []float64
 	n, ns         int
 	LogLikelihood float64
+	gaps          []int
 }
 
 func (p *oraclePosterior) Len() int              { return p.n }
@@ -459,7 +466,7 @@ func oracleFitTransitions(m *Model, obs []Observation, iters int, smoothing floa
 
 // oracleViterbiInto is the parent's viterbiInto: every predecessor of
 // every state is searched, skipping −Inf log transitions.
-func oracleViterbiInto(m *Model, sc *Scratch, N int) ([]int, float64) {
+func oracleViterbiInto(m *Model, sc *oracleScratch, N int) ([]int, float64) {
 	ns := m.ns
 	d := sc.gaps
 
@@ -500,13 +507,16 @@ func oracleViterbiInto(m *Model, sc *Scratch, N int) ([]int, float64) {
 }
 
 // oracleSampleInto is the parent's sampleInto, reading one column of
-// the materialised pair slab per step.
-func oracleSampleInto(m *Model, out []int, weights []float64, rng *mathx.Rand, post *oraclePosterior, viterbi []int) error {
+// the materialised pair slab per step. It returns the number of draws
+// whose column underflowed (see columnUnderflows), where the production
+// sampler, which reads α_n(i)·A^Δ(i, s) alone, may draw otherwise.
+func oracleSampleInto(m *Model, out []int, weights []float64, rng *mathx.Rand, post *oraclePosterior, viterbi []int, alpha []float64) (int, error) {
 	N := post.Len()
 	if len(viterbi) != N {
-		return errors.New("hmm: viterbi path length mismatch")
+		return 0, errors.New("hmm: viterbi path length mismatch")
 	}
 	ns := m.ns
+	underflows := 0
 	out[N-1] = viterbi[N-1]
 	for n := N - 2; n >= 0; n-- {
 		nextState := out[n+1]
@@ -516,12 +526,15 @@ func oracleSampleInto(m *Model, out []int, weights []float64, rng *mathx.Rand, p
 			weights[i] = pair[i*ns+nextState]
 			total += weights[i]
 		}
+		if columnUnderflows(weights, alpha[n*ns:(n+1)*ns], m.powCache.Pow(post.gaps[n+1]), nextState) {
+			underflows++
+		}
 		if total <= 0 {
 			copy(weights, post.Gamma(n))
 		}
 		out[n] = mathx.SampleCategorical(rng, weights)
 	}
-	return nil
+	return underflows, nil
 }
 
 // oracleExpectedCapacityAfter is the parent's ExpectedCapacityAfter,
@@ -539,12 +552,16 @@ func oracleExpectedCapacityAfter(m *Model, state, gap int) float64 {
 	return e
 }
 
-// oracleInference is the parent's Inference, carrying the pair slab.
+// oracleInference is the parent's Inference, carrying the pair slab,
+// the pass's slabs (sc) and the count of draws whose column underflowed.
 type oracleInference struct {
 	Path        []int
 	PathLogProb float64
 	Post        *oraclePosterior
 	Samples     [][]int
+
+	sc         *oracleScratch
+	Underflows int
 }
 
 // oracleInfer is the parent's Infer, end to end on the oracle kernels:
@@ -553,72 +570,83 @@ type oracleInference struct {
 func oracleInfer(t *testing.T, m *Model, obs []Observation, k int, seed int64) *oracleInference {
 	t.Helper()
 	N, ns := len(obs), m.ns
-	sc := &Scratch{}
-	sc.inferSlabs(N, ns)
+	sc := &oracleScratch{}
+	sc.chunkSlabs(N, ns)
 	if err := gapsInto(sc.gaps, obs); err != nil {
 		t.Fatal(err)
 	}
 	oracleEmissionTableInto(m, sc.emitLog, obs)
 	path, best := oracleViterbiInto(m, sc, N)
+	post := oracleForwardBackwardInto(m, sc, N)
+	post.gaps = sc.gaps
 
-	osc := &oracleScratch{}
-	osc.chunkSlabs(N, ns)
-	copy(osc.gaps, sc.gaps)
-	copy(osc.emitLog, sc.emitLog)
-	post := oracleForwardBackwardInto(m, osc, N)
-
-	inf := &oracleInference{Path: path, PathLogProb: best, Post: post}
+	inf := &oracleInference{Path: path, PathLogProb: best, Post: post, sc: sc}
 	if k > 0 {
-		inf.Samples = sc.samples(k, N)
+		inf.Samples = make([][]int, k)
 		rng := mathx.NewRand(seed)
 		for s := 0; s < k; s++ {
-			if err := oracleSampleInto(m, inf.Samples[s], sc.weights, rng, post, path); err != nil {
+			inf.Samples[s] = make([]int, N)
+			u, err := oracleSampleInto(m, inf.Samples[s], sc.weights, rng, post, path, sc.alpha)
+			if err != nil {
 				t.Fatal(err)
 			}
+			inf.Underflows += u
 		}
 	}
 	return inf
 }
 
 // requireMatchesOracle asserts the production inference equals the
-// oracle's bit for bit: Viterbi path and score, log-likelihood, γ and
-// the K samples. With the arena the production run used (sc non-nil),
-// every column of every pairwise posterior is rebuilt and compared with
-// the oracle's materialised slab as well.
-func requireMatchesOracle(t *testing.T, label string, m *Model, sc *Scratch, got *Inference, want *oracleInference) {
+// oracle's bit for bit: the last Viterbi state and the path's score,
+// ViterbiPath's whole path, the log-likelihood and the K samples (the
+// oracle's session must have no underflowing column, or the samples
+// could differ by design). With the arena the production run used (sc
+// non-nil), every α row is compared with the oracle's, and every
+// pairwise posterior Γ is rebuilt through pairInto — from that α and
+// the oracle's emissions and β — and compared with the oracle's
+// materialised slab.
+func requireMatchesOracle(t *testing.T, label string, m *Model, sc *Scratch, obs []Observation, got *Inference, want *oracleInference) {
 	t.Helper()
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	N, ns := len(obs), m.ns
 	if !same(got.PathLogProb, want.PathLogProb) {
 		t.Errorf("%s: PathLogProb %v, want %v", label, got.PathLogProb, want.PathLogProb)
 	}
-	if len(got.Path) != len(want.Path) {
-		t.Fatalf("%s: path length %d, want %d", label, len(got.Path), len(want.Path))
+	if got.Last != want.Path[N-1] {
+		t.Fatalf("%s: last Viterbi state %d, want %d", label, got.Last, want.Path[N-1])
 	}
-	for i := range got.Path {
-		if got.Path[i] != want.Path[i] {
+	path, best, err := m.ViterbiPath(obs)
+	if err != nil {
+		t.Fatalf("%s: ViterbiPath: %v", label, err)
+	}
+	if !same(best, want.PathLogProb) {
+		t.Errorf("%s: ViterbiPath score %v, want %v", label, best, want.PathLogProb)
+	}
+	for i := range want.Path {
+		if path[i] != want.Path[i] {
 			t.Fatalf("%s: Viterbi path differs at chunk %d", label, i)
 		}
 	}
-	if !same(got.Post.LogLikelihood, want.Post.LogLikelihood) {
-		t.Errorf("%s: log-likelihood %v, want %v", label, got.Post.LogLikelihood, want.Post.LogLikelihood)
-	}
-	for n := 0; n < want.Post.Len(); n++ {
-		g, w := got.Post.Gamma(n), want.Post.Gamma(n)
-		for i := range w {
-			if !same(g[i], w[i]) {
-				t.Fatalf("%s: Gamma[%d][%d] = %v, want %v", label, n, i, g[i], w[i])
-			}
-		}
+	if !same(got.LogLikelihood, want.Post.LogLikelihood) {
+		t.Errorf("%s: log-likelihood %v, want %v", label, got.LogLikelihood, want.Post.LogLikelihood)
 	}
 	if sc != nil {
-		for n := 0; n < want.Post.Len()-1; n++ {
-			g, w := pairOf(m, sc, n), want.Post.Pair(n)
+		for c, w := range want.sc.alpha[:N*ns] {
+			if !same(sc.alpha[c], w) {
+				t.Fatalf("%s: alpha[%d][%d] = %v, want %v", label, c/ns, c%ns, sc.alpha[c], w)
+			}
+		}
+		for n := 0; n < N-1; n++ {
+			g, w := pairOf(m, sc, obs, want.sc.emit, want.sc.beta, n), want.Post.Pair(n)
 			for c := range w {
 				if !same(g[c], w[c]) {
 					t.Fatalf("%s: Pair[%d] cell %d = %v, want %v", label, n, c, g[c], w[c])
 				}
 			}
 		}
+	}
+	if want.Underflows > 0 {
+		t.Fatalf("%s: %d oracle draws read an underflowing column; pick a session without one", label, want.Underflows)
 	}
 	if len(got.Samples) != len(want.Samples) {
 		t.Fatalf("%s: %d samples, want %d", label, len(got.Samples), len(want.Samples))
@@ -674,8 +702,8 @@ func oracleSessions() []struct {
 }
 
 // TestOracleBitIdentical compares the single production path with the
-// parent's two recursions, bit for bit: Gamma, every Pair column, LogLikelihood,
-// Viterbi path and score, K samples, and the Baum–Welch matrix after
+// parent's two recursions, bit for bit: α, every Pair through pairInto,
+// LogLikelihood, Viterbi path and score, K samples, and the Baum–Welch matrix after
 // 1–5 iterations — under both priors, fresh and through one recycled
 // Scratch that alternates FitTransitions and Infer on shapes that
 // shrink and grow.
@@ -726,7 +754,7 @@ func TestOracleBitIdentical(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						requireMatchesOracle(t, label+"/fitted", fit.Model, sc, got, oracleInfer(t, &fitted, s.obs, 4, seed))
+						requireMatchesOracle(t, label+"/fitted", fit.Model, sc, s.obs, got, oracleInfer(t, &fitted, s.obs, 4, seed))
 					}
 				}
 
@@ -734,7 +762,7 @@ func TestOracleBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				requireMatchesOracle(t, label, m, sc, got, want)
+				requireMatchesOracle(t, label, m, sc, s.obs, got, want)
 
 				wantG, wantLL, wantT, err := oracleIntervalPosterior(m, s.obs)
 				if err != nil {
@@ -786,19 +814,21 @@ func TestOracleIntervalChainEdges(t *testing.T) {
 	}
 	// The chunk chain has no such error: it keeps its scale > 0 guards
 	// and reports what the parent reported.
+	sc := NewScratch()
+	m.SetScratch(sc)
 	got, err := m.Infer(obs, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := oracleInfer(t, m, obs, 0, 1)
-	if math.Float64bits(got.Post.LogLikelihood) != math.Float64bits(want.Post.LogLikelihood) {
-		t.Errorf("chunk chain log-likelihood %v, want %v", got.Post.LogLikelihood, want.Post.LogLikelihood)
+	if math.Float64bits(got.LogLikelihood) != math.Float64bits(want.Post.LogLikelihood) {
+		t.Errorf("chunk chain log-likelihood %v, want %v", got.LogLikelihood, want.Post.LogLikelihood)
 	}
-	// The −Inf row makes the parent's marginals NaN from that chunk on;
-	// compare bit patterns, since NaN != NaN.
-	for i, w := range want.Post.gamma {
-		if math.Float64bits(got.Post.gamma[i]) != math.Float64bits(w) {
-			t.Fatalf("chunk chain Gamma cell %d = %v, want %v", i, got.Post.gamma[i], w)
+	// The −Inf row makes the parent's α NaN from that chunk on; compare
+	// bit patterns, since NaN != NaN.
+	for i, w := range want.sc.alpha {
+		if math.Float64bits(sc.alpha[i]) != math.Float64bits(w) {
+			t.Fatalf("chunk chain alpha cell %d = %v, want %v", i, sc.alpha[i], w)
 		}
 	}
 }

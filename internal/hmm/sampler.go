@@ -1,67 +1,47 @@
 package hmm
 
-import (
-	"errors"
+import "veritas/internal/mathx"
 
-	"veritas/internal/mathx"
-)
-
-// sampleInto draws one GTBW state sequence from the posterior into out
-// (length post.Len()) — the paper's Algorithm 1 (Capacity Sampler) —
-// using the arena's weights buffer. The last chunk's state is pinned to
-// the Viterbi maximum-likelihood state; every earlier chunk n is then
-// sampled backward from the pairwise posterior conditioned on the
-// already-sampled state of chunk n+1:
+// sampleInto draws one GTBW state sequence of n chunks into out — the
+// paper's Algorithm 1 (Capacity Sampler) — from the α rows of Infer's
+// forward pass and the steps it kept in sc.stepA/sc.stepBand, using the
+// arena's weights buffer. The last chunk's state is pinned to last, the
+// Viterbi maximum-likelihood state; every earlier chunk n is then drawn
+// backward from the pairwise posterior conditioned on the already-drawn
+// state s of chunk n+1, the column
 //
-//	π_n(i) ∝ Γ_{i, C_{s_{n+1}}, n}.
+//	Γ_{i,s,n} = α_n(i)·A^Δ(i, s)·e_{n+1}(s)·β_{n+1}(s) / total_n.
 //
-// Only that column of Γ is computed (pairColumnInto). It expects Infer's
-// α/β pass and sc.total filled.
-func (m *Model) sampleInto(out []int, sc *Scratch, rng *mathx.Rand, post *Posterior, viterbi []int) error {
-	N := post.Len()
-	if len(viterbi) != N {
-		return errors.New("hmm: viterbi path length mismatch")
-	}
-	out[N-1] = viterbi[N-1]
-	for n := N - 2; n >= 0; n-- {
-		if total := m.pairColumnInto(sc.weights, sc, n, out[n+1]); total <= 0 {
-			// The conditioned column is numerically empty (the sampled
-			// next state was reachable only via Viterbi ties); fall back
-			// to the marginal, which is always populated.
-			copy(sc.weights, post.Gamma(n))
-		}
-		out[n] = mathx.SampleCategorical(rng, sc.weights)
-	}
-	return nil
-}
-
-// pairColumnInto writes column s of the chunk pair (n, n+1)'s pairwise
-// posterior (paper Equation (6)) into w and returns the column's sum:
+// Every factor after A^Δ(i, s) is one constant for the whole column, so
+// the draw reads only
 //
-//	w[i] = Γ_{i,s,n} = α_n(i)·A^Δ(i, s)·e_{n+1}(s)·β_{n+1}(s) / total_n,
+//	w_i = α_n(i)·A^Δ(i, s)
 //
-// the division skipped when total_n is not positive. Only the rows of
-// A^Δ's band that reach s are computed; every other weight is an exact
-// zero.
-func (m *Model) pairColumnInto(w []float64, sc *Scratch, n, s int) float64 {
+// over the rows of A^Δ's band that reach s — forward filtering, backward
+// sampling — and no β, marginal or normalizer is computed. A column
+// whose weights are all zero (s reachable from α_n's support only
+// through products that underflowed) falls back to α_n itself, the
+// filtered marginal, which is never empty.
+func (m *Model) sampleInto(out []int, sc *Scratch, rng *mathx.Rand, n, last int) {
 	ns := m.ns
-	a, band := sc.stepA[n+1], sc.stepBand[n+1]
-	an := sc.alpha[n*ns : (n+1)*ns]
-	eNext, bNext := sc.emit[(n+1)*ns+s], sc.beta[(n+1)*ns+s]
-	pairTotal := sc.total[n]
-	for i := range w {
-		w[i] = 0
-	}
-	var total float64
-	for i := band.ColLo[s]; i < band.ColHi[s]; i++ {
-		v := an[i] * a.At(i, s) * eNext * bNext
-		if pairTotal > 0 {
-			v /= pairTotal
+	w := sc.weights
+	out[n-1] = last
+	for c := n - 2; c >= 0; c-- {
+		s := out[c+1]
+		a, band := sc.stepA[c+1], sc.stepBand[c+1]
+		ac := sc.alpha[c*ns : (c+1)*ns]
+		clear(w)
+		var total float64
+		for i := band.ColLo[s]; i < band.ColHi[s]; i++ {
+			v := ac[i] * a.At(i, s)
+			w[i] = v
+			total += v
 		}
-		w[i] = v
-		total += v
+		if total <= 0 {
+			copy(w, ac)
+		}
+		out[c] = mathx.SampleCategorical(rng, w)
 	}
-	return total
 }
 
 // ExpectedCapacityAfter returns E[C_{t+gap} | C_t = state]: the mean of

@@ -3,29 +3,28 @@ package hmm
 import "veritas/internal/mathx"
 
 // Scratch is a reusable inference arena: every buffer the EHMM's hot
-// path needs — the log-emission table, the scaled forward/backward
-// matrices, the Viterbi score and back-pointer ladders, the posterior
-// marginals, the per-pair normalizers and the sampler's weight vector —
-// carved from a handful of grow-only strided slabs, O(positions ×
-// states) in all (only the EM E-step adds one states × states block).
-// There is one set of them: the scaled α/β pass runs over "positions"
-// — the N chunks when Infer embeds A^Δn between chunk starts, the T
-// δ-intervals when FitTransitions runs Baum–Welch with single steps of
-// A — and both chains use the same position × state slabs, sized by
-// whichever call runs. A fleet worker allocates one Scratch and recycles
-// it across its whole corpus slice: after the first (largest-shaped)
-// session, per-session inference is allocation-flat.
+// path needs, carved from a handful of grow-only strided slabs. An
+// armed Infer holds one N×S slab, the scaled forward variables α, plus
+// O(S + K·N): the step into each chunk (A^Δn and its band), the K
+// sampled paths, and the S-vectors of the forward pass (Viterbi score
+// ping-pong, one log-emission row) and of the sampler (its weights).
+// LastViterbiState uses the S-vectors alone. FitTransitions' Baum–Welch
+// pass over T δ-intervals is the one caller of the interval chain's
+// T×S slabs (log-emissions, rescaled emissions, α, β) and of the EM
+// E-step's one S×S block; it reuses α's slab for its own α. A fleet
+// worker allocates one Scratch and recycles it across its whole corpus
+// slice: after the first (largest-shaped) session, per-session
+// inference is allocation-flat.
 //
-// Lifetime contract: results produced through a Scratch — Posterior
-// marginals, Viterbi paths, sampled paths, observation slices — point
-// INTO the arena and are valid only until the next Infer or FitTransitions
-// that uses the same Scratch. (FitTransitions' own result, the fitted
-// matrix, is freshly allocated: nothing of the interval chain outlives
-// the call, which is why it needs no slabs of its own.) Callers that
-// retain results across sessions (engine KeepAbductions, ad-hoc API use
-// without a scratch) get freshly allocated buffers instead: every entry
-// point treats a nil Scratch as "allocate a private one for this call",
-// which the result then owns outright.
+// Lifetime contract: results produced through a Scratch — sampled
+// paths, observation slices — point INTO the arena and are valid only
+// until the next Infer or FitTransitions that uses the same Scratch.
+// (FitTransitions' own result, the fitted matrix, and ViterbiPath's
+// path are freshly allocated: nothing of them lives in the arena.)
+// Callers that retain results across sessions (engine KeepAbductions,
+// ad-hoc API use without a scratch) get freshly allocated buffers
+// instead: every entry point treats a nil Scratch as "allocate a
+// private one for this call", which the result then owns outright.
 //
 // A Scratch is not safe for concurrent use; give each goroutine its
 // own. Reuse is safe across sessions of any shapes, and across the two
@@ -33,35 +32,30 @@ import "veritas/internal/mathx"
 // in the same call — nothing is carried over, so no state can bleed
 // between sessions (see TestScratchNoCrossSessionBleed).
 type Scratch struct {
-	// position-shaped slabs (P × S, row-major), read and written by the
-	// α/β pass
-	emitLog []float64 // log-emissions per position
-	emit    []float64 // per-position max-rescaled emissions
-	alpha   []float64 // scaled forward variables
+	// α, N×S for Infer (the chunk chain's one position-shaped slab) or
+	// T×S for FitTransitions' interval chain
+	alpha []float64
+
+	// the interval chain's other T×S slabs and T-vectors, read and
+	// written by its α/β pass
+	emitLog []float64 // log-emissions per interval
+	emit    []float64 // per-interval max-rescaled emissions
 	beta    []float64 // scaled backward variables
+	shift   []float64 // per-interval emission rescale factors
+	scale   []float64 // forward normalizers
 
-	// position-shaped vectors (P)
-	shift []float64 // per-position emission rescale factors
-	scale []float64 // forward normalizers
-
-	// chunk-shaped (N × S, N): what Infer decodes from the pass
-	gamma []float64 // posterior marginals (escapes into Posterior)
-	back  []int     // Viterbi back-pointers
-	gaps  []int     // Δn between consecutive chunk starts
-	path  []int     // Viterbi path (escapes into Inference)
-	total []float64 // pairwise-posterior normalizer per chunk pair
-	// the step into chunk n, A^Δn, and its band: looked up once per
-	// Infer, read by every pass and every sample, cleared on return
+	// the step into chunk n, A^Δn, and its band: recorded by Infer's
+	// forward pass, read by every sample, cleared on return
 	stepA    []*mathx.Matrix
 	stepBand []mathx.Band
+	gaps     []int // Δn between consecutive chunk starts (interval chain)
 
-	// the EM E-step's one S × S block of pairwise products (Infer never
-	// builds a pairwise slab: the sampler computes the column it reads)
+	// the EM E-step's one S × S block of pairwise products
 	pair []float64
 
 	// state-shaped vectors (S)
 	cur, next []float64 // Viterbi score ping-pong
-	weighted  []float64 // backward-pass emit×beta products, or one chunk's emission row
+	weighted  []float64 // one chunk's log-emission row, or the backward pass's emit×beta products
 	weights   []float64 // sampler's categorical weights
 	emDen     []float64 // EM visit mass
 
@@ -97,41 +91,34 @@ func growI(s []int, n int) []int {
 	return s[:n]
 }
 
-// passSlabs sizes what the α/β pass reads and writes for a chain of p
-// positions over s states.
-func (sc *Scratch) passSlabs(p, s int) {
-	sc.emitLog = growF(sc.emitLog, p*s)
-	sc.emit = growF(sc.emit, p*s)
-	sc.alpha = growF(sc.alpha, p*s)
-	sc.beta = growF(sc.beta, p*s)
-	sc.shift = growF(sc.shift, p)
-	sc.scale = growF(sc.scale, p)
+// passSlabs sizes what the interval chain's α/β pass reads and writes
+// for t positions over s states.
+func (sc *Scratch) passSlabs(t, s int) {
+	sc.emitLog = growF(sc.emitLog, t*s)
+	sc.emit = growF(sc.emit, t*s)
+	sc.alpha = growF(sc.alpha, t*s)
+	sc.beta = growF(sc.beta, t*s)
+	sc.shift = growF(sc.shift, t)
+	sc.scale = growF(sc.scale, t)
 	sc.weighted = growF(sc.weighted, s)
 }
 
-// inferSlabs sizes every buffer of an n-chunk, s-state Infer: the pass
-// over n positions plus what Viterbi, the posterior and the sampler
-// decode from it — O(n·s) in all.
-func (sc *Scratch) inferSlabs(n, s int) {
-	sc.passSlabs(n, s)
-	sc.gamma = growF(sc.gamma, n*s)
-	sc.back = growI(sc.back, n*s)
-	sc.total = growF(sc.total, n-1)
+// inferSlabs sizes what an n-chunk, s-state Infer keeps beside the
+// forward pass's S-vectors (vectors) and the samples — α, the steps and
+// the sampler's weights — and returns α.
+func (sc *Scratch) inferSlabs(n, s int) []float64 {
+	sc.alpha = growF(sc.alpha, n*s)
 	if cap(sc.stepA) < n {
 		sc.stepA, sc.stepBand = make([]*mathx.Matrix, n), make([]mathx.Band, n)
 	}
 	sc.stepA, sc.stepBand = sc.stepA[:n], sc.stepBand[:n]
-	sc.gaps = growI(sc.gaps, n)
-	sc.path = growI(sc.path, n)
-	sc.cur = growF(sc.cur, s)
-	sc.next = growF(sc.next, s)
 	sc.weights = growF(sc.weights, s)
+	return sc.alpha
 }
 
-// lastStateSlabs sizes what LastViterbiState reads and writes — two
-// score vectors and one log-emission row, each of s states — and
-// returns them. The row is sc.weighted, free because no α/β pass runs.
-func (sc *Scratch) lastStateSlabs(s int) (score, next, emit []float64) {
+// vectors sizes the forward pass's S-vectors — two Viterbi score
+// vectors and one log-emission row — and returns them.
+func (sc *Scratch) vectors(s int) (score, next, emit []float64) {
 	sc.cur = growF(sc.cur, s)
 	sc.next = growF(sc.next, s)
 	sc.weighted = growF(sc.weighted, s)
@@ -208,6 +195,6 @@ func (m *Model) scratch() *Scratch {
 
 // SetScratch attaches a reusable inference arena to the model. All
 // subsequent inference calls carve their buffers — including returned
-// posteriors and paths — from it; see the Scratch lifetime contract.
+// samples — from it; see the Scratch lifetime contract.
 // A nil scratch restores per-call allocation.
 func (m *Model) SetScratch(sc *Scratch) { m.sc = sc }

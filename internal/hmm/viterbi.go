@@ -6,78 +6,53 @@ import (
 	"veritas/internal/mathx"
 )
 
-// viterbiInto returns the maximum-likelihood GTBW state index for every
+// ViterbiPath returns the maximum-likelihood GTBW state index for every
 // chunk, along with the log-likelihood of that assignment — the paper's
-// Algorithm 3. It differs from textbook Viterbi in one way: the
-// transition between chunks n-1 and n uses A^Δn, the Δn-step power of
-// the per-interval transition matrix, because chunk starts are embedded
-// in wall-clock δ-intervals (Figure 4 of the paper). Each state's
-// predecessors are searched over the rows of A^Δn's band that reach it;
-// the band comes from the linear power, where a zero is a zero (in the
-// log power, log 1 = 0 is a real entry).
+// Algorithm 3 — as the chunk chain's forward pass with back-pointers
+// followed by the trace-back. It differs from textbook Viterbi in one
+// way: the transition between chunks n-1 and n uses A^Δn (see forward).
+// Each state's predecessors are searched over the rows of A^Δn's band
+// that reach it; the band comes from the linear power, where a zero is a
+// zero (in the log power, log 1 = 0 is a real entry).
 //
-// It expects sc.inferSlabs sized for (N, S) and sc.gaps, sc.stepBand
-// and sc.emitLog filled; back-pointers live in sc.back (N×S row-major)
-// and the returned path in sc.path.
-func (m *Model) viterbiInto(sc *Scratch, N int) ([]int, float64) {
-	ns := m.ns
-	d := sc.gaps
-
-	// score[i] = best log-prob of any path ending in state i at chunk n.
-	score, next := sc.cur, sc.next
-	m.viterbiStart(score, sc.emitLog[:ns])
-	for n := 1; n < N; n++ {
-		back := sc.back[n*ns : (n+1)*ns] // back[j] = predecessor of j at chunk n
-		viterbiStep(next, back, score, sc.emitLog[n*ns:(n+1)*ns], m.powCache.PowLog(d[n]), sc.stepBand[n])
-		score, next = next, score
+// The back-pointers (N×S) and the path are allocated here, not carved
+// from an attached arena: the path is the caller's, and the arena keeps
+// no slab for it. It refuses what Infer refuses, with Infer's errors,
+// save a negative sample count, which it does not take.
+func (m *Model) ViterbiPath(obs []Observation) ([]int, float64, error) {
+	N := len(obs)
+	if N == 0 {
+		return nil, 0, ErrNoObservations
 	}
-
-	bestI, bestV := mathx.ArgMax(score)
-	path := sc.path[:N]
-	path[N-1] = bestI
+	back := make([]int, N*m.ns)
+	res, err := m.forward(m.scratch(), N, func(i int) Observation { return obs[i] }, nil, back)
+	if err != nil {
+		return nil, 0, err
+	}
+	path := make([]int, N)
+	path[N-1] = res.last
 	for n := N - 1; n > 0; n-- {
-		path[n-1] = sc.back[n*ns+path[n]]
+		path[n-1] = back[n*m.ns+path[n]]
 	}
-	return path, bestV
+	return path, res.best, nil
 }
 
-// LastViterbiState returns the last entry of the Viterbi path Infer
-// would return for the n observations obs(0) … obs(n−1) — the state the
-// interventional query of paper §4.4 reads — bit for bit, ties
-// included. It runs viterbiInto's max-product recursion forward and
-// keeps only what the next chunk needs: two score vectors and one row
-// of log-emissions, filled per chunk by emissionRowInto. Nothing is
-// indexed by chunk (no emission table, back-pointers, α/β pass,
-// posterior or samples), and observations are read one at a time, in
-// order, so a caller may compute each on demand instead of holding the
-// sequence: storage is O(S) whatever n is. It refuses what Infer
-// refuses, with Infer's errors (an out-of-order chunk when the
-// recursion reaches it, where Infer checks every gap first). With a
-// scratch arena attached it allocates nothing once the arena holds
-// S-vectors, and nothing it returns points into the arena.
+// LastViterbiState returns the last entry of the Viterbi path for the n
+// observations obs(0) … obs(n−1) — the state the interventional query of
+// paper §4.4 reads, and the one Infer pins every sample's last chunk to —
+// bit for bit, ties included. It runs the chunk chain's forward pass
+// with neither α nor back-pointers, reading observations one at a time,
+// in order, so a caller may compute each on demand instead of holding
+// the sequence: storage is O(S) whatever n is. It refuses what Infer
+// refuses, with Infer's errors. With a scratch arena attached it
+// allocates nothing once the arena holds S-vectors, and nothing it
+// returns points into the arena.
 func (m *Model) LastViterbiState(n int, obs func(i int) Observation) (int, error) {
 	if n <= 0 {
 		return 0, ErrNoObservations
 	}
-	sc := m.scratch()
-	score, next, emit := sc.lastStateSlabs(m.ns)
-	o := obs(0)
-	m.emissionRowInto(emit, o)
-	m.viterbiStart(score, emit)
-	for i := 1; i < n; i++ {
-		prev := o.StartInterval
-		o = obs(i)
-		d, err := gapAt(prev, o.StartInterval, i)
-		if err != nil {
-			return 0, err
-		}
-		_, band := m.powCache.PowBand(d)
-		m.emissionRowInto(emit, o)
-		viterbiStep(next, nil, score, emit, m.powCache.PowLog(d), band)
-		score, next = next, score
-	}
-	best, _ := mathx.ArgMax(score)
-	return best, nil
+	res, err := m.forward(m.scratch(), n, obs, nil, nil)
+	return res.last, err
 }
 
 // viterbiStart fills score with the first chunk's Viterbi scores: the

@@ -1,10 +1,10 @@
 package store
 
-// Fuzz targets over the store's decoders (ROADMAP item 6). Each one's
-// contract is "error or correct, never panic, never over-allocate";
-// seeds come from a real store built here, crashers live under
-// testdata/fuzz/. As ordinary tests they run the seeds; CI's fuzz job
-// loops `go test -run '^$' -fuzz '^FuzzX$' -fuzztime 10s` over them.
+// Fuzz targets over the store's decoders. Each one's contract is
+// "error or correct, never panic, never over-allocate"; seeds come from
+// a real store built here, crashers live under testdata/fuzz/. As
+// ordinary tests they run the seeds; CI's fuzz job loops
+// `go test -run '^$' -fuzz '^FuzzX$' -fuzztime 10s` over them.
 
 import (
 	"bytes"
