@@ -172,15 +172,9 @@ func TestArenasSurviveRun(t *testing.T) {
 	const k = 5
 	cfg := Config{Workers: 1, Samples: k, Seed: 1}
 	var res *Result
-	run := func() uint64 {
-		t.Helper()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if res, err = Run(context.Background(), cfg, corpus, arms); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
+	run := func() (b uint64) {
+		b, res = allocatedByRun(t, cfg, corpus, arms)
+		return b
 	}
 
 	run() // warms the shared powers and jitter
@@ -195,6 +189,51 @@ func TestArenasSurviveRun(t *testing.T) {
 	slabs := uint64(8 * (chunks*21 + k*chunks))
 	if cold < warm+slabs {
 		t.Errorf("a Run on a fresh arena allocated %d B, a Run after it %d B: %d B saved, want at least the inference slabs' %d B", cold, warm, int64(cold)-int64(warm), slabs)
+	}
+}
+
+// allocatedByRun runs the corpus and returns the bytes the Run
+// allocated, with its result.
+func allocatedByRun(t *testing.T, cfg Config, corpus []SessionSpec, arms []Arm) (uint64, *Result) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(context.Background(), cfg, corpus, arms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, res
+}
+
+// TestBytesPerSession bounds what a warm Run of armed full-clip
+// sessions allocates per session — the ledger's
+// engine.bytes_per_session — at 60 KB: one session per scenario, the
+// default matrix (bba and bola at 5 s and 30 s), K = 5, one worker. As
+// in TestArenasSurviveRun the collector is off and the figure is the
+// least of several Runs, since the race detector drops pooled arenas at
+// random.
+func TestBytesPerSession(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	cc := CorpusConfig{SessionsPer: 1, Seed: 1}
+	corpus, err := BuildCorpus(cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arms, err := BuildMatrix(cc, []string{"bba", "bola"}, []float64{5, 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Workers: 1, Samples: 5, Seed: 1}
+	allocatedByRun(t, cfg, corpus, arms) // warms the arenas, the shared powers and the jitter
+	least, _ := allocatedByRun(t, cfg, corpus, arms)
+	for i := 0; i < 4; i++ {
+		b, _ := allocatedByRun(t, cfg, corpus, arms)
+		least = min(least, b)
+	}
+	const bound = 60 << 10
+	if per := least / uint64(len(corpus)); per > bound {
+		t.Errorf("a warm Run allocated %d B per session over %d sessions, want at most %d B", per, len(corpus), bound)
 	}
 }
 

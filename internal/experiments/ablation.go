@@ -81,13 +81,10 @@ func ablTCPState(s Scale) (*Table, error) {
 	}
 	t.AddRow("Veritas (with W_sn)", full)
 	t.AddRow("no TCP state (warm-connection assumption)", ablated)
-	if full < ablated {
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"SHAPE OK: conditioning on W_sn improves recovery by %.0f%% — the paper's control variables carry real information",
-			(1-full/ablated)*100))
-	} else {
-		t.Notes = append(t.Notes, "SHAPE MISS: removing the TCP state did not hurt recovery")
-	}
+	t.check(Verdict{ID: "abl-tcpstate/wsn-helps", Held: full < ablated,
+		OK: fmt.Sprintf("conditioning on W_sn improves recovery by %.0f%% — the paper's control variables carry real information",
+			(1-full/ablated)*100),
+		Miss: "removing the TCP state did not hurt recovery"})
 	return t, nil
 }
 
@@ -124,13 +121,10 @@ func ablPrior(s Scale) (*Table, error) {
 	}
 	uniform := rmses[len(rmses)-1]
 	bestTri := stats.Min(rmses[:len(rmses)-1])
-	if bestTri < uniform {
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"SHAPE OK: the stability prior beats the uniform prior (%.3g vs %.3g) — the Markov structure constrains uncertain regions (paper §4.2)",
-			bestTri, uniform))
-	} else {
-		t.Notes = append(t.Notes, "SHAPE MISS: uniform prior matched the tridiagonal prior")
-	}
+	t.check(Verdict{ID: "abl-prior/stability-prior-helps", Held: bestTri < uniform,
+		OK: fmt.Sprintf("the stability prior beats the uniform prior (%.3g vs %.3g) — the Markov structure constrains uncertain regions (paper §4.2)",
+			bestTri, uniform),
+		Miss: "uniform prior matched the tridiagonal prior"})
 	return t, nil
 }
 

@@ -152,13 +152,10 @@ func predictionTable(id, title string, results []cfResult) *Table {
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"Veritas range covers truth (±0.002 SSIM) on %.0f%% of traces; rebuf coverage (±0.5%%) %.0f%%",
 		ssim.coverage(0.002)*100, rebuf.coverage(0.005)*100))
-	if vSSIM < bSSIM && vReb <= bReb {
-		t.Notes = append(t.Notes, "SHAPE OK: Veritas predictions are closer to ground truth than Baseline on both metrics")
-	} else {
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"SHAPE CHECK: |err| medians — SSIM base %.4g vs veritas %.4g, rebuf base %.4g vs veritas %.4g",
-			bSSIM, vSSIM, bReb, vReb))
-	}
+	t.check(Verdict{ID: id + "/veritas-closer-than-baseline", Held: vSSIM < bSSIM && vReb <= bReb,
+		OK: "Veritas predictions are closer to ground truth than Baseline on both metrics",
+		Miss: fmt.Sprintf("|err| medians — SSIM base %.4g vs veritas %.4g, rebuf base %.4g vs veritas %.4g",
+			bSSIM, vSSIM, bReb, vReb)})
 	return t
 }
 
@@ -185,14 +182,10 @@ func fig8(s Scale) (*Table, error) {
 	for _, p := range []float64{10, 25, 50, 75, 90} {
 		t.AddRow(fmt.Sprintf("rebuf %% P%g", p), stats.Percentile(rebA, p)*100, stats.Percentile(rebB, p)*100)
 	}
-	if stats.Median(ssimB) > stats.Median(ssimA) && stats.Mean(rebB) > stats.Mean(rebA) {
-		t.Notes = append(t.Notes,
-			"SHAPE OK: BBA is more aggressive — higher SSIM and more rebuffering than MPC (paper Fig 8)")
-	} else {
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"SHAPE CHECK: median SSIM %.4g->%.4g, mean rebuf %.4g%%->%.4g%%",
-			stats.Median(ssimA), stats.Median(ssimB), stats.Mean(rebA)*100, stats.Mean(rebB)*100))
-	}
+	t.check(Verdict{ID: "fig8/bba-more-aggressive", Held: stats.Median(ssimB) > stats.Median(ssimA) && stats.Mean(rebB) > stats.Mean(rebA),
+		OK: "BBA is more aggressive — higher SSIM and more rebuffering than MPC (paper Fig 8)",
+		Miss: fmt.Sprintf("median SSIM %.4g->%.4g, mean rebuf %.4g%%->%.4g%%",
+			stats.Median(ssimA), stats.Median(ssimB), stats.Mean(rebA)*100, stats.Mean(rebB)*100)})
 	return t, nil
 }
 
@@ -221,9 +214,9 @@ func fig11(s Scale) (*Table, error) {
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"headline: median rebuffering — truth %.2f%%, Veritas(High) %.2f%%, Baseline %.2f%% (paper: truth/Veritas ≈ 0, Baseline ≈ 6.7%%)",
 		truthMed, vHighMed, baseMed))
-	if baseMed > vHighMed+1 && truthMed < 1 {
-		t.Notes = append(t.Notes, "SHAPE OK: Baseline grossly over-predicts rebuffering for the higher ladder; Veritas stays near the (≈0) truth")
-	}
+	t.check(Verdict{ID: "fig11/ladder-baseline-overpredicts", Held: baseMed > vHighMed+1 && truthMed < 1,
+		OK:   "Baseline grossly over-predicts rebuffering for the higher ladder; Veritas stays near the (≈0) truth",
+		Miss: "Baseline's median rebuffering is not 1 point above Veritas(High)'s, or the truth's is not under 1%"})
 	return t, nil
 }
 

@@ -2,8 +2,9 @@
 // evaluation (§2.2 Figure 2, §3.2 Figure 5, §4 Figures 7–12, appendix
 // Figures 13–14). Each experiment is a pure function of a Scale (how
 // many traces/chunks to run) returning a Table: the same rows/series the
-// paper plots, plus notes stating the qualitative shape the paper
-// reports so the reader can check it held.
+// paper plots, plus notes, and a Verdict for each qualitative claim of
+// the paper the table tests. TestPaperVerdicts pins every verdict by id
+// at quick scale under each regime and at paper scale.
 package experiments
 
 import (
@@ -24,6 +25,29 @@ type Table struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
+	// Verdicts are the paper's claims the table tests; each one's note
+	// is also in Notes, so the renderers need not know about them.
+	Verdicts []Verdict `json:"-"`
+}
+
+// Verdict is one of the paper's qualitative claims tested against a
+// table: a stable id ("fig11/ladder-baseline-overpredicts"), whether it
+// held, and the note text for each outcome.
+type Verdict struct {
+	ID       string
+	Held     bool
+	OK, Miss string
+}
+
+// check records v and appends its note: "SHAPE OK: " and v.OK when it
+// held, "SHAPE MISS: " and v.Miss when not.
+func (t *Table) check(v Verdict) {
+	t.Verdicts = append(t.Verdicts, v)
+	note := "SHAPE MISS: " + v.Miss
+	if v.Held {
+		note = "SHAPE OK: " + v.OK
+	}
+	t.Notes = append(t.Notes, note)
 }
 
 // AddRow appends a formatted row; values are rendered with %v for

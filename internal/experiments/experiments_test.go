@@ -4,10 +4,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
-	"veritas/internal/abduction"
 	"veritas/internal/player"
 	"veritas/internal/trace"
 )
@@ -191,23 +191,86 @@ func TestExperimentsDeterministic(t *testing.T) {
 	}
 }
 
-// TestFig9ShapeHolds asserts the core qualitative claim at a small but
-// meaningful scale: Veritas's counterfactual predictions beat Baseline.
-func TestFig9ShapeHolds(t *testing.T) {
+// paperVerdicts is every verdict the experiments state, by id. An id's
+// prefix is the experiment that states it.
+var paperVerdicts = []string{
+	"abl-prior/stability-prior-helps",
+	"abl-tcpstate/wsn-helps",
+	"ext-square/veritas-wins-every-band",
+	"fig10/veritas-closer-than-baseline",
+	"fig11/veritas-closer-than-baseline",
+	"fig11/ladder-baseline-overpredicts",
+	"fig12/fugu-underestimates-long-downloads",
+	"fig13/veritas-closer-than-baseline",
+	"fig2a/medians-non-monotonic",
+	"fig2b/fugu-underestimates-high-quality",
+	"fig2c/throughput-grows-with-payload",
+	"fig5/estimator-within-1mbps",
+	"fig7/samples-closer-than-baseline",
+	"fig8/bba-more-aggressive",
+	"fig9/veritas-closer-than-baseline",
+}
+
+// TestPaperVerdicts runs every experiment and pins each verdict by id:
+// it holds unless the case lists it as a miss. It names any verdict
+// that flips, disappears or appears. Paper scale leaves out the two
+// experiments that train FuguNN (fig2b and fig12), which take most of
+// a paper-scale run; quick scale runs them under every regime.
+func TestPaperVerdicts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	s := QuickScale()
-	s.NumTraces = 6
-	s.NumChunks = 80
-	results, err := runCounterfactual(s, toBBA)
-	if err != nil {
-		t.Fatal(err)
+	quick := func(regime string) Scale {
+		s := QuickScale()
+		s.Scenario = regime
+		return s
 	}
-	ssim := collect(results, abduction.MetricSSIM)
-	bErr, vErr := ssim.absErrMedians()
-	if vErr >= bErr {
-		t.Errorf("Veritas SSIM error %v should beat Baseline %v", vErr, bErr)
+	fig11Misses := []string{"fig11/veritas-closer-than-baseline", "fig11/ladder-baseline-overpredicts"}
+	for _, c := range []struct {
+		name   string
+		scale  Scale
+		skip   []string // experiments not run
+		misses []string // verdicts pinned as misses
+	}{
+		{"quick/fcc", quick("fcc"), nil, nil},
+		{"quick/lte", quick("lte"), nil, fig11Misses},
+		{"quick/wifi", quick("wifi"), nil, fig11Misses},
+		{"paper/fcc", PaperScale(), []string{"fig2b", "fig12"}, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got := map[string]Verdict{}
+			for _, id := range IDs() {
+				if slices.Contains(c.skip, id) {
+					continue
+				}
+				tab, err := Run(id, c.scale)
+				if err != nil {
+					t.Fatalf("%s: %v", id, err)
+				}
+				for _, v := range tab.Verdicts {
+					if !strings.HasPrefix(v.ID, id+"/") {
+						t.Errorf("%s states verdict %s", id, v.ID)
+					}
+					got[v.ID] = v
+				}
+			}
+			for _, id := range paperVerdicts {
+				if slices.Contains(c.skip, id[:strings.IndexByte(id, '/')]) {
+					continue
+				}
+				v, ok := got[id]
+				delete(got, id)
+				switch want := !slices.Contains(c.misses, id); {
+				case !ok:
+					t.Errorf("verdict %s disappeared", id)
+				case v.Held != want:
+					t.Errorf("verdict %s flipped: held = %v, pinned %v (%s / %s)", id, v.Held, want, v.OK, v.Miss)
+				}
+			}
+			for id, v := range got {
+				t.Errorf("verdict %s appeared (held = %v); pin it in paperVerdicts", id, v.Held)
+			}
+		})
 	}
 }
 

@@ -129,12 +129,8 @@ func fig12(s Scale) (*Table, error) {
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"Fugu underestimates 10%% of chunks by ≥ %.2g s (paper: 5.8 s), worst case %.2g s (paper: 35 s)",
 		p90Under, worstUnder))
-	if stats.Mean(veritasErr) < stats.Mean(fuguErr) && p90Under > 0 {
-		t.Notes = append(t.Notes,
-			"SHAPE OK: Veritas tracks the diagonal while FuguNN systematically underestimates long downloads (paper Fig 12)")
-	} else {
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"SHAPE CHECK: MAE fugu %.3g vs veritas %.3g", stats.Mean(fuguErr), stats.Mean(veritasErr)))
-	}
+	t.check(Verdict{ID: "fig12/fugu-underestimates-long-downloads", Held: stats.Mean(veritasErr) < stats.Mean(fuguErr) && p90Under > 0,
+		OK:   "Veritas tracks the diagonal while FuguNN systematically underestimates long downloads (paper Fig 12)",
+		Miss: fmt.Sprintf("MAE fugu %.3g vs veritas %.3g", stats.Mean(fuguErr), stats.Mean(veritasErr))})
 	return t, nil
 }

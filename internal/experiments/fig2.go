@@ -75,31 +75,21 @@ func fig2a(s Scale) (*Table, error) {
 			max(1, s.FuguTraces/2), max(1, s.FuguTraces/2)),
 		Header: []string{"size (MB)", "n", "min", "q1", "median", "q3", "max", "mean"},
 	}
-	var medians []float64
-	for bi, b := range fig2aBuckets {
-		box := stats.Box(byBucket[bi])
-		t.AddRow(b.Label, box.N, box.Min, box.Q1, box.Median, box.Q3, box.Max, box.Mean)
-		medians = append(medians, box.Median)
-	}
 	// Shape check: with a linear size→time relationship medians would
 	// rise monotonically; the adaptive ABR breaks that because small
 	// chunks are chosen exactly when the network is poor.
-	nonMono := false
-	prev := math.Inf(-1)
-	for _, m := range medians {
-		if math.IsNaN(m) {
-			continue
+	nonMono, prev := false, math.Inf(-1)
+	for bi, b := range fig2aBuckets {
+		box := stats.Box(byBucket[bi])
+		t.AddRow(b.Label, box.N, box.Min, box.Q1, box.Median, box.Q3, box.Max, box.Mean)
+		if !math.IsNaN(box.Median) { // an empty bucket has none
+			nonMono = nonMono || box.Median < prev
+			prev = box.Median
 		}
-		if m < prev {
-			nonMono = true
-		}
-		prev = m
 	}
-	if nonMono {
-		t.Notes = append(t.Notes, "SHAPE OK: download-time medians are non-monotonic in chunk size (paper Fig 2a)")
-	} else {
-		t.Notes = append(t.Notes, "SHAPE MISS: medians grew monotonically with size")
-	}
+	t.check(Verdict{ID: "fig2a/medians-non-monotonic", Held: nonMono,
+		OK:   "download-time medians are non-monotonic in chunk size (paper Fig 2a)",
+		Miss: "medians grew monotonically with size"})
 	return t, nil
 }
 
@@ -168,13 +158,9 @@ func fig2b(s Scale) (*Table, error) {
 	highErr := stats.Mean(high.predicted) - stats.Mean(high.actual)
 	t.AddRow("Low quality", stats.Mean(low.actual), stats.Mean(low.predicted), lowErr)
 	t.AddRow("High quality", stats.Mean(high.actual), stats.Mean(high.predicted), highErr)
-	if math.Abs(lowErr) < math.Abs(highErr) && highErr < 0 {
-		t.Notes = append(t.Notes,
-			"SHAPE OK: Fugu is accurate for the low-quality chunk but underestimates the forced high-quality download (paper Fig 2b)")
-	} else {
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"SHAPE MISS: low err %.3g, high err %.3g (expected small low error, large negative high error)", lowErr, highErr))
-	}
+	t.check(Verdict{ID: "fig2b/fugu-underestimates-high-quality", Held: math.Abs(lowErr) < math.Abs(highErr) && highErr < 0,
+		OK:   "Fugu is accurate for the low-quality chunk but underestimates the forced high-quality download (paper Fig 2b)",
+		Miss: fmt.Sprintf("low err %.3g, high err %.3g (expected small low error, large negative high error)", lowErr, highErr)})
 	return t, nil
 }
 
@@ -248,13 +234,9 @@ func fig2c(s Scale) (*Table, error) {
 		}
 		t.AddRow(l2, box.N, box.Min, box.Median, box.Max, box.Mean, sd)
 	}
-	if smallMed < gtbwMbps/3 && bigMed > gtbwMbps*0.8 {
-		t.Notes = append(t.Notes,
-			"SHAPE OK: small payloads observe far below GTBW, large payloads approach it (paper Fig 2c)")
-	} else {
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"SHAPE MISS: median at 4 KB %.3g, at 4 MB %.3g (GTBW %v)", smallMed, bigMed, gtbwMbps))
-	}
+	t.check(Verdict{ID: "fig2c/throughput-grows-with-payload", Held: smallMed < gtbwMbps/3 && bigMed > gtbwMbps*0.8,
+		OK:   "small payloads observe far below GTBW, large payloads approach it (paper Fig 2c)",
+		Miss: fmt.Sprintf("median at 4 KB %.3g, at 4 MB %.3g (GTBW %v)", smallMed, bigMed, gtbwMbps)})
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"max per-size stddev %.3g Mbps (paper: high variance at intermediate sizes from slow-start restart)", maxStd))
 	return t, nil

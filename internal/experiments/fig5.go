@@ -68,12 +68,8 @@ func fig5(s Scale) (*Table, error) {
 	}
 	within /= float64(len(errorsMbps))
 	t.AddRow("frac |err|<=1 Mbps", within)
-	if within > 0.85 {
-		t.Notes = append(t.Notes,
-			"SHAPE OK: the bulk of f's predictions fall within 1 Mbps of the observed throughput (paper Fig 5)")
-	} else {
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"SHAPE MISS: only %.0f%% of errors within 1 Mbps", within*100))
-	}
+	t.check(Verdict{ID: "fig5/estimator-within-1mbps", Held: within > 0.85,
+		OK:   "the bulk of f's predictions fall within 1 Mbps of the observed throughput (paper Fig 5)",
+		Miss: fmt.Sprintf("only %.0f%% of errors within 1 Mbps", within*100)})
 	return t, nil
 }

@@ -69,13 +69,9 @@ func fig7(s Scale) (*Table, error) {
 		sampleRMSEs = append(sampleRMSEs, traceRMSE(sm, gt, horizon))
 	}
 	t.AddRow("RMSE", 0.0, baseRMSE, stats.Min(sampleRMSEs), stats.Max(sampleRMSEs), traceRMSE(ml, gt, horizon))
-	if stats.Max(sampleRMSEs) < baseRMSE {
-		t.Notes = append(t.Notes,
-			"SHAPE OK: every Veritas sample is closer to GTBW than Baseline (paper Fig 7)")
-	} else {
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"SHAPE CHECK: Baseline RMSE %.3g, Veritas sample RMSEs %.3g-%.3g",
-			baseRMSE, stats.Min(sampleRMSEs), stats.Max(sampleRMSEs)))
-	}
+	t.check(Verdict{ID: "fig7/samples-closer-than-baseline", Held: stats.Max(sampleRMSEs) < baseRMSE,
+		OK: "every Veritas sample is closer to GTBW than Baseline (paper Fig 7)",
+		Miss: fmt.Sprintf("Baseline RMSE %.3g, Veritas sample RMSEs %.3g-%.3g",
+			baseRMSE, stats.Min(sampleRMSEs), stats.Max(sampleRMSEs))})
 	return t, nil
 }

@@ -77,11 +77,8 @@ func extSquare(s Scale) (*Table, error) {
 		t.AddRow(fmt.Sprintf("%g/%g", b.lo, b.hi), bRMSE, vRMSE,
 			stats.Mean(hiVals), stats.Mean(loVals))
 	}
-	if wins == len(bands) {
-		t.Notes = append(t.Notes,
-			"SHAPE OK: Veritas beats Baseline on every square wave — the restricted setting of [39] is an easy special case")
-	} else {
-		t.Notes = append(t.Notes, fmt.Sprintf("SHAPE CHECK: Veritas won %d/%d bands", wins, len(bands)))
-	}
+	t.check(Verdict{ID: "ext-square/veritas-wins-every-band", Held: wins == len(bands),
+		OK:   "Veritas beats Baseline on every square wave — the restricted setting of [39] is an easy special case",
+		Miss: fmt.Sprintf("Veritas won %d/%d bands", wins, len(bands))})
 	return t, nil
 }

@@ -31,8 +31,23 @@ type GenConfig struct {
 	FadeIntervals int     // fade length in intervals (min 1 when fading)
 }
 
+// MaxSteps bounds the steps of a generated trace (Horizon/Interval) and
+// of a SquareWave (horizon/halfPeriod): far above what a session needs
+// (the built-in regimes use 720) and small enough that a trace's points
+// fit in 16 MiB.
+const MaxSteps = 1 << 20
+
 // Validate reports the first problem with the config, if any.
 func (c GenConfig) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"MinMbps", c.MinMbps}, {"MaxMbps", c.MaxMbps}, {"Interval", c.Interval}, {"Horizon", c.Horizon},
+		{"StepMbps", c.StepMbps}, {"JumpProb", c.JumpProb}, {"FadeProb", c.FadeProb}, {"FadeMbps", c.FadeMbps}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("trace: %s %v is not finite", f.name, f.v)
+		}
+	}
 	switch {
 	case c.MinMbps < 0:
 		return fmt.Errorf("trace: MinMbps %v < 0", c.MinMbps)
@@ -42,6 +57,8 @@ func (c GenConfig) Validate() error {
 		return fmt.Errorf("trace: Interval %v <= 0", c.Interval)
 	case c.Horizon < c.Interval:
 		return fmt.Errorf("trace: Horizon %v < Interval %v", c.Horizon, c.Interval)
+	case c.Horizon/c.Interval > MaxSteps:
+		return fmt.Errorf("trace: Horizon %v / Interval %v is more than %d steps", c.Horizon, c.Interval, MaxSteps)
 	case c.StepMbps < 0:
 		return fmt.Errorf("trace: StepMbps %v < 0", c.StepMbps)
 	case c.JumpProb < 0 || c.JumpProb > 1:
@@ -216,8 +233,8 @@ func GenerateSet(cfg GenConfig, n int) ([]*Trace, error) {
 // halfPeriod seconds for the given horizon, starting at hi. Used by unit
 // tests and the workshop-paper comparison (square-wave bandwidth).
 func SquareWave(lo, hi, halfPeriod, horizon float64) (*Trace, error) {
-	if halfPeriod <= 0 || horizon <= 0 {
-		return nil, fmt.Errorf("trace: SquareWave requires positive halfPeriod and horizon")
+	if !(halfPeriod > 0) || !(horizon > 0) || math.IsInf(halfPeriod, 1) || math.IsInf(horizon, 1) || horizon/halfPeriod > MaxSteps {
+		return nil, fmt.Errorf("trace: SquareWave requires positive finite halfPeriod and horizon, at most %d steps", MaxSteps)
 	}
 	n := int(math.Ceil(horizon / halfPeriod))
 	vals := make([]float64, n)

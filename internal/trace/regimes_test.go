@@ -1,6 +1,9 @@
 package trace
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestRegimeConfigLookup(t *testing.T) {
 	for _, name := range Regimes() {
@@ -84,6 +87,9 @@ func TestFadeValidation(t *testing.T) {
 		func(c *GenConfig) { c.FadeProb = 1.5 },
 		func(c *GenConfig) { c.FadeMbps = -1 },
 		func(c *GenConfig) { c.FadeIntervals = -1 },
+		func(c *GenConfig) { c.FadeProb = math.NaN() },
+		func(c *GenConfig) { c.FadeMbps = math.NaN() },
+		func(c *GenConfig) { c.FadeMbps = math.Inf(1) },
 	}
 	for i, mut := range bad {
 		cfg := DefaultWiFi(1)

@@ -235,17 +235,75 @@ func TestGenerateSetSeeds(t *testing.T) {
 	}
 }
 
+// TestGenerateValidation: Generate refuses each bad config with an
+// error, never a panic. A non-finite field or a step count past
+// MaxSteps once reached make([]Point, n) with an n out of range.
 func TestGenerateValidation(t *testing.T) {
-	bad := DefaultFCC(1)
-	bad.MaxMbps = bad.MinMbps
-	if _, err := Generate(bad); err == nil {
-		t.Error("Max <= Min should fail")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		mut  func(*GenConfig)
+	}{
+		{"max <= min", func(c *GenConfig) { c.MaxMbps = c.MinMbps }},
+		{"zero interval", func(c *GenConfig) { c.Interval = 0 }},
+		{"NaN interval", func(c *GenConfig) { c.Interval = nan }},
+		{"NaN horizon", func(c *GenConfig) { c.Horizon = nan }},
+		{"+Inf horizon", func(c *GenConfig) { c.Horizon = inf }},
+		{"+Inf interval and horizon", func(c *GenConfig) { c.Interval, c.Horizon = inf, inf }},
+		{"NaN min", func(c *GenConfig) { c.MinMbps = nan }},
+		{"-Inf min", func(c *GenConfig) { c.MinMbps = -inf }},
+		{"NaN max", func(c *GenConfig) { c.MaxMbps = nan }},
+		{"+Inf max", func(c *GenConfig) { c.MaxMbps = inf }},
+		{"NaN step", func(c *GenConfig) { c.StepMbps = nan }},
+		{"+Inf step", func(c *GenConfig) { c.StepMbps = inf }},
+		{"NaN jump probability", func(c *GenConfig) { c.JumpProb = nan }},
+		{"too many steps", func(c *GenConfig) { c.Interval = c.Horizon / (MaxSteps + 1) }},
+		{"tiny interval", func(c *GenConfig) { c.Interval = 1e-300 }},
+	} {
+		cfg := DefaultFCC(1)
+		c.mut(&cfg)
+		if _, err := Generate(cfg); err == nil {
+			t.Errorf("%s: Generate(%+v) succeeded", c.name, cfg)
+		}
 	}
-	bad2 := DefaultFCC(1)
-	bad2.Interval = 0
-	if _, err := Generate(bad2); err == nil {
-		t.Error("zero interval should fail")
+	if _, err := Generate(GenConfig{MinMbps: 1, MaxMbps: 2, Interval: 1, Horizon: MaxSteps}); err != nil {
+		t.Errorf("MaxSteps steps refused: %v", err)
 	}
+}
+
+// FuzzGenerate: for any config Generate never panics. A config that
+// Validate refuses makes Generate return that error; one it accepts
+// yields finite, non-negative steps, each inside [MinMbps, MaxMbps] or
+// equal to FadeMbps.
+func FuzzGenerate(f *testing.F) {
+	for _, c := range []GenConfig{DefaultFCC(1), DefaultLTE(2), DefaultWiFi(3),
+		{MinMbps: 1, MaxMbps: 2, Interval: math.NaN(), Horizon: 10},
+		{MinMbps: 1, MaxMbps: 2, Interval: 1, Horizon: math.Inf(1)},
+		{MinMbps: 0, MaxMbps: math.MaxFloat64, Interval: 1e300, Horizon: math.MaxFloat64, StepMbps: math.MaxFloat64, JumpProb: 0.5},
+		{MinMbps: 0, MaxMbps: 5e-324, Interval: 5e-324, Horizon: 1e-320, FadeProb: 1, FadeMbps: 7, FadeIntervals: 2},
+	} {
+		f.Add(c.MinMbps, c.MaxMbps, c.Interval, c.Horizon, c.StepMbps, c.JumpProb, c.FadeProb, c.FadeMbps, c.FadeIntervals, c.Seed)
+	}
+	f.Fuzz(func(t *testing.T, minMbps, maxMbps, interval, horizon, step, jump, fadeProb, fadeMbps float64, fadeIntervals int, seed int64) {
+		cfg := GenConfig{MinMbps: minMbps, MaxMbps: maxMbps, Interval: interval, Horizon: horizon, StepMbps: step,
+			JumpProb: jump, Seed: seed, FadeProb: fadeProb, FadeMbps: fadeMbps, FadeIntervals: fadeIntervals}
+		tr, err := Generate(cfg)
+		if verr := cfg.Validate(); verr != nil {
+			if err == nil || err.Error() != verr.Error() {
+				t.Fatalf("Validate refused %+v with %v, Generate returned %v", cfg, verr, err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("Validate accepted %+v, Generate failed: %v", cfg, err)
+		}
+		for i, p := range tr.Points() {
+			if math.IsNaN(p.Mbps) || math.IsInf(p.Mbps, 0) || p.Mbps < 0 ||
+				(p.Mbps < cfg.MinMbps || p.Mbps > cfg.MaxMbps) && p.Mbps != cfg.FadeMbps {
+				t.Fatalf("%+v: step %d is %v", cfg, i, p.Mbps)
+			}
+		}
+	})
 }
 
 func TestSquareWave(t *testing.T) {
@@ -255,6 +313,12 @@ func TestSquareWave(t *testing.T) {
 	}
 	if tr.At(0) != 5 || tr.At(10) != 1 || tr.At(20) != 5 || tr.At(30) != 1 {
 		t.Error("square wave values wrong")
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range [][2]float64{{0, 40}, {10, 0}, {nan, 40}, {10, nan}, {inf, 40}, {10, inf}, {1e-300, 40}, {1, MaxSteps + 1}} {
+		if _, err := SquareWave(1, 5, c[0], c[1]); err == nil {
+			t.Errorf("SquareWave(1, 5, %v, %v) succeeded", c[0], c[1])
+		}
 	}
 }
 
