@@ -142,9 +142,9 @@ const maxStartInterval = 1 << 17
 const maxEndSecs = 7 * 24 * 3600
 
 // maxSizeBytes bounds a chunk's size: 256 MiB, sixty times a 4 s chunk
-// of the top ladder rung. The throughput estimator runs one loop round
-// per window of the payload for every capacity of the grid, so an
-// absurd size would otherwise cost seconds per record.
+// of the top ladder rung. A log or a query is outside input, and no
+// real chunk is larger: a size past it is a corrupt or hostile value,
+// refused by index before it reaches the estimator or a report.
 const maxSizeBytes = 1 << 28
 
 // checkRecords is where a log's numbers are checked, for Abduct and
@@ -213,33 +213,57 @@ func observationsInto(sc *hmm.Scratch, log *player.SessionLog, deltaSecs float64
 
 // observation converts record i into the EHMM's evidence. With
 // ignoreTCP its TCP state is replaced by a warm steady-state connection
-// (Config.IgnoreTCPState). A record whose start is past
-// maxStartInterval, whose size is past maxSizeBytes, or whose state as
-// the estimator will see it fails tcp.State.CheckEstimable is refused
-// by index.
+// (Config.IgnoreTCPState). A record that checkChunk refuses, its state
+// as the estimator will see it, is refused by index.
 func observation(i int, r player.ChunkRecord, deltaSecs float64, ignoreTCP bool) (hmm.Observation, error) {
-	interval := r.Start / deltaSecs
-	if !(interval < maxStartInterval) {
-		return hmm.Observation{}, fmt.Errorf("abduction: record %d: start time %v s is past interval %d of %v s", i, r.Start, maxStartInterval, deltaSecs)
-	}
-	if r.SizeBytes > maxSizeBytes {
-		return hmm.Observation{}, fmt.Errorf("abduction: record %d: size %v bytes is past the %d bytes a chunk may carry", i, r.SizeBytes, maxSizeBytes)
-	}
 	st := r.TCP
 	if ignoreTCP {
 		st = tcp.Fresh(st.MinRTT)
 		st.CWND = tcp.DefaultSSThresh // window never the bottleneck
 		st.LastSendGap = 0            // no slow-start restart
 	}
-	if err := st.CheckEstimable(); err != nil {
+	if err := checkChunk(r.Start, r.SizeBytes, deltaSecs, st); err != nil {
 		return hmm.Observation{}, fmt.Errorf("abduction: record %d: %w", i, err)
 	}
 	return hmm.Observation{
 		ThroughputMbps: r.ThroughputMbps,
 		TCP:            st,
 		SizeBytes:      r.SizeBytes,
-		StartInterval:  int(interval),
+		StartInterval:  int(r.Start / deltaSecs),
 	}, nil
+}
+
+// checkChunk is the rule a record and an interventional query share,
+// past the finite non-negative start and size their callers check: a
+// start past maxStartInterval δ-intervals, a size past maxSizeBytes, or
+// a TCP state that fails tcp.State.CheckEstimable is refused.
+func checkChunk(startSecs, sizeBytes, deltaSecs float64, st tcp.State) error {
+	if !(startSecs/deltaSecs < maxStartInterval) {
+		return fmt.Errorf("start time %v s is past interval %d of %v s", startSecs, maxStartInterval, deltaSecs)
+	}
+	if sizeBytes > maxSizeBytes {
+		return fmt.Errorf("size %v bytes is past the %d bytes a chunk may carry", sizeBytes, maxSizeBytes)
+	}
+	return st.CheckEstimable()
+}
+
+// CheckQuery refuses an interventional query — a hypothetical chunk of
+// sizeBytes starting at startSecs with TCP state st, as
+// PredictDownloadTime takes it — by the rule a log's records are
+// checked by: a start or size that is not a finite non-negative number,
+// or one checkChunk refuses at c's δ. The state is checked as given:
+// IgnoreTCPState replaces only the log's states.
+func (c Config) CheckQuery(startSecs float64, st tcp.State, sizeBytes float64) error {
+	switch {
+	case !finiteNonNegative(startSecs):
+		return fmt.Errorf("abduction: start time %v s is not a finite non-negative number", startSecs)
+	case !finiteNonNegative(sizeBytes):
+		return fmt.Errorf("abduction: size %v bytes is not a finite non-negative number", sizeBytes)
+	}
+	if err := checkChunk(startSecs, sizeBytes, c.withDefaults(0).HMM.DeltaSecs, st); err != nil {
+		return fmt.Errorf("abduction: %w", err)
+	}
+	return nil
 }
 
 func finiteNonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
@@ -427,6 +451,11 @@ func (a *Abduction) pathToTrace(path []int, pts []trace.Point, counts []int) *tr
 // matrix by the elapsed δ-intervals to get the expected GTBW, and runs
 // the estimator f. A Predictor computes the same answer from that state
 // alone.
+//
+// The query must pass the Config's CheckQuery (engine.Run refuses one
+// that does not). Outside it the answer is unspecified, and its cost is
+// not bounded: the advance walks one S×S product per δ-interval past
+// the log, and the estimator need not return on a negative window.
 func (a *Abduction) PredictDownloadTime(startSecs float64, st tcp.State, sizeBytes float64) float64 {
 	a.mustBeLive()
 	last := a.Observations[len(a.Observations)-1].StartInterval

@@ -198,7 +198,9 @@ type SessionSpec struct {
 
 // PredictQuery is one interventional query: the download time of a
 // hypothetical chunk of SizeBytes requested at StartSecs with TCP state
-// TCP.
+// TCP. Run refuses, by session and query index, a query that its
+// session's abduction.Config.CheckQuery refuses — the rule a log record
+// is checked by.
 type PredictQuery struct {
 	StartSecs float64
 	TCP       tcp.State
@@ -297,6 +299,11 @@ func Run(ctx context.Context, cfg Config, corpus []SessionSpec, arms []Arm) (*Re
 			return nil, fmt.Errorf("engine: sessions %d and %d share ID %q", j, i, id)
 		}
 		ids[id] = i
+		for j, q := range spec.Predict {
+			if err := spec.Abduct.CheckQuery(q.StartSecs, q.TCP, q.SizeBytes); err != nil {
+				return nil, fmt.Errorf("engine: session %d (%s): predict query %d: %w", i, id, j, err)
+			}
+		}
 		if cfg.inShard(i) && !cfg.Skip[id] {
 			executed++
 		}

@@ -4,10 +4,12 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"veritas/internal/hmm"
 	"veritas/internal/player"
+	"veritas/internal/tcp"
 )
 
 // recordedLogs simulates one 300-chunk session per scenario and
@@ -139,6 +141,52 @@ func BenchmarkPredictSession(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(context.Background(), Config{Workers: 1}, corpus, nil); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestRunRefusesUncheckedPredictQueries: a predict query is checked by
+// the rule a log record is checked by — a finite non-negative start and
+// size, a start within abduction's bound on δ-intervals, a size within
+// its bound on a chunk, and a TCP state the estimator can run on — and
+// Run refuses one that fails it by session and query index, before any
+// session runs. Unchecked, a NaN window hung the estimator, and a start
+// far past the log walked one S×S product per δ under the shared power
+// cache's lock.
+func TestRunRefusesUncheckedPredictQueries(t *testing.T) {
+	st := tcp.Fresh(0.08)
+	log := &player.SessionLog{BufferCap: 30, RTT: 0.08, ChunkSeconds: 4}
+	for i := 0; i < 3; i++ {
+		start := 4 * float64(i)
+		log.Records = append(log.Records, player.ChunkRecord{
+			Index: i, SizeBytes: 1e6, Start: start, End: start + 2, TCP: st, ThroughputMbps: 4,
+		})
+	}
+	good := PredictQuery{StartSecs: 14, TCP: st, SizeBytes: 1e6}
+	if _, err := Run(context.Background(), Config{}, []SessionSpec{{Log: log, Predict: []PredictQuery{good}}}, nil); err != nil {
+		t.Fatalf("a checked query: %v", err)
+	}
+	with := func(f func(q *PredictQuery)) PredictQuery { q := good; f(&q); return q }
+	for _, tc := range []struct {
+		name, want string
+		q          PredictQuery
+	}{
+		{"size past the cap", "size 2.68435457e+08 bytes is past", with(func(q *PredictQuery) { q.SizeBytes = 1<<28 + 1 })},
+		{"negative start", "start time -1 s is not a finite non-negative number", with(func(q *PredictQuery) { q.StartSecs = -1 })},
+		{"NaN size", "size NaN bytes is not a finite non-negative number", with(func(q *PredictQuery) { q.SizeBytes = math.NaN() })},
+		{"+Inf start", "start time +Inf s is not a finite non-negative number", with(func(q *PredictQuery) { q.StartSecs = math.Inf(1) })},
+		{"start far past the log", "start time 1e+06 s is past interval", with(func(q *PredictQuery) { q.StartSecs = 1e6 })},
+		{"NaN cwnd", "cwnd NaN is not a finite number", with(func(q *PredictQuery) { q.TCP.CWND = math.NaN() })},
+		{"sub-segment cwnd", "cwnd 0.5 < 1 segment", with(func(q *PredictQuery) { q.TCP.CWND = 0.5 })},
+		{"+Inf ssthresh", "ssthresh +Inf is not a finite number", with(func(q *PredictQuery) { q.TCP.SSThresh = math.Inf(1) })},
+	} {
+		corpus := []SessionSpec{
+			{Log: log, Predict: []PredictQuery{good}},
+			{ID: "hostile", Log: log, Predict: []PredictQuery{good, tc.q}},
+		}
+		_, err := Run(context.Background(), Config{}, corpus, nil)
+		if err == nil || !strings.Contains(err.Error(), "engine: session 1 (hostile): predict query 1: ") || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: Run = %v, want the refusal of session 1's query 1 (%q)", tc.name, err, tc.want)
 		}
 	}
 }

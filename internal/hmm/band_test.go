@@ -75,10 +75,12 @@ func TestBandedMatchesDense(t *testing.T) {
 	}
 }
 
-// FuzzEmissionRow checks the copied emission tail against the per-cell
-// row: for any TCP state, chunk size, throughput, σ and grid that a
-// checked log can carry, emissionRowInto equals the oracle's per-cell
-// evaluation bit for bit.
+// FuzzEmissionRow checks the emission row — its predictions from one
+// walk of the window (tcp.EstimateRow), one density per run of equal
+// predictions — against the per-cell row: for any TCP state, chunk
+// size, throughput, σ and grid that a checked log can carry,
+// emissionRowInto equals the oracle's per-cell evaluation bit for bit,
+// with the paper's estimator and with a custom one.
 func FuzzEmissionRow(f *testing.F) {
 	hot := hotState()
 	fresh := tcp.Fresh(0.08)
@@ -124,11 +126,20 @@ func FuzzEmissionRow(f *testing.F) {
 			TCP:            tcp.State{CWND: cwnd, SSThresh: ssthresh, MinRTT: minRTT, RTT: rtt, RTO: rto, LastSendGap: gap},
 			SizeBytes:      size,
 		}
+		// A custom Estimator, here one that falls and rises in runs of
+		// equal predictions, shares the row's one density per run.
+		cfg.Estimator = func(gtbw float64, _ tcp.State, _ float64) float64 { return math.Abs(math.Floor(gtbw) - top/2) }
+		custom, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		row := make([]float64, m.NumStates())
-		m.emissionRowInto(row, o)
-		for i, got := range row {
-			if want := oracleEmissionLogProb(m, o, i); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("cell %d (%v Mbps) = %v, per-cell %v (state %+v, size %v)", i, m.Capacity(i), got, want, o.TCP, size)
+		for _, m := range []*Model{m, custom} {
+			m.emissionRowInto(row, o)
+			for i, got := range row {
+				if want := oracleEmissionLogProb(m, o, i); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("cell %d (%v Mbps) = %v, per-cell %v (state %+v, size %v, custom estimator %v)", i, m.Capacity(i), got, want, o.TCP, size, m.cfg.Estimator != nil)
+				}
 			}
 		}
 	})

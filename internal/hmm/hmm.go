@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"veritas/internal/mathx"
 	"veritas/internal/tcp"
@@ -232,27 +231,25 @@ func gapAt(prev, cur, n int) (int, error) {
 // package's one emission evaluator — the forward pass calls it once per
 // chunk, FitTransitions once per chunk before grouping rows by interval.
 //
-// With the paper's estimator, the capacities past tcp.Saturation — a
-// suffix of the grid — all predict the same rate, so the first of them
-// is evaluated and copied along the rest of the row. A custom Estimator
-// is evaluated cell by cell.
+// The predictions fill the row first: the paper's estimator by one walk
+// of the congestion window across the grid (tcp.EstimateRow), a custom
+// Estimator cell by cell. A cell that predicts what the cell before it
+// predicted — every cell past the capacity where the estimator stops
+// depending on the link — reuses that cell's density.
 func (m *Model) emissionRowInto(row []float64, o Observation) {
-	est := m.cfg.Estimator
-	first := m.ns // first saturated cell
-	if est == nil {
-		est = tcp.EstimateThroughput
-		if bdp, mbps, ok := tcp.Saturation(o.TCP, o.SizeBytes, m.Capacity(m.ns-1)); ok {
-			first = sort.Search(m.ns, func(i int) bool {
-				c := m.Capacity(i)
-				return c >= mbps && tcp.BDPSegments(c, o.TCP.MinRTT) >= bdp
-			})
+	if est := m.cfg.Estimator; est != nil {
+		for i := range row {
+			row[i] = est(m.Capacity(i), o.TCP, o.SizeBytes)
 		}
+	} else {
+		tcp.EstimateRow(row, m.cfg.EpsMbps, o.TCP, o.SizeBytes)
 	}
-	for i := 0; i < min(first+1, m.ns); i++ {
-		row[i] = mathx.NormalLogPDF(o.ThroughputMbps, est(m.Capacity(i), o.TCP, o.SizeBytes), m.cfg.Sigma)
-	}
-	for i := first + 1; i < len(row); i++ {
-		row[i] = row[first]
+	var mu, logp float64
+	for i, pred := range row {
+		if i == 0 || pred != mu {
+			mu, logp = pred, mathx.NormalLogPDF(o.ThroughputMbps, pred, m.cfg.Sigma)
+		}
+		row[i] = logp
 	}
 }
 

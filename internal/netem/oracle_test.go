@@ -28,9 +28,7 @@ func downloadOracle(c *Conn, start, sizeBytes float64, tr *trace.Trace) (end flo
 	}
 	if c.cfg.SlowStartRestart && c.hasSent {
 		st := c.State(start)
-		st = tcp.ApplySlowStartRestart(st)
-		c.cwnd = st.CWND
-		c.ssthresh = st.SSThresh
+		c.cwnd, c.ssthresh = tcp.SlowStartRestart(st.CWND, st.SSThresh, st.LastSendGap, st.RTO)
 	}
 
 	t := start

@@ -105,10 +105,10 @@ func (s State) CheckEstimable() error {
 }
 
 // segmentMax caps a segment count before it becomes an int: 2⁵³, the
-// bound past which a float64 stops counting every integer (Saturation's
-// bound). Converting a larger quotient is implementation-defined in Go
-// (on amd64 one past 2⁶³ wraps to a negative int), so a count is
-// clamped first; every count below the cap is the quotient's own.
+// bound past which a float64 stops counting every integer. Converting a
+// larger quotient is implementation-defined in Go (on amd64 one past
+// 2⁶³ wraps to a negative int), so a count is clamped first; every
+// count below the cap is the quotient's own.
 const segmentMax = 1 << 53
 
 // Segments returns the number of MSS-sized segments needed for a payload
@@ -133,24 +133,17 @@ func BDPSegments(gtbwMbps, rtt float64) int {
 	return seg
 }
 
-// ApplySlowStartRestart returns the state after Linux's congestion-window
-// validation (RFC 2861): when the connection has been idle longer than
-// the RTO, cwnd is halved once per elapsed RTO down to the initial
-// window, and ssthresh is raised to 3/4 of the pre-decay cwnd.
+// SlowStartRestart returns the window and threshold after Linux's
+// congestion-window validation (RFC 2861) on a connection idle for idle
+// seconds whose retransmission timeout is rto: when the connection has
+// been idle longer than the RTO, cwnd is halved once per elapsed RTO
+// down to the initial window, and ssthresh is raised to 3/4 of the
+// pre-decay cwnd. It is the one copy of the rule, for the estimator and
+// the emulator's live connections alike.
 //
 // Note: the paper's Algorithm 4 as printed grows cwnd during restart
 // ("cwnd << 2"), which contradicts the Linux behaviour it cites; we
-// implement the kernel's tcp_cwnd_restart semantics (see DESIGN.md §3).
-func ApplySlowStartRestart(s State) State {
-	s.CWND, s.SSThresh = SlowStartRestart(s.CWND, s.SSThresh, s.LastSendGap, s.RTO)
-	return s
-}
-
-// SlowStartRestart is ApplySlowStartRestart on the two values it
-// changes: the window and threshold after idle seconds without a send
-// on a connection whose retransmission timeout is rto. It is the one
-// copy of the rule; the emulator applies it to a live connection's
-// window without building a State.
+// implement the kernel's tcp_cwnd_restart semantics.
 func SlowStartRestart(cwnd, ssthresh, idle, rto float64) (float64, float64) {
 	if idle <= rto {
 		return cwnd, ssthresh
@@ -160,7 +153,7 @@ func SlowStartRestart(cwnd, ssthresh, idle, rto float64) (float64, float64) {
 	if restartThresh := 0.75 * cwnd; restartThresh > ssthresh {
 		ssthresh = restartThresh
 	}
-	for idle > rto && cwnd > InitCWND {
+	for idle > rto && cwnd > InitCWND && cwnd < math.Inf(1) { // an infinite window halves to itself
 		idle -= rto
 		cwnd /= 2
 	}
@@ -179,102 +172,99 @@ func SlowStartRestart(cwnd, ssthresh, idle, rto float64) (float64, float64) {
 // cwnd doubles below ssthresh and grows by one segment per round above
 // it. Losses are not modeled. If the first window already covers the
 // whole payload the transfer takes a single RTT.
+//
+// The window's rounds do not depend on the link, and the window only
+// grows, so they are walked only until the window reaches the BDP: every
+// later round carries exactly the BDP, and their count is one integer
+// division. The result is the round-by-round loop's, bit for bit. It
+// returns on every state whose window after restart is not a finite
+// negative number: every state CheckEstimable accepts, and a NaN or
+// infinite window.
 func EstimateThroughput(gtbwMbps float64, s State, sizeBytes float64) float64 {
-	if sizeBytes <= 0 {
+	var w walk
+	w.start(s, sizeBytes)
+	return w.estimate(gtbwMbps)
+}
+
+// EstimateRow fills dst[i] with EstimateThroughput(float64(i)*epsMbps, s,
+// sizeBytes), bit for bit: an emission row's predictions over the
+// capacity grid. BDPSegments does not fall as the capacity rises, so one
+// walk of the window, resumed cell by cell, serves the whole row.
+func EstimateRow(dst []float64, epsMbps float64, s State, sizeBytes float64) {
+	var w walk
+	w.start(s, sizeBytes)
+	for i := range dst {
+		dst[i] = w.estimate(float64(i) * epsMbps)
+	}
+}
+
+// walk is Algorithm 4's round loop for one transfer, run only as far as
+// a BDP asks and resumable for a larger one: the rounds it has walked
+// are those of every link whose BDP exceeds each of their windows.
+type walk struct {
+	rtt, size          float64
+	ssthresh, cwnd     float64 // after slow-start restart; cwnd is the next round's window
+	data, sent, rounds int
+	stalled            bool // the window stopped growing (it is not positive)
+}
+
+// start readies a zero walk for a transfer of sizeBytes from state s.
+func (w *walk) start(s State, sizeBytes float64) {
+	w.cwnd, w.ssthresh = SlowStartRestart(s.CWND, s.SSThresh, s.LastSendGap, s.RTO)
+	w.rtt, w.size, w.data = s.MinRTT, sizeBytes, Segments(sizeBytes)
+}
+
+// estimate is EstimateThroughput on the link of gtbwMbps, advancing the
+// walk to its BDP; successive calls take capacities whose BDPs do not
+// fall.
+func (w *walk) estimate(gtbwMbps float64) float64 {
+	if w.size <= 0 || gtbwMbps <= 0 {
 		return 0
 	}
-	if gtbwMbps <= 0 {
-		return 0
-	}
-	if s.MinRTT <= 0 {
+	if w.rtt <= 0 {
 		// Degenerate state (never valid per Validate, but reachable from
 		// raw logs): with no round-trip time the transfer is purely
 		// link-limited. Returning gtbwMbps keeps the estimator finite
 		// instead of dividing size by a zero RTT below.
 		return gtbwMbps
 	}
-	s = ApplySlowStartRestart(s)
-
-	dataSeg := Segments(sizeBytes)
-	bdpSeg := BDPSegments(gtbwMbps, s.MinRTT)
-
-	if s.CWND >= float64(bdpSeg) {
-		// The window is no constraint: either the transfer is long enough
-		// to observe the full link rate, or it fits in one flight and the
-		// observed throughput is size over one RTT. Compared as floats:
-		// a finite window past 2⁶³ segments has no int.
-		if dataSeg > bdpSeg {
-			return gtbwMbps
-		}
-		return bytesPerSecToMbps(sizeBytes / s.MinRTT)
-	}
-
-	rounds := 0
-	sent := 0
-	cwnd := s.CWND
-	for sent < dataSeg {
-		flight := math.Min(cwnd, float64(bdpSeg))
-		sent += int(flight)
-		if flight < 1 {
+	bdp := BDPSegments(gtbwMbps, w.rtt)
+	cwnd, sent, rounds, stalled := w.cwnd, w.sent, w.rounds, w.stalled
+	for sent < w.data && cwnd < float64(bdp) && !stalled {
+		sent += int(cwnd) // the round's flight: the window, below the BDP
+		if cwnd < 1 {
 			sent++ // defensive: guarantee progress
 		}
-		if cwnd < s.SSThresh {
-			cwnd *= 2
-		} else {
-			cwnd++
+		next := cwnd + 1
+		if cwnd < w.ssthresh {
+			next = cwnd * 2
 		}
+		stalled = !(next > cwnd)
+		cwnd = next
 		rounds++
 	}
-	est := bytesPerSecToMbps(sizeBytes / (float64(rounds) * s.MinRTT))
+	w.cwnd, w.sent, w.rounds, w.stalled = cwnd, sent, rounds, stalled
+	if rounds == 0 {
+		// The window is no constraint: either the transfer is long enough
+		// to observe the full link rate, or it fits in one flight and the
+		// observed throughput is size over one RTT.
+		if w.data > bdp {
+			return gtbwMbps
+		}
+		return bytesPerSecToMbps(w.size / w.rtt)
+	}
+	if rest := w.data - sent; rest > 0 {
+		switch {
+		case !stalled: // the window reached the BDP: every round carries it
+			rounds += (rest + bdp - 1) / bdp
+		case cwnd == 0: // a zero window sends one segment a round
+			rounds += rest
+		default: // a shrinking window never delivers the payload
+			return 0
+		}
+	}
+	est := bytesPerSecToMbps(w.size / (float64(rounds) * w.rtt))
 	return math.Min(est, gtbwMbps)
-}
-
-// saturationMax bounds the windows and payloads Saturation vouches for,
-// in segments and bytes: below it the helper's integer arithmetic is
-// exact and its round loop short.
-const saturationMax = 1 << 40
-
-// Saturation returns the point past which EstimateThroughput stops
-// depending on the link, for links up to topMbps: for every gtbwMbps ≤
-// topMbps with gtbwMbps ≥ mbps and BDPSegments(gtbwMbps, s.MinRTT) ≥
-// bdpSeg, EstimateThroughput(gtbwMbps, s, sizeBytes) is exactly mbps.
-// There the BDP exceeds every window the transfer uses, so the rounds
-// are the window's alone. On [0, topMbps] that test is monotone in
-// gtbwMbps, and it holds at topMbps. ok is false when the helper cannot
-// vouch for such a point — an empty or implausibly large payload, a
-// window below one segment or beyond saturationMax, a non-positive RTT,
-// a BDP at topMbps too large to count exactly, or a topMbps that does
-// not saturate — and the caller must evaluate every capacity.
-func Saturation(s State, sizeBytes, topMbps float64) (bdpSeg int, mbps float64, ok bool) {
-	if !(sizeBytes > 0 && sizeBytes < saturationMax) || !(s.MinRTT > 0) ||
-		!(s.CWND >= 1 && s.CWND < saturationMax) ||
-		!(topMbps*1e6/8*s.MinRTT/MSS < 1<<53) { // BDPSegments stays exact, so monotone
-		return 0, 0, false
-	}
-	s = ApplySlowStartRestart(s)
-	dataSeg := Segments(sizeBytes)
-	// EstimateThroughput's round loop with an unbounded BDP: every
-	// flight is the whole window.
-	rounds, sent, cwnd, widest := 0, 0, s.CWND, s.CWND
-	for sent < dataSeg {
-		widest = cwnd
-		sent += int(cwnd)
-		if cwnd < s.SSThresh {
-			cwnd *= 2
-		} else {
-			cwnd++
-		}
-		rounds++
-	}
-	// A BDP of at least the widest flight leaves every flight unclipped,
-	// and one above the initial window keeps the estimator out of its
-	// window-is-no-constraint branch.
-	bdpSeg = max(int(math.Ceil(widest)), int(s.CWND)+1)
-	mbps = bytesPerSecToMbps(sizeBytes / (float64(rounds) * s.MinRTT))
-	if !(topMbps >= mbps && BDPSegments(topMbps, s.MinRTT) >= bdpSeg) {
-		return 0, 0, false
-	}
-	return bdpSeg, mbps, true
 }
 
 // EstimateDownloadTime converts EstimateThroughput into a predicted

@@ -114,7 +114,8 @@ func TestSSRNoopWhenNotIdle(t *testing.T) {
 	s := Fresh(0.08)
 	s.CWND = 100
 	s.LastSendGap = 0.05 // below RTO
-	got := ApplySlowStartRestart(s)
+	var got State
+	got.CWND, got.SSThresh = SlowStartRestart(s.CWND, s.SSThresh, s.LastSendGap, s.RTO)
 	if got.CWND != 100 {
 		t.Errorf("SSR should not fire below RTO: cwnd %v", got.CWND)
 	}
@@ -126,7 +127,8 @@ func TestSSRHalvesPerRTO(t *testing.T) {
 	s.SSThresh = 10
 	s.RTO = 0.2
 	s.LastSendGap = 0.5 // two full RTOs of idle -> two halvings
-	got := ApplySlowStartRestart(s)
+	var got State
+	got.CWND, got.SSThresh = SlowStartRestart(s.CWND, s.SSThresh, s.LastSendGap, s.RTO)
 	if got.CWND != 20 {
 		t.Errorf("cwnd after 2 halvings = %v, want 20", got.CWND)
 	}
@@ -140,7 +142,8 @@ func TestSSRFloorsAtInitCWND(t *testing.T) {
 	s := Fresh(0.08)
 	s.CWND = 64
 	s.LastSendGap = 100 // very long idle
-	got := ApplySlowStartRestart(s)
+	var got State
+	got.CWND, got.SSThresh = SlowStartRestart(s.CWND, s.SSThresh, s.LastSendGap, s.RTO)
 	if got.CWND != InitCWND {
 		t.Errorf("cwnd floor = %v, want %v", got.CWND, float64(InitCWND))
 	}
@@ -288,13 +291,38 @@ func BenchmarkEstimatorDirect(b *testing.B) {
 	}
 }
 
+// windowLimitedRate is EstimateThroughput's round loop on a link whose
+// BDP clips no flight: every round sends the whole window. It returns
+// the widest flight's segment count (a BDP of at least that, and above
+// the initial window, keeps every flight unclipped and the estimator
+// out of its window-is-no-constraint branch) and the resulting rate.
+func windowLimitedRate(s State, sizeBytes float64) (bdpSeg int, mbps float64) {
+	s.CWND, s.SSThresh = SlowStartRestart(s.CWND, s.SSThresh, s.LastSendGap, s.RTO)
+	dataSeg := Segments(sizeBytes)
+	rounds, sent, cwnd, widest := 0, 0, s.CWND, s.CWND
+	for sent < dataSeg {
+		widest = cwnd
+		sent += int(cwnd)
+		if cwnd < s.SSThresh {
+			cwnd *= 2
+		} else {
+			cwnd++
+		}
+		rounds++
+	}
+	bdpSeg = max(int(math.Ceil(widest)), int(s.CWND)+1)
+	return bdpSeg, bytesPerSecToMbps(sizeBytes / (float64(rounds) * s.MinRTT))
+}
+
 // TestSaturationMatchesEstimator sweeps capacity finely up to the
-// grid top for a spread of states and sizes: Saturation's test is
-// monotone in capacity, holds at the top, and wherever it holds the
-// estimator returns exactly the saturated rate. A state whose window
-// stays the bottleneck up to the top is declined.
+// grid top for a spread of states and sizes: past the capacity whose
+// BDP exceeds every window the transfer uses, the estimator stops
+// depending on the link and returns exactly the window-limited rate,
+// by EstimateThroughput and EstimateRow alike. The test for that point
+// is monotone in capacity, and it holds at the top for every state but
+// one whose window stays the bottleneck up to the top.
 func TestSaturationMatchesEstimator(t *testing.T) {
-	const top = 200.0
+	const top, eps = 200.0, 0.05
 	fresh := Fresh(0.08)
 	idle := fresh
 	idle.CWND, idle.SSThresh, idle.LastSendGap = 600, 300, 2
@@ -314,32 +342,41 @@ func TestSaturationMatchesEstimator(t *testing.T) {
 		{"single flight", fresh, MSS * 10, true},
 		{"hot", hot, 4e6, false},
 	} {
-		bdp, mbps, ok := Saturation(tc.st, tc.size, top)
-		if ok != tc.saturates {
-			t.Fatalf("%s: Saturation ok = %v, want %v (bdp %d, %v Mbps)", tc.name, ok, tc.saturates, bdp, mbps)
-		}
-		if !ok {
-			continue
-		}
+		bdp, mbps := windowLimitedRate(tc.st, tc.size)
+		row := make([]float64, int(top/eps)+1)
+		EstimateRow(row, eps, tc.st, tc.size)
 		seen := false
-		for g := 0.0; g <= top; g += 0.05 {
+		for i, got := range row {
+			g := float64(i) * eps
 			past := g >= mbps && BDPSegments(g, tc.st.MinRTT) >= bdp
 			if seen && !past {
 				t.Fatalf("%s: saturation test not monotone at %v Mbps", tc.name, g)
 			}
 			seen = past
-			if got := EstimateThroughput(g, tc.st, tc.size); past && math.Float64bits(got) != math.Float64bits(mbps) {
-				t.Fatalf("%s: EstimateThroughput(%v) = %v past saturation (bdp %d), want %v", tc.name, g, got, bdp, mbps)
+			if !past {
+				continue
+			}
+			if math.Float64bits(got) != math.Float64bits(mbps) {
+				t.Fatalf("%s: EstimateRow cell %d (%v Mbps) = %v past saturation (bdp %d), want %v", tc.name, i, g, got, bdp, mbps)
+			}
+			if one := EstimateThroughput(g, tc.st, tc.size); math.Float64bits(one) != math.Float64bits(mbps) {
+				t.Fatalf("%s: EstimateThroughput(%v) = %v past saturation (bdp %d), want %v", tc.name, g, one, bdp, mbps)
 			}
 		}
-		if !(top >= mbps && BDPSegments(top, tc.st.MinRTT) >= bdp) {
-			t.Errorf("%s: saturation test fails at the top", tc.name)
+		if atTop := top >= mbps && BDPSegments(top, tc.st.MinRTT) >= bdp; atTop != tc.saturates {
+			t.Errorf("%s: saturated at the top = %v, want %v (bdp %d, %v Mbps)", tc.name, atTop, tc.saturates, bdp, mbps)
 		}
 	}
 }
 
-// TestSaturationDeclines lists the inputs Saturation refuses to vouch
-// for; the caller then evaluates every capacity.
+// TestSaturationDeclines runs the estimator on the inputs where no
+// saturation point below the top can be vouched for — empty,
+// non-finite or huge payloads, non-positive or non-finite RTTs,
+// windows below one segment, non-finite or past 2⁵³, a top below
+// saturation, a BDP at the top too large to count exactly, and a
+// non-finite grid step — so every cell is evaluated. The walked row
+// returns and equals EstimateThroughput cell by cell, and the
+// round-by-round loop wherever it answers.
 func TestSaturationDeclines(t *testing.T) {
 	fresh := Fresh(0.08)
 	mod := func(f func(s *State)) State { s := fresh; f(&s); return s }
@@ -361,8 +398,18 @@ func TestSaturationDeclines(t *testing.T) {
 		"BDP at the top inexact": {mod(func(s *State) { s.MinRTT = 1e200 }), 1e6, 100},
 		"NaN top":                {fresh, 1e6, math.NaN()},
 	} {
-		if _, _, ok := Saturation(tc.st, tc.size, tc.top); ok {
-			t.Errorf("%s: Saturation vouched for %+v, size %v, top %v", name, tc.st, tc.size, tc.top)
+		const cells = 201
+		eps := tc.top / (cells - 1)
+		row := make([]float64, cells)
+		EstimateRow(row, eps, tc.st, tc.size)
+		for i, got := range row {
+			c := float64(i) * eps
+			if one := EstimateThroughput(c, tc.st, tc.size); math.Float64bits(got) != math.Float64bits(one) {
+				t.Fatalf("%s: EstimateRow cell %d (%v Mbps) = %v, EstimateThroughput %v", name, i, c, got, one)
+			}
+			if want, ok := oracleEstimate(c, tc.st, tc.size, 1<<18); ok && math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: EstimateRow cell %d (%v Mbps) = %v, oracle %v", name, i, c, got, want)
+			}
 		}
 	}
 }
