@@ -51,7 +51,8 @@ func BenchmarkFig12(b *testing.B) { benchFigure(b, "fig12") }
 func BenchmarkFig13(b *testing.B) { benchFigure(b, "fig13") }
 func BenchmarkFig14(b *testing.B) { benchFigure(b, "fig14") }
 
-// Ablation benches for the design choices DESIGN.md calls out.
+// Ablation benches, one per ablation id in EXPERIMENTS.md's
+// "Experiment ids" section.
 func BenchmarkAblationTCPState(b *testing.B) { benchFigure(b, "abl-tcpstate") }
 func BenchmarkAblationPrior(b *testing.B)    { benchFigure(b, "abl-prior") }
 func BenchmarkAblationSigma(b *testing.B)    { benchFigure(b, "abl-sigma") }

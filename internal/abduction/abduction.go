@@ -452,10 +452,13 @@ func (a *Abduction) pathToTrace(path []int, pts []trace.Point, counts []int) *tr
 // the estimator f. A Predictor computes the same answer from that state
 // alone.
 //
-// The query must pass the Config's CheckQuery (engine.Run refuses one
-// that does not). Outside it the answer is unspecified, and its cost is
-// not bounded: the advance walks one S×S product per δ-interval past
-// the log, and the estimator need not return on a negative window.
+// The advance takes O(gap·S·band) time for a start gap δ-intervals past
+// the last chunk, on an S-state grid whose transition matrix has rows
+// band states wide, and touches no shared state (hmm's
+// ExpectedCapacityAfter). The query must pass the Config's CheckQuery
+// (engine.Run refuses one that does not), which bounds the gap. Outside
+// it the answer is unspecified, and the estimator need not return on a
+// negative window.
 func (a *Abduction) PredictDownloadTime(startSecs float64, st tcp.State, sizeBytes float64) float64 {
 	a.mustBeLive()
 	last := a.Observations[len(a.Observations)-1].StartInterval

@@ -58,9 +58,10 @@ func NewPredictor(log *player.SessionLog, cfg Config) (*Predictor, error) {
 
 // PredictDownloadTime is Abduction.PredictDownloadTime: the predicted
 // download time of a hypothetical next chunk of sizeBytes starting at
-// startSecs with TCP state st. As there, the query must pass the
-// Config's CheckQuery; outside it the answer is unspecified and its
-// cost unbounded.
+// startSecs with TCP state st. As there, the advance takes
+// O(gap·S·band) time and touches no shared state, and the query must
+// pass the Config's CheckQuery; outside it the answer is unspecified,
+// and the estimator need not return.
 func (p *Predictor) PredictDownloadTime(startSecs float64, st tcp.State, sizeBytes float64) float64 {
 	return predictDownloadTime(p.model, p.deltaSecs, p.last.StartInterval, p.state, startSecs, st, sizeBytes)
 }

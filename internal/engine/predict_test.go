@@ -150,9 +150,9 @@ func BenchmarkPredictSession(b *testing.B) {
 // size, a start within abduction's bound on δ-intervals, a size within
 // its bound on a chunk, and a TCP state the estimator can run on — and
 // Run refuses one that fails it by session and query index, before any
-// session runs. Unchecked, a NaN window hung the estimator, and a start
-// far past the log walked one S×S product per δ under the shared power
-// cache's lock.
+// session runs. Unchecked, a NaN window hangs the estimator, and the
+// start bound is what caps the advance past the log at 2¹⁷ δ-intervals,
+// each one step of a row through the transition matrix.
 func TestRunRefusesUncheckedPredictQueries(t *testing.T) {
 	st := tcp.Fresh(0.08)
 	log := &player.SessionLog{BufferCap: 30, RTT: 0.08, ChunkSeconds: 4}

@@ -11,10 +11,11 @@ import (
 	"veritas/internal/trace"
 )
 
-// The ablations go beyond the paper's figures: they quantify the
-// contribution of each design choice DESIGN.md calls out — the TCP-state
-// control variables, the tridiagonal stability prior, the emission noise
-// σ, and the number of posterior samples K.
+// The ablations go beyond the paper's figures (EXPERIMENTS.md's
+// "Experiment ids" section lists them): they quantify the contribution
+// of each design choice — the TCP-state control variables, the
+// tridiagonal stability prior, the emission noise σ, and the transitions
+// Baum–Welch learns from the log in place of the fixed prior.
 func init() {
 	register("abl-tcpstate", "Ablation: abduction without the TCP-state control variables", ablTCPState)
 	register("abl-prior", "Ablation: transition prior (tridiagonal stay-prob sweep vs uniform)", ablPrior)

@@ -62,17 +62,81 @@ func TestBandedMatchesDense(t *testing.T) {
 			}
 			requireMatchesOracle(t, label, m, sc, obs, got, oracleInfer(t, m, obs, 5, seed))
 
-			for state := 0; state < S; state++ {
-				for gap := 0; gap <= S+2; gap++ {
-					g, w := m.ExpectedCapacityAfter(state, gap), oracleExpectedCapacityAfter(m, state, gap)
-					if math.Float64bits(g) != math.Float64bits(w) {
-						t.Fatalf("%s: ExpectedCapacityAfter(%d, %d) = %v, want %v", label, state, gap, g, w)
-					}
-				}
-			}
+			requireExpectedCapacityMatches(t, label, m)
 			m.SetScratch(nil)
 		}
 	}
+}
+
+// requireExpectedCapacityMatches compares ExpectedCapacityAfter's row
+// walk with the oracle's row of the cached power A^gap, bit for bit, at
+// gaps 0 … S+3 — the identity, every band width and full width — and at
+// 255, 256, 257, 300 and 1,100, around and past the power cache's
+// dense-retention edge. It starts from every state, except past gap 3
+// on a grid of more than 21 states, where both edges, their neighbours
+// and the middle keep the walks quick.
+func requireExpectedCapacityMatches(t *testing.T, label string, m *Model) {
+	t.Helper()
+	S := m.NumStates()
+	var gaps []int
+	for gap := 0; gap <= S+3; gap++ {
+		gaps = append(gaps, gap)
+	}
+	gaps = append(gaps, 255, 256, 257, 300, 1100)
+	var all []int
+	for state := 0; state < S; state++ {
+		all = append(all, state)
+	}
+	for _, gap := range gaps {
+		states := all
+		if S > 21 && gap > 3 {
+			states = []int{0, 1, S / 2, S - 2, S - 1}
+		}
+		for _, state := range states {
+			g, w := m.ExpectedCapacityAfter(state, gap), oracleExpectedCapacityAfter(m, state, gap)
+			if math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s: ExpectedCapacityAfter(%d, %d) = %v, want %v", label, state, gap, g, w)
+			}
+		}
+	}
+}
+
+// FuzzExpectedCapacityAfter checks the row walk against the row of the
+// cached power for any state of a tridiagonal grid of up to 41 states
+// (MaxMbps ≤ 20), any StayProb and any gap up to 2,000: equal bit for
+// bit, the oracle reading a fresh private cache each time, so no fuzzed
+// prior fills a shared one.
+func FuzzExpectedCapacityAfter(f *testing.F) {
+	for _, s := range []struct {
+		state, gap int
+		stay, top  float64
+	}{
+		{10, 0, 0.8, 10}, {10, 1, 0.8, 10}, {0, 2, 0.5, 10}, {20, 25, 0.99, 10},
+		{3, 257, 0.8, 3}, {40, 1100, 0.8, 20}, {1, 2000, 0.5, 0.5}, {5, 700, 1e-9, 5},
+	} {
+		f.Add(s.state, s.gap, s.stay, s.top)
+	}
+	f.Fuzz(func(t *testing.T, state, gap int, stay, top float64) {
+		if gap < 0 || gap > 2000 || !(top <= 20) {
+			return
+		}
+		cfg := DefaultConfig(top)
+		cfg.StayProb = stay
+		if cfg.Validate() != nil {
+			return
+		}
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if state < 0 || state >= m.NumStates() {
+			return
+		}
+		got := m.ExpectedCapacityAfter(state, gap)
+		if want := oracleExpectedCapacityAfter(withFreshPowers(m), state, gap); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("ExpectedCapacityAfter(%d, %d) on %d states, StayProb %v = %v, want %v", state, gap, m.NumStates(), stay, got, want)
+		}
+	})
 }
 
 // FuzzEmissionRow checks the emission row — its predictions from one
@@ -189,14 +253,7 @@ func TestUniformPriorAtFullBandIsDense(t *testing.T) {
 		if err != nil || last != want.Path[n-1] {
 			t.Fatalf("%s: LastViterbiState = %d, %v; want the dense oracle's %d", label, last, err, want.Path[n-1])
 		}
-		for state := 0; state < S; state++ {
-			for gap := 0; gap <= 3; gap++ {
-				g, w := m.ExpectedCapacityAfter(state, gap), oracleExpectedCapacityAfter(m, state, gap)
-				if math.Float64bits(g) != math.Float64bits(w) {
-					t.Fatalf("%s: ExpectedCapacityAfter(%d, %d) = %v, want %v", label, state, gap, g, w)
-				}
-			}
-		}
+		requireExpectedCapacityMatches(t, label, m)
 		fit, err := m.FitTransitions(obs, 2, 0.1)
 		if err != nil {
 			t.Fatalf("%s: fit: %v", label, err)

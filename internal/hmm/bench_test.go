@@ -1,6 +1,7 @@
 package hmm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -90,5 +91,27 @@ func BenchmarkFitTransitions(b *testing.B) {
 		if _, err := m.FitTransitions(obs, 3, 0.1); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// expectedSink keeps BenchmarkExpectedCapacityAfter's calls live.
+var expectedSink float64
+
+// BenchmarkExpectedCapacityAfter is one interventional query's advance
+// on a fast link's grid (121 states, 60 Mbps at ε = 0.5): at gap 1, a
+// query at the log's end, and at gap 10⁴, one about 14 hours past a log
+// on δ = 5 s.
+func BenchmarkExpectedCapacityAfter(b *testing.B) {
+	m, err := New(DefaultConfig(60))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, gap := range []int{1, 10000} {
+		b.Run(fmt.Sprintf("gap=%d", gap), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				expectedSink = m.ExpectedCapacityAfter(60, gap)
+			}
+		})
 	}
 }

@@ -528,6 +528,32 @@ func TestExpectedCapacityAfter(t *testing.T) {
 	}
 }
 
+// TestExpectedCapacityAfterGrowsNoPowers: a query 5,000 δ-intervals
+// past its log reads A^1 alone. The model's shared power cache retains
+// no new power — reading row state of A^5000 off it would build every
+// power on the way, under its write lock, and pin several hundred of
+// them — and the answer equals the oracle's row of A^5000, read off a
+// fresh cache, bit for bit.
+func TestExpectedCapacityAfterGrowsNoPowers(t *testing.T) {
+	cfg := DefaultConfig(10)
+	cfg.StayProb = 0.61 // a prior key no other test shares
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const gap = 5000
+	for _, state := range []int{0, 7, m.NumStates() - 1} {
+		before := m.powCache.Retained()
+		got := m.ExpectedCapacityAfter(state, gap)
+		if after := m.powCache.Retained(); after != before {
+			t.Errorf("ExpectedCapacityAfter(%d, %d) grew the shared cache from %d to %d powers", state, gap, before, after)
+		}
+		if want := oracleExpectedCapacityAfter(withFreshPowers(m), state, gap); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("ExpectedCapacityAfter(%d, %d) = %v, want %v", state, gap, got, want)
+		}
+	}
+}
+
 func TestAmbiguousSmallChunksHaveWiderPosterior(t *testing.T) {
 	m := testModel(t, 10)
 	entropy := func(size float64) float64 {

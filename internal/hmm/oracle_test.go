@@ -552,6 +552,13 @@ func oracleExpectedCapacityAfter(m *Model, state, gap int) float64 {
 	return e
 }
 
+// withFreshPowers returns a copy of m whose powers come from a private
+// cache over the same A^1, so an oracle's walk neither reads nor grows
+// the cache m shares.
+func withFreshPowers(m *Model) *Model {
+	return &Model{cfg: m.cfg, ns: m.ns, powCache: mathx.NewPowerCache(m.powCache.Pow(1))}
+}
+
 // oracleInference is the parent's Inference, carrying the pair slab,
 // the pass's slabs (sc) and the count of draws whose column underflowed.
 type oracleInference struct {

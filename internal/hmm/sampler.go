@@ -48,14 +48,28 @@ func (m *Model) sampleInto(out []int, sc *Scratch, rng *mathx.Rand, n, last int)
 // the capacity grid under the gap-step transition distribution from the
 // given state. Veritas's interventional download-time predictor uses
 // this with the Viterbi state of the most recent chunk (paper §4.4).
+// Row state of A^gap is state's one-hot row stepped gap times through
+// A^1 by predictInto, which adds in the power cache's order, so this is
+// the cached power's row bit for bit, in O(gap·S·band) time with no
+// shared state and, past gap 1, one 2·S slab per call.
 func (m *Model) ExpectedCapacityAfter(state, gap int) float64 {
-	if gap < 0 {
-		gap = 0
+	if gap <= 0 {
+		return m.Capacity(state)
 	}
-	a, band := m.powCache.PowBand(gap)
-	row := a.Row(state)
+	a, band := m.powCache.PowBand(1)
+	row, lo, hi := a.Row(state), band.RowLo[state], band.RowHi[state]
+	if gap > 1 {
+		slab := make([]float64, 2*m.ns)
+		cur, next := slab[:m.ns], slab[m.ns:]
+		copy(cur, row)
+		for ; gap > 1; gap-- {
+			predictInto(next, cur, a, band)
+			cur, next = next, cur
+		}
+		row, lo, hi = cur, 0, m.ns
+	}
 	var e float64
-	for j := band.RowLo[state]; j < band.RowHi[state]; j++ {
+	for j := lo; j < hi; j++ {
 		e += row[j] * m.Capacity(j)
 	}
 	return e

@@ -188,13 +188,15 @@ func TestScratchReleasesSteps(t *testing.T) {
 
 // TestScratchConcurrentPerGoroutine is the -race companion to the
 // lifetime contract: one Scratch per goroutine is safe even when the
-// models share the process-wide transition-power registry. The race
+// models share the process-wide transition-power registry, and so is
+// ExpectedCapacityAfter, which uses no scratch at all. The race
 // detector sees any accidental cross-goroutine state; the checksum
 // against a serial reference sees any value corruption.
 func TestScratchConcurrentPerGoroutine(t *testing.T) {
 	obs := sessionObs(25, 6.0, []float64{4e6, 70e3})
 	cfg := DefaultConfig(10)
 	want := inferFresh(t, obs, 3, 7)
+	wantE := oracleExpectedCapacityAfter(withFreshPowers(testModel(t, 10)), 4, 300)
 
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -216,6 +218,10 @@ func TestScratchConcurrentPerGoroutine(t *testing.T) {
 				if inf.PathLogProb != want.PathLogProb ||
 					inf.LogLikelihood != want.LogLikelihood {
 					t.Errorf("concurrent arena run diverged from serial reference")
+					return
+				}
+				if got := m.ExpectedCapacityAfter(4, 300); got != wantE {
+					t.Errorf("concurrent ExpectedCapacityAfter = %v, serial oracle %v", got, wantE)
 					return
 				}
 			}

@@ -278,7 +278,8 @@ func BandOf(m *Matrix) Band {
 // PowerCache memoizes powers of a fixed square matrix. The EHMM takes
 // powers A^Δn for the (small, repeating) set of inter-chunk gaps Δn, so a
 // map cache eliminates almost all of the multiplication work. Each power
-// is stored with its Band, recorded once when the power is built.
+// is one entry: A^k, its Band and its element-wise log, built together
+// when the power is built and never written again.
 //
 // The cache is safe for concurrent use: caches obtained from
 // SharedPowers are read and grown by many fleet workers at once.
@@ -289,25 +290,42 @@ type PowerCache struct {
 	mu     sync.RWMutex
 	base   *Matrix
 	powers map[int]power
-	logs   map[int]*Matrix // element-wise log of cached powers
 }
 
-// power is one cached A^k and its support.
+// power is one cached A^k, its support and its element-wise log (zero
+// entries mapping to -Inf).
 type power struct {
-	m    *Matrix
-	band Band
+	m, log *Matrix
+	band   Band
 }
 
-// Retention policy for the sequential power walk. Small gaps — the
-// normal Veritas regime — cache every intermediate exactly as before;
-// past powDenseRetain cached entries the walk only checkpoints every
-// powStride-th power (plus the requested power itself), and past
-// powRetainCap nothing new is retained at all. One pathological query
-// with a huge Δn therefore pins O(powRetainCap) matrices instead of
-// O(Δn). Every cached matrix is still produced by the same sequential
-// left-multiply walk, so which subset is retained can never change a
-// returned value: A^j from any retained anchor is the canonical A^j,
-// and (A^j)·A is exactly the multiplication the full walk would do.
+// newPower builds the entry for m. Each log element is transformed
+// independently from the canonical A^k, so the entry is deterministic
+// however many sessions share the cache.
+func newPower(m *Matrix) power {
+	lm := NewMatrix(m.Rows, m.Cols)
+	for idx, v := range m.Data {
+		if v <= 0 {
+			lm.Data[idx] = NegInf
+		} else {
+			lm.Data[idx] = math.Log(v)
+		}
+	}
+	return power{m: m, log: lm, band: BandOf(m)}
+}
+
+// Retention policy for the sequential power walk, whose traffic is a
+// log whose chunks start far apart: a gap Δn of thousands of
+// δ-intervals. Small gaps — the normal Veritas regime — cache every
+// intermediate; past powDenseRetain cached entries the walk only
+// checkpoints every powStride-th power (plus the requested power
+// itself), and past powRetainCap nothing new is retained at all. One
+// such log therefore pins at most powRetainCap entries (2·powRetainCap
+// matrices) instead of O(Δn). Every cached matrix is still produced by
+// the same sequential left-multiply walk, so which subset is retained
+// can never change a returned value: A^j from any retained anchor is
+// the canonical A^j, and (A^j)·A is exactly the multiplication the full
+// walk would do.
 const (
 	powDenseRetain = 256
 	powStride      = 16
@@ -321,38 +339,39 @@ func NewPowerCache(base *Matrix) *PowerCache {
 		panic("mathx: PowerCache requires a square matrix")
 	}
 	b := base.Clone()
-	id := Identity(b.Rows)
 	return &PowerCache{
 		base:   b,
-		powers: map[int]power{0: {id, BandOf(id)}, 1: {b, BandOf(b)}},
+		powers: map[int]power{0: newPower(Identity(b.Rows)), 1: newPower(b)},
 	}
 }
 
 // Pow returns base^k, computing — and, within the retention cap,
 // caching — intermediate powers along the sequential walk.
-func (c *PowerCache) Pow(k int) *Matrix {
-	m, _ := c.PowBand(k)
-	return m
-}
+func (c *PowerCache) Pow(k int) *Matrix { return c.get(k).m }
 
 // PowBand returns base^k together with its Band.
 func (c *PowerCache) PowBand(k int) (*Matrix, Band) {
+	p := c.get(k)
+	return p.m, p.band
+}
+
+// PowLog returns the element-wise log of base^k (zero entries mapping to
+// -Inf), built with the power.
+func (c *PowerCache) PowLog(k int) *Matrix { return c.get(k).log }
+
+// get returns the entry of base^k, building it on a miss.
+func (c *PowerCache) get(k int) power {
 	if k < 0 {
-		panic("mathx: PowerCache.Pow requires k >= 0")
+		panic("mathx: PowerCache requires k >= 0")
 	}
 	c.mu.RLock()
 	p, ok := c.powers[k]
 	c.mu.RUnlock()
 	if ok {
-		return p.m, p.band
+		return p
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p = c.powLocked(k)
-	return p.m, p.band
-}
-
-func (c *PowerCache) powLocked(k int) power {
 	if p, ok := c.powers[k]; ok {
 		return p
 	}
@@ -370,13 +389,13 @@ func (c *PowerCache) powLocked(k int) power {
 	for p := best; p < k; p++ {
 		m = m.Mul(c.base)
 		if c.retain(p+1, k) {
-			c.powers[p+1] = power{m, BandOf(m)}
+			c.powers[p+1] = newPower(m)
 		}
 	}
 	if p, ok := c.powers[k]; ok {
 		return p
 	}
-	return power{m, BandOf(m)}
+	return newPower(m)
 }
 
 // retain decides whether the walk keeps power p on the way to target k.
@@ -387,49 +406,13 @@ func (c *PowerCache) retain(p, k int) bool {
 	return p == k || len(c.powers) < powDenseRetain || p%powStride == 0
 }
 
-// PowLog returns the element-wise log of base^k (zero entries mapping to
-// -Inf), memoized alongside the powers. Each element is transformed
-// independently from the canonical A^k, so the result is deterministic
-// however many sessions share the cache.
-func (c *PowerCache) PowLog(k int) *Matrix {
-	if k < 0 {
-		panic("mathx: PowerCache.PowLog requires k >= 0")
-	}
-	c.mu.RLock()
-	lm, ok := c.logs[k]
-	c.mu.RUnlock()
-	if ok {
-		return lm
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if lm, ok := c.logs[k]; ok {
-		return lm
-	}
-	a := c.powLocked(k).m
-	lm = NewMatrix(a.Rows, a.Cols)
-	for idx, v := range a.Data {
-		if v <= 0 {
-			lm.Data[idx] = NegInf
-		} else {
-			lm.Data[idx] = math.Log(v)
-		}
-	}
-	if c.logs == nil {
-		c.logs = make(map[int]*Matrix)
-	}
-	if len(c.logs) < powRetainCap {
-		c.logs[k] = lm
-	}
-	return lm
-}
-
-// Retained reports how many powers (and log powers) the cache currently
-// pins — the quantity the retention cap bounds.
-func (c *PowerCache) Retained() (powers, logs int) {
+// Retained reports how many powers the cache currently pins — the
+// quantity the retention cap bounds. Each holds two S×S matrices: the
+// power and its log.
+func (c *PowerCache) Retained() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.powers), len(c.logs)
+	return len(c.powers)
 }
 
 // sharedPowers is the process-wide transition-power registry: fleets of

@@ -295,9 +295,9 @@ func TestSharedPowersConcurrent(t *testing.T) {
 			defer wg.Done()
 			c := SharedPowers(testKey{"concurrent", 2}, base.Clone)
 			for k := 0; k < 40; k++ {
-				got := c.Pow((k*7 + w) % 23)
-				if !got.Equal(want.Pow((k*7 + w) % 23)) {
-					t.Errorf("concurrent shared Pow mismatch at k=%d", (k*7+w)%23)
+				p := (k*7 + w) % 23
+				if !c.Pow(p).Equal(want.Pow(p)) || !c.PowLog(p).Equal(want.PowLog(p)) {
+					t.Errorf("concurrent shared Pow or PowLog mismatch at k=%d", p)
 					return
 				}
 			}
