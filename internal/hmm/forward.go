@@ -52,13 +52,13 @@ func (m *Model) forward(sc *Scratch, n int, obs func(i int) Observation, alpha [
 		if err != nil {
 			return forwardResult{}, err
 		}
-		a, band := m.powCache.PowBand(d)
+		a, logA, band := m.powCache.Power(d)
 		m.emissionRowInto(emit, o)
 		var bk []int
 		if back != nil {
 			bk = back[i*ns : (i+1)*ns]
 		}
-		viterbiStep(next, bk, score, emit, m.powCache.PowLog(d), band)
+		viterbiStep(next, bk, score, emit, logA, band)
 		score, next = next, score
 		if alpha != nil {
 			sc.stepA[i], sc.stepBand[i] = a, band
@@ -88,28 +88,11 @@ func (m *Model) alphaStart(a0, logE []float64) float64 {
 //	pred[j] = Σ_i α_{n−1}(i)·A^Δ(i, j) · exp(logE[j] − max logE), normalized.
 func alphaStep(ll float64, pred, prev, logE []float64, a *mathx.Matrix, band mathx.Band) float64 {
 	shift := rescaleMax(logE)
-	predictInto(pred, prev, a, band)
+	a.VecMulInto(pred, prev, band)
 	for j, v := range logE {
 		pred[j] *= math.Exp(v - shift)
 	}
 	return addScale(ll, mathx.Normalize(pred), shift)
-}
-
-// predictInto writes the one-step prediction of a forward row,
-// pred[j] = Σ_i prev[i]·a[i][j], with i over the rows of a's band (the
-// terms skipped are exact zeros) and rows of zero mass skipped: the
-// forward step of both chains.
-func predictInto(pred, prev []float64, a *mathx.Matrix, band mathx.Band) {
-	clear(pred)
-	for i, ai := range prev {
-		if ai == 0 {
-			continue
-		}
-		arow := a.Row(i)
-		for j := band.RowLo[i]; j < band.RowHi[i]; j++ {
-			pred[j] += ai * arow[j]
-		}
-	}
 }
 
 // rescaleMax returns the largest entry of a log-emission row, by which

@@ -22,7 +22,12 @@
 // loop over a step matrix runs over its mathx.Band: the tridiagonal
 // prior's A^Δ has half-width Δ, and the entries skipped are exact
 // zeros, so results are bit-identical to dense loops (oracle_test.go
-// keeps those).
+// keeps those). The forward step of both chains is mathx's VecMulInto,
+// the step the prior's power cache walks by too. The steps A^Δ come
+// from that cache: a gap below mathx.PowerPrefix is read off its
+// prefix, and a longer one — a log whose chunks start far apart — is
+// walked for the one call and not kept, so no log pins memory in the
+// shared cache or holds its lock for the length of its gap.
 package hmm
 
 import (

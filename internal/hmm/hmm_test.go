@@ -2,6 +2,7 @@ package hmm
 
 import (
 	"math"
+	"math/rand"
 	"os"
 	"os/exec"
 	"strings"
@@ -159,7 +160,7 @@ func TestNewPastRegistryCap(t *testing.T) {
 	if d := mathx.SharedPowersDetail().Sub(d1); d.CapacityMisses != 2 || d.Hits+d.Misses() != 2 {
 		t.Errorf("past the cap: %+v, want 2 capacity misses", d)
 	}
-	if !a.powCache.Pow(3).Equal(Tridiagonal(a.NumStates(), cfg.StayProb).Pow(3)) {
+	if !a.powCache.Pow(3).Equal(densePowers(Tridiagonal(a.NumStates(), cfg.StayProb), 3)[3]) {
 		t.Error("a private cache serves other powers than the prior's")
 	}
 }
@@ -530,10 +531,8 @@ func TestExpectedCapacityAfter(t *testing.T) {
 
 // TestExpectedCapacityAfterGrowsNoPowers: a query 5,000 δ-intervals
 // past its log reads A^1 alone. The model's shared power cache retains
-// no new power — reading row state of A^5000 off it would build every
-// power on the way, under its write lock, and pin several hundred of
-// them — and the answer equals the oracle's row of A^5000, read off a
-// fresh cache, bit for bit.
+// no new power, and the answer equals the row of the oracle's A^5000,
+// bit for bit.
 func TestExpectedCapacityAfterGrowsNoPowers(t *testing.T) {
 	cfg := DefaultConfig(10)
 	cfg.StayProb = 0.61 // a prior key no other test shares
@@ -548,10 +547,46 @@ func TestExpectedCapacityAfterGrowsNoPowers(t *testing.T) {
 		if after := m.powCache.Retained(); after != before {
 			t.Errorf("ExpectedCapacityAfter(%d, %d) grew the shared cache from %d to %d powers", state, gap, before, after)
 		}
-		if want := oracleExpectedCapacityAfter(withFreshPowers(m), state, gap); math.Float64bits(got) != math.Float64bits(want) {
+		if want := oracleExpectedCapacityAfter(m, state, gap); math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("ExpectedCapacityAfter(%d, %d) = %v, want %v", state, gap, got, want)
 		}
 	}
+}
+
+// TestFarGapRetainsOnlyThePrefix: LastViterbiState and Infer over a log
+// of two records 20,000 δ-intervals apart, under a prior key no other
+// test uses (S = 21), step through A^20000, which the shared power cache
+// walks past its prefix and does not keep: afterwards it retains at most
+// mathx.PowerPrefix powers. The last state, the path's score, the
+// log-likelihood and the samples equal the oracle's, whose powers come
+// from the dense walk, bit for bit.
+func TestFarGapRetainsOnlyThePrefix(t *testing.T) {
+	cfg := DefaultConfig(10)
+	cfg.StayProb = 0.59 // a prior key no other test shares
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const gap = 20000
+	obs := noisySession(rand.New(rand.NewSource(50)), 2, func(int) int { return gap })
+	last, err := lastState(m, obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := NewScratch()
+	m.SetScratch(sc)
+	got, err := m.Infer(obs, 5, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := m.powCache.Retained(); r > mathx.PowerPrefix {
+		t.Errorf("after a gap of %d the shared cache retains %d powers, more than the prefix's %d", gap, r, mathx.PowerPrefix)
+	}
+	want := oracleInfer(t, m, obs, 5, 50)
+	if last != want.Path[1] {
+		t.Errorf("LastViterbiState = %d, want the oracle's %d", last, want.Path[1])
+	}
+	requireMatchesOracle(t, "far-gap", m, sc, obs, got, want)
 }
 
 func TestAmbiguousSmallChunksHaveWiderPosterior(t *testing.T) {

@@ -182,7 +182,7 @@ func (m *Model) alphaBeta(sc *Scratch, T int, a *mathx.Matrix, band mathx.Band) 
 	sc.scale[0] = mathx.Normalize(a0)
 	for t := 1; t < T; t++ {
 		pred := row(sc.alpha, t)
-		predictInto(pred, row(sc.alpha, t-1), a, band)
+		a.VecMulInto(pred, row(sc.alpha, t-1), band)
 		et := row(sc.emit, t)
 		for j := 0; j < ns; j++ {
 			pred[j] *= et[j]

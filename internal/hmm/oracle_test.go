@@ -28,9 +28,13 @@ import (
 // Viterbi's search over every predecessor, the sampler that reads a
 // column of the materialised pair slab, and ExpectedCapacityAfter over
 // the whole row. TestBandedMatchesDense drives them against the banded
-// production path.
+// production path. Every power A^Δ they read past A^1 comes from
+// densePowers, the power cache's walk before it stepped rows over A's
+// band, in loops of this file's own, and the forward step is a dense
+// loop here too: no oracle calls the kernels it checks.
 
 type oracleScratch struct {
+	pow, powLog                             map[int]*mathx.Matrix // A^Δ and its log for every gap Δ of the session
 	emitLog, emit, alpha, beta, gamma, pair []float64
 	shift, scale                            []float64
 	gaps, back, path                        []int
@@ -103,6 +107,7 @@ type oraclePosterior struct {
 	n, ns         int
 	LogLikelihood float64
 	gaps          []int
+	pow           map[int]*mathx.Matrix
 }
 
 func (p *oraclePosterior) Len() int              { return p.n }
@@ -142,9 +147,8 @@ func oracleForwardBackwardInto(m *Model, sc *oracleScratch, N int) *oraclePoster
 	sc.scale[0] = mathx.Normalize(a0)
 
 	for n := 1; n < N; n++ {
-		a := m.powCache.Pow(d[n])
 		pred := alphaRow(n)
-		a.VecMulInto(pred, alphaRow(n-1)) // Σ_i alpha[n-1][i] A^Δ[i][j]
+		denseVecMulInto(pred, alphaRow(n-1), sc.pow[d[n]]) // Σ_i alpha[n-1][i] A^Δ[i][j]
 		en := emitRow(n)
 		for j := 0; j < ns; j++ {
 			pred[j] *= en[j]
@@ -157,7 +161,7 @@ func oracleForwardBackwardInto(m *Model, sc *oracleScratch, N int) *oraclePoster
 		bLast[i] = 1
 	}
 	for n := N - 2; n >= 0; n-- {
-		a := m.powCache.Pow(d[n+1])
+		a := sc.pow[d[n+1]]
 		row := betaRow(n)
 		// row[i] = Σ_j A^Δ[i][j] emit[n+1][j] beta[n+1][j] / scale[n+1]
 		weighted := sc.weighted
@@ -193,7 +197,7 @@ func oracleForwardBackwardInto(m *Model, sc *oracleScratch, N int) *oraclePoster
 		mathx.Normalize(g)
 	}
 	for n := 0; n < N-1; n++ {
-		a := m.powCache.Pow(d[n+1])
+		a := sc.pow[d[n+1]]
 		pair := post.Pair(n)
 		an, eNext, bNext := alphaRow(n), emitRow(n+1), betaRow(n+1)
 		var total float64
@@ -319,7 +323,7 @@ func oracleIntervalPasses(m *Model, sc *oracleScratch, T int, a *mathx.Matrix) e
 	sc.intScale[0] = mathx.Normalize(a0)
 	for t := 1; t < T; t++ {
 		pred := alphaRow(t)
-		a.VecMulInto(pred, alphaRow(t-1))
+		denseVecMulInto(pred, alphaRow(t-1), a)
 		et := emitRow(t)
 		for j := 0; j < ns; j++ {
 			pred[j] *= et[j]
@@ -478,7 +482,7 @@ func oracleViterbiInto(m *Model, sc *oracleScratch, N int) ([]int, float64) {
 	for n := 1; n < N; n++ {
 		back := sc.back[n*ns : (n+1)*ns] // back[j] = predecessor of j at chunk n
 		emitN := sc.emitLog[n*ns : (n+1)*ns]
-		logA := m.powCache.PowLog(d[n])
+		logA := sc.powLog[d[n]]
 		for j := 0; j < ns; j++ {
 			bestI, bestV := 0, mathx.NegInf
 			for i := 0; i < ns; i++ {
@@ -526,7 +530,7 @@ func oracleSampleInto(m *Model, out []int, weights []float64, rng *mathx.Rand, p
 			weights[i] = pair[i*ns+nextState]
 			total += weights[i]
 		}
-		if columnUnderflows(weights, alpha[n*ns:(n+1)*ns], m.powCache.Pow(post.gaps[n+1]), nextState) {
+		if columnUnderflows(weights, alpha[n*ns:(n+1)*ns], post.pow[post.gaps[n+1]], nextState) {
 			underflows++
 		}
 		if total <= 0 {
@@ -538,25 +542,75 @@ func oracleSampleInto(m *Model, out []int, weights []float64, rng *mathx.Rand, p
 }
 
 // oracleExpectedCapacityAfter is the parent's ExpectedCapacityAfter,
-// summing over the whole row of A^gap.
+// summing over the whole row of A^gap, with A^gap from densePowers.
 func oracleExpectedCapacityAfter(m *Model, state, gap int) float64 {
-	if gap < 0 {
-		gap = 0
-	}
-	a := m.powCache.Pow(gap)
-	row := a.Row(state)
+	gap = max(gap, 0)
+	return oracleRowMean(m, densePowers(m.powCache.Pow(1), gap)[gap], state)
+}
+
+// oracleRowMean is the grid's mean under row state of a.
+func oracleRowMean(m *Model, a *mathx.Matrix, state int) float64 {
 	var e float64
-	for j, p := range row {
+	for j, p := range a.Row(state) {
 		e += p * (float64(j) * m.cfg.EpsMbps)
 	}
 	return e
 }
 
-// withFreshPowers returns a copy of m whose powers come from a private
-// cache over the same A^1, so an oracle's walk neither reads nor grows
-// the cache m shares.
-func withFreshPowers(m *Model) *Model {
-	return &Model{cfg: m.cfg, ns: m.ns, powCache: mathx.NewPowerCache(m.powCache.Pow(1))}
+// densePowers returns A^k for every k in ks, a being A^1, from one
+// sequential walk — A^0 = I, A^1 = a, A^(p+1) = A^p·a with every term of
+// every row summed in order, skipping zeros of A^p — keeping only the
+// powers asked for.
+func densePowers(a *mathx.Matrix, ks ...int) map[int]*mathx.Matrix {
+	want, top := map[int]bool{}, 0
+	for _, k := range ks {
+		want[k], top = true, max(top, k)
+	}
+	out := map[int]*mathx.Matrix{}
+	cur := mathx.Identity(a.Rows)
+	for p := 0; ; p++ {
+		if want[p] {
+			out[p] = cur
+		}
+		if p == top {
+			return out
+		}
+		if p == 0 {
+			cur = a
+			continue
+		}
+		next := mathx.NewMatrix(a.Rows, a.Cols)
+		for i := 0; i < a.Rows; i++ {
+			denseVecMulInto(next.Row(i), cur.Row(i), a)
+		}
+		cur = next
+	}
+}
+
+// denseVecMulInto is the parent's dense forward step, dst = vᵀ·a, over
+// every column of every row where v is not zero.
+func denseVecMulInto(dst, v []float64, a *mathx.Matrix) {
+	clear(dst)
+	for i, vi := range v {
+		if vi == 0 {
+			continue
+		}
+		for j, av := range a.Row(i) {
+			dst[j] += vi * av
+		}
+	}
+}
+
+// denseLog is the element-wise log of a power: zeros map to -Inf.
+func denseLog(a *mathx.Matrix) *mathx.Matrix {
+	l := mathx.NewMatrix(a.Rows, a.Cols)
+	for i, v := range a.Data {
+		l.Data[i] = mathx.NegInf
+		if v > 0 {
+			l.Data[i] = math.Log(v)
+		}
+	}
+	return l
 }
 
 // oracleInference is the parent's Inference, carrying the pair slab,
@@ -582,10 +636,14 @@ func oracleInfer(t *testing.T, m *Model, obs []Observation, k int, seed int64) *
 	if err := gapsInto(sc.gaps, obs); err != nil {
 		t.Fatal(err)
 	}
+	sc.pow, sc.powLog = densePowers(m.powCache.Pow(1), sc.gaps...), map[int]*mathx.Matrix{}
+	for k, a := range sc.pow {
+		sc.powLog[k] = denseLog(a)
+	}
 	oracleEmissionTableInto(m, sc.emitLog, obs)
 	path, best := oracleViterbiInto(m, sc, N)
 	post := oracleForwardBackwardInto(m, sc, N)
-	post.gaps = sc.gaps
+	post.gaps, post.pow = sc.gaps, sc.pow
 
 	inf := &oracleInference{Path: path, PathLogProb: best, Post: post, sc: sc}
 	if k > 0 {
@@ -687,8 +745,9 @@ func noisySession(rng *rand.Rand, n int, gap func(i int) int) []Observation {
 	return obs
 }
 
-// oracleSessions are the seeded shapes the issue names: several chunks
-// per interval, gaps above one, a single chunk, and ordinary sessions.
+// oracleSessions are the seeded shapes: several chunks per interval,
+// gaps above one, a single chunk, ordinary sessions, and gaps on both
+// sides of the power cache's prefix.
 func oracleSessions() []struct {
 	name string
 	obs  []Observation
@@ -705,6 +764,7 @@ func oracleSessions() []struct {
 		{"single-chunk", noisy(1, func(int) int { return 0 })},
 		{"two-chunks-one-interval", noisy(2, func(int) int { return 0 })},
 		{"smooth", sessionObs(30, 5.0, []float64{3e6, 50e3, 1e6})},
+		{"gaps-past-the-prefix", noisy(12, func(i int) int { return 58 + 3*i })}, // Δ 58 … 91 across mathx.PowerPrefix
 	}
 }
 

@@ -49,7 +49,7 @@ func (m *Model) sampleInto(out []int, sc *Scratch, rng *mathx.Rand, n, last int)
 // given state. Veritas's interventional download-time predictor uses
 // this with the Viterbi state of the most recent chunk (paper §4.4).
 // Row state of A^gap is state's one-hot row stepped gap times through
-// A^1 by predictInto, which adds in the power cache's order, so this is
+// A^1 by VecMulInto, the step of the power cache's own walk, so this is
 // the cached power's row bit for bit, in O(gap·S·band) time with no
 // shared state and, past gap 1, one 2·S slab per call.
 func (m *Model) ExpectedCapacityAfter(state, gap int) float64 {
@@ -63,7 +63,7 @@ func (m *Model) ExpectedCapacityAfter(state, gap int) float64 {
 		cur, next := slab[:m.ns], slab[m.ns:]
 		copy(cur, row)
 		for ; gap > 1; gap-- {
-			predictInto(next, cur, a, band)
+			a.VecMulInto(next, cur, band)
 			cur, next = next, cur
 		}
 		row, lo, hi = cur, 0, m.ns

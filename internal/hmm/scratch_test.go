@@ -196,7 +196,7 @@ func TestScratchConcurrentPerGoroutine(t *testing.T) {
 	obs := sessionObs(25, 6.0, []float64{4e6, 70e3})
 	cfg := DefaultConfig(10)
 	want := inferFresh(t, obs, 3, 7)
-	wantE := oracleExpectedCapacityAfter(withFreshPowers(testModel(t, 10)), 4, 300)
+	wantE := oracleExpectedCapacityAfter(testModel(t, 10), 4, 300)
 
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {

@@ -7,8 +7,8 @@ import (
 
 // Allocation and retention regression tests for the scratch-arena hot
 // path: the in-place kernels must stay allocation-free, and the power
-// cache's retention cap must bound memory however large the requested
-// exponent is — without changing any returned value.
+// cache's prefix must bound memory however large the requested exponent
+// is — without changing any returned value.
 
 func TestMulIntoDoesNotAllocate(t *testing.T) {
 	a, _ := FromRows([][]float64{{0.7, 0.3}, {0.4, 0.6}})
@@ -32,7 +32,8 @@ func TestVecMulIntoDoesNotAllocate(t *testing.T) {
 	a, _ := FromRows([][]float64{{0.7, 0.3}, {0.4, 0.6}})
 	v := []float64{0.5, 0.5}
 	dst := make([]float64, 2)
-	if n := testing.AllocsPerRun(100, func() { a.VecMulInto(dst, v) }); n != 0 {
+	band := BandOf(a)
+	if n := testing.AllocsPerRun(100, func() { a.VecMulInto(dst, v, band) }); n != 0 {
 		t.Errorf("VecMulInto allocates %v per run, want 0", n)
 	}
 }
@@ -46,7 +47,7 @@ func TestInPlaceKernelsBitIdentical(t *testing.T) {
 		{0.61, 0.09, 0.3},
 		{0.25, 0.5, 0.25},
 	})
-	b := a.Pow(3)
+	b := denseWalk(a, 3)[3]
 	v := []float64{0.123456789, 0.987654321, 1.0 / 3.0}
 	dirty := func(xs []float64) {
 		for i := range xs {
@@ -61,7 +62,8 @@ func TestInPlaceKernelsBitIdentical(t *testing.T) {
 	if !clean.Equal(mi) {
 		t.Error("MulInto into a dirty dst differs from a zeroed one")
 	}
-	for name, kernel := range map[string]func(dst, v []float64){"MulVecInto": a.MulVecInto, "VecMulInto": a.VecMulInto} {
+	vecMul := func(dst, v []float64) { a.VecMulInto(dst, v, BandOf(a)) }
+	for name, kernel := range map[string]func(dst, v []float64){"MulVecInto": a.MulVecInto, "VecMulInto": vecMul} {
 		want, got := make([]float64, 3), make([]float64, 3)
 		dirty(got)
 		kernel(want, v)
@@ -75,49 +77,38 @@ func TestInPlaceKernelsBitIdentical(t *testing.T) {
 }
 
 // TestPowerCacheRetentionBounded is the memory-growth regression test
-// for the retention cap: one log whose chunks start a huge Δn apart
-// must pin O(powRetainCap) entries, not O(Δn) — and capping retention
-// must not change a single returned value.
+// for the prefix: one log whose chunks start a huge Δn apart pins
+// nothing, traffic over every gap pins at most PowerPrefix entries, and
+// neither changes a returned value.
 func TestPowerCacheRetentionBounded(t *testing.T) {
 	a, _ := FromRows([][]float64{{0.95, 0.05}, {0.03, 0.97}})
 	c := NewPowerCache(a)
 
-	const huge = 5 * powRetainCap
+	const huge = 5 * 1024
 	got := c.Pow(huge)
-
-	if powers := c.Retained(); powers > powRetainCap {
-		t.Errorf("cache retains %d powers after Pow(%d), cap is %d", powers, huge, powRetainCap)
+	if powers := c.Retained(); powers != 2 {
+		t.Errorf("cache retains %d powers after Pow(%d), want the 2 a new cache holds", powers, huge)
 	}
 
-	// The capped walk returns the canonical power: compare against the
-	// plain sequential walk at a few checkpoints (including one past the
-	// dense-retention region and the huge target itself).
-	ref := Identity(2)
-	checks := map[int]*Matrix{}
-	for p := 1; p <= huge; p++ {
-		ref = ref.Mul(a)
-		switch p {
-		case 7, powDenseRetain + 3, powRetainCap + 11, huge:
-			checks[p] = ref
+	// The walk past the prefix returns the dense walk's power, from a
+	// short prefix and from a full one.
+	walk := denseWalk(a, huge)
+	if !got.Equal(walk[huge]) {
+		t.Errorf("Pow(%d) differs from the dense walk", huge)
+	}
+	for _, k := range []int{7, PowerPrefix - 1, PowerPrefix, PowerPrefix + 11, 1024 + 11, huge} {
+		if !c.Pow(k).Equal(walk[k]) {
+			t.Errorf("Pow(%d) differs from the dense walk", k)
 		}
 	}
-	for k, want := range checks {
-		g := c.Pow(k)
-		if !g.Equal(want) {
-			t.Errorf("capped Pow(%d) differs from sequential walk", k)
-		}
-	}
-	if !got.Equal(checks[huge]) {
-		t.Errorf("Pow(%d) differs from sequential walk", huge)
-	}
 
-	// Retention must stay bounded under continued traffic.
-	for k := 0; k < 3*powRetainCap; k += 7 {
+	// Retention stays at the prefix under continued traffic.
+	for k := 0; k < 3*1024; k += 7 {
 		c.Pow(k)
-		c.PowLog(k % (powRetainCap * 2))
+		c.PowLog(k % (2 * PowerPrefix))
 	}
-	if powers := c.Retained(); powers > powRetainCap {
-		t.Errorf("retention grew past cap under traffic: %d powers", powers)
+	if powers := c.Retained(); powers != PowerPrefix {
+		t.Errorf("retention after traffic over every gap: %d powers, want %d", powers, PowerPrefix)
 	}
 }
 

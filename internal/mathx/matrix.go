@@ -1,17 +1,18 @@
 // Package mathx provides the small dense-matrix and numerical routines
-// that the Veritas EHMM needs: row-stochastic matrices, cached matrix
-// powers (shared process-wide under a key the caller chooses, so a
-// matrix is built once per key: SharedPowers), log-domain helpers and
-// Gaussian densities — and the module's one seeded random source,
-// NewRand.
+// that the Veritas EHMM needs: row-stochastic matrices and their forward
+// step (VecMulInto, over a Band), cached matrix powers (one bounded
+// prefix A^0 … A^(PowerPrefix−1) per matrix, walked by that step and
+// shared process-wide under a key the caller chooses, so a matrix is
+// built once per key: SharedPowers), log-domain helpers and Gaussian
+// densities — and the module's one seeded random source, NewRand.
 //
 // All matrices are dense, row-major float64. A matrix's support is
 // recorded separately as a Band: the EHMM's tridiagonal prior makes
 // every power A^k banded with half-width k, and a grid sized by a fast
-// link has hundreds of states, so inference loops run over the band
-// rather than the whole row — skipping only terms that are exact zeros,
-// which keeps every sum, maximum and argmax bit-identical to the dense
-// loop.
+// link has hundreds of states, so inference loops and the power walk run
+// over the band rather than the whole row — skipping only terms that are
+// exact zeros, which keeps every sum, maximum and argmax bit-identical
+// to the dense loop.
 package mathx
 
 import (
@@ -77,19 +78,8 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// Mul returns m × b.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("mathx: dimension mismatch %dx%d × %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	m.MulInto(out, b)
-	return out
-}
-
 // MulInto computes m × b into dst, which must be m.Rows × b.Cols and must
-// not alias m or b. The accumulation order is identical to Mul's, so the
-// in-place variant is bit-identical to the allocating one.
+// not alias m or b.
 func (m *Matrix) MulInto(dst, b *Matrix) {
 	if m.Cols != b.Rows {
 		panic(fmt.Sprintf("mathx: dimension mismatch %dx%d × %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
@@ -135,47 +125,29 @@ func (m *Matrix) MulVecInto(dst, v []float64) {
 }
 
 // VecMulInto computes vᵀ × m into dst (length m.Cols), which must not
-// alias v (useful for forward recursions of row-stochastic chains).
-func (m *Matrix) VecMulInto(dst, v []float64) {
+// alias v: dst[j] = Σ_i v[i]·m[i][j], with rows where v is zero skipped
+// and j over row i's range in band, m's Band. It is the forward step of
+// a row-stochastic chain, and the power cache's walk steps each row of
+// A^k through it. The terms it skips are exact zeros, each of which
+// would add ±0 to a sum that starts at +0, so for finite v the result
+// is the dense product's bit for bit.
+func (m *Matrix) VecMulInto(dst, v []float64, band Band) {
 	if m.Rows != len(v) {
 		panic(fmt.Sprintf("mathx: dimension mismatch vec(%d) × %dx%d", len(v), m.Rows, m.Cols))
 	}
 	if len(dst) != m.Cols {
 		panic(fmt.Sprintf("mathx: VecMulInto dst length %d, want %d", len(dst), m.Cols))
 	}
-	for j := range dst {
-		dst[j] = 0
-	}
+	clear(dst)
 	for i, vi := range v {
 		if vi == 0 {
 			continue
 		}
 		row := m.Row(i)
-		for j, rv := range row {
-			dst[j] += vi * rv
+		for j := band.RowLo[i]; j < band.RowHi[i]; j++ {
+			dst[j] += vi * row[j]
 		}
 	}
-}
-
-// Pow returns m^k for k ≥ 0 using exponentiation by squaring.
-// m must be square; m^0 is the identity.
-func (m *Matrix) Pow(k int) *Matrix {
-	if m.Rows != m.Cols {
-		panic("mathx: Pow requires a square matrix")
-	}
-	if k < 0 {
-		panic("mathx: Pow requires k >= 0")
-	}
-	result := Identity(m.Rows)
-	base := m.Clone()
-	for k > 0 {
-		if k&1 == 1 {
-			result = result.Mul(base)
-		}
-		base = base.Mul(base)
-		k >>= 1
-	}
-	return result
 }
 
 // NormalizeRows scales each row to sum to 1. Rows that sum to zero become
@@ -275,21 +247,30 @@ func BandOf(m *Matrix) Band {
 	return b
 }
 
-// PowerCache memoizes powers of a fixed square matrix. The EHMM takes
-// powers A^Δn for the (small, repeating) set of inter-chunk gaps Δn, so a
-// map cache eliminates almost all of the multiplication work. Each power
-// is one entry: A^k, its Band and its element-wise log, built together
-// when the power is built and never written again.
+// PowerPrefix is how many powers a PowerCache retains: A^0 … A^63,
+// sixteen times the largest gap the measured traffic asks for.
+const PowerPrefix = 64
+
+// PowerCache memoizes powers of a fixed square matrix A. The EHMM steps
+// between chunks through A^Δn, and the traffic asks for small gaps: a
+// what-if campaign and an interventional fleet asked for Δn of 0 to 3
+// alone, millions of times. The cache is one prefix of entries A^0 …
+// A^(n−1), n ≤ PowerPrefix, each A^k with its Band and its element-wise
+// log, built together when the power is built and never written again.
+// A request below PowerPrefix grows the prefix to it under the write
+// lock. A request at or past PowerPrefix — a log whose chunks start far
+// apart — walks privately, outside any lock, from the prefix's top and
+// retains nothing, so it pins no memory and stalls no reader.
 //
-// The cache is safe for concurrent use: caches obtained from
-// SharedPowers are read and grown by many fleet workers at once.
-// Powers are always built by the same sequential walk (left-
-// multiplying the base), so a shared, pre-warmed cache returns
-// bit-identical matrices to a private one.
+// Every power comes from the same sequential walk, A^(k+1) = A^k·A, each
+// row stepped through VecMulInto over A's band, so a shared, pre-warmed
+// cache returns bit-identical matrices to a private one, and each equals
+// the dense product walk's. The cache is safe for concurrent use: caches
+// obtained from SharedPowers are read and grown by many fleet workers at
+// once.
 type PowerCache struct {
 	mu     sync.RWMutex
-	base   *Matrix
-	powers map[int]power
+	prefix []power // A^0 … A^(len−1); A^1 is the base
 }
 
 // power is one cached A^k, its support and its element-wise log (zero
@@ -314,39 +295,16 @@ func newPower(m *Matrix) power {
 	return power{m: m, log: lm, band: BandOf(m)}
 }
 
-// Retention policy for the sequential power walk, whose traffic is a
-// log whose chunks start far apart: a gap Δn of thousands of
-// δ-intervals. Small gaps — the normal Veritas regime — cache every
-// intermediate; past powDenseRetain cached entries the walk only
-// checkpoints every powStride-th power (plus the requested power
-// itself), and past powRetainCap nothing new is retained at all. One
-// such log therefore pins at most powRetainCap entries (2·powRetainCap
-// matrices) instead of O(Δn). Every cached matrix is still produced by
-// the same sequential left-multiply walk, so which subset is retained
-// can never change a returned value: A^j from any retained anchor is
-// the canonical A^j, and (A^j)·A is exactly the multiplication the full
-// walk would do.
-const (
-	powDenseRetain = 256
-	powStride      = 16
-	powRetainCap   = 1024
-)
-
 // NewPowerCache returns a cache over base. The base matrix is cloned, so
 // later mutation of the argument does not corrupt cached results.
 func NewPowerCache(base *Matrix) *PowerCache {
 	if base.Rows != base.Cols {
 		panic("mathx: PowerCache requires a square matrix")
 	}
-	b := base.Clone()
-	return &PowerCache{
-		base:   b,
-		powers: map[int]power{0: newPower(Identity(b.Rows)), 1: newPower(b)},
-	}
+	return &PowerCache{prefix: []power{newPower(Identity(base.Rows)), newPower(base.Clone())}}
 }
 
-// Pow returns base^k, computing — and, within the retention cap,
-// caching — intermediate powers along the sequential walk.
+// Pow returns base^k.
 func (c *PowerCache) Pow(k int) *Matrix { return c.get(k).m }
 
 // PowBand returns base^k together with its Band.
@@ -359,60 +317,67 @@ func (c *PowerCache) PowBand(k int) (*Matrix, Band) {
 // -Inf), built with the power.
 func (c *PowerCache) PowLog(k int) *Matrix { return c.get(k).log }
 
-// get returns the entry of base^k, building it on a miss.
+// Power returns base^k, its element-wise log and its Band from one
+// lookup, so a power past the prefix is walked once for all three.
+func (c *PowerCache) Power(k int) (a, logA *Matrix, band Band) {
+	p := c.get(k)
+	return p.m, p.log, p.band
+}
+
+// get returns the entry of base^k: read off the prefix, grown into it
+// under the write lock, or, at or past PowerPrefix, walked privately.
 func (c *PowerCache) get(k int) power {
 	if k < 0 {
 		panic("mathx: PowerCache requires k >= 0")
 	}
 	c.mu.RLock()
-	p, ok := c.powers[k]
+	prefix := c.prefix
 	c.mu.RUnlock()
-	if ok {
-		return p
+	if k < len(prefix) {
+		return prefix[k]
+	}
+	if k >= PowerPrefix {
+		return far(prefix, k)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if p, ok := c.powers[k]; ok {
-		return p
+	for len(c.prefix) <= k {
+		top := c.prefix[len(c.prefix)-1].m
+		next := NewMatrix(top.Rows, top.Cols)
+		step(next, top, c.prefix[1])
+		c.prefix = append(c.prefix, newPower(next))
 	}
-	// Build from the largest cached power below k. The walk always
-	// left-multiplies the base one step at a time — the same sequence of
-	// float operations whatever the anchor — so results are bit-identical
-	// to an uncached walk from 1.
-	best := 0
-	for p := range c.powers {
-		if p <= k && p > best {
-			best = p
-		}
-	}
-	m := c.powers[best].m
-	for p := best; p < k; p++ {
-		m = m.Mul(c.base)
-		if c.retain(p+1, k) {
-			c.powers[p+1] = newPower(m)
-		}
-	}
-	if p, ok := c.powers[k]; ok {
-		return p
-	}
-	return newPower(m)
+	return c.prefix[k]
 }
 
-// retain decides whether the walk keeps power p on the way to target k.
-func (c *PowerCache) retain(p, k int) bool {
-	if len(c.powers) >= powRetainCap {
-		return false
+// far returns the entry of base^k for k past the prefix: the walk goes on
+// from the prefix's top through two private buffers. Entries below a
+// prefix's length are never written again, so it reads them unlocked.
+func far(prefix []power, k int) power {
+	top := len(prefix) - 1
+	cur := prefix[top].m
+	bufs := [2]*Matrix{NewMatrix(cur.Rows, cur.Cols), NewMatrix(cur.Rows, cur.Cols)}
+	for p := top; p < k; p++ {
+		step(bufs[p%2], cur, prefix[1])
+		cur = bufs[p%2]
 	}
-	return p == k || len(c.powers) < powDenseRetain || p%powStride == 0
+	return newPower(cur)
 }
 
-// Retained reports how many powers the cache currently pins — the
-// quantity the retention cap bounds. Each holds two S×S matrices: the
-// power and its log.
+// step writes src·A into dst, where base is A's entry: row i of the
+// product is row i of src stepped through A by VecMulInto over A's band.
+func step(dst, src *Matrix, base power) {
+	for i := 0; i < src.Rows; i++ {
+		base.m.VecMulInto(dst.Row(i), src.Row(i), base.band)
+	}
+}
+
+// Retained reports how many powers the cache pins, at most PowerPrefix.
+// Each holds two S×S matrices: the power and its log.
 func (c *PowerCache) Retained() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.powers)
+	return len(c.prefix)
 }
 
 // sharedPowers is the process-wide transition-power registry: fleets of

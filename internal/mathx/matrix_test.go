@@ -1,8 +1,10 @@
 package mathx
 
 import (
+	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -47,12 +49,15 @@ func TestFromRowsEmpty(t *testing.T) {
 func TestMul(t *testing.T) {
 	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
 	b, _ := FromRows([][]float64{{5, 6}, {7, 8}})
-	c := a.Mul(b)
+	c := NewMatrix(2, 2)
+	a.MulInto(c, b)
 	want := [][]float64{{19, 22}, {43, 50}}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if c.At(i, j) != want[i][j] {
-				t.Errorf("Mul[%d][%d] = %v, want %v", i, j, c.At(i, j), want[i][j])
+	for _, got := range []*Matrix{c, mulDense(a, b)} {
+		for i := 0; i < 2; i++ {
+			for j := 0; j < 2; j++ {
+				if got.At(i, j) != want[i][j] {
+					t.Errorf("product[%d][%d] = %v, want %v", i, j, got.At(i, j), want[i][j])
+				}
 			}
 		}
 	}
@@ -61,10 +66,10 @@ func TestMul(t *testing.T) {
 func TestMulDimensionPanic(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("Mul with mismatched dims did not panic")
+			t.Error("MulInto with mismatched dims did not panic")
 		}
 	}()
-	NewMatrix(2, 3).Mul(NewMatrix(2, 3))
+	NewMatrix(2, 3).MulInto(NewMatrix(2, 3), NewMatrix(2, 3))
 }
 
 func TestMulVec(t *testing.T) {
@@ -76,37 +81,41 @@ func TestMulVec(t *testing.T) {
 	}
 }
 
+// TestVecMul checks the forward step on a dense matrix and on a banded
+// one, where it reads only the band.
 func TestVecMul(t *testing.T) {
 	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
 	got := make([]float64, 2)
-	a.VecMulInto(got, []float64{1, 1})
+	a.VecMulInto(got, []float64{1, 1}, BandOf(a))
 	if got[0] != 4 || got[1] != 6 {
 		t.Errorf("VecMulInto = %v, want [4 6]", got)
+	}
+	b, _ := FromRows([][]float64{{1, 2, 0}, {0, 3, 4}, {0, 0, 5}})
+	band := BandOf(b)
+	b.Set(0, 2, math.NaN()) // off the band: never read
+	got = make([]float64, 3)
+	b.VecMulInto(got, []float64{1, 1, 1}, band)
+	if got[0] != 1 || got[1] != 5 || got[2] != 9 {
+		t.Errorf("banded VecMulInto = %v, want [1 5 9]", got)
 	}
 }
 
 func TestPowZeroIsIdentity(t *testing.T) {
 	a, _ := FromRows([][]float64{{0.5, 0.5}, {0.25, 0.75}})
-	p := a.Pow(0)
-	id := Identity(2)
-	for i := range p.Data {
-		if p.Data[i] != id.Data[i] {
-			t.Fatalf("Pow(0) != I: %v", p.Data)
-		}
+	if !NewPowerCache(a).Pow(0).Equal(Identity(2)) {
+		t.Fatal("Pow(0) != I")
 	}
 }
 
+// TestPowMatchesRepeatedMul pins the cache's powers to the dense
+// product walk, bit for bit, in the prefix and past it.
 func TestPowMatchesRepeatedMul(t *testing.T) {
 	a, _ := FromRows([][]float64{{0.9, 0.1}, {0.2, 0.8}})
-	direct := a.Clone()
-	for k := 2; k <= 6; k++ {
-		direct = direct.Mul(a)
-		pow := a.Pow(k)
-		for i := range pow.Data {
-			if math.Abs(pow.Data[i]-direct.Data[i]) > 1e-12 {
-				t.Fatalf("Pow(%d) differs from repeated Mul at %d: %v vs %v",
-					k, i, pow.Data[i], direct.Data[i])
-			}
+	walk := denseWalk(a, PowerPrefix+6)
+	c := NewPowerCache(a)
+	for k := 2; k < len(walk); k++ {
+		if !c.Pow(k).Equal(walk[k]) {
+			t.Fatalf("Pow(%d) differs from the dense walk: %v, want %v", k, c.Pow(k).Data, walk[k].Data)
 		}
 	}
 }
@@ -131,8 +140,9 @@ func rowStochastic(m *Matrix, tol float64) bool {
 
 func TestPowPreservesStochastic(t *testing.T) {
 	a, _ := FromRows([][]float64{{0.7, 0.3, 0}, {0.15, 0.7, 0.15}, {0, 0.3, 0.7}})
-	for k := 0; k < 20; k++ {
-		if !rowStochastic(a.Pow(k), 1e-9) {
+	c := NewPowerCache(a)
+	for _, k := range []int{0, 1, 2, 3, 5, 8, 13, 19, PowerPrefix - 1, PowerPrefix, 3 * PowerPrefix} {
+		if !rowStochastic(c.Pow(k), 1e-9) {
 			t.Fatalf("A^%d is not row-stochastic", k)
 		}
 	}
@@ -141,13 +151,10 @@ func TestPowPreservesStochastic(t *testing.T) {
 func TestPowerCacheMatchesPow(t *testing.T) {
 	a, _ := FromRows([][]float64{{0.7, 0.3}, {0.4, 0.6}})
 	c := NewPowerCache(a)
-	for _, k := range []int{0, 1, 5, 3, 17, 2, 17} {
-		got := c.Pow(k)
-		want := a.Pow(k)
-		for i := range got.Data {
-			if math.Abs(got.Data[i]-want.Data[i]) > 1e-12 {
-				t.Fatalf("PowerCache.Pow(%d) mismatch at %d", k, i)
-			}
+	walk := denseWalk(a, 2*PowerPrefix)
+	for _, k := range []int{0, 1, 5, 3, 17, 2, 17, 2 * PowerPrefix, PowerPrefix, PowerPrefix - 1} {
+		if !c.Pow(k).Equal(walk[k]) {
+			t.Fatalf("PowerCache.Pow(%d) differs from the dense walk", k)
 		}
 	}
 }
@@ -183,7 +190,8 @@ func TestQuickStochasticPowers(t *testing.T) {
 			{float64(c) + 1, float64(d) + 1},
 		})
 		m.NormalizeRows()
-		return rowStochastic(m.Pow(7), 1e-9)
+		pc := NewPowerCache(m)
+		return rowStochastic(pc.Pow(7), 1e-9) && rowStochastic(pc.Pow(PowerPrefix+7), 1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -242,9 +250,18 @@ type testKey struct {
 	n    int
 }
 
+// coldKeys numbers the keys coldKey hands out.
+var coldKeys atomic.Int64
+
+// coldKey returns a key that no earlier lookup used, even in an earlier
+// run of a -count=N test binary: the registry outlives a run.
+func coldKey(name string, n int) testKey {
+	return testKey{fmt.Sprintf("%s#%d", name, coldKeys.Add(1)), n}
+}
+
 func TestSharedPowersReusesCaches(t *testing.T) {
 	base, _ := FromRows([][]float64{{0.8125, 0.1875}, {0.34375, 0.65625}})
-	key := testKey{"reuses", 2}
+	key := coldKey("reuses", 2)
 	builds := 0
 	build := func() *Matrix { builds++; return base.Clone() }
 	d0 := SharedPowersDetail()
@@ -260,7 +277,7 @@ func TestSharedPowersReusesCaches(t *testing.T) {
 	if d.Hits != 1 || d.Misses() != 1 {
 		t.Errorf("stats delta = %d hits %d misses, want 1 and 1", d.Hits, d.Misses())
 	}
-	if c3 := SharedPowers(testKey{"reuses", 3}, build); c3 == c1 {
+	if c3 := SharedPowers(testKey{key.name, 3}, build); c3 == c1 {
 		t.Error("a different key got the same cache")
 	}
 	// Shared caches serve the powers a private cache computes, bit for
@@ -285,19 +302,47 @@ func TestSharedPowersReusesCaches(t *testing.T) {
 	}
 }
 
+// sameBand reports whether two bands are equal range by range.
+func sameBand(a, b Band) bool {
+	for _, x := range [][2][]int{{a.RowLo, b.RowLo}, {a.RowHi, b.RowHi}, {a.ColLo, b.ColLo}, {a.ColHi, b.ColHi}} {
+		if len(x[0]) != len(x[1]) {
+			return false
+		}
+		for i := range x[0] {
+			if x[0][i] != x[1][i] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestSharedPowersConcurrent runs three kinds of goroutine on one shared
+// cache at once: readers of gaps 0–3, the traffic a fleet sends;
+// goroutines that grow the prefix; and goroutines that ask for gaps past
+// it, which walk outside the lock. Every answer — power, log and band —
+// must equal the serial dense walk's.
 func TestSharedPowersConcurrent(t *testing.T) {
-	base, _ := FromRows([][]float64{{0.84375, 0.15625}, {0.21875, 0.78125}})
-	want := NewPowerCache(base)
+	base := tridiagonal(9, 0.84375)
+	walk := denseWalk(base, 3*PowerPrefix)
+	key := coldKey("concurrent", 9)
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < 12; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c := SharedPowers(testKey{"concurrent", 2}, base.Clone)
-			for k := 0; k < 40; k++ {
-				p := (k*7 + w) % 23
-				if !c.Pow(p).Equal(want.Pow(p)) || !c.PowLog(p).Equal(want.PowLog(p)) {
-					t.Errorf("concurrent shared Pow or PowLog mismatch at k=%d", p)
+			c := SharedPowers(key, base.Clone)
+			for i := 0; i < 40; i++ {
+				k := i % 4
+				switch w % 3 {
+				case 1:
+					k = (i*7 + w) % PowerPrefix
+				case 2:
+					k = PowerPrefix + (i*37+w)%(2*PowerPrefix)
+				}
+				a, logA, band := c.Power(k)
+				if !a.Equal(walk[k]) || !logA.Equal(logOf(walk[k])) || !sameBand(band, BandOf(walk[k])) {
+					t.Errorf("goroutine %d: shared Power(%d) differs from the dense walk", w, k)
 					return
 				}
 			}
@@ -339,19 +384,7 @@ func TestBandOfCoversSupport(t *testing.T) {
 // width from k = n−1 on — and that Pow and PowBand return one matrix.
 func TestPowBandTridiagonal(t *testing.T) {
 	const n = 9
-	a := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		a.Set(i, i, 0.8)
-		switch i {
-		case 0:
-			a.Set(0, 1, 0.2)
-		case n - 1:
-			a.Set(n-1, n-2, 0.2)
-		default:
-			a.Set(i, i-1, 0.1)
-			a.Set(i, i+1, 0.1)
-		}
-	}
+	a := tridiagonal(n, 0.8)
 	c := NewPowerCache(a)
 	for k := 0; k <= n+2; k++ {
 		m, b := c.PowBand(k)
@@ -366,10 +399,13 @@ func TestPowBandTridiagonal(t *testing.T) {
 			}
 		}
 	}
-	// Past the retention cap a power is built, not kept; its band is
-	// still recorded.
+	// Past the prefix a power is walked, not kept; its band is still
+	// recorded.
 	huge := NewPowerCache(a)
-	if _, b := huge.PowBand(powRetainCap + 40); b.RowLo[0] != 0 || b.RowHi[0] != n {
+	if _, b := huge.PowBand(PowerPrefix + 40); b.RowLo[0] != 0 || b.RowHi[0] != n {
 		t.Errorf("uncached power band row 0 = [%d,%d), want [0,%d)", b.RowLo[0], b.RowHi[0], n)
+	}
+	if r := huge.Retained(); r != 2 {
+		t.Errorf("a power past the prefix left %d powers retained, want the 2 a new cache holds", r)
 	}
 }
